@@ -176,9 +176,9 @@ type (
 	Practice = expmodel.Practice
 )
 
-// NewMetricStore creates a telemetry store (capacity <= 0 uses the
-// default).
-func NewMetricStore(capacity int) *MetricStore { return metrics.NewStore(capacity) }
+// NewMetricStore creates a telemetry store. The argument is ignored
+// (see metrics.NewStore) and kept for source compatibility.
+func NewMetricStore(_ int) *MetricStore { return metrics.NewStore(0) }
 
 // NewRoutingTable creates an empty routing table.
 func NewRoutingTable() *RoutingTable { return router.NewTable() }

@@ -140,10 +140,18 @@ func run() error {
 		}
 	}
 
-	// Compare the variants the way a release engineer would.
-	since := start
-	v1 := store.Values("response_time", metrics.Scope{Service: "checkout", Version: "v1"}, since)
-	v2 := store.Values("response_time", metrics.Scope{Service: "checkout", Version: "v2"}, since)
+	// Compare the variants the way a release engineer would. The metric
+	// store keeps windowed aggregates, not samples; the per-request
+	// response times are the durations of the recorded checkout spans.
+	ms := map[string][]float64{}
+	for _, tr := range traces.Traces("") {
+		for _, sp := range tr.Spans {
+			if sp.Service == "checkout" {
+				ms[sp.Version] = append(ms[sp.Version], float64(sp.Duration)/float64(time.Millisecond))
+			}
+		}
+	}
+	v1, v2 := ms["v1"], ms["v2"]
 	res, err := stats.WelchT(v1, v2, 0.05)
 	if err != nil {
 		return err

@@ -105,7 +105,7 @@ func scenarioTraces(app *microsim.Application, experimentRoutes func(*router.Tab
 			}
 		}
 		collector := tracing.NewCollector()
-		sim := microsim.NewSim(app, table, collector, metrics.NewStore(1024), seed)
+		sim := microsim.NewSim(app, table, collector, metrics.NewStore(0), seed)
 		for i := 0; i < traces; i++ {
 			req := &router.Request{UserID: fmt.Sprintf("user-%04d", i)}
 			if _, err := sim.Execute(req, start.Add(time.Duration(i)*time.Second)); err != nil {

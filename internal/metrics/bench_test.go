@@ -22,8 +22,7 @@ func BenchmarkQueryP95(b *testing.B) {
 	scope := Scope{Service: "svc", Version: "v1"}
 	base := time.Now()
 	for i := 0; i < 10000; i++ {
-		// Strictly positive latencies: zero values would route quantiles
-		// through the exact underflow fallback instead of the sketch.
+		// Strictly positive latencies, as real response times are.
 		st.Record("rt", scope, base.Add(time.Duration(i)*time.Millisecond), 1+float64(i%100))
 	}
 	since := base.Add(5 * time.Second)
@@ -54,15 +53,15 @@ func BenchmarkRecordParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkQueryP95Hot queries a percentile on a full-capacity series
-// (DefaultSeriesCapacity raw observations). The streaming histogram
-// sketch answers in O(time buckets + histogram buckets) — no copy, no
-// sort of the 65k-sample window.
+// BenchmarkQueryP95Hot queries a percentile over a busy minute: 65 536
+// observations across 66 one-second buckets. Merging the buckets'
+// sketches answers in O(buckets × histogram bins), whatever the number
+// of observations.
 func BenchmarkQueryP95Hot(b *testing.B) {
 	st := NewStore(0)
 	scope := Scope{Service: "svc", Version: "v1"}
 	base := time.Now()
-	for i := 0; i < DefaultSeriesCapacity; i++ {
+	for i := 0; i < 65536; i++ {
 		// Strictly positive latencies (see BenchmarkQueryP95).
 		st.Record("rt", scope, base.Add(time.Duration(i)*time.Millisecond), 1+float64(i%250))
 	}

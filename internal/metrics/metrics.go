@@ -4,12 +4,12 @@
 // transitions, and the evaluation harnesses read it to reproduce the
 // response-time figures.
 //
-// The store keeps raw observations per (metric, scope) series in a ring
-// buffer and answers windowed aggregate queries: mean, percentiles, rate,
-// count, min, max. A scope identifies which deployment produced the
-// observation — typically service + version, optionally an experiment
-// variant tag (dark-launch mirrors record under the "dark" variant so
-// their telemetry never mixes with user-facing traffic):
+// The store answers windowed aggregate queries per (metric, scope)
+// series: mean, percentiles, rate, count, min, max. A scope identifies
+// which deployment produced the observation — typically service +
+// version, optionally an experiment variant tag (dark-launch mirrors
+// record under the "dark" variant so their telemetry never mixes with
+// user-facing traffic):
 //
 //	store := metrics.NewStore(0)
 //	scope := metrics.Scope{Service: "recommendation", Version: "v2"}
@@ -24,30 +24,40 @@
 // rate over an existing-but-empty window return 0 instead, since
 // "nothing happened" is a real answer for those.
 //
-// Performance model: the series map is sharded by key hash so writers
-// of different series never contend on one store-wide lock, and each
-// series maintains streaming aggregates in a ring of one-second time
-// buckets — running count/sum/min/max, the bucket's first/last
-// observation times, and a log-bucketed histogram sketch. Windowed
-// count/sum/mean/min/max/rate queries are O(time buckets) and
-// median/p95/p99 merge the sketches instead of copying and sorting the
-// raw window (quantiles carry the sketch's bounded relative error; see
-// docs/PERFORMANCE.md). Values keeps the exact raw-sample path for the
-// stats/analysis layer. Queries reaching back before the aggregate
-// ring's coverage fall back to an exact scan of the raw ring.
+// What a series retains (ring.go): no raw observations, only streaming
+// aggregates — buckets of count/sum/min/max, first/last observation
+// time and a log-binned histogram sketch — in three rings: 1 s × 256,
+// 1 min × 1440 (24 h) and 1 h × 336 (14 days). Every observation feeds
+// all three, each ring accepting any sample still inside its own
+// coverage however late it arrives; a bucket is allocated only once
+// its interval receives data. A query reduces the finest ring that
+// covers its window, so it costs O(ring slots) and snaps to that
+// ring's bucket width: a bucket straddling `since` contributes whole.
+// Three consequences callers should know:
 //
-// All operations are safe for concurrent use; writers contend only on
-// their own series. The per-series ring (DefaultSeriesCapacity) bounds
-// memory, evicting oldest-first, and holds several minutes of history
-// at the paper's request rates — longer than any check window used in
-// the evaluations.
+//   - Quantiles (median/p95/p99) always come from merged sketches and
+//     carry their bounded relative error (√γ−1 ≈ 4.9%, see
+//     docs/PERFORMANCE.md), at second, minute or hour snapping depending
+//     on how far back the window starts. There is no exact-sort path.
+//   - A quantile whose rank falls among values ≤ 10⁻³ (zero, negative:
+//     the sketch's underflow bin) is reported somewhere inside
+//     [window min, min(10⁻³, window max)]; min/max/mean/sum over such
+//     values stay exact.
+//   - A window older than every ring is answered from what the hour
+//     ring still retains. Buckets restored by LoadSnapshot carry no
+//     sketch, so a quantile over a window containing one is ErrNoData.
+//
+// All operations are safe for concurrent use. The series map is sharded
+// by key hash so writers of different series never contend on one
+// store-wide lock, and count/sum/mean/min/max/rate reads over the 1 s
+// ring take no series lock at all (sealed.go). Memory per series is
+// bounded by the fixed ring sizes.
 package metrics
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,134 +162,32 @@ func (a Aggregation) String() string {
 // observations; Bifrost maps it to an inconclusive check outcome.
 var ErrNoData = errors.New("metrics: no data in window")
 
-type observation struct {
-	at    time.Time
-	value float64
-}
-
-// --- histogram sketch ---
-//
-// Values are assigned to log-spaced buckets: bucket i (1 ≤ i ≤
-// histInterior) covers (histMin·γ^(i-1), histMin·γ^i]; bucket 0 catches
-// everything ≤ histMin (including zero and negatives, which latencies
-// and counters never produce) and the last bucket everything > histMax.
-// A quantile read returns the geometric midpoint of its bucket, so the
-// relative error is bounded by √γ − 1 (≈ 4.9% with γ = 1.1).
+// Ring tiers of a series, finest first.
 const (
-	histGamma    = 1.1
-	histMin      = 1e-3
-	histMax      = 1e6
-	histInterior = 218 // ceil(ln(histMax/histMin)/ln(histGamma))
-	histSize     = histInterior + 2
+	tierSecond = iota
+	tierMinute
+	tierHour
+	numTiers
 )
-
-var lnHistGamma = math.Log(histGamma)
-
-func histIndex(v float64) int {
-	if !(v > histMin) { // also catches NaN
-		return 0
-	}
-	if v >= histMax {
-		return histSize - 1
-	}
-	i := 1 + int(math.Log(v/histMin)/lnHistGamma)
-	if i < 1 {
-		i = 1
-	}
-	if i > histInterior {
-		i = histInterior
-	}
-	return i
-}
-
-func histValue(i int) float64 {
-	switch {
-	case i <= 0:
-		return histMin
-	case i >= histSize-1:
-		return histMax
-	default:
-		return histMin * math.Pow(histGamma, float64(i)-0.5)
-	}
-}
-
-// --- time-bucket ring ---
-
-const (
-	// bucketWidth is the streaming-aggregate resolution; windows snap to
-	// bucket boundaries (a bucket straddling `since` is included whole).
-	bucketWidth = time.Second
-	// numTimeBuckets bounds the aggregate ring: ~4 minutes of coverage,
-	// matching the raw ring's "several minutes" retention claim.
-	numTimeBuckets = 256
-)
-
-// aggBucket holds the streaming aggregates of one bucketWidth interval.
-type aggBucket struct {
-	idx     int64 // at.Unix() of the interval start; full index, not mod
-	count   int
-	sum     float64
-	min     float64
-	max     float64
-	firstAt time.Time // earliest observation in the bucket
-	lastAt  time.Time // latest observation in the bucket
-	hist    [histSize]uint32
-}
-
-func (b *aggBucket) reset(idx int64) {
-	*b = aggBucket{idx: idx, min: math.Inf(1), max: math.Inf(-1)}
-}
-
-func (b *aggBucket) add(at time.Time, v float64) {
-	b.count++
-	b.sum += v
-	if v < b.min {
-		b.min = v
-	}
-	if v > b.max {
-		b.max = v
-	}
-	if b.firstAt.IsZero() || at.Before(b.firstAt) {
-		b.firstAt = at
-	}
-	if b.lastAt.IsZero() || at.After(b.lastAt) {
-		b.lastAt = at
-	}
-	b.hist[histIndex(v)]++
-}
 
 type series struct {
-	mu         sync.Mutex
-	buf        []observation // raw ring buffer (exact path, Values)
-	head, size int
+	mu sync.Mutex
 
-	// Streaming aggregates: a ring of one-second buckets, lazily
-	// allocated. latestIdx is the highest bucket index written and
-	// earliestIdx the lowest ever seen; coverage spans
-	// (latestIdx-numTimeBuckets, latestIdx]. While
-	// latestIdx-earliestIdx stays inside the ring, the aggregates hold
-	// every observation ever recorded and answer any window; once data
-	// falls outside, queries reaching past coverage use the exact raw
-	// path.
-	buckets     []*aggBucket
-	earliestIdx int64
-	latestIdx   int64
-	hasAgg      bool
+	// tiers are the three retention rings (ring.go), every one fed on
+	// every write. The minute and hour rings survive restarts via
+	// Store.SaveSnapshot.
+	tiers [numTiers]ring
+	// earliest is the unix second of the oldest observation ever
+	// offered, kept or not: a ring whose reach starts at or before it
+	// holds the series' whole history.
+	earliest int64
 
-	// Durable rollup tiers, fed on every write alongside the one-second
-	// buckets: minute and hour rings of count/sum/min/max aggregates
-	// (no histogram, so quantile queries beyond the 1s ring's coverage
-	// take the exact raw path). They extend windowed queries far past
-	// the 1s ring and survive restarts via Store.SaveSnapshot.
-	minute rollRing
-	hour   rollRing
-
-	// Lock-light read side (sealed.go): completed seconds sealed into
-	// an atomically-published immutable view, the in-progress second
-	// mirrored in a seqlock hot bucket synced once per locked write
-	// section. Aggregate queries over the pair take no series lock.
-	// curHotIdx/hotDirty are write-side bookkeeping guarded by mu;
-	// lateSeq counts out-of-order writes into sealed history so
+	// Lock-light read side (sealed.go) over the seconds ring: completed
+	// seconds sealed into an atomically-published immutable view, the
+	// in-progress second mirrored in a seqlock hot bucket synced once
+	// per locked write section. Aggregate queries over the pair take no
+	// series lock. curHotIdx/hotDirty are write-side bookkeeping guarded
+	// by mu; lateSeq counts out-of-order writes into sealed history so
 	// readers can tell when the view went stale.
 	view      atomic.Pointer[sealedView]
 	hot       hotBucket
@@ -291,12 +199,14 @@ type series struct {
 	lastWrite time.Time
 }
 
-func newSeries(capacity int) *series {
+func newSeries() *series {
 	return &series{
-		buf:       make([]observation, capacity),
-		buckets:   make([]*aggBucket, numTimeBuckets),
-		minute:    rollRing{width: 60, slots: minuteRingSlots},
-		hour:      rollRing{width: 3600, slots: hourRingSlots},
+		tiers: [numTiers]ring{
+			tierSecond: newRing(time.Second, secondSlots),
+			tierMinute: newRing(time.Minute, minuteSlots),
+			tierHour:   newRing(time.Hour, hourSlots),
+		},
+		earliest:  math.MaxInt64,
 		curHotIdx: math.MinInt64, // first write always opens a new second
 	}
 }
@@ -309,82 +219,18 @@ func (s *series) record(at time.Time, v float64) {
 }
 
 func (s *series) recordLocked(at time.Time, v float64) {
-	// Raw ring.
-	idx := (s.head + s.size) % len(s.buf)
-	s.buf[idx] = observation{at: at, value: v}
-	if s.size < len(s.buf) {
-		s.size++
-	} else {
-		s.head = (s.head + 1) % len(s.buf)
-	}
-
-	// Streaming aggregates.
-	bIdx := at.Unix()
-	if !s.hasAgg {
-		s.hasAgg = true
-		s.earliestIdx = bIdx
-		s.latestIdx = bIdx
-	} else {
-		if bIdx > s.latestIdx {
-			s.latestIdx = bIdx
-		}
-		if bIdx < s.earliestIdx {
-			s.earliestIdx = bIdx
-		}
-	}
-	if bIdx <= s.latestIdx-numTimeBuckets {
-		// Too old for the aggregate ring; only the raw ring sees it
-		// (and earliestIdx now marks coverage as incomplete, which
-		// lock-free readers learn through the late-write sequence).
-		s.lateSeq.Add(1)
-		return
-	}
-	slot := int(((bIdx % numTimeBuckets) + numTimeBuckets) % numTimeBuckets)
-	b := s.buckets[slot]
-	if b == nil {
-		b = &aggBucket{}
-		b.reset(bIdx)
-		s.buckets[slot] = b
-	} else if b.idx != bIdx {
-		b.reset(bIdx)
-	}
-	b.add(at, v)
-	s.sealOnWriteLocked(bIdx)
-
-	// Rollup tiers: two more cheap bucket adds per observation keep the
-	// minute and hour rings always-current, so downsampling needs no
-	// background fold over the 1s ring (and no cross-tier locking).
-	s.minute.add(at, v)
-	s.hour.add(at, v)
 	if at.After(s.lastWrite) {
 		s.lastWrite = at
 	}
-}
-
-// coversAgg reports whether the aggregate ring fully answers a query
-// from `since`: either no data has ever fallen outside the ring, or the
-// window starts inside its coverage.
-func (s *series) coversAgg(since time.Time) bool {
-	if !s.hasAgg {
-		return false
-	}
-	if s.latestIdx-s.earliestIdx < numTimeBuckets {
-		return true
-	}
-	coverageStart := time.Unix(s.latestIdx-numTimeBuckets+1, 0)
-	return !since.Before(coverageStart)
-}
-
-// window copies out all observations with at >= since (exact path).
-func (s *series) window(since time.Time) []observation {
-	out := make([]observation, 0, s.size)
-	for i := 0; i < s.size; i++ {
-		o := s.buf[(s.head+i)%len(s.buf)]
-		if !o.at.Before(since) {
-			out = append(out, o)
+	sec, ns, bin := at.Unix(), at.UnixNano(), histIndex(v)
+	s.earliest = min(s.earliest, sec)
+	for i := range s.tiers {
+		r := &s.tiers[i]
+		if b := r.at(sec / r.width); b != nil {
+			b.add(ns, v, bin)
 		}
 	}
-	return out
+	s.sealOnWriteLocked(sec)
 }
 
 // shard is one partition of the series map with its own lock.
@@ -400,23 +246,14 @@ const NumShards = 16
 // Store is a concurrency-safe metric store. The zero value is not usable;
 // construct with NewStore.
 type Store struct {
-	shards   [NumShards]shard
-	capacity int
+	shards [NumShards]shard
 }
 
-// DefaultSeriesCapacity bounds the per-series ring buffer; at one
-// observation per request and the evaluation's request rates this holds
-// several minutes of history, which covers every check window used in
-// the paper.
-const DefaultSeriesCapacity = 65536
-
-// NewStore creates a Store holding up to capacity observations per series
-// (DefaultSeriesCapacity when capacity <= 0).
-func NewStore(capacity int) *Store {
-	if capacity <= 0 {
-		capacity = DefaultSeriesCapacity
-	}
-	st := &Store{capacity: capacity}
+// NewStore creates a Store. The argument is ignored: it once sized a
+// per-series raw-sample ring that no longer exists, and remains only so
+// existing callers keep compiling.
+func NewStore(_ int) *Store {
+	st := &Store{}
 	for i := range st.shards {
 		st.shards[i].series = make(map[string]*series)
 	}
@@ -463,15 +300,6 @@ func (st *Store) shardFor(key string) *shard {
 	return &st.shards[fnvx.String(fnvx.Offset64, key)&(NumShards-1)]
 }
 
-// lookup returns the series for key, or nil.
-func (st *Store) lookup(key string) *series {
-	sh := st.shardFor(key)
-	sh.mu.RLock()
-	s := sh.series[key]
-	sh.mu.RUnlock()
-	return s
-}
-
 // getOrCreate returns the series for key, creating it on first write.
 func (st *Store) getOrCreate(key string) *series {
 	sh := st.shardFor(key)
@@ -484,7 +312,7 @@ func (st *Store) getOrCreate(key string) *series {
 	sh.mu.Lock()
 	s = sh.series[key]
 	if s == nil {
-		s = newSeries(st.capacity)
+		s = newSeries()
 		sh.series[key] = s
 	}
 	sh.mu.Unlock()
@@ -544,14 +372,10 @@ func (st *Store) RecordBatch(samples []Sample) {
 
 // Query reduces the observations of (metric, scope) recorded at or after
 // `since` (up to `now` semantics are the caller's: everything recorded is
-// included) with the given aggregation.
-//
-// Count/sum/mean/min/max/rate read the streaming per-bucket aggregates
-// in O(time buckets); median/p95/p99 merge the per-bucket histogram
-// sketches (bounded relative error) instead of sorting raw samples.
-// Windows snap to one-second bucket boundaries: a bucket straddling
-// `since` contributes whole. Queries reaching back before the aggregate
-// ring's coverage fall back to an exact scan of the raw ring.
+// included) with the given aggregation, from the finest ring covering
+// `since`. Windows snap to that ring's bucket boundaries: a bucket
+// straddling `since` contributes whole. Quantiles merge the buckets'
+// histogram sketches and carry their bounded relative error.
 func (st *Store) Query(metric string, scope Scope, since time.Time, agg Aggregation) (float64, error) {
 	// Pooled key probe (as in RecordBatch): looking up an existing
 	// series allocates nothing.
@@ -563,239 +387,28 @@ func (st *Store) Query(metric string, scope Scope, since time.Time, agg Aggregat
 	if s == nil {
 		return 0, fmt.Errorf("%w: no series %s %s", ErrNoData, metric, scope)
 	}
-	// Lock-free fast path (sealed.go): aggregate reads over the sealed
-	// view + hot mirror take no series lock and allocate nothing.
-	// Quantiles need the histogram sketches and keep the locked path.
-	if agg != AggMedian && agg != AggP95 && agg != AggP99 {
-		if v, ok, err := s.querySealed(since, agg); ok {
-			return v, err
-		}
+	a := accumulator{summary: emptySummary}
+	// Lock-free fast path (sealed.go): reads over the sealed view + hot
+	// mirror take no series lock. Quantiles need the histogram sketches,
+	// which the view does not carry, and keep the locked path.
+	if !isQuantile(agg) && s.reduceSealed(since, &a) {
+		return a.value(agg)
+	}
+	var hist [histSize]uint64
+	if isQuantile(agg) {
+		a.hist = &hist
 	}
 	s.mu.Lock()
-	if s.coversAgg(since) {
-		v, ok, err := queryBuckets(s, since, agg)
-		if ok {
-			s.mu.Unlock()
-			return v, err
-		}
-		// Quantile over underflow-bucket values (≤ histMin, e.g. zero or
-		// negative): the sketch cannot place them, use the exact path.
-	} else if agg != AggMedian && agg != AggP95 && agg != AggP99 {
-		// Rollup tiers answer windows older than the 1s ring's coverage:
-		// minute buckets first, hour buckets beyond those. Quantiles are
-		// excluded — the rollups keep no histogram — and fall through to
-		// the exact raw path (pre-rollup semantics).
-		if s.minute.covers(since) {
-			v, err := s.minute.query(since, agg)
-			s.mu.Unlock()
-			return v, err
-		}
-		if s.hour.covers(since) {
-			v, err := s.hour.query(since, agg)
-			s.mu.Unlock()
-			return v, err
+	r := &s.tiers[tierHour] // a window older than every ring gets what the coarsest retains
+	for i := range s.tiers {
+		if s.tiers[i].covers(since, s.earliest) {
+			r = &s.tiers[i]
+			break
 		}
 	}
-	// Exact fallback: copy the window under the lock, aggregate (and
-	// for percentiles, sort) outside it so a large scan never blocks
-	// writers to this series.
-	obs := s.window(since)
+	r.reduce(since, &a)
 	s.mu.Unlock()
-	return queryExact(obs, agg)
-}
-
-// queryBuckets answers from the streaming aggregate ring. Caller holds
-// the series lock. ok reports whether the ring could answer; it is
-// false when the aggregation needs the exact path instead (quantiles
-// over values the sketch cannot place).
-func queryBuckets(s *series, since time.Time, agg Aggregation) (float64, bool, error) {
-	var (
-		count    int
-		sum      float64
-		minV     = math.Inf(1)
-		maxV     = math.Inf(-1)
-		firstAt  time.Time
-		lastAt   time.Time
-		hist     [histSize]uint64
-		needHist = agg == AggMedian || agg == AggP95 || agg == AggP99
-	)
-	oldestValid := s.latestIdx - numTimeBuckets // exclusive lower bound
-	for _, b := range s.buckets {
-		if b == nil || b.count == 0 || b.idx <= oldestValid {
-			continue
-		}
-		if !time.Unix(b.idx+1, 0).After(since) {
-			continue // bucket ends at or before the window start
-		}
-		count += b.count
-		sum += b.sum
-		if b.min < minV {
-			minV = b.min
-		}
-		if b.max > maxV {
-			maxV = b.max
-		}
-		if firstAt.IsZero() || b.firstAt.Before(firstAt) {
-			firstAt = b.firstAt
-		}
-		if lastAt.IsZero() || b.lastAt.After(lastAt) {
-			lastAt = b.lastAt
-		}
-		if needHist {
-			for i, c := range b.hist {
-				hist[i] += uint64(c)
-			}
-		}
-	}
-	if count == 0 && agg != AggCount && agg != AggRate && agg != AggSum {
-		return 0, true, ErrNoData
-	}
-	switch agg {
-	case AggCount:
-		return float64(count), true, nil
-	case AggSum:
-		return sum, true, nil
-	case AggRate:
-		if count < 2 {
-			return 0, true, nil
-		}
-		span := lastAt.Sub(firstAt).Seconds()
-		if span <= 0 {
-			return 0, true, nil
-		}
-		return float64(count) / span, true, nil
-	case AggMean:
-		return sum / float64(count), true, nil
-	case AggMin:
-		return minV, true, nil
-	case AggMax:
-		return maxV, true, nil
-	case AggMedian, AggP95, AggP99:
-		if hist[0] > 0 {
-			// Values at or below histMin (zero, negative) all collapse
-			// into the underflow bucket; their quantiles need raw samples.
-			return 0, false, nil
-		}
-		q := histQuantile(&hist, count, quantileTarget(agg))
-		// The window's exact extremes bound the sketch answer: clamp so
-		// under/overflow representatives never leave the observed range.
-		if q < minV {
-			q = minV
-		}
-		if q > maxV {
-			q = maxV
-		}
-		return q, true, nil
-	default:
-		return 0, true, fmt.Errorf("metrics: unsupported aggregation %v", agg)
-	}
-}
-
-func quantileTarget(agg Aggregation) float64 {
-	switch agg {
-	case AggMedian:
-		return 0.5
-	case AggP95:
-		return 0.95
-	default:
-		return 0.99
-	}
-}
-
-// histQuantile reads the p-quantile from a merged sketch: the bucket
-// containing rank p·(n−1), reported as its geometric midpoint.
-func histQuantile(hist *[histSize]uint64, count int, p float64) float64 {
-	target := p * float64(count-1)
-	cum := uint64(0)
-	last := 0
-	for i, c := range hist {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		last = i
-		if float64(cum-1) >= target {
-			return histValue(i)
-		}
-	}
-	return histValue(last)
-}
-
-// queryExact aggregates a copied-out window: the fallback for windows
-// older than the aggregate ring's coverage and for quantiles the
-// sketch cannot place. Runs without any lock held.
-func queryExact(obs []observation, agg Aggregation) (float64, error) {
-	if len(obs) == 0 && agg != AggCount && agg != AggRate && agg != AggSum {
-		return 0, ErrNoData
-	}
-	switch agg {
-	case AggCount:
-		return float64(len(obs)), nil
-	case AggSum:
-		var sum float64
-		for _, o := range obs {
-			sum += o.value
-		}
-		return sum, nil
-	case AggRate:
-		if len(obs) < 2 {
-			return 0, nil
-		}
-		span := obs[len(obs)-1].at.Sub(obs[0].at).Seconds()
-		if span <= 0 {
-			return 0, nil
-		}
-		return float64(len(obs)) / span, nil
-	case AggMean:
-		var sum float64
-		for _, o := range obs {
-			sum += o.value
-		}
-		return sum / float64(len(obs)), nil
-	case AggMin:
-		m := obs[0].value
-		for _, o := range obs[1:] {
-			if o.value < m {
-				m = o.value
-			}
-		}
-		return m, nil
-	case AggMax:
-		m := obs[0].value
-		for _, o := range obs[1:] {
-			if o.value > m {
-				m = o.value
-			}
-		}
-		return m, nil
-	case AggMedian, AggP95, AggP99:
-		vals := make([]float64, len(obs))
-		for i, o := range obs {
-			vals[i] = o.value
-		}
-		sort.Float64s(vals)
-		return quantileSorted(vals, quantileTarget(agg)), nil
-	default:
-		return 0, fmt.Errorf("metrics: unsupported aggregation %v", agg)
-	}
-}
-
-// Values returns the raw observation values of (metric, scope) at or after
-// since, in arrival order. This is the exact path: the stats/analysis
-// layer sorts and summarizes these samples itself.
-func (st *Store) Values(metric string, scope Scope, since time.Time) []float64 {
-	s := st.lookup(seriesKey(metric, scope))
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	obs := s.window(since)
-	s.mu.Unlock()
-	out := make([]float64, len(obs))
-	for i, o := range obs {
-		out[i] = o.value
-	}
-	return out
+	return a.value(agg)
 }
 
 // SeriesCount returns the number of distinct series in the store.
@@ -821,27 +434,4 @@ func (st *Store) Reset() {
 		sh.series = make(map[string]*series)
 		sh.mu.Unlock()
 	}
-}
-
-// quantileSorted mirrors stats.QuantileSorted; duplicated locally to keep
-// the metrics substrate dependency-free of the analysis layer.
-func quantileSorted(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[n-1]
-	}
-	h := p * float64(n-1)
-	lo := int(h)
-	hi := lo + 1
-	if hi >= n {
-		return sorted[n-1]
-	}
-	frac := h - float64(lo)
-	return sorted[lo] + frac*(sorted[hi]-sorted[lo])
 }

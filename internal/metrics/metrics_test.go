@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -112,44 +113,31 @@ func TestQuantileSketchAccuracy(t *testing.T) {
 	// documented relative-error bound of the exact sorted quantile.
 	st := NewStore(0)
 	const n = 20000
-	for i := 0; i < n; i++ {
+	obs := make([]observation, n)
+	for i := range obs {
 		// Latency-like values spread over two decades.
-		v := 1 + 0.05*float64(i%2000)
-		st.Record("rt", scopeV1, t0.Add(time.Duration(i)*time.Millisecond), v)
+		obs[i] = observation{t0.Add(time.Duration(i) * time.Millisecond), 1 + 0.05*float64(i%2000)}
+		st.Record("rt", scopeV1, obs[i].at, obs[i].value)
 	}
-	vals := st.Values("rt", scopeV1, time.Time{})
-	sorted := append([]float64(nil), vals...)
-	sortFloat64s(sorted)
-	for _, tt := range []struct {
-		agg Aggregation
-		p   float64
-	}{{AggMedian, 0.5}, {AggP95, 0.95}, {AggP99, 0.99}} {
-		got, err := st.Query("rt", scopeV1, t0, tt.agg)
+	for _, agg := range []Aggregation{AggMedian, AggP95, AggP99} {
+		got, err := st.Query("rt", scopeV1, t0, agg)
 		if err != nil {
-			t.Fatalf("%v: %v", tt.agg, err)
+			t.Fatalf("%v: %v", agg, err)
 		}
-		want := quantileSorted(sorted, tt.p)
+		want, _ := queryExact(obs, agg)
 		if math.Abs(got-want)/want > 0.06 {
-			t.Errorf("%v = %v, exact %v: outside 6%% bound", tt.agg, got, want)
+			t.Errorf("%v = %v, exact %v: outside 6%% bound", agg, got, want)
 		}
 	}
 }
 
-func sortFloat64s(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func TestQueryExactFallbackBeforeCoverage(t *testing.T) {
-	// Observations further apart than the aggregate ring's coverage:
-	// a query reaching back past coverage must fall back to the exact
-	// raw path and still see everything in the raw ring.
+func TestQueryBeforeSecondsCoverage(t *testing.T) {
+	// Observations further apart than the 1 s ring's coverage: a query
+	// reaching back past it is answered from the minute ring and still
+	// sees everything.
 	st := NewStore(0)
 	st.Record("rt", scopeV1, t0, 10)
-	st.Record("rt", scopeV1, t0.Add(400*time.Second), 30) // > numTimeBuckets seconds later
+	st.Record("rt", scopeV1, t0.Add(400*time.Second), 30) // > secondSlots seconds later
 	got, err := st.Query("rt", scopeV1, time.Time{}, AggCount)
 	if err != nil || got != 2 {
 		t.Fatalf("full-history count = %v, %v; want 2", got, err)
@@ -157,8 +145,8 @@ func TestQueryExactFallbackBeforeCoverage(t *testing.T) {
 	if got, err := st.Query("rt", scopeV1, time.Time{}, AggMean); err != nil || got != 20 {
 		t.Errorf("full-history mean = %v, %v; want 20", got, err)
 	}
-	// A recent window still uses the aggregate path and sees only the
-	// covered observation.
+	// A recent window is answered from the 1 s ring and sees only the
+	// observation it covers.
 	if got, err := st.Query("rt", scopeV1, t0.Add(399*time.Second), AggCount); err != nil || got != 1 {
 		t.Errorf("recent count = %v, %v; want 1", got, err)
 	}
@@ -273,29 +261,6 @@ func TestScopeIsolation(t *testing.T) {
 	}
 }
 
-func TestRingBufferEviction(t *testing.T) {
-	st := NewStore(4)
-	for i := 0; i < 10; i++ {
-		st.Record("rt", scopeV1, t0.Add(time.Duration(i)*time.Second), float64(i))
-	}
-	vals := st.Values("rt", scopeV1, time.Time{})
-	if len(vals) != 4 {
-		t.Fatalf("len = %d, want 4", len(vals))
-	}
-	for i, want := range []float64{6, 7, 8, 9} {
-		if vals[i] != want {
-			t.Errorf("vals[%d] = %v, want %v", i, vals[i], want)
-		}
-	}
-}
-
-func TestValuesMissingSeries(t *testing.T) {
-	st := NewStore(0)
-	if got := st.Values("rt", scopeV1, time.Time{}); got != nil {
-		t.Errorf("Values of missing series = %v, want nil", got)
-	}
-}
-
 func TestReset(t *testing.T) {
 	st := NewStore(0)
 	st.Record("rt", scopeV1, t0, 1)
@@ -306,7 +271,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestConcurrentRecordQuery(t *testing.T) {
-	st := NewStore(1024)
+	st := NewStore(0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -331,7 +296,7 @@ func TestConcurrentRecordQuery(t *testing.T) {
 // concurrent writers on many series, readers on both query paths, and
 // periodic store-wide resets.
 func TestParallelRecordQueryReset(t *testing.T) {
-	st := NewStore(512)
+	st := NewStore(0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -351,7 +316,7 @@ func TestParallelRecordQueryReset(t *testing.T) {
 				if i%50 == 0 {
 					_, _ = st.Query("rt", scope, t0, AggP95)
 					_, _ = st.Query("rt", scope, t0, AggMean)
-					_ = st.Values("rt", scope, t0)
+					_, _ = st.Query("rt", scope, time.Time{}, AggMax)
 				}
 			}
 		}(g)
@@ -375,24 +340,51 @@ func TestUnsupportedAggregation(t *testing.T) {
 	}
 }
 
-// TestQuantileNonPositiveValuesExact: zero/negative values collapse
-// into the sketch's underflow bucket, so quantile queries over them
-// must take the exact path instead of reporting the bucket boundary.
-func TestQuantileNonPositiveValuesExact(t *testing.T) {
+// TestQuantileUnderflowBound: zero/negative values collapse into the
+// sketch's underflow bin, so a quantile whose rank falls there is only
+// known to lie in [window min, min(histMin, window max)]; the exact
+// aggregates are unaffected.
+func TestQuantileUnderflowBound(t *testing.T) {
 	st := NewStore(0)
 	for i, v := range []float64{-5, -3, -1} {
 		st.Record("delta", scopeV1, t0.Add(time.Duration(i)*time.Second), v)
 	}
-	if got, err := st.Query("delta", scopeV1, t0, AggMedian); err != nil || got != -3 {
-		t.Errorf("median = %v, %v; want -3", got, err)
+	if got, err := st.Query("delta", scopeV1, t0, AggMedian); err != nil || got < -5 || got > -1 {
+		t.Errorf("median = %v, %v; want within [-5, -1]", got, err)
 	}
 	if got, err := st.Query("delta", scopeV1, t0, AggMin); err != nil || got != -5 {
 		t.Errorf("min = %v, %v; want -5", got, err)
 	}
-	// Mixed signs also route quantiles through the exact path.
-	st.Record("delta", scopeV1, t0.Add(3*time.Second), 10)
-	want := quantileSorted([]float64{-5, -3, -1, 10}, 0.5)
-	if got, err := st.Query("delta", scopeV1, t0, AggMedian); err != nil || got != want {
-		t.Errorf("mixed median = %v, %v; want %v", got, err, want)
+	if got, err := st.Query("delta", scopeV1, t0, AggMean); err != nil || got != -3 {
+		t.Errorf("mean = %v, %v; want -3", got, err)
 	}
+	// Mixed signs: the median's rank is still in the underflow bin, the
+	// p99's is not and resolves through the sketch as usual.
+	st.Record("delta", scopeV1, t0.Add(3*time.Second), 10)
+	if got, err := st.Query("delta", scopeV1, t0, AggMedian); err != nil || got < -5 || got > histMin {
+		t.Errorf("mixed median = %v, %v; want within [-5, %v]", got, err, histMin)
+	}
+	if got, err := st.Query("delta", scopeV1, t0, AggP99); err != nil || math.Abs(got-10)/10 > 0.05 {
+		t.Errorf("mixed p99 = %v, %v; want 10 ±5%%", got, err)
+	}
+}
+
+// TestFreshSeriesFootprint pins what a series costs before it has
+// history: the ring slot tables plus one bucket per ring.
+func TestFreshSeriesFootprint(t *testing.T) {
+	const n = 200
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	st := NewStore(0)
+	for i := 0; i < n; i++ {
+		st.Record("rt", Scope{Service: "svc", Version: fmt.Sprintf("v%d", i)}, t0, 1)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perSeries := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	if perSeries > 32<<10 {
+		t.Errorf("a fresh series costs %d B, want <= %d", perSeries, 32<<10)
+	}
+	runtime.KeepAlive(st)
 }

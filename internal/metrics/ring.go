@@ -1,0 +1,281 @@
+package metrics
+
+import (
+	"fmt"
+	"math"
+	"time"
+)
+
+// This file is what a series retains: one bucket type, held in one ring
+// type at three widths, reduced by one accumulator.
+
+// --- histogram sketch ---
+//
+// Values are assigned to log-spaced bins: bin i (1 ≤ i ≤ histInterior)
+// covers (histMin·γ^(i-1), histMin·γ^i]; bin 0 catches everything ≤
+// histMin (including zero and negatives, which latencies and counters
+// never produce) and the last bin everything > histMax. A quantile read
+// returns the geometric midpoint of its bin, so the relative error is
+// bounded by √γ − 1 (≈ 4.9% with γ = 1.1).
+const (
+	histGamma    = 1.1
+	histMin      = 1e-3
+	histMax      = 1e6
+	histInterior = 218 // ceil(ln(histMax/histMin)/ln(histGamma))
+	histSize     = histInterior + 2
+)
+
+var lnHistGamma = math.Log(histGamma)
+
+func histIndex(v float64) int {
+	if !(v > histMin) { // also catches NaN
+		return 0
+	}
+	if v >= histMax {
+		return histSize - 1
+	}
+	i := 1 + int(math.Log(v/histMin)/lnHistGamma)
+	if i < 1 {
+		i = 1
+	}
+	if i > histInterior {
+		i = histInterior
+	}
+	return i
+}
+
+func histValue(i int) float64 {
+	switch {
+	case i <= 0:
+		return histMin
+	case i >= histSize-1:
+		return histMax
+	default:
+		return histMin * math.Pow(histGamma, float64(i)-0.5)
+	}
+}
+
+// --- bucket ---
+
+// summary is the sketch-free part of a bucket: the payload the
+// lock-free read side (sealed.go) copies and publishes, and the running
+// state of an accumulator. firstNs/lastNs are the UnixNano of the
+// earliest/latest observation.
+type summary struct {
+	idx     int64 // interval start / ring width (unix seconds); full index, not mod
+	count   int64
+	sum     float64
+	min     float64
+	max     float64
+	firstNs int64
+	lastNs  int64
+}
+
+// emptySummary is the identity of add and merge.
+var emptySummary = summary{
+	min: math.Inf(1), max: math.Inf(-1),
+	firstNs: math.MaxInt64, lastNs: math.MinInt64,
+}
+
+// bucket holds the streaming aggregates of one ring interval. It is
+// pointer-free, so the garbage collector never scans ring contents.
+type bucket struct {
+	summary
+	hist [histSize]uint32
+}
+
+func (b *bucket) reset(idx int64) {
+	*b = bucket{summary: emptySummary}
+	b.idx = idx
+}
+
+// add folds one observation in; bin is histIndex(v), computed once per
+// observation for all three rings.
+func (b *bucket) add(ns int64, v float64, bin int) {
+	b.merge(&summary{count: 1, sum: v, min: v, max: v, firstNs: ns, lastNs: ns})
+	b.hist[bin]++
+}
+
+func (s *summary) merge(o *summary) {
+	s.count += o.count
+	s.sum += o.sum
+	if o.min < s.min {
+		s.min = o.min
+	}
+	if o.max > s.max {
+		s.max = o.max
+	}
+	if o.firstNs < s.firstNs {
+		s.firstNs = o.firstNs
+	}
+	if o.lastNs > s.lastNs {
+		s.lastNs = o.lastNs
+	}
+}
+
+// --- ring ---
+
+const (
+	secondSlots = 256  // 1 s buckets: ~4 minutes
+	minuteSlots = 1440 // 1 min buckets: 24 hours
+	hourSlots   = 336  // 1 h buckets: 14 days
+)
+
+// ring is one retention tier: a fixed ring of width-second buckets. A
+// bucket is allocated the first time its slot receives data and reused
+// in place when the ring wraps, so a series pays only for intervals it
+// has data in. Caller holds the owning series' lock.
+type ring struct {
+	width int64 // bucket width in seconds
+	slots []*bucket
+
+	// latest is the highest bucket index written; the ring reaches
+	// (latest-len(slots), latest].
+	latest int64
+	has    bool
+}
+
+func newRing(width time.Duration, slots int) ring {
+	return ring{width: int64(width / time.Second), slots: make([]*bucket, slots)}
+}
+
+// at returns the bucket for interval idx, allocating or recycling its
+// slot, or nil when idx is older than the ring's reach. Every tier
+// accepts any sample still inside its own reach, however late.
+func (r *ring) at(idx int64) *bucket {
+	if !r.has || idx > r.latest {
+		r.has, r.latest = true, idx
+	}
+	if idx <= r.latest-int64(len(r.slots)) {
+		return nil
+	}
+	slot := r.slot(idx)
+	b := r.slots[slot]
+	if b == nil {
+		b = new(bucket)
+		r.slots[slot] = b
+		b.reset(idx)
+	} else if b.idx != idx {
+		b.reset(idx)
+	}
+	return b
+}
+
+// slot maps a bucket index to its position in the ring (indices before
+// 1970 are negative).
+func (r *ring) slot(idx int64) int64 {
+	n := int64(len(r.slots))
+	return ((idx % n) + n) % n
+}
+
+// live reports whether a slot holds data of the ring's current
+// generation (a wrapped-past bucket lingers until its slot is reused).
+func (r *ring) live(b *bucket) bool {
+	return b != nil && b.count > 0 && b.idx > r.latest-int64(len(r.slots))
+}
+
+// covers reports whether the ring fully answers a window from `since`
+// for a series whose oldest observation ever was at unix second
+// earliest: nothing ever fell outside the ring's reach, or the window
+// starts inside it.
+func (r *ring) covers(since time.Time, earliest int64) bool {
+	if !r.has {
+		return false
+	}
+	reach := (r.latest - int64(len(r.slots)) + 1) * r.width // first second still held
+	return earliest >= reach || since.Unix() >= reach
+}
+
+// overlaps is the window snap rule shared by both read paths: a bucket
+// ending at or before the window start is excluded, one straddling it
+// contributes whole.
+func overlaps(idx, width, sinceSec int64) bool {
+	return (idx+1)*width > sinceSec
+}
+
+// reduce merges the ring's buckets that overlap [since, ∞) into a.
+func (r *ring) reduce(since time.Time, a *accumulator) {
+	sinceSec := since.Unix()
+	for _, b := range r.slots {
+		if !r.live(b) || !overlaps(b.idx, r.width, sinceSec) {
+			continue
+		}
+		a.merge(&b.summary)
+		if h := a.hist; h != nil {
+			for i, c := range b.hist {
+				h[i] += uint64(c)
+			}
+		}
+	}
+}
+
+// --- accumulator ---
+
+func isQuantile(agg Aggregation) bool {
+	return agg == AggMedian || agg == AggP95 || agg == AggP99
+}
+
+// accumulator is the one reducer: merge every bucket of the window,
+// then value. Both the lock-free and the locked read path use it; hist
+// is set only by the locked path, for quantile aggregations.
+type accumulator struct {
+	summary // starts as emptySummary; idx unused
+	hist    *[histSize]uint64
+}
+
+// value finalizes the merged window. An empty window is ErrNoData
+// except for count, sum and rate, where "nothing happened" is 0.
+func (a *accumulator) value(agg Aggregation) (float64, error) {
+	switch agg {
+	case AggCount:
+		return float64(a.count), nil
+	case AggSum:
+		return a.sum, nil
+	case AggRate:
+		if a.count < 2 || a.lastNs <= a.firstNs {
+			return 0, nil
+		}
+		return float64(a.count) / (float64(a.lastNs-a.firstNs) / float64(time.Second)), nil
+	}
+	if a.count == 0 {
+		return 0, ErrNoData
+	}
+	switch agg {
+	case AggMean:
+		return a.sum / float64(a.count), nil
+	case AggMin:
+		return a.min, nil
+	case AggMax:
+		return a.max, nil
+	case AggMedian:
+		return a.quantile(0.5)
+	case AggP95:
+		return a.quantile(0.95)
+	case AggP99:
+		return a.quantile(0.99)
+	default:
+		return 0, fmt.Errorf("metrics: unsupported aggregation %v", agg)
+	}
+}
+
+// quantile reads the p-quantile from the merged sketch: the bin
+// containing rank p·(n−1), reported as its geometric midpoint.
+func (a *accumulator) quantile(p float64) (float64, error) {
+	target := p * float64(a.count-1)
+	q, mass, found := 0.0, uint64(0), false
+	for i, c := range a.hist {
+		mass += c
+		if !found && c > 0 && float64(mass-1) >= target {
+			q, found = histValue(i), true
+		}
+	}
+	// A window holding buckets restored from a snapshot (which persists
+	// no sketches) has less sketch mass than observations: that is no
+	// evidence, not a quantile of whatever the sketches did see.
+	if mass != uint64(a.count) {
+		return 0, ErrNoData
+	}
+	// The window's exact extremes bound the sketch answer, so the
+	// under/overflow bins' representatives never leave the observed range.
+	return math.Min(math.Max(q, a.min), a.max), nil
+}

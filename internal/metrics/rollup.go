@@ -3,185 +3,23 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 )
 
-// This file is the durable windowed-storage side of the store: the
-// minute/hour rollup rings each series feeds on every write
-// (metrics.go), idle-series eviction (Maintain), per-tenant series
-// accounting (TenantSeries), and rollup persistence
-// (SaveSnapshot/LoadSnapshot) so long-window history survives a daemon
-// restart even though the raw rings die with the process.
-
-const (
-	// minuteRingSlots bounds the minute rollup tier: 24 hours.
-	minuteRingSlots = 1440
-	// hourRingSlots bounds the hour rollup tier: 14 days.
-	hourRingSlots = 336
-)
-
-// rollBucket is one downsampled interval: the streaming aggregates of
-// aggBucket minus the histogram sketch (quantiles at rollup resolution
-// would multiply the memory bound by histSize for little decision
-// value — checks window seconds, not days).
-type rollBucket struct {
-	idx     int64 // interval start = idx * ring width (in unix seconds)
-	count   int
-	sum     float64
-	min     float64
-	max     float64
-	firstAt time.Time
-	lastAt  time.Time
-}
-
-func (b *rollBucket) reset(idx int64) {
-	*b = rollBucket{idx: idx, min: math.Inf(1), max: math.Inf(-1)}
-}
-
-func (b *rollBucket) add(at time.Time, v float64) {
-	b.count++
-	b.sum += v
-	if v < b.min {
-		b.min = v
-	}
-	if v > b.max {
-		b.max = v
-	}
-	if b.firstAt.IsZero() || at.Before(b.firstAt) {
-		b.firstAt = at
-	}
-	if b.lastAt.IsZero() || at.After(b.lastAt) {
-		b.lastAt = at
-	}
-}
-
-// rollRing is one rollup tier: a fixed ring of width-second buckets,
-// allocated on first write. Caller holds the owning series' lock.
-type rollRing struct {
-	width int64 // bucket width in seconds (60 or 3600)
-	slots int
-
-	buckets     []rollBucket
-	earliestIdx int64
-	latestIdx   int64
-	has         bool
-}
-
-func (r *rollRing) add(at time.Time, v float64) {
-	idx := at.Unix() / r.width
-	if r.buckets == nil {
-		r.buckets = make([]rollBucket, r.slots)
-	}
-	if !r.has {
-		r.has = true
-		r.earliestIdx = idx
-		r.latestIdx = idx
-	} else {
-		if idx > r.latestIdx {
-			r.latestIdx = idx
-		}
-		if idx < r.earliestIdx {
-			r.earliestIdx = idx
-		}
-	}
-	if idx <= r.latestIdx-int64(r.slots) {
-		return // older than the ring's reach
-	}
-	b := &r.buckets[int(((idx%int64(r.slots))+int64(r.slots))%int64(r.slots))]
-	if b.idx != idx || b.count == 0 {
-		b.reset(idx)
-	}
-	b.add(at, v)
-}
-
-// covers reports whether the ring fully answers a window from `since`:
-// no data ever fell outside it, or the window starts inside coverage.
-func (r *rollRing) covers(since time.Time) bool {
-	if !r.has {
-		return false
-	}
-	if r.latestIdx-r.earliestIdx < int64(r.slots) {
-		return true
-	}
-	coverageStart := time.Unix((r.latestIdx-int64(r.slots)+1)*r.width, 0)
-	return !since.Before(coverageStart)
-}
-
-// query reduces the ring's buckets that overlap [since, ∞). Windows
-// snap to bucket boundaries: a bucket straddling `since` contributes
-// whole, so answers at this tier have minute/hour granularity.
-// Quantile aggregations are the caller's job to route elsewhere.
-func (r *rollRing) query(since time.Time, agg Aggregation) (float64, error) {
-	var (
-		count   int
-		sum     float64
-		minV    = math.Inf(1)
-		maxV    = math.Inf(-1)
-		firstAt time.Time
-		lastAt  time.Time
-	)
-	oldestValid := r.latestIdx - int64(r.slots) // exclusive lower bound
-	for i := range r.buckets {
-		b := &r.buckets[i]
-		if b.count == 0 || b.idx <= oldestValid {
-			continue
-		}
-		if !time.Unix((b.idx+1)*r.width, 0).After(since) {
-			continue // bucket ends at or before the window start
-		}
-		count += b.count
-		sum += b.sum
-		if b.min < minV {
-			minV = b.min
-		}
-		if b.max > maxV {
-			maxV = b.max
-		}
-		if firstAt.IsZero() || b.firstAt.Before(firstAt) {
-			firstAt = b.firstAt
-		}
-		if lastAt.IsZero() || b.lastAt.After(lastAt) {
-			lastAt = b.lastAt
-		}
-	}
-	if count == 0 && agg != AggCount && agg != AggRate && agg != AggSum {
-		return 0, ErrNoData
-	}
-	switch agg {
-	case AggCount:
-		return float64(count), nil
-	case AggSum:
-		return sum, nil
-	case AggRate:
-		if count < 2 {
-			return 0, nil
-		}
-		span := lastAt.Sub(firstAt).Seconds()
-		if span <= 0 {
-			return 0, nil
-		}
-		return float64(count) / span, nil
-	case AggMean:
-		return sum / float64(count), nil
-	case AggMin:
-		return minV, nil
-	case AggMax:
-		return maxV, nil
-	default:
-		return 0, fmt.Errorf("metrics: aggregation %v unsupported at rollup resolution", agg)
-	}
-}
+// This file is the long-uptime side of the store: idle-series eviction
+// (Maintain), per-tenant series accounting (TenantSeries), and
+// persistence of the minute and hour rings (SaveSnapshot/LoadSnapshot)
+// so long-window history survives a daemon restart.
 
 // --- maintenance ---
 
 // Maintain evicts series whose newest observation is older than
 // idleFor relative to now, bounding store memory over long uptimes: a
-// finished experiment's series (raw ring, 1s buckets, and rollups)
-// disappear once nothing has written to them for the retention window.
+// finished experiment's series disappear once nothing has written to
+// them for the retention window.
 // idleFor <= 0 disables eviction. Returns the number of evicted
 // series. Run it periodically (contexpd's maintenance loop does).
 func (st *Store) Maintain(now time.Time, idleFor time.Duration) int {
@@ -252,70 +90,51 @@ type snapshotFile struct {
 	Series  []snapshotSeries `json:"series"`
 }
 
-func dumpRing(r *rollRing) []snapshotBucket {
-	if !r.has {
-		return nil
-	}
-	out := make([]snapshotBucket, 0, len(r.buckets))
-	oldestValid := r.latestIdx - int64(r.slots)
-	for i := range r.buckets {
-		b := &r.buckets[i]
-		if b.count == 0 || b.idx <= oldestValid {
-			continue
+func dumpRing(r *ring) []snapshotBucket {
+	var out []snapshotBucket
+	for _, b := range r.slots {
+		if r.live(b) {
+			out = append(out, snapshotBucket{
+				Idx: b.idx, Count: int(b.count), Sum: b.sum, Min: b.min, Max: b.max,
+				FirstAt: b.firstNs, LastAt: b.lastNs,
+			})
 		}
-		out = append(out, snapshotBucket{
-			Idx: b.idx, Count: b.count, Sum: b.sum, Min: b.min, Max: b.max,
-			FirstAt: b.firstAt.UnixNano(), LastAt: b.lastAt.UnixNano(),
-		})
 	}
 	return out
 }
 
-func restoreRing(r *rollRing, saved []snapshotBucket) {
+// restoreLocked places saved buckets as ring.at would place their
+// samples: a bucket beyond the ring's reach of the newest is dropped,
+// and one already present is overwritten. Sketches are not persisted,
+// so restored buckets answer everything but quantiles. Caller holds the
+// series mutex.
+func (s *series) restoreLocked(tier int, saved []snapshotBucket) {
 	for _, sb := range saved {
-		if sb.Count == 0 {
+		if sb.Count <= 0 {
 			continue
 		}
-		if r.buckets == nil {
-			r.buckets = make([]rollBucket, r.slots)
+		if b := s.tiers[tier].at(sb.Idx); b != nil {
+			*b = bucket{summary: summary{
+				idx: sb.Idx, count: int64(sb.Count), sum: sb.Sum, min: sb.Min, max: sb.Max,
+				firstNs: sb.FirstAt, lastNs: sb.LastAt,
+			}}
 		}
-		if !r.has {
-			r.has = true
-			r.earliestIdx = sb.Idx
-			r.latestIdx = sb.Idx
-		} else {
-			if sb.Idx > r.latestIdx {
-				r.latestIdx = sb.Idx
-			}
-			if sb.Idx < r.earliestIdx {
-				r.earliestIdx = sb.Idx
-			}
+		// Seed lastWrite so Maintain can age restored-but-idle series out
+		// instead of keeping them forever, and earliest so the finer
+		// rings, which never saw this history, do not claim to cover it.
+		if at := time.Unix(0, sb.LastAt); at.After(s.lastWrite) {
+			s.lastWrite = at
 		}
-	}
-	oldestValid := r.latestIdx - int64(r.slots)
-	for _, sb := range saved {
-		if sb.Count == 0 || sb.Idx <= oldestValid {
-			continue
-		}
-		b := &r.buckets[int(((sb.Idx%int64(r.slots))+int64(r.slots))%int64(r.slots))]
-		// Keep the newer generation if two saved buckets map to one slot
-		// (possible only with a corrupted file; harmless either way).
-		if b.count != 0 && b.idx > sb.Idx {
-			continue
-		}
-		*b = rollBucket{
-			idx: sb.Idx, count: sb.Count, sum: sb.Sum, min: sb.Min, max: sb.Max,
-			firstAt: time.Unix(0, sb.FirstAt), lastAt: time.Unix(0, sb.LastAt),
-		}
+		s.earliest = min(s.earliest, sb.FirstAt/int64(time.Second))
 	}
 }
 
-// SaveSnapshot writes the rollup tiers of every series to path as
-// versioned JSON, atomically (temp file + rename), so a restarted
-// daemon can answer long-window queries from before the restart. Raw
-// rings and 1s buckets are deliberately not persisted: they cover
-// minutes and refill immediately, while the rollups carry the hours
-// and days a snapshot actually preserves.
+// SaveSnapshot writes the minute and hour rings of every series to
+// path as versioned JSON, atomically (temp file + rename), so a
+// restarted daemon can answer long-window queries from before the
+// restart. The seconds ring and the histogram sketches are deliberately
+// not persisted: the former covers minutes and refills immediately, the
+// latter would multiply the file size by histSize.
 func (st *Store) SaveSnapshot(path string, now time.Time) error {
 	snap := snapshotFile{V: snapshotVersion, SavedAt: now}
 	for i := range st.shards {
@@ -323,7 +142,7 @@ func (st *Store) SaveSnapshot(path string, now time.Time) error {
 		sh.mu.RLock()
 		for key, s := range sh.series {
 			s.mu.Lock()
-			ss := snapshotSeries{Key: key, Minute: dumpRing(&s.minute), Hour: dumpRing(&s.hour)}
+			ss := snapshotSeries{Key: key, Minute: dumpRing(&s.tiers[tierMinute]), Hour: dumpRing(&s.tiers[tierHour])}
 			s.mu.Unlock()
 			if len(ss.Minute) == 0 && len(ss.Hour) == 0 {
 				continue
@@ -347,9 +166,9 @@ func (st *Store) SaveSnapshot(path string, now time.Time) error {
 }
 
 // LoadSnapshot merges a SaveSnapshot file into the store, restoring
-// each series' rollup tiers (creating series as needed; raw rings
-// start empty). A missing file is not an error — a first boot simply
-// has no history.
+// each series' minute and hour rings (creating series as needed; the
+// seconds ring starts empty). A missing file is not an error — a first
+// boot simply has no history.
 func (st *Store) LoadSnapshot(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -371,17 +190,9 @@ func (st *Store) LoadSnapshot(path string) error {
 		}
 		s := st.getOrCreate(ss.Key)
 		s.mu.Lock()
-		restoreRing(&s.minute, ss.Minute)
-		restoreRing(&s.hour, ss.Hour)
-		// Seed lastWrite so Maintain can age restored-but-idle series
-		// out instead of keeping them forever.
-		for _, tier := range [][]snapshotBucket{ss.Minute, ss.Hour} {
-			for _, b := range tier {
-				if at := time.Unix(0, b.LastAt); at.After(s.lastWrite) {
-					s.lastWrite = at
-				}
-			}
-		}
+		s.restoreLocked(tierMinute, ss.Minute)
+		s.restoreLocked(tierHour, ss.Hour)
+		s.lateSeq.Add(1) // a view published before the merge is stale
 		s.mu.Unlock()
 	}
 	return nil

@@ -1,23 +1,26 @@
 package metrics
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 )
 
-// The rollup tier contract: a day of 1-second traffic stays queryable
-// at minute granularity long after the raw rings have wrapped, memory
-// stays bounded, idle series age out under Maintain, and the rollups
-// survive a Save/Load round trip.
+// The coarse-tier contract: a day of 1-second traffic stays queryable
+// at minute granularity long after the 1 s ring has wrapped, memory
+// stays bounded, idle series age out under Maintain, and the minute and
+// hour rings survive a Save/Load round trip.
 
 func TestRollupsAnswerLongWindows(t *testing.T) {
 	st := NewStore(0)
 	scope := Scope{Service: "svc", Version: "v1"}
 	base := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 
-	// 24 hours of one sample per simulated second — far past the raw
+	// 24 hours of one sample per simulated second — far past the 1 s
 	// ring's few minutes of coverage.
 	const day = 24 * 60 * 60
 	for i := 0; i < day; i++ {
@@ -25,8 +28,8 @@ func TestRollupsAnswerLongWindows(t *testing.T) {
 	}
 	now := base.Add(day * time.Second)
 
-	// A 12-hour window cannot come from the raw ring; the minute
-	// rollups answer it.
+	// A 12-hour window cannot come from the 1 s ring; the minute ring
+	// answers it.
 	since := now.Add(-12 * time.Hour)
 	got, err := st.Query("response_time", scope, since, AggMean)
 	if err != nil {
@@ -62,14 +65,14 @@ func TestRollupMemoryIsBoundedOverDays(t *testing.T) {
 	for i := 0; i < days*24*60; i++ {
 		st.Record("response_time", scope, base.Add(time.Duration(i)*time.Minute), float64(i%100))
 	}
-	s := st.lookup(seriesKey("response_time", scope))
+	s := st.lookupBytes([]byte(seriesKey("response_time", scope)))
 	if s == nil {
 		t.Fatal("series missing")
 	}
 	s.mu.Lock()
-	minuteLen, hourLen := len(s.minute.buckets), len(s.hour.buckets)
+	minuteLen, hourLen := len(s.tiers[tierMinute].slots), len(s.tiers[tierHour].slots)
 	s.mu.Unlock()
-	if minuteLen > minuteRingSlots || hourLen > hourRingSlots {
+	if minuteLen > minuteSlots || hourLen > hourSlots {
 		t.Fatalf("rings grew past their bounds: minute=%d hour=%d", minuteLen, hourLen)
 	}
 
@@ -119,7 +122,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// A fresh store (a restarted daemon) answers the long window from
-	// the restored rollups even though its raw rings are empty.
+	// the restored rings even though its 1 s ring is empty.
 	st2 := NewStore(0)
 	if err := st2.LoadSnapshot(path); err != nil {
 		t.Fatal(err)
@@ -144,5 +147,56 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	st3 := NewStore(0)
 	if err := st3.LoadSnapshot(filepath.Join(t.TempDir(), "absent.json")); err != nil {
 		t.Fatalf("missing snapshot should not error: %v", err)
+	}
+}
+
+// TestSnapshotV1Fixture pins the snapshot file format: testdata holds a
+// schema-v1 file written before the rings carried sketches (six hours
+// of two samples every five minutes). It must load, answer the exact
+// aggregates over a 5 h window, refuse quantiles over buckets that came
+// without a sketch, and be written back byte for byte.
+func TestSnapshotV1Fixture(t *testing.T) {
+	const fixture = "testdata/snapshot_v1.json"
+	scope := Scope{Tenant: "acme", Service: "checkout", Version: "v2"}
+	now := time.Date(2026, 8, 1, 6, 0, 0, 0, time.UTC)
+	since := now.Add(-5 * time.Hour)
+
+	st := NewStore(0)
+	if err := st.LoadSnapshot(fixture); err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		agg  Aggregation
+		want float64
+	}{{AggCount, 120}, {AggMean, 4580.0 / 120}, {AggMax, 69}, {AggMin, 10}} {
+		if got, err := st.Query("response_time", scope, since, tt.agg); err != nil || math.Abs(got-tt.want) > 1e-9 {
+			t.Errorf("restored %v = %v, %v; want %v", tt.agg, got, err, tt.want)
+		}
+	}
+	if _, err := st.Query("response_time", scope, since, AggP95); !errors.Is(err, ErrNoData) {
+		t.Errorf("p95 over sketch-less buckets: err = %v, want ErrNoData", err)
+	}
+
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resaved := filepath.Join(t.TempDir(), "resaved.json")
+	if err := st.SaveSnapshot(resaved, now); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(resaved); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("re-saved snapshot differs from the v1 fixture (err %v)", err)
+	}
+
+	// Samples after the restart land in rings that never saw the
+	// restored history; the long window must still include it, and a
+	// quantile over fresh buckets only works again.
+	st.Record("response_time", scope, now, 50)
+	if got, err := st.Query("response_time", scope, since, AggCount); err != nil || got != 121 {
+		t.Errorf("count after a post-restart sample = %v, %v; want 121", got, err)
+	}
+	if got, err := st.Query("response_time", scope, now, AggP95); err != nil || math.Abs(got-50)/50 > 0.05 {
+		t.Errorf("p95 over post-restart samples = %v, %v; want 50 ±5%%", got, err)
 	}
 }

@@ -15,7 +15,8 @@ import (
 // evaluations never serialize against writers — or each other — on the
 // per-series mutex. Quantile queries keep the locked path: they need
 // the histogram sketches, which are deliberately not copied into the
-// sealed view (that would multiply the publish cost by histSize).
+// sealed view (that would multiply the publish cost by histSize) — the
+// view and the mirror carry bucket summaries only.
 //
 // Write-side protocol (all under the series mutex, single writer):
 //
@@ -23,8 +24,8 @@ import (
 //     before that second. The just-finished second's ring bucket is
 //     complete at that point, so the view is lossless without ever
 //     reading the mirror.
-//   - write into the current second: it lands in the locked bucket
-//     ring as before and marks the mirror dirty; the mirror is synced
+//   - write into the current second: it lands in the seconds ring
+//     under the lock and marks the mirror dirty; the mirror is synced
 //     from the ring bucket once per locked write section (record or a
 //     RecordBatch series run), not per sample, keeping the hot write
 //     path at one bool store per observation.
@@ -48,25 +49,15 @@ import (
 // writes. A handful of failed attempts falls back to the locked path —
 // correctness never depends on winning the race.
 
-// sealedBucket is an immutable, histogram-free copy of one completed
-// one-second aggregate bucket.
-type sealedBucket struct {
-	idx     int64 // unix second, full index
-	count   int
-	sum     float64
-	min     float64
-	max     float64
-	firstNs int64 // UnixNano of earliest/latest observation; count > 0
-	lastNs  int64 // guarantees both are meaningful
-}
-
 // sealedView is the atomically-published read index over sealed
 // seconds. Immutable after publish.
 type sealedView struct {
-	// buckets holds every live bucket with idx < hotIdx, in ring order.
-	buckets []sealedBucket
-	// earliestIdx/latestIdx mirror the series' coverage bookkeeping at
-	// publish time; readers extend latestIdx with the hot second.
+	// buckets holds the summary of every live one-second bucket with
+	// idx < hotIdx, in ring order.
+	buckets []summary
+	// earliestIdx/latestIdx mirror series.earliest and the seconds
+	// ring's latest at publish time; readers extend latestIdx with the
+	// hot second.
 	earliestIdx int64
 	latestIdx   int64
 	// hotIdx is the first unsealed second: the hot mirror supplements
@@ -95,37 +86,26 @@ type hotBucket struct {
 
 // syncLocked copies the current second's ring bucket into the mirror
 // in one seqlock section. Caller holds the series mutex.
-func (h *hotBucket) syncLocked(b *aggBucket) {
+func (h *hotBucket) syncLocked(b *summary) {
 	h.seq.Add(1)
 	h.idx.Store(b.idx)
-	h.count.Store(int64(b.count))
+	h.count.Store(b.count)
 	h.sumBits.Store(math.Float64bits(b.sum))
 	h.minBits.Store(math.Float64bits(b.min))
 	h.maxBits.Store(math.Float64bits(b.max))
-	h.firstNs.Store(b.firstAt.UnixNano())
-	h.lastNs.Store(b.lastAt.UnixNano())
+	h.firstNs.Store(b.firstNs)
+	h.lastNs.Store(b.lastNs)
 	h.seq.Add(1)
-}
-
-// hotSnap is a reader's consistent copy of the hot mirror.
-type hotSnap struct {
-	idx     int64
-	count   int64
-	sum     float64
-	min     float64
-	max     float64
-	firstNs int64
-	lastNs  int64
 }
 
 // snapshot copies the mirror if no sync intervened; ok is false when
 // the caller should retry (or fall back to the locked path).
-func (h *hotBucket) snapshot() (hotSnap, bool) {
+func (h *hotBucket) snapshot() (summary, bool) {
 	s1 := h.seq.Load()
 	if s1&1 != 0 {
-		return hotSnap{}, false
+		return summary{}, false
 	}
-	snap := hotSnap{
+	snap := summary{
 		idx:     h.idx.Load(),
 		count:   h.count.Load(),
 		sum:     math.Float64frombits(h.sumBits.Load()),
@@ -135,7 +115,7 @@ func (h *hotBucket) snapshot() (hotSnap, bool) {
 		lastNs:  h.lastNs.Load(),
 	}
 	if h.seq.Load() != s1 {
-		return hotSnap{}, false
+		return summary{}, false
 	}
 	return snap, true
 }
@@ -144,50 +124,47 @@ func (h *hotBucket) snapshot() (hotSnap, bool) {
 // view. Caller holds the series mutex. O(ring) once per second per
 // series — not per write.
 func (s *series) republishLocked(hotIdx int64) {
+	r := &s.tiers[tierSecond]
 	n := 0
-	oldestValid := s.latestIdx - numTimeBuckets
-	for _, b := range s.buckets {
-		if b != nil && b.count > 0 && b.idx > oldestValid && b.idx < hotIdx {
+	for _, b := range r.slots {
+		if r.live(b) && b.idx < hotIdx {
 			n++
 		}
 	}
 	v := &sealedView{
-		buckets:     make([]sealedBucket, 0, n),
-		earliestIdx: s.earliestIdx,
-		latestIdx:   s.latestIdx,
+		buckets:     make([]summary, 0, n),
+		earliestIdx: s.earliest,
+		latestIdx:   r.latest,
 		hotIdx:      hotIdx,
 		lateSeq:     s.lateSeq.Load(),
 	}
-	for _, b := range s.buckets {
-		if b == nil || b.count == 0 || b.idx <= oldestValid || b.idx >= hotIdx {
-			continue
+	for _, b := range r.slots {
+		if r.live(b) && b.idx < hotIdx {
+			v.buckets = append(v.buckets, b.summary)
 		}
-		v.buckets = append(v.buckets, sealedBucket{
-			idx: b.idx, count: b.count, sum: b.sum, min: b.min, max: b.max,
-			firstNs: b.firstAt.UnixNano(), lastNs: b.lastAt.UnixNano(),
-		})
 	}
 	s.view.Store(v)
 }
 
 // sealOnWriteLocked is the write-side hook recordLocked calls after
-// the locked bucket ring has absorbed a sample for second bIdx: it
-// keeps the sealed view in step and marks the mirror for the
-// end-of-section sync.
-func (s *series) sealOnWriteLocked(bIdx int64) {
+// the rings have absorbed a sample for second sec: it keeps the sealed
+// view in step and marks the mirror for the end-of-section sync.
+func (s *series) sealOnWriteLocked(sec int64) {
 	switch {
-	case bIdx > s.curHotIdx:
+	case sec > s.curHotIdx:
 		// First write of a new second: seal everything before it. The
 		// mirror keeps showing the old second until the flush; readers
 		// exclude it then (idx < hotIdx), so nothing double-counts.
-		s.republishLocked(bIdx)
-		s.curHotIdx = bIdx
+		s.republishLocked(sec)
+		s.curHotIdx = sec
 		s.hotDirty = true
-	case bIdx == s.curHotIdx:
+	case sec == s.curHotIdx:
 		s.hotDirty = true
 	default:
-		// Late write into sealed history: invalidate the fast path
-		// until the next seal republishes.
+		// Late write into sealed history, or one too old for the seconds
+		// ring (it may have lowered series.earliest, so the view's
+		// coverage claim is stale): invalidate the fast path until the
+		// next seal republishes.
 		s.lateSeq.Add(1)
 	}
 }
@@ -199,28 +176,29 @@ func (s *series) flushHotLocked() {
 		return
 	}
 	s.hotDirty = false
-	slot := int(((s.curHotIdx % numTimeBuckets) + numTimeBuckets) % numTimeBuckets)
-	if b := s.buckets[slot]; b != nil && b.idx == s.curHotIdx {
-		s.hot.syncLocked(b)
+	r := &s.tiers[tierSecond]
+	if b := r.slots[r.slot(s.curHotIdx)]; b != nil && b.idx == s.curHotIdx {
+		s.hot.syncLocked(&b.summary)
 	}
 }
 
-// querySealed answers an aggregate query from the sealed view plus the
-// hot mirror, without the series lock and without allocating. ok is
-// false when the locked path must decide instead: no view yet, the
-// window reaches past sealed coverage (rollup/exact territory), stale
-// sealed history, or the optimistic read lost too many races. Never
-// called for quantiles.
-func (s *series) querySealed(since time.Time, agg Aggregation) (float64, bool, error) {
+// reduceSealed merges the window's buckets from the sealed view plus
+// the hot mirror into a, without the series lock and without
+// allocating. It reports false, with a untouched, when the locked path
+// must answer instead: no view yet, the window reaches past the seconds
+// ring's coverage, stale sealed history, or the optimistic read lost
+// too many races.
+func (s *series) reduceSealed(since time.Time, a *accumulator) bool {
+	sinceSec := since.Unix()
 	for attempt := 0; attempt < 8; attempt++ {
 		v := s.view.Load()
 		if v == nil {
-			return 0, false, nil
+			return false
 		}
 		if s.lateSeq.Load() != v.lateSeq {
 			// Sealed history moved under this view (out-of-order write);
 			// the locked path sees it, the next seal re-arms us.
-			return 0, false, nil
+			return false
 		}
 		h, ok := s.hot.snapshot()
 		if !ok || s.view.Load() != v {
@@ -233,99 +211,21 @@ func (s *series) querySealed(since time.Time, agg Aggregation) (float64, bool, e
 		if useHot && h.idx > latest {
 			latest = h.idx
 		}
-		// Mirror coversAgg: the pair answers only windows inside the
-		// aggregate ring's coverage.
-		if latest-v.earliestIdx >= numTimeBuckets &&
-			since.Before(time.Unix(latest-numTimeBuckets+1, 0)) {
-			return 0, false, nil
-		}
-		var (
-			count           int
-			sum             float64
-			minV            = math.Inf(1)
-			maxV            = math.Inf(-1)
-			firstNs, lastNs int64
-			haveSpan        bool
-			oldestValid     = latest - numTimeBuckets // exclusive lower bound
-		)
-		// Same snap rule as the locked path: a bucket ending at or
-		// before the window start is excluded, one straddling it
-		// contributes whole: include iff time.Unix(idx+1,0) > since.
-		includesBucket := func(idx int64) bool {
-			return time.Unix(idx+1, 0).After(since)
+		// Mirror ring.covers: the pair answers only windows inside the
+		// seconds ring's coverage.
+		oldest := latest - secondSlots // exclusive lower bound
+		if latest-v.earliestIdx >= secondSlots && sinceSec <= oldest {
+			return false
 		}
 		for i := range v.buckets {
-			b := &v.buckets[i]
-			if b.idx <= oldestValid || !includesBucket(b.idx) {
-				continue
-			}
-			count += b.count
-			sum += b.sum
-			if b.min < minV {
-				minV = b.min
-			}
-			if b.max > maxV {
-				maxV = b.max
-			}
-			if !haveSpan {
-				haveSpan = true
-				firstNs, lastNs = b.firstNs, b.lastNs
-			} else {
-				if b.firstNs < firstNs {
-					firstNs = b.firstNs
-				}
-				if b.lastNs > lastNs {
-					lastNs = b.lastNs
-				}
+			if b := &v.buckets[i]; b.idx > oldest && overlaps(b.idx, 1, sinceSec) {
+				a.merge(b)
 			}
 		}
-		if useHot && h.idx > oldestValid && includesBucket(h.idx) {
-			count += int(h.count)
-			sum += h.sum
-			if h.min < minV {
-				minV = h.min
-			}
-			if h.max > maxV {
-				maxV = h.max
-			}
-			if !haveSpan {
-				haveSpan = true
-				firstNs, lastNs = h.firstNs, h.lastNs
-			} else {
-				if h.firstNs < firstNs {
-					firstNs = h.firstNs
-				}
-				if h.lastNs > lastNs {
-					lastNs = h.lastNs
-				}
-			}
+		if useHot && h.idx > oldest && overlaps(h.idx, 1, sinceSec) {
+			a.merge(&h)
 		}
-		if count == 0 && agg != AggCount && agg != AggRate && agg != AggSum {
-			return 0, true, ErrNoData
-		}
-		switch agg {
-		case AggCount:
-			return float64(count), true, nil
-		case AggSum:
-			return sum, true, nil
-		case AggRate:
-			if count < 2 {
-				return 0, true, nil
-			}
-			span := float64(lastNs-firstNs) / float64(time.Second)
-			if span <= 0 {
-				return 0, true, nil
-			}
-			return float64(count) / span, true, nil
-		case AggMean:
-			return sum / float64(count), true, nil
-		case AggMin:
-			return minV, true, nil
-		case AggMax:
-			return maxV, true, nil
-		default:
-			return 0, false, nil
-		}
+		return true
 	}
-	return 0, false, nil
+	return false
 }

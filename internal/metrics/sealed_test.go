@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -12,8 +11,7 @@ import (
 var aggsNoQuantile = []Aggregation{AggMean, AggMin, AggMax, AggCount, AggSum, AggRate}
 
 // TestSealedQueryMatchesExact drives random multi-second write
-// patterns and checks every fast-path aggregation against the exact
-// raw-window computation.
+// patterns and checks every fast-path aggregation against the oracle.
 func TestSealedQueryMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	st := NewStore(0)
@@ -30,15 +28,7 @@ func TestSealedQueryMatchesExact(t *testing.T) {
 	// to bucket boundaries, so on-boundary starts compare exactly.
 	for _, sinceOff := range []time.Duration{0, 10 * time.Second, 30 * time.Second, 59 * time.Second} {
 		since := base.Add(sinceOff)
-		var window []observation
-		for _, o := range all {
-			if !o.at.Before(since) {
-				window = append(window, o)
-			}
-		}
-		// Time-sorted so queryExact's rate (first-to-last element span)
-		// matches the bucket path's earliest-to-latest span.
-		sort.Slice(window, func(i, j int) bool { return window[i].at.Before(window[j].at) })
+		window := windowOf(all, since)
 		for _, agg := range aggsNoQuantile {
 			got, err := st.Query("rt", scope, since, agg)
 			if err != nil {
