@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -146,5 +148,55 @@ func BenchmarkStoreRecordBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.RecordBatch(batch)
+	}
+}
+
+// BenchmarkQueryP95Ladder is the evaluation tick's read: a 60 s p95
+// over each of 400 series in turn, every one with a full seconds ring
+// of latency-like values within a factor of ten. Round-robin over 100 MB
+// of buckets, so a query finds none of its series in cache and costs the
+// memory it touches: the window's buckets and their occupied bins.
+func BenchmarkQueryP95Ladder(b *testing.B) {
+	const nSeries, perSecond = 400, 8
+	st := NewStore(0)
+	rng := rand.New(rand.NewSource(1))
+	base := time.Unix(1_700_000_000, 0)
+	scopes := make([]Scope, nSeries)
+	for i := range scopes {
+		scopes[i] = Scope{Service: fmt.Sprintf("svc-%03d", i), Version: "v1"}
+	}
+	for sec := 0; sec < secondSlots; sec++ {
+		at := base.Add(time.Duration(sec) * time.Second)
+		for _, scope := range scopes {
+			for k := 0; k < perSecond; k++ {
+				st.Record("rt", scope, at, 20*math.Exp(rng.NormFloat64()/2))
+			}
+		}
+	}
+	since := base.Add((secondSlots - 60) * time.Second)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.Query("rt", scopes[i%nSeries], since, AggP95); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRecordNewSecond is the write that seals: the first sample of
+// each new second on a series whose seconds ring is full, so every
+// operation recycles a bucket and publishes a sealed view. B/op is the
+// view's cost per series-second.
+func BenchmarkRecordNewSecond(b *testing.B) {
+	st := NewStore(0)
+	scope := Scope{Service: "svc", Version: "v1"}
+	base := time.Unix(1_700_000_000, 0)
+	for sec := 0; sec < secondSlots; sec++ {
+		st.Record("rt", scope, base.Add(time.Duration(sec)*time.Second), 20)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Record("rt", scope, base.Add(time.Duration(secondSlots+i)*time.Second), 20)
 	}
 }

@@ -31,7 +31,9 @@
 // all three, each ring accepting any sample still inside its own
 // coverage however late it arrives; a bucket is allocated only once
 // its interval receives data. A query reduces the finest ring that
-// covers its window, so it costs O(ring slots) and snaps to that
+// covers its window, walking only the window's bucket indices, oldest
+// first, and merging only the sketch bins each bucket occupies: it
+// costs what the window holds, not the ring's size. It snaps to that
 // ring's bucket width: a bucket straddling `since` contributes whole.
 // Three consequences callers should know:
 //
@@ -50,8 +52,10 @@
 // All operations are safe for concurrent use. The series map is sharded
 // by key hash so writers of different series never contend on one
 // store-wide lock, and count/sum/mean/min/max/rate reads over the 1 s
-// ring take no series lock at all (sealed.go). Memory per series is
-// bounded by the fixed ring sizes.
+// ring take no series lock at all (sealed.go): they walk a published
+// view of the sealed seconds' summaries, which each new second extends
+// in place rather than copies. Memory per series is bounded by the
+// fixed ring sizes.
 package metrics
 
 import (

@@ -370,21 +370,37 @@ func TestQuantileUnderflowBound(t *testing.T) {
 }
 
 // TestFreshSeriesFootprint pins what a series costs before it has
-// history: the ring slot tables plus one bucket per ring.
+// history: the ring slot tables plus one bucket per ring, and, a few
+// seconds on, one more 1 s bucket per second and a sealed view whose
+// spare capacity is a few summaries (sealed.go: viewCap), not a floor
+// sized for a full ring.
 func TestFreshSeriesFootprint(t *testing.T) {
 	const n = 200
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	st := NewStore(0)
-	for i := 0; i < n; i++ {
-		st.Record("rt", Scope{Service: "svc", Version: fmt.Sprintf("v%d", i)}, t0, 1)
+	for _, tc := range []struct {
+		seconds int
+		limit   int64
+	}{
+		{1, 21<<10 + 512}, // measured 20 960
+		// measured 25 466: four more 1 KiB buckets, a 64 B view, 224 B of
+		// summaries (capacity 4). A 16-summary floor would be 896 B.
+		{5, 25<<10 + 256},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		st := NewStore(0)
+		for i := 0; i < n; i++ {
+			scope := Scope{Service: "svc", Version: fmt.Sprintf("v%d", i)}
+			for sec := 0; sec < tc.seconds; sec++ {
+				st.Record("rt", scope, t0.Add(time.Duration(sec)*time.Second), 1)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perSeries := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+		if perSeries > tc.limit {
+			t.Errorf("a series %d s old costs %d B, want <= %d", tc.seconds, perSeries, tc.limit)
+		}
+		runtime.KeepAlive(st)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	perSeries := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
-	if perSeries > 32<<10 {
-		t.Errorf("a fresh series costs %d B, want <= %d", perSeries, 32<<10)
-	}
-	runtime.KeepAlive(st)
 }

@@ -81,19 +81,44 @@ var emptySummary = summary{
 // pointer-free, so the garbage collector never scans ring contents.
 type bucket struct {
 	summary
-	hist [histSize]uint32
+	// binLo..binHi (inclusive) is the range of sketch bins that may be
+	// non-zero, so a merge reads the bins a bucket's values span rather
+	// than all histSize; binLo > binHi is the empty range. The pair sits
+	// beside the summary, on the cache line every read loads anyway.
+	binLo, binHi uint8
+	hist         [histSize]uint32
 }
 
+// reset empties the bucket for interval idx. A reset bucket has the
+// empty bin range; so does one restored from a snapshot, whose summary
+// is then filled in without a sketch.
 func (b *bucket) reset(idx int64) {
-	*b = bucket{summary: emptySummary}
+	*b = bucket{summary: emptySummary, binLo: math.MaxUint8}
 	b.idx = idx
 }
 
 // add folds one observation in; bin is histIndex(v), computed once per
-// observation for all three rings.
+// observation for all three rings. It is merge with a one-observation
+// summary, written out so that it stays within the compiler's inlining
+// budget in recordLocked's loop (through merge, every sample pays three
+// calls: +17% on BenchmarkStoreRecordBatch).
 func (b *bucket) add(ns int64, v float64, bin int) {
-	b.merge(&summary{count: 1, sum: v, min: v, max: v, firstNs: ns, lastNs: ns})
+	b.count++
+	b.sum += v
+	if v < b.min {
+		b.min = v
+	}
+	if v > b.max {
+		b.max = v
+	}
+	if ns < b.firstNs {
+		b.firstNs = ns
+	}
+	if ns > b.lastNs {
+		b.lastNs = ns
+	}
 	b.hist[bin]++
+	b.binLo, b.binHi = min(b.binLo, uint8(bin)), max(b.binHi, uint8(bin))
 }
 
 func (s *summary) merge(o *summary) {
@@ -139,6 +164,11 @@ func newRing(width time.Duration, slots int) ring {
 	return ring{width: int64(width / time.Second), slots: make([]*bucket, slots)}
 }
 
+// oldest is the first bucket index the ring still reaches.
+func (r *ring) oldest() int64 {
+	return r.latest - int64(len(r.slots)) + 1
+}
+
 // at returns the bucket for interval idx, allocating or recycling its
 // slot, or nil when idx is older than the ring's reach. Every tier
 // accepts any sample still inside its own reach, however late.
@@ -146,7 +176,7 @@ func (r *ring) at(idx int64) *bucket {
 	if !r.has || idx > r.latest {
 		r.has, r.latest = true, idx
 	}
-	if idx <= r.latest-int64(len(r.slots)) {
+	if idx < r.oldest() {
 		return nil
 	}
 	slot := r.slot(idx)
@@ -171,7 +201,7 @@ func (r *ring) slot(idx int64) int64 {
 // live reports whether a slot holds data of the ring's current
 // generation (a wrapped-past bucket lingers until its slot is reused).
 func (r *ring) live(b *bucket) bool {
-	return b != nil && b.count > 0 && b.idx > r.latest-int64(len(r.slots))
+	return b != nil && b.count > 0 && b.idx >= r.oldest()
 }
 
 // covers reports whether the ring fully answers a window from `since`
@@ -182,31 +212,57 @@ func (r *ring) covers(since time.Time, earliest int64) bool {
 	if !r.has {
 		return false
 	}
-	reach := (r.latest - int64(len(r.slots)) + 1) * r.width // first second still held
+	reach := r.oldest() * r.width // first second still held
 	return earliest >= reach || since.Unix() >= reach
 }
 
-// overlaps is the window snap rule shared by both read paths: a bucket
-// ending at or before the window start is excluded, one straddling it
-// contributes whole.
-func overlaps(idx, width, sinceSec int64) bool {
-	return (idx+1)*width > sinceSec
+// firstOverlapping is the window snap rule: the index of the first
+// width-second bucket that overlaps [sinceSec, ∞). A bucket ending at
+// or before the window start is excluded, one straddling it contributes
+// whole. Floor division: seconds before 1970 are negative. (The
+// lock-free path reads one-second buckets, where this is sinceSec.)
+func firstOverlapping(sinceSec, width int64) int64 {
+	idx := sinceSec / width
+	if sinceSec%width < 0 {
+		idx--
+	}
+	return idx
 }
 
-// reduce merges the ring's buckets that overlap [since, ∞) into a.
-func (r *ring) reduce(since time.Time, a *accumulator) {
-	sinceSec := since.Unix()
-	for _, b := range r.slots {
-		if !r.live(b) || !overlaps(b.idx, r.width, sinceSec) {
-			continue
+// walk calls visit for every bucket holding data with index in [from,
+// to], oldest first, touching only those indices' slots. Both bounds
+// must lie inside the ring's reach.
+func (r *ring) walk(from, to int64, visit func(*bucket)) {
+	if from > to {
+		return
+	}
+	n := int64(len(r.slots))
+	slot := r.slot(from)
+	for idx := from; idx <= to; idx++ {
+		if b := r.slots[slot]; b != nil && b.idx == idx && b.count > 0 {
+			visit(b)
 		}
-		a.merge(&b.summary)
-		if h := a.hist; h != nil {
-			for i, c := range b.hist {
-				h[i] += uint64(c)
-			}
+		if slot++; slot == n {
+			slot = 0
 		}
 	}
+}
+
+// reduce merges the ring's buckets that overlap [since, ∞) into a, in
+// index order: it costs what the window holds, not what the ring does.
+func (r *ring) reduce(since time.Time, a *accumulator) {
+	if !r.has {
+		return
+	}
+	from := max(firstOverlapping(since.Unix(), r.width), r.oldest())
+	r.walk(from, r.latest, func(b *bucket) {
+		a.merge(&b.summary)
+		if h := a.hist; h != nil {
+			for i := int(b.binLo); i <= int(b.binHi); i++ {
+				h[i] += uint64(b.hist[i])
+			}
+		}
+	})
 }
 
 // --- accumulator ---

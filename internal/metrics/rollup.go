@@ -114,10 +114,11 @@ func (s *series) restoreLocked(tier int, saved []snapshotBucket) {
 			continue
 		}
 		if b := s.tiers[tier].at(sb.Idx); b != nil {
-			*b = bucket{summary: summary{
+			b.reset(sb.Idx) // no sketch: the empty bin range
+			b.summary = summary{
 				idx: sb.Idx, count: int64(sb.Count), sum: sb.Sum, min: sb.Min, max: sb.Max,
 				firstNs: sb.FirstAt, lastNs: sb.LastAt,
-			}}
+			}
 		}
 		// Seed lastWrite so Maintain can age restored-but-idle series out
 		// instead of keeping them forever, and earliest so the finer

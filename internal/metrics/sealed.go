@@ -23,7 +23,11 @@ import (
 //   - first write of a new second: publish a view sealing everything
 //     before that second. The just-finished second's ring bucket is
 //     complete at that point, so the view is lossless without ever
-//     reading the mirror.
+//     reading the mirror. The new view extends the previous one —
+//     expired seconds resliced off the front, the finished second
+//     appended into the spare capacity of the backing array they share
+//     — unless a late write moved history under it, in which case it
+//     is rebuilt from the ring (republishLocked).
 //   - write into the current second: it lands in the seconds ring
 //     under the lock and marks the mirror dirty; the mirror is synced
 //     from the ring bucket once per locked write section (record or a
@@ -53,7 +57,8 @@ import (
 // seconds. Immutable after publish.
 type sealedView struct {
 	// buckets holds the summary of every live one-second bucket with
-	// idx < hotIdx, in ring order.
+	// idx < hotIdx, in index order. Successive views share one backing
+	// array (republishLocked); a view owns only its own length of it.
 	buckets []summary
 	// earliestIdx/latestIdx mirror series.earliest and the seconds
 	// ring's latest at publish time; readers extend latestIdx with the
@@ -120,30 +125,54 @@ func (h *hotBucket) snapshot() (summary, bool) {
 	return snap, true
 }
 
-// republishLocked seals every live bucket before hotIdx into a fresh
-// view. Caller holds the series mutex. O(ring) once per second per
-// series — not per write.
+// republishLocked publishes a view sealing every live bucket before
+// hotIdx, in index order. Caller holds the series mutex.
+//
+// When nothing moved under the previous view (same lateSeq, hotIdx
+// ahead of its own) the new view extends it: expired summaries leave
+// by reslicing the front, the second(s) finished since are appended
+// into the spare capacity of the shared backing array. That is safe for
+// the lock-free readers because a view never reads past its own length:
+// the appended element lies beyond every slice published so far, and
+// the one view that does include it is published (atomic store) after
+// the element is written. So a series pays one small view allocation
+// per second, and a copy only when the spare capacity runs out. After
+// a late write the view is rebuilt from the ring by the same loop.
 func (s *series) republishLocked(hotIdx int64) {
 	r := &s.tiers[tierSecond]
-	n := 0
-	for _, b := range r.slots {
-		if r.live(b) && b.idx < hotIdx {
-			n++
-		}
-	}
 	v := &sealedView{
-		buckets:     make([]summary, 0, n),
 		earliestIdx: s.earliest,
 		latestIdx:   r.latest,
 		hotIdx:      hotIdx,
 		lateSeq:     s.lateSeq.Load(),
 	}
-	for _, b := range r.slots {
-		if r.live(b) && b.idx < hotIdx {
-			v.buckets = append(v.buckets, b.summary)
+	from := max(r.oldest(), s.earliest) // nothing older holds data
+	if prev := s.view.Load(); prev != nil && prev.lateSeq == v.lateSeq && prev.hotIdx < hotIdx {
+		v.buckets = prev.buckets
+		for len(v.buckets) > 0 && v.buckets[0].idx < from {
+			v.buckets = v.buckets[1:]
 		}
+		from = max(from, prev.hotIdx)
+	} else if from < hotIdx {
+		v.buckets = make([]summary, 0, viewCap(int(hotIdx-from)))
 	}
+	r.walk(from, hotIdx-1, func(b *bucket) {
+		if len(v.buckets) == cap(v.buckets) {
+			grown := make([]summary, len(v.buckets), viewCap(len(v.buckets)))
+			copy(grown, v.buckets)
+			v.buckets = grown
+		}
+		v.buckets = append(v.buckets, b.summary)
+	})
 	s.view.Store(v)
+}
+
+// viewCap is the capacity a view of n summaries is given: a quarter
+// spare, so a series with a full ring copies its view about once a
+// minute, and no floor, so the spare of a store of young series stays
+// a few summaries each.
+func viewCap(n int) int {
+	return n + n/4 + 4
 }
 
 // sealOnWriteLocked is the write-side hook recordLocked calls after
@@ -213,16 +242,22 @@ func (s *series) reduceSealed(since time.Time, a *accumulator) bool {
 		}
 		// Mirror ring.covers: the pair answers only windows inside the
 		// seconds ring's coverage.
-		oldest := latest - secondSlots // exclusive lower bound
-		if latest-v.earliestIdx >= secondSlots && sinceSec <= oldest {
+		oldest := latest - secondSlots + 1 // first second still held
+		if v.earliestIdx < oldest && sinceSec < oldest {
 			return false
 		}
-		for i := range v.buckets {
-			if b := &v.buckets[i]; b.idx > oldest && overlaps(b.idx, 1, sinceSec) {
-				a.merge(b)
-			}
+		// Mirror ring.reduce: the window's seconds (at width 1 the first
+		// overlapping index is sinceSec itself), oldest first. The view is
+		// in index order, so they are its tail.
+		from := max(sinceSec, oldest)
+		i := len(v.buckets)
+		for i > 0 && v.buckets[i-1].idx >= from {
+			i--
 		}
-		if useHot && h.idx > oldest && overlaps(h.idx, 1, sinceSec) {
+		for ; i < len(v.buckets); i++ {
+			a.merge(&v.buckets[i])
+		}
+		if useHot && h.idx >= from {
 			a.merge(&h)
 		}
 		return true
