@@ -11,10 +11,6 @@
 //	--data-dir ""            run-state journal directory; empty keeps
 //	                         runs in memory only (no crash recovery)
 //	--check-interval 5s      default check interval for strategies
-//	--eval-workers 0         bounded pool fanning each run's due checks
-//	                         out in parallel; 0 sizes it to GOMAXPROCS,
-//	                         1 evaluates serially. Event trails are
-//	                         byte-identical at any setting
 //	--pprof ""               serve net/http/pprof on this separate,
 //	                         private address (e.g. localhost:6060);
 //	                         empty disables profiling
@@ -115,7 +111,6 @@ type options struct {
 	addr           string
 	dataDir        string
 	checkInterval  time.Duration
-	evalWorkers    int
 	pprofAddr      string
 	maxConcurrent  int
 	capacity       float64
@@ -144,8 +139,6 @@ func parseFlags(args []string) (*options, error) {
 		"directory for the run-state journal; empty keeps run state in memory only")
 	fs.DurationVar(&opt.checkInterval, "check-interval", 5*time.Second,
 		"default interval for checks that do not declare one")
-	fs.IntVar(&opt.evalWorkers, "eval-workers", 0,
-		"bounded evaluation pool size; 0 sizes it to GOMAXPROCS, 1 evaluates checks serially")
 	fs.StringVar(&opt.pprofAddr, "pprof", "",
 		"serve net/http/pprof on this separate private address (e.g. localhost:6060); empty disables")
 	fs.IntVar(&opt.maxConcurrent, "max-concurrent", 4,
@@ -189,9 +182,6 @@ func parseFlags(args []string) (*options, error) {
 	}
 	if opt.checkInterval <= 0 {
 		return nil, errors.New("--check-interval must be positive")
-	}
-	if opt.evalWorkers < 0 {
-		return nil, errors.New("--eval-workers must be >= 0")
 	}
 	if opt.maxConcurrent <= 0 {
 		return nil, errors.New("--max-concurrent must be positive")
@@ -317,7 +307,6 @@ func run(args []string) error {
 		Store:                store,
 		DefaultCheckInterval: opt.checkInterval,
 		Journal:              jnl,
-		EvalWorkers:          opt.evalWorkers,
 	}
 	if monitor != nil {
 		// Assign through a typed check so a nil *health.Monitor never

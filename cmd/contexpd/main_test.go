@@ -83,20 +83,17 @@ func TestParseFlags(t *testing.T) {
 		}
 	})
 
-	t.Run("eval plane flags", func(t *testing.T) {
+	t.Run("pprof flag", func(t *testing.T) {
 		opt, err := parseFlags(nil)
-		if err != nil || opt.evalWorkers != 0 || opt.pprofAddr != "" {
+		if err != nil || opt.pprofAddr != "" {
 			t.Errorf("defaults = %+v, %v", opt, err)
 		}
-		opt, err = parseFlags([]string{"--eval-workers", "8", "--pprof", "localhost:6060"})
+		opt, err = parseFlags([]string{"--pprof", "localhost:6060"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if opt.evalWorkers != 8 || opt.pprofAddr != "localhost:6060" {
+		if opt.pprofAddr != "localhost:6060" {
 			t.Errorf("opt = %+v", opt)
-		}
-		if _, err := parseFlags([]string{"--eval-workers", "-1"}); err == nil {
-			t.Error("expected error for negative eval-workers")
 		}
 	})
 

@@ -1,182 +1,96 @@
 package bifrost
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"contexp/internal/metrics"
 )
 
-// This file is the evaluation dispatcher: the machinery that lets
-// hundreds of concurrent runs evaluate their due checks each tick
-// without serializing on one another. Three pieces:
+// This file is the evaluation plane, and the run goroutine is all of
+// it: a run evaluates its due checks in state order at one instant,
+// joins before it records anything, and never re-arms its timer
+// mid-batch. The last is what keeps clock.Sim lockstep drivers (the
+// scenario suite) working: while a batch is being evaluated the run has
+// no pending timer, so virtual time cannot move under it. The first two
+// are why the journaled trail needs no reordering — nothing is ever
+// evaluated out of order.
 //
-//   - a bounded engine-wide worker pool (Config.EvalWorkers) that fans
-//     a run's due checks out in parallel, so one slow topology
-//     evaluation no longer delays the run's sibling metric checks. The
-//     pool is acquired with try-semantics: when every slot is busy the
-//     run evaluates inline on its own goroutine, so a stalled
-//     evaluator can hog pool slots but can never starve another run.
-//   - a single-flight tick cache deduplicating identical
-//     (metric, scope, window, aggregation) queries evaluated at the
-//     same instant — co-located checks (and, under the simulated
-//     clock, co-scheduled runs) recompute nothing.
-//   - per-run result ordering: whatever the pool does, results are
-//     recorded into the run's event trail in check-state order with
-//     the same early-trip cutoff as serial evaluation, so the journal
-//     and the grading suite stay byte-identical at any worker count.
-//
-// Determinism: the run goroutine collects the batch, waits for every
-// result, then records — it never re-arms its timer with evaluations
-// in flight, which is what keeps clock.Sim lockstep drivers (the
-// scenario suite) working unchanged.
+// The only sharing is inside one run at one instant: a threshold ladder
+// over one signal, a relative check and its sibling baseline check, the
+// conclude-time re-evaluation at the end of a phase. The per-run memo
+// below answers those repeats without asking the store again.
 
-// evalBatch evaluates checks against (strategy, phase) at now,
-// returning results positionally. Batches of one and serial engines
-// (EvalWorkers <= 1) evaluate inline; otherwise checks fan out to the
-// bounded pool, falling back inline when no slot is free.
+// evalBatch evaluates checks against the run's (strategy, phase) at
+// now, in order, returning results positionally. Every check is
+// evaluated even when an earlier one will trip the phase; the caller
+// decides what to record.
 func (r *Run) evalBatch(p *Phase, checks []*Check, now time.Time) []CheckResult {
-	e := r.engine
 	results := make([]CheckResult, len(checks))
-	if len(checks) <= 1 || e.evalSem == nil {
-		for i, c := range checks {
-			results[i] = e.evaluateCheck(r.strategy, p, c, now)
-		}
-		return results
-	}
-	var wg sync.WaitGroup
 	for i, c := range checks {
-		select {
-		case e.evalSem <- struct{}{}:
-			wg.Add(1)
-			go func(i int, c *Check) {
-				defer func() { <-e.evalSem; wg.Done() }()
-				results[i] = e.evaluateCheck(r.strategy, p, c, now)
-			}(i, c)
-		default:
-			// Pool saturated: evaluate on the run's own goroutine.
-			// Progress never depends on another run releasing a slot.
-			e.inlineEvals.Add(1)
-			results[i] = e.evaluateCheck(r.strategy, p, c, now)
-		}
+		results[i] = r.evaluateCheck(p, c, now)
 	}
-	wg.Wait()
 	return results
 }
 
-// --- single-flight tick cache ---
-
-// tickKey identifies one deduplicatable query: what is asked plus the
-// instant it is asked at. Including the evaluation instant makes
-// entries self-expiring — a later tick can never hit an earlier
-// tick's answer.
-type tickKey struct {
+// memoEntry is one store answer — value or error — the run already has
+// for the instant memoAt.
+type memoEntry struct {
 	metric string
 	scope  metrics.Scope
 	since  int64 // UnixNano
 	agg    metrics.Aggregation
-	now    int64 // UnixNano of the evaluation instant
+	val    float64
+	err    error
 }
 
-// tickEntry is one in-flight or settled query. done is closed once
-// val/err are set.
-type tickEntry struct {
-	done chan struct{}
-	val  float64
-	err  error
-}
-
-// tickCache single-flights identical queries within an evaluation
-// instant. Entries from older instants are swept whenever a newer
-// instant first appears, so the map stays bounded by one tick's worth
-// of distinct queries (plus stragglers under the real clock, bounded
-// by maxTickEntries).
-type tickCache struct {
-	mu      sync.Mutex
-	entries map[tickKey]*tickEntry
-	newest  int64
-
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-// maxTickEntries hard-bounds the cache when real-clock ticks never
-// share an instant; sweeping on instant advance keeps it far smaller
-// in practice.
-const maxTickEntries = 8192
-
-func newTickCache() *tickCache {
-	return &tickCache{entries: make(map[tickKey]*tickEntry)}
-}
-
-// query answers k through the cache, computing at most once per key.
-func (tc *tickCache) query(k tickKey, compute func() (float64, error)) (float64, error) {
-	tc.mu.Lock()
-	if k.now > tc.newest || len(tc.entries) >= maxTickEntries {
-		// A new instant obsoletes every earlier entry (their keys can
-		// never be asked again). Waiters hold entry pointers, so
-		// deleting map slots under them is safe.
-		for old := range tc.entries {
-			if old.now < k.now {
-				delete(tc.entries, old)
-			}
+// query is the metric evaluator's path to the store. Identical
+// (metric, scope, since, aggregation) queries at the same instant are
+// asked once; an error (ErrNoData included) is remembered like a value.
+//
+// The memo is touched only by the run's own goroutine, so it has no
+// lock, and it is emptied whenever now moves, so a later instant can
+// never read an earlier instant's answer and the slice never holds more
+// than one instant's distinct queries — at most two per check of the
+// phase. That is why it needs no bound and why a linear scan is enough.
+func (r *Run) query(metric string, scope metrics.Scope, since time.Time, agg metrics.Aggregation, now time.Time) (float64, error) {
+	e := r.engine
+	if !now.Equal(r.memoAt) {
+		r.memoAt = now
+		r.memo = r.memo[:0]
+	}
+	sinceNS := since.UnixNano()
+	for i := range r.memo {
+		m := &r.memo[i]
+		if m.since == sinceNS && m.agg == agg && m.metric == metric && m.scope == scope {
+			e.cacheHits.Add(1)
+			return m.val, m.err
 		}
-		tc.newest = k.now
 	}
-	if ent, ok := tc.entries[k]; ok {
-		tc.mu.Unlock()
-		<-ent.done
-		tc.hits.Add(1)
-		return ent.val, ent.err
-	}
-	if len(tc.entries) >= maxTickEntries {
-		// Still full after the sweep (everything shares this instant):
-		// compute uncached rather than grow without bound.
-		tc.mu.Unlock()
-		tc.misses.Add(1)
-		return compute()
-	}
-	ent := &tickEntry{done: make(chan struct{})}
-	tc.entries[k] = ent
-	tc.mu.Unlock()
-	tc.misses.Add(1)
-	ent.val, ent.err = compute()
-	close(ent.done)
-	return ent.val, ent.err
+	e.cacheMisses.Add(1)
+	val, err := e.cfg.Store.Query(metric, scope, since, agg)
+	r.memo = append(r.memo, memoEntry{metric: metric, scope: scope, since: sinceNS, agg: agg, val: val, err: err})
+	return val, err
 }
 
-// cachedQuery is the metric evaluators' query path: identical queries
-// evaluated at the same instant are computed once and shared.
-func (e *Engine) cachedQuery(metric string, scope metrics.Scope, since time.Time, agg metrics.Aggregation, now time.Time) (float64, error) {
-	if e.evalCache == nil {
-		return e.cfg.Store.Query(metric, scope, since, agg)
-	}
-	k := tickKey{metric: metric, scope: scope, since: since.UnixNano(), agg: agg, now: now.UnixNano()}
-	return e.evalCache.query(k, func() (float64, error) {
-		return e.cfg.Store.Query(metric, scope, since, agg)
-	})
-}
-
-// EvalPlaneStats is the dispatcher's health-surface snapshot.
+// EvalPlaneStats is the evaluation plane's health-surface snapshot.
 type EvalPlaneStats struct {
-	// Workers is the bounded pool size (1 = serial evaluation).
-	Workers int `json:"workers"`
-	// CacheHits/CacheMisses count tick-cache outcomes; hits are
-	// queries coalesced away.
+	// CacheHits counts store queries the per-run memo answered — asked
+	// again by the same run at the same instant; CacheMisses counts the
+	// queries that reached the store.
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"`
-	// InlineEvals counts evaluations that ran on the run's own
-	// goroutine because the pool was saturated.
-	InlineEvals int64 `json:"inlineEvals"`
+	// InlineEvals is the evaluation count: every evaluation runs on its
+	// run's own goroutine. benchmark/eval_ladder.go is its only reader
+	// (bifrost.inline_share) and benchmark/ is frozen, so the field
+	// stays; /healthz already reports the count as evaluations.
+	InlineEvals int64 `json:"-"`
 }
 
-// EvalPlane returns the dispatcher counters.
+// EvalPlane returns the evaluation-plane counters.
 func (e *Engine) EvalPlane() EvalPlaneStats {
-	st := EvalPlaneStats{Workers: e.evalWorkers, InlineEvals: e.inlineEvals.Load()}
-	if e.evalCache != nil {
-		st.CacheHits = e.evalCache.hits.Load()
-		st.CacheMisses = e.evalCache.misses.Load()
+	return EvalPlaneStats{
+		CacheHits:   e.cacheHits.Load(),
+		CacheMisses: e.cacheMisses.Load(),
+		InlineEvals: e.evalCount.Load(),
 	}
-	return st
 }

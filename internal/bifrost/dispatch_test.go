@@ -1,8 +1,10 @@
 package bifrost
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
-	"sync"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,104 +15,150 @@ import (
 	"contexp/internal/router"
 )
 
-// --- tick cache ---
+// --- per-run memo ---
 
-func TestTickCacheSingleFlight(t *testing.T) {
-	tc := newTickCache()
-	k := tickKey{metric: "rt", since: 1, agg: metrics.AggMean, now: 100}
-	var computes atomic.Int64
-	gate := make(chan struct{})
-
-	const readers = 16
-	var wg sync.WaitGroup
-	vals := make([]float64, readers)
-	for i := 0; i < readers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, err := tc.query(k, func() (float64, error) {
-				computes.Add(1)
-				<-gate // hold the computation open so every reader piles on
-				return 42, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			vals[i] = v
-		}(i)
-	}
-	// Let the single in-flight computation accumulate waiters, then
-	// release it.
-	time.Sleep(5 * time.Millisecond)
-	close(gate)
-	wg.Wait()
-
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("computed %d times; want single-flight (1)", got)
-	}
-	for i, v := range vals {
-		if v != 42 {
-			t.Fatalf("reader %d got %v; want 42", i, v)
-		}
-	}
-	if hits, misses := tc.hits.Load(), tc.misses.Load(); misses != 1 || hits != readers-1 {
-		t.Fatalf("hits=%d misses=%d; want %d/1", hits, misses, readers-1)
-	}
-}
-
-func TestTickCacheSweepsOlderInstants(t *testing.T) {
-	tc := newTickCache()
-	compute := func(v float64) func() (float64, error) {
-		return func() (float64, error) { return v, nil }
-	}
-	for i := 0; i < 50; i++ {
-		k := tickKey{metric: fmt.Sprintf("m%d", i), now: 100}
-		if _, err := tc.query(k, compute(float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := len(tc.entries); n != 50 {
-		t.Fatalf("entries = %d; want 50", n)
-	}
-	// A newer instant obsoletes every earlier entry.
-	if _, err := tc.query(tickKey{metric: "m0", now: 200}, compute(1)); err != nil {
+// memoRun builds a bare run of one phase holding checks on an engine
+// whose store is stub, so tests can evaluate batches at chosen instants
+// and count what reaches the store.
+func memoRun(t *testing.T, stub *stubQuerier, checks ...Check) (*Run, *Phase, []*Check) {
+	t.Helper()
+	eng, err := NewEngine(Config{Clock: clock.NewSim(t0), Table: router.NewTable(), Store: stub})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(tc.entries); n != 1 {
-		t.Fatalf("entries after sweep = %d; want 1", n)
+	s := &Strategy{
+		Name: "memo", Service: "catalog", Baseline: "v1", Candidate: "v2",
+		Phases: []Phase{{
+			Name: "canary", Practice: expmodel.PracticeCanary,
+			Traffic:  TrafficSpec{CandidateWeight: 0.1},
+			Duration: time.Minute, Checks: checks,
+		}},
 	}
-	if tc.newest != 200 {
-		t.Fatalf("newest = %d; want 200", tc.newest)
+	p := &s.Phases[0]
+	ptrs := make([]*Check, len(p.Checks))
+	for i := range p.Checks {
+		ptrs[i] = &p.Checks[i]
 	}
+	return &Run{strategy: s, engine: eng}, p, ptrs
 }
 
-func TestTickCacheBounded(t *testing.T) {
-	tc := newTickCache()
-	// Same instant throughout: nothing is sweepable, so the map must
-	// stop growing at the hard bound.
-	for i := 0; i < maxTickEntries+100; i++ {
-		k := tickKey{metric: fmt.Sprintf("m%d", i), now: 7}
-		if _, err := tc.query(k, func() (float64, error) { return 0, nil }); err != nil {
-			t.Fatal(err)
+// p95Ladder is n thresholds over one p95 signal: n checks, one query.
+func p95Ladder(n int) []Check {
+	checks := make([]Check, n)
+	for i := range checks {
+		checks[i] = Check{
+			Name: fmt.Sprintf("p95-%d", i), Metric: "response_time",
+			Aggregation: metrics.AggP95, Upper: true, Threshold: float64(100 * (i + 1)),
+			Interval: 10 * time.Second,
 		}
 	}
-	if n := len(tc.entries); n > maxTickEntries+1 {
-		t.Fatalf("entries = %d; want <= %d", n, maxTickEntries+1)
+	return checks
+}
+
+const (
+	candidateRT = "response_time\x00catalog/v2"
+	baselineRT  = "response_time\x00catalog/v1"
+)
+
+func TestMemoLadderCostsOneQueryPerTick(t *testing.T) {
+	stub := &stubQuerier{values: map[string]float64{candidateRT: 40}}
+	r, p, checks := memoRun(t, stub, p95Ladder(4)...)
+	for tick := 1; tick <= 3; tick++ {
+		for _, res := range r.evalBatch(p, checks, t0.Add(time.Duration(tick)*10*time.Second)) {
+			if res.Outcome != OutcomePass || res.Value != 40 {
+				t.Fatalf("tick %d: result %+v; want pass at 40", tick, res)
+			}
+		}
+		if stub.queries != tick {
+			t.Fatalf("after tick %d the store answered %d queries; want %d", tick, stub.queries, tick)
+		}
+	}
+	if st := r.engine.EvalPlane(); st.CacheMisses != 3 || st.CacheHits != 9 {
+		t.Fatalf("stats %+v; want 3 misses, 9 hits", st)
 	}
 }
 
-// --- dispatcher ---
+func TestMemoSharesBaselineQueryWithRelativeCheck(t *testing.T) {
+	stub := &stubQuerier{values: map[string]float64{candidateRT: 55, baselineRT: 50}}
+	rel := Check{Name: "rel", Metric: "response_time", Aggregation: metrics.AggMean,
+		Scope: ScopeRelative, Upper: true, Threshold: 1.2, Interval: 10 * time.Second}
+	base := rel
+	base.Name, base.Scope, base.Threshold = "base", ScopeBaseline, 100
+	r, p, checks := memoRun(t, stub, rel, base)
+
+	results := r.evalBatch(p, checks, t0.Add(10*time.Second))
+	if results[0].Outcome != OutcomePass || results[0].Value != 55 ||
+		results[1].Outcome != OutcomePass || results[1].Value != 50 {
+		t.Fatalf("results %+v", results)
+	}
+	// Candidate and baseline once each; the baseline check asks nothing.
+	if stub.queries != 2 {
+		t.Fatalf("store answered %d queries; want 2", stub.queries)
+	}
+}
+
+func TestMemoNeverAnswersAcrossInstants(t *testing.T) {
+	stub := &stubQuerier{values: map[string]float64{candidateRT: 40}}
+	r, p, checks := memoRun(t, stub, p95Ladder(1)...)
+	t1, t2 := t0.Add(10*time.Second), t0.Add(20*time.Second)
+
+	r.evalBatch(p, checks, t1)
+	stub.values[candidateRT] = 70
+	if got := r.evalBatch(p, checks, t1)[0].Value; got != 40 {
+		t.Fatalf("same instant re-asked the store: value %v; want the memoized 40", got)
+	}
+	if got := r.evalBatch(p, checks, t2)[0].Value; got != 70 {
+		t.Fatalf("next instant answered %v; want the store's 70", got)
+	}
+	// The memo holds one instant: going back to t1 asks again.
+	if got := r.evalBatch(p, checks, t1)[0].Value; got != 70 {
+		t.Fatalf("returning to an earlier instant answered %v; want a fresh query (70)", got)
+	}
+}
+
+func TestMemoRemembersNoData(t *testing.T) {
+	stub := &stubQuerier{values: map[string]float64{}}
+	r, p, checks := memoRun(t, stub, p95Ladder(3)...)
+	for i, res := range r.evalBatch(p, checks, t0.Add(10*time.Second)) {
+		if res.Outcome != OutcomeInconclusive {
+			t.Fatalf("check %d: %+v; want inconclusive", i, res)
+		}
+	}
+	if stub.queries != 1 {
+		t.Fatalf("store answered %d queries; want ErrNoData asked for once", stub.queries)
+	}
+}
+
+func TestConcludePhaseAsksTheStoreNothing(t *testing.T) {
+	stub := &stubQuerier{values: map[string]float64{candidateRT: 40, baselineRT: 50}}
+	checks := p95Ladder(3)
+	checks = append(checks, Check{Name: "rel", Metric: "response_time", Aggregation: metrics.AggMean,
+		Scope: ScopeRelative, Upper: true, Threshold: 1.2, Interval: 10 * time.Second})
+	r, p, ptrs := memoRun(t, stub, checks...)
+	phaseEnd := t0.Add(p.Duration)
+
+	r.evalBatch(p, ptrs, phaseEnd) // the last interval tick
+	asked := stub.queries
+	if got := r.concludePhase(p, t0, phaseEnd); got != OutcomePass {
+		t.Fatalf("phase outcome %v; want pass", got)
+	}
+	if stub.queries != asked {
+		t.Fatalf("concludePhase asked the store %d more queries; want 0", stub.queries-asked)
+	}
+}
+
+// --- evaluation order ---
 
 // scriptedEvaluator replaces the metric evaluator with a scripted one:
 // per-check artificial latency (keyed by check name) and an optional
-// engine-wide block. Everything passes, so runs complete promptly.
+// block. Everything passes, so runs complete promptly.
 type scriptedEvaluator struct {
 	delays map[string]time.Duration
 	block  chan struct{} // when non-nil, Evaluate waits for close
 	calls  atomic.Int64
 }
 
-func (se *scriptedEvaluator) Evaluate(s *Strategy, p *Phase, c *Check, now time.Time) CheckResult {
+func (se *scriptedEvaluator) Evaluate(r *Run, p *Phase, c *Check, now time.Time) CheckResult {
 	se.calls.Add(1)
 	if se.block != nil {
 		<-se.block
@@ -148,48 +196,23 @@ func multiCheckStrategy(tenant, service string, n int, interval, dur time.Durati
 }
 
 // TestDispatchPreservesEventOrder runs a multi-check phase with
-// deliberately skewed per-check latencies through a wide pool and
-// asserts the event trail still lists every tick's results in check
-// declaration order — the dispatcher may evaluate out of order but must
-// never record out of order.
+// deliberately skewed per-check latencies and asserts the event trail
+// lists every tick's results in check declaration order.
 func TestDispatchPreservesEventOrder(t *testing.T) {
-	sim := clock.NewSim(t0)
-	eng, err := NewEngine(Config{
-		Clock: sim, Table: router.NewTable(), Store: metrics.NewStore(0),
-		EvalWorkers: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// c0 is the slowest, c2 the fastest: finish order is the reverse of
-	// declaration order, which is exactly what must not leak into the
-	// trail.
-	eng.evaluators[CheckMetric] = &scriptedEvaluator{delays: map[string]time.Duration{
+	h := newHarness(t)
+	// c0 is the slowest, c2 the fastest: how long a check takes must
+	// not leak into the trail.
+	h.engine.evaluators[CheckMetric] = &scriptedEvaluator{delays: map[string]time.Duration{
 		"c0": 4 * time.Millisecond,
 		"c1": 2 * time.Millisecond,
 		"c2": 0,
 	}}
 
-	run, err := eng.Launch(multiCheckStrategy("", "catalog", 3, 10*time.Second, time.Minute))
+	run, err := h.engine.Launch(multiCheckStrategy("", "catalog", 3, 10*time.Second, time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		select {
-		case <-run.Done():
-		default:
-			if time.Now().After(deadline) {
-				t.Fatalf("run did not finish; status=%v", run.Status())
-			}
-			if d, ok := sim.NextDeadline(); ok {
-				sim.AdvanceTo(d)
-			}
-			time.Sleep(200 * time.Microsecond)
-			continue
-		}
-		break
-	}
+	h.drive(t, run)
 	if run.Status() != StatusSucceeded {
 		t.Fatalf("status = %v", run.Status())
 	}
@@ -210,15 +233,13 @@ func TestDispatchPreservesEventOrder(t *testing.T) {
 	}
 }
 
-// TestDispatchStalledEvaluatorNoStarvation saturates a two-slot pool
-// with evaluations that block indefinitely and verifies that unrelated
-// runs still finish: the try-acquire fallback evaluates inline on the
-// run's own goroutine, so progress never depends on another run
-// releasing a pool slot.
+// TestDispatchStalledEvaluatorNoStarvation blocks two runs'
+// evaluations indefinitely and verifies that unrelated runs still
+// finish: a run evaluates on its own goroutine, so a blocked evaluator
+// blocks only the run that called it.
 func TestDispatchStalledEvaluatorNoStarvation(t *testing.T) {
 	eng, err := NewEngine(Config{
 		Clock: clock.Real{}, Table: router.NewTable(), Store: metrics.NewStore(0),
-		EvalWorkers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -228,8 +249,7 @@ func TestDispatchStalledEvaluatorNoStarvation(t *testing.T) {
 	fast := &scriptedEvaluator{}
 	eng.evaluators[CheckMetric] = evaluatorSwitch{stalled: stalled, fast: fast}
 
-	// Two stalled runs × two checks each: enough blocked evaluations to
-	// hold both pool slots (and their own run goroutines) indefinitely.
+	// Two stalled runs, each blocked in its first evaluation.
 	var slowRuns []*Run
 	for i := 0; i < 2; i++ {
 		s := multiCheckStrategy(fmt.Sprintf("t%d", i), "slow-svc", 2, 5*time.Millisecond, 30*time.Millisecond)
@@ -239,7 +259,7 @@ func TestDispatchStalledEvaluatorNoStarvation(t *testing.T) {
 		}
 		slowRuns = append(slowRuns, run)
 	}
-	// Give the stalled evaluations time to claim the pool.
+	// Give the stalled runs time to reach their first tick.
 	time.Sleep(20 * time.Millisecond)
 
 	var fastRuns []*Run
@@ -270,9 +290,6 @@ func TestDispatchStalledEvaluatorNoStarvation(t *testing.T) {
 			t.Fatalf("slow run %d did not finish after release", i)
 		}
 	}
-	if st := eng.EvalPlane(); st.InlineEvals == 0 {
-		t.Error("expected inline fallback evaluations while the pool was saturated")
-	}
 }
 
 // evaluatorSwitch routes slow-svc checks to the stalled script and
@@ -281,16 +298,16 @@ type evaluatorSwitch struct {
 	stalled, fast *scriptedEvaluator
 }
 
-func (es evaluatorSwitch) Evaluate(s *Strategy, p *Phase, c *Check, now time.Time) CheckResult {
-	if s.Service == "slow-svc" {
-		return es.stalled.Evaluate(s, p, c, now)
+func (es evaluatorSwitch) Evaluate(r *Run, p *Phase, c *Check, now time.Time) CheckResult {
+	if r.strategy.Service == "slow-svc" {
+		return es.stalled.Evaluate(r, p, c, now)
 	}
-	return es.fast.Evaluate(s, p, c, now)
+	return es.fast.Evaluate(r, p, c, now)
 }
 
 // TestDispatchManyRunsManyTenants drives 24 multi-check runs across 6
 // tenants to completion on one simulated clock — under -race this is
-// the dispatcher's concurrency soak — and then checks every run's
+// the evaluation plane's concurrency soak — and then checks every run's
 // event trail independently: status, per-tick check order, and
 // non-decreasing timestamps.
 func TestDispatchManyRunsManyTenants(t *testing.T) {
@@ -366,92 +383,88 @@ func TestDispatchManyRunsManyTenants(t *testing.T) {
 		}
 	}
 
-	// Co-scheduled identical queries under the simulated clock must have
-	// coalesced: same metric, same instants, per-tenant scopes differ but
-	// sibling checks within a run share one query.
+	// Sibling checks within a run share one query per tick.
 	if st := eng.EvalPlane(); st.CacheHits == 0 {
-		t.Errorf("expected tick-cache hits from coalesced sibling checks; stats %+v", st)
+		t.Errorf("expected memo hits from sibling checks; stats %+v", st)
 	}
 }
 
-// TestDispatchEventTrailsWorkerCountInvariant replays one strategy on
-// engines configured serial (EvalWorkers=1, cache off) and wide
-// (EvalWorkers=16) and requires the two event trails to be identical
-// field for field — the determinism contract CI's eval-scale scenario
-// step enforces end to end.
-func TestDispatchEventTrailsWorkerCountInvariant(t *testing.T) {
-	trail := func(cfgTweak func(*Config)) []Event {
-		sim := clock.NewSim(t0)
-		store := metrics.NewStore(0)
-		scope := metrics.Scope{Service: "catalog", Version: "v2"}
-		for ts := time.Duration(0); ts <= 2*time.Minute; ts += time.Second {
-			store.Record("response_time", scope, t0.Add(ts), 50)
+// goldenTrails runs the two pinned workloads, each on a fresh engine
+// under clock.Sim, and returns their event trails as JSON lines: a
+// 3-check strategy that promotes, and one whose second check trips on
+// the first tick, so the third is evaluated but never recorded.
+func goldenTrails(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, service := range []string{"catalog", "checkout"} {
+		h := newHarness(t)
+		h.seedMetrics("response_time", service, "v2", "", 2*time.Minute, 50)
+		s := multiCheckStrategy("", service, 3, 5*time.Second, time.Minute)
+		if service == "checkout" {
+			s.Phases[0].Checks[1].Threshold = 10
 		}
-		cfg := Config{Clock: sim, Table: router.NewTable(), Store: store}
-		cfgTweak(&cfg)
-		eng, err := NewEngine(cfg)
+		run, err := h.engine.Launch(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := eng.Launch(multiCheckStrategy("", "catalog", 3, 5*time.Second, time.Minute))
-		if err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			select {
-			case <-run.Done():
-				return run.Events()
-			default:
+		h.drive(t, run)
+		for _, ev := range run.Events() {
+			if err := enc.Encode(ev); err != nil {
+				t.Fatal(err)
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("run did not finish; status=%v", run.Status())
-			}
-			if d, ok := sim.NextDeadline(); ok {
-				sim.AdvanceTo(d)
-			}
-			time.Sleep(200 * time.Microsecond)
 		}
 	}
-
-	serial := trail(func(c *Config) { c.EvalWorkers = 1; c.DisableEvalCache = true })
-	wide := trail(func(c *Config) { c.EvalWorkers = 16 })
-
-	if len(serial) != len(wide) {
-		t.Fatalf("trail lengths differ: serial=%d wide=%d", len(serial), len(wide))
-	}
-	for i := range serial {
-		if serial[i] != wide[i] {
-			t.Fatalf("event %d differs:\nserial: %+v\nwide:   %+v", i, serial[i], wide[i])
-		}
-	}
+	return buf.Bytes()
 }
 
-// TestEvalPlaneStats sanity-checks the dispatcher's health-surface
-// counters.
-func TestEvalPlaneStats(t *testing.T) {
-	eng, err := NewEngine(Config{
-		Table: router.NewTable(), Store: metrics.NewStore(0), EvalWorkers: 3,
-	})
+// TestEventTrailsMatchParentGolden pins the journaled trail across the
+// removal of the worker pool and the engine-wide tick cache:
+// testdata/trails_parent.golden was written by goldenTrails running on
+// the last commit that had them (PR 14), and the in-order engine must
+// reproduce it byte for byte.
+func TestEventTrailsMatchParentGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/trails_parent.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := eng.EvalPlane()
-	if st.Workers != 3 {
-		t.Errorf("Workers = %d; want 3", st.Workers)
+	got := goldenTrails(t)
+	if !bytes.Equal(got, want) {
+		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if !bytes.Equal(gl[i], wl[i]) {
+				t.Fatalf("event %d differs:\n got: %s\nwant: %s", i, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("trail has %d lines; want %d", len(gl), len(wl))
 	}
-	if st.CacheHits != 0 || st.CacheMisses != 0 || st.InlineEvals != 0 {
+}
+
+// TestEvalPlaneStats checks the health-surface counters against a run
+// whose counts are known: 3 identical checks, 12 interval ticks and one
+// conclude-time re-evaluation.
+func TestEvalPlaneStats(t *testing.T) {
+	h := newHarness(t)
+	if st := h.engine.EvalPlane(); st != (EvalPlaneStats{}) {
 		t.Errorf("fresh engine counters non-zero: %+v", st)
 	}
-
-	serial, err := NewEngine(Config{
-		Table: router.NewTable(), Store: metrics.NewStore(0),
-		EvalWorkers: 1, DisableEvalCache: true,
-	})
+	h.seedMetrics("response_time", "catalog", "v2", "", 2*time.Minute, 50)
+	run, err := h.engine.Launch(multiCheckStrategy("", "catalog", 3, 5*time.Second, time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := serial.EvalPlane().Workers; got != 1 {
-		t.Errorf("serial Workers = %d; want 1", got)
+	h.drive(t, run)
+
+	// Each tick: one miss, two hits. The conclude pass: three hits.
+	want := EvalPlaneStats{CacheMisses: 12, CacheHits: 12*2 + 3, InlineEvals: 13 * 3}
+	if st := h.engine.EvalPlane(); st != want {
+		t.Errorf("stats %+v; want %+v", st, want)
+	}
+	if evals := h.engine.Metrics().Evaluations; evals != want.InlineEvals {
+		t.Errorf("Evaluations = %d; want %d", evals, want.InlineEvals)
+	}
+	h.engine.ResetMetrics()
+	if st := h.engine.EvalPlane(); st != (EvalPlaneStats{}) {
+		t.Errorf("ResetMetrics left %+v", st)
 	}
 }

@@ -3,7 +3,6 @@ package bifrost
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -144,22 +143,12 @@ type Config struct {
 	// has data even for metric-only strategies. Nil rejects strategies
 	// with topology checks at launch.
 	Topology TopologyAssessor
-	// EvalWorkers bounds the engine-wide pool that fans a run's due
-	// checks out in parallel (dispatch.go). 0 defaults to GOMAXPROCS;
-	// 1 evaluates fully serially on each run's own goroutine. Event
-	// trails are byte-identical at any setting.
-	EvalWorkers int
-	// DisableEvalCache turns off the single-flight tick cache that
-	// deduplicates identical queries within an evaluation instant.
-	// Meant for benchmarking the uncoalesced path; production keeps
-	// the cache on.
-	DisableEvalCache bool
 }
 
 // Engine executes live testing strategies concurrently: the Bifrost
 // middleware core (Fig 4.4). One goroutine drives each run's state
-// machine; checks are multiplexed on per-run timers; routing changes go
-// through the shared router table.
+// machine and evaluates its checks (dispatch.go); checks are multiplexed
+// on per-run timers; routing changes go through the shared router table.
 type Engine struct {
 	cfg Config
 
@@ -178,21 +167,18 @@ type Engine struct {
 
 	// Instrumentation for the engine-performance evaluation
 	// (Figs 4.7–4.10): total time spent evaluating checks, evaluation
-	// count, and the delay between a check's due time and its actual
-	// evaluation.
-	evalBusy  atomic.Int64 // nanoseconds
-	evalCount atomic.Int64
+	// count, the per-run memo's outcomes (dispatch.go), and the delay
+	// between a check's due time and its actual evaluation.
+	evalBusy    atomic.Int64 // nanoseconds
+	evalCount   atomic.Int64
+	cacheHits   atomic.Int64
+	cacheMisses atomic.Int64
 
-	delayMu sync.Mutex
-	delays  []time.Duration
-
-	// Evaluation dispatcher (dispatch.go): bounded worker pool and
-	// single-flight tick cache. evalSem is nil when evaluation is
-	// serial (EvalWorkers <= 1); evalCache is nil when disabled.
-	evalWorkers int
-	evalSem     chan struct{}
-	evalCache   *tickCache
-	inlineEvals atomic.Int64
+	// delays is a ring of the newest maxDelaySamples delays; once it is
+	// full, delayNext indexes the oldest, which the next one overwrites.
+	delayMu   sync.Mutex
+	delays    []time.Duration
+	delayNext int
 }
 
 // NewEngine creates an Engine.
@@ -214,18 +200,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg, runs: make(map[string]*Run)}
 	e.evaluators = map[CheckKind]CheckEvaluator{
-		CheckMetric:   metricEvaluator{e},
-		CheckTopology: topologyEvaluator{e},
-	}
-	e.evalWorkers = cfg.EvalWorkers
-	if e.evalWorkers <= 0 {
-		e.evalWorkers = runtime.GOMAXPROCS(0)
-	}
-	if e.evalWorkers > 1 {
-		e.evalSem = make(chan struct{}, e.evalWorkers)
-	}
-	if !cfg.DisableEvalCache {
-		e.evalCache = newTickCache()
+		CheckMetric:   metricEvaluator{},
+		CheckTopology: topologyEvaluator{},
 	}
 	return e, nil
 }
@@ -249,6 +225,11 @@ type Run struct {
 	cancel chan struct{}
 	// cancelOnce guards cancel closure.
 	cancelOnce sync.Once
+
+	// memo holds the store answers already computed for the instant
+	// memoAt (dispatch.go). Only the run's own goroutine touches it.
+	memoAt time.Time
+	memo   []memoEntry
 }
 
 // ErrServiceBusy marks a launch rejected because another live run of
@@ -360,15 +341,16 @@ type EngineMetrics struct {
 	// (Figs 4.7 and 4.9).
 	BusyTime time.Duration
 	// Delays are the observed lags between check due times and actual
-	// evaluations (Figs 4.8 and 4.10). Capped at 100k samples.
+	// evaluations (Figs 4.8 and 4.10): the newest 100k, oldest first.
 	Delays []time.Duration
 }
 
 // Metrics returns a copy of the instrumentation counters.
 func (e *Engine) Metrics() EngineMetrics {
 	e.delayMu.Lock()
-	delays := make([]time.Duration, len(e.delays))
-	copy(delays, e.delays)
+	delays := make([]time.Duration, 0, len(e.delays))
+	delays = append(delays, e.delays[e.delayNext:]...)
+	delays = append(delays, e.delays[:e.delayNext]...)
 	e.delayMu.Unlock()
 	return EngineMetrics{
 		Evaluations: e.evalCount.Load(),
@@ -388,8 +370,10 @@ func (e *Engine) EvalStats() (evaluations int64, busy time.Duration) {
 func (e *Engine) ResetMetrics() {
 	e.evalBusy.Store(0)
 	e.evalCount.Store(0)
+	e.cacheHits.Store(0)
+	e.cacheMisses.Store(0)
 	e.delayMu.Lock()
-	e.delays = nil
+	e.delays, e.delayNext = nil, 0
 	e.delayMu.Unlock()
 }
 
@@ -399,6 +383,9 @@ func (e *Engine) recordDelay(d time.Duration) {
 	e.delayMu.Lock()
 	if len(e.delays) < maxDelaySamples {
 		e.delays = append(e.delays, d)
+	} else {
+		e.delays[e.delayNext] = d
+		e.delayNext = (e.delayNext + 1) % maxDelaySamples
 	}
 	e.delayMu.Unlock()
 }
@@ -678,11 +665,9 @@ func (r *Run) observe(p *Phase, start time.Time, dur time.Duration) (Outcome, bo
 		now = e.cfg.Clock.Now()
 
 		// Collect the tick's due checks in state order and evaluate
-		// them as one batch through the dispatcher (dispatch.go) —
-		// possibly in parallel, possibly coalesced with identical
-		// queries elsewhere. The batch joins before anything is
-		// recorded, so the trail below is in state order regardless of
-		// worker count.
+		// them as one batch at this instant (dispatch.go). The whole
+		// batch is evaluated before anything is recorded, and the timer
+		// is re-armed only after that.
 		due = due[:0]
 		checks = checks[:0]
 		for _, st := range states {
@@ -716,9 +701,9 @@ func (r *Run) observe(p *Phase, start time.Time, dur time.Duration) (Outcome, bo
 				st.failures++
 				st.sawData = true
 				if st.failures >= e.failuresToTrip(st.check) {
-					// Tripped: later batch results are discarded
-					// unrecorded, exactly like the serial loop that
-					// never evaluated them.
+					// Tripped: the batch's later results were
+					// evaluated (they count in Evaluations) but are
+					// never recorded.
 					return OutcomeFail, false
 				}
 			case OutcomePass:
@@ -752,6 +737,8 @@ func (r *Run) concludePhase(p *Phase, start, now time.Time) Outcome {
 	for i := range p.Checks {
 		checks[i] = &p.Checks[i]
 	}
+	// now is the instant of the interval tick that just ran, so every
+	// check that was due then is answered from the run's memo.
 	results := r.evalBatch(p, checks, now)
 	outcome := OutcomePass
 	for i, c := range checks {
@@ -765,8 +752,8 @@ func (r *Run) concludePhase(p *Phase, start, now time.Time) Outcome {
 		}
 		switch res.Outcome {
 		case OutcomeFail:
-			// Later results are discarded unrecorded, matching the
-			// serial loop's early return.
+			// Later results are discarded unrecorded: the first
+			// failing check decides the phase.
 			return OutcomeFail
 		case OutcomeInconclusive:
 			outcome = OutcomeInconclusive
@@ -800,8 +787,9 @@ func (e *Engine) candidateScope(s *Strategy, p *Phase) metrics.Scope {
 }
 
 // evaluateCheck evaluates one check at `now` through the evaluator for
-// its kind, with the engine's busy/delay instrumentation around it.
-func (e *Engine) evaluateCheck(s *Strategy, p *Phase, c *Check, now time.Time) CheckResult {
+// its kind, with the engine's busy/count instrumentation around it.
+func (r *Run) evaluateCheck(p *Phase, c *Check, now time.Time) CheckResult {
+	e := r.engine
 	startEval := time.Now()
 	defer func() {
 		e.evalBusy.Add(int64(time.Since(startEval)))
@@ -812,7 +800,7 @@ func (e *Engine) evaluateCheck(s *Strategy, p *Phase, c *Check, now time.Time) C
 		return CheckResult{Outcome: OutcomeInconclusive,
 			Detail: fmt.Sprintf("no evaluator for check kind %v", c.Kind)}
 	}
-	return ev.Evaluate(s, p, c, now)
+	return ev.Evaluate(r, p, c, now)
 }
 
 func compare(v float64, c *Check) Outcome {

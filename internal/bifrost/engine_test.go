@@ -453,6 +453,26 @@ func TestEngineMetricsInstrumentation(t *testing.T) {
 	}
 }
 
+// TestDelaySamplesKeepNewest overfills the delay ring by 500 samples:
+// the 500 oldest are gone, the 500 newest are there, and Metrics lists
+// what is kept oldest first.
+func TestDelaySamplesKeepNewest(t *testing.T) {
+	h := newHarness(t)
+	const extra = 500
+	for i := 0; i < maxDelaySamples+extra; i++ {
+		h.engine.recordDelay(time.Duration(i))
+	}
+	delays := h.engine.Metrics().Delays
+	if len(delays) != maxDelaySamples {
+		t.Fatalf("kept %d delays; want %d", len(delays), maxDelaySamples)
+	}
+	for i, d := range delays {
+		if want := time.Duration(extra + i); d != want {
+			t.Fatalf("delays[%d] = %d; want %d (newest %d samples, oldest first)", i, d, want, maxDelaySamples)
+		}
+	}
+}
+
 func TestGotoChaining(t *testing.T) {
 	h := newHarness(t)
 	s := twoPhaseStrategy()

@@ -15,40 +15,17 @@ import (
 // concurrent runs, each with four due checks — a staged ladder of
 // thresholds over one shared latency signal (p95), the common
 // multi-threshold guard shape — over per-run series that concurrent
-// RecordBatch writers are hammering throughout the timed region.
-//
-//   - serial: the pre-dispatcher reference plane — every run's checks
-//     evaluated one after another, no pool, no coalescing: four full
-//     quantile-sketch merges per run per tick.
-//   - dispatch: the shipped architecture — each run's batch evaluated
-//     on its own (persistent) run goroutine, fanned out through the
-//     bounded pool with the single-flight tick cache coalescing the
-//     shared signal to one sketch merge per run per tick.
-//
-// The dispatch/serial ratio is the evaluation-throughput speedup the
-// performance docs quote (coalescing alone on one core; the pool adds
-// near-linear scaling on top with more cores). The bench gate tracks
-// the dispatch arm.
+// RecordBatch writers are hammering throughout the timed region. It is
+// the shipped path: each run's batch is evaluated in order on its own
+// persistent goroutine, like the engine's run loops, and the run's memo
+// reduces the ladder to one sketch merge per run per tick.
 func BenchmarkEvalPlane(b *testing.B) {
-	b.Run("serial", func(b *testing.B) {
-		benchEvalPlane(b, Config{EvalWorkers: 1, DisableEvalCache: true}, false)
-	})
-	b.Run("dispatch", func(b *testing.B) {
-		benchEvalPlane(b, Config{}, true)
-	})
-}
-
-const (
-	evalPlaneRuns   = 200
-	evalPlaneWindow = 240 * time.Second
-)
-
-func benchEvalPlane(b *testing.B, cfg Config, concurrentRuns bool) {
+	const (
+		evalPlaneRuns   = 200
+		evalPlaneWindow = 240 * time.Second
+	)
 	store := metrics.NewStore(0)
-	cfg.Clock = clock.Real{}
-	cfg.Table = router.NewTable()
-	cfg.Store = store
-	eng, err := NewEngine(cfg)
+	eng, err := NewEngine(Config{Clock: clock.Real{}, Table: router.NewTable(), Store: store})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -124,51 +101,40 @@ func benchEvalPlane(b *testing.B, cfg Config, concurrentRuns bool) {
 		}
 		checkSets[i] = checks
 	}
-	tickOne := func(i int, tick time.Time) {
-		r := runs[i]
-		r.evalBatch(&r.strategy.Phases[0], checkSets[i], tick)
-	}
 
-	var (
-		tickCh chan time.Time
-		doneWg sync.WaitGroup
-	)
-	if concurrentRuns {
-		// Persistent per-run goroutines, like the engine's run loops:
-		// each receives the tick instant and evaluates its own batch.
-		tickCh = make(chan time.Time)
-		var lifeWg sync.WaitGroup
-		for i := range runs {
-			lifeWg.Add(1)
-			go func(i int) {
-				defer lifeWg.Done()
-				for tick := range tickCh {
-					tickOne(i, tick)
-					doneWg.Done()
-				}
-			}(i)
-		}
-		defer lifeWg.Wait()
-		defer close(tickCh)
+	// Persistent per-run goroutines, each on its own channel so that
+	// every run evaluates exactly once per tick: on a shared channel a
+	// goroutine that finished early could take a second tick, answer it
+	// from its memo, and leave another run unevaluated.
+	tickChs := make([]chan time.Time, len(runs))
+	var doneWg, lifeWg sync.WaitGroup
+	for i, r := range runs {
+		tickChs[i] = make(chan time.Time)
+		lifeWg.Add(1)
+		go func() {
+			defer lifeWg.Done()
+			for tick := range tickChs[i] {
+				r.evalBatch(&r.strategy.Phases[0], checkSets[i], tick)
+				doneWg.Done()
+			}
+		}()
 	}
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tick := time.Now()
-		if concurrentRuns {
-			doneWg.Add(len(runs))
-			for range runs {
-				tickCh <- tick
-			}
-			doneWg.Wait()
-		} else {
-			for i := range runs {
-				tickOne(i, tick)
-			}
+		doneWg.Add(len(runs))
+		for _, ch := range tickChs {
+			ch <- tick
 		}
+		doneWg.Wait()
 	}
 	b.StopTimer()
+	for _, ch := range tickChs {
+		close(ch)
+	}
+	lifeWg.Wait()
 	close(stop)
 	writers.Wait()
 }

@@ -30,9 +30,9 @@ type CheckResult struct {
 }
 
 // CheckEvaluator evaluates checks of one kind against its signal
-// source.
+// source, on behalf of the run r whose goroutine is calling.
 type CheckEvaluator interface {
-	Evaluate(s *Strategy, p *Phase, c *Check, now time.Time) CheckResult
+	Evaluate(r *Run, p *Phase, c *Check, now time.Time) CheckResult
 }
 
 // TopologyAssessor is the narrow surface the engine's topology checks
@@ -58,23 +58,21 @@ var _ TopologyAssessor = (*health.Monitor)(nil)
 // metricEvaluator is the original Chapter 4 check: an aggregation over
 // a metric-store window compared against a threshold, in candidate,
 // baseline, or relative scope.
-type metricEvaluator struct {
-	e *Engine
-}
+type metricEvaluator struct{}
 
-func (me metricEvaluator) Evaluate(s *Strategy, p *Phase, c *Check, now time.Time) CheckResult {
-	e := me.e
+func (metricEvaluator) Evaluate(r *Run, p *Phase, c *Check, now time.Time) CheckResult {
+	e, s := r.engine, r.strategy
 	window := c.Window
 	if window <= 0 {
 		window = e.checkInterval(c)
 	}
 	since := now.Add(-window)
 
-	// Identical (metric, scope, window, aggregation) queries evaluated
-	// at the same instant — sibling checks in this batch, co-scheduled
-	// runs under the simulated clock — are computed once (dispatch.go).
+	// Identical (metric, scope, window, aggregation) queries this run
+	// makes at the same instant — sibling checks in the batch, the
+	// conclude-time re-evaluation — are computed once (dispatch.go).
 	query := func(scope metrics.Scope) (float64, error) {
-		return e.cachedQuery(c.Metric, scope, since, c.Aggregation, now)
+		return r.query(c.Metric, scope, since, c.Aggregation, now)
 	}
 
 	switch c.Scope {
@@ -118,12 +116,11 @@ func (me metricEvaluator) Evaluate(s *Strategy, p *Phase, c *Check, now time.Tim
 // interaction graphs, minus the strategy's allowed change classes,
 // ranked by the configured impact heuristic. More disallowed changes
 // than max-ranked-changes fails the check.
-type topologyEvaluator struct {
-	e *Engine
-}
+type topologyEvaluator struct{}
 
-func (te topologyEvaluator) Evaluate(s *Strategy, p *Phase, c *Check, now time.Time) CheckResult {
-	topo := te.e.cfg.Topology
+func (topologyEvaluator) Evaluate(r *Run, p *Phase, c *Check, now time.Time) CheckResult {
+	s := r.strategy
+	topo := r.engine.cfg.Topology
 	if topo == nil {
 		return CheckResult{Outcome: OutcomeInconclusive, Detail: "no topology assessor configured"}
 	}

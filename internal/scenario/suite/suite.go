@@ -10,8 +10,6 @@ package suite
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"time"
 
 	"contexp/internal/bifrost"
@@ -180,22 +178,6 @@ func settleWait(clk *clock.Sim, run *bifrost.Run) error {
 	}
 }
 
-// evalWorkersFromEnv reads CONTEXP_EVAL_WORKERS so CI can replay the
-// grading matrix at different evaluation-pool sizes and assert the
-// graded outcomes are identical — determinism must not depend on the
-// worker count. Unset or invalid means the engine default.
-func evalWorkersFromEnv() int {
-	v := os.Getenv("CONTEXP_EVAL_WORKERS")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
 // RunScenario executes one scenario against one strategy kind on the
 // simulated stack and returns the graded result. The entire run —
 // arrivals, faults, check evaluations — unfolds in virtual time under a
@@ -234,7 +216,6 @@ func RunScenario(spec *scenario.Spec, kind Kind, opt Options) (*Result, error) {
 
 	engine, err := bifrost.NewEngine(bifrost.Config{
 		Clock: clk, Table: table, Store: store, Topology: monitor,
-		EvalWorkers: evalWorkersFromEnv(),
 	})
 	if err != nil {
 		return nil, err

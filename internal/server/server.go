@@ -777,8 +777,8 @@ type EngineHealth struct {
 	// write-ahead journal; non-zero means the durable audit trail has
 	// gaps.
 	JournalErrors int64 `json:"journalErrors"`
-	// EvalPlane reports the evaluation dispatcher: pool width,
-	// tick-cache coalescing counters, and inline-fallback evaluations.
+	// EvalPlane reports the evaluation plane: how many store queries
+	// the per-run memo answered and how many reached the store.
 	EvalPlane bifrost.EvalPlaneStats `json:"evalPlane"`
 }
 

@@ -78,13 +78,24 @@ func TestStatusSharedWithAdminTenants(t *testing.T) {
 	}
 }
 
-// TestHealthReportsEvalPlane verifies the dispatcher's counters ride
-// along in the engine health section.
+// TestHealthReportsEvalPlane verifies the evaluation plane's counters
+// ride along in the engine health section: the memo's hits and misses
+// and nothing else — there is no pool width to report.
 func TestHealthReportsEvalPlane(t *testing.T) {
 	e := newEnv(t)
 	_, body := e.do(http.MethodGet, "/healthz", "")
-	h := healthOf(t, body)
-	if h.Engine.EvalPlane.Workers < 1 {
-		t.Fatalf("evalPlane.workers = %d; want >= 1", h.Engine.EvalPlane.Workers)
+	var h struct {
+		Engine struct {
+			EvalPlane map[string]int64 `json:"evalPlane"`
+		} `json:"engine"`
+	}
+	if err := json.Unmarshal([]byte(body), &h); err != nil {
+		t.Fatalf("bad health payload: %v\n%s", err, body)
+	}
+	plane := h.Engine.EvalPlane
+	_, hits := plane["cacheHits"]
+	_, misses := plane["cacheMisses"]
+	if !hits || !misses || len(plane) != 2 {
+		t.Fatalf("evalPlane = %v; want exactly cacheHits and cacheMisses", plane)
 	}
 }
