@@ -95,11 +95,11 @@ import (
 	"time"
 
 	"contexp/internal/bifrost"
+	"contexp/internal/demo"
 	"contexp/internal/fleet"
 	"contexp/internal/health"
 	"contexp/internal/journal"
 	"contexp/internal/metrics"
-	"contexp/internal/microsim"
 	"contexp/internal/router"
 	"contexp/internal/scenario"
 	"contexp/internal/server"
@@ -220,9 +220,10 @@ var demoScenarioTarget = scenario.Target{
 	Service: "recommendation", Candidate: "v2", Dependency: "catalog",
 }
 
-// demoInjector resolves --demo-faults into a fault injector anchored at
-// now. Scenarios without faults (steady, ramp, diurnal) yield nil.
-func demoInjector(name string, seed int64, now time.Time) (*microsim.Injector, error) {
+// demoScenario resolves --demo-faults into the compiled chaos scenario
+// whose fault schedule the demo shop gets. Scenarios without faults
+// (steady, ramp, diurnal) yield a nil injector.
+func demoScenario(name string, seed int64) (*scenario.Scenario, error) {
 	spec, err := scenario.ByName(demoScenarioTarget, name)
 	if err != nil {
 		return nil, err
@@ -232,7 +233,7 @@ func demoInjector(name string, seed int64, now time.Time) (*microsim.Injector, e
 		return nil, err
 	}
 	sc.Seed = seed
-	return sc.Injector(now)
+	return sc, nil
 }
 
 func main() {
@@ -459,40 +460,41 @@ func run(args []string) error {
 	}
 
 	if opt.demo {
-		var faults *microsim.Injector
-		if opt.demoFaults != "" {
-			faults, err = demoInjector(opt.demoFaults, opt.demoSeed, time.Now())
-			if err != nil {
-				return err
-			}
-		}
-		demoCfg := server.DemoConfig{
+		demoCfg := demo.Config{
 			RPS:            opt.demoRPS,
 			LatencyScale:   opt.demoScale,
 			PopulationSize: opt.demoPop,
 			Seed:           opt.demoSeed,
 			Enact:          opt.demoEnact,
 			Traces:         collector,
-			Faults:         faults,
 			Logf: func(format string, args ...any) {
 				fmt.Printf("demo: "+format+"\n", args...)
 			},
 		}
+		if opt.demoFaults != "" {
+			sc, err := demoScenario(opt.demoFaults, opt.demoSeed)
+			if err != nil {
+				return err
+			}
+			if demoCfg.Faults, err = sc.Injector(time.Now()); err != nil {
+				return err
+			}
+		}
 		if opt.demoWire {
 			demoCfg.TelemetryURL = selfURL(ln.Addr())
 		}
-		demo, err := server.StartDemo(engine, table, store, demoCfg)
+		shop, err := demo.Start(engine, table, store, demoCfg)
 		if err != nil {
 			return err
 		}
-		defer demo.Stop()
-		srv.SetDemo(demo)
+		defer shop.Stop()
+		srv.SetDemo(func() any { return shop.Health() })
 		fmt.Printf("demo: shop entry at %s, %.0f rps, latency scale %g\n",
-			demo.EntryURL(), opt.demoRPS, opt.demoScale)
+			shop.EntryURL(), opt.demoRPS, opt.demoScale)
 		if opt.demoEnact {
 			fmt.Println("demo: enacted strategy \"demo-canary-rollout\" (canary → gradual rollout)")
 		}
-		if faults != nil {
+		if faults := demoCfg.Faults; faults != nil {
 			fmt.Printf("demo: chaos scenario %q armed: %d fault(s), live state at /healthz\n",
 				opt.demoFaults, len(faults.Snapshot(time.Now())))
 		} else if opt.demoFaults != "" {

@@ -416,7 +416,7 @@ func (a *Agent) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResolve answers one routing decision from the local snapshot —
-// the RPC shape sidecar-less clients use, and what fleet-bench drives.
+// the RPC shape sidecar-less clients use.
 // Each resolve is counted and (when telemetry is wired) sampled
 // upstream, so the control plane sees edge traffic without sitting on
 // the request path.

@@ -204,6 +204,48 @@ func TestAgentFailsStaticWhenControlPlaneDies(t *testing.T) {
 	}
 }
 
+// TestFiftyAgentsFollowEveryTransition holds fleet-scale propagation:
+// twenty phase-transition-shaped weight shifts, each of which all fifty
+// agents must apply within a second (a shared-runner bound; locally a
+// round takes a few milliseconds).
+func TestFiftyAgentsFollowEveryTransition(t *testing.T) {
+	p := newPlane(t)
+	if err := p.table.Set(svcRoute(1)); err != nil {
+		t.Fatal(err)
+	}
+	agents := make([]*Agent, 50)
+	for i := range agents {
+		agents[i] = p.newAgent(fmt.Sprintf("edge-%02d", i))
+	}
+	waitFor(t, "initial sync", func() bool {
+		for _, a := range agents {
+			if a.Version() != p.table.Version() {
+				return false
+			}
+		}
+		return true
+	})
+	for round := 0; round < 20; round++ {
+		w := float64(round%10+1) / 20 // 0.05 .. 0.50 candidate share
+		start := time.Now()
+		if err := p.table.SetWeights("svc", []router.Backend{
+			{Version: "v1", Weight: 1 - w}, {Version: "v2", Weight: w},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := p.table.Version()
+		for _, a := range agents {
+			for a.Version() != want {
+				if time.Since(start) > time.Second {
+					t.Fatalf("round %d: agent %s at version %d, want %d after 1s",
+						round, a.Health().ID, a.Version(), want)
+				}
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
+	}
+}
+
 func TestAgentReconnectsAndCatchesUp(t *testing.T) {
 	p := newPlane(t)
 	if err := p.table.Set(svcRoute(1)); err != nil {

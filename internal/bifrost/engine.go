@@ -242,10 +242,21 @@ type Run struct {
 // service.
 var ErrServiceBusy = errors.New("service is busy with another running strategy")
 
+// ErrAlreadyRunning and ErrAlreadyQueued mark a submission rejected
+// because the tenant already has a live run, or a queued strategy, of
+// that name. Launch and Scheduler.Submit wrap them, so a caller tells
+// a name collision from any other rejection with errors.Is, never from
+// the message — which embeds the strategy's own name.
+var (
+	ErrAlreadyRunning = errors.New("is already running")
+	ErrAlreadyQueued  = errors.New("is already queued")
+)
+
 // Launch validates the strategy, journals the launch, installs the
 // all-baseline route, and starts executing. Strategy names must be
-// unique among a tenant's live runs, and at most one of a tenant's
-// live runs may target a given service (ErrServiceBusy otherwise).
+// unique among a tenant's live runs (ErrAlreadyRunning otherwise), and
+// at most one of a tenant's live runs may target a given service
+// (ErrServiceBusy otherwise).
 func (e *Engine) Launch(s *Strategy) (*Run, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -256,7 +267,7 @@ func (e *Engine) Launch(s *Strategy) (*Run, error) {
 	e.mu.Lock()
 	if existing, ok := e.runs[s.RunKey()]; ok && existing.Status() == StatusRunning {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("bifrost: strategy %q is already running", s.Name)
+		return nil, fmt.Errorf("bifrost: strategy %q %w", s.Name, ErrAlreadyRunning)
 	}
 	for _, other := range e.runs {
 		if other.strategy.Tenant == s.Tenant && other.strategy.Service == s.Service &&

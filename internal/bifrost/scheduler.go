@@ -234,11 +234,11 @@ func (s *Scheduler) Submit(strategy *Strategy) (SubmitResult, error) {
 	}
 	for _, qe := range s.queue {
 		if qe.strategy.RunKey() == strategy.RunKey() {
-			return SubmitResult{}, fmt.Errorf("bifrost: strategy %q is already queued", strategy.Name)
+			return SubmitResult{}, fmt.Errorf("bifrost: strategy %q %w", strategy.Name, ErrAlreadyQueued)
 		}
 	}
 	if run, ok := s.cfg.Engine.Get(strategy.RunKey()); ok && run.Status() == StatusRunning {
-		return SubmitResult{}, fmt.Errorf("bifrost: strategy %q is already running", strategy.Name)
+		return SubmitResult{}, fmt.Errorf("bifrost: strategy %q %w", strategy.Name, ErrAlreadyRunning)
 	}
 
 	now := s.now()

@@ -1,4 +1,10 @@
-package server
+// Package demo is contexpd's --demo environment: the simulated shop
+// deployed as real HTTP servers behind routing proxies, a synthetic
+// user population driving it, and the bundled canary → rollout
+// strategy. It is the one production-side client of the simulators
+// (microsim, loadgen); the server package knows it only as the
+// func() any it reports under "demo" on /healthz.
+package demo
 
 import (
 	"context"
@@ -20,13 +26,13 @@ import (
 	"contexp/internal/wire"
 )
 
-// DemoStrategyDSL is the canary → gradual-rollout strategy the demo
+// StrategyDSL is the canary → gradual-rollout strategy the demo
 // enacts against the simulated shop: release recommendation v2 (the
 // personalized recommender) to 10% of users, and if its tail latency
 // holds, roll it out to everyone in three steps. The durations are
 // demo-scale (a run completes in under a minute) so phase transitions
 // are watchable with curl.
-const DemoStrategyDSL = `
+const StrategyDSL = `
 # Release the personalized recommender (v2) to everyone, carefully.
 strategy "demo-canary-rollout" {
     service   = "recommendation"
@@ -68,8 +74,8 @@ strategy "demo-canary-rollout" {
 }
 `
 
-// DemoConfig parameterizes StartDemo.
-type DemoConfig struct {
+// Config parameterizes Start.
+type Config struct {
 	// RPS is the mean request rate of the synthetic user population
 	// (default 25).
 	RPS float64
@@ -80,7 +86,7 @@ type DemoConfig struct {
 	PopulationSize int
 	// Seed fixes population, latencies, and arrivals.
 	Seed int64
-	// StrategyDSL overrides DemoStrategyDSL.
+	// StrategyDSL overrides StrategyDSL.
 	StrategyDSL string
 	// Enact, when true, submits the demo strategy immediately.
 	Enact bool
@@ -125,11 +131,11 @@ type Demo struct {
 	done   chan struct{}
 }
 
-// StartDemo boots the demo environment onto the given table and store
+// Start boots the demo environment onto the given table and store
 // (the same ones the engine and server use, so experiments reroute the
 // demo's live traffic) and starts the load driver. Stop() releases
 // everything.
-func StartDemo(engine *bifrost.Engine, table *router.Table, store *metrics.Store, cfg DemoConfig) (*Demo, error) {
+func Start(engine *bifrost.Engine, table *router.Table, store *metrics.Store, cfg Config) (*Demo, error) {
 	if cfg.RPS <= 0 {
 		cfg.RPS = 25
 	}
@@ -140,15 +146,15 @@ func StartDemo(engine *bifrost.Engine, table *router.Table, store *metrics.Store
 		cfg.PopulationSize = 500
 	}
 	if cfg.StrategyDSL == "" {
-		cfg.StrategyDSL = DemoStrategyDSL
+		cfg.StrategyDSL = StrategyDSL
 	}
 
 	app, err := microsim.ShopApplication()
 	if err != nil {
-		return nil, fmt.Errorf("server: building shop application: %w", err)
+		return nil, fmt.Errorf("demo: building shop application: %w", err)
 	}
 	if err := microsim.InstallBaselineRoutes(app, table); err != nil {
-		return nil, fmt.Errorf("server: installing baseline routes: %w", err)
+		return nil, fmt.Errorf("demo: installing baseline routes: %w", err)
 	}
 	var telemetry *wire.Client
 	httpCfg := microsim.HTTPConfig{
@@ -164,7 +170,7 @@ func StartDemo(engine *bifrost.Engine, table *router.Table, store *metrics.Store
 	}
 	httpApp, err := microsim.StartHTTP(app, table, store, httpCfg)
 	if err != nil {
-		return nil, fmt.Errorf("server: starting shop servers: %w", err)
+		return nil, fmt.Errorf("demo: starting shop servers: %w", err)
 	}
 
 	pop, err := loadgen.NewPopulation(loadgen.PopulationConfig{
@@ -177,7 +183,7 @@ func StartDemo(engine *bifrost.Engine, table *router.Table, store *metrics.Store
 	})
 	if err != nil {
 		httpApp.Close()
-		return nil, fmt.Errorf("server: building population: %w", err)
+		return nil, fmt.Errorf("demo: building population: %w", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -196,7 +202,7 @@ func StartDemo(engine *bifrost.Engine, table *router.Table, store *metrics.Store
 		strategy, err := bifrost.ParseStrategy(cfg.StrategyDSL)
 		if err != nil {
 			d.Stop()
-			return nil, fmt.Errorf("server: parsing demo strategy: %w", err)
+			return nil, fmt.Errorf("demo: parsing demo strategy: %w", err)
 		}
 		// A live run of this strategy may already exist — typically one
 		// recovered from a --data-dir journal after a mid-demo restart.
@@ -214,7 +220,7 @@ func StartDemo(engine *bifrost.Engine, table *router.Table, store *metrics.Store
 				return d, nil
 			}
 			d.Stop()
-			return nil, fmt.Errorf("server: launching demo strategy: %w", err)
+			return nil, fmt.Errorf("demo: launching demo strategy: %w", err)
 		}
 	}
 	return d, nil
@@ -225,7 +231,7 @@ func StartDemo(engine *bifrost.Engine, table *router.Table, store *metrics.Store
 // process; the Target paces each request to its arrival instant and
 // issues it over real HTTP, so every hop flows through the proxies and
 // is subject to experiment routing.
-func (d *Demo) drive(ctx context.Context, pop *loadgen.Population, cfg DemoConfig) {
+func (d *Demo) drive(ctx context.Context, pop *loadgen.Population, cfg Config) {
 	defer close(d.done)
 	client := &http.Client{Timeout: 10 * time.Second}
 	target := loadgen.TargetFunc(func(req *router.Request, at time.Time) (time.Duration, bool, error) {
@@ -319,8 +325,8 @@ func (d *Demo) Stop() {
 	}
 }
 
-// DemoHealth is the /healthz view of the demo environment.
-type DemoHealth struct {
+// Health is the /healthz view of the demo environment.
+type Health struct {
 	Services        []string `json:"services"`
 	EntryURL        string   `json:"entryURL"`
 	RequestsServed  int64    `json:"requestsServed"`
@@ -334,21 +340,21 @@ type DemoHealth struct {
 	// now, and how many calls it has perturbed so far.
 	Faults []microsim.FaultStatus `json:"faults,omitempty"`
 	// Telemetry reports the wire-telemetry client when the demo ships
-	// its telemetry as binary batch frames (DemoConfig.TelemetryURL).
-	Telemetry *DemoTelemetry `json:"telemetry,omitempty"`
+	// its telemetry as binary batch frames (Config.TelemetryURL).
+	Telemetry *Telemetry `json:"telemetry,omitempty"`
 }
 
-// DemoTelemetry is the /healthz view of the demo's wire-telemetry
+// Telemetry is the /healthz view of the demo's wire-telemetry
 // client: how many binary batch frames it has posted and how many
 // posts failed.
-type DemoTelemetry struct {
+type Telemetry struct {
 	Flushes uint64 `json:"flushes"`
 	Errors  uint64 `json:"errors"`
 }
 
 // Health reports the demo's state.
-func (d *Demo) Health() *DemoHealth {
-	h := &DemoHealth{
+func (d *Demo) Health() *Health {
+	h := &Health{
 		Services:        d.topology.Services(),
 		EntryURL:        d.entryURL,
 		RequestsServed:  d.requests.Load(),
@@ -357,7 +363,7 @@ func (d *Demo) Health() *DemoHealth {
 		Faults:          d.faults.Snapshot(time.Now()),
 	}
 	if d.telemetry != nil {
-		h.Telemetry = &DemoTelemetry{
+		h.Telemetry = &Telemetry{
 			Flushes: d.telemetry.Flushes(),
 			Errors:  d.telemetry.Errors(),
 		}

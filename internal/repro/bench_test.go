@@ -1,32 +1,33 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation sections, plus ablations for the design choices DESIGN.md
 // calls out. Each benchmark iteration regenerates the corresponding
-// artifact end to end at a bench-sized configuration; the cmd/ tools
-// run the same harnesses at full scale.
+// artifact end to end at a bench-sized configuration; cmd/repro runs
+// the same harnesses at full scale.
 //
-//	go test -bench=. -benchmem
-package contexp_test
+//	go test -bench=. -benchmem ./internal/repro
+package repro_test
 
 import (
 	"testing"
 	"time"
 
-	"contexp/internal/bifrost"
 	"contexp/internal/fenrir"
-	"contexp/internal/health"
-	"contexp/internal/study"
+	"contexp/internal/repro/ch2"
+	"contexp/internal/repro/ch3"
+	"contexp/internal/repro/ch4"
+	"contexp/internal/repro/ch5"
 	"contexp/internal/traffic"
 )
 
 // --- Chapter 3: Fenrir (planning) ---
 
-func benchEvalConfig() fenrir.EvalConfig {
-	return fenrir.EvalConfig{Budget: 600, Runs: 2, Days: 14, Seed: 1}
+func benchEvalConfig() ch3.EvalConfig {
+	return ch3.EvalConfig{Budget: 600, Runs: 2, Days: 14, Seed: 1}
 }
 
 func BenchmarkTable3_1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := fenrir.Table3_1(benchEvalConfig()); err != nil {
+		if _, err := ch3.Table3_1(benchEvalConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -34,7 +35,7 @@ func BenchmarkTable3_1(b *testing.B) {
 
 func BenchmarkFigure3_3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := fenrir.EvalFigure3_3(benchEvalConfig()); err != nil {
+		if _, err := ch3.EvalFigure3_3(benchEvalConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,7 +43,7 @@ func BenchmarkFigure3_3(b *testing.B) {
 
 func BenchmarkFigure3_4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := fenrir.EvalFigure3_4(benchEvalConfig()); err != nil {
+		if _, err := ch3.EvalFigure3_4(benchEvalConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -50,7 +51,7 @@ func BenchmarkFigure3_4(b *testing.B) {
 
 func BenchmarkFigure3_5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := fenrir.EvalFigure3_5(benchEvalConfig(), []int{10}); err != nil {
+		if _, err := ch3.EvalFigure3_5(benchEvalConfig(), []int{10}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +59,7 @@ func BenchmarkFigure3_5(b *testing.B) {
 
 func BenchmarkFigure3_6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := fenrir.EvalFigure3_6(benchEvalConfig()); err != nil {
+		if _, err := ch3.EvalFigure3_6(benchEvalConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -130,14 +131,14 @@ func BenchmarkGARepairCrossover(b *testing.B) {
 // --- Chapter 4: Bifrost (execution) ---
 
 func BenchmarkFigure4_6(b *testing.B) {
-	cfg := bifrost.OverheadConfig{
+	cfg := ch4.OverheadConfig{
 		Requests:      200,
 		ServiceTimeMs: 2,
 		PhaseDuration: 300 * time.Millisecond,
 		Seed:          1,
 	}
 	for i := 0; i < b.N; i++ {
-		fig, err := bifrost.EvalFigure4_6(cfg)
+		fig, err := ch4.EvalFigure4_6(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,14 +147,14 @@ func BenchmarkFigure4_6(b *testing.B) {
 }
 
 func BenchmarkFigure4_8(b *testing.B) {
-	cfg := bifrost.ScalingConfig{
+	cfg := ch4.ScalingConfig{
 		Points:            []int{1, 16},
 		RunDuration:       300 * time.Millisecond,
 		CheckInterval:     25 * time.Millisecond,
 		ChecksPerStrategy: 5,
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := bifrost.EvalFigure4_7And4_8(cfg)
+		res, err := ch4.EvalFigure4_7And4_8(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,13 +163,13 @@ func BenchmarkFigure4_8(b *testing.B) {
 }
 
 func BenchmarkFigure4_10(b *testing.B) {
-	cfg := bifrost.ScalingConfig{
+	cfg := ch4.ScalingConfig{
 		Points:        []int{10, 100},
 		RunDuration:   300 * time.Millisecond,
 		CheckInterval: 25 * time.Millisecond,
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := bifrost.EvalFigure4_9And4_10(cfg)
+		res, err := ch4.EvalFigure4_9And4_10(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +181,7 @@ func BenchmarkFigure4_10(b *testing.B) {
 
 func BenchmarkFigure5_6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := health.EvalFigure5_6(200, 1)
+		fig, err := ch5.EvalFigure5_6(200, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -196,7 +197,7 @@ func BenchmarkFigure5_6(b *testing.B) {
 
 func BenchmarkFigure5_8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := health.EvalFigure5_8(200, 1)
+		fig, err := ch5.EvalFigure5_8(200, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -212,7 +213,7 @@ func BenchmarkFigure5_8(b *testing.B) {
 
 func BenchmarkFigure5_9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := health.EvalFigure5_9([]int{500, 2000}, 1)
+		fig, err := ch5.EvalFigure5_9([]int{500, 2000}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -229,7 +230,7 @@ func BenchmarkFigure5_9(b *testing.B) {
 
 func BenchmarkFigure5_10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := health.EvalFigure5_10(1000, []float64{0.05, 0.2}, 1); err != nil {
+		if _, err := ch5.EvalFigure5_10(1000, []float64{0.05, 0.2}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,7 +240,7 @@ func BenchmarkFigure5_10(b *testing.B) {
 
 func BenchmarkStudyTables(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pop := study.Generate(int64(i + 1))
+		pop := ch2.Generate(int64(i + 1))
 		if out := pop.AllTables(); len(out) == 0 {
 			b.Fatal("empty tables")
 		}

@@ -1,4 +1,4 @@
-package study
+package ch2
 
 import (
 	"fmt"

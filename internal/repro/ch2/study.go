@@ -1,4 +1,4 @@
-// Package study reproduces the quantitative results of the paper's
+// Package ch2 reproduces the quantitative results of the paper's
 // Chapter 2 empirical study ("We're Doing It Live"). The original data
 // — 187 survey responses — is not public, so the package synthesizes a
 // respondent population that matches every published per-stratum
@@ -13,7 +13,7 @@
 // adoption of Table 2.6 yields exactly the n=70 basis of Table 2.2, its
 // complement the n=117 basis of Table 2.7, and the 23% A/B-testing
 // adoption the n=144 basis of Table 2.8.
-package study
+package ch2
 
 import (
 	"math/rand"
@@ -223,30 +223,28 @@ func Generate(seed int64) *Population {
 	// Table 2.2 — implementation techniques among experiment users
 	// (38 web / 32 other).
 	expWeb, expOther := filterSplit(rs, func(r *Respondent) bool { return r.RegressionUse != RegNone })
-	techQuota := map[Technique][2]int{
-		TechFeatureToggles: {17, 8},
-		TechTrafficRouting: {17, 4},
-		TechBinaries:       {5, 15},
-		TechPermissions:    {7, 5},
-		TechDontKnow:       {5, 9},
-		TechOther:          {3, 1},
+	techQuota := []quotaPair[Technique]{
+		{TechFeatureToggles, 17, 8},
+		{TechTrafficRouting, 17, 4},
+		{TechBinaries, 5, 15},
+		{TechPermissions, 7, 5},
+		{TechDontKnow, 5, 9},
+		{TechOther, 3, 1},
 	}
-	for tech, q := range techQuota {
-		tech := tech
-		assignBool(rng, expWeb, func(r *Respondent, v bool) { r.Techniques[tech] = v }, q[0])
-		assignBool(rng, expOther, func(r *Respondent, v bool) { r.Techniques[tech] = v }, q[1])
+	for _, q := range techQuota {
+		assignBool(rng, expWeb, func(r *Respondent, v bool) { r.Techniques[q.value] = v }, q.web)
+		assignBool(rng, expOther, func(r *Respondent, v bool) { r.Techniques[q.value] = v }, q.other)
 	}
 
 	// Table 2.3 — issue detection (multiple choice, all respondents).
-	detQuota := map[Detection][2]int{
-		DetectMonitoring: {87, 55},
-		DetectFeedback:   {85, 74},
-		DetectOther:      {2, 5},
+	detQuota := []quotaPair[Detection]{
+		{DetectMonitoring, 87, 55},
+		{DetectFeedback, 85, 74},
+		{DetectOther, 2, 5},
 	}
-	for det, q := range detQuota {
-		det := det
-		assignBool(rng, web, func(r *Respondent, v bool) { r.Detection[det] = v }, q[0])
-		assignBool(rng, other, func(r *Respondent, v bool) { r.Detection[det] = v }, q[1])
+	for _, q := range detQuota {
+		assignBool(rng, web, func(r *Respondent, v bool) { r.Detection[q.value] = v }, q.web)
+		assignBool(rng, other, func(r *Respondent, v bool) { r.Detection[q.value] = v }, q.other)
 	}
 
 	// Table 2.4 — responsibility handoff (single choice).
@@ -262,35 +260,33 @@ func Generate(seed int64) *Population {
 	// Table 2.7 — reasons against regression-driven experiments
 	// (67 web / 50 other non-users).
 	nonWeb, nonOther := filterSplit(rs, func(r *Respondent) bool { return r.RegressionUse == RegNone })
-	regReasons := map[Reason][2]int{
-		ReasonArchitecture: {43, 24},
-		ReasonCustomers:    {31, 15},
-		ReasonNoSense:      {26, 20},
-		ReasonExpertise:    {18, 12},
-		ReasonOther:        {1, 5},
+	regReasons := []quotaPair[Reason]{
+		{ReasonArchitecture, 43, 24},
+		{ReasonCustomers, 31, 15},
+		{ReasonNoSense, 26, 20},
+		{ReasonExpertise, 18, 12},
+		{ReasonOther, 1, 5},
 	}
-	for reason, q := range regReasons {
-		reason := reason
-		assignBool(rng, nonWeb, func(r *Respondent, v bool) { r.ReasonsRegression[reason] = v }, q[0])
-		assignBool(rng, nonOther, func(r *Respondent, v bool) { r.ReasonsRegression[reason] = v }, q[1])
+	for _, q := range regReasons {
+		assignBool(rng, nonWeb, func(r *Respondent, v bool) { r.ReasonsRegression[q.value] = v }, q.web)
+		assignBool(rng, nonOther, func(r *Respondent, v bool) { r.ReasonsRegression[q.value] = v }, q.other)
 	}
 
 	// Table 2.8 — reasons against business-driven experiments
 	// (78 web / 66 other non-A/B-users).
 	noABWeb, noABOther := filterSplit(rs, func(r *Respondent) bool { return !r.UsesABTesting })
-	bizReasons := map[Reason][2]int{
-		ReasonArchitecture: {41, 31},
-		ReasonInvestments:  {27, 20},
-		ReasonUsers:        {25, 15},
-		ReasonPolicy:       {11, 19},
-		ReasonKnowledge:    {15, 7},
-		ReasonDontKnow:     {4, 4},
-		ReasonOther:        {3, 5},
+	bizReasons := []quotaPair[Reason]{
+		{ReasonArchitecture, 41, 31},
+		{ReasonInvestments, 27, 20},
+		{ReasonUsers, 25, 15},
+		{ReasonPolicy, 11, 19},
+		{ReasonKnowledge, 15, 7},
+		{ReasonDontKnow, 4, 4},
+		{ReasonOther, 3, 5},
 	}
-	for reason, q := range bizReasons {
-		reason := reason
-		assignBool(rng, noABWeb, func(r *Respondent, v bool) { r.ReasonsBusiness[reason] = v }, q[0])
-		assignBool(rng, noABOther, func(r *Respondent, v bool) { r.ReasonsBusiness[reason] = v }, q[1])
+	for _, q := range bizReasons {
+		assignBool(rng, noABWeb, func(r *Respondent, v bool) { r.ReasonsBusiness[q.value] = v }, q.web)
+		assignBool(rng, noABOther, func(r *Respondent, v bool) { r.ReasonsBusiness[q.value] = v }, q.other)
 	}
 
 	return &Population{Respondents: rs}
@@ -323,6 +319,14 @@ func assignSingle(rng *rand.Rand, rs []*Respondent, set func(*Respondent, int), 
 type quotaStr[T ~string] struct {
 	value T
 	count int
+}
+
+// quotaPair is one multiple-choice answer with its web and other
+// quotas. The quotas are slices, not maps: every assignBool draws from
+// the seeded RNG, so the order must be fixed for a seed to mean anything.
+type quotaPair[T ~string] struct {
+	value      T
+	web, other int
 }
 
 func assignSingleStr[T ~string](rng *rand.Rand, rs []*Respondent, set func(*Respondent, T), quotas []quotaStr[T]) {

@@ -1,4 +1,4 @@
-package study
+package ch2
 
 import (
 	"math"
@@ -139,6 +139,17 @@ func TestMarginalsSeedIndependent(t *testing.T) {
 	for _, row := range a.Rows {
 		if math.Abs(row.Pct["web"]-b.Pct(row.Label, "web")) > 0.01 {
 			t.Errorf("%s web marginal depends on seed", row.Label)
+		}
+	}
+}
+
+// The per-company-size columns depend on which individual holds which
+// answer, so they are the part a seed has to pin.
+func TestSameSeedSameTables(t *testing.T) {
+	first := Generate(1).AllTables()
+	for i := 0; i < 5; i++ {
+		if again := Generate(1).AllTables(); again != first {
+			t.Fatalf("Generate(1) rendered different tables on run %d", i+2)
 		}
 	}
 }

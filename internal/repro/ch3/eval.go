@@ -1,4 +1,4 @@
-package fenrir
+package ch3
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"contexp/internal/fenrir"
 	"contexp/internal/stats"
 	"contexp/internal/traffic"
 )
@@ -43,28 +44,28 @@ func evalProfile(cfg EvalConfig) (*traffic.Profile, error) {
 }
 
 // evalProblem builds a scheduling problem with n experiments of a class.
-func evalProblem(cfg EvalConfig, n int, class SampleSizeClass, seedOffset int64) (*Problem, error) {
+func evalProblem(cfg EvalConfig, n int, class fenrir.SampleSizeClass, seedOffset int64) (*fenrir.Problem, error) {
 	profile, err := evalProfile(cfg)
 	if err != nil {
 		return nil, err
 	}
-	exps, err := GenerateExperiments(GeneratorConfig{
+	exps, err := fenrir.GenerateExperiments(fenrir.GeneratorConfig{
 		N: n, Class: class, Seed: cfg.Seed + seedOffset, Horizon: profile.NumSlots(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	p := &Problem{Experiments: exps, Profile: profile, Capacity: 0.8}
+	p := &fenrir.Problem{Experiments: exps, Profile: profile, Capacity: 0.8}
 	return p, p.Validate()
 }
 
 // evalOptimizers returns the four algorithms of Section 3.5.
-func evalOptimizers() []Optimizer {
-	return []Optimizer{
-		&GeneticAlgorithm{},
-		RandomSampling{},
-		LocalSearch{},
-		SimulatedAnnealing{},
+func evalOptimizers() []fenrir.Optimizer {
+	return []fenrir.Optimizer{
+		&fenrir.GeneticAlgorithm{},
+		fenrir.RandomSampling{},
+		fenrir.LocalSearch{},
+		fenrir.SimulatedAnnealing{},
 	}
 }
 
@@ -92,7 +93,7 @@ func (r *AlgorithmResult) MeanElapsed() time.Duration {
 	return sum / time.Duration(len(r.Elapsed))
 }
 
-func runAlgorithms(p *Problem, cfg EvalConfig, initial *Schedule) ([]AlgorithmResult, error) {
+func runAlgorithms(p *fenrir.Problem, cfg EvalConfig, initial *fenrir.Schedule) ([]AlgorithmResult, error) {
 	maxF := p.MaxFitness()
 	out := make([]AlgorithmResult, 0, 4)
 	for _, opt := range evalOptimizers() {
@@ -122,11 +123,11 @@ type Figure3_3 struct {
 
 // EvalFigure3_3 runs the Fig 3.3 scenario.
 func EvalFigure3_3(cfg EvalConfig) (*Figure3_3, error) {
-	p, err := evalProblem(cfg, 15, SamplesMedium, 0)
+	p, err := evalProblem(cfg, 15, fenrir.SamplesMedium, 0)
 	if err != nil {
 		return nil, err
 	}
-	ga := &GeneticAlgorithm{}
+	ga := &fenrir.GeneticAlgorithm{}
 	s, _ := ga.Optimize(p, cfg.Budget, cfg.Seed, nil)
 	consumption := make([]float64, p.Profile.NumSlots())
 	for i := range s.Genes {
@@ -162,7 +163,7 @@ type Figure3_4 struct {
 
 // EvalFigure3_4 runs the Fig 3.4 / Table 3.2 scenario.
 func EvalFigure3_4(cfg EvalConfig) (*Figure3_4, error) {
-	p, err := evalProblem(cfg, 15, SamplesMedium, 0)
+	p, err := evalProblem(cfg, 15, fenrir.SamplesMedium, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +201,7 @@ func (f *Figure3_4) Best() string {
 // Figure3_5Cell is one (n, class) configuration of the scaling study.
 type Figure3_5Cell struct {
 	N       int
-	Class   SampleSizeClass
+	Class   fenrir.SampleSizeClass
 	Results []AlgorithmResult
 }
 
@@ -215,7 +216,7 @@ func EvalFigure3_5(cfg EvalConfig, ns []int) (*Figure3_5, error) {
 	if len(ns) == 0 {
 		ns = []int{10, 20, 30, 40}
 	}
-	classes := []SampleSizeClass{SamplesLow, SamplesMedium, SamplesHigh}
+	classes := []fenrir.SampleSizeClass{fenrir.SamplesLow, fenrir.SamplesMedium, fenrir.SamplesHigh}
 	fig := &Figure3_5{}
 	for _, n := range ns {
 		for _, class := range classes {
@@ -277,7 +278,7 @@ func (f *Figure3_5) RenderTable3_3() string {
 
 // MeanFitness returns the mean fitness fraction of an algorithm in the
 // cell for (n, class), or -1 when absent.
-func (f *Figure3_5) MeanFitness(n int, class SampleSizeClass, algorithm string) float64 {
+func (f *Figure3_5) MeanFitness(n int, class fenrir.SampleSizeClass, algorithm string) float64 {
 	for _, c := range f.Cells {
 		if c.N != n || c.Class != class {
 			continue
@@ -304,11 +305,11 @@ type Figure3_6 struct {
 
 // EvalFigure3_6 runs the reevaluation scenario.
 func EvalFigure3_6(cfg EvalConfig) (*Figure3_6, error) {
-	p, err := evalProblem(cfg, 15, SamplesMedium, 0)
+	p, err := evalProblem(cfg, 15, fenrir.SamplesMedium, 0)
 	if err != nil {
 		return nil, err
 	}
-	ga := &GeneticAlgorithm{}
+	ga := &fenrir.GeneticAlgorithm{}
 	s, _ := ga.Optimize(p, cfg.Budget, cfg.Seed, nil)
 
 	// Reevaluate at the median experiment midpoint.
@@ -322,8 +323,8 @@ func EvalFigure3_6(cfg EvalConfig) (*Figure3_6, error) {
 		now = p.Profile.NumSlots() / 2
 	}
 
-	added, err := GenerateExperiments(GeneratorConfig{
-		N: 5, Class: SamplesMedium, Seed: cfg.Seed + 999, Horizon: p.Profile.NumSlots(),
+	added, err := fenrir.GenerateExperiments(fenrir.GeneratorConfig{
+		N: 5, Class: fenrir.SamplesMedium, Seed: cfg.Seed + 999, Horizon: p.Profile.NumSlots(),
 	})
 	if err != nil {
 		return nil, err
@@ -333,7 +334,7 @@ func EvalFigure3_6(cfg EvalConfig) (*Figure3_6, error) {
 	}
 	canceled := []string{p.Experiments[1].ID, p.Experiments[3].ID}
 
-	res, err := Reevaluate(p, s, ReevalInput{Now: now, Canceled: canceled, Added: added})
+	res, err := fenrir.Reevaluate(p, s, fenrir.ReevalInput{Now: now, Canceled: canceled, Added: added})
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +345,7 @@ func EvalFigure3_6(cfg EvalConfig) (*Figure3_6, error) {
 	return &Figure3_6{
 		Results:  results,
 		Finished: len(res.Finished),
-		Frozen:   FrozenCount(res.Seed),
+		Frozen:   fenrir.FrozenCount(res.Seed),
 		Added:    len(added),
 	}, nil
 }
@@ -365,7 +366,7 @@ func (f *Figure3_6) Render() string {
 // Table3_1 renders the generated experiment inputs (the reproduction of
 // the paper's "input data for experiments" table).
 func Table3_1(cfg EvalConfig) (string, error) {
-	p, err := evalProblem(cfg, 15, SamplesMedium, 0)
+	p, err := evalProblem(cfg, 15, fenrir.SamplesMedium, 0)
 	if err != nil {
 		return "", err
 	}

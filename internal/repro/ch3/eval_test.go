@@ -1,8 +1,10 @@
-package fenrir
+package ch3
 
 import (
 	"strings"
 	"testing"
+
+	"contexp/internal/fenrir"
 )
 
 // fastEval keeps harness tests quick.
@@ -76,10 +78,10 @@ func TestEvalFigure3_5SmallGrid(t *testing.T) {
 	if len(fig.Cells) != 3 { // one n × three classes
 		t.Fatalf("cells = %d", len(fig.Cells))
 	}
-	if got := fig.MeanFitness(10, SamplesLow, "GA"); got < 0 {
+	if got := fig.MeanFitness(10, fenrir.SamplesLow, "GA"); got < 0 {
 		t.Error("MeanFitness lookup failed")
 	}
-	if got := fig.MeanFitness(99, SamplesLow, "GA"); got != -1 {
+	if got := fig.MeanFitness(99, fenrir.SamplesLow, "GA"); got != -1 {
 		t.Error("missing cell should return -1")
 	}
 	out := fig.Render()

@@ -1,4 +1,4 @@
-package bifrost
+package ch4
 
 import (
 	"fmt"
@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"contexp/internal/bifrost"
 	"contexp/internal/expmodel"
 	"contexp/internal/metrics"
 	"contexp/internal/router"
@@ -60,7 +61,7 @@ type Figure4_6 struct {
 	// while the four-phase strategy executes.
 	Bifrost []float64
 	// RunStatus is the strategy's final state (should be succeeded).
-	RunStatus RunStatus
+	RunStatus bifrost.RunStatus
 	// PhaseOutcomes lists the phase conclusions in order.
 	PhaseOutcomes []string
 }
@@ -169,7 +170,7 @@ func EvalFigure4_6(cfg OverheadConfig) (*Figure4_6, error) {
 	front := httptest.NewServer(proxy)
 	defer front.Close()
 
-	engine, err := NewEngine(Config{Table: table, Store: store, DefaultCheckInterval: 200 * time.Millisecond})
+	engine, err := bifrost.NewEngine(bifrost.Config{Table: table, Store: store, DefaultCheckInterval: 200 * time.Millisecond})
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +180,7 @@ func EvalFigure4_6(cfg OverheadConfig) (*Figure4_6, error) {
 		return nil, err
 	}
 
-	bifrost, err := measure(front.URL, cfg.Requests)
+	proxied, err := measure(front.URL, cfg.Requests)
 	if err != nil {
 		return nil, fmt.Errorf("bifrost: middleware arm: %w", err)
 	}
@@ -196,9 +197,9 @@ func EvalFigure4_6(cfg OverheadConfig) (*Figure4_6, error) {
 		}
 	}
 done:
-	fig := &Figure4_6{Baseline: baseline, Bifrost: bifrost, RunStatus: run.Status()}
+	fig := &Figure4_6{Baseline: baseline, Bifrost: proxied, RunStatus: run.Status()}
 	for _, ev := range run.Events() {
-		if ev.Type == EventPhaseOutcome {
+		if ev.Type == bifrost.EventPhaseOutcome {
 			fig.PhaseOutcomes = append(fig.PhaseOutcomes, ev.Phase+"="+ev.Outcome.String())
 		}
 	}
@@ -208,45 +209,45 @@ done:
 // fourPhaseStrategy is the evaluation strategy of Section 4.5.1: canary,
 // dark launch, A/B test, gradual rollout. Thresholds are generous — the
 // measurement is about overhead, not about tripping checks.
-func fourPhaseStrategy(phaseDur time.Duration) *Strategy {
+func fourPhaseStrategy(phaseDur time.Duration) *bifrost.Strategy {
 	interval := phaseDur / 8
 	if interval < 50*time.Millisecond {
 		interval = 50 * time.Millisecond
 	}
-	latencyCheck := func(scope CheckScope, threshold float64) Check {
-		return Check{
+	latencyCheck := func(scope bifrost.CheckScope, threshold float64) bifrost.Check {
+		return bifrost.Check{
 			Name: "latency", Metric: "response_time",
 			Aggregation: metrics.AggMean, Scope: scope,
 			Upper: true, Threshold: threshold,
 			Interval: interval, Window: phaseDur,
 		}
 	}
-	return &Strategy{
+	return &bifrost.Strategy{
 		Name: "four-phase", Service: "catalog", Baseline: "v1", Candidate: "v2",
-		Phases: []Phase{
+		Phases: []bifrost.Phase{
 			{
 				Name: "canary", Practice: expmodel.PracticeCanary,
-				Traffic: TrafficSpec{CandidateWeight: 0.05}, Duration: phaseDur,
-				Checks: []Check{latencyCheck(ScopeCandidate, 1000)},
+				Traffic: bifrost.TrafficSpec{CandidateWeight: 0.05}, Duration: phaseDur,
+				Checks: []bifrost.Check{latencyCheck(bifrost.ScopeCandidate, 1000)},
 			},
 			{
 				Name: "dark", Practice: expmodel.PracticeDarkLaunch,
-				Traffic: TrafficSpec{Mirror: true}, Duration: phaseDur,
-				Checks: []Check{latencyCheck(ScopeCandidate, 1000)},
+				Traffic: bifrost.TrafficSpec{Mirror: true}, Duration: phaseDur,
+				Checks: []bifrost.Check{latencyCheck(bifrost.ScopeCandidate, 1000)},
 			},
 			{
 				Name: "ab", Practice: expmodel.PracticeABTest,
-				Traffic: TrafficSpec{CandidateWeight: 0.5}, Duration: phaseDur,
-				Checks: []Check{latencyCheck(ScopeRelative, 10)},
+				Traffic: bifrost.TrafficSpec{CandidateWeight: 0.5}, Duration: phaseDur,
+				Checks: []bifrost.Check{latencyCheck(bifrost.ScopeRelative, 10)},
 			},
 			{
 				Name: "rollout", Practice: expmodel.PracticeGradualRollout,
-				Traffic: TrafficSpec{
+				Traffic: bifrost.TrafficSpec{
 					Steps:        []float64{0.5, 1.0},
 					StepDuration: phaseDur / 2,
 				},
-				Checks:    []Check{latencyCheck(ScopeCandidate, 1000)},
-				OnSuccess: Transition{Kind: TransitionPromote},
+				Checks:    []bifrost.Check{latencyCheck(bifrost.ScopeCandidate, 1000)},
+				OnSuccess: bifrost.Transition{Kind: bifrost.TransitionPromote},
 			},
 		},
 	}
@@ -359,7 +360,7 @@ func EvalFigure4_9And4_10(cfg ScalingConfig) (*ScalingResult, error) {
 func runScalingPoint(strategies, checks int, cfg ScalingConfig) (*ScalingPoint, error) {
 	table := router.NewTable()
 	store := metrics.NewStore(0)
-	engine, err := NewEngine(Config{Table: table, Store: store, DefaultCheckInterval: cfg.CheckInterval})
+	engine, err := bifrost.NewEngine(bifrost.Config{Table: table, Store: store, DefaultCheckInterval: cfg.CheckInterval})
 	if err != nil {
 		return nil, err
 	}
@@ -378,20 +379,20 @@ func runScalingPoint(strategies, checks int, cfg ScalingConfig) (*ScalingPoint, 
 		store.RecordBatch(batch)
 	}
 
-	runs := make([]*Run, 0, strategies)
+	runs := make([]*bifrost.Run, 0, strategies)
 	wallStart := time.Now()
 	for i := 0; i < strategies; i++ {
-		s := &Strategy{
+		s := &bifrost.Strategy{
 			Name:    fmt.Sprintf("strat-%d", i),
 			Service: svcName(i), Baseline: "v1", Candidate: "v2",
-			Phases: []Phase{{
+			Phases: []bifrost.Phase{{
 				Name: "canary", Practice: expmodel.PracticeCanary,
-				Traffic:  TrafficSpec{CandidateWeight: 0.1},
+				Traffic:  bifrost.TrafficSpec{CandidateWeight: 0.1},
 				Duration: cfg.RunDuration,
 				Checks:   makeChecks(checks, cfg.CheckInterval),
 				// Conclude without routing churn at the end.
-				OnSuccess:      Transition{Kind: TransitionPromote},
-				OnInconclusive: Transition{Kind: TransitionAbort},
+				OnSuccess:      bifrost.Transition{Kind: bifrost.TransitionPromote},
+				OnInconclusive: bifrost.Transition{Kind: bifrost.TransitionAbort},
 			}},
 		}
 		run, err := engine.Launch(s)
@@ -427,10 +428,10 @@ func runScalingPoint(strategies, checks int, cfg ScalingConfig) (*ScalingPoint, 
 
 func svcName(i int) string { return fmt.Sprintf("svc-%03d", i) }
 
-func makeChecks(n int, interval time.Duration) []Check {
-	out := make([]Check, n)
+func makeChecks(n int, interval time.Duration) []bifrost.Check {
+	out := make([]bifrost.Check, n)
 	for i := range out {
-		out[i] = Check{
+		out[i] = bifrost.Check{
 			Name: fmt.Sprintf("check-%03d", i), Metric: "response_time",
 			Aggregation: metrics.AggMean, Upper: true, Threshold: 1000,
 			Interval: interval, Window: 4 * interval,

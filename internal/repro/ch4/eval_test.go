@@ -1,9 +1,11 @@
-package bifrost
+package ch4
 
 import (
 	"strings"
 	"testing"
 	"time"
+
+	"contexp/internal/bifrost"
 )
 
 func TestEvalFigure4_6Small(t *testing.T) {
@@ -20,7 +22,7 @@ func TestEvalFigure4_6Small(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fig.RunStatus != StatusSucceeded {
+	if fig.RunStatus != bifrost.StatusSucceeded {
 		t.Errorf("strategy = %v, phases %v", fig.RunStatus, fig.PhaseOutcomes)
 	}
 	if len(fig.Baseline) != cfg.Requests || len(fig.Bifrost) != cfg.Requests {

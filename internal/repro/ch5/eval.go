@@ -1,11 +1,13 @@
-package health
+package ch5
 
 import (
 	"fmt"
-	"math/rand"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
+	"contexp/internal/health"
 	"contexp/internal/metrics"
 	"contexp/internal/microsim"
 	"contexp/internal/router"
@@ -30,7 +32,7 @@ import (
 
 // Relevance labels a change's ground-truth importance on the 0–3 scale
 // customary for nDCG.
-type Relevance func(Change) float64
+type Relevance func(health.Change) float64
 
 // HeuristicScore is one heuristic's ranking quality on one scenario.
 type HeuristicScore struct {
@@ -44,7 +46,7 @@ type HeuristicScore struct {
 type ScenarioResult struct {
 	Scenario string
 	Degraded bool
-	Diff     *Diff
+	Diff     *health.Diff
 	Scores   []HeuristicScore
 }
 
@@ -64,14 +66,14 @@ func (r *ScenarioResult) Render() string {
 }
 
 // Score evaluates every heuristic against the ground truth.
-func scoreHeuristics(d *Diff, rel Relevance) []HeuristicScore {
+func scoreHeuristics(d *health.Diff, rel Relevance) []HeuristicScore {
 	ideal := make([]float64, len(d.Changes))
 	for i, c := range d.Changes {
 		ideal[i] = rel(c)
 	}
 	out := make([]HeuristicScore, 0, 6)
-	for _, h := range AllHeuristics() {
-		ranked := Rank(h, d)
+	for _, h := range health.AllHeuristics() {
+		ranked := health.Rank(h, d)
 		gains := make([]float64, len(ranked))
 		top := make([]string, 0, 3)
 		for i, c := range ranked {
@@ -150,18 +152,18 @@ func EvalScenario1(traces int, degraded bool, seed int64) (*ScenarioResult, erro
 	if err != nil {
 		return nil, err
 	}
-	d := Compare(base, exp)
+	d := health.Compare(base, exp)
 
-	rel := func(c Change) float64 {
+	rel := func(c health.Change) float64 {
 		switch {
-		case c.Type == ChangeCallNewEndpoint && c.Subject.Service == "users":
+		case c.Type == health.ChangeCallNewEndpoint && c.Subject.Service == "users":
 			// The brand-new dependency: always worth inspecting; the
 			// top concern when nothing is degraded.
 			if degraded {
 				return 2
 			}
 			return 3
-		case c.Type == ChangeUpdatedCalleeVersion && c.Subject.Service == "recommendation":
+		case c.Type == health.ChangeUpdatedCalleeVersion && c.Subject.Service == "recommendation":
 			// The updated service: the root cause when degraded.
 			if degraded {
 				return 3
@@ -221,23 +223,23 @@ func EvalScenario2(traces int, degraded bool, seed int64) (*ScenarioResult, erro
 	if err != nil {
 		return nil, err
 	}
-	d := Compare(base, exp)
+	d := health.Compare(base, exp)
 
-	rel := func(c Change) float64 {
+	rel := func(c health.Change) float64 {
 		switch {
-		case c.Type == ChangeUpdatedCalleeVersion && c.Subject.Service == "catalog":
+		case c.Type == health.ChangeUpdatedCalleeVersion && c.Subject.Service == "catalog":
 			if degraded {
 				return 3
 			}
 			return 2
-		case c.Type == ChangeCallNewEndpoint && c.Subject.Service == "pricing":
+		case c.Type == health.ChangeCallNewEndpoint && c.Subject.Service == "pricing":
 			if degraded {
 				return 2
 			}
 			return 3
-		case c.Type == ChangeRemoveCall && c.Subject.Service == "inventory":
+		case c.Type == health.ChangeRemoveCall && c.Subject.Service == "inventory":
 			return 1
-		case c.Subject.Service == "recommendation" || c.Type == ChangeCallNewEndpoint:
+		case c.Subject.Service == "recommendation" || c.Type == health.ChangeCallNewEndpoint:
 			return 1
 		case c.Edge.From.Service == "catalog" || c.Edge.From.Service == "recommendation":
 			return 1
@@ -290,8 +292,9 @@ func (f *Figure5_6) Render() string {
 		b.WriteString("\n")
 	}
 	b.WriteString("mean nDCG5 across sub-scenarios:\n")
-	for name, mean := range f.MeanByHeuristic() {
-		fmt.Fprintf(&b, "  %-18s %6.3f\n", name, mean)
+	means := f.MeanByHeuristic()
+	for _, name := range slices.Sorted(maps.Keys(means)) {
+		fmt.Fprintf(&b, "  %-18s %6.3f\n", name, means[name])
 	}
 	return b.String()
 }
@@ -314,172 +317,6 @@ func (f *Figure5_6) MeanByHeuristic() map[string]float64 {
 }
 
 // --- performance evaluation (Section 5.8) ---
-
-// GraphGenConfig parameterizes the synthetic interaction graphs.
-type GraphGenConfig struct {
-	// Endpoints is the total endpoint count (e.g. 1,000 services with
-	// 10 endpoints each = 10,000).
-	Endpoints int
-	// EndpointsPerService defaults to 10.
-	EndpointsPerService int
-	// Fanout is the mean number of downstream services per service;
-	// low fanout yields deep graphs, high fanout broad ones (default 3).
-	Fanout int
-	// ChangeFraction of services receive a version update in the
-	// experimental graph; a tenth as many services are added and edges
-	// removed (default 0.1).
-	ChangeFraction float64
-	Seed           int64
-}
-
-// GenerateGraphPair builds a baseline interaction graph and an
-// experimental variant with the configured change frequency.
-func GenerateGraphPair(cfg GraphGenConfig) (*topology.Graph, *topology.Graph, error) {
-	if cfg.Endpoints <= 0 {
-		return nil, nil, fmt.Errorf("health: endpoints must be positive")
-	}
-	if cfg.EndpointsPerService <= 0 {
-		cfg.EndpointsPerService = 10
-	}
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = 3
-	}
-	if cfg.ChangeFraction <= 0 {
-		cfg.ChangeFraction = 0.1
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	nServices := cfg.Endpoints / cfg.EndpointsPerService
-	if nServices < 2 {
-		nServices = 2
-	}
-
-	base := topology.NewGraph(tracing.VariantBaseline)
-	// Endpoint keys per service.
-	endpoints := make([][]tracing.NodeKey, nServices)
-	for s := 0; s < nServices; s++ {
-		eps := make([]tracing.NodeKey, cfg.EndpointsPerService)
-		for e := range eps {
-			eps[e] = tracing.NodeKey{
-				Service:  fmt.Sprintf("svc-%04d", s),
-				Version:  "v1",
-				Endpoint: fmt.Sprintf("ep-%02d", e),
-			}
-		}
-		endpoints[s] = eps
-	}
-	addNode := func(g *topology.Graph, nk tracing.NodeKey, meanMs float64) {
-		n := g.Nodes[nk]
-		if n == nil {
-			dur := time.Duration(meanMs * float64(time.Millisecond))
-			g.Nodes[nk] = &topology.Node{
-				Key: nk, Calls: 100, TotalDuration: 100 * dur,
-				Durations: []time.Duration{dur},
-			}
-		}
-	}
-	addEdge := func(g *topology.Graph, from, to tracing.NodeKey) {
-		ek := topology.EdgeKey{From: from, To: to}
-		if g.Edges[ek] == nil {
-			g.Edges[ek] = &topology.Edge{Key: ek, Calls: 100}
-		}
-	}
-
-	// Tree-ish topology: service s calls up to Fanout services with
-	// higher indices (guarantees acyclicity), one endpoint pair each.
-	for s := 0; s < nServices; s++ {
-		for _, ep := range endpoints[s] {
-			addNode(base, ep, 5+rng.Float64()*20)
-		}
-		if s == 0 {
-			base.Roots[endpoints[0][0]] = true
-		}
-		fan := 1 + rng.Intn(cfg.Fanout*2-1) // mean ≈ Fanout
-		for f := 0; f < fan && s+1 < nServices; f++ {
-			callee := s + 1 + rng.Intn(nServices-s-1)
-			from := endpoints[s][rng.Intn(len(endpoints[s]))]
-			to := endpoints[callee][rng.Intn(len(endpoints[callee]))]
-			addEdge(base, from, to)
-		}
-	}
-
-	// Experimental graph: copy, then mutate.
-	exp := topology.NewGraph(tracing.VariantExperiment)
-	for nk, n := range base.Nodes {
-		cp := *n
-		exp.Nodes[nk] = &cp
-	}
-	for ek, e := range base.Edges {
-		cp := *e
-		exp.Edges[ek] = &cp
-	}
-	for nk := range base.Roots {
-		exp.Roots[nk] = true
-	}
-
-	bump := func(nk tracing.NodeKey) tracing.NodeKey {
-		nk.Version = "v2"
-		return nk
-	}
-	nChanged := int(float64(nServices) * cfg.ChangeFraction)
-	changed := make(map[string]bool, nChanged)
-	for _, s := range rng.Perm(nServices)[:nChanged] {
-		changed[fmt.Sprintf("svc-%04d", s)] = true
-	}
-	// Version-bump changed services: rewrite their nodes and incident
-	// edges.
-	for nk, n := range base.Nodes {
-		if !changed[nk.Service] {
-			continue
-		}
-		delete(exp.Nodes, nk)
-		cp := *n
-		cp.Key = bump(nk)
-		exp.Nodes[cp.Key] = &cp
-	}
-	for ek := range base.Edges {
-		fromChanged := changed[ek.From.Service]
-		toChanged := changed[ek.To.Service]
-		if !fromChanged && !toChanged {
-			continue
-		}
-		delete(exp.Edges, ek)
-		nk := ek
-		if fromChanged {
-			nk.From = bump(nk.From)
-		}
-		if toChanged {
-			nk.To = bump(nk.To)
-		}
-		exp.Edges[nk] = &topology.Edge{Key: nk, Calls: 100}
-	}
-	// A few brand-new services and removed edges.
-	extra := nChanged/10 + 1
-	for i := 0; i < extra; i++ {
-		newSvc := tracing.NodeKey{
-			Service:  fmt.Sprintf("svc-new-%02d", i),
-			Version:  "v1",
-			Endpoint: "ep-00",
-		}
-		addNode(exp, newSvc, 10)
-		caller := endpoints[rng.Intn(nServices)][0]
-		if changed[caller.Service] {
-			caller = bump(caller)
-		}
-		addEdge(exp, caller, newSvc)
-	}
-	removed := 0
-	for _, ek := range base.SortedEdges() {
-		if removed >= extra {
-			break
-		}
-		if changed[ek.From.Service] || changed[ek.To.Service] {
-			continue
-		}
-		delete(exp.Edges, ek)
-		removed++
-	}
-	return base, exp, nil
-}
 
 // PerfPoint is one performance measurement.
 type PerfPoint struct {
@@ -504,7 +341,7 @@ func EvalFigure5_9(sizes []int, seed int64) (*Figure5_9, error) {
 	}
 	fig := &Figure5_9{}
 	for _, size := range sizes {
-		p, err := perfPoint(GraphGenConfig{Endpoints: size, ChangeFraction: 0.1, Seed: seed})
+		p, err := perfPoint(health.GraphGenConfig{Endpoints: size, ChangeFraction: 0.1, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
@@ -529,7 +366,7 @@ func EvalFigure5_10(endpoints int, fractions []float64, seed int64) (*Figure5_10
 	}
 	fig := &Figure5_10{Endpoints: endpoints}
 	for _, f := range fractions {
-		p, err := perfPoint(GraphGenConfig{Endpoints: endpoints, ChangeFraction: f, Seed: seed})
+		p, err := perfPoint(health.GraphGenConfig{Endpoints: endpoints, ChangeFraction: f, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
@@ -538,19 +375,19 @@ func EvalFigure5_10(endpoints int, fractions []float64, seed int64) (*Figure5_10
 	return fig, nil
 }
 
-func perfPoint(cfg GraphGenConfig) (*PerfPoint, error) {
-	base, exp, err := GenerateGraphPair(cfg)
+func perfPoint(cfg health.GraphGenConfig) (*PerfPoint, error) {
+	base, exp, err := health.GenerateGraphPair(cfg)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	d := Compare(base, exp)
+	d := health.Compare(base, exp)
 	compareTime := time.Since(start)
 
 	times := make(map[string]time.Duration, 6)
-	for _, h := range AllHeuristics() {
+	for _, h := range health.AllHeuristics() {
 		hs := time.Now()
-		Rank(h, d)
+		health.Rank(h, d)
 		times[h.Name()] = time.Since(hs)
 	}
 	return &PerfPoint{
@@ -577,7 +414,7 @@ func renderPerf(title string, points []PerfPoint, byFraction bool) string {
 	var b strings.Builder
 	b.WriteString(title + "\n")
 	names := make([]string, 0, 6)
-	for _, h := range AllHeuristics() {
+	for _, h := range health.AllHeuristics() {
 		names = append(names, h.Name())
 	}
 	if byFraction {

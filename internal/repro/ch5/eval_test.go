@@ -1,8 +1,10 @@
-package health
+package ch5
 
 import (
 	"strings"
 	"testing"
+
+	"contexp/internal/health"
 )
 
 func TestEvalScenario1(t *testing.T) {
@@ -25,10 +27,10 @@ func TestEvalScenario1(t *testing.T) {
 		// Expected change inventory: users history new call, rec version
 		// update, rec caller update.
 		byType := res.Diff.CountByType()
-		if byType[ChangeCallNewEndpoint] == 0 {
+		if byType[health.ChangeCallNewEndpoint] == 0 {
 			t.Error("scenario 1 should surface the new users/history call")
 		}
-		if byType[ChangeUpdatedCalleeVersion] == 0 {
+		if byType[health.ChangeUpdatedCalleeVersion] == 0 {
 			t.Error("scenario 1 should surface the rec version update")
 		}
 	}
@@ -55,10 +57,10 @@ func TestEvalScenario2(t *testing.T) {
 			t.Fatal(err)
 		}
 		byType := res.Diff.CountByType()
-		if byType[ChangeCallNewEndpoint] == 0 {
+		if byType[health.ChangeCallNewEndpoint] == 0 {
 			t.Error("scenario 2 should surface the new pricing dependency")
 		}
-		if byType[ChangeRemoveCall] == 0 {
+		if byType[health.ChangeRemoveCall] == 0 {
 			t.Errorf("scenario 2 should surface the removed inventory call: %v", res.Diff.Changes)
 		}
 		if !strings.Contains(res.Render(), "nDCG5") {
@@ -87,6 +89,25 @@ func TestEvalFigure5_6And5_8(t *testing.T) {
 		}
 		if !strings.Contains(fig.Render(), "mean nDCG5") {
 			t.Error("render missing mean section")
+		}
+	}
+}
+
+func TestFigureRenderSameSeedSameBytes(t *testing.T) {
+	for _, f := range []func(int, int64) (*Figure5_6, error){EvalFigure5_6, EvalFigure5_8} {
+		fig, err := f(50, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := fig.Render()
+		for i := 0; i < 5; i++ {
+			again, err := f(50, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := again.Render(); got != first {
+				t.Fatalf("%s: same seed rendered differently:\n%s\nvs\n%s", fig.Title, first, got)
+			}
 		}
 	}
 }
@@ -121,37 +142,6 @@ func TestHybridCompetitiveOverall(t *testing.T) {
 	if bestHybrid < bestAll-0.15 {
 		t.Errorf("hybrid not competitive: best hybrid %v vs best overall %v (sums over 4 sub-scenarios)",
 			bestHybrid, bestAll)
-	}
-}
-
-func TestGenerateGraphPair(t *testing.T) {
-	base, exp, err := GenerateGraphPair(GraphGenConfig{Endpoints: 500, ChangeFraction: 0.1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.NumNodes() < 450 || base.NumNodes() > 550 {
-		t.Errorf("base nodes = %d", base.NumNodes())
-	}
-	if exp.NumNodes() < base.NumNodes() {
-		t.Errorf("exp should have >= nodes (new services added): %d < %d", exp.NumNodes(), base.NumNodes())
-	}
-	d := Compare(base, exp)
-	if len(d.Changes) == 0 {
-		t.Fatal("generated pair produced no changes")
-	}
-	// Both version updates and structural changes should appear.
-	byType := d.CountByType()
-	if byType[ChangeCallNewEndpoint] == 0 {
-		t.Error("no new-endpoint changes generated")
-	}
-	if byType[ChangeUpdatedCalleeVersion]+byType[ChangeUpdatedVersion]+byType[ChangeUpdatedCallerVersion] == 0 {
-		t.Error("no version-update changes generated")
-	}
-	if byType[ChangeRemoveCall] == 0 {
-		t.Error("no removed calls generated")
-	}
-	if _, _, err := GenerateGraphPair(GraphGenConfig{Endpoints: 0}); err == nil {
-		t.Error("zero endpoints should fail")
 	}
 }
 

@@ -184,6 +184,34 @@ func TestScheduleDequeue(t *testing.T) {
 	}
 }
 
+// TestSubmitStatusIgnoresStrategyName: 409 is for a name collision
+// (already running, already queued), told from the error's identity.
+// The message embeds the strategy's name, so a strategy called
+// "already-canary" that merely exceeds the scheduler's capacity is a
+// plain 400, and a genuine collision stays 409 with its body unchanged.
+func TestSubmitStatusIgnoresStrategyName(t *testing.T) {
+	e := newSchedulerEnv(t, nil)
+	overCapacity := strings.Replace(serviceDSL("already-canary", "svc"), "traffic  = 10%", "traffic  = 90%", 1)
+	code, body := e.do(http.MethodPost, "/v1/strategies", overCapacity)
+	if code != http.StatusBadRequest || !strings.Contains(body, "above the scheduler capacity") {
+		t.Fatalf("over-capacity submit of \"already-canary\": %d: %s", code, body)
+	}
+	if code, body := e.do(http.MethodPost, "/v1/strategies", serviceDSL("live", "svc")); code != http.StatusCreated {
+		t.Fatalf("submit live: %d: %s", code, body)
+	}
+	code, body = e.do(http.MethodPost, "/v1/strategies", serviceDSL("live", "svc"))
+	if code != http.StatusConflict || !strings.Contains(body, `strategy \"live\" is already running`) {
+		t.Fatalf("duplicate running submit: %d: %s", code, body)
+	}
+	if code, body := e.do(http.MethodPost, "/v1/strategies", serviceDSL("wait", "svc")); code != http.StatusAccepted {
+		t.Fatalf("submit wait: %d: %s", code, body)
+	}
+	code, body = e.do(http.MethodPost, "/v1/strategies", serviceDSL("wait", "svc"))
+	if code != http.StatusConflict || !strings.Contains(body, `strategy \"wait\" is already queued`) {
+		t.Fatalf("duplicate queued submit: %d: %s", code, body)
+	}
+}
+
 // TestScheduleSSE reads the schedule change stream: the initial
 // snapshot arrives immediately, and a new submission produces another
 // event.

@@ -33,7 +33,7 @@
 //
 // A Server owns no goroutines of its own beyond the ones net/http
 // starts per request; the Bifrost engine drives runs, and the optional
-// Demo (see demo.go) drives simulated traffic.
+// demo environment (internal/demo) drives simulated traffic.
 package server
 
 import (
@@ -127,8 +127,8 @@ type Server struct {
 	statusMu    sync.Mutex
 	statusCache atomic.Pointer[statusSnapshot]
 
-	// demo, when set, is reported by /healthz and drives traffic.
-	demo *Demo
+	// demo, when set, reports the demo environment on /healthz.
+	demo func() any
 }
 
 // New creates a Server. The caller mounts Handler() on an http.Server.
@@ -175,8 +175,9 @@ func New(cfg Config) (*Server, error) {
 // the route mux.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// SetDemo attaches a running demo so /healthz can report it.
-func (s *Server) SetDemo(d *Demo) { s.demo = d }
+// SetDemo attaches a running demo environment: /healthz reports what
+// health returns under "demo".
+func (s *Server) SetDemo(health func() any) { s.demo = health }
 
 // --- JSON views ---
 
@@ -314,7 +315,7 @@ func (s *Server) handleSubmitStrategy(w http.ResponseWriter, r *http.Request) {
 		// entry; an immediately-launched one is 201 as before.
 		res, err := s.cfg.Scheduler.Submit(strategy)
 		switch {
-		case err != nil && strings.Contains(err.Error(), "already"):
+		case errors.Is(err, bifrost.ErrAlreadyRunning) || errors.Is(err, bifrost.ErrAlreadyQueued):
 			writeError(w, http.StatusConflict, "%v", err)
 			return
 		case err != nil:
@@ -338,7 +339,7 @@ func (s *Server) handleSubmitStrategy(w http.ResponseWriter, r *http.Request) {
 			writeErrorCode(w, http.StatusConflict, "busy", "%v", err)
 			return
 		}
-		if strings.Contains(err.Error(), "already running") {
+		if errors.Is(err, bifrost.ErrAlreadyRunning) {
 			writeError(w, http.StatusConflict, "%v", err)
 			return
 		}
@@ -512,8 +513,8 @@ type Observation struct {
 //
 // Both telemetry handlers content-negotiate on Content-Type: frames
 // tagged application/x-contexp-batch take the pooled zero-alloc binary
-// path; everything else flows through the original JSON decoding,
-// byte for byte unchanged.
+// decoder, everything else the JSON one; what either decodes goes
+// through the same tail.
 
 // frameBufPool holds the request-body scratch buffers of the binary
 // ingestion path, so steady-state ingestion reads frames without
@@ -547,99 +548,90 @@ func (s *Server) readFrame(w http.ResponseWriter, r *http.Request) (*bytes.Buffe
 	return buf, true
 }
 
-// handleIngestMetricsBinary is the binary twin of handleIngestMetrics:
-// pooled frame buffer, pooled columnar decoder, same validation and
-// no-partial-recording contract — the batch reaches the store only
-// after every sample validated.
-func (s *Server) handleIngestMetricsBinary(w http.ResponseWriter, r *http.Request) {
-	buf, ok := s.readFrame(w, r)
-	if !ok {
-		return
-	}
-	defer frameBufPool.Put(buf)
-	dec := wire.GetMetricsDecoder()
-	defer wire.PutMetricsDecoder(dec)
-	samples, err := dec.Decode(buf.Bytes())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if len(samples) == 0 {
-		writeError(w, http.StatusBadRequest, "no observations")
-		return
-	}
-	for i := range samples {
-		if samples[i].Metric == "" || samples[i].Scope.Service == "" || samples[i].Scope.Version == "" {
-			writeError(w, http.StatusBadRequest,
-				"observation %d: metric, service, and version are required", i)
-			return
+// readJSONBatch decodes the request body into batch, mapping oversize
+// to 413. On false, the error response is already written.
+func (s *Server) readJSONBatch(w http.ResponseWriter, r *http.Request, batch any) bool {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	if err := json.NewDecoder(body).Decode(batch); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				"batch larger than %d bytes", s.cfg.MaxBodyBytes)
+		} else {
+			writeError(w, http.StatusBadRequest, "decoding body: %v", err)
 		}
+		return false
 	}
-	now := time.Now()
-	tenant := reqTenant(r)
-	for i := range samples {
-		if samples[i].At.IsZero() {
-			samples[i].At = now
-		}
-		// The wire format never carries a tenant; the series namespace
-		// comes from the authenticated principal, not the payload.
-		samples[i].Scope.Tenant = tenant
-	}
-	s.cfg.Store.RecordBatch(samples)
-	writeJSON(w, http.StatusAccepted, map[string]int{"accepted": len(samples)})
+	return true
 }
 
 // handleIngestMetrics records a batch of observations, the ingestion
 // path real services use in place of the simulator's self-reporting.
-// The whole batch goes to the store in one RecordBatch call, so
-// same-series runs are appended under a single lock acquisition.
+// Two decoders — the pooled binary frame decoder and JSON — produce
+// []metrics.Sample for the one tail, recordSamples.
 func (s *Server) handleIngestMetrics(w http.ResponseWriter, r *http.Request) {
 	if isBinaryBatch(r) {
-		s.handleIngestMetricsBinary(w, r)
+		buf, ok := s.readFrame(w, r)
+		if !ok {
+			return
+		}
+		defer frameBufPool.Put(buf)
+		dec := wire.GetMetricsDecoder()
+		defer wire.PutMetricsDecoder(dec)
+		samples, err := dec.Decode(buf.Bytes())
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		s.recordSamples(w, r, samples)
 		return
 	}
 	var batch struct {
 		Observations []Observation `json:"observations"`
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&batch); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"batch larger than %d bytes", s.cfg.MaxBodyBytes)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding body: %v", err)
+	if !s.readJSONBatch(w, r, &batch) {
 		return
 	}
-	if len(batch.Observations) == 0 {
+	samples := make([]metrics.Sample, len(batch.Observations))
+	for i, o := range batch.Observations {
+		samples[i] = metrics.Sample{
+			Metric: o.Metric,
+			Scope:  metrics.Scope{Service: o.Service, Version: o.Version, Variant: o.Variant},
+			At:     o.At,
+			Value:  o.Value,
+		}
+	}
+	s.recordSamples(w, r, samples)
+}
+
+// recordSamples is the ingest tail both metric decoders share:
+// validation, default timestamp, tenant stamp, then the whole batch in
+// one RecordBatch call (same-series runs append under a single lock
+// acquisition) — and only after every sample validated, so a rejected
+// batch records nothing.
+func (s *Server) recordSamples(w http.ResponseWriter, r *http.Request, samples []metrics.Sample) {
+	if len(samples) == 0 {
 		writeError(w, http.StatusBadRequest, "no observations")
 		return
 	}
-	for i, o := range batch.Observations {
-		if o.Metric == "" || o.Service == "" || o.Version == "" {
+	now := time.Now()
+	tenant := reqTenant(r)
+	for i := range samples {
+		sm := &samples[i]
+		if sm.Metric == "" || sm.Scope.Service == "" || sm.Scope.Version == "" {
 			writeError(w, http.StatusBadRequest,
 				"observation %d: metric, service, and version are required", i)
 			return
 		}
-	}
-	now := time.Now()
-	tenant := reqTenant(r)
-	samples := make([]metrics.Sample, len(batch.Observations))
-	for i, o := range batch.Observations {
-		at := o.At
-		if at.IsZero() {
-			at = now
+		if sm.At.IsZero() {
+			sm.At = now
 		}
-		samples[i] = metrics.Sample{
-			Metric: o.Metric,
-			Scope:  metrics.Scope{Tenant: tenant, Service: o.Service, Version: o.Version, Variant: o.Variant},
-			At:     at,
-			Value:  o.Value,
-		}
+		// Neither codec carries a tenant; the series namespace comes
+		// from the authenticated principal, not the payload.
+		sm.Scope.Tenant = tenant
 	}
 	s.cfg.Store.RecordBatch(samples)
-	writeJSON(w, http.StatusAccepted, map[string]int{"accepted": len(batch.Observations)})
+	writeJSON(w, http.StatusAccepted, map[string]int{"accepted": len(samples)})
 }
 
 // RouteView is the JSON form of one service's route.
@@ -710,7 +702,7 @@ type Health struct {
 	Scheduler *SchedulerHealth `json:"scheduler,omitempty"`
 	Tracing   *TracingHealth   `json:"tracing,omitempty"`
 	Fleet     *FleetHealth     `json:"fleet,omitempty"`
-	Demo      *DemoHealth      `json:"demo,omitempty"`
+	Demo      any              `json:"demo,omitempty"`
 	// Tenants reports per-tenant usage (runs, metric series, request
 	// budget) whenever more than the default tenant is visible.
 	Tenants []TenantUsage `json:"tenants,omitempty"`
@@ -919,7 +911,7 @@ func (s *Server) buildStatus() *statusSnapshot {
 		h.Fleet = fleetHealth(s.cfg.Fleet)
 	}
 	if s.demo != nil {
-		h.Demo = s.demo.Health()
+		h.Demo = s.demo()
 	}
 	usage := s.tenantUsage()
 	if len(usage) > 1 || (len(usage) == 1 && usage[0].Name != tenancy.Display("")) {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"contexp/internal/bifrost"
+	"contexp/internal/demo"
 	"contexp/internal/health"
 	"contexp/internal/metrics"
 	"contexp/internal/router"
@@ -229,7 +230,7 @@ strategy "rec-v2-metric" {
 // latency holds. Structural signals catch what scalar metrics miss.
 func TestDemoTopologyCheckRollsBack(t *testing.T) {
 	e, collector, _ := newTracingEnv(t, 50*time.Millisecond)
-	demo, err := StartDemo(e.engine, e.table, e.store, DemoConfig{
+	shop, err := demo.Start(e.engine, e.table, e.store, demo.Config{
 		RPS:          120,
 		LatencyScale: 0.02,
 		Seed:         7,
@@ -239,8 +240,8 @@ func TestDemoTopologyCheckRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer demo.Stop()
-	e.server.SetDemo(demo)
+	defer shop.Stop()
+	e.server.SetDemo(func() any { return shop.Health() })
 
 	// Structural gate: rolls back on the new dependency.
 	if code, body := e.do(http.MethodPost, "/v1/strategies", demoTopologyDSL); code != http.StatusCreated {

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
 	"net/http"
 	"time"
 
@@ -31,119 +29,85 @@ type SpanObservation struct {
 	Error      bool    `json:"error,omitempty"`
 }
 
-// handleIngestSpansBinary is the binary twin of handleIngestSpans:
-// pooled frame buffer, pooled columnar decoder, identical validation
-// before anything reaches the collector.
-func (s *Server) handleIngestSpansBinary(w http.ResponseWriter, r *http.Request) {
-	buf, ok := s.readFrame(w, r)
-	if !ok {
-		return
-	}
-	defer frameBufPool.Put(buf)
-	dec := wire.GetSpansDecoder()
-	defer wire.PutSpansDecoder(dec)
-	spans, err := dec.Decode(buf.Bytes())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if len(spans) == 0 {
-		writeError(w, http.StatusBadRequest, "no spans")
-		return
-	}
-	for i := range spans {
-		if spans[i].TraceID == 0 || spans[i].SpanID == 0 {
-			writeError(w, http.StatusBadRequest, "span %d: traceId and spanId are required", i)
-			return
-		}
-		if spans[i].Service == "" || spans[i].Version == "" || spans[i].Endpoint == "" {
-			writeError(w, http.StatusBadRequest,
-				"span %d: service, version, and endpoint are required", i)
-			return
-		}
-	}
-	now := time.Now()
-	tenant := reqTenant(r)
-	for i := range spans {
-		if spans[i].Start.IsZero() {
-			spans[i].Start = now.Add(-spans[i].Duration)
-		}
-		// Namespace the span into the submitting tenant's topology: run
-		// assessments register tenant-qualified service names, so tenant
-		// spans must match them (and can never pollute another tenant's
-		// interaction graph).
-		spans[i].Service = tenancy.Qualify(tenant, spans[i].Service)
-	}
-	accepted := s.cfg.Traces.RecordBatch(spans)
-	writeJSON(w, http.StatusAccepted, map[string]int{
-		"accepted": accepted,
-		"dropped":  len(spans) - accepted,
-	})
-}
-
 // handleIngestSpans records a batch of spans into the live collector —
 // the ingestion path real instrumented services use in place of the
-// simulator's in-process self-reporting. Spans beyond the collector's
-// cap are dropped (and counted), never blocking the sender.
+// simulator's in-process self-reporting. As for metrics, a pooled
+// binary decoder and a JSON one feed the one tail, recordSpans.
 func (s *Server) handleIngestSpans(w http.ResponseWriter, r *http.Request) {
 	if isBinaryBatch(r) {
-		s.handleIngestSpansBinary(w, r)
+		buf, ok := s.readFrame(w, r)
+		if !ok {
+			return
+		}
+		defer frameBufPool.Put(buf)
+		dec := wire.GetSpansDecoder()
+		defer wire.PutSpansDecoder(dec)
+		spans, err := dec.Decode(buf.Bytes())
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		s.recordSpans(w, r, spans)
 		return
 	}
 	var batch struct {
 		Spans []SpanObservation `json:"spans"`
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&batch); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"batch larger than %d bytes", s.cfg.MaxBodyBytes)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding body: %v", err)
+	if !s.readJSONBatch(w, r, &batch) {
 		return
 	}
-	if len(batch.Spans) == 0 {
-		writeError(w, http.StatusBadRequest, "no spans")
-		return
-	}
-	for i, o := range batch.Spans {
-		if o.TraceID == 0 || o.SpanID == 0 {
-			writeError(w, http.StatusBadRequest, "span %d: traceId and spanId are required", i)
-			return
-		}
-		if o.Service == "" || o.Version == "" || o.Endpoint == "" {
-			writeError(w, http.StatusBadRequest,
-				"span %d: service, version, and endpoint are required", i)
-			return
-		}
-	}
-	now := time.Now()
-	tenant := reqTenant(r)
 	spans := make([]tracing.Span, len(batch.Spans))
 	for i, o := range batch.Spans {
-		dur := time.Duration(o.DurationMs * float64(time.Millisecond))
-		at := o.At
-		if at.IsZero() {
-			at = now.Add(-dur)
-		}
 		spans[i] = tracing.Span{
 			TraceID:  tracing.TraceID(o.TraceID),
 			SpanID:   tracing.SpanID(o.SpanID),
 			ParentID: tracing.SpanID(o.ParentID),
-			Service:  tenancy.Qualify(tenant, o.Service),
+			Service:  o.Service,
 			Version:  o.Version,
 			Endpoint: o.Endpoint,
-			Start:    at,
-			Duration: dur,
+			Start:    o.At,
+			Duration: time.Duration(o.DurationMs * float64(time.Millisecond)),
 			Err:      o.Error,
 		}
+	}
+	s.recordSpans(w, r, spans)
+}
+
+// recordSpans is the ingest tail both span decoders share: validation
+// before anything reaches the collector, default start time, tenant
+// qualification, one RecordBatch. Spans beyond the collector's cap are
+// dropped (and counted), never blocking the sender.
+func (s *Server) recordSpans(w http.ResponseWriter, r *http.Request, spans []tracing.Span) {
+	if len(spans) == 0 {
+		writeError(w, http.StatusBadRequest, "no spans")
+		return
+	}
+	now := time.Now()
+	tenant := reqTenant(r)
+	for i := range spans {
+		sp := &spans[i]
+		if sp.TraceID == 0 || sp.SpanID == 0 {
+			writeError(w, http.StatusBadRequest, "span %d: traceId and spanId are required", i)
+			return
+		}
+		if sp.Service == "" || sp.Version == "" || sp.Endpoint == "" {
+			writeError(w, http.StatusBadRequest,
+				"span %d: service, version, and endpoint are required", i)
+			return
+		}
+		if sp.Start.IsZero() {
+			sp.Start = now.Add(-sp.Duration)
+		}
+		// Namespace the span into the submitting tenant's topology: run
+		// assessments register tenant-qualified service names, so tenant
+		// spans must match them (and can never pollute another tenant's
+		// interaction graph).
+		sp.Service = tenancy.Qualify(tenant, sp.Service)
 	}
 	accepted := s.cfg.Traces.RecordBatch(spans)
 	writeJSON(w, http.StatusAccepted, map[string]int{
 		"accepted": accepted,
-		"dropped":  len(batch.Spans) - accepted,
+		"dropped":  len(spans) - accepted,
 	})
 }
 

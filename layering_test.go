@@ -1,0 +1,124 @@
+package contexp_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"os/exec"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// listedPackage is the slice of `go list -json` output the layering
+// rules read.
+type listedPackage struct {
+	ImportPath   string
+	Imports      []string // of non-test files
+	TestImports  []string
+	XTestImports []string
+	Deps         []string // transitive closure of Imports
+}
+
+func goListAll(t *testing.T) map[string]listedPackage {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-deps", "-json", "./...")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, stderr.String())
+	}
+	pkgs := make(map[string]listedPackage)
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listedPackage
+		if err := dec.Decode(&p); err == io.EOF {
+			return pkgs
+		} else if err != nil {
+			t.Fatalf("decoding go list output: %v", err)
+		}
+		pkgs[p.ImportPath] = p
+	}
+}
+
+// under reports whether pkg is one of roots or inside one of them.
+func under(pkg string, roots ...string) bool {
+	for _, root := range roots {
+		if pkg == root || strings.HasPrefix(pkg, root+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestImportDAG holds the layering README.md draws ("Layering"):
+// production packages host neither the paper's evaluation nor the
+// simulators it runs on.
+func TestImportDAG(t *testing.T) {
+	const (
+		httptest = "net/http/httptest"
+		microsim = "contexp/internal/microsim"
+		loadgen  = "contexp/internal/loadgen"
+		scenario = "contexp/internal/scenario"
+		demo     = "contexp/internal/demo"
+		repro    = "contexp/internal/repro"
+		cmdRepro = "contexp/cmd/repro"
+		examples = "contexp/examples"
+	)
+	pkgs := goListAll(t)
+	simulation := func(pkg string) bool {
+		return pkg == httptest || pkg == microsim || pkg == loadgen
+	}
+
+	for path, p := range pkgs {
+		if !under(path, "contexp") {
+			continue
+		}
+		// (a) Only the evaluation, the demo, the scenario lab and the
+		// examples build on the simulators or on httptest.
+		if !under(path, repro, cmdRepro, demo, scenario, examples, microsim, loadgen) {
+			for _, imp := range p.Imports {
+				if simulation(imp) {
+					t.Errorf("%s imports %s outside a test: only %s, %s, %s, %s and %s may",
+						path, imp, repro, cmdRepro, demo, scenario, examples)
+				}
+			}
+		}
+		// (c) Nothing but cmd/repro depends on the evaluation tree, not
+		// even from a test.
+		if !under(path, repro, cmdRepro) {
+			for _, imp := range slices.Concat(p.Imports, p.TestImports, p.XTestImports) {
+				if under(imp, repro) {
+					t.Errorf("%s imports %s: only %s may", path, imp, cmdRepro)
+				}
+			}
+		}
+	}
+
+	// (b) What ships: the agent, the CLI and the benchmark link none of
+	// it; the daemon links the simulators only for --demo.
+	for _, main := range []string{"contexp/cmd/contexp-agent", "contexp/cmd/expctl", "contexp/benchmark"} {
+		for _, dep := range pkgs[main].Deps {
+			if simulation(dep) || under(dep, scenario, demo, repro) {
+				t.Errorf("%s links %s", main, dep)
+			}
+		}
+	}
+	daemon := pkgs["contexp/cmd/contexpd"]
+	for _, dep := range append(daemon.Deps, daemon.ImportPath) {
+		if dep == httptest || under(dep, repro) {
+			t.Errorf("contexpd links %s", dep)
+		}
+		if under(dep, demo, scenario, microsim, loadgen) {
+			continue
+		}
+		for _, imp := range pkgs[dep].Imports {
+			if simulation(imp) {
+				t.Errorf("contexpd reaches %s through %s: only %s and %s may", imp, dep, demo, scenario)
+			}
+		}
+	}
+	if len(daemon.Deps) == 0 || len(pkgs["contexp/benchmark"].Deps) == 0 {
+		t.Fatal("go list reported no dependencies for the binaries under test")
+	}
+}
