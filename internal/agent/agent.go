@@ -351,11 +351,14 @@ func (a *Agent) RegisterProxy(service string, upstreams map[string]string) (*rou
 		}
 	}
 	a.proxyMu.Lock()
-	if old, ok := a.proxies[service]; ok {
-		old.Close()
-	}
+	old := a.proxies[service]
 	a.proxies[service] = p
 	a.proxyMu.Unlock()
+	if old != nil {
+		// Outside the lock: Close waits for the mirrors old has in flight,
+		// and handleProxy must not wait with it.
+		old.Close()
+	}
 	return p, nil
 }
 
@@ -471,9 +474,11 @@ func (a *Agent) handleProxy(w http.ResponseWriter, r *http.Request) {
 			http.StatusNotFound)
 		return
 	}
-	// Strip the /proxy/{service} prefix so upstreams see clean paths.
-	r2 := r.Clone(r.Context())
-	r2.URL.Path = "/" + r.PathValue("rest")
+	// Strip the /proxy/{service} prefix so upstreams see clean paths. The
+	// proxy takes the header and body over; only the URL needs a copy.
+	r2, u := *r, *r.URL
+	u.Path, u.RawPath = "/"+r.PathValue("rest"), ""
+	r2.URL = &u
 	a.resolves.Add(1)
-	p.ServeHTTP(w, r2)
+	p.ServeHTTP(w, &r2)
 }

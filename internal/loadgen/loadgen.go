@@ -99,7 +99,7 @@ func (p *Population) Size() int { return len(p.users) }
 // Sample draws a uniformly random user request.
 func (p *Population) Sample() *router.Request {
 	u := p.users[p.rng.Intn(len(p.users))]
-	return &router.Request{UserID: u.id, Groups: u.groups, Header: map[string]string{}}
+	return &router.Request{UserID: u.id, Groups: u.groups}
 }
 
 // GroupShare returns the fraction of users in group g.

@@ -1,16 +1,19 @@
 package router
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
-	"net/http/httputil"
 	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"contexp/internal/expmodel"
 )
@@ -22,9 +25,24 @@ import (
 //	               the request arrives without it
 //	X-Parent-Span  hex span identifier of the calling backend's span
 //	X-Experiment-Version  the version the routing table resolved
+//
+// The constants spell the names the way net/http canonicalises them, so
+// Header.Get and Set find them without building the canonical form.
 const (
-	HeaderTraceID    = "X-Trace-ID"
+	HeaderTraceID    = "X-Trace-Id"
 	HeaderParentSpan = "X-Parent-Span"
+	headerUserID     = "X-User-Id"
+	headerUserGroups = "X-User-Groups"
+)
+
+const (
+	// mirrorBodyCap is the largest request body a dark launch copies;
+	// a longer one reaches the primary only.
+	mirrorBodyCap = 1 << 20
+	// mirrorTimeout bounds one mirror request, reply included, so a
+	// hung candidate costs a worker this long and no longer.
+	mirrorTimeout = 10 * time.Second
+	mirrorWorkers = 8
 )
 
 // Proxy is the HTTP face of a routing Table: the lightweight
@@ -38,24 +56,67 @@ const (
 //
 //	X-User-ID      sticky routing identity
 //	X-User-Groups  comma-separated group memberships
+//
+// The forwarding contract (forward.go; pinned byte for byte by
+// testdata/forward_parent.golden):
+//
+//   - The upstream URL is the registered base URL with the request path
+//     joined behind its path and the request query behind its query.
+//     The inbound Host is sent unchanged.
+//   - Hop-by-hop headers (Connection and every header it lists,
+//     Proxy-Connection, Keep-Alive, Proxy-Authenticate,
+//     Proxy-Authorization, Te, Trailer, Transfer-Encoding, Upgrade) are
+//     removed in both directions. "Te: trailers" is passed on.
+//   - The client's address is appended to X-Forwarded-For; a middleware
+//     that sets the header to nil opts out. A request without a
+//     User-Agent goes out without one.
+//   - A request with Content-Length 0 goes out without a body.
+//   - The upstream's status, headers (added to any a middleware set) and
+//     body are relayed. A reply of unknown length or of type
+//     text/event-stream is flushed at once and after every write; any
+//     other reply is left to the server's buffering.
+//   - Trailers are announced and relayed.
+//   - An Upgrade the upstream accepts with 101 takes over both
+//     connections and copies bytes each way until one side closes.
+//   - The upstream call runs under the request's context: a client that
+//     goes away aborts it.
+//   - An upstream that cannot be reached, or that answers an Upgrade
+//     with another protocol, is a bare 502. A reply that fails mid-body
+//     aborts the client connection (http.ErrAbortHandler).
+//   - Compression is between client and upstream: the proxy neither
+//     asks for it nor undoes it. 1xx interim replies are not relayed.
+//
+// Every upstream call, primary or mirrored, goes through one
+// http.Transport the Proxy owns; the environment's HTTP_PROXY is not
+// consulted.
 type Proxy struct {
 	service string
 	table   *Table
 
-	mu        sync.RWMutex
-	upstreams map[string]*httputil.ReverseProxy // version -> proxy
-	targets   map[string]*url.URL
+	mu      sync.RWMutex
+	targets map[string]*url.URL // version -> upstream base URL
 
-	// MirrorWorkers bounds concurrent mirror requests (default 8).
+	transport *http.Transport
+	// refs is one for the open Proxy plus one per request inside forward.
+	// Whoever takes it to zero drops the idle upstream connections: Close
+	// must not pull them from under a request (agent.RegisterProxy closes
+	// a proxy that handlers may still be inside), because the transport
+	// fails a request whose connection it refuses to take back.
+	refs atomic.Int64
+
+	// mirror queues dark-launch copies for the mirror workers. It is
+	// never closed: ServeHTTP may still be sending when Close runs.
 	mirror chan mirrorJob
 	wg     sync.WaitGroup
 	closed chan struct{}
 
-	// mirrorDrops counts mirror jobs discarded because the queue was
-	// full: dark-launch coverage silently lost unless surfaced.
+	// mirrorDrops counts mirror jobs discarded: dark-launch coverage
+	// silently lost unless surfaced.
 	mirrorDrops atomic.Uint64
 }
 
+// mirrorJob is one dark-launch copy: the inbound request as it arrived
+// (own header, no context, no body) and the body it carried.
 type mirrorJob struct {
 	version string
 	req     *http.Request
@@ -66,30 +127,61 @@ var _ http.Handler = (*Proxy)(nil)
 
 // NewProxy creates a proxy for one service backed by table.
 func NewProxy(service string, table *Table) *Proxy {
+	return newProxy(service, table, mirrorTimeout)
+}
+
+func newProxy(service string, table *Table, mirrorTimeout time.Duration) *Proxy {
 	p := &Proxy{
-		service:   service,
-		table:     table,
-		upstreams: make(map[string]*httputil.ReverseProxy),
-		targets:   make(map[string]*url.URL),
-		mirror:    make(chan mirrorJob, 256),
-		closed:    make(chan struct{}),
+		service: service,
+		table:   table,
+		targets: make(map[string]*url.URL),
+		// http.DefaultTransport's settings, except: no proxy lookup, no
+		// compression of its own, and an idle pool sized for one busy
+		// upstream per version instead of two connections each.
+		transport: &http.Transport{
+			DialContext:           (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+			ForceAttemptHTTP2:     true,
+			DisableCompression:    true,
+			MaxIdleConns:          256,
+			MaxIdleConnsPerHost:   64,
+			IdleConnTimeout:       90 * time.Second,
+			TLSHandshakeTimeout:   10 * time.Second,
+			ExpectContinueTimeout: time.Second,
+		},
+		// Room for a burst of mirrored requests while every worker is
+		// busy; past it jobs are dropped and counted.
+		mirror: make(chan mirrorJob, 256),
+		closed: make(chan struct{}),
 	}
-	for i := 0; i < 8; i++ {
+	p.refs.Store(1)
+	client := &http.Client{Transport: p.transport, Timeout: mirrorTimeout}
+	for i := 0; i < mirrorWorkers; i++ {
 		p.wg.Add(1)
-		go p.mirrorWorker()
+		go p.mirrorWorker(client)
 	}
 	return p
 }
 
-// Close stops the mirror workers and waits for them to drain.
+// Close stops the mirror workers and waits for the requests they have
+// in flight (each bounded by the mirror timeout); queued mirror jobs
+// are abandoned. Requests still inside ServeHTTP finish normally, and
+// the idle upstream connections are dropped once the last of them has.
 func (p *Proxy) Close() {
 	close(p.closed)
-	close(p.mirror)
 	p.wg.Wait()
+	p.release()
 }
 
-// MirrorDrops reports how many dark-launch mirror jobs were discarded
-// because the mirror queue was full. A growing value means the
+// release gives up one reference to the transport's connections.
+func (p *Proxy) release() {
+	if p.refs.Add(-1) == 0 {
+		p.transport.CloseIdleConnections()
+	}
+}
+
+// MirrorDrops reports how many dark-launch mirror jobs were discarded:
+// the mirror queue was full, the request body was longer than 1 MiB or
+// of unknown length, or the proxy was closed. A growing value means the
 // candidate sees less traffic than the baseline, biasing dark-launch
 // sample counts.
 func (p *Proxy) MirrorDrops() uint64 { return p.mirrorDrops.Load() }
@@ -103,28 +195,31 @@ func (p *Proxy) RegisterUpstream(version, baseURL string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.targets[version] = u
-	p.upstreams[version] = httputil.NewSingleHostReverseProxy(u)
 	return nil
+}
+
+func (p *Proxy) target(version string) *url.URL {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.targets[version]
 }
 
 // ServeHTTP implements http.Handler.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	req := requestFromHTTP(r)
-	decision, err := p.table.Resolve(p.service, req)
+	decision, err := p.table.Resolve(p.service, requestFromHTTP(r))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	p.mu.RLock()
-	upstream := p.upstreams[decision.Version]
-	p.mu.RUnlock()
-	if upstream == nil {
+	target := p.target(decision.Version)
+	if target == nil {
 		http.Error(w, fmt.Sprintf("router: no upstream for %s@%s", p.service, decision.Version),
 			http.StatusBadGateway)
 		return
 	}
 	// Fire mirrors before forwarding so the primary's response time does
-	// not include mirror dispatch beyond the channel send.
+	// not include mirror dispatch beyond the channel send, and so they
+	// copy the header before forward rewrites it in place.
 	if len(decision.Mirrors) > 0 {
 		p.enqueueMirrors(r, decision.Mirrors)
 	}
@@ -134,91 +229,99 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		r.Header.Set(HeaderTraceID, strconv.FormatUint(rand.Uint64()|1, 16))
 	}
 	r.Header.Set("X-Experiment-Version", decision.Version)
-	upstream.ServeHTTP(w, r)
+	p.forward(w, r, target)
 }
 
+// enqueueMirrors queues one copy of r per mirror version. The primary
+// path never blocks on it and always keeps its whole body: a mirror
+// that cannot be queued or cannot carry the body is dropped and
+// counted, so /healthz can reveal how much dark-launch coverage was
+// lost.
 func (p *Proxy) enqueueMirrors(r *http.Request, mirrors []string) {
-	var body []byte
-	if r.Body != nil && r.ContentLength > 0 {
-		b, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err == nil {
-			body = b
-			r.Body = io.NopCloser(strings.NewReader(string(b)))
-		}
+	body, ok := mirrorBody(r)
+	select {
+	case <-p.closed:
+		ok = false
+	default:
 	}
+	if !ok {
+		p.mirrorDrops.Add(uint64(len(mirrors)))
+		return
+	}
+	req := r.WithContext(context.Background()) // outlives the primary
+	req.Header = r.Header.Clone()
+	req.Header.Set("X-Dark-Launch", "true")
+	req.Body = nil
 	for _, m := range mirrors {
-		job := mirrorJob{version: m, req: r.Clone(r.Context()), body: body}
 		select {
-		case p.mirror <- job:
+		case p.mirror <- mirrorJob{version: m, req: req, body: body}:
 		default:
-			// Mirror queue full: dark-launch traffic is best effort; the
-			// primary path must never block on it. The drop is counted so
-			// /healthz can reveal how much dark-launch coverage was lost.
 			p.mirrorDrops.Add(1)
 		}
 	}
 }
 
-func (p *Proxy) mirrorWorker() {
+// mirrorBody reads r's body for the mirrors and puts it back for the
+// primary. It reports false, with the body untouched or restored, when
+// the length is unknown or over mirrorBodyCap, or when the read fails.
+func mirrorBody(r *http.Request) ([]byte, bool) {
+	if r.Body == nil || r.ContentLength == 0 {
+		return nil, true
+	}
+	if r.ContentLength < 0 || r.ContentLength > mirrorBodyCap {
+		return nil, false
+	}
+	body := make([]byte, r.ContentLength)
+	n, err := io.ReadFull(r.Body, body)
+	// The primary reads what was buffered, then whatever is left.
+	r.Body = struct {
+		io.Reader
+		io.Closer
+	}{io.MultiReader(bytes.NewReader(body[:n]), r.Body), r.Body}
+	return body, err == nil
+}
+
+func (p *Proxy) mirrorWorker(client *http.Client) {
 	defer p.wg.Done()
-	client := &http.Client{}
-	for job := range p.mirror {
-		p.mu.RLock()
-		target := p.targets[job.version]
-		p.mu.RUnlock()
-		if target == nil {
-			continue
+	for {
+		select {
+		case <-p.closed:
+			return
+		case job := <-p.mirror:
+			p.sendMirror(client, job)
 		}
-		u := *target
-		u.Path = singleJoin(u.Path, job.req.URL.Path)
-		u.RawQuery = job.req.URL.RawQuery
-		var body io.Reader
-		if job.body != nil {
-			body = strings.NewReader(string(job.body))
-		}
-		req, err := http.NewRequest(job.req.Method, u.String(), body)
-		if err != nil {
-			continue
-		}
-		req.Header = job.req.Header.Clone()
-		req.Header.Set("X-Dark-Launch", "true")
-		resp, err := client.Do(req)
-		if err != nil {
-			continue
-		}
-		// Responses of dark launches are discarded.
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 	}
 }
 
-func singleJoin(a, b string) string {
-	aslash := strings.HasSuffix(a, "/")
-	bslash := strings.HasPrefix(b, "/")
-	switch {
-	case aslash && bslash:
-		return a + b[1:]
-	case !aslash && !bslash:
-		return a + "/" + b
+func (p *Proxy) sendMirror(client *http.Client, job mirrorJob) {
+	target := p.target(job.version)
+	if target == nil {
+		return
 	}
-	return a + b
+	out := outbound(job.req, target)
+	if job.body != nil {
+		out.GetBody = func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(job.body)), nil
+		}
+		out.Body, _ = out.GetBody()
+	}
+	resp, err := client.Do(out)
+	if err != nil {
+		return
+	}
+	// Responses of dark launches are discarded.
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 }
 
 // requestFromHTTP extracts routing attributes from HTTP headers.
 func requestFromHTTP(r *http.Request) *Request {
-	req := &Request{
-		UserID: r.Header.Get("X-User-ID"),
-		Header: map[string]string{},
-	}
-	for k := range r.Header {
-		req.Header[k] = r.Header.Get(k)
-	}
-	if groups := r.Header.Get("X-User-Groups"); groups != "" {
-		for _, g := range strings.Split(groups, ",") {
-			g = strings.TrimSpace(g)
-			if g != "" {
-				req.Groups = append(req.Groups, expmodel.UserGroup(g))
-			}
+	req := &Request{UserID: r.Header.Get(headerUserID), Header: r.Header}
+	for groups := r.Header.Get(headerUserGroups); groups != ""; {
+		var g string
+		g, groups, _ = strings.Cut(groups, ",")
+		if g = strings.TrimSpace(g); g != "" {
+			req.Groups = append(req.Groups, expmodel.UserGroup(g))
 		}
 	}
 	return req

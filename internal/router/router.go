@@ -51,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -64,7 +65,7 @@ import (
 type Request struct {
 	UserID string
 	Groups []expmodel.UserGroup
-	Header map[string]string
+	Header http.Header
 }
 
 // InGroup reports whether the request's user belongs to g.
@@ -96,7 +97,9 @@ func (m GroupMatcher) Match(r *Request) bool { return r.InGroup(m.Group) }
 // String implements Matcher.
 func (m GroupMatcher) String() string { return "group=" + string(m.Group) }
 
-// HeaderMatcher matches requests carrying Header[Key] == Value.
+// HeaderMatcher matches requests whose first Key header equals Value.
+// Key names a header in any case: a Table stores it in net/http's
+// canonical form ("x-qa" becomes "X-Qa"), which is what Match looks up.
 type HeaderMatcher struct {
 	Key, Value string
 }
@@ -104,7 +107,13 @@ type HeaderMatcher struct {
 var _ Matcher = HeaderMatcher{}
 
 // Match implements Matcher.
-func (m HeaderMatcher) Match(r *Request) bool { return r.Header[m.Key] == m.Value }
+func (m HeaderMatcher) Match(r *Request) bool {
+	var got string
+	if vv := r.Header[m.Key]; len(vv) > 0 {
+		got = vv[0]
+	}
+	return got == m.Value
+}
 
 // String implements Matcher.
 func (m HeaderMatcher) String() string { return "header[" + m.Key + "]=" + m.Value }
@@ -149,8 +158,15 @@ func (r Route) clone() Route {
 	return cp
 }
 
-// normalize validates the route and normalizes backend weights to sum 1.
+// normalize validates the route, puts header rule keys in canonical
+// form and normalizes backend weights to sum 1.
 func (r *Route) normalize() error {
+	for i, rule := range r.Rules {
+		if m, ok := rule.Match.(HeaderMatcher); ok {
+			m.Key = http.CanonicalHeaderKey(m.Key)
+			r.Rules[i].Match = m
+		}
+	}
 	if len(r.Backends) == 0 {
 		return fmt.Errorf("router: route for %q has no backends", r.Service)
 	}

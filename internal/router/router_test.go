@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -142,9 +143,21 @@ func TestRulesTakePrecedence(t *testing.T) {
 	if d.Version != "v2" || d.Rule != "beta-users" {
 		t.Errorf("group rule not applied: %+v", d)
 	}
-	d, _ = tbl.Resolve("catalog", &Request{UserID: "u", Header: map[string]string{"X-QA": "1"}})
+	qa := http.Header{}
+	qa.Set("X-QA", "1")
+	d, _ = tbl.Resolve("catalog", &Request{UserID: "u", Header: qa})
 	if d.Version != "v2" || d.Rule != "qa-header" {
 		t.Errorf("header rule not applied: %+v", d)
+	}
+	// Keys reach the matcher canonicalised by net/http; a rule written in
+	// another case still names the same header.
+	route.Rules[1].Match = HeaderMatcher{Key: "x-qa", Value: "1"}
+	if err := tbl.Set(route); err != nil {
+		t.Fatal(err)
+	}
+	d, _ = tbl.Resolve("catalog", &Request{UserID: "u", Header: qa})
+	if d.Version != "v2" || d.Rule != "qa-header" {
+		t.Errorf("lower-case header rule not applied: %+v", d)
 	}
 	d, _ = tbl.Resolve("catalog", &Request{UserID: "u"})
 	if d.Version != "v1" || d.Rule != "" {

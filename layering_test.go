@@ -118,6 +118,15 @@ func TestImportDAG(t *testing.T) {
 			}
 		}
 	}
+	// (d) The data plane forwards through its own code: one
+	// httputil.ReverseProxy per version is what router.Proxy replaced.
+	router := pkgs["contexp/internal/router"]
+	if len(router.Imports) == 0 {
+		t.Fatal("go list reported no imports for contexp/internal/router")
+	}
+	if slices.Contains(router.Imports, "net/http/httputil") {
+		t.Error("contexp/internal/router imports net/http/httputil")
+	}
 	if len(daemon.Deps) == 0 || len(pkgs["contexp/benchmark"].Deps) == 0 {
 		t.Fatal("go list reported no dependencies for the binaries under test")
 	}
