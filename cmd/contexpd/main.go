@@ -331,8 +331,8 @@ func run(args []string) error {
 		}
 		// Retention: drop generations superseded by name reuse. Runs
 		// before the HTTP server accepts new launches (and before the
-		// scheduler can relaunch restored entries), so the census cannot
-		// race a relaunch.
+		// scheduler can relaunch restored entries), so no relaunch can
+		// land between the journal fold and the rewrite.
 		if err := bifrost.CompactJournal(jnl); err != nil {
 			return fmt.Errorf("compacting journal %s: %w", opt.dataDir, err)
 		}

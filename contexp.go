@@ -76,8 +76,10 @@ type (
 func NewMemoryJournal() RunJournal { return journal.NewMemory() }
 
 // OpenFileJournal opens a segmented append-only file journal in dir;
-// pair it with Engine.Recover at startup for crash recovery (see
-// docs/PERSISTENCE.md).
+// pair it with Engine.Recover at startup for crash recovery: finished
+// runs come back as they ended, in-flight runs re-enter the run loop at
+// the position the journal ends on (docs/PERSISTENCE.md, "Recovery
+// semantics").
 func OpenFileJournal(dir string, opts FileJournalOptions) (RunJournal, error) {
 	return journal.Open(dir, opts)
 }

@@ -312,7 +312,7 @@ func (e *Engine) Launch(s *Strategy) (*Run, error) {
 		e.mu.Unlock()
 		return nil, err
 	}
-	go run.loop()
+	go run.loopFrom(cursor{retries: make(map[string]int, len(s.Phases))})
 	return run, nil
 }
 
@@ -429,6 +429,13 @@ func (r *Run) Events() []Event {
 	return out
 }
 
+// EventCount is len(Events()) without the copy.
+func (r *Run) EventCount() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.events)
+}
+
 // Done is closed when the run finishes.
 func (r *Run) Done() <-chan struct{} { return r.done }
 
@@ -477,78 +484,146 @@ func (r *Run) recordWire(ev Event, strategyDSL string, status RunStatus) {
 
 // --- execution ---
 
-func (r *Run) loop() {
-	r.loopFrom(0, make(map[string]int, len(r.strategy.Phases)))
+// stage is how far a run got inside its cursor's phase. The stages are
+// one record apart, in journal order, and each implies the ones before.
+type stage int
+
+const (
+	stageLaunched  stage = iota // not entered yet: where every phase starts
+	stageEntered                // entered, no outcome: only a restart leaves a run here
+	stageConcluded              // phase-outcome recorded, transition not decided
+	stageDecided                // transition recorded, its effect not applied
+)
+
+// cursor is a run's position in its state machine: what step carries
+// from one record to the next, and what crash recovery rebuilds from the
+// journal (Strategy.cursorAfter).
+type cursor struct {
+	idx     int // phase index; outside the strategy's phases it is the promote position
+	stage   stage
+	outcome Outcome        // the phase's outcome, from stageConcluded on
+	tr      Transition     // the decision, at stageDecided
+	retries map[string]int // retry transitions each phase has consumed
+	// recovering marks the one step Engine.Recover takes from a journaled
+	// position: it observes nothing and its records say so; why is the
+	// reason they, and the recovery report, cite.
+	recovering bool
+	why        string
 }
 
-// loopFrom drives the state machine starting at phase startIdx with the
-// given consumed-retry counts — the entry point shared by fresh
-// launches (index 0, empty counts) and crash recovery (the interrupted
-// phase, counts rebuilt from the journal).
-func (r *Run) loopFrom(startIdx int, retries map[string]int) {
-	defer close(r.done)
-	e := r.engine
-	s := r.strategy
+// What a recovering step's transition records say; cursorAfter reads
+// both back.
+const (
+	recoveryNote = "crash-recovery: "
+	resumingAt   = "resuming at phase "
+)
 
-	idx := startIdx
-	for {
-		if idx < 0 || idx >= len(s.Phases) {
+// loopFrom drives the run from c to its end: from the first phase for a
+// fresh launch, from where its first step ended for a recovered run.
+func (r *Run) loopFrom(c cursor) {
+	defer close(r.done)
+	for r.step(&c) {
+	}
+}
+
+// step is the state machine: it takes the run from c through the rest
+// of c's phase — observe, conclude, decide, apply, each recorded before
+// the next begins — leaves c at the phase to enter next, and reports
+// whether there is one. Entered past stageLaunched (by recovery) it
+// skips what the journal already holds: a recorded outcome is not
+// observed again, a recorded transition is applied, never re-decided.
+func (r *Run) step(c *cursor) bool {
+	e, s := r.engine, r.strategy
+	from, note := c.idx, ""
+	if c.recovering {
+		note = recoveryNote
+	}
+	settle := func(status RunStatus) bool {
+		detail := ""
+		if c.recovering {
+			detail = "crash recovery: " + c.why
+		}
+		r.finish(status, detail)
+		return false
+	}
+
+	if c.stage == stageLaunched && !c.recovering {
+		if c.idx < 0 || c.idx >= len(s.Phases) {
 			// Walked past the last phase: promote.
-			r.finish(StatusSucceeded, "")
-			return
+			return settle(StatusSucceeded)
 		}
 		r.mu.Lock()
-		r.phaseIdx = idx
+		r.phaseIdx = c.idx
 		r.mu.Unlock()
-		phase := &s.Phases[idx]
-
+		phase := &s.Phases[c.idx]
 		outcome, aborted := r.executePhase(phase)
 		if aborted {
-			r.finish(StatusAborted, "")
-			return
+			return settle(StatusAborted)
 		}
 		r.record(Event{At: e.cfg.Clock.Now(), Type: EventPhaseOutcome, Phase: phase.Name, Outcome: outcome})
-
-		var tr Transition
-		switch outcome {
-		case OutcomePass:
-			tr = phase.successTransition()
-		case OutcomeFail:
-			tr = phase.failureTransition()
-		default:
-			tr = phase.inconclusiveTransition()
-			if tr.Kind == TransitionRetry {
-				retries[phase.Name]++
-				if retries[phase.Name] > phase.maxRetries() {
-					// Retries exhausted: treat as failure.
-					tr = phase.failureTransition()
-				}
-			}
+		c.stage, c.outcome = stageConcluded, outcome
+	}
+	if c.stage != stageLaunched {
+		phase := &s.Phases[c.idx]
+		if c.stage == stageEntered {
+			// The restart cut the observation short: inconclusive, and
+			// the strategy's own chaining decides what that means.
+			c.stage, c.outcome, c.why = stageConcluded, OutcomeInconclusive, "phase interrupted by restart"
+			r.record(Event{At: e.cfg.Clock.Now(), Type: EventPhaseOutcome, Phase: phase.Name,
+				Outcome: OutcomeInconclusive, Detail: "interrupted by restart (crash recovery)"})
+		} else if c.recovering {
+			c.why = fmt.Sprintf("phase had concluded %s before restart", c.outcome)
 		}
-		r.record(Event{At: e.cfg.Clock.Now(), Type: EventTransition, Phase: phase.Name,
-			Detail: describeTransition(tr)})
-
-		switch tr.Kind {
+		if c.stage == stageConcluded {
+			c.decide(phase)
+			r.record(Event{At: e.cfg.Clock.Now(), Type: EventTransition, Phase: phase.Name,
+				Detail: note + describeTransition(c.tr)})
+		}
+		switch c.tr.Kind {
 		case TransitionNext:
-			idx++
+			c.idx++
 		case TransitionGoto:
-			idx = s.phaseIndex(tr.Target)
+			c.idx = s.phaseIndex(c.tr.Target)
 		case TransitionRetry:
 			// Re-execute the same phase.
 		case TransitionRollback:
-			r.finish(StatusRolledBack, "")
-			return
+			return settle(StatusRolledBack)
 		case TransitionPromote:
-			r.finish(StatusSucceeded, "")
-			return
-		case TransitionAbort:
-			r.finish(StatusAborted, "")
-			return
-		default:
-			r.finish(StatusAborted, fmt.Sprintf("unknown transition %v", tr.Kind))
-			return
+			return settle(StatusSucceeded)
+		default: // TransitionAbort and anything unknown
+			return settle(StatusAborted)
 		}
 	}
+	if c.recovering {
+		r.record(Event{At: e.cfg.Clock.Now(), Type: EventTransition, Phase: phaseName(s, from),
+			Detail: recoveryNote + resumingAt + phaseName(s, c.idx)})
+	}
+	c.stage, c.recovering, c.why = stageLaunched, false, ""
+	return true
+}
+
+// decide resolves the concluded phase's outcome into a transition
+// through the strategy's conditional chaining, charging an inconclusive
+// retry against the phase's budget.
+func (c *cursor) decide(p *Phase) {
+	switch c.outcome {
+	case OutcomePass:
+		c.tr = p.successTransition()
+	case OutcomeFail:
+		c.tr = p.failureTransition()
+	default:
+		c.tr = p.inconclusiveTransition()
+		if c.tr.Kind == TransitionRetry {
+			c.retries[p.Name]++
+			if c.retries[p.Name] > p.maxRetries() {
+				// Retries exhausted: treat as failure.
+				c.tr = p.failureTransition()
+				c.why += fmt.Sprintf("; retries exhausted (%d of %d consumed)",
+					c.retries[p.Name]-1, p.maxRetries())
+			}
+		}
+	}
+	c.stage = stageDecided
 }
 
 // finish settles the run: it journals the terminal routing intent,

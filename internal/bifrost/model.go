@@ -503,3 +503,17 @@ func describeTransition(t Transition) string {
 	}
 	return t.Kind.String()
 }
+
+// parseTransition is describeTransition's inverse, for decisions read
+// back from the journal.
+func parseTransition(text string) (Transition, bool) {
+	if target, ok := strings.CutPrefix(text, "goto "); ok {
+		return Transition{Kind: TransitionGoto, Target: target}, true
+	}
+	for k := TransitionNext; k <= TransitionAbort; k++ {
+		if k != TransitionGoto && k.String() == text {
+			return Transition{Kind: k}, true
+		}
+	}
+	return Transition{}, false
+}

@@ -111,6 +111,23 @@ func TestRelativeCheckValidation(t *testing.T) {
 	}
 }
 
+func TestParseTransitionInvertsDescribe(t *testing.T) {
+	for _, tr := range []Transition{
+		{Kind: TransitionNext}, {Kind: TransitionGoto, Target: "ab test"},
+		{Kind: TransitionRollback}, {Kind: TransitionPromote},
+		{Kind: TransitionRetry}, {Kind: TransitionAbort},
+	} {
+		if got, ok := parseTransition(describeTransition(tr)); !ok || got != tr {
+			t.Errorf("parseTransition(%q) = %+v, %v; want %+v", describeTransition(tr), got, ok, tr)
+		}
+	}
+	for _, text := range []string{"", "goto", "resuming at phase ab", "transition(9)", "abort; no assessor"} {
+		if tr, ok := parseTransition(text); ok {
+			t.Errorf("parseTransition(%q) = %+v, want no transition", text, tr)
+		}
+	}
+}
+
 func TestDefaultTransitions(t *testing.T) {
 	p := &Phase{}
 	if got := p.successTransition(); got.Kind != TransitionNext {

@@ -2,6 +2,8 @@ package bifrost
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"contexp/internal/journal"
@@ -46,6 +48,137 @@ func (rep *RecoveryReport) String() string {
 		len(rep.Runs), rep.Finished, rep.Resumed, rep.Settled, rep.Skipped, rep.DecodeErrors)
 }
 
+// journalFold is the one reading of a journal that recovery, queue
+// recovery and compaction all view. It applies the journal's two
+// bookkeeping rules:
+//
+//   - Generations. A run name's records form generations, each opened by
+//     a run-launched record; a relaunch under the same name supersedes
+//     the older generation, as it replaces the run in a live engine.
+//   - Pending submissions. A queue entry opens at a run-queued record and
+//     is consumed by the next run-launched or run-dequeued record of the
+//     same name; a submission is pending while its entry is open.
+type journalFold struct {
+	runs         []*generation  // each run name's latest generation, in launch order
+	queue        []*queueRecord // the pending submissions, in submission order
+	decodeErrors int            // records that did not decode as run events
+	// owner[i] is the id of the generation or queue entry the i-th record
+	// belongs to; 0 for a record that belongs to none.
+	owner []int
+}
+
+// generation is one run-launched … run-finished span of a run's records.
+type generation struct {
+	id       int // ids rise in journal order across generations and queue entries
+	name     string
+	tenant   string
+	dsl      string
+	launched bool
+	events   []Event
+	status   RunStatus // terminal status; 0 while in flight
+}
+
+// queueRecord is the run-queued record that opened a queue entry.
+type queueRecord struct {
+	id int
+	wireRecord
+}
+
+// foldJournal replays j once. On a replay error it returns what it had
+// folded before the fault along with the error.
+func foldJournal(j journal.Journal) (*journalFold, error) {
+	f := &journalFold{}
+	runs := make(map[string]*generation)
+	queue := make(map[string]*queueRecord)
+	nextID := 0
+	err := j.Replay(func(rec []byte) error {
+		wr, err := decodeRecord(rec)
+		id := 0
+		switch {
+		case err != nil:
+			f.decodeErrors++ // tolerate foreign/corrupt records
+		case queueLifecycle(wr.Type):
+			if wr.Type == EventRunQueued {
+				nextID++
+				queue[wr.Run] = &queueRecord{id: nextID, wireRecord: wr}
+			}
+			if q := queue[wr.Run]; q != nil {
+				id = q.id
+			}
+			if wr.Type == EventRunDequeued {
+				delete(queue, wr.Run)
+			}
+		default:
+			g := runs[wr.Run]
+			if g == nil || (wr.Type == EventRunLaunched && g.launched) {
+				nextID++
+				g = &generation{id: nextID, name: wr.Run}
+				runs[wr.Run] = g
+			}
+			switch wr.Type {
+			case EventRunLaunched:
+				g.launched, g.dsl, g.tenant = true, wr.Strategy, wr.Tenant
+				delete(queue, wr.Run)
+			case EventRunFinished:
+				g.status = wr.Status
+			}
+			g.events = append(g.events, wr.event())
+			id = g.id
+		}
+		f.owner = append(f.owner, id)
+		return nil
+	})
+	for _, g := range runs {
+		f.runs = append(f.runs, g)
+	}
+	sort.Slice(f.runs, func(a, b int) bool { return f.runs[a].id < f.runs[b].id })
+	for _, q := range queue {
+		f.queue = append(f.queue, q)
+	}
+	sort.Slice(f.queue, func(a, b int) bool { return f.queue[a].id < f.queue[b].id })
+	return f, err
+}
+
+// cursorAfter folds an in-flight run's journaled events into the
+// position its state machine had reached: the last phase entered, how
+// far that phase got, and the retries every phase has consumed — counted
+// from journaled retry transitions, not from phase-entered records, which
+// also repeat on legitimate goto revisits.
+func (s *Strategy) cursorAfter(events []Event) cursor {
+	c := cursor{retries: make(map[string]int, len(s.Phases))}
+	for _, ev := range events {
+		switch ev.Type {
+		case EventPhaseEntered:
+			if pi := s.phaseIndex(ev.Phase); pi >= 0 {
+				c.idx, c.stage = pi, stageEntered
+			}
+		case EventPhaseOutcome:
+			if c.stage == stageEntered && ev.Phase == s.Phases[c.idx].Name && ev.Outcome != 0 {
+				c.stage, c.outcome = stageConcluded, ev.Outcome
+			}
+		case EventTransition:
+			detail := strings.TrimPrefix(ev.Detail, recoveryNote)
+			if at, ok := strings.CutPrefix(detail, resumingAt); ok {
+				// An earlier recovery's marker: about to enter phase `at`.
+				if pi := s.phaseIndex(at); pi >= 0 || at == promotePosition {
+					c.idx, c.stage = pi, stageLaunched
+				}
+				continue
+			}
+			tr, ok := parseTransition(detail)
+			if !ok || c.stage != stageConcluded || ev.Phase != s.Phases[c.idx].Name ||
+				(tr.Kind == TransitionGoto && s.phaseIndex(tr.Target) < 0) {
+				continue // not a decision about the current phase
+			}
+			c.stage, c.tr = stageDecided, tr
+			if tr.Kind == TransitionRetry {
+				c.retries[ev.Phase]++
+			}
+		}
+	}
+	return c
+}
+
 // Recover replays a write-ahead journal into the engine at startup,
 // rebuilding every run the previous process journaled:
 //
@@ -54,107 +187,60 @@ func (rep *RecoveryReport) String() string {
 //     routing (candidate for succeeded, baseline for rolled-back) is
 //     re-installed on the table, which an in-memory table lost with the
 //     process.
-//   - In-flight runs — launched but never finished — are settled
-//     deterministically. The crash cut the interrupted phase's
-//     observation short, so the phase concludes as inconclusive and the
-//     strategy's own conditional chaining decides what happens next:
-//     retry re-enters the interrupted phase (counting the crash against
-//     MaxRetries; exhausted retries fall through to the failure
-//     transition), next/goto resume at the following phase, and
-//     rollback/promote/abort settle the run immediately, recording why.
+//   - In-flight runs re-enter the run loop at the position the journal
+//     ends on (cursorAfter); their first step runs here, before Recover
+//     returns. A phase the crash interrupted concludes as inconclusive
+//     and the strategy's own chaining decides what follows (a retry
+//     counts against MaxRetries); a journaled outcome is not observed
+//     again; a journaled transition is applied, never re-decided. A step
+//     that ends in rollback/promote/abort settles the run, recording
+//     why; otherwise the run resumes at the phase the step reached.
 //
-// Settlement decisions are themselves journaled (through cfg.Journal,
-// normally the same journal), so recovering twice from the same log is
-// idempotent: the second pass finds the terminal records the first one
-// wrote. Recover must run before the engine launches new runs.
+// That step's records are journaled like any others (through
+// cfg.Journal, normally the same journal), so recovering twice from the
+// same log is idempotent. Recover must run before the engine launches
+// new runs.
 func (e *Engine) Recover(j journal.Journal) (*RecoveryReport, error) {
-	type runLog struct {
-		name       string
-		tenant     string
-		dsl        string
-		launched   bool
-		events     []Event
-		status     RunStatus // terminal status; 0 while in-flight
-		superseded bool      // an equally-named later run replaced it
-	}
-	rep := &RecoveryReport{}
-	var order []*runLog
-	byName := make(map[string]*runLog)
-
-	err := j.Replay(func(rec []byte) error {
-		wr, err := decodeRecord(rec)
-		if err != nil {
-			rep.DecodeErrors++
-			return nil // tolerate foreign/corrupt records
-		}
-		if queueLifecycle(wr.Type) {
-			// Queue lifecycle records belong to the scheduler's pending
-			// queue (see RecoverQueue), not to any run's own log.
-			return nil
-		}
-		rl := byName[wr.Run]
-		if rl == nil || (wr.Type == EventRunLaunched && rl.launched) {
-			// First sighting, or a relaunch reusing a finished run's
-			// name: the newer generation supersedes the older log.
-			if rl != nil {
-				rl.superseded = true
-			}
-			rl = &runLog{name: wr.Run}
-			byName[wr.Run] = rl
-			order = append(order, rl)
-		}
-		if wr.Type == EventRunLaunched {
-			rl.launched = true
-			rl.dsl = wr.Strategy
-			rl.tenant = wr.Tenant
-		}
-		if wr.Type == EventRunFinished {
-			rl.status = wr.Status
-		}
-		rl.events = append(rl.events, wr.event())
-		return nil
-	})
+	f, err := foldJournal(j)
 	if err != nil {
 		return nil, fmt.Errorf("bifrost: journal replay: %w", err)
 	}
-
-	for _, rl := range order {
-		if rl.superseded {
+	rep := &RecoveryReport{DecodeErrors: f.decodeErrors}
+	for _, g := range f.runs {
+		report := func(category *int, status RunStatus, action string) {
+			*category++
+			rep.Runs = append(rep.Runs, RecoveredRun{Name: g.name, Status: status, Action: action})
+		}
+		if !g.launched || g.dsl == "" {
+			report(&rep.Skipped, 0, "skipped: no launch record with strategy source")
 			continue
 		}
-		report := func(status RunStatus, action string) {
-			rep.Runs = append(rep.Runs, RecoveredRun{Name: rl.name, Status: status, Action: action})
-		}
-		if !rl.launched || rl.dsl == "" {
-			rep.Skipped++
-			report(0, "skipped: no launch record with strategy source")
-			continue
-		}
-		s, err := ParseStrategy(rl.dsl)
+		s, err := ParseStrategy(g.dsl)
 		if err != nil {
-			rep.Skipped++
-			report(0, fmt.Sprintf("skipped: strategy source unparseable: %v", err))
+			report(&rep.Skipped, 0, fmt.Sprintf("skipped: strategy source unparseable: %v", err))
 			continue
 		}
 		// The DSL never names a tenant; re-stamp it from the journal
 		// envelope so recovered runs keep their owner (and their
 		// tenant-qualified routing and metric scopes).
-		s.Tenant = rl.tenant
+		s.Tenant = g.tenant
 
 		run := &Run{
 			strategy:  s,
 			engine:    e,
 			recovered: true,
 			status:    StatusRunning,
-			events:    rl.events,
+			events:    g.events,
 			done:      make(chan struct{}),
 			cancel:    make(chan struct{}),
+		}
+		if g.status != 0 {
+			run.status = g.status // terminal before the crash
 		}
 		e.mu.Lock()
 		if _, exists := e.runs[s.RunKey()]; exists {
 			e.mu.Unlock()
-			rep.Skipped++
-			report(0, "skipped: a run with this name already exists")
+			report(&rep.Skipped, 0, "skipped: a run with this name already exists")
 			continue
 		}
 		run.seq = e.nextSeq
@@ -167,233 +253,92 @@ func (e *Engine) Recover(j journal.Journal) (*RecoveryReport, error) {
 		// a frozen (empty) assessment so their health surface answers.
 		if e.cfg.Topology != nil {
 			e.cfg.Topology.Register(s.RunKey(), s.RouteService(), s.Baseline, s.Candidate)
-			if rl.status != 0 {
+			if g.status != 0 {
 				e.cfg.Topology.Freeze(s.RunKey())
 			}
 		}
 
-		// A topology-gated run cannot make progress without an assessor
-		// (every verdict would be inconclusive until retries exhaust):
-		// mirror Launch's guard by settling it with a clear reason
-		// instead of letting it spin.
-		if rl.status == 0 && s.hasTopologyChecks() && e.cfg.Topology == nil {
-			now := e.cfg.Clock.Now()
-			run.record(Event{At: now, Type: EventTransition,
-				Detail: "crash-recovery: abort; strategy gates on topology checks but the engine has no topology assessor (live tracing disabled)"})
-			run.finish(StatusAborted, "crash recovery: topology checks unavailable without a topology assessor")
+		switch {
+		case g.status != 0:
+			// Restore the terminal routing; no new events.
 			close(run.done)
-			rep.Settled++
-			report(StatusAborted, "aborted: topology checks need a topology assessor")
-			continue
-		}
-
-		if rl.status != 0 {
-			// Terminal before the crash: restore state and routing, no
-			// new events.
-			run.mu.Lock()
-			run.status = rl.status
-			run.mu.Unlock()
-			close(run.done)
-			switch rl.status {
+			switch g.status {
 			case StatusSucceeded:
 				_ = e.routeCandidate(s)
 			case StatusRolledBack:
 				_ = e.routeBaseline(s)
 			}
-			rep.Finished++
-			report(rl.status, "finished")
-			continue
+			report(&rep.Finished, g.status, "finished")
+		case s.hasTopologyChecks() && e.cfg.Topology == nil:
+			// A topology-gated run cannot make progress without an assessor
+			// (every verdict would be inconclusive until retries exhaust):
+			// mirror Launch's guard by settling it with a clear reason
+			// instead of letting it spin.
+			run.record(Event{At: e.cfg.Clock.Now(), Type: EventTransition,
+				Detail: recoveryNote + "abort; strategy gates on topology checks but the engine has no topology assessor (live tracing disabled)"})
+			run.finish(StatusAborted, "crash recovery: topology checks unavailable without a topology assessor")
+			close(run.done)
+			report(&rep.Settled, StatusAborted, "aborted: topology checks need a topology assessor")
+		default:
+			c := s.cursorAfter(g.events)
+			c.recovering = true
+			if run.step(&c) {
+				report(&rep.Resumed, StatusRunning, "resumed at phase "+phaseName(s, c.idx))
+				go run.loopFrom(c)
+			} else {
+				close(run.done)
+				report(&rep.Settled, run.Status(), fmt.Sprintf("%s: %s", run.Status(), c.why))
+			}
 		}
-		e.settleInterrupted(run, rl.events, rep, report)
 	}
 	return rep, nil
 }
 
-// settleInterrupted decides what happens to a run the previous process
-// left in flight, journaling the decision as regular run events.
-func (e *Engine) settleInterrupted(run *Run, events []Event, rep *RecoveryReport,
-	report func(RunStatus, string)) {
-	s := run.strategy
-	now := e.cfg.Clock.Now()
-
-	// The interrupted phase is the last one entered.
-	idx, lastEntered := 0, -1
-	for i, ev := range events {
-		if ev.Type == EventPhaseEntered {
-			if pi := s.phaseIndex(ev.Phase); pi >= 0 {
-				idx = pi
-				lastEntered = i
-			}
-		}
-	}
-	// Rebuild every phase's consumed-retry count from the journaled
-	// retry transitions — not from phase-entered counts, which also
-	// rise on legitimate goto revisits and would wrongly exhaust
-	// MaxRetries for phases in goto loops.
-	retries := make(map[string]int, len(s.Phases))
-	for _, ev := range events {
-		if ev.Type == EventTransition &&
-			(ev.Detail == "retry" || ev.Detail == "crash-recovery: retry") {
-			retries[ev.Phase]++
-		}
-	}
-
-	resume := func(at int) {
-		run.record(Event{At: now, Type: EventTransition, Phase: phaseName(s, idx),
-			Detail: "crash-recovery: resuming at phase " + phaseName(s, at)})
-		rep.Resumed++
-		report(StatusRunning, "resumed at phase "+phaseName(s, at))
-		go run.loopFrom(at, retries)
-	}
-
-	if lastEntered < 0 {
-		// Crashed between launch and the first phase: start from the top.
-		resume(0)
-		return
-	}
-
-	phase := &s.Phases[idx]
-	// If the phase's conclusion survived in the journal — a
-	// phase-outcome record after its last entry — the crash only
-	// interrupted the transition's application, not the observation.
-	// Honor the recorded outcome instead of re-deciding: a journaled
-	// failure must never be softened into an inconclusive re-entry (or
-	// worse, a promote) just because the run-finished record was lost
-	// in the fsync window.
-	outcome := Outcome(0)
-	for _, ev := range events[lastEntered+1:] {
-		if ev.Type == EventPhaseOutcome && ev.Phase == phase.Name {
-			outcome = ev.Outcome
-		}
-	}
-	why := fmt.Sprintf("phase had concluded %s before restart", outcome)
-	if outcome == 0 {
-		outcome = OutcomeInconclusive
-		why = "phase interrupted by restart"
-		run.record(Event{At: now, Type: EventPhaseOutcome, Phase: phase.Name,
-			Outcome: OutcomeInconclusive, Detail: "interrupted by restart (crash recovery)"})
-	}
-	// Resolve the transition exactly as the run loop would have.
-	var tr Transition
-	switch outcome {
-	case OutcomePass:
-		tr = phase.successTransition()
-	case OutcomeFail:
-		tr = phase.failureTransition()
-	default:
-		tr = phase.inconclusiveTransition()
-		if tr.Kind == TransitionRetry {
-			// The crash re-entry consumes one retry, on top of the ones
-			// the journal already records.
-			if retries[phase.Name]+1 > phase.maxRetries() {
-				tr = phase.failureTransition()
-				why = fmt.Sprintf("%s; retries exhausted (%d of %d consumed)",
-					why, retries[phase.Name], phase.maxRetries())
-			} else {
-				retries[phase.Name]++
-			}
-		}
-	}
-	run.record(Event{At: now, Type: EventTransition, Phase: phase.Name,
-		Detail: "crash-recovery: " + describeTransition(tr)})
-
-	settle := func(status RunStatus) {
-		run.finish(status, "crash recovery: "+why)
-		close(run.done)
-		rep.Settled++
-		report(status, fmt.Sprintf("%s: %s", status, why))
-	}
-	switch tr.Kind {
-	case TransitionRetry:
-		resume(idx)
-	case TransitionNext:
-		resume(idx + 1)
-	case TransitionGoto:
-		resume(s.phaseIndex(tr.Target))
-	case TransitionRollback:
-		settle(StatusRolledBack)
-	case TransitionPromote:
-		settle(StatusSucceeded)
-	default: // TransitionAbort and anything unknown
-		settle(StatusAborted)
-	}
-}
+// promotePosition names the position past a strategy's last phase.
+const promotePosition = "(promote)"
 
 // phaseName names a phase index, tolerating out-of-range (the promote
-// position past the last phase).
+// position).
 func phaseName(s *Strategy, idx int) string {
 	if idx < 0 || idx >= len(s.Phases) {
-		return "(promote)"
+		return promotePosition
 	}
 	return s.Phases[idx].Name
 }
 
-// CompactJournal drops journal generations that a relaunch of the same
-// run name superseded, keeping each run's latest generation (and its
-// full event history) intact. Undecodable records are dropped too.
-// It is a no-op on journals without compaction support.
-//
-// Queue lifecycle records (run-queued / run-scheduled / run-dequeued)
-// are retained only for submissions that are still pending — queued
-// with no later launch or dequeue — since a consumed queue entry's
-// history lives on in the run's own records.
+// CompactJournal drops what the journal's two bookkeeping rules (see
+// journalFold) have made dead weight: generations that a relaunch of the
+// same run name superseded, the queue lifecycle records of submissions
+// that are no longer pending — a consumed entry's history lives on in
+// the run's own records — and undecodable records. Each run's latest
+// generation keeps its full event history. It is a no-op on journals
+// without compaction support.
 //
 // Call it while no new strategies can launch or queue — contexpd runs
 // it at boot, after Recover and before the scheduler restores (and
 // possibly relaunches) the queue — since a launch reusing an existing
-// run name between the generation census and the rewrite would shift
-// which generation is "latest".
+// run name between the fold and the rewrite would shift which generation
+// is "latest". Records appended after the fold are kept.
 func CompactJournal(j journal.Journal) error {
 	c, ok := j.(journal.Compactor)
 	if !ok {
 		return nil
 	}
-	// Census pass: how many generations (run-launched records) each run
-	// has, and — per run — the position of the last run-queued record
-	// versus the last record that consumed a queue entry (a launch or a
-	// dequeue). A submission is still pending iff its last queued record
-	// comes after every consuming record.
-	total := make(map[string]int)
-	lastQueued := make(map[string]int)
-	lastConsumed := make(map[string]int)
-	pos := 0
-	if err := j.Replay(func(rec []byte) error {
-		pos++
-		wr, err := decodeRecord(rec)
-		if err != nil {
-			return nil
-		}
-		switch wr.Type {
-		case EventRunLaunched:
-			total[wr.Run]++
-			lastConsumed[wr.Run] = pos
-		case EventRunQueued:
-			lastQueued[wr.Run] = pos
-		case EventRunDequeued:
-			lastConsumed[wr.Run] = pos
-		}
-		return nil
-	}); err != nil {
+	f, err := foldJournal(j)
+	if err != nil {
 		return err
 	}
-	// Filter pass, in the same append order: run records survive when
-	// they belong to their run's final generation; queue records survive
-	// when they belong to a still-pending submission's live entry.
-	seen := make(map[string]int)
-	pos = 0
-	return c.Compact(func(rec []byte) bool {
+	live := make(map[int]bool, len(f.runs)+len(f.queue))
+	for _, g := range f.runs {
+		live[g.id] = true
+	}
+	for _, q := range f.queue {
+		live[q.id] = true
+	}
+	pos := -1
+	return c.Compact(func([]byte) bool {
 		pos++
-		wr, err := decodeRecord(rec)
-		if err != nil {
-			return false
-		}
-		if queueLifecycle(wr.Type) {
-			return lastQueued[wr.Run] > lastConsumed[wr.Run] && pos >= lastQueued[wr.Run]
-		}
-		if wr.Type == EventRunLaunched {
-			seen[wr.Run]++
-		}
-		return seen[wr.Run] == total[wr.Run]
+		return pos >= len(f.owner) || live[f.owner[pos]]
 	})
 }
 
@@ -409,68 +354,29 @@ type PendingSubmission struct {
 	QueuedAt time.Time
 }
 
-// RecoverQueue replays queue lifecycle records and returns the
-// submissions that were still pending when the journal was written:
-// queued, never launched, never dequeued. The result is in original
-// submission order. Undecodable queue entries (missing or unparseable
-// strategy source) are dropped with an error in the second result.
+// RecoverQueue returns the submissions that were still pending when the
+// journal was written: queued, never launched, never dequeued. The
+// result is in original submission order. Undecodable queue entries
+// (missing or unparseable strategy source) are dropped with an error in
+// the second result.
 func RecoverQueue(j journal.Journal) ([]PendingSubmission, []error) {
-	type entry struct {
-		dsl      string
-		tenant   string
-		queuedAt time.Time
-		pending  bool
-	}
-	byName := make(map[string]*entry)
-	var order []string
-	replayErr := j.Replay(func(rec []byte) error {
-		wr, err := decodeRecord(rec)
-		if err != nil {
-			return nil
-		}
-		switch wr.Type {
-		case EventRunQueued:
-			if byName[wr.Run] == nil {
-				byName[wr.Run] = &entry{}
-			} else {
-				// Re-queued after a launch or cancel: queue position is
-				// submission order, so the name moves to the back.
-				for i, name := range order {
-					if name == wr.Run {
-						order = append(order[:i], order[i+1:]...)
-						break
-					}
-				}
-			}
-			order = append(order, wr.Run)
-			*byName[wr.Run] = entry{dsl: wr.Strategy, tenant: wr.Tenant, queuedAt: wr.At, pending: true}
-		case EventRunLaunched, EventRunDequeued:
-			if e := byName[wr.Run]; e != nil {
-				e.pending = false
-			}
-		}
-		return nil
-	})
+	f, err := foldJournal(j)
 	var out []PendingSubmission
 	var errs []error
-	if replayErr != nil {
+	if err != nil {
 		// A failed replay may have cut the scan short: whatever decoded
 		// before the fault is still returned, but the caller must know
 		// the list can be incomplete.
-		errs = append(errs, fmt.Errorf("bifrost: queue recovery replay: %w", replayErr))
+		errs = append(errs, fmt.Errorf("bifrost: queue recovery replay: %w", err))
 	}
-	for _, name := range order {
-		e := byName[name]
-		if !e.pending {
-			continue
-		}
-		s, err := ParseStrategy(e.dsl)
+	for _, q := range f.queue {
+		s, err := ParseStrategy(q.Strategy)
 		if err != nil {
-			errs = append(errs, fmt.Errorf("bifrost: queued strategy %q unrecoverable: %w", name, err))
+			errs = append(errs, fmt.Errorf("bifrost: queued strategy %q unrecoverable: %w", q.Run, err))
 			continue
 		}
-		s.Tenant = e.tenant
-		out = append(out, PendingSubmission{Name: name, Strategy: s, QueuedAt: e.queuedAt})
+		s.Tenant = q.Tenant
+		out = append(out, PendingSubmission{Name: q.Run, Strategy: s, QueuedAt: q.At})
 	}
 	return out, errs
 }

@@ -247,7 +247,7 @@ func runSummary(r *bifrost.Run) RunSummary {
 		Status:    r.Status().String(),
 		Phase:     r.CurrentPhase(),
 		Phases:    phases,
-		Events:    len(r.Events()),
+		Events:    r.EventCount(),
 		Recovered: r.Recovered(),
 	}
 }

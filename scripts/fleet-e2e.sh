@@ -39,7 +39,8 @@ fail() {
 }
 
 # poll <deadline-seconds> <description> <cmd...> — retry cmd until it
-# succeeds (exit 0) or the deadline passes.
+# succeeds (exit 0) or the deadline passes. A timeout shows the run's
+# event trail before the process logs: what the engine decided, and why.
 poll() {
     local deadline=$1 what=$2
     shift 2
@@ -48,6 +49,9 @@ poll() {
         if "$@" >/dev/null 2>&1; then return 0; fi
         sleep 0.2
     done
+    echo "--- GET /v1/runs/fleet-e2e ---" >&2
+    curl -sS "$CP/v1/runs/fleet-e2e" >&2 || true
+    echo >&2
     fail "timed out after ${deadline}s waiting for: $what"
 }
 
@@ -99,6 +103,7 @@ strategy "fleet-e2e" {
             aggregate = mean
             max       = 100
             interval  = 250ms
+            window    = 1m
         }
         on success -> promote
         on failure -> rollback
