@@ -1,7 +1,8 @@
-// Package fnvx is an allocation-free FNV-1a hash primitive shared by
-// the data-plane hot paths (router sticky assignment, metrics shard
-// selection). The stdlib hash/fnv forces a heap-allocated hash.Hash64;
-// these helpers fold bytes and strings into a plain uint64 instead.
+// Package fnvx is an allocation-free FNV-1a hash primitive for the
+// data plane's hot path (router sticky assignment, whose user→arm
+// mapping must be the same in every process). The stdlib hash/fnv forces
+// a heap-allocated hash.Hash64; these helpers fold bytes and strings
+// into a plain uint64 instead.
 package fnvx
 
 // Offset64 is the FNV-1a 64-bit offset basis.
@@ -14,15 +15,6 @@ const Prime64 uint64 = 1099511628211
 func String(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= Prime64
-	}
-	return h
-}
-
-// Bytes folds b into h.
-func Bytes(h uint64, b []byte) uint64 {
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
 		h *= Prime64
 	}
 	return h

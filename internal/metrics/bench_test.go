@@ -151,6 +151,38 @@ func BenchmarkStoreRecordBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreRecordBatchDistinct is the batch a fleet sends (and
+// benchmark/ingest_binary.go posts): 256 samples for 256 distinct
+// series in shuffled order, all stamped with the one time the server
+// took on arrival, a second tenant's 256 series resident beside them.
+// No two neighbours share a series, so nothing coalesces and every
+// sample pays the series probe and all three rings' bucket lookups —
+// the per-sample cost BenchmarkStoreRecordBatch's sixteen-sample runs
+// hide.
+func BenchmarkStoreRecordBatchDistinct(b *testing.B) {
+	st := NewStore(0)
+	now := time.Now()
+	var batch, other []Sample
+	for _, metric := range []string{"response_time", "requests", "errors", "queue_depth"} {
+		for svc := 0; svc < 32; svc++ {
+			for _, ver := range []string{"v1", "v2"} {
+				scope := Scope{Tenant: "tenant-a", Service: fmt.Sprintf("svc-%02d", svc), Version: ver}
+				batch = append(batch, Sample{Metric: metric, Scope: scope, At: now, Value: 1 + float64(len(batch)%100)})
+				scope.Tenant = "tenant-b"
+				other = append(other, Sample{Metric: metric, Scope: scope, At: now, Value: 1})
+			}
+		}
+	}
+	rand.New(rand.NewSource(19)).Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+	st.RecordBatch(other)
+	st.RecordBatch(batch) // create the series outside the timed region
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.RecordBatch(batch)
+	}
+}
+
 // BenchmarkQueryP95Ladder is the evaluation tick's read: a 60 s p95
 // over each of 400 series in turn, every one with a full seconds ring
 // of latency-like values within a factor of ten. Round-robin over 100 MB

@@ -50,7 +50,9 @@
 //     sketch, so a quantile over a window containing one is ErrNoData.
 //
 // All operations are safe for concurrent use. The series map is sharded
-// by key hash so writers of different series never contend on one
+// by a hash of the series key (hash/maphash under a per-store seed, so
+// which shard a series lands in differs from store to store and is not
+// observable) so writers of different series never contend on one
 // store-wide lock, and count/sum/mean/min/max/rate reads over the 1 s
 // ring take no series lock at all (sealed.go): they walk a published
 // view of the sealed seconds' summaries, which each new second extends
@@ -61,13 +63,12 @@ package metrics
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"contexp/internal/fnvx"
 )
 
 // Scope identifies the deployment a series belongs to.
@@ -215,26 +216,45 @@ func newSeries() *series {
 	}
 }
 
+// stamp is an observation time resolved for the write path: its unix
+// second and nanosecond and the bucket index it falls in on every tier.
+// A batch the server stamped on arrival carries one time on every
+// sample, so RecordBatch resolves it once, not per sample per ring.
+type stamp struct {
+	at      time.Time
+	sec, ns int64
+	idx     [numTiers]int64
+}
+
+func stampOf(at time.Time) stamp {
+	sec := at.Unix()
+	return stamp{at: at, sec: sec, ns: at.UnixNano(), idx: [numTiers]int64{
+		tierSecond: sec,
+		tierMinute: sec / int64(time.Minute/time.Second),
+		tierHour:   sec / int64(time.Hour/time.Second),
+	}}
+}
+
 func (s *series) record(at time.Time, v float64) {
+	t := stampOf(at)
 	s.mu.Lock()
-	s.recordLocked(at, v)
+	s.recordLocked(&t, v)
 	s.flushHotLocked()
 	s.mu.Unlock()
 }
 
-func (s *series) recordLocked(at time.Time, v float64) {
-	if at.After(s.lastWrite) {
-		s.lastWrite = at
+func (s *series) recordLocked(t *stamp, v float64) {
+	if t.at.After(s.lastWrite) {
+		s.lastWrite = t.at
 	}
-	sec, ns, bin := at.Unix(), at.UnixNano(), histIndex(v)
-	s.earliest = min(s.earliest, sec)
+	bin := histIndex(v)
+	s.earliest = min(s.earliest, t.sec)
 	for i := range s.tiers {
-		r := &s.tiers[i]
-		if b := r.at(sec / r.width); b != nil {
-			b.add(ns, v, bin)
+		if b := s.tiers[i].at(t.idx[i]); b != nil {
+			b.add(t.ns, v, bin)
 		}
 	}
-	s.sealOnWriteLocked(sec)
+	s.sealOnWriteLocked(t.sec)
 }
 
 // shard is one partition of the series map with its own lock.
@@ -251,13 +271,15 @@ const NumShards = 16
 // construct with NewStore.
 type Store struct {
 	shards [NumShards]shard
+	// seed keys the hash that spreads series keys over the shards.
+	seed maphash.Seed
 }
 
 // NewStore creates a Store. The argument is ignored: it once sized a
 // per-series raw-sample ring that no longer exists, and remains only so
 // existing callers keep compiling.
 func NewStore(_ int) *Store {
-	st := &Store{}
+	st := &Store{seed: maphash.MakeSeed()}
 	for i := range st.shards {
 		st.shards[i].series = make(map[string]*series)
 	}
@@ -293,7 +315,7 @@ var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // lookupBytes returns the series for the key bytes, or nil. The
 // string(key) map probe does not allocate.
 func (st *Store) lookupBytes(key []byte) *series {
-	sh := &st.shards[fnvx.Bytes(fnvx.Offset64, key)&(NumShards-1)]
+	sh := &st.shards[maphash.Bytes(st.seed, key)&(NumShards-1)]
 	sh.mu.RLock()
 	s := sh.series[string(key)]
 	sh.mu.RUnlock()
@@ -301,7 +323,7 @@ func (st *Store) lookupBytes(key []byte) *series {
 }
 
 func (st *Store) shardFor(key string) *shard {
-	return &st.shards[fnvx.String(fnvx.Offset64, key)&(NumShards-1)]
+	return &st.shards[maphash.String(st.seed, key)&(NumShards-1)]
 }
 
 // getOrCreate returns the series for key, creating it on first write.
@@ -348,6 +370,7 @@ func (st *Store) RecordBatch(samples []Sample) {
 	}
 	bufp := keyBufPool.Get().(*[]byte)
 	buf := *bufp
+	t := stampOf(samples[0].At)
 	for i := 0; i < len(samples); {
 		j := i + 1
 		for j < len(samples) &&
@@ -364,7 +387,10 @@ func (st *Store) RecordBatch(samples []Sample) {
 		}
 		s.mu.Lock()
 		for k := i; k < j; k++ {
-			s.recordLocked(samples[k].At, samples[k].Value)
+			if samples[k].At != t.at { // the same value, not merely the same instant
+				t = stampOf(samples[k].At)
+			}
+			s.recordLocked(&t, samples[k].Value)
 		}
 		s.flushHotLocked()
 		s.mu.Unlock()

@@ -136,9 +136,18 @@ var allAggs = []Aggregation{AggMean, AggMedian, AggP95, AggP99, AggMin, AggMax, 
 // quantile interpolates between.
 func checkAgainstOracle(t *testing.T, st *Store, all []observation, since time.Time, label string) {
 	t.Helper()
+	checkAggsAgainstOracle(t, st, all, since, label, allAggs)
+}
+
+// exactAggs are the aggregations a bucket answers without its sketch —
+// all a window holding restored buckets can be held to.
+var exactAggs = []Aggregation{AggMean, AggMin, AggMax, AggCount, AggSum, AggRate}
+
+func checkAggsAgainstOracle(t *testing.T, st *Store, all []observation, since time.Time, label string, aggs []Aggregation) {
+	t.Helper()
 	window := windowOf(all, since)
 	sorted := sortedValues(window)
-	for _, agg := range allAggs {
+	for _, agg := range aggs {
 		got, err := st.Query("rt", scopeV1, since, agg)
 		want, wantErr := queryExact(window, agg)
 		switch {
@@ -239,5 +248,99 @@ func TestLateSampleReachesCoarserRings(t *testing.T) {
 	// A window inside the 1 s ring still excludes it.
 	if got, err := st.Query("rt", scopeV1, t0.Add(600*time.Second), AggCount); err != nil || got != 700 {
 		t.Errorf("recent count = %v, %v; want 700", got, err)
+	}
+}
+
+// TestCurrentBucketOrdersMatchOracle drives the write orders that
+// ring.at's cached newest bucket could get wrong, on all three tiers at
+// once (every step below crosses a second, a minute and an hour
+// boundary together, or jumps a whole ring length of the tier named),
+// through Record and as one RecordBatch (whose resolved-time memo sees
+// the same orders), and holds every aggregation to the oracle over
+// windows each ring serves.
+func TestCurrentBucketOrdersMatchOracle(t *testing.T) {
+	base := time.Unix(1_700_000_000, 0).Truncate(time.Hour).Add(time.Hour)
+	ringSpan := map[string]time.Duration{
+		"second": secondSlots * time.Second, "minute": minuteSlots * time.Minute, "hour": hourSlots * time.Hour,
+	}
+	type step struct {
+		at time.Duration // offset from base
+		v  float64
+	}
+	orders := map[string][]step{
+		// The late sample belongs to the previous second, minute and
+		// hour: it must not land in the cached newest bucket, nor evict it.
+		"late sample for latest-1 between two for latest": {
+			{0, 10}, {-time.Second, 20}, {0, 30}, {-time.Second, 40}, {0, 50},
+		},
+		"latest again after a late sample far back": {
+			{0, 10}, {time.Second, 11}, {-3 * time.Hour, 20}, {time.Second, 12}, {-200 * time.Second, 21}, {time.Second, 13},
+		},
+	}
+	for tier, span := range ringSpan {
+		// Past the ring's length: every bucket it held is out of reach and
+		// the newest lands in a slot some older bucket still occupies.
+		orders["advance past the "+tier+" ring, then the new latest"] = []step{
+			{0, 10}, {time.Second, 11}, {span + 90*time.Minute + 7*time.Second, 20}, {span + 90*time.Minute + 7*time.Second, 21},
+			{span + 90*time.Minute + 6*time.Second, 22}, {span + 90*time.Minute + 7*time.Second, 23},
+		}
+		// Exactly the ring's length: the newest bucket's slot is the one
+		// the cached bucket sits in, which must be emptied, not added to.
+		orders["wrap the "+tier+" ring onto the cached slot"] = []step{
+			{0, 10}, {0, 11}, {span, 20}, {span, 21}, {2 * span, 30}, {2*span - time.Second, 31}, {2 * span, 32},
+		}
+	}
+	windows := []struct{ back, align time.Duration }{
+		{0, time.Second}, {5 * time.Second, time.Second}, {100 * time.Second, time.Second}, {250 * time.Second, time.Second},
+		{10 * time.Minute, time.Minute}, {3 * time.Hour, time.Minute}, {23 * time.Hour, time.Minute},
+		{30 * time.Hour, time.Hour}, {300 * time.Hour, time.Hour},
+	}
+	for name, steps := range orders {
+		for _, mode := range []string{"Record", "RecordBatch"} {
+			st := NewStore(0)
+			var all []observation
+			var batch []Sample
+			newest := base
+			for _, sp := range steps {
+				at := base.Add(sp.at)
+				if at.After(newest) {
+					newest = at
+				}
+				all = append(all, observation{at, sp.v})
+				batch = append(batch, Sample{Metric: "rt", Scope: scopeV1, At: at, Value: sp.v})
+				if mode == "Record" {
+					st.Record("rt", scopeV1, at, sp.v)
+				}
+			}
+			if mode == "RecordBatch" {
+				st.RecordBatch(batch)
+			}
+			for _, w := range windows {
+				since := newest.Add(-w.back).Truncate(w.align)
+				checkAgainstOracle(t, st, all, since, fmt.Sprintf("%s (%s) window %v", name, mode, w.back))
+			}
+		}
+	}
+}
+
+// TestEvictedSeriesStartsOver: Maintain drops an idle series with its
+// rings and their cached buckets; the next write for the same key builds
+// a series that holds that write alone.
+func TestEvictedSeriesStartsOver(t *testing.T) {
+	st := NewStore(0)
+	for i := 0; i < 5; i++ {
+		st.Record("rt", scopeV1, t0.Add(time.Duration(i)*time.Second), 100)
+	}
+	if n := st.Maintain(t0.Add(48*time.Hour), 24*time.Hour); n != 1 {
+		t.Fatalf("Maintain evicted %d series, want 1", n)
+	}
+	// Same second, minute and hour as the evicted series' newest bucket.
+	again := []observation{{t0.Add(4 * time.Second), 7}, {t0.Add(4 * time.Second), 9}}
+	st.RecordBatch([]Sample{
+		{Metric: "rt", Scope: scopeV1, At: again[0].at, Value: again[0].value},
+		{Metric: "rt", Scope: scopeV1, At: again[1].at, Value: again[1].value},
+	})
+	for _, since := range []time.Time{t0.Add(4 * time.Second), t0, t0.Add(-time.Hour), t0.Add(-100 * time.Hour)} {
+		checkAgainstOracle(t, st, again, since, fmt.Sprintf("re-created series since %v", since.Sub(t0)))
 	}
 }

@@ -155,9 +155,11 @@ type ring struct {
 	slots []*bucket
 
 	// latest is the highest bucket index written; the ring reaches
-	// (latest-len(slots), latest].
+	// (latest-len(slots), latest]. cur is its bucket — where every
+	// in-order write lands, found without deriving the slot — and nil
+	// until the first write.
 	latest int64
-	has    bool
+	cur    *bucket
 }
 
 func newRing(width time.Duration, slots int) ring {
@@ -171,12 +173,23 @@ func (r *ring) oldest() int64 {
 
 // at returns the bucket for interval idx, allocating or recycling its
 // slot, or nil when idx is older than the ring's reach. Every tier
-// accepts any sample still inside its own reach, however late.
+// accepts any sample still inside its own reach, however late. The
+// newest interval — where all three tiers of a series take an in-order
+// write — is answered from cur.
 func (r *ring) at(idx int64) *bucket {
-	if !r.has || idx > r.latest {
-		r.has, r.latest = true, idx
+	if idx == r.latest && r.cur != nil {
+		return r.cur
 	}
-	if idx < r.oldest() {
+	return r.seek(idx)
+}
+
+// seek is at for every interval but the newest: one that advances the
+// ring (and becomes cur), or an older one.
+func (r *ring) seek(idx int64) *bucket {
+	advance := r.cur == nil || idx > r.latest
+	if advance {
+		r.latest = idx
+	} else if idx < r.oldest() {
 		return nil
 	}
 	slot := r.slot(idx)
@@ -187,6 +200,9 @@ func (r *ring) at(idx int64) *bucket {
 		b.reset(idx)
 	} else if b.idx != idx {
 		b.reset(idx)
+	}
+	if advance {
+		r.cur = b
 	}
 	return b
 }
@@ -209,7 +225,7 @@ func (r *ring) live(b *bucket) bool {
 // earliest: nothing ever fell outside the ring's reach, or the window
 // starts inside it.
 func (r *ring) covers(since time.Time, earliest int64) bool {
-	if !r.has {
+	if r.cur == nil {
 		return false
 	}
 	reach := r.oldest() * r.width // first second still held
@@ -251,7 +267,7 @@ func (r *ring) walk(from, to int64, visit func(*bucket)) {
 // reduce merges the ring's buckets that overlap [since, ∞) into a, in
 // index order: it costs what the window holds, not what the ring does.
 func (r *ring) reduce(since time.Time, a *accumulator) {
-	if !r.has {
+	if r.cur == nil {
 		return
 	}
 	from := max(firstOverlapping(since.Unix(), r.width), r.oldest())

@@ -3,6 +3,7 @@ package metrics
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -136,8 +137,10 @@ func TestReduceRestoredBucketInWindow(t *testing.T) {
 	s.mu.Lock()
 	// Live samples first, so the restore overwrites a slot that already
 	// has a sketch as well as filling an empty one.
-	s.recordLocked(t0.Add(time.Minute), 30)
-	s.recordLocked(t0.Add(2*time.Minute), 50)
+	for _, o := range []observation{{t0.Add(time.Minute), 30}, {t0.Add(2 * time.Minute), 50}} {
+		at := stampOf(o.at)
+		s.recordLocked(&at, o.value)
+	}
 	s.restoreLocked(tierMinute, []snapshotBucket{
 		{Idx: minute, Count: 4, Sum: 40, Min: 5, Max: 20, FirstAt: t0.UnixNano(), LastAt: t0.UnixNano() + 3},
 		{Idx: minute + 1, Count: 2, Sum: 60, Min: 25, Max: 35, FirstAt: t0.UnixNano() + int64(time.Minute), LastAt: t0.UnixNano() + int64(time.Minute) + 1},
@@ -171,4 +174,68 @@ func TestReduceRestoredBucketInWindow(t *testing.T) {
 			t.Errorf("%s: p95 err = %v, want ErrNoData", tc.name, err)
 		}
 	}
+}
+
+// TestWriteIntoRestoredCurrentBuckets: LoadSnapshot places saved buckets
+// through ring.at in the file's order (slot order, not time order), so
+// the bucket each ring caches as its newest is decided by the restore.
+// A write into the restored current minute and hour must add to those
+// very buckets: the minute ring then answers a window inside its reach,
+// the hour ring one beyond it, with the restored history and the new
+// sample both.
+func TestWriteIntoRestoredCurrentBuckets(t *testing.T) {
+	base := time.Unix(1_700_000_000, 0).Truncate(time.Hour)
+	all := []observation{
+		{base.Add(-30 * time.Hour), 5}, // beyond the minute ring's reach of the rest
+		{base, 10},
+		{base.Add(4 * time.Minute), 20},
+		{base.Add(10*time.Minute + 5*time.Second), 30},
+	}
+	saved := NewStore(0)
+	for _, o := range all {
+		saved.Record("rt", scopeV1, o.at, o.value)
+	}
+	path := filepath.Join(t.TempDir(), "rollups.json")
+	if err := saved.SaveSnapshot(path, base.Add(11*time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore(0)
+	if err := st.LoadSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	s := st.lookupBytes([]byte(seriesKey("rt", scopeV1)))
+	if s == nil {
+		t.Fatal("series missing after LoadSnapshot")
+	}
+	newest := base.Add(10 * time.Minute).Unix()
+	for tier, width := range map[int]int64{tierMinute: 60, tierHour: 3600} {
+		r := &s.tiers[tier]
+		if r.cur == nil || r.latest != newest/width || r.cur.idx != r.latest || r.cur != r.slots[r.slot(r.latest)] {
+			t.Fatalf("tier %d after restore: latest %d, cached bucket %+v; want the bucket of %d", tier, r.latest, r.cur, newest/width)
+		}
+	}
+
+	// Same minute and hour as the restored newest buckets, and far enough
+	// from the oldest restored sample that the (empty) seconds ring does
+	// not claim the windows below.
+	for _, o := range []observation{{base.Add(10*time.Minute + 30*time.Second), 40}, {base.Add(10*time.Minute + 31*time.Second), 50}} {
+		st.Record("rt", scopeV1, o.at, o.value)
+		all = append(all, o)
+	}
+	for _, w := range []struct {
+		name  string
+		since time.Time
+	}{
+		{"minute ring", base.Add(3 * time.Minute)},
+		{"minute ring, whole hour", base},
+		{"hour ring", base.Add(-31 * time.Hour)},
+	} {
+		checkAggsAgainstOracle(t, st, all, w.since, w.name, exactAggs)
+	}
+	// A later minute opens a fresh bucket with a sketch: quantiles over it
+	// alone work again (TestSnapshotV1Fixture covers the seconds ring).
+	next := observation{base.Add(12 * time.Minute), 60}
+	st.Record("rt", scopeV1, next.at, next.value)
+	all = append(all, next)
+	checkAggsAgainstOracle(t, st, all, base.Add(3*time.Minute), "after the next minute", exactAggs)
 }

@@ -199,16 +199,15 @@ func (s *series) sealOnWriteLocked(sec int64) {
 }
 
 // flushHotLocked syncs the mirror from the current second's ring
-// bucket. Called once at the end of every locked write section.
+// bucket. Called once at the end of every locked write section. The
+// mirror is dirty only after a write into the newest second, so that
+// bucket is the seconds ring's cur.
 func (s *series) flushHotLocked() {
 	if !s.hotDirty {
 		return
 	}
 	s.hotDirty = false
-	r := &s.tiers[tierSecond]
-	if b := r.slots[r.slot(s.curHotIdx)]; b != nil && b.idx == s.curHotIdx {
-		s.hot.syncLocked(&b.summary)
-	}
+	s.hot.syncLocked(&s.tiers[tierSecond].cur.summary)
 }
 
 // reduceSealed merges the window's buckets from the sealed view plus

@@ -208,6 +208,58 @@ func TestMixedJSONAndBinaryOneConnection(t *testing.T) {
 	}
 }
 
+// TestBinaryMediaTypeIsCaseInsensitive: RFC 9110 §8.3.1 makes the media
+// type and subtype case-insensitive and allows parameters after them,
+// so every spelling of application/x-contexp-batch takes the binary
+// decoder on both telemetry endpoints; a different type that merely
+// starts the same way takes the JSON one (and fails to parse there).
+func TestBinaryMediaTypeIsCaseInsensitive(t *testing.T) {
+	e, _ := newBinaryEnv(t, 1<<20)
+	frames := map[string][]byte{
+		"/v1/metrics": binMetricsFrame(goodSample(0)),
+		"/v1/spans":   binSpansFrame(goodSpan(0)),
+	}
+	for _, tc := range []struct {
+		contentType string
+		want        int
+	}{
+		{wire.ContentType, http.StatusAccepted},
+		{"Application/X-Contexp-Batch", http.StatusAccepted},
+		{"APPLICATION/X-CONTEXP-BATCH", http.StatusAccepted},
+		{"application/X-contexp-batch;v=1", http.StatusAccepted},
+		{"Application/x-contexp-batch ; v=1", http.StatusAccepted},
+		{"application/x-contexp-batches", http.StatusBadRequest},
+		{"application/json", http.StatusBadRequest},
+	} {
+		for path, frame := range frames {
+			resp, err := e.ts.Client().Post(e.ts.URL+path, tc.contentType, bytes.NewReader(frame))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("POST %s with Content-Type %q: %d, want %d", path, tc.contentType, resp.StatusCode, tc.want)
+			}
+		}
+	}
+}
+
+// TestAcceptedBodyMatchesJSONEncoder holds the hand-written 202 body of
+// the metrics ingest tail to what writeJSON renders for the same value.
+func TestAcceptedBodyMatchesJSONEncoder(t *testing.T) {
+	for _, n := range []int{0, 1, 256, 1 << 22} {
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		writeAccepted(got, n)
+		writeJSON(want, http.StatusAccepted, map[string]int{"accepted": n})
+		if got.Code != want.Code || got.Body.String() != want.Body.String() ||
+			got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+			t.Errorf("n=%d: %d %q %q, want %d %q %q", n,
+				got.Code, got.Header().Get("Content-Type"), got.Body.String(),
+				want.Code, want.Header().Get("Content-Type"), want.Body.String())
+		}
+	}
+}
+
 // BenchmarkIngestHTTP measures the full HTTP ingestion path for a
 // 256-observation batch, JSON vs binary — the end-to-end number behind
 // the codec's per-sample wins.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -65,13 +64,22 @@ func errorCode(status int) string {
 var reqSeq atomic.Uint64
 
 // requestID accepts a sane inbound X-Request-Id (so a caller's
-// correlation ID flows through) or mints one.
+// correlation ID flows through) or mints one: the process's prefix and
+// the request's sequence number zero-padded to six digits
+// ("%08x-%06d"), put together by hand because every request pays for
+// it.
 func (s *Server) requestID(r *http.Request) string {
 	id := r.Header.Get("X-Request-Id")
 	if id != "" && len(id) <= 64 && !strings.ContainsAny(id, " \t\r\n") {
 		return id
 	}
-	return fmt.Sprintf("%08x-%06d", uint32(s.start.UnixNano()), reqSeq.Add(1))
+	seq := reqSeq.Add(1)
+	var buf [32]byte
+	b := append(buf[:0], s.idPrefix...)
+	for pad := uint64(100000); pad > seq; pad /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendUint(b, seq, 10))
 }
 
 // --- middleware chain ---

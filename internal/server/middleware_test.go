@@ -217,6 +217,23 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 }
 
+// TestMintedRequestIDShape holds the hand-formatted request ID to the
+// "%08x-%06d" it replaced, across the sequence numbers where the zero
+// padding changes width.
+func TestMintedRequestIDShape(t *testing.T) {
+	e := newEnv(t)
+	last := reqSeq.Load()
+	t.Cleanup(func() { reqSeq.Store(max(last, reqSeq.Load())) })
+	r := httptest.NewRequest(http.MethodGet, "/v1/runs", nil)
+	for _, seq := range []uint64{1, 9, 10, 99_999, 100_000, 999_999, 1_000_000, 123_456_789} {
+		reqSeq.Store(seq - 1)
+		want := fmt.Sprintf("%08x-%06d", uint32(e.server.start.UnixNano()), seq)
+		if got := e.server.requestID(r); got != want {
+			t.Errorf("request %d: minted %q, want %q", seq, got, want)
+		}
+	}
+}
+
 func TestMuxErrorsAreTypedEnvelopes(t *testing.T) {
 	e := newEnv(t)
 

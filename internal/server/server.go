@@ -121,6 +121,9 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler
 	start   time.Time
+	// idPrefix leads every request ID this process mints: the low 32
+	// bits of start in hex, and a dash.
+	idPrefix string
 
 	// statusCache is the shared /healthz + /v1/admin/tenants snapshot;
 	// statusMu single-flights its rebuilds (see Config.StatusCacheTTL).
@@ -143,6 +146,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxBodyBytes = 1 << 20
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux(), start: time.Now()}
+	s.idPrefix = fmt.Sprintf("%08x-", uint32(s.start.UnixNano()))
 	s.mux.HandleFunc("POST /v1/strategies", s.handleSubmitStrategy)
 	s.mux.HandleFunc("GET /v1/runs", s.handleListRuns)
 	s.mux.HandleFunc("GET /v1/runs/{name}", s.handleGetRun)
@@ -524,8 +528,9 @@ var frameBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // isBinaryBatch reports whether the request carries a binary batch
 // frame (parameters after the media type are tolerated).
 func isBinaryBatch(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	return ct == wire.ContentType || strings.HasPrefix(ct, wire.ContentType+";")
+	mediaType, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
+	// RFC 9110 §8.3.1: type and subtype are case-insensitive.
+	return strings.EqualFold(strings.TrimSpace(mediaType), wire.ContentType)
 }
 
 // readFrame reads the request body into a pooled buffer, mapping
@@ -631,7 +636,19 @@ func (s *Server) recordSamples(w http.ResponseWriter, r *http.Request, samples [
 		sm.Scope.Tenant = tenant
 	}
 	s.cfg.Store.RecordBatch(samples)
-	writeJSON(w, http.StatusAccepted, map[string]int{"accepted": len(samples)})
+	writeAccepted(w, len(samples))
+}
+
+// writeAccepted answers 202 with the body writeJSON renders for
+// {"accepted": n}, byte for byte, without the JSON encoder: every
+// ingested batch gets this reply.
+func writeAccepted(w http.ResponseWriter, n int) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	var buf [48]byte
+	b := append(buf[:0], "{\n  \"accepted\": "...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	_, _ = w.Write(append(b, "\n}\n"...))
 }
 
 // RouteView is the JSON form of one service's route.

@@ -102,6 +102,24 @@ func BenchmarkWireEncodeMetrics(b *testing.B) {
 	}
 }
 
+// BenchmarkWireEncodeMetricsDistinct encodes the batch a fleet sends:
+// 256 distinct series in shuffled order (distinctSamples), where
+// neighbouring rows rarely share a column value — the per-cell
+// dictionary cost that BenchmarkWireEncodeMetrics' three-metric,
+// eight-service cycle understates.
+func BenchmarkWireEncodeMetricsDistinct(b *testing.B) {
+	var e MetricsEncoder
+	samples := distinctSamples()
+	e.Encode(samples)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if frame := e.Encode(samples); len(frame) < HeaderSize {
+			b.Fatal("short frame")
+		}
+	}
+}
+
 // benchTableSnapshot is a fleet-scale routing snapshot: 64 services
 // with rules, splits, and mirrors — the full-sync frame a reconnecting
 // agent pays for.

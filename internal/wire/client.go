@@ -25,11 +25,22 @@ type Client struct {
 	batch                int
 	token                string
 
+	// mu guards the buffers Record* fill. It is never held across I/O,
+	// so recording never waits for the network.
 	mu      sync.Mutex
-	menc    MetricsEncoder
-	senc    SpansEncoder
 	samples []metrics.Sample
 	spans   []tracing.Span
+
+	// flushMu serializes flushes, so frames leave in the order their
+	// telemetry was recorded. It guards the encoders and the buffers
+	// being sent — the pair a flush swaps the filling ones for — and is
+	// held across the posts: the encoders' frame buffers are reused by
+	// the next Encode, so they must not escape the critical section.
+	flushMu        sync.Mutex
+	menc           MetricsEncoder
+	senc           SpansEncoder
+	sendingSamples []metrics.Sample
+	sendingSpans   []tracing.Span
 
 	flushes atomic.Uint64
 	errors  atomic.Uint64
@@ -98,30 +109,25 @@ func (c *Client) RecordSpan(s tracing.Span) {
 // the buffered telemetry is dropped either way (ingestion is lossy by
 // design, like the collector's span cap).
 func (c *Client) Flush() error {
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
+	// Take what is buffered by swapping each filling buffer with its
+	// (already sent, now empty) twin: nothing is copied or allocated, and
+	// recorders are held up for two slice assignments.
 	c.mu.Lock()
-	var mframe, sframe []byte
-	if len(c.samples) > 0 {
-		mframe = c.menc.Encode(c.samples)
-		c.samples = c.samples[:0]
-	}
-	if len(c.spans) > 0 {
-		sframe = c.senc.Encode(c.spans)
-		c.spans = c.spans[:0]
-	}
-	// Post under the lock: the encoders' frame buffers are reused by the
-	// next Encode, so they must not escape the critical section.
-	var firstErr error
-	if mframe != nil {
-		if err := c.post(c.metricsURL, mframe); err != nil {
-			firstErr = err
-		}
-	}
-	if sframe != nil {
-		if err := c.post(c.spansURL, sframe); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	c.samples, c.sendingSamples = c.sendingSamples[:0], c.samples
+	c.spans, c.sendingSpans = c.sendingSpans[:0], c.spans
 	c.mu.Unlock()
+
+	var firstErr error
+	if len(c.sendingSamples) > 0 {
+		firstErr = c.post(c.metricsURL, c.menc.Encode(c.sendingSamples))
+	}
+	if len(c.sendingSpans) > 0 {
+		if err := c.post(c.spansURL, c.senc.Encode(c.sendingSpans)); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
 	return firstErr
 }
 

@@ -4,7 +4,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
+
+	"contexp/internal/metrics"
 )
 
 // newStubServer accepts binary frames on /v1/metrics and /v1/spans,
@@ -36,4 +40,97 @@ func newStubServer(t *testing.T, onPost func()) *httptest.Server {
 		onPost()
 		w.WriteHeader(http.StatusAccepted)
 	}))
+}
+
+// TestClientRecordsDuringFlush: a flush in flight — here one whose
+// server does not answer until told to — must not hold up recorders,
+// and swapping buffers under them must neither lose nor duplicate a
+// sample: 10³ records from eight goroutines, some of them triggering
+// flushes of their own, arrive exactly once each.
+func TestClientRecordsDuringFlush(t *testing.T) {
+	var (
+		mu       sync.Mutex
+		seen     = make(map[float64]int)
+		entered  = make(chan struct{})
+		release  = make(chan struct{})
+		blocking sync.Once
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		var d MetricsDecoder
+		samples, err := d.Decode(body)
+		if err != nil {
+			t.Errorf("decoding metrics frame: %v", err)
+		}
+		mu.Lock()
+		for _, s := range samples {
+			seen[s.Value]++
+		}
+		mu.Unlock()
+		blocking.Do(func() {
+			close(entered)
+			<-release
+		})
+		w.WriteHeader(http.StatusAccepted)
+	}))
+	defer srv.Close()
+	var unblock sync.Once
+	defer unblock.Do(func() { close(release) })
+
+	const batch = 64
+	c := NewClient(srv.URL, srv.Client(), batch)
+	sample := func(v float64) metrics.Sample {
+		return metrics.Sample{Metric: "m", Scope: metrics.Scope{Service: "svc", Version: "v1"}, Value: v}
+	}
+	c.RecordMetric(sample(-1))
+	flushed := make(chan error, 1)
+	go func() { flushed <- c.Flush() }()
+	<-entered // the first flush is on the wire and will stay there
+
+	recorded := make(chan struct{})
+	go func() {
+		for v := 0; v < batch-1; v++ { // one short of triggering a flush
+			c.RecordMetric(sample(float64(v)))
+		}
+		close(recorded)
+	}()
+	select {
+	case <-recorded:
+	case <-time.After(10 * time.Second):
+		t.Fatal("RecordMetric did not return while a flush was in flight")
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 125; i++ {
+				c.RecordMetric(sample(float64(1000 + g*125 + i)))
+			}
+		}(g)
+	}
+	unblock.Do(func() { close(release) })
+	wg.Wait()
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	want := 1 + (batch - 1) + 1000
+	if len(seen) != want {
+		t.Errorf("server saw %d distinct samples, want %d", len(seen), want)
+	}
+	for v, n := range seen {
+		if n != 1 {
+			t.Errorf("sample %v arrived %d times", v, n)
+		}
+	}
+	if c.Errors() != 0 {
+		t.Errorf("client counted %d errors", c.Errors())
+	}
 }

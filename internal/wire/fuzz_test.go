@@ -12,14 +12,9 @@ import (
 // Corpus seeds are real frames from the round-trip fixtures, so
 // mutation starts from structurally valid inputs.
 func FuzzWireDecode(f *testing.F) {
-	var me MetricsEncoder
-	f.Add(append([]byte(nil), me.Encode(sampleBatch())...))
-	f.Add(append([]byte(nil), me.Encode(nil)...))
-	var se SpansEncoder
-	f.Add(append([]byte(nil), se.Encode(spanBatch())...))
-	f.Add(append([]byte(nil), se.Encode(nil)...))
-	f.Add([]byte{'C', 'X', Version, KindMetrics, 0, 0, 0, 0})
-	f.Add([]byte{'C', 'X', Version, KindSpans, 0xFF, 0xFF, 0xFF, 0xFF})
+	for _, seed := range wireFuzzSeeds() { // golden_test.go pins their re-encoding
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var md MetricsDecoder

@@ -6,12 +6,12 @@
 // Where encoding/json allocates per field on every request, this codec
 // decodes a whole batch with zero steady-state allocations: strings are
 // deduplicated into a per-frame dictionary on the wire and interned
-// across frames on the receiver, numeric columns are fixed-width
-// little-endian arrays read in place, and both encoders and decoders
-// keep their scratch buffers across calls (sync.Pool at the package
-// surface). That is what lets ingestion ride at full load-generator
-// throughput with a flat GC profile — the property CI enforces through
-// `benchgate --gate-allocs`.
+// across frames on the receiver (in a table of bounded size), numeric
+// columns are fixed-width little-endian arrays read in place, and both
+// encoders and decoders keep their scratch buffers across calls
+// (sync.Pool at the package surface). That is what lets ingestion ride
+// at full load-generator throughput with a flat GC profile — the
+// property CI enforces through `benchgate --gate-allocs`.
 //
 // # Frame layout (version 1)
 //
@@ -55,6 +55,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -125,12 +126,21 @@ func Kind(frame []byte) byte {
 
 // --- encoding ---
 
-// enc is the shared encoder core: a grow-only frame buffer and a string
-// dictionary reset per batch.
+// enc is the shared encoder core: a grow-only frame buffer, a string
+// dictionary reset per batch, and the index scratch of the columnar
+// (metrics and spans) encoders.
 type enc struct {
 	buf  []byte
 	idx  map[string]uint32
 	strs []string
+	// dictBytes is the serialized size of strs (u32 length + bytes each),
+	// kept by intern so dict can size its write before making it.
+	dictBytes int
+	// cols holds a batch's string columns as dictionary indexes, column
+	// after column in wire order. It is filled in the one pass that
+	// interns the batch, so the columns are written from it rather than
+	// from a second dictionary lookup per cell.
+	cols []uint32
 }
 
 func (e *enc) reset(kind byte) {
@@ -141,6 +151,7 @@ func (e *enc) reset(kind byte) {
 		clear(e.idx)
 	}
 	e.strs = e.strs[:0]
+	e.dictBytes = 0
 }
 
 // intern returns the dictionary index of s, adding it on first use.
@@ -151,18 +162,64 @@ func (e *enc) intern(s string) uint32 {
 	i := uint32(len(e.strs))
 	e.idx[s] = i
 	e.strs = append(e.strs, s)
+	e.dictBytes += 4 + len(s)
 	return i
+}
+
+// strCols returns the index scratch for k string columns of n rows,
+// one []uint32 of n per column.
+func (e *enc) strCols(k, n int) []uint32 {
+	if cap(e.cols) < k*n {
+		e.cols = make([]uint32, k*n)
+	}
+	return e.cols[:k*n]
+}
+
+// colMemo is one string column's previous cell and its index.
+type colMemo struct {
+	prev string
+	idx  uint32
+	set  bool
+}
+
+// col resolves one cell of a string column: the previous row's index
+// when the value repeats it (sorted and run-shaped batches, constant
+// columns such as an unused variant), the dictionary's otherwise.
+func (e *enc) col(m *colMemo, s string) uint32 {
+	if !m.set || s != m.prev {
+		m.prev, m.idx, m.set = s, e.intern(s), true
+	}
+	return m.idx
 }
 
 func (e *enc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *enc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 
+// extend lengthens the frame by n bytes, growing the buffer at most
+// once, and returns them for writes at known offsets.
+func (e *enc) extend(n int) []byte {
+	at := len(e.buf)
+	e.buf = slices.Grow(e.buf, n)[:at+n]
+	return e.buf[at:]
+}
+
 func (e *enc) dict() {
-	e.u32(uint32(len(e.strs)))
+	out := e.extend(4 + e.dictBytes)
+	binary.LittleEndian.PutUint32(out, uint32(len(e.strs)))
+	at := 4
 	for _, s := range e.strs {
-		e.u32(uint32(len(s)))
-		e.buf = append(e.buf, s...)
+		binary.LittleEndian.PutUint32(out[at:], uint32(len(s)))
+		at += 4 + copy(out[at+4:], s)
 	}
+}
+
+// putU32s writes vs as consecutive little-endian u32s at the front of
+// out and returns the rest of out.
+func putU32s(out []byte, vs []uint32) []byte {
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(out[4*i:], v)
+	}
+	return out[4*len(vs):]
 }
 
 // finish stamps the body length and returns the frame, valid until the
@@ -187,34 +244,31 @@ type MetricsEncoder struct{ e enc }
 func (m *MetricsEncoder) Encode(samples []metrics.Sample) []byte {
 	e := &m.e
 	e.reset(KindMetrics)
-	// Columns are staged after interning so the dictionary serializes
-	// first; indexes are computed in one pass per column to keep the
-	// writes sequential.
-	for _, s := range samples {
-		e.intern(s.Metric)
-		e.intern(s.Scope.Service)
-		e.intern(s.Scope.Version)
-		e.intern(s.Scope.Variant)
+	// The dictionary serializes before the columns that index it, so the
+	// batch is interned first: one pass, row by row (which fixes the
+	// dictionary's order), each cell's index kept in the scratch the
+	// columns are then written from.
+	n := len(samples)
+	cols := e.strCols(4, n)
+	metric, service, version, variant := cols[:n], cols[n:2*n], cols[2*n:3*n], cols[3*n:]
+	var mm, ms, mv, mr colMemo
+	for i := range samples {
+		s := &samples[i]
+		metric[i] = e.col(&mm, s.Metric)
+		service[i] = e.col(&ms, s.Scope.Service)
+		version[i] = e.col(&mv, s.Scope.Version)
+		variant[i] = e.col(&mr, s.Scope.Variant)
 	}
 	e.dict()
-	e.u32(uint32(len(samples)))
-	for _, s := range samples {
-		e.u32(e.idx[s.Metric])
+	out := e.extend(4 + n*metricRowWidth)
+	binary.LittleEndian.PutUint32(out, uint32(n))
+	out = putU32s(out[4:], cols)
+	for i := range samples {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(samples[i].Value))
 	}
-	for _, s := range samples {
-		e.u32(e.idx[s.Scope.Service])
-	}
-	for _, s := range samples {
-		e.u32(e.idx[s.Scope.Version])
-	}
-	for _, s := range samples {
-		e.u32(e.idx[s.Scope.Variant])
-	}
-	for _, s := range samples {
-		e.u64(math.Float64bits(s.Value))
-	}
-	for _, s := range samples {
-		e.u64(uint64(unixNano(s.At)))
+	out = out[8*n:]
+	for i := range samples {
+		binary.LittleEndian.PutUint64(out[8*i:], uint64(unixNano(samples[i].At)))
 	}
 	return e.finish()
 }
@@ -228,54 +282,59 @@ type SpansEncoder struct{ e enc }
 func (se *SpansEncoder) Encode(spans []tracing.Span) []byte {
 	e := &se.e
 	e.reset(KindSpans)
-	for _, s := range spans {
-		e.intern(s.Service)
-		e.intern(s.Version)
-		e.intern(s.Endpoint)
+	// Interned in one pass, as in MetricsEncoder.Encode.
+	n := len(spans)
+	cols := e.strCols(3, n)
+	service, version, endpoint := cols[:n], cols[n:2*n], cols[2*n:]
+	var ms, mv, me colMemo
+	for i := range spans {
+		s := &spans[i]
+		service[i] = e.col(&ms, s.Service)
+		version[i] = e.col(&mv, s.Version)
+		endpoint[i] = e.col(&me, s.Endpoint)
 	}
 	e.dict()
-	e.u32(uint32(len(spans)))
-	for _, s := range spans {
-		e.u64(uint64(s.TraceID))
+	out := e.extend(4 + n*spanRowWidth + (n+7)/8)
+	binary.LittleEndian.PutUint32(out, uint32(n))
+	out = out[4:]
+	for i := range spans {
+		binary.LittleEndian.PutUint64(out[8*i:], uint64(spans[i].TraceID))
 	}
-	for _, s := range spans {
-		e.u64(uint64(s.SpanID))
+	out = out[8*n:]
+	for i := range spans {
+		binary.LittleEndian.PutUint64(out[8*i:], uint64(spans[i].SpanID))
 	}
-	for _, s := range spans {
-		e.u64(uint64(s.ParentID))
+	out = out[8*n:]
+	for i := range spans {
+		binary.LittleEndian.PutUint64(out[8*i:], uint64(spans[i].ParentID))
 	}
-	for _, s := range spans {
-		e.u32(e.idx[s.Service])
+	out = putU32s(out[8*n:], cols)
+	for i := range spans {
+		binary.LittleEndian.PutUint64(out[8*i:], uint64(unixNano(spans[i].Start)))
 	}
-	for _, s := range spans {
-		e.u32(e.idx[s.Version])
+	out = out[8*n:]
+	for i := range spans {
+		binary.LittleEndian.PutUint64(out[8*i:], uint64(spans[i].Duration))
 	}
-	for _, s := range spans {
-		e.u32(e.idx[s.Endpoint])
-	}
-	for _, s := range spans {
-		e.u64(uint64(unixNano(s.Start)))
-	}
-	for _, s := range spans {
-		e.u64(uint64(s.Duration))
-	}
-	var bits byte
-	for i, s := range spans {
-		if s.Err {
-			bits |= 1 << (i % 8)
+	out = out[8*n:]
+	clear(out) // the error bitset is OR-ed into a reused buffer
+	for i := range spans {
+		if spans[i].Err {
+			out[i/8] |= 1 << (i % 8)
 		}
-		if i%8 == 7 {
-			e.buf = append(e.buf, bits)
-			bits = 0
-		}
-	}
-	if len(spans)%8 != 0 {
-		e.buf = append(e.buf, bits)
 	}
 	return e.finish()
 }
 
 // --- decoding ---
+
+// maxInterned bounds a decoder's intern table. Decoders are pooled and
+// live as long as the process, so without a bound an emitter that sends
+// never-repeating strings (request IDs as label values) would grow
+// every one of them forever. A table that fills is dropped and starts
+// again: a fleet's working set of names is far smaller, so steady-state
+// decoding still allocates nothing.
+const maxInterned = 1 << 14
 
 // dec is the shared decoder core. The intern table persists across
 // frames: once every distinct string has been seen, decoding allocates
@@ -332,6 +391,9 @@ func (d *dec) readDict() error {
 		// a first-seen string pays for its copy out of the frame buffer.
 		s, ok := d.intern[string(raw)]
 		if !ok {
+			if len(d.intern) >= maxInterned {
+				clear(d.intern) // strings already handed out stay valid
+			}
 			s = string(raw)
 			d.intern[s] = s
 		}
@@ -437,6 +499,10 @@ type SpansDecoder struct {
 	spans []tracing.Span
 }
 
+// spanRowWidth is the fixed per-row column footprint, the error bitset
+// aside: three u64 ids + three u32 indexes + start i64 + duration i64.
+const spanRowWidth = 3*8 + 3*4 + 2*8
+
 // Decode parses one spans frame.
 func (sd *SpansDecoder) Decode(frame []byte) ([]tracing.Span, error) {
 	body, err := header(frame, KindSpans)
@@ -455,8 +521,7 @@ func (sd *SpansDecoder) Decode(frame []byte) ([]tracing.Span, error) {
 		return nil, err
 	}
 	n := int(n32)
-	const fixed = 3*8 + 3*4 + 2*8 // ids + string indexes + start/duration
-	if n32 > MaxRows || n*fixed+(n+7)/8 != len(d.body)-d.off {
+	if n32 > MaxRows || n*spanRowWidth+(n+7)/8 != len(d.body)-d.off {
 		return nil, errf("%d spans do not fit %d remaining bytes", n, len(d.body)-d.off)
 	}
 	if cap(sd.spans) < n {

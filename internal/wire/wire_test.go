@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -119,6 +120,38 @@ func TestDecoderReuseAcrossFrames(t *testing.T) {
 		if len(out) != 4 || out[0].Metric != "latency_ms" {
 			t.Fatalf("round %d: %+v", round, out)
 		}
+	}
+}
+
+// TestDecoderInternTableIsBounded: an emitter whose label values never
+// repeat (10⁴ frames, every string unique) must not grow a decoder —
+// pooled, so immortal — past maxInterned, and what it decodes must
+// still be right while the table turns over. All four decoders intern
+// through dec.readDict; the two telemetry ones stand for it here.
+func TestDecoderInternTableIsBounded(t *testing.T) {
+	var me MetricsEncoder
+	var md MetricsDecoder
+	var se SpansEncoder
+	var sd SpansDecoder
+	for i := 0; i < 10_000; i++ {
+		sample := metrics.Sample{Metric: fmt.Sprintf("m-%d", i), Value: float64(i),
+			Scope: metrics.Scope{Service: fmt.Sprintf("svc-%d", i), Version: fmt.Sprintf("v%d", i), Variant: fmt.Sprintf("req-%d", i)}}
+		samples, err := md.Decode(me.Encode([]metrics.Sample{sample, sample}))
+		if err != nil || len(samples) != 2 || samples[0] != sample || samples[1] != sample {
+			t.Fatalf("frame %d: decoded %+v, %v; want two of %+v", i, samples, err, sample)
+		}
+		span := tracing.Span{TraceID: 1, SpanID: tracing.SpanID(i + 1),
+			Service: fmt.Sprintf("svc-%d", i), Version: fmt.Sprintf("v%d", i), Endpoint: fmt.Sprintf("GET /orders/%d", i)}
+		spans, err := sd.Decode(se.Encode([]tracing.Span{span}))
+		if err != nil || len(spans) != 1 || spans[0] != span {
+			t.Fatalf("frame %d: decoded %+v, %v; want %+v", i, spans, err, span)
+		}
+	}
+	if n := len(md.d.intern); n > maxInterned {
+		t.Errorf("metrics decoder interned %d strings after 40 000 unique ones, bound is %d", n, maxInterned)
+	}
+	if n := len(sd.d.intern); n > maxInterned {
+		t.Errorf("spans decoder interned %d strings after 30 000 unique ones, bound is %d", n, maxInterned)
 	}
 }
 
