@@ -1,6 +1,11 @@
 package bifrost
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"contexp/internal/journal"
+)
 
 func BenchmarkParseStrategy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -36,5 +41,26 @@ func BenchmarkVerifyPairwise(b *testing.B) {
 		if _, err := Verify(strategies); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRunRecord is one journaled check-result on a run whose trail
+// already holds 10⁴ events, through a FileLog with the default batched
+// sync: the per-event cost the evaluation plane pays beside the check
+// itself. It must not depend on the trail's length, and its one
+// allocation is the event's detail string.
+func BenchmarkRunRecord(b *testing.B) {
+	log, err := journal.Open(b.TempDir(), journal.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer log.Close()
+	r := longTrailRun(b, 10_000, log)
+	at := t0.Add(3 * time.Hour)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.record(Event{At: at, Type: EventCheckResult, Phase: "canary", Check: "latency",
+			Outcome: OutcomePass, Detail: valueDetail(42.17+float64(i&7), "")})
 	}
 }

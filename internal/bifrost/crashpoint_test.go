@@ -553,26 +553,47 @@ func TestRecoverAtEveryCrashPoint(t *testing.T) {
 				map[string]RunStatus{"happy": StatusSucceeded, "second": StatusSucceeded})
 		}
 	})
-	// A crash inside a frame: the unhealthy trail in a FileLog segment
-	// torn at every byte of its last three frames must recover exactly
-	// like the clean cut at the last whole record before the tear.
+	// A crash inside the group commit: the unhealthy trail in a FileLog
+	// whose last three records form one group — appended together after
+	// everything older was synced, and reaching the file in one write. A
+	// crash after the group was swapped out but before that write loses
+	// the group and nothing older; a crash during the write tears the
+	// segment somewhere inside the group. Every such image must recover
+	// exactly like the clean cut at its last whole record, with at most
+	// one terminal event.
 	t.Run("filelog", func(t *testing.T) {
 		tr := crashTrails[1]
 		recs := tr.record(t)
+		const group = 3
 		dir := t.TempDir()
-		log, err := journal.Open(dir, journal.Options{})
+		// No background syncer: the group stays in memory until Close.
+		log, err := journal.Open(dir, journal.Options{SyncInterval: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rec := range recs {
+		path := filepath.Join(dir, "00000001.wal")
+		older := recs[:len(recs)-group]
+		for _, rec := range older {
 			if err := log.Append(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if err := log.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs[len(older):] {
+			if err := log.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		unwritten, err := os.ReadFile(path) // the disk while the group is only in memory
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := log.Close(); err != nil {
 			t.Fatal(err)
 		}
-		segment, err := os.ReadFile(filepath.Join(dir, "00000001.wal"))
+		segment, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -584,8 +605,12 @@ func TestRecoverAtEveryCrashPoint(t *testing.T) {
 		if ends[len(recs)] != len(segment) {
 			t.Fatalf("segment is %d bytes, frames add up to %d", len(segment), ends[len(recs)])
 		}
+		if !bytes.Equal(unwritten, segment[:ends[len(older)]]) {
+			t.Fatalf("with the group unwritten the segment holds %d bytes, want exactly the %d older records (%d bytes)",
+				len(unwritten), len(older), ends[len(older)])
+		}
 		clean := make(map[int]string) // the clean cut after k whole records
-		for size := ends[len(recs)-3]; size <= len(segment); size++ {
+		for size := ends[len(older)]; size <= len(segment); size++ {
 			whole := 0
 			for whole < len(recs) && ends[whole+1] <= size {
 				whole++
@@ -602,6 +627,12 @@ func TestRecoverAtEveryCrashPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := tr.recoverAndDrive(t, log, whole)
+			terminal := 0
+			for _, rec := range journalRecords(t, log) {
+				if wr, _ := decodeRecord(rec); wr.Type == EventRunFinished {
+					terminal++
+				}
+			}
 			if err := log.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -609,9 +640,12 @@ func TestRecoverAtEveryCrashPoint(t *testing.T) {
 				t.Fatalf("segment torn at byte %d of %d (%d whole records):\n got:\n%s\nwant:\n%s",
 					size, len(segment), whole, got, clean[whole])
 			}
+			if terminal != 1 {
+				t.Fatalf("segment torn at byte %d of %d: %d run-finished records after recovery, want 1", size, len(segment), terminal)
+			}
 		}
-		if len(clean) != 4 {
-			t.Errorf("tears covered %d record boundaries, want 4", len(clean))
+		if len(clean) != group+1 {
+			t.Errorf("tears covered %d record boundaries, want %d", len(clean), group+1)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -219,7 +220,7 @@ type Run struct {
 	mu       sync.Mutex
 	status   RunStatus
 	phaseIdx int
-	events   []Event
+	events   trail
 
 	done   chan struct{}
 	cancel chan struct{}
@@ -421,19 +422,22 @@ func (r *Run) CurrentPhase() string {
 }
 
 // Events returns a copy of the audit trail.
-func (r *Run) Events() []Event {
+func (r *Run) Events() []Event { return r.EventsFrom(0) }
+
+// EventsFrom returns a copy of the audit trail from its i-th event on:
+// Events()[i:] at the cost of the events returned, which is what a
+// reader tailing a long trail pays per poll.
+func (r *Run) EventsFrom(i int) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
+	return r.events.from(i)
 }
 
 // EventCount is len(Events()) without the copy.
 func (r *Run) EventCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.events)
+	return r.events.n
 }
 
 // Done is closed when the run finishes.
@@ -469,17 +473,67 @@ func (r *Run) record(ev Event) { r.recordWire(ev, "", 0) }
 func (r *Run) recordWire(ev Event, strategyDSL string, status RunStatus) {
 	e := r.engine
 	if e.cfg.Journal != nil {
-		rec, err := encodeEvent(r.strategy.RunKey(), r.strategy.Tenant, ev, strategyDSL, status)
-		if err == nil {
-			err = e.cfg.Journal.Append(rec)
-		}
-		if err != nil {
+		if err := journalEvent(e.cfg.Journal, r.strategy, ev, strategyDSL, status); err != nil {
 			e.journalErrs.Add(1)
 		}
 	}
 	r.mu.Lock()
-	r.events = append(r.events, ev)
+	r.events.append(ev)
 	r.mu.Unlock()
+}
+
+// trail is a run's audit trail: an append-only list of chunks. A chunk
+// is never reallocated, so an append neither recopies nor re-zeroes the
+// events already stored (one growing []Event did both, for about five
+// times the trail's final size). Chunk capacity doubles from
+// trailFirstChunk to trailChunk and stays there, so a run of a dozen
+// events holds a dozen-event trail.
+type trail struct {
+	chunks [][]Event
+	n      int
+}
+
+const (
+	trailFirstChunk = 16
+	trailChunk      = 256
+)
+
+// trailOf adopts events as a trail's first, full chunk: the trail reads
+// it and never writes to it.
+func trailOf(events []Event) trail {
+	return trail{chunks: [][]Event{events[:len(events):len(events)]}, n: len(events)}
+}
+
+func (t *trail) append(ev Event) {
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
+		size := trailFirstChunk
+		if last >= 0 {
+			size = min(max(2*cap(t.chunks[last]), trailFirstChunk), trailChunk)
+		}
+		t.chunks = append(t.chunks, make([]Event, 0, size))
+		last++
+	}
+	t.chunks[last] = append(t.chunks[last], ev)
+	t.n++
+}
+
+// from returns a copy of the events at index i and later. It walks back
+// from the newest chunk, so it visits only chunks it copies from.
+func (t *trail) from(i int) []Event {
+	i = min(max(i, 0), t.n)
+	out := make([]Event, t.n-i)
+	end := t.n
+	for c := len(t.chunks) - 1; end > i; c-- {
+		chunk := t.chunks[c]
+		start := end - len(chunk)
+		if start < i {
+			chunk, start = chunk[i-start:], i
+		}
+		copy(out[start-i:], chunk)
+		end = start
+	}
+	return out
 }
 
 // --- execution ---
@@ -772,13 +826,9 @@ func (r *Run) observe(p *Phase, start time.Time, dur time.Duration) (Outcome, bo
 			// Topology verdicts are journaled as their own typed event so
 			// the structural decision trail survives crashes verbatim;
 			// metric checks keep their original check-result form.
-			evType := EventCheckResult
-			detail := fmt.Sprintf("value=%.4g", res.Value)
-			if st.check.Kind == CheckTopology {
-				evType = EventTopologyVerdict
-				detail = res.Detail
-			} else if res.Detail != "" {
-				detail += "; " + res.Detail
+			evType, detail := EventTopologyVerdict, res.Detail
+			if st.check.Kind != CheckTopology {
+				evType, detail = EventCheckResult, valueDetail(res.Value, res.Detail)
 			}
 			r.record(Event{At: now, Type: evType, Phase: p.Name,
 				Check: st.check.Name, Outcome: outcome, Detail: detail})
@@ -887,6 +937,17 @@ func (r *Run) evaluateCheck(p *Phase, c *Check, now time.Time) CheckResult {
 			Detail: fmt.Sprintf("no evaluator for check kind %v", c.Kind)}
 	}
 	return ev.Evaluate(r, p, c, now)
+}
+
+// valueDetail is a metric check-result's detail: the observed value as
+// fmt's %.4g prints it, then the evaluator's own note, if any.
+func valueDetail(v float64, note string) string {
+	var scratch [48]byte
+	b := strconv.AppendFloat(append(scratch[:0], "value="...), v, 'g', 4, 64)
+	if note != "" {
+		b = append(append(b, "; "...), note...)
+	}
+	return string(b)
 }
 
 func compare(v float64, c *Check) Outcome {

@@ -3,7 +3,11 @@ package bifrost
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"sync"
 	"time"
+
+	"contexp/internal/journal"
 )
 
 // This file defines the wire form of run events: the JSON payload the
@@ -44,21 +48,101 @@ type wireRecord struct {
 // wireVersion is bumped when the record schema changes incompatibly.
 const wireVersion = 1
 
-// encodeEvent marshals one event into its journal record.
-func encodeEvent(run, tenant string, ev Event, strategyDSL string, status RunStatus) ([]byte, error) {
-	return json.Marshal(wireRecord{
-		Run:      run,
-		Tenant:   tenant,
-		V:        wireVersion,
-		At:       ev.At,
-		Type:     ev.Type,
-		Phase:    ev.Phase,
-		Check:    ev.Check,
-		Outcome:  ev.Outcome,
-		Detail:   ev.Detail,
-		Strategy: strategyDSL,
-		Status:   status,
-	})
+// recordScratch pools the buffers records are encoded into: a record's
+// bytes are dead once Journal.Append has returned (it copies), so no run
+// owns a buffer.
+var recordScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// journalEvent appends one event's record to j.
+func journalEvent(j journal.Journal, s *Strategy, ev Event, strategyDSL string, status RunStatus) error {
+	buf := recordScratch.Get().(*[]byte)
+	rec, err := appendRecord((*buf)[:0], s.RunKey(), s.Tenant, ev, strategyDSL, status)
+	if err == nil {
+		err = j.Append(rec)
+	}
+	*buf = rec
+	recordScratch.Put(buf)
+	return err
+}
+
+// appendRecord appends one event's journal record to dst: byte for byte
+// and error for error what json.Marshal of the wireRecord gives — field
+// order, omitempty, time and string escaping — without reflecting over
+// it. FuzzRecordEncoding holds it to that.
+func appendRecord(dst []byte, run, tenant string, ev Event, strategyDSL string, status RunStatus) ([]byte, error) {
+	dst = appendJSONString(append(dst, `{"run":`...), run)
+	if tenant != "" {
+		dst = appendJSONString(append(dst, `,"tenant":`...), tenant)
+	}
+	dst = strconv.AppendInt(append(dst, `,"v":`...), wireVersion, 10)
+	dst, err := appendJSONTime(append(dst, `,"at":`...), ev.At)
+	if err != nil {
+		return dst, err
+	}
+	dst = appendJSONString(append(dst, `,"type":`...), string(ev.Type))
+	if ev.Phase != "" {
+		dst = appendJSONString(append(dst, `,"phase":`...), ev.Phase)
+	}
+	if ev.Check != "" {
+		dst = appendJSONString(append(dst, `,"check":`...), ev.Check)
+	}
+	if ev.Outcome != 0 {
+		dst = strconv.AppendInt(append(dst, `,"outcome":`...), int64(ev.Outcome), 10)
+	}
+	if ev.Detail != "" {
+		dst = appendJSONString(append(dst, `,"detail":`...), ev.Detail)
+	}
+	if strategyDSL != "" {
+		dst = appendJSONString(append(dst, `,"strategy":`...), strategyDSL)
+	}
+	if status != 0 {
+		dst = strconv.AppendInt(append(dst, `,"status":`...), int64(status), 10)
+	}
+	return append(dst, '}'), nil
+}
+
+// jsonPlain marks the bytes encoding/json copies into a string as they
+// are: printable ASCII without the five that json.Marshal escapes.
+var jsonPlain = func() (plain [256]bool) {
+	for c := 0x20; c < 0x80; c++ {
+		plain[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return plain
+}()
+
+// appendJSONString appends s as encoding/json quotes it. A string of
+// jsonPlain bytes is copied between quotes; anything else — control
+// bytes, non-ASCII, invalid UTF-8 — is left to json.Marshal of that one
+// string.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !jsonPlain[s[i]] {
+			quoted, _ := json.Marshal(s) // a string cannot fail to marshal
+			return append(dst, quoted...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
+}
+
+// appendJSONTime appends t as time.Time.MarshalJSON writes it: quoted
+// RFC3339Nano. MarshalJSON refuses what RFC 3339 cannot express — a year
+// outside 0–9999, a zone offset of a day or more — by checks on the
+// formatted bytes that are repeated here; such a time is left to
+// json.Marshal, whose error is then the whole record's.
+func appendJSONTime(dst []byte, t time.Time) ([]byte, error) {
+	start := len(dst)
+	dst = append(t.AppendFormat(append(dst, '"'), time.RFC3339Nano), '"')
+	b := dst[start+1 : len(dst)-1]
+	strict := b[len("9999")] == '-' // the year is exactly four digits wide
+	if strict && b[len(b)-1] != 'Z' {
+		c, hour := b[len(b)-len("Z07:00")], b[len(b)-len("07:00"):]
+		strict = (c < '0' || c > '9') && 10*(hour[0]-'0')+(hour[1]-'0') < 24
+	}
+	if strict {
+		return dst, nil
+	}
+	quoted, err := json.Marshal(t)
+	return append(dst[:start], quoted...), err
 }
 
 // decodeRecord unmarshals one journal record.

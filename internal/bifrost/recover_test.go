@@ -59,7 +59,7 @@ func TestWireRecordRoundTrip(t *testing.T) {
 		At: t0, Type: EventCheckResult, Phase: "canary", Check: "latency",
 		Outcome: OutcomeFail, Detail: "value=512",
 	}
-	rec, err := encodeEvent("my-run", "", ev, "strategy source", StatusRolledBack)
+	rec, err := appendRecord(nil, "my-run", "", ev, "strategy source", StatusRolledBack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestRecoverHonorsJournaledPhaseOutcome(t *testing.T) {
 	jnl := journal.NewMemory()
 	appendRec := func(ev Event, dsl string, status RunStatus) {
 		t.Helper()
-		rec, err := encodeEvent(s.Name, "", ev, dsl, status)
+		rec, err := appendRecord(nil, s.Name, "", ev, dsl, status)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +335,7 @@ func TestRecoverHonorsJournaledPassOutcome(t *testing.T) {
 		{Event{At: t0.Add(time.Minute), Type: EventPhaseOutcome, Phase: "canary",
 			Outcome: OutcomePass}, "", 0},
 	} {
-		b, err := encodeEvent(s.Name, "", rec.ev, rec.dsl, rec.status)
+		b, err := appendRecord(nil, s.Name, "", rec.ev, rec.dsl, rec.status)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func TestRecoverCrashBeforeFirstPhase(t *testing.T) {
 	// A journal holding only the launch record: the run crashed before
 	// entering any phase and resumes from the top.
 	s := twoPhaseStrategy()
-	rec, err := encodeEvent(s.Name, "", Event{At: t0, Type: EventRunLaunched}, WriteDSL(s), 0)
+	rec, err := appendRecord(nil, s.Name, "", Event{At: t0, Type: EventRunLaunched}, WriteDSL(s), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +560,7 @@ func TestRecoverGotoRevisitsDoNotExhaustRetries(t *testing.T) {
 	jnl := journal.NewMemory()
 	appendRec := func(ev Event, dsl string) {
 		t.Helper()
-		rec, err := encodeEvent(s.Name, "", ev, dsl, 0)
+		rec, err := appendRecord(nil, s.Name, "", ev, dsl, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -548,11 +548,7 @@ func (s *Scheduler) replanLocked(slot int) {
 // run-launched records are. Caller holds s.mu.
 func (s *Scheduler) journalQueueEvent(ev Event, strategy *Strategy, dsl string) {
 	if s.cfg.Journal != nil {
-		rec, err := encodeEvent(strategy.RunKey(), strategy.Tenant, ev, dsl, 0)
-		if err == nil {
-			err = s.cfg.Journal.Append(rec)
-		}
-		if err != nil {
+		if err := journalEvent(s.cfg.Journal, strategy, ev, dsl, 0); err != nil {
 			s.journalErrs.Add(1)
 		}
 	}

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"sync"
 	"testing"
 )
 
@@ -26,6 +27,31 @@ func BenchmarkJournalAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	// Two appenders beside the syncer: an append that had to wait for
+	// the group's write and fsync shows here, not in the serial arm.
+	b.Run("file-batched-sync/parallel", func(b *testing.B) {
+		log, err := Open(b.TempDir(), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer log.Close()
+		b.SetBytes(int64(len(benchRecord)))
+		b.ResetTimer()
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(n int) {
+				defer wg.Done()
+				for i := 0; i < n; i++ {
+					if err := log.Append(benchRecord); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}((b.N + g) / 2)
+		}
+		wg.Wait()
 	})
 	b.Run("memory", func(b *testing.B) {
 		log := NewMemory()

@@ -45,11 +45,11 @@ type Options struct {
 	// SegmentBytes is the size at which the active segment is sealed
 	// and a new one started (default 4 MiB).
 	SegmentBytes int64
-	// SyncInterval is the fsync batching window: appends mark the log
-	// dirty and a background syncer flushes to stable storage at this
-	// cadence, so one fsync amortizes over every append in the window.
-	// Zero defaults to 2ms. Negative syncs on every append (durable but
-	// slow: each append pays a full fsync).
+	// SyncInterval is the fsync batching window: appends frame into a
+	// memory buffer and a background syncer writes and fsyncs it at this
+	// cadence, so one write and one fsync amortize over every append in
+	// the window. Zero defaults to 2ms. Negative syncs on every append
+	// (durable but slow: each append pays a full fsync).
 	SyncInterval time.Duration
 }
 
@@ -57,16 +57,38 @@ const (
 	defaultSegmentBytes = 4 << 20
 	defaultSyncInterval = 2 * time.Millisecond
 	segmentSuffix       = ".wal"
-	// segmentBufBytes sizes the active segment's write buffer: what one
-	// sync window's appends amount to (a 1 000-record evaluation tick is
-	// ~150 KB), so they reach the file in a few writes, not one per 4 KiB.
-	segmentBufBytes = 64 << 10
+	// maxPendingBytes bounds the frames held in memory: an append that
+	// finds this much pending writes it out itself, behind the write in
+	// flight, so a syncer that has fallen behind (a slow disk) slows the
+	// appenders down instead of growing the buffer. A sync window's
+	// appends are far below it (a 1 000-record evaluation tick is
+	// ~150 KB). It is a constant because it trades nothing a deployment
+	// could want differently: the loss window is set by SyncInterval.
+	maxPendingBytes = 1 << 20
 )
+
+// segmentFile is what FileLog needs of its active segment; an *os.File
+// outside tests.
+type segmentFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
 
 // FileLog is a durable Journal: an append-only log segmented across
 // numbered files in one directory. Records are CRC-framed, fsyncs are
 // batched (Options.SyncInterval), segments rotate at a size threshold,
 // and Compact rewrites the log keeping only records a filter retains.
+//
+// The batching is a group commit over two buffers. Append frames its
+// record into pending under mu and returns. The syncer swaps pending
+// for the spare buffer under mu, then writes and fsyncs the swapped-out
+// one outside it, so an append never waits for the disk. Everything
+// else that touches the active segment (Sync, Close, Replay's flush,
+// rotation, Compact, a SyncInterval < 0 append, an append that finds
+// maxPendingBytes pending) first waits for that write (awaitWriter) and
+// then writes pending itself under mu: the file only ever receives
+// frames in append order.
 //
 // Opening a directory always starts a fresh active segment, so a tail
 // torn by a crash is never appended after; replay drops the torn tail
@@ -81,13 +103,18 @@ type FileLog struct {
 	lock *os.File
 
 	mu      sync.Mutex
-	active  *os.File
-	w       *bufio.Writer
-	size    int64 // bytes written to the active segment
-	seq     uint64
-	dirty   bool
-	closed  bool
-	lastErr error // sticky background sync failure
+	active  segmentFile
+	pending []byte // frames appended since the last write, in append order
+	spare   []byte // the buffer pending is swapped for; nil while it is being written
+	// writing is set while the syncer writes a swapped-out buffer outside
+	// mu; idle is signalled when it clears.
+	writing  bool
+	idle     *sync.Cond
+	unsynced bool  // the active segment holds written bytes no fsync has covered
+	size     int64 // bytes appended to the active segment, pending included
+	seq      uint64
+	closed   bool
+	lastErr  error // sticky failure of a segment write or a background fsync
 
 	appended    uint64 // records appended by this process
 	preexisting uint64 // records found on disk, counted by the first Replay
@@ -124,6 +151,7 @@ func Open(dir string, opts Options) (*FileLog, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	f.idle = sync.NewCond(&f.mu)
 	// Exclusive directory lock: a second daemon pointed at the same
 	// --data-dir must fail fast instead of interleaving segments with a
 	// live writer. flock is released automatically if the process dies,
@@ -202,19 +230,16 @@ func (f *FileLog) segmentPath(seq uint64) string {
 }
 
 // openSegment seals the current active segment (if any) and starts a
-// new one. Caller holds f.mu (or is constructing the log).
+// new one. Caller holds f.mu with no write in flight (or is
+// constructing the log).
 func (f *FileLog) openSegment(seq uint64) error {
 	if f.active != nil {
-		if err := f.w.Flush(); err != nil {
-			return err
-		}
-		if err := f.active.Sync(); err != nil {
+		if err := f.syncLocked(); err != nil {
 			return err
 		}
 		if err := f.active.Close(); err != nil {
 			return err
 		}
-		f.syncs++
 	}
 	file, err := os.OpenFile(f.segmentPath(seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -227,7 +252,6 @@ func (f *FileLog) openSegment(seq uint64) error {
 		return err
 	}
 	f.active = file
-	f.w = bufio.NewWriterSize(file, segmentBufBytes)
 	f.size = 0
 	f.seq = seq
 	f.segCount++
@@ -248,7 +272,15 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Append implements Journal.
+// frameHeader is the header of rec's frame.
+func frameHeader(rec []byte) (h [frameHeaderSize]byte) {
+	binary.LittleEndian.PutUint32(h[0:4], uint32(len(rec)))
+	binary.LittleEndian.PutUint32(h[4:8], crc32.Checksum(rec, castagnoli))
+	return h
+}
+
+// Append implements Journal. It copies rec into the pending buffer; the
+// file is touched only on the slow path (settleLocked).
 func (f *FileLog) Append(rec []byte) error {
 	if len(rec) == 0 {
 		return errors.New("journal: empty record")
@@ -256,9 +288,7 @@ func (f *FileLog) Append(rec []byte) error {
 	if len(rec) > MaxRecord {
 		return fmt.Errorf("journal: record of %d bytes exceeds limit %d", len(rec), MaxRecord)
 	}
-	var header [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(header[0:4], uint32(len(rec)))
-	binary.LittleEndian.PutUint32(header[4:8], crc32.Checksum(rec, castagnoli))
+	header := frameHeader(rec)
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -268,29 +298,72 @@ func (f *FileLog) Append(rec []byte) error {
 	if f.lastErr != nil {
 		return f.lastErr
 	}
-	if _, err := f.w.Write(header[:]); err != nil {
-		return err
-	}
-	if _, err := f.w.Write(rec); err != nil {
-		return err
-	}
+	f.pending = append(append(f.pending, header[:]...), rec...)
 	n := int64(frameHeaderSize + len(rec))
 	f.size += n
 	f.bytes += uint64(n)
 	f.appended++
-	f.dirty = true
-	if f.opts.SyncInterval < 0 {
-		if err := f.syncLocked(); err != nil {
-			return err
-		}
-	}
-	if f.size >= f.opts.SegmentBytes {
-		return f.openSegment(f.seq + 1)
+	if f.opts.SyncInterval < 0 || len(f.pending) >= maxPendingBytes || f.size >= f.opts.SegmentBytes {
+		return f.settleLocked()
 	}
 	return nil
 }
 
-// syncLoop is the background fsync batcher.
+// settleLocked is Append's slow path: the append must reach the file
+// before it returns — to be fsynced (SyncInterval < 0), to bound the
+// pending buffer, or because the segment is full. Caller holds f.mu.
+func (f *FileLog) settleLocked() error {
+	// The wait releases f.mu, so another appender, or Close, may do this
+	// append's work first: every condition is read after it.
+	f.awaitWriter()
+	switch {
+	case f.closed || f.lastErr != nil:
+		// A Close that got in first wrote pending, this record included;
+		// lastErr says whether a write failed on the way.
+		return f.lastErr
+	case f.size >= f.opts.SegmentBytes:
+		return f.openSegment(f.seq + 1) // sealing fsyncs
+	case f.opts.SyncInterval < 0:
+		return f.syncLocked()
+	case len(f.pending) >= maxPendingBytes:
+		return f.writePending()
+	}
+	return nil
+}
+
+// awaitWriter returns once no swapped-out buffer is being written:
+// everything appended before the swap is in the file, everything after
+// is in pending. Caller holds f.mu, which the wait releases.
+func (f *FileLog) awaitWriter() {
+	for f.writing {
+		f.idle.Wait()
+	}
+}
+
+// writePending writes the pending frames to the active segment without
+// fsyncing. A failed write is sticky: it may have left a partial frame,
+// after which nothing may be appended to the segment. Caller holds f.mu
+// with no write in flight.
+func (f *FileLog) writePending() error {
+	if f.lastErr != nil {
+		return f.lastErr
+	}
+	if len(f.pending) == 0 {
+		return nil
+	}
+	_, err := f.active.Write(f.pending)
+	f.pending = f.pending[:0]
+	if err != nil {
+		f.lastErr = err
+		return err
+	}
+	f.unsynced = true
+	return nil
+}
+
+// syncLoop is the background group commit: at every tick it takes what
+// was appended since the last one and makes it durable without holding
+// f.mu across the write or the fsync.
 func (f *FileLog) syncLoop() {
 	defer close(f.done)
 	ticker := time.NewTicker(f.opts.SyncInterval)
@@ -301,26 +374,46 @@ func (f *FileLog) syncLoop() {
 			return
 		case <-ticker.C:
 			f.mu.Lock()
-			if !f.closed && f.dirty {
-				if err := f.syncLocked(); err != nil && f.lastErr == nil {
-					f.lastErr = err
-				}
+			if f.closed || f.lastErr != nil || (len(f.pending) == 0 && !f.unsynced) {
+				f.mu.Unlock()
+				continue
 			}
+			buf, file := f.pending, f.active
+			f.pending, f.spare = f.spare[:0], nil
+			f.writing, f.unsynced = true, false
+			f.mu.Unlock()
+
+			var err error
+			if len(buf) > 0 {
+				_, err = file.Write(buf)
+			}
+			if err == nil {
+				err = file.Sync()
+			}
+
+			f.mu.Lock()
+			f.spare, f.writing = buf[:0], false
+			if err != nil {
+				f.lastErr = err
+			} else {
+				f.syncs++
+			}
+			f.idle.Broadcast()
 			f.mu.Unlock()
 		}
 	}
 }
 
-// syncLocked flushes the write buffer and fsyncs the active segment.
-// Caller holds f.mu.
+// syncLocked writes the pending frames and fsyncs the active segment.
+// Caller holds f.mu with no write in flight.
 func (f *FileLog) syncLocked() error {
-	if err := f.w.Flush(); err != nil {
+	if err := f.writePending(); err != nil {
 		return err
 	}
 	if err := f.active.Sync(); err != nil {
 		return err
 	}
-	f.dirty = false
+	f.unsynced = false
 	f.syncs++
 	return nil
 }
@@ -329,19 +422,18 @@ func (f *FileLog) syncLocked() error {
 func (f *FileLog) Sync() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.awaitWriter()
 	if f.closed {
 		return nil
-	}
-	if f.lastErr != nil {
-		return f.lastErr
 	}
 	return f.syncLocked()
 }
 
-// Close implements Journal: it stops the syncer, flushes, and seals the
-// active segment.
+// Close implements Journal: it flushes and seals the active segment and
+// stops the syncer.
 func (f *FileLog) Close() error {
 	f.mu.Lock()
+	f.awaitWriter()
 	if f.closed {
 		f.mu.Unlock()
 		return nil
@@ -375,7 +467,8 @@ func (f *FileLog) Close() error {
 // ever hides records that were being written when that generation died.
 func (f *FileLog) Replay(fn func(rec []byte) error) error {
 	f.mu.Lock()
-	if err := f.w.Flush(); err != nil {
+	f.awaitWriter()
+	if err := f.writePending(); err != nil {
 		f.mu.Unlock()
 		return err
 	}
@@ -476,10 +569,11 @@ func replaySegment(path string, limit int64, fn func(rec []byte) error) (bool, e
 func (f *FileLog) Compact(keep func(rec []byte) bool) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.awaitWriter()
 	if f.closed {
 		return errors.New("journal: compacting closed journal")
 	}
-	if err := f.w.Flush(); err != nil {
+	if err := f.writePending(); err != nil {
 		return err
 	}
 	segs, err := f.segments()
@@ -500,9 +594,7 @@ func (f *FileLog) Compact(keep func(rec []byte) bool) error {
 			if !keep(rec) {
 				return nil
 			}
-			var header [frameHeaderSize]byte
-			binary.LittleEndian.PutUint32(header[0:4], uint32(len(rec)))
-			binary.LittleEndian.PutUint32(header[4:8], crc32.Checksum(rec, castagnoli))
+			header := frameHeader(rec)
 			if _, err := w.Write(header[:]); err != nil {
 				return err
 			}
@@ -558,7 +650,6 @@ func (f *FileLog) Compact(keep func(rec []byte) bool) error {
 	f.bytes = keptBytes
 	f.segCount = 1 // the compacted segment; openSegment adds the active one
 	f.active = nil // openSegment must not re-seal the closed file
-	f.w = nil
 	f.seq = compactSeq
 	return f.openSegment(compactSeq + 1)
 }

@@ -22,7 +22,8 @@ type Journal interface {
 	// Append adds one record to the log. Records must be non-empty.
 	// When Append returns, the record is visible to Replay; durability
 	// against crashes follows the backend's sync policy (see
-	// Options.SyncInterval for FileLog).
+	// Options.SyncInterval for FileLog). Append does not retain rec; the
+	// caller may reuse it once Append returns.
 	Append(rec []byte) error
 	// Replay calls fn for every record in append order and stops at the
 	// first error fn returns.

@@ -37,9 +37,9 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 
 	sent := 0
 	emit := func() {
-		events := run.Events()
-		for ; sent < len(events); sent++ {
-			writeSSE(w, sent, string(events[sent].Type), eventView(events[sent]))
+		for _, ev := range run.EventsFrom(sent) {
+			writeSSE(w, sent, string(ev.Type), eventView(ev))
+			sent++
 		}
 		flusher.Flush()
 	}
