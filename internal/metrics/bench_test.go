@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,11 +78,15 @@ func BenchmarkQueryP95Hot(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryParallel hammers the sealed-aggregate read path from
-// all cores while a writer keeps appending: readers take no series
-// lock and allocate nothing (the allocs gate holds the path at zero),
-// so throughput scales with cores instead of serializing on the
-// per-series mutex.
+// BenchmarkQueryParallel is the read path's worst case: one series,
+// every core reading it while a writer holds its lock for 64-sample
+// runs. A reader takes that lock to copy the view and the current
+// second, so what it measures is mostly the wait for the writer's run to
+// end (~0.2 µs with the seqlock mirror this store once had, ~1 µs
+// without: the mirror's whole measurable share, see docs/PERFORMANCE.md
+// "Series read side"). Readers allocate nothing; the allocs gate holds
+// that at zero. BenchmarkQueryParallelSeries is the shape real readers
+// have.
 func BenchmarkQueryParallel(b *testing.B) {
 	st := NewStore(0)
 	scope := Scope{Service: "svc", Version: "v1"}
@@ -124,6 +129,72 @@ func BenchmarkQueryParallel(b *testing.B) {
 	b.StopTimer()
 	close(stop)
 	<-done
+}
+
+// BenchmarkQueryParallelSeries is the shape an evaluation tick and a
+// fleet's checks have: every core reading a 60 s mean or p95 of 400
+// series in turn while two writers spread 64-sample batches over the
+// same series. A reader and a writer meet on one series' lock rarely,
+// and for the length of one sample's write.
+func BenchmarkQueryParallelSeries(b *testing.B) {
+	const nSeries, writers = 400, 2
+	st := NewStore(0)
+	now := time.Now()
+	rng := rand.New(rand.NewSource(1))
+	scopes := make([]Scope, nSeries)
+	for i := range scopes {
+		scopes[i] = Scope{Service: fmt.Sprintf("svc-%03d", i), Version: "v1"}
+	}
+	for sec := -90; sec < 0; sec++ {
+		at := now.Add(time.Duration(sec) * time.Second)
+		for _, scope := range scopes {
+			for k := 0; k < 4; k++ {
+				st.Record("rt", scope, at, 20*math.Exp(rng.NormFloat64()/2))
+			}
+		}
+	}
+	since := now.Add(-60 * time.Second)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(next int) {
+			defer wg.Done()
+			batch := make([]Sample, 64)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				at := time.Now()
+				for k := range batch {
+					batch[k] = Sample{Metric: "rt", Scope: scopes[next%nSeries], At: at, Value: 1 + float64(k%100)}
+					next++
+				}
+				st.RecordBatch(batch)
+			}
+		}(w * nSeries / writers)
+	}
+	var readers atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(readers.Add(1)) * 97
+		for pb.Next() {
+			agg := AggMean
+			if i%2 == 0 {
+				agg = AggP95
+			}
+			if _, err := st.Query("rt", scopes[i%nSeries], since, agg); err != nil {
+				b.Fatal(err)
+			}
+			i++
+		}
+	})
+	b.StopTimer()
+	close(stop)
+	wg.Wait()
 }
 
 // BenchmarkStoreRecordBatch measures the batched ingestion path with a
@@ -217,8 +288,9 @@ func BenchmarkQueryP95Ladder(b *testing.B) {
 
 // BenchmarkRecordNewSecond is the write that seals: the first sample of
 // each new second on a series whose seconds ring is full, so every
-// operation recycles a bucket and publishes a sealed view. B/op is the
-// view's cost per series-second.
+// operation recycles a bucket and seals the finished second into the
+// view. B/op is the view's cost per series-second: its share of the next
+// regrow (the one allocation is Record's key string).
 func BenchmarkRecordNewSecond(b *testing.B) {
 	st := NewStore(0)
 	scope := Scope{Service: "svc", Version: "v1"}

@@ -53,11 +53,12 @@
 // by a hash of the series key (hash/maphash under a per-store seed, so
 // which shard a series lands in differs from store to store and is not
 // observable) so writers of different series never contend on one
-// store-wide lock, and count/sum/mean/min/max/rate reads over the 1 s
-// ring take no series lock at all (sealed.go): they walk a published
-// view of the sealed seconds' summaries, which each new second extends
-// in place rather than copies. Memory per series is bounded by the
-// fixed ring sizes.
+// store-wide lock. A read over the 1 s ring holds the series lock only
+// to copy two slice headers and the current second's summary
+// (sealed.go): the window's finished seconds — summaries and packed
+// sketch bins — are merged after unlocking, from an append-only view
+// that each new second extends in place rather than copies. Memory per
+// series is bounded by the fixed ring sizes.
 package metrics
 
 import (
@@ -67,7 +68,6 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -187,21 +187,19 @@ type series struct {
 	// holds the series' whole history.
 	earliest int64
 
-	// Lock-light read side (sealed.go) over the seconds ring: completed
-	// seconds sealed into an atomically-published immutable view, the
-	// in-progress second mirrored in a seqlock hot bucket synced once
-	// per locked write section. Aggregate queries over the pair take no
-	// series lock. curHotIdx/hotDirty are write-side bookkeeping guarded
-	// by mu; lateSeq counts out-of-order writes into sealed history so
-	// readers can tell when the view went stale.
-	view      atomic.Pointer[sealedView]
-	hot       hotBucket
-	curHotIdx int64
-	hotDirty  bool
-	lateSeq   atomic.Uint64
+	// sealed is the read index over the seconds ring (sealed.go): every
+	// finished second's summary and packed sketch, extended in place by
+	// the first write of each new second. stale is set by a late write
+	// into a second already in it; the next new second rebuilds it.
+	sealed sealedView
+	stale  bool
 
-	// lastWrite drives idle-series eviction (Store.Maintain).
+	// lastWrite drives idle-series eviction (Store.Maintain), which sets
+	// evicted before it drops the series from the map: a writer that
+	// resolved the series earlier finds the mark once it holds mu and
+	// writes to the series' replacement instead (Store.lockSeries).
 	lastWrite time.Time
+	evicted   bool
 }
 
 func newSeries() *series {
@@ -211,8 +209,7 @@ func newSeries() *series {
 			tierMinute: newRing(time.Minute, minuteSlots),
 			tierHour:   newRing(time.Hour, hourSlots),
 		},
-		earliest:  math.MaxInt64,
-		curHotIdx: math.MinInt64, // first write always opens a new second
+		earliest: math.MaxInt64,
 	}
 }
 
@@ -235,26 +232,20 @@ func stampOf(at time.Time) stamp {
 	}}
 }
 
-func (s *series) record(at time.Time, v float64) {
-	t := stampOf(at)
-	s.mu.Lock()
-	s.recordLocked(&t, v)
-	s.flushHotLocked()
-	s.mu.Unlock()
-}
-
 func (s *series) recordLocked(t *stamp, v float64) {
 	if t.at.After(s.lastWrite) {
 		s.lastWrite = t.at
 	}
 	bin := histIndex(v)
 	s.earliest = min(s.earliest, t.sec)
+	if r := &s.tiers[tierSecond]; t.sec != r.latest && r.cur != nil {
+		s.sealLocked(t.sec)
+	}
 	for i := range s.tiers {
 		if b := s.tiers[i].at(t.idx[i]); b != nil {
 			b.add(t.ns, v, bin)
 		}
 	}
-	s.sealOnWriteLocked(t.sec)
 }
 
 // shard is one partition of the series map with its own lock.
@@ -345,9 +336,28 @@ func (st *Store) getOrCreate(key string) *series {
 	return s
 }
 
+// lockSeries returns the series for key, created on first use, with its
+// mutex held, for a write. A series Maintain has marked evicted is about
+// to leave the map, or has: a sample recorded into it would be one no
+// query can reach, so the lookup is made again — getOrCreate waits out
+// Maintain's hold on the shard and finds or makes the replacement.
+func (st *Store) lockSeries(key string) *series {
+	for {
+		s := st.getOrCreate(key)
+		s.mu.Lock()
+		if !s.evicted {
+			return s
+		}
+		s.mu.Unlock()
+	}
+}
+
 // Record appends an observation to (metric, scope) at time at.
 func (st *Store) Record(metric string, scope Scope, at time.Time, value float64) {
-	st.getOrCreate(seriesKey(metric, scope)).record(at, value)
+	t := stampOf(at)
+	s := st.lockSeries(seriesKey(metric, scope))
+	s.recordLocked(&t, value)
+	s.mu.Unlock()
 }
 
 // Sample is one observation destined for (Metric, Scope); the batched
@@ -386,13 +396,16 @@ func (st *Store) RecordBatch(samples []Sample) {
 			s = st.getOrCreate(string(buf))
 		}
 		s.mu.Lock()
+		if s.evicted { // between the probe and the lock: rare enough to pay for the string
+			s.mu.Unlock()
+			s = st.lockSeries(string(buf))
+		}
 		for k := i; k < j; k++ {
 			if samples[k].At != t.at { // the same value, not merely the same instant
 				t = stampOf(samples[k].At)
 			}
 			s.recordLocked(&t, samples[k].Value)
 		}
-		s.flushHotLocked()
 		s.mu.Unlock()
 		i = j
 	}
@@ -418,26 +431,10 @@ func (st *Store) Query(metric string, scope Scope, since time.Time, agg Aggregat
 		return 0, fmt.Errorf("%w: no series %s %s", ErrNoData, metric, scope)
 	}
 	a := accumulator{summary: emptySummary}
-	// Lock-free fast path (sealed.go): reads over the sealed view + hot
-	// mirror take no series lock. Quantiles need the histogram sketches,
-	// which the view does not carry, and keep the locked path.
-	if !isQuantile(agg) && s.reduceSealed(since, &a) {
-		return a.value(agg)
-	}
-	var hist [histSize]uint64
 	if isQuantile(agg) {
-		a.hist = &hist
+		a.hist = new([histSize]uint64) // does not escape: on the stack
 	}
-	s.mu.Lock()
-	r := &s.tiers[tierHour] // a window older than every ring gets what the coarsest retains
-	for i := range s.tiers {
-		if s.tiers[i].covers(since, s.earliest) {
-			r = &s.tiers[i]
-			break
-		}
-	}
-	r.reduce(since, &a)
-	s.mu.Unlock()
+	s.reduce(since, &a)
 	return a.value(agg)
 }
 

@@ -372,7 +372,7 @@ func TestQuantileUnderflowBound(t *testing.T) {
 // TestFreshSeriesFootprint pins what a series costs before it has
 // history: the ring slot tables plus one bucket per ring, and, a few
 // seconds on, one more 1 s bucket per second and a sealed view whose
-// spare capacity is a few summaries (sealed.go: viewCap), not a floor
+// spare capacity is a few elements (sealed.go: viewCap), not a floor
 // sized for a full ring.
 func TestFreshSeriesFootprint(t *testing.T) {
 	const n = 200
@@ -380,9 +380,10 @@ func TestFreshSeriesFootprint(t *testing.T) {
 		seconds int
 		limit   int64
 	}{
-		{1, 21<<10 + 512}, // measured 20 960
-		// measured 25 466: four more 1 KiB buckets, a 64 B view, 224 B of
-		// summaries (capacity 4). A 16-summary floor would be 896 B.
+		{1, 21 << 10}, // measured 20 870
+		// measured 25 490: four more 1 KiB buckets, 320 B of sealed seconds
+		// (capacity 5) and their one-byte bins. A 16-second floor would be
+		// 1 KiB.
 		{5, 25<<10 + 256},
 	} {
 		var before, after runtime.MemStats
@@ -398,6 +399,7 @@ func TestFreshSeriesFootprint(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		perSeries := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+		t.Logf("%d s: %d B", tc.seconds, perSeries)
 		if perSeries > tc.limit {
 			t.Errorf("a series %d s old costs %d B, want <= %d", tc.seconds, perSeries, tc.limit)
 		}

@@ -57,10 +57,10 @@ func histValue(i int) float64 {
 
 // --- bucket ---
 
-// summary is the sketch-free part of a bucket: the payload the
-// lock-free read side (sealed.go) copies and publishes, and the running
-// state of an accumulator. firstNs/lastNs are the UnixNano of the
-// earliest/latest observation.
+// summary is the sketch-free part of a bucket: what the sealed view
+// (sealed.go) keeps of a finished second beside its packed bins, and the
+// running state of an accumulator. firstNs/lastNs are the UnixNano of
+// the earliest/latest observation.
 type summary struct {
 	idx     int64 // interval start / ring width (unix seconds); full index, not mod
 	count   int64
@@ -119,6 +119,14 @@ func (b *bucket) add(ns int64, v float64, bin int) {
 	}
 	b.hist[bin]++
 	b.binLo, b.binHi = min(b.binLo, uint8(bin)), max(b.binHi, uint8(bin))
+}
+
+// addBins adds the bucket's sketch into h, reading only the bins it
+// occupies.
+func (b *bucket) addBins(h *[histSize]uint64) {
+	for i := int(b.binLo); i <= int(b.binHi); i++ {
+		h[i] += uint64(b.hist[i])
+	}
 }
 
 func (s *summary) merge(o *summary) {
@@ -235,8 +243,8 @@ func (r *ring) covers(since time.Time, earliest int64) bool {
 // firstOverlapping is the window snap rule: the index of the first
 // width-second bucket that overlaps [sinceSec, ∞). A bucket ending at
 // or before the window start is excluded, one straddling it contributes
-// whole. Floor division: seconds before 1970 are negative. (The
-// lock-free path reads one-second buckets, where this is sinceSec.)
+// whole. Floor division: seconds before 1970 are negative. (The sealed
+// view holds one-second buckets, where this is sinceSec.)
 func firstOverlapping(sinceSec, width int64) int64 {
 	idx := sinceSec / width
 	if sinceSec%width < 0 {
@@ -273,10 +281,8 @@ func (r *ring) reduce(since time.Time, a *accumulator) {
 	from := max(firstOverlapping(since.Unix(), r.width), r.oldest())
 	r.walk(from, r.latest, func(b *bucket) {
 		a.merge(&b.summary)
-		if h := a.hist; h != nil {
-			for i := int(b.binLo); i <= int(b.binHi); i++ {
-				h[i] += uint64(b.hist[i])
-			}
+		if a.hist != nil {
+			b.addBins(a.hist)
 		}
 	})
 }
@@ -288,8 +294,8 @@ func isQuantile(agg Aggregation) bool {
 }
 
 // accumulator is the one reducer: merge every bucket of the window,
-// then value. Both the lock-free and the locked read path use it; hist
-// is set only by the locked path, for quantile aggregations.
+// then value. The sealed-view read and the locked ring walk both use
+// it; hist is set for quantile aggregations only.
 type accumulator struct {
 	summary // starts as emptySummary; idx unused
 	hist    *[histSize]uint64

@@ -32,8 +32,13 @@ func (st *Store) Maintain(now time.Time, idleFor time.Duration) int {
 		sh := &st.shards[i]
 		sh.mu.Lock()
 		for key, s := range sh.series {
+			// The verdict and the mark are one step under s.mu, and the
+			// shard stays locked until the entry is gone: a writer either
+			// records before the verdict (and is seen by it) or finds the
+			// mark and re-resolves once the shard is free (Store.lockSeries).
 			s.mu.Lock()
-			idle := !s.lastWrite.IsZero() && s.lastWrite.Before(cutoff)
+			s.evicted = !s.lastWrite.IsZero() && s.lastWrite.Before(cutoff)
+			idle := s.evicted
 			s.mu.Unlock()
 			if idle {
 				delete(sh.series, key)
@@ -189,11 +194,11 @@ func (st *Store) LoadSnapshot(path string) error {
 		if ss.Key == "" {
 			continue
 		}
-		s := st.getOrCreate(ss.Key)
-		s.mu.Lock()
+		s := st.lockSeries(ss.Key)
+		// The seconds ring and its sealed view are untouched; what the
+		// merge may lower, series.earliest, reads judge under the lock.
 		s.restoreLocked(tierMinute, ss.Minute)
 		s.restoreLocked(tierHour, ss.Hour)
-		s.lateSeq.Add(1) // a view published before the merge is stale
 		s.mu.Unlock()
 	}
 	return nil

@@ -1,265 +1,239 @@
 package metrics
 
 import (
-	"math"
-	"sync/atomic"
+	"encoding/binary"
 	"time"
 )
 
-// This file is the lock-light read side of a series: completed
-// one-second buckets are sealed into an immutable view published
-// through an atomic pointer, and the in-progress second is mirrored in
-// a seqlock-style bucket whose fields are all atomics. Aggregate
-// queries (mean/min/max/count/sum/rate) over that pair take no series
-// lock and allocate nothing, so hundreds of concurrent check
-// evaluations never serialize against writers — or each other — on the
-// per-series mutex. Quantile queries keep the locked path: they need
-// the histogram sketches, which are deliberately not copied into the
-// sealed view (that would multiply the publish cost by histSize) — the
-// view and the mirror carry bucket summaries only.
+// This file is the read side of a series' seconds ring — the ring every
+// check window in this codebase is answered from.
 //
-// Write-side protocol (all under the series mutex, single writer):
+// A second is sealed when the first sample of a later second arrives:
+// from then on only a late write can change it. The series keeps its
+// sealed seconds, in index order, in a view: a slice of 64-byte
+// sealedSeconds (the bucket's summary plus where its sketch sits) and
+// one byte slab holding, back to back, each second's occupied sketch
+// bins at the narrowest count width that fits them. A 60 s p95 so
+// streams ~4 KB of contiguous memory instead of visiting sixty 944-byte
+// heap buckets.
 //
-//   - first write of a new second: publish a view sealing everything
-//     before that second. The just-finished second's ring bucket is
-//     complete at that point, so the view is lossless without ever
-//     reading the mirror. The new view extends the previous one —
-//     expired seconds resliced off the front, the finished second
-//     appended into the spare capacity of the backing array they share
-//     — unless a late write moved history under it, in which case it
-//     is rebuilt from the ring (republishLocked).
-//   - write into the current second: it lands in the seconds ring
-//     under the lock and marks the mirror dirty; the mirror is synced
-//     from the ring bucket once per locked write section (record or a
-//     RecordBatch series run), not per sample, keeping the hot write
-//     path at one bool store per observation.
-//   - late write into an already-sealed second: bumps the series'
-//     late-write sequence, which readers compare against the value
-//     stamped into the view at publish. A mismatch sends the read down
-//     the locked path; the next second-boundary seal republishes with
-//     the current sequence and re-arms the fast path. Deferring the
-//     reconcile keeps out-of-order batches (the steady state for
-//     replayed telemetry) allocation-free.
+// Both arrays are append-only. A new second trims the seconds that left
+// the ring's reach off the front by reslicing and appends the finished
+// second into the spare capacity; when either array runs out of spare
+// the live part of both moves into fresh arrays (regrow). Nothing
+// inside the length of a view a reader holds is ever written again, so
+// a reader needs the series lock only to copy the view's two slice
+// headers and the one second still being written:
 //
-// Read-side protocol: check the late-write sequence, load view,
-// snapshot hot, reload view; retry if the view moved or the hot
-// seqlock was mid-write. The hot snapshot supplements the view only
-// when its second is not already sealed into it (h.idx >= view.hotIdx)
-// — rechecking the view after the hot snapshot is what makes the pair
-// lossless: a reader that observes a mirror second at or past hotIdx
-// is guaranteed (atomic ordering: the view publish precedes the mirror
-// sync) to also observe the view holding every earlier second. A
-// lagging mirror merely linearizes the read before the in-flight
-// writes. A handful of failed attempts falls back to the locked path —
-// correctness never depends on winning the race.
+//	lock; copy the view and the current second's summary (for a
+//	quantile, add its bins); unlock; merge the window's sealed seconds
+//	from the view, oldest first, then the copied current second.
+//
+// That is the order ring.reduce merges in, so the answer is the locked
+// walk's bit for bit (TestSealedViewInvariant, FuzzSealedSketch). All
+// nine aggregations take this path. The view and the current second are
+// read under the lock that writes them, so they are consistent with
+// each other by construction: there is no second copy of the current
+// second, nothing to retry.
+//
+// A late write into a second already in the view marks it stale: reads
+// take the locked ring walk until the next new second rebuilds the view
+// from the ring. Deferring the rebuild keeps out-of-order batches (the
+// steady state for replayed telemetry) allocation-free. The locked walk
+// is otherwise the path only of what the view cannot answer: windows
+// reaching past the seconds ring, which the minute and hour rings hold.
 
-// sealedView is the atomically-published read index over sealed
-// seconds. Immutable after publish.
+// sealedSecond is one finished second in the view: its summary and the
+// place of its packed sketch in the view's slab. 64 bytes.
+type sealedSecond struct {
+	summary
+	// The n bins from lo on are bins[off : off+n*width], each a
+	// little-endian count of width bytes. n is 0 for a second without a
+	// sketch (restored from a snapshot).
+	off          uint32
+	lo, n, width uint8
+}
+
+// sealedView is the read index over the sealed seconds: every second of
+// the ring older than its newest that holds data, in index order. What
+// lies inside the length of either slice is immutable, so a copy of the
+// view taken under the series lock is read without it.
 type sealedView struct {
-	// buckets holds the summary of every live one-second bucket with
-	// idx < hotIdx, in index order. Successive views share one backing
-	// array (republishLocked); a view owns only its own length of it.
-	buckets []summary
-	// earliestIdx/latestIdx mirror series.earliest and the seconds
-	// ring's latest at publish time; readers extend latestIdx with the
-	// hot second.
-	earliestIdx int64
-	latestIdx   int64
-	// hotIdx is the first unsealed second: the hot mirror supplements
-	// this view iff its idx is >= hotIdx.
-	hotIdx int64
-	// lateSeq is the series' late-write sequence at publish; a reader
-	// seeing a newer value knows sealed history moved under this view.
-	lateSeq uint64
+	seconds []sealedSecond
+	bins    []byte
 }
 
-// hotBucket mirrors the in-progress second for lock-free readers. All
-// fields are atomics (race-detector clean); seq makes a multi-field
-// snapshot consistent: odd while a sync is in flight, bumped twice per
-// sync, so a reader whose two seq loads match saw a stable state. Only
-// the write side mutates it, always under the series mutex.
-type hotBucket struct {
-	seq     atomic.Uint64
-	idx     atomic.Int64
-	count   atomic.Int64
-	sumBits atomic.Uint64
-	minBits atomic.Uint64
-	maxBits atomic.Uint64
-	firstNs atomic.Int64
-	lastNs  atomic.Int64
-}
-
-// syncLocked copies the current second's ring bucket into the mirror
-// in one seqlock section. Caller holds the series mutex.
-func (h *hotBucket) syncLocked(b *summary) {
-	h.seq.Add(1)
-	h.idx.Store(b.idx)
-	h.count.Store(b.count)
-	h.sumBits.Store(math.Float64bits(b.sum))
-	h.minBits.Store(math.Float64bits(b.min))
-	h.maxBits.Store(math.Float64bits(b.max))
-	h.firstNs.Store(b.firstNs)
-	h.lastNs.Store(b.lastNs)
-	h.seq.Add(1)
-}
-
-// snapshot copies the mirror if no sync intervened; ok is false when
-// the caller should retry (or fall back to the locked path).
-func (h *hotBucket) snapshot() (summary, bool) {
-	s1 := h.seq.Load()
-	if s1&1 != 0 {
-		return summary{}, false
-	}
-	snap := summary{
-		idx:     h.idx.Load(),
-		count:   h.count.Load(),
-		sum:     math.Float64frombits(h.sumBits.Load()),
-		min:     math.Float64frombits(h.minBits.Load()),
-		max:     math.Float64frombits(h.maxBits.Load()),
-		firstNs: h.firstNs.Load(),
-		lastNs:  h.lastNs.Load(),
-	}
-	if h.seq.Load() != s1 {
-		return summary{}, false
-	}
-	return snap, true
-}
-
-// republishLocked publishes a view sealing every live bucket before
-// hotIdx, in index order. Caller holds the series mutex.
-//
-// When nothing moved under the previous view (same lateSeq, hotIdx
-// ahead of its own) the new view extends it: expired summaries leave
-// by reslicing the front, the second(s) finished since are appended
-// into the spare capacity of the shared backing array. That is safe for
-// the lock-free readers because a view never reads past its own length:
-// the appended element lies beyond every slice published so far, and
-// the one view that does include it is published (atomic store) after
-// the element is written. So a series pays one small view allocation
-// per second, and a copy only when the spare capacity runs out. After
-// a late write the view is rebuilt from the ring by the same loop.
-func (s *series) republishLocked(hotIdx int64) {
-	r := &s.tiers[tierSecond]
-	v := &sealedView{
-		earliestIdx: s.earliest,
-		latestIdx:   r.latest,
-		hotIdx:      hotIdx,
-		lateSeq:     s.lateSeq.Load(),
-	}
-	from := max(r.oldest(), s.earliest) // nothing older holds data
-	if prev := s.view.Load(); prev != nil && prev.lateSeq == v.lateSeq && prev.hotIdx < hotIdx {
-		v.buckets = prev.buckets
-		for len(v.buckets) > 0 && v.buckets[0].idx < from {
-			v.buckets = v.buckets[1:]
-		}
-		from = max(from, prev.hotIdx)
-	} else if from < hotIdx {
-		v.buckets = make([]summary, 0, viewCap(int(hotIdx-from)))
-	}
-	r.walk(from, hotIdx-1, func(b *bucket) {
-		if len(v.buckets) == cap(v.buckets) {
-			grown := make([]summary, len(v.buckets), viewCap(len(v.buckets)))
-			copy(grown, v.buckets)
-			v.buckets = grown
-		}
-		v.buckets = append(v.buckets, b.summary)
-	})
-	s.view.Store(v)
-}
-
-// viewCap is the capacity a view of n summaries is given: a quarter
-// spare, so a series with a full ring copies its view about once a
-// minute, and no floor, so the spare of a store of young series stays
-// a few summaries each.
+// viewCap is the capacity an array of n live elements is given: a
+// quarter spare, so a series with a full ring moves its view about once
+// a minute, and no floor, so the spare of a store of young series stays
+// a few elements each.
 func viewCap(n int) int {
 	return n + n/4 + 4
 }
 
-// sealOnWriteLocked is the write-side hook recordLocked calls after
-// the rings have absorbed a sample for second sec: it keeps the sealed
-// view in step and marks the mirror for the end-of-section sync.
-func (s *series) sealOnWriteLocked(sec int64) {
+// packed is how b's sketch goes into a view: its occupied bins, from
+// bin lo on, and the narrowest width — 1, 2 or 4 bytes — that holds the
+// largest count. A bucket without a sketch packs to nothing.
+func (b *bucket) packed() (lo uint8, counts []uint32, width uint8) {
+	if b.binLo > b.binHi {
+		return 0, nil, 0
+	}
+	counts = b.hist[b.binLo : int(b.binHi)+1]
+	var bits uint32
+	for _, c := range counts {
+		bits |= c
+	}
 	switch {
-	case sec > s.curHotIdx:
-		// First write of a new second: seal everything before it. The
-		// mirror keeps showing the old second until the flush; readers
-		// exclude it then (idx < hotIdx), so nothing double-counts.
-		s.republishLocked(sec)
-		s.curHotIdx = sec
-		s.hotDirty = true
-	case sec == s.curHotIdx:
-		s.hotDirty = true
+	case bits < 1<<8:
+		width = 1
+	case bits < 1<<16:
+		width = 2
 	default:
-		// Late write into sealed history, or one too old for the seconds
-		// ring (it may have lowered series.earliest, so the view's
-		// coverage claim is stale): invalidate the fast path until the
-		// next seal republishes.
-		s.lateSeq.Add(1)
+		width = 4
+	}
+	return b.binLo, counts, width
+}
+
+// seal appends a finished second. Only spare capacity is written:
+// nothing a reader's copy of the view reaches.
+func (v *sealedView) seal(b *bucket) {
+	lo, counts, width := b.packed()
+	if need := len(counts) * int(width); len(v.seconds) == cap(v.seconds) || len(v.bins)+need > cap(v.bins) {
+		v.regrow(need)
+	}
+	v.seconds = append(v.seconds, sealedSecond{
+		summary: b.summary, off: uint32(len(v.bins)),
+		lo: lo, n: uint8(len(counts)), width: width,
+	})
+	switch width {
+	case 1:
+		for _, c := range counts {
+			v.bins = append(v.bins, byte(c))
+		}
+	case 2:
+		for _, c := range counts {
+			v.bins = binary.LittleEndian.AppendUint16(v.bins, uint16(c))
+		}
+	case 4:
+		for _, c := range counts {
+			v.bins = binary.LittleEndian.AppendUint32(v.bins, c)
+		}
 	}
 }
 
-// flushHotLocked syncs the mirror from the current second's ring
-// bucket. Called once at the end of every locked write section. The
-// mirror is dirty only after a write into the newest second, so that
-// bucket is the seconds ring's cur.
-func (s *series) flushHotLocked() {
-	if !s.hotDirty {
+// regrow moves the view into fresh arrays with room for one more second
+// of need bytes and a quarter spare, leaving behind the slab bytes of
+// seconds already trimmed. The old arrays stay as they are for whoever
+// still reads them.
+func (v *sealedView) regrow(need int) {
+	base := uint32(len(v.bins))
+	if len(v.seconds) > 0 {
+		base = v.seconds[0].off
+	}
+	seconds := make([]sealedSecond, len(v.seconds), viewCap(len(v.seconds)+1))
+	for i, sec := range v.seconds {
+		sec.off -= base
+		seconds[i] = sec
+	}
+	live := v.bins[base:]
+	bins := make([]byte, len(live), viewCap(len(live)+need))
+	copy(bins, live)
+	v.seconds, v.bins = seconds, bins
+}
+
+// addBins adds sec's packed sketch into h.
+func (v *sealedView) addBins(sec *sealedSecond, h *[histSize]uint64) {
+	src, dst := v.bins[sec.off:], h[sec.lo:][:sec.n]
+	switch sec.width {
+	case 1:
+		src = src[:len(dst)] // equal lengths: the loop checks no bounds
+		for i, c := range src {
+			dst[i] += uint64(c)
+		}
+	case 2:
+		for i := range dst {
+			dst[i] += uint64(binary.LittleEndian.Uint16(src[2*i:]))
+		}
+	case 4:
+		for i := range dst {
+			dst[i] += uint64(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+	}
+}
+
+// sealLocked keeps the view in step with a sample about to land in
+// second sec, which is not the ring's newest. Caller holds the series
+// mutex, and calls before the ring absorbs the sample: the ring's
+// newest bucket is then the second that just finished, complete.
+func (s *series) sealLocked(sec int64) {
+	r := &s.tiers[tierSecond]
+	if sec < r.latest {
+		// A late write. One the ring still reaches changes a second
+		// already in the view; an older one reaches only the coarser rings.
+		if sec >= r.oldest() {
+			s.stale = true
+		}
 		return
 	}
-	s.hotDirty = false
-	s.hot.syncLocked(&s.tiers[tierSecond].cur.summary)
+	v := &s.sealed
+	oldest := sec - secondSlots + 1 // the ring's reach once sec is its newest
+	from := max(r.latest, oldest)   // the one second the view does not hold yet
+	if s.stale {
+		// Rebuild: every second the ring holds, in arrays sized to them.
+		s.stale = false
+		from = max(r.oldest(), oldest)
+		var n, size int
+		r.walk(from, r.latest, func(b *bucket) {
+			_, counts, width := b.packed()
+			n, size = n+1, size+len(counts)*int(width)
+		})
+		*v = sealedView{seconds: make([]sealedSecond, 0, viewCap(n)), bins: make([]byte, 0, viewCap(size))}
+	}
+	for len(v.seconds) > 0 && v.seconds[0].idx < oldest {
+		v.seconds = v.seconds[1:]
+	}
+	r.walk(from, r.latest, v.seal)
 }
 
-// reduceSealed merges the window's buckets from the sealed view plus
-// the hot mirror into a, without the series lock and without
-// allocating. It reports false, with a untouched, when the locked path
-// must answer instead: no view yet, the window reaches past the seconds
-// ring's coverage, stale sealed history, or the optimistic read lost
-// too many races.
-func (s *series) reduceSealed(since time.Time, a *accumulator) bool {
-	sinceSec := since.Unix()
-	for attempt := 0; attempt < 8; attempt++ {
-		v := s.view.Load()
-		if v == nil {
-			return false
+// reduce merges the series' buckets that overlap [since, ∞) into a,
+// oldest first, from the finest ring that covers the window.
+func (s *series) reduce(since time.Time, a *accumulator) {
+	s.mu.Lock()
+	r := &s.tiers[tierSecond]
+	if s.stale || !r.covers(since, s.earliest) {
+		r = &s.tiers[tierHour] // a window older than every ring gets what the coarsest retains
+		for i := range s.tiers {
+			if s.tiers[i].covers(since, s.earliest) {
+				r = &s.tiers[i]
+				break
+			}
 		}
-		if s.lateSeq.Load() != v.lateSeq {
-			// Sealed history moved under this view (out-of-order write);
-			// the locked path sees it, the next seal re-arms us.
-			return false
-		}
-		h, ok := s.hot.snapshot()
-		if !ok || s.view.Load() != v {
-			continue // writer in flight; retry with the fresh pair
-		}
-		// The hot second supplements the view only when not already
-		// sealed into it.
-		useHot := h.count > 0 && h.idx >= v.hotIdx
-		latest := v.latestIdx
-		if useHot && h.idx > latest {
-			latest = h.idx
-		}
-		// Mirror ring.covers: the pair answers only windows inside the
-		// seconds ring's coverage.
-		oldest := latest - secondSlots + 1 // first second still held
-		if v.earliestIdx < oldest && sinceSec < oldest {
-			return false
-		}
-		// Mirror ring.reduce: the window's seconds (at width 1 the first
-		// overlapping index is sinceSec itself), oldest first. The view is
-		// in index order, so they are its tail.
-		from := max(sinceSec, oldest)
-		i := len(v.buckets)
-		for i > 0 && v.buckets[i-1].idx >= from {
-			i--
-		}
-		for ; i < len(v.buckets); i++ {
-			a.merge(&v.buckets[i])
-		}
-		if useHot && h.idx >= from {
-			a.merge(&h)
-		}
-		return true
+		r.reduce(since, a)
+		s.mu.Unlock()
+		return
 	}
-	return false
+	// At width 1 the first overlapping index is the window's own start
+	// second, and everything in the view is inside the ring's reach.
+	from := since.Unix()
+	v, cur := s.sealed, r.cur.summary
+	useCur := cur.idx >= from
+	if useCur && a.hist != nil {
+		r.cur.addBins(a.hist) // integer adds: their order is immaterial
+	}
+	s.mu.Unlock()
+
+	i := len(v.seconds)
+	for i > 0 && v.seconds[i-1].idx >= from {
+		i--
+	}
+	for ; i < len(v.seconds); i++ {
+		sec := &v.seconds[i]
+		a.merge(&sec.summary)
+		if a.hist != nil {
+			v.addBins(sec, a.hist)
+		}
+	}
+	if useCur {
+		a.merge(&cur)
+	}
 }
