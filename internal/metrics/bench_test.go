@@ -304,3 +304,40 @@ func BenchmarkRecordNewSecond(b *testing.B) {
 		st.Record("rt", scope, base.Add(time.Duration(secondSlots+i)*time.Second), 20)
 	}
 }
+
+// BenchmarkRecordLate is replayed telemetry on one series with a full
+// seconds tier: 128 writes a second, every fourth one 5 to 200 s late —
+// older than the live seconds, so buffered — and a 60 s p95 every 64
+// writes, the read that folds the buffer into the view (the other fold
+// is each new second's). B/op is the fold's copy of the view, ~20 KB,
+// spread over the 64 writes between two folds.
+func BenchmarkRecordLate(b *testing.B) {
+	const perSecond = 128
+	st := NewStore(0)
+	scope := Scope{Service: "svc", Version: "v1"}
+	base := time.Unix(1_700_000_000, 0)
+	rng := rand.New(rand.NewSource(1))
+	late := make([]time.Duration, 1<<10)
+	for i := range late {
+		late[i] = 5*time.Second + time.Duration(rng.Int63n(int64(195*time.Second)))
+	}
+	at := func(i int) time.Time { return base.Add(time.Duration(i) * time.Second / perSecond) }
+	for i := 0; i < secondSlots*perSecond; i++ {
+		st.Record("rt", scope, at(i), 20+float64(i%50))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := at(secondSlots*perSecond + i)
+		when := now
+		if i%4 == 3 {
+			when = now.Add(-late[i%len(late)])
+		}
+		st.Record("rt", scope, when, 20+float64(i%50))
+		if i%64 == 63 {
+			if _, err := st.Query("rt", scope, now.Add(-60*time.Second), AggP95); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

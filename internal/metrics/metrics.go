@@ -26,15 +26,16 @@
 //
 // What a series retains (ring.go): no raw observations, only streaming
 // aggregates — buckets of count/sum/min/max, first/last observation
-// time and a log-binned histogram sketch — in three rings: 1 s × 256,
-// 1 min × 1440 (24 h) and 1 h × 336 (14 days). Every observation feeds
-// all three, each ring accepting any sample still inside its own
-// coverage however late it arrives; a bucket is allocated only once
-// its interval receives data. A query reduces the finest ring that
-// covers its window, walking only the window's bucket indices, oldest
-// first, and merging only the sketch bins each bucket occupies: it
-// costs what the window holds, not the ring's size. It snaps to that
-// ring's bucket width: a bucket straddling `since` contributes whole.
+// time and a log-binned histogram sketch — in three tiers: 1 s × 256,
+// 1 min × 1440 (24 h) and 1 h × 336 (14 days); all but the newest four
+// seconds are held packed (sealed.go). Every observation feeds all
+// three, each tier accepting any sample still inside its own reach
+// however late it arrives; a bucket is allocated only once its interval
+// receives data. A query reduces the finest tier that covers its window,
+// walking only the window's bucket indices, oldest first, and merging
+// only the sketch bins each bucket occupies: it costs what the window
+// holds, not the tier's size. It snaps to that tier's bucket width: a
+// bucket straddling `since` contributes whole.
 // Three consequences callers should know:
 //
 //   - Quantiles (median/p95/p99) always come from merged sketches and
@@ -53,12 +54,12 @@
 // by a hash of the series key (hash/maphash under a per-store seed, so
 // which shard a series lands in differs from store to store and is not
 // observable) so writers of different series never contend on one
-// store-wide lock. A read over the 1 s ring holds the series lock only
-// to copy two slice headers and the current second's summary
-// (sealed.go): the window's finished seconds — summaries and packed
-// sketch bins — are merged after unlocking, from an append-only view
-// that each new second extends in place rather than copies. Memory per
-// series is bounded by the fixed ring sizes.
+// store-wide lock. A read over the seconds tier holds the series lock
+// only to copy two slice headers and the live seconds' summaries
+// (sealed.go): the window's sealed seconds — summaries and packed sketch
+// bins — are merged after unlocking, from an append-only view that new
+// seconds extend in place rather than copy. Memory per series is bounded
+// by the tiers' reaches and grows with the series' age towards them.
 package metrics
 
 import (
@@ -187,12 +188,14 @@ type series struct {
 	// holds the series' whole history.
 	earliest int64
 
-	// sealed is the read index over the seconds ring (sealed.go): every
-	// finished second's summary and packed sketch, extended in place by
-	// the first write of each new second. stale is set by a late write
-	// into a second already in it; the next new second rebuilds it.
+	// sealed holds the seconds older than the live ring (sealed.go): each
+	// one's summary and packed sketch, extended in place as new seconds
+	// push old ones out of the ring. late buffers the writes into those
+	// older seconds until the next read or new second folds them in.
 	sealed sealedView
-	stale  bool
+	late   []lateSample
+	// What Store.Stats sums, written under mu.
+	lateWrites, lateFolds, lateDropped uint64
 
 	// lastWrite drives idle-series eviction (Store.Maintain), which sets
 	// evicted before it drops the series from the map: a writer that
@@ -205,7 +208,7 @@ type series struct {
 func newSeries() *series {
 	return &series{
 		tiers: [numTiers]ring{
-			tierSecond: newRing(time.Second, secondSlots),
+			tierSecond: newRing(time.Second, liveSeconds),
 			tierMinute: newRing(time.Minute, minuteSlots),
 			tierHour:   newRing(time.Hour, hourSlots),
 		},
@@ -239,7 +242,7 @@ func (s *series) recordLocked(t *stamp, v float64) {
 	bin := histIndex(v)
 	s.earliest = min(s.earliest, t.sec)
 	if r := &s.tiers[tierSecond]; t.sec != r.latest && r.cur != nil {
-		s.sealLocked(t.sec)
+		s.sealLocked(t, v)
 	}
 	for i := range s.tiers {
 		if b := s.tiers[i].at(t.idx[i]); b != nil {
@@ -448,6 +451,48 @@ func (st *Store) SeriesCount() int {
 		sh.mu.RUnlock()
 	}
 	return n
+}
+
+// Stats is the store's self-report. LiveBuckets counts the dense buckets
+// holding data over all three tiers, SealedSeconds the packed seconds in
+// the series' views. A write older than the live seconds is late:
+// LateWrites were buffered and folded into the view by LateFolds folds,
+// LateDropped were older than the seconds tier reaches and fed only the
+// coarser rings — each summed over the series alive now.
+type Stats struct {
+	Series        int    `json:"series"`
+	LiveBuckets   int    `json:"liveBuckets"`
+	SealedSeconds int    `json:"sealedSeconds"`
+	LateWrites    uint64 `json:"lateWrites"`
+	LateFolds     uint64 `json:"lateFolds"`
+	LateDropped   uint64 `json:"lateDropped"`
+}
+
+// Stats walks every series under its lock: for a status page, not a hot path.
+func (st *Store) Stats() Stats {
+	var out Stats
+	for i := range st.shards {
+		sh := &st.shards[i]
+		sh.mu.RLock()
+		for _, s := range sh.series {
+			s.mu.Lock()
+			out.Series++
+			for t := range s.tiers {
+				for _, b := range s.tiers[t].slots {
+					if s.tiers[t].live(b) {
+						out.LiveBuckets++
+					}
+				}
+			}
+			out.SealedSeconds += len(s.sealed.seconds)
+			out.LateWrites += s.lateWrites
+			out.LateFolds += s.lateFolds
+			out.LateDropped += s.lateDropped
+			s.mu.Unlock()
+		}
+		sh.mu.RUnlock()
+	}
+	return out
 }
 
 // ShardCount returns the number of series-map partitions.

@@ -369,22 +369,23 @@ func TestQuantileUnderflowBound(t *testing.T) {
 	}
 }
 
-// TestFreshSeriesFootprint pins what a series costs before it has
-// history: the ring slot tables plus one bucket per ring, and, a few
-// seconds on, one more 1 s bucket per second and a sealed view whose
-// spare capacity is a few elements (sealed.go: viewCap), not a floor
-// sized for a full ring.
+// TestFreshSeriesFootprint pins what a series costs by its age, at
+// eight samples a second: slot tables of four entries and one bucket per
+// ring when it is born; liveSeconds dense 1 s buckets and ~80 B in the
+// sealed view (sealed.go: a quarter spare, no floor) per finished second
+// after that; a minute bucket per minute, and slot tables that double
+// with the span they hold. At the parent commit the same ages cost
+// 20 901, 25 749, 86 661 and 308 036 B.
 func TestFreshSeriesFootprint(t *testing.T) {
-	const n = 200
+	const n, perSecond = 200, 8
 	for _, tc := range []struct {
 		seconds int
 		limit   int64
 	}{
-		{1, 21 << 10}, // measured 20 870
-		// measured 25 490: four more 1 KiB buckets, 320 B of sealed seconds
-		// (capacity 5) and their one-byte bins. A 16-second floor would be
-		// 1 KiB.
-		{5, 25<<10 + 256},
+		{1, 4 << 10},    // measured 3 398
+		{5, 8 << 10},    // measured 6 995
+		{60, 14 << 10},  // measured 10 992
+		{300, 40 << 10}, // measured 32 547
 	} {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -392,8 +393,8 @@ func TestFreshSeriesFootprint(t *testing.T) {
 		st := NewStore(0)
 		for i := 0; i < n; i++ {
 			scope := Scope{Service: "svc", Version: fmt.Sprintf("v%d", i)}
-			for sec := 0; sec < tc.seconds; sec++ {
-				st.Record("rt", scope, t0.Add(time.Duration(sec)*time.Second), 1)
+			for k := 0; k < tc.seconds*perSecond; k++ {
+				st.Record("rt", scope, t0.Add(time.Duration(k)*time.Second/perSecond), 20+float64(k%50))
 			}
 		}
 		runtime.GC()

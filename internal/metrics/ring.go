@@ -149,34 +149,37 @@ func (s *summary) merge(o *summary) {
 // --- ring ---
 
 const (
-	secondSlots = 256  // 1 s buckets: ~4 minutes
+	liveSeconds = 4    // 1 s buckets still dense; older seconds live in the sealed view
+	secondSlots = 256  // the seconds tier's reach, live ring and view together: ~4 minutes
 	minuteSlots = 1440 // 1 min buckets: 24 hours
 	hourSlots   = 336  // 1 h buckets: 14 days
 )
 
-// ring is one retention tier: a fixed ring of width-second buckets. A
-// bucket is allocated the first time its slot receives data and reused
-// in place when the ring wraps, so a series pays only for intervals it
-// has data in. Caller holds the owning series' lock.
+// ring is one retention tier: the newest reach intervals, one bucket per
+// interval that received data, reused in place once its interval leaves
+// the reach. The slot table starts at four entries and doubles, up to
+// reach, as the span of intervals it holds grows: a series pays for the
+// history it has. Caller holds the owning series' lock.
 type ring struct {
-	width int64 // bucket width in seconds
-	slots []*bucket
+	width, reach int64 // bucket width in seconds; intervals retained
+	slots        []*bucket
 
 	// latest is the highest bucket index written; the ring reaches
-	// (latest-len(slots), latest]. cur is its bucket — where every
-	// in-order write lands, found without deriving the slot — and nil
-	// until the first write.
-	latest int64
-	cur    *bucket
+	// (latest-reach, latest] and holds nothing older than first, which
+	// never lies more than len(slots) intervals behind latest. cur is
+	// latest's bucket — where every in-order write lands, found without
+	// deriving the slot — and nil until the first write.
+	latest, first int64
+	cur           *bucket
 }
 
-func newRing(width time.Duration, slots int) ring {
-	return ring{width: int64(width / time.Second), slots: make([]*bucket, slots)}
+func newRing(width time.Duration, reach int) ring {
+	return ring{width: int64(width / time.Second), reach: int64(reach), slots: make([]*bucket, min(reach, 4))}
 }
 
 // oldest is the first bucket index the ring still reaches.
 func (r *ring) oldest() int64 {
-	return r.latest - int64(len(r.slots)) + 1
+	return r.latest - r.reach + 1
 }
 
 // at returns the bucket for interval idx, allocating or recycling its
@@ -195,10 +198,18 @@ func (r *ring) at(idx int64) *bucket {
 // ring (and becomes cur), or an older one.
 func (r *ring) seek(idx int64) *bucket {
 	advance := r.cur == nil || idx > r.latest
-	if advance {
-		r.latest = idx
-	} else if idx < r.oldest() {
+	switch {
+	case r.cur == nil || idx-r.latest >= r.reach: // nothing held stays in reach
+		r.latest, r.first = idx, idx
+	case advance:
+		r.latest, r.first = idx, max(r.first, idx-r.reach+1)
+	case idx < r.oldest():
 		return nil
+	default:
+		r.first = min(r.first, idx)
+	}
+	if r.latest-r.first >= int64(len(r.slots)) {
+		r.grow()
 	}
 	slot := r.slot(idx)
 	b := r.slots[slot]
@@ -213,6 +224,22 @@ func (r *ring) seek(idx int64) *bucket {
 		r.cur = b
 	}
 	return b
+}
+
+// grow doubles the slot table until [first, latest] fits, reach at most,
+// and re-places the buckets of that span.
+func (r *ring) grow() {
+	n := int64(len(r.slots))
+	for n <= r.latest-r.first {
+		n *= 2
+	}
+	old := r.slots
+	r.slots = make([]*bucket, min(n, r.reach))
+	for _, b := range old {
+		if b != nil && b.idx >= r.first {
+			r.slots[r.slot(b.idx)] = b
+		}
+	}
 }
 
 // slot maps a bucket index to its position in the ring (indices before
@@ -254,10 +281,10 @@ func firstOverlapping(sinceSec, width int64) int64 {
 }
 
 // walk calls visit for every bucket holding data with index in [from,
-// to], oldest first, touching only those indices' slots. Both bounds
-// must lie inside the ring's reach.
+// to], oldest first, touching only the slots of indices the ring holds:
+// a from before them — before the reach, even — costs nothing.
 func (r *ring) walk(from, to int64, visit func(*bucket)) {
-	if from > to {
+	if from = max(from, r.first); from > to {
 		return
 	}
 	n := int64(len(r.slots))
@@ -278,8 +305,7 @@ func (r *ring) reduce(since time.Time, a *accumulator) {
 	if r.cur == nil {
 		return
 	}
-	from := max(firstOverlapping(since.Unix(), r.width), r.oldest())
-	r.walk(from, r.latest, func(b *bucket) {
+	r.walk(firstOverlapping(since.Unix(), r.width), r.latest, func(b *bucket) {
 		a.merge(&b.summary)
 		if a.hist != nil {
 			b.addBins(a.hist)

@@ -9,12 +9,12 @@ import (
 )
 
 // fillRing writes two samples into every third-but-one bucket index of
-// [base, base+slots+10], so the ring wraps (the first eleven indices
+// [base, base+reach+10], so the ring wraps (the first eleven indices
 // fall out of reach, their slots reused) and has gaps. It returns what
 // it wrote, keyed by bucket index.
 func fillRing(r *ring, base int64) map[int64][]float64 {
 	wrote := make(map[int64][]float64)
-	for idx := base; idx <= base+int64(len(r.slots))+10; idx++ {
+	for idx := base; idx <= base+r.reach+10; idx++ {
 		if (idx-base)%3 == 2 {
 			continue
 		}
@@ -78,6 +78,100 @@ func TestReduceWindowWalk(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRingGrowsWithSpan: the slot table costs the span of intervals the
+// ring holds, not its reach. Writes arrive in order, across a gap, late
+// below the oldest interval held, around the reach and beyond it, at
+// negative indices; after each one every bucket still in reach is found
+// by at and by walk with what was written to it, nothing else is, and
+// the table is no longer than the reach and shorter than twice the
+// widest span it has held plus the four it starts with (it never shrinks).
+func TestRingGrowsWithSpan(t *testing.T) {
+	const reach = 100
+	for _, base := range []int64{470_000, -30, -1_000_000} {
+		r := newRing(time.Minute, reach)
+		wrote := make(map[int64]int64) // bucket index -> observations
+		first, widest, grows := base, int64(0), 0
+		write := func(idx int64) {
+			t.Helper()
+			if len(wrote) == 0 || idx-r.latest >= reach {
+				first = idx
+			}
+			before := len(r.slots)
+			b := r.at(idx)
+			if (b == nil) != (idx <= r.latest-reach) {
+				t.Fatalf("base %d: at(%d) = %v with latest %d", base, idx, b, r.latest)
+			}
+			if b != nil {
+				b.add(idx, 1, histIndex(1))
+				wrote[idx]++
+			}
+			if len(r.slots) != before {
+				grows++
+			}
+			first = max(min(first, idx), r.oldest())
+			span := r.latest - first + 1
+			widest = max(widest, span)
+			if n := int64(len(r.slots)); n > reach || n >= 2*widest+4 || n < span {
+				t.Fatalf("base %d: %d slots for the span [%d, %d] of a ring reaching %d", base, n, first, r.latest, reach)
+			}
+			held := make(map[int64]int64)
+			r.walk(r.oldest(), r.latest, func(b *bucket) { held[b.idx] = b.count })
+			for idx, n := range wrote {
+				switch {
+				case idx < r.oldest():
+					delete(wrote, idx)
+				case held[idx] != n:
+					t.Fatalf("base %d: walk finds %d observations in bucket %d, %d were written", base, held[idx], idx, n)
+				case r.at(idx).count != n:
+					t.Fatalf("base %d: at(%d) holds %d observations, %d were written", base, idx, r.at(idx).count, n)
+				}
+			}
+			if len(held) != len(wrote) {
+				t.Fatalf("base %d: walk finds %d buckets, %d are in reach", base, len(held), len(wrote))
+			}
+		}
+		for i := int64(0); i < 10; i++ { // in order: 4 -> 8 -> 16 slots
+			write(base + i)
+		}
+		write(base + 30)                       // a gap
+		write(base - 20)                       // late, below the oldest interval held: the span grows downwards
+		write(base + 30)                       // the newest again
+		write(base - 69)                       // the oldest interval in reach: the table is at its full length
+		write(base - 70)                       // out of reach
+		write(base + 129)                      // wraps onto the slot base+29 would have; base-69 … base+29 leave
+		for i := int64(130); i < 350; i += 7 { // around the reach twice
+			write(base + i)
+			write(base + i - 50)
+		}
+		write(base + 1000) // a gap larger than the reach: one bucket held
+		write(base + 999)
+		if grows < 5 || len(r.slots) != reach {
+			t.Errorf("base %d: the table grew %d times to %d slots", base, grows, len(r.slots))
+		}
+	}
+
+	// The reach is only a number: a ring that may hold 2^40 intervals and
+	// holds ten is walked in ten steps, not 2^40.
+	r := newRing(time.Hour, 1<<40)
+	for idx := int64(470_000); idx < 470_010; idx++ {
+		r.at(idx).add(idx, 1, histIndex(1))
+	}
+	done := make(chan accumulator)
+	go func() {
+		a := accumulator{summary: emptySummary, hist: new([histSize]uint64)}
+		r.reduce(time.Unix(-1<<50, 0), &a)
+		done <- a
+	}()
+	select {
+	case a := <-done:
+		if a.count != 10 || len(r.slots) != 16 {
+			t.Errorf("ten hours in a ring reaching 2^40: %d observations found, %d slots", a.count, len(r.slots))
+		}
+	case <-time.After(20 * time.Second): // 2^40 steps take a quarter of an hour
+		t.Fatal("a walk from the ring's reach visits every index in it, not the ten it holds")
 	}
 }
 

@@ -138,7 +138,7 @@ func (s *series) restoreLocked(tier int, saved []snapshotBucket) {
 // SaveSnapshot writes the minute and hour rings of every series to
 // path as versioned JSON, atomically (temp file + rename), so a
 // restarted daemon can answer long-window queries from before the
-// restart. The seconds ring and the histogram sketches are deliberately
+// restart. The seconds tier and the histogram sketches are deliberately
 // not persisted: the former covers minutes and refills immediately, the
 // latter would multiply the file size by histSize.
 func (st *Store) SaveSnapshot(path string, now time.Time) error {
@@ -173,7 +173,7 @@ func (st *Store) SaveSnapshot(path string, now time.Time) error {
 
 // LoadSnapshot merges a SaveSnapshot file into the store, restoring
 // each series' minute and hour rings (creating series as needed; the
-// seconds ring starts empty). A missing file is not an error — a first
+// seconds tier starts empty). A missing file is not an error — a first
 // boot simply has no history.
 func (st *Store) LoadSnapshot(path string) error {
 	data, err := os.ReadFile(path)
@@ -195,7 +195,7 @@ func (st *Store) LoadSnapshot(path string) error {
 			continue
 		}
 		s := st.lockSeries(ss.Key)
-		// The seconds ring and its sealed view are untouched; what the
+		// The seconds tier (live ring, sealed view) is untouched; what the
 		// merge may lower, series.earliest, reads judge under the lock.
 		s.restoreLocked(tierMinute, ss.Minute)
 		s.restoreLocked(tierHour, ss.Hour)

@@ -48,19 +48,12 @@ func TestSealedQueryMatchesExact(t *testing.T) {
 	}
 }
 
-// servedFromView reports whether a read of the window from since would
-// be answered from the sealed view, not the locked ring walk.
-func servedFromView(s *series, since time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.stale && s.tiers[tierSecond].covers(since, s.earliest)
-}
-
-// TestSealedLateWriteVisible checks the stale-then-rebuild protocol: an
-// out-of-order write into a sealed second sends the very next query
-// down the locked path, where it is visible, and stays visible once the
-// next new second has rebuilt the view and re-armed the fast path. The
-// oracle holds all nine aggregations at each of the three stages.
+// TestSealedLateWriteVisible checks the late-buffer protocol: a write
+// into a second the live ring no longer holds is only buffered; the very
+// next query folds it into the view and sees it; one no query follows is
+// folded by the next new second; a write late by less than the live
+// seconds, or older than the tier reaches, is never buffered. The oracle
+// holds all nine aggregations at each stage, Store.Stats the counters.
 func TestSealedLateWriteVisible(t *testing.T) {
 	st := NewStore(0)
 	var all []observation
@@ -68,27 +61,51 @@ func TestSealedLateWriteVisible(t *testing.T) {
 		st.Record("rt", scopeV1, t0.Add(off), v)
 		all = append(all, observation{t0.Add(off), v})
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 10; i++ {
 		record(time.Duration(i)*time.Second, 10+float64(i))
 	}
 	s := st.lookupBytes([]byte(seriesKey("rt", scopeV1)))
-	if !servedFromView(s, t0) {
-		t.Fatal("in-order writes left the view stale")
+	state := func() (sealed, late int, stats Stats) {
+		s.mu.Lock()
+		sealed, late = len(s.sealed.seconds), len(s.late)
+		s.mu.Unlock()
+		return sealed, late, st.Stats()
+	}
+	if sealed, late, stats := state(); sealed != 10-liveSeconds || late != 0 ||
+		stats != (Stats{Series: 1, LiveBuckets: liveSeconds + 2, SealedSeconds: 10 - liveSeconds}) {
+		t.Fatalf("ten seconds in order: %d sealed, %d late, %+v", sealed, late, stats)
 	}
 	checkAgainstOracle(t, st, all, t0, "before the late write")
 
 	record(time.Second, 500) // into the already-sealed second #1
-	if servedFromView(s, t0) {
-		t.Fatal("a late write into a sealed second left the view armed")
+	if _, late, stats := state(); late != 1 || stats.LateWrites != 1 || stats.LateFolds != 0 {
+		t.Fatalf("a write into a sealed second: %d buffered, %+v", late, stats)
 	}
 	checkAgainstOracle(t, st, all, t0, "right after the late write")
-
-	record(10*time.Second, 20) // a new second rebuilds
-	if !servedFromView(s, t0) {
-		t.Fatal("the next new second did not re-arm the view")
+	if _, late, stats := state(); late != 0 || stats.LateFolds != 1 {
+		t.Fatalf("after the read: %d still buffered, %+v", late, stats)
 	}
-	checkAgainstOracle(t, st, all, t0, "after the rebuild")
-	checkAgainstOracle(t, st, all, t0.Add(2*time.Second), "after the rebuild, late second outside the window")
+
+	record(7*time.Second, 70) // late, but into a second still dense
+	if _, late, stats := state(); late != 0 || stats.LateWrites != 1 {
+		t.Fatalf("a write into a live second was buffered: %d, %+v", late, stats)
+	}
+	record(2*time.Second, 9)
+	record(4*time.Second+time.Millisecond, 8) // a second that had no data yet
+	record(2*time.Second, 7)
+	record(20*time.Second, 20) // a new second folds without a read
+	if sealed, late, stats := state(); sealed != 10 || late != 0 || stats.LateWrites != 4 || stats.LateFolds != 2 {
+		t.Fatalf("after the next new second: %d sealed, %d buffered, %+v", sealed, late, stats)
+	}
+	checkAgainstOracle(t, st, all, t0, "after the fold")
+	checkAgainstOracle(t, st, all, t0.Add(3*time.Second), "after the fold, late seconds outside the window")
+
+	record(20*time.Second-secondSlots*time.Second, 1) // older than the seconds tier reaches
+	if _, late, stats := state(); late != 0 || stats.LateWrites != 4 || stats.LateDropped != 1 {
+		t.Fatalf("a write older than the tier: %d buffered, %+v", late, stats)
+	}
+	checkAgainstOracle(t, st, all, t0, "seconds tier after the dropped write")
+	checkAgainstOracle(t, st, all, t0.Add(-time.Hour), "minute ring after the dropped write")
 }
 
 // TestSealedQueryZeroAlloc: a query over sealed data allocates nothing,
@@ -175,50 +192,105 @@ func TestSealedConcurrentConsistency(t *testing.T) {
 	wg.Wait()
 }
 
-// burst records n observations of v at one instant: one through
-// recordLocked, which keeps the sealed view in step, the rest added to
-// each ring's bucket in bulk — a bin holding 65 536 counts without
-// 65 536 calls.
-func burst(s *series, at time.Time, v float64, n int) {
-	t := stampOf(at)
+// shadowed is a series beside the oracle of its seconds tier: one ring
+// of secondSlots dense buckets — the tier's whole reach, the layout the
+// live ring and the sealed view replaced — fed the same writes.
+type shadowed struct {
+	s      *series
+	shadow ring
+}
+
+func newShadowed() *shadowed {
+	return &shadowed{newSeries(), newRing(time.Second, secondSlots)}
+}
+
+// burst records n observations of v at one instant in a series and, if
+// there is one, the shadow ring of its seconds tier. Into a second the
+// series holds dense: one through recordLocked, which keeps the tier in
+// step, the rest added to each ring's bucket in bulk — a bin holding
+// 65 536 counts without 65 536 calls. Into an older second: all n through
+// recordLocked, because a fold adds buffered samples one by one and the
+// shadow must add the same floats in the same order.
+func burst(s *series, shadow *ring, at time.Time, v float64, n int) {
+	t, bin := stampOf(at), histIndex(v)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.recordLocked(&t, v)
-	for i := range s.tiers {
-		if b := s.tiers[i].at(t.idx[i]); b != nil {
+	bulk := func(b *bucket) {
+		if b != nil {
 			b.count += int64(n - 1)
 			b.sum += float64(n-1) * v
-			b.hist[histIndex(v)] += uint32(n - 1)
+			b.hist[bin] += uint32(n - 1)
+		}
+	}
+	single := n
+	if r := &s.tiers[tierSecond]; r.cur == nil || t.sec >= r.oldest() {
+		single = 1
+	}
+	for i := 0; i < single; i++ {
+		s.recordLocked(&t, v)
+		if shadow != nil {
+			if b := shadow.at(t.sec); b != nil {
+				b.add(t.ns, v, bin)
+			}
+		}
+	}
+	if single == 1 {
+		for i := range s.tiers {
+			bulk(s.tiers[i].at(t.idx[i]))
+		}
+		if shadow != nil {
+			bulk(shadow.at(t.sec))
 		}
 	}
 }
 
+func (p *shadowed) burst(at time.Time, v float64, n int) { burst(p.s, &p.shadow, at, v, n) }
+
+// answers reports whether the seconds tier answers a window from since:
+// the rule the shadow ring, which has the tier's reach, applies to itself.
+func (p *shadowed) answers(since time.Time) bool {
+	p.s.mu.Lock()
+	defer p.s.mu.Unlock()
+	return p.shadow.covers(since, p.s.earliest)
+}
+
 // dense unpacks one second of a view into a full-size sketch.
 func (v *sealedView) dense(i int) (h [histSize]uint64) {
-	v.addBins(&v.seconds[i], &h)
+	addBins(v, &v.seconds[i], &h)
 	return h
 }
 
-// checkViewAgainstRing holds a view that is not stale to what a rebuild
-// from the seconds ring would produce: every bucket older than the
-// newest that holds data, oldest first, summary and sketch, each sketch
-// at the narrowest width and laid out back to back in the slab. Caller
-// holds the series mutex.
-func checkViewAgainstRing(t *testing.T, s *series, label string) {
+// checkTier holds the seconds tier, its late buffer folded, to the
+// shadow ring bucket for bucket: the newest liveSeconds are the live
+// ring's dense buckets, equal in every field; every older one is in the
+// view, oldest first, summary and sketch, each sketch at the narrowest
+// width and laid out back to back in the slab; and neither holds
+// anything else.
+func (p *shadowed) checkTier(t *testing.T, label string) {
 	t.Helper()
+	s, sh := p.s, &p.shadow
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.foldLocked()
 	r, v := &s.tiers[tierSecond], &s.sealed
-	i := 0
-	for idx := r.oldest(); idx < r.latest; idx++ {
-		b := r.slots[r.slot(idx)]
-		if b == nil || b.idx != idx || b.count == 0 {
-			continue
+	if r.latest != sh.latest {
+		t.Fatalf("%s: live ring at second %d, shadow at %d", label, r.latest, sh.latest)
+	}
+	i, live := 0, 0
+	sh.walk(sh.oldest(), sh.latest, func(b *bucket) {
+		if b.idx > r.latest-liveSeconds {
+			live++
+			if got := r.slots[r.slot(b.idx)]; got == nil || *got != *b {
+				t.Fatalf("%s: live second %d is %+v, the shadow has %+v", label, b.idx, got, b)
+			}
+			return
 		}
 		if i >= len(v.seconds) {
-			t.Fatalf("%s: view holds %d seconds, the ring has more (next: %d)", label, len(v.seconds), idx)
+			t.Fatalf("%s: view holds %d seconds, the shadow has more (next: %d)", label, len(v.seconds), b.idx)
 		}
 		sec := &v.seconds[i]
 		if sec.summary != b.summary {
-			t.Fatalf("%s: view[%d] = %+v, the ring has %+v", label, i, sec.summary, b.summary)
+			t.Fatalf("%s: view[%d] = %+v, the shadow has %+v", label, i, sec.summary, b.summary)
 		}
 		var want [histSize]uint64
 		var top uint32
@@ -227,7 +299,7 @@ func checkViewAgainstRing(t *testing.T, s *series, label string) {
 			top = max(top, c)
 		}
 		if v.dense(i) != want {
-			t.Fatalf("%s: view[%d] (second %d) unpacks to a sketch that is not the bucket's", label, i, idx)
+			t.Fatalf("%s: view[%d] (second %d) unpacks to a sketch that is not the bucket's", label, i, b.idx)
 		}
 		width := uint8(4)
 		switch {
@@ -249,25 +321,30 @@ func checkViewAgainstRing(t *testing.T, s *series, label string) {
 			}
 		}
 		i++
-	}
+	})
 	if i != len(v.seconds) {
-		t.Fatalf("%s: view holds %d seconds, a rebuild %d", label, len(v.seconds), i)
+		t.Fatalf("%s: view holds %d seconds, the shadow %d older than the live ones", label, len(v.seconds), i)
+	}
+	r.walk(r.oldest(), r.latest, func(*bucket) { live-- })
+	if live != 0 {
+		t.Fatalf("%s: the live ring holds %d seconds the shadow does not", label, -live)
 	}
 }
 
-// checkReduceAgainstRing compares series.reduce, for a window the view
-// answers, bit for bit with the locked walk of the seconds ring: the
-// merged summary, the merged sketch and all nine aggregations.
-func checkReduceAgainstRing(t *testing.T, s *series, since time.Time, label string) {
+// checkReduce compares series.reduce, for a window the seconds tier
+// answers, bit for bit with the locked walk of the shadow ring: the
+// merged summary — its sum included — the merged sketch and all nine
+// aggregations.
+func (p *shadowed) checkReduce(t *testing.T, since time.Time, label string) {
 	t.Helper()
 	locked := accumulator{summary: emptySummary, hist: new([histSize]uint64)}
-	s.mu.Lock()
-	s.tiers[tierSecond].reduce(since, &locked)
-	s.mu.Unlock()
+	p.s.mu.Lock()
+	p.shadow.reduce(since, &locked)
+	p.s.mu.Unlock()
 	fast := accumulator{summary: emptySummary, hist: new([histSize]uint64)}
-	s.reduce(since, &fast)
+	p.s.reduce(since, &fast)
 	if math.Float64bits(fast.sum) != math.Float64bits(locked.sum) || fast.summary != locked.summary {
-		t.Fatalf("%s: view %+v, ring %+v", label, fast.summary, locked.summary)
+		t.Fatalf("%s: series %+v, shadow %+v", label, fast.summary, locked.summary)
 	}
 	if *fast.hist != *locked.hist {
 		t.Fatalf("%s: merged sketches differ", label)
@@ -276,46 +353,89 @@ func checkReduceAgainstRing(t *testing.T, s *series, since time.Time, label stri
 		fv, ferr := fast.value(agg)
 		lv, lerr := locked.value(agg)
 		if math.Float64bits(fv) != math.Float64bits(lv) || ferr != lerr {
-			t.Fatalf("%s %v: view %v, %v; ring %v, %v", label, agg, fv, ferr, lv, lerr)
+			t.Fatalf("%s %v: series %v, %v; shadow %v, %v", label, agg, fv, ferr, lv, lerr)
 		}
 	}
 }
 
-// TestSealedViewInvariant is the equivalence the view read rests on, as
-// a seeded property over one series driven through every kind of write:
-// in order, into the current second, late into sealed history, older
-// than the ring, across a gap larger than the ring, around the ring
-// many times, in bursts that need two- and four-byte counts, before and
-// after 1970. After every write
+// heldView is a view as a reader copied it, with what it summed to then.
+type heldView struct {
+	v     sealedView
+	count int64
+	mass  uint64
+}
+
+func holdView(v sealedView) heldView {
+	h := heldView{v: v}
+	h.count, h.mass = h.sums()
+	return h
+}
+
+// sums reads every summary and every packed bin the view reaches.
+func (h *heldView) sums() (count int64, mass uint64) {
+	for i := range h.v.seconds {
+		count += h.v.seconds[i].count
+		for _, c := range h.v.dense(i) {
+			mass += c
+		}
+	}
+	return count, mass
+}
+
+// verify fails if the view no longer sums to what it did when copied.
+func (h *heldView) verify(t *testing.T, label string) {
+	t.Helper()
+	if count, mass := h.sums(); count != h.count || mass != h.mass {
+		t.Fatalf("%s: a view copied earlier summed to %d observations, %d in its sketches; now %d and %d",
+			label, h.count, h.mass, count, mass)
+	}
+}
+
+// TestSealedViewInvariant is the equivalence the seconds tier rests on,
+// as a seeded property over one series and its shadow ring driven through
+// every kind of write: in order, into the current second, late inside the
+// live seconds, late into sealed history (one sample, and storms of
+// distinct values into neighbouring seconds with no read between), older
+// than the tier, across a gap larger than the tier, around it many times,
+// in bursts that need two- and four-byte counts, before and after 1970.
+// After every write
 //
-//   - a view that is not stale is, element for element and bin for bin,
-//     what a rebuild from the ring would hold, however many extensions
-//     in place and regrows produced it;
-//   - whenever the view answers, it answers bit for bit what the locked
-//     ring.reduce does — summary and merged sketch — for every window
-//     start tried: the same buckets merged in the same order.
+//   - whenever the tier answers, series.reduce answers bit for bit what
+//     the locked walk of the shadow does — summary, sum, merged sketch —
+//     for every window start tried: the same seconds merged in the same
+//     order, the late ones with their samples added in arrival order;
+//   - live ring and view, once folded, are bucket for bucket what the
+//     shadow holds, however many extensions in place, regrows and folds
+//     produced them;
+//   - a view copied earlier still sums to what it did when it was
+//     copied: folds and regrows move the view, they never write into it.
 func TestSealedViewInvariant(t *testing.T) {
 	for _, start := range []int64{1_700_000_000, -400, -2_000_000_000} {
 		rng := rand.New(rand.NewSource(start))
-		s := newSeries()
+		p := newShadowed()
 		now := start
-		var answered, extended, moved, wide int
+		var answered, pending, extended, moved, wide int
 		var prevBacking *sealedSecond
+		var held []heldView
 		for step := 0; step < 4000; step++ {
-			sec := now
+			sec, storm := now, 1
 			switch k := rng.Intn(100); {
-			case k < 45: // the next second
+			case k < 42: // the next second
 				now++
 				sec = now
-			case k < 75: // the current second again
-			case k < 87: // late, into sealed history still in the ring
-				sec = now - 1 - rng.Int63n(secondSlots-1)
-			case k < 91: // older than the ring reaches
+			case k < 68: // the current second again
+			case k < 75: // late, into a second still dense
+				sec = now - 1 - rng.Int63n(liveSeconds-1)
+			case k < 85: // late, into sealed history
+				sec = now - liveSeconds - rng.Int63n(secondSlots-liveSeconds)
+			case k < 88: // a storm of late samples over three neighbouring seconds
+				sec, storm = now-liveSeconds-2-rng.Int63n(100), 40
+			case k < 91: // older than the tier reaches
 				sec = now - secondSlots - rng.Int63n(1000)
 			case k < 97: // a short gap
 				now += 2 + rng.Int63n(40)
 				sec = now
-			default: // a gap the ring cannot span
+			default: // a gap the tier cannot span
 				now += secondSlots + rng.Int63n(600)
 				sec = now
 			}
@@ -323,15 +443,30 @@ func TestSealedViewInvariant(t *testing.T) {
 			if rng.Intn(12) == 0 { // a count around a width boundary
 				n = []int{255, 256, 65535, 65536}[rng.Intn(4)] - rng.Intn(2)
 			}
-			burst(s, time.Unix(sec, rng.Int63n(int64(time.Second))), 5*math.Exp(rng.NormFloat64()), n)
+			for ; storm > 0; storm-- {
+				at := sec
+				if storm > 1 {
+					at += rng.Int63n(3)
+				}
+				p.burst(time.Unix(at, rng.Int63n(int64(time.Second))), 5*math.Exp(rng.NormFloat64()), n)
+				n = 1
+			}
 			label := fmt.Sprintf("start %d step %d", start, step)
 
-			s.mu.Lock()
-			v := s.sealed
-			if !s.stale {
-				checkViewAgainstRing(t, s, label)
+			if len(p.s.late) > 0 { // single goroutine: no lock needed to look
+				pending++
 			}
-			s.mu.Unlock()
+			for _, back := range []int64{0, 1, liveSeconds - 1, liveSeconds, 7, 60, secondSlots - 1, secondSlots, 2 * secondSlots, -3} {
+				since := time.Unix(now-back, 500)
+				if !p.answers(since) {
+					continue
+				}
+				answered++
+				p.checkReduce(t, since, fmt.Sprintf("%s window -%ds", label, back))
+			}
+			p.checkTier(t, label)
+
+			v := p.s.sealed
 			if len(v.seconds) > 0 {
 				if backing := &v.seconds[:cap(v.seconds)][cap(v.seconds)-1]; backing == prevBacking {
 					extended++
@@ -343,101 +478,130 @@ func TestSealedViewInvariant(t *testing.T) {
 					wide++
 				}
 			}
-			for _, back := range []int64{0, 1, 7, 60, secondSlots - 1, secondSlots, 2 * secondSlots, -3} {
-				since := time.Unix(now-back, 500)
-				if !servedFromView(s, since) {
-					continue
-				}
-				answered++
-				checkReduceAgainstRing(t, s, since, fmt.Sprintf("%s window -%ds", label, back))
+			if step%16 == 0 { // each copy is checked again 128 steps on, and at the end
+				held = append(held, holdView(v))
+			}
+			if len(held) > 8 {
+				held[0].verify(t, label)
+				held = held[1:]
 			}
 		}
-		// Not vacuous: the view answered, was both extended in place and
-		// moved (rebuilt or regrown), and sealed seconds of every width.
-		if answered < 4000 || extended < 500 || moved < 50 || wide < 50 {
-			t.Errorf("start %d: %d view answers, %d views extended in place, %d rebuilt or regrown, %d wide seconds: the walk misses a case",
-				start, answered, extended, moved, wide)
+		for i := range held {
+			held[i].verify(t, fmt.Sprintf("start %d, at the end", start))
+		}
+		// Not vacuous: the tier answered, reads met a late buffer to fold,
+		// the view was both extended in place and moved (folded or regrown),
+		// the slot tables of all three rings grew, and seconds of every
+		// width were sealed.
+		st := Stats{LateFolds: p.s.lateFolds, LateWrites: p.s.lateWrites, LateDropped: p.s.lateDropped}
+		grown := len(p.s.tiers[tierMinute].slots) > 4 && len(p.s.tiers[tierHour].slots) > 4 && len(p.shadow.slots) == secondSlots
+		if answered < 4000 || pending < 300 || st.LateFolds < 300 || st.LateWrites < 10_000 || st.LateDropped < 50 ||
+			extended < 500 || moved < 300 || wide < 50 || !grown {
+			t.Errorf("start %d: %d answers, %d reads with late writes pending, %+v, %d views extended in place, %d folded or regrown, %d wide seconds, slot tables grown: %v — the walk misses a case",
+				start, answered, pending, st, extended, moved, wide, grown)
 		}
 	}
 }
 
 // TestSealedSketchCases: the packed sketch at the edges of its three
-// count widths, and a second that has no sketch at all.
+// count widths, sealed from the live ring and re-sealed by a fold, and a
+// second that has no sketch at all.
 func TestSealedSketchCases(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	for _, tc := range []struct {
 		n     int
 		width uint8
 	}{{1, 1}, {255, 1}, {256, 2}, {65535, 2}, {65536, 4}, {1 << 20, 4}} {
-		s := newSeries()
-		burst(s, base, 40, tc.n)                    // one bin holds all n
-		burst(s, base.Add(time.Second), 40, 3)      // a narrow neighbour on each side
-		burst(s, base.Add(2*time.Second), 4000, 1)  // of the wide second's bytes
-		burst(s, base.Add(-time.Second), 0.0001, 2) // late: the view is rebuilt, not extended
-		burst(s, base.Add(3*time.Second), 40, 1)
+		p := newShadowed()
+		p.burst(base, 40, tc.n)                    // one bin holds all n
+		p.burst(base.Add(time.Second), 40, 3)      // a narrow neighbour on each side
+		p.burst(base.Add(2*time.Second), 4000, 1)  // of the wide second's bytes
+		p.burst(base.Add(-time.Second), 0.0001, 2) // late, still dense: sealed in order, ahead of the others
+		p.burst(base.Add((3+liveSeconds)*time.Second), 40, 1)
 		label := fmt.Sprintf("%d counts in one bin", tc.n)
-		s.mu.Lock()
-		checkViewAgainstRing(t, s, label)
-		got := s.sealed.seconds[1].width
-		s.mu.Unlock()
-		if got != tc.width {
+		p.checkTier(t, label)
+		if got := p.s.sealed.seconds[1].width; got != tc.width {
 			t.Errorf("%s: packed at width %d, want %d", label, got, tc.width)
 		}
+		// One more into the sealed wide second, at a boundary the count that
+		// crosses it: the fold unpacks, adds and packs again, a width up.
+		p.burst(base, 40, 1)
+		p.burst(base.Add(2*time.Second), 0.5, 300)
 		for _, back := range []time.Duration{-time.Second, 0, time.Second, 3 * time.Second} {
-			if since := base.Add(back); servedFromView(s, since) {
-				checkReduceAgainstRing(t, s, since, fmt.Sprintf("%s, window from %v", label, back))
+			if since := base.Add(back); p.answers(since) {
+				p.checkReduce(t, since, fmt.Sprintf("%s, window from %v", label, back))
 			} else {
-				t.Errorf("%s: window from %v not answered by the view", label, back)
+				t.Errorf("%s: window from %v not answered by the seconds tier", label, back)
 			}
+		}
+		p.checkTier(t, label+", after the fold")
+		want := tc.width
+		switch tc.n + 1 {
+		case 256:
+			want = 2
+		case 65536:
+			want = 4
+		}
+		if got := p.s.sealed.seconds[1].width; got != want || p.s.lateFolds != 1 {
+			t.Errorf("%s plus one late: packed at width %d after %d folds, want %d after one", label, got, p.s.lateFolds, want)
 		}
 	}
 
 	// A second restored without a sketch (LoadSnapshot only restores the
-	// coarser rings; the bucket type and the view are the same on all
-	// three, so the seconds ring is held to the same rule): inside the
-	// window it counts exactly and makes a quantile ErrNoData, from the
-	// view as from the ring.
-	s := newSeries()
+	// coarser rings; the bucket type is the same on all three, so the
+	// seconds tier is held to the same rule): inside the window it counts
+	// exactly and makes a quantile ErrNoData, while it is live, once it is
+	// sealed, and after a fold has added a late sample to it.
+	p := newShadowed()
 	for i := 0; i < 6; i++ {
-		burst(s, base.Add(time.Duration(i)*time.Second), 10+float64(i), 2)
+		p.burst(base.Add(time.Duration(i)*time.Second), 10+float64(i), 2)
 	}
-	s.mu.Lock()
-	s.restoreLocked(tierSecond, []snapshotBucket{{
+	restored := snapshotBucket{
 		Idx: base.Unix() + 2, Count: 4, Sum: 100, Min: 20, Max: 30,
 		FirstAt: base.UnixNano() + 2e9, LastAt: base.UnixNano() + 2e9 + 5,
-	}})
-	s.stale = true // as the late write it is
-	s.mu.Unlock()
-	burst(s, base.Add(6*time.Second), 16, 2)
-	s.mu.Lock()
-	checkViewAgainstRing(t, s, "restored second")
-	s.mu.Unlock()
-	for _, tc := range []struct {
-		back      time.Duration
-		count     float64
-		quantiles bool
-	}{{0, 16, false}, {2 * time.Second, 12, false}, {3 * time.Second, 8, true}} {
-		since := base.Add(tc.back)
-		if !servedFromView(s, since) {
-			t.Fatalf("window from %v not answered by the view", tc.back)
-		}
-		checkReduceAgainstRing(t, s, since, fmt.Sprintf("restored second, window from %v", tc.back))
-		a := accumulator{summary: emptySummary, hist: new([histSize]uint64)}
-		s.reduce(since, &a)
-		if c, err := a.value(AggCount); err != nil || c != tc.count {
-			t.Errorf("window from %v: count %v, %v; want %v", tc.back, c, err, tc.count)
-		}
-		if _, err := a.value(AggP95); tc.quantiles != (err == nil) || (err != nil && !errors.Is(err, ErrNoData)) {
-			t.Errorf("window from %v: p95 err = %v; answerable: %v", tc.back, err, tc.quantiles)
-		}
 	}
+	p.s.mu.Lock()
+	p.s.restoreLocked(tierSecond, []snapshotBucket{restored}) // base+2 is the oldest live second
+	*p.shadow.at(restored.Idx) = *p.s.tiers[tierSecond].at(restored.Idx)
+	p.s.mu.Unlock()
+	check := func(stage string, counts [3]float64) {
+		t.Helper()
+		for _, tc := range []struct {
+			back      time.Duration
+			count     float64
+			quantiles bool
+		}{{0, counts[0], false}, {2 * time.Second, counts[1], false}, {3 * time.Second, counts[2], true}} {
+			since := base.Add(tc.back)
+			if !p.answers(since) {
+				t.Fatalf("%s: window from %v not answered by the seconds tier", stage, tc.back)
+			}
+			p.checkReduce(t, since, fmt.Sprintf("%s, window from %v", stage, tc.back))
+			a := accumulator{summary: emptySummary, hist: new([histSize]uint64)}
+			p.s.reduce(since, &a)
+			if c, err := a.value(AggCount); err != nil || c != tc.count {
+				t.Errorf("%s, window from %v: count %v, %v; want %v", stage, tc.back, c, err, tc.count)
+			}
+			if _, err := a.value(AggP95); tc.quantiles != (err == nil) || (err != nil && !errors.Is(err, ErrNoData)) {
+				t.Errorf("%s, window from %v: p95 err = %v; answerable: %v", stage, tc.back, err, tc.quantiles)
+			}
+		}
+		p.checkTier(t, stage)
+	}
+	check("restored second, live", [3]float64{14, 10, 6})
+	p.burst(base.Add(9*time.Second), 16, 2)
+	if sec := p.s.sealed.seconds[2]; sec.idx != restored.Idx || sec.n != 0 || sec.width != 0 {
+		t.Fatalf("restored second sealed as %+v, want no sketch", sec)
+	}
+	check("restored second, sealed", [3]float64{16, 12, 8})
+	p.burst(base.Add(2*time.Second), 25, 1) // the fold unpacks a second without a sketch
+	check("restored second, folded", [3]float64{17, 13, 8})
 }
 
 // FuzzSealedSketch: arbitrary per-second histograms, sealed into the
-// view as they finish (extended, trimmed, regrown, rebuilt after late
-// writes), merge from the view exactly as the dense buckets merge from
-// the ring. Five input bytes make one burst: how far to advance (or
-// how late to write), the value's bin, and a 24-bit count.
+// view as they leave the live ring (extended, trimmed, regrown, folded
+// with late writes), merge from the series exactly as the dense buckets
+// of the shadow ring merge. Five input bytes make one burst: how far to
+// advance (or how late to write), the value's bin, and a 24-bit count.
 func FuzzSealedSketch(f *testing.F) {
 	op := func(step, bin byte, n int) []byte { return []byte{step, bin, byte(n), byte(n >> 8), byte(n >> 16)} }
 	var boundaries []byte
@@ -449,10 +613,11 @@ func FuzzSealedSketch(f *testing.F) {
 	f.Add(append(op(1, 0, 0), op(0, 219, 70000)...))                           // both end bins in one second
 	f.Add(append(append(op(1, 7, 300), op(40, 9, 1)...), op(0x84, 7, 300)...)) // a gap, then a late write
 	f.Add(append(op(0x7f, 50, 1<<24-1), op(0xff, 50, 1)...))                   // the largest count and jump, the latest write
-	f.Add(append(boundaries, append(op(0x80, 100, 65536), boundaries...)...))  // a rebuild among wide seconds
+	f.Add(append(boundaries, append(op(0x80, 100, 65536), boundaries...)...))  // a late write among wide seconds
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := newSeries()
+		p := newShadowed()
 		now := int64(1_700_000_000)
+		budget := 1 << 18 // observations into sealed seconds are added one by one
 		for ; len(data) >= 5 && now < 1_700_000_000+4*secondSlots; data = data[5:] {
 			sec := now
 			if step := int64(data[0]); step < 0x80 {
@@ -462,28 +627,35 @@ func FuzzSealedSketch(f *testing.F) {
 				sec = now - (step - 0x7f) // late by 1 … 128 s
 			}
 			v := histValue(int(data[1]) % histSize)
-			burst(s, time.Unix(sec, 0), v, 1+int(data[2])|int(data[3])<<8|int(data[4])<<16)
+			n := 1 + int(data[2]) | int(data[3])<<8 | int(data[4])<<16
+			if sec <= now-liveSeconds {
+				if n = min(n, budget); n == 0 {
+					continue
+				}
+				budget -= n
+			}
+			p.burst(time.Unix(sec, 0), v, n)
 		}
-		burst(s, time.Unix(now+1, 0), 1, 1) // seal the last second, rebuild if stale
-		s.mu.Lock()
-		checkViewAgainstRing(t, s, "view")
-		s.mu.Unlock()
 		for _, back := range []int64{0, 1, 5, 60, secondSlots - 1} {
-			if since := time.Unix(now+1-back, 0); servedFromView(s, since) {
-				checkReduceAgainstRing(t, s, since, fmt.Sprintf("window -%ds", back))
+			if since := time.Unix(now-back, 0); p.answers(since) {
+				p.checkReduce(t, since, fmt.Sprintf("window -%ds", back))
 			}
 		}
+		p.checkTier(t, "tier")
 	})
 }
 
 // TestSealedStaleViewsStayImmutable: successive views share their two
 // backing arrays, so a reader still holding an old view reads memory
-// the writer is appending next to. Each second here has a content that
+// the writer is appending next to; and a fold replaces both arrays
+// while readers hold the old ones. Each second here has a content that
 // follows from its index — every eleventh one a burst that needs
-// two-byte counts; readers re-verify every summary and every packed bin
-// of views they copied up to 160 seconds ago, and windowed queries
-// through the public path, while the writer seals thousands of seconds
-// through dozens of regrows. Run under -race, an append that landed
+// two-byte counts, and any number of late writes of the same value on
+// top; readers re-verify every summary and every packed bin of views
+// they copied up to 160 seconds ago, that each still sums to what it did
+// when copied, and windowed queries through the public path, while the
+// writer seals thousands of seconds through dozens of regrows and
+// hundreds of folds. Run under -race, an append or a fold that landed
 // inside a copied view's length is a reported race; without it, a torn
 // or overwritten element fails the content check.
 func TestSealedStaleViewsStayImmutable(t *testing.T) {
@@ -499,7 +671,16 @@ func TestSealedStaleViewsStayImmutable(t *testing.T) {
 		return 3
 	}
 	s := st.getOrCreate(seriesKey("rt", scope))
-	writeSecond := func(sec int64) { burst(s, time.Unix(sec, 0), value(sec), int(count(sec))) }
+	writeSecond := func(sec int64) {
+		burst(s, nil, time.Unix(sec, 0), value(sec), int(count(sec)))
+		if sec%3 == 0 { // late, into sealed seconds 20 and 90 s back; the next reader or second folds
+			for _, back := range []int64{20, 90} {
+				if late := sec - back; late >= base.Unix() {
+					burst(s, nil, time.Unix(late, 0), value(late), 2)
+				}
+			}
+		}
+	}
 	next := base.Unix()
 	for ; next < base.Unix()+20; next++ {
 		writeSecond(next)
@@ -512,7 +693,7 @@ func TestSealedStaleViewsStayImmutable(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var held []sealedView // oldest first; stale by up to len(held) seconds
+			var held []heldView // oldest first; stale by up to len(held) seconds
 			heldNewest := int64(math.MinInt64)
 			for !stop.Load() {
 				s.mu.Lock()
@@ -521,25 +702,28 @@ func TestSealedStaleViewsStayImmutable(t *testing.T) {
 				newest := v.seconds[len(v.seconds)-1].idx
 				if newest != heldNewest {
 					heldNewest = newest
-					held = append(held, v)
-					if len(held) > 160 { // two regrows of a full ring's view
+					held = append(held, holdView(v))
+					if len(held) > 160 { // two regrows of a full tier's view
 						held = held[1:]
 					}
 				}
 				for h := 0; h < len(held); h += 20 {
-					v := &held[h]
+					v := &held[h].v
 					prev := int64(math.MinInt64)
 					for i := range v.seconds {
 						b := &v.seconds[i]
-						n := count(b.idx)
 						var want [histSize]uint64
-						want[histIndex(value(b.idx))] = uint64(n)
-						if b.idx <= prev || b.count != n || b.sum != value(b.idx)+float64(n-1)*value(b.idx) ||
+						want[histIndex(value(b.idx))] = uint64(b.count)
+						if b.idx <= prev || b.count < count(b.idx) || (b.count-count(b.idx))%2 != 0 || b.sum != float64(b.count)*value(b.idx) ||
 							b.min != value(b.idx) || b.max != value(b.idx) || v.dense(i) != want {
-							t.Errorf("held view (newest %d) element %d changed under its reader: %+v", v.seconds[len(v.seconds)-1].idx, i, *b)
+							t.Errorf("held view (newest %d) element %d is not a content its second can have: %+v", v.seconds[len(v.seconds)-1].idx, i, *b)
 							return
 						}
 						prev = b.idx
+					}
+					if c, mass := held[h].sums(); c != held[h].count || mass != held[h].mass {
+						t.Errorf("held view (newest %d) summed to %d observations when copied, %d now", v.seconds[len(v.seconds)-1].idx, held[h].count, c)
+						return
 					}
 				}
 				// The public path: the ten seconds before the newest sealed
@@ -573,15 +757,17 @@ func TestSealedStaleViewsStayImmutable(t *testing.T) {
 	slabs, slab := 0, (*byte)(nil)
 	for ; next < base.Unix()+minSeconds || (!enough() && !t.Failed()); next++ {
 		writeSecond(next)
-		if p := &s.sealed.bins[:1][0]; p != slab { // the writer's own field: no lock needed to read it
+		s.mu.Lock() // a reader's query may be the one that folds
+		if p := &s.sealed.bins[:1][0]; p != slab {
 			slabs, slab = slabs+1, p
 		}
+		s.mu.Unlock()
 		runtime.Gosched()
 	}
 	stop.Store(true)
 	wg.Wait()
-	if slabs < minSeconds/100 {
-		t.Errorf("the slab moved %d times in %d seconds: the readers saw too few regrows", slabs, next-base.Unix())
+	if folds := st.Stats().LateFolds; slabs < minSeconds/100 || folds < minSeconds/4 {
+		t.Errorf("the slab moved %d times and %d folds ran in %d seconds: the readers saw too few", slabs, folds, next-base.Unix())
 	}
 }
 

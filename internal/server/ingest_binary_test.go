@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -154,6 +155,25 @@ func TestBinaryIngestErrorPaths(t *testing.T) {
 		{"empty spans frame", "/v1/spans", binSpansFrame(), http.StatusBadRequest, "no spans"},
 		{"invalid sample rejects whole batch", "/v1/metrics", partialM, http.StatusBadRequest, "required"},
 		{"invalid span rejects whole batch", "/v1/spans", partialS, http.StatusBadRequest, "required"},
+	}
+	// The frame carries raw IEEE bits: a value no check can reason about
+	// rejects the batch wherever it sits.
+	for name, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+		for _, row := range []int{0, 3, 6} {
+			batch := make([]metrics.Sample, 7)
+			for i := range batch {
+				batch[i] = goodSample(i)
+			}
+			batch[row].Value = v
+			tests = append(tests, struct {
+				name     string
+				path     string
+				frame    []byte
+				wantCode int
+				wantSub  string
+			}{fmt.Sprintf("%s at row %d of 7", name, row), "/v1/metrics", binMetricsFrame(batch...),
+				http.StatusBadRequest, fmt.Sprintf("observation %d: value must be finite", row)})
+		}
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

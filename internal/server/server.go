@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -628,6 +629,13 @@ func (s *Server) recordSamples(w http.ResponseWriter, r *http.Request, samples [
 				"observation %d: metric, service, and version are required", i)
 			return
 		}
+		// The binary codec carries raw IEEE bits. One -Inf would pass every
+		// `mean <= max` check over its window, one NaN or +Inf fail them, for
+		// as long as a bucket holding it stays in a ring.
+		if math.IsNaN(sm.Value) || math.IsInf(sm.Value, 0) {
+			writeError(w, http.StatusBadRequest, "observation %d: value must be finite", i)
+			return
+		}
 		if sm.At.IsZero() {
 			sm.At = now
 		}
@@ -802,10 +810,12 @@ type JournalHealth struct {
 	Truncations uint64 `json:"truncations"`
 }
 
-// StoreHealth reports the metric store: how many series exist and how
-// many lock shards they are spread over.
+// StoreHealth reports the metric store: what it holds and how late its
+// writes arrived (metrics.Stats: series, liveBuckets, sealedSeconds,
+// lateWrites, lateFolds, lateDropped), and how many lock shards the
+// series are spread over.
 type StoreHealth struct {
-	Series int `json:"series"`
+	metrics.Stats
 	Shards int `json:"shards"`
 }
 
@@ -877,7 +887,7 @@ func (s *Server) buildStatus() *statusSnapshot {
 			EvalPlane:     s.cfg.Engine.EvalPlane(),
 		},
 		Store: StoreHealth{
-			Series: s.cfg.Store.SeriesCount(),
+			Stats:  s.cfg.Store.Stats(),
 			Shards: s.cfg.Store.ShardCount(),
 		},
 		Router: RouterHealth{

@@ -391,6 +391,8 @@ func TestRoutesRendersRulesAndMirrors(t *testing.T) {
 func TestHealthz(t *testing.T) {
 	e := newEnv(t)
 	e.seedMetrics()
+	// Thirty seconds late: older than the store's live seconds, buffered.
+	e.store.Record("response_time", metrics.Scope{Service: "svc", Version: "v1"}, time.Now().Add(-30*time.Second), 20)
 	code, body := e.do(http.MethodGet, "/healthz", "")
 	if code != http.StatusOK {
 		t.Fatalf("healthz: %d", code)
@@ -404,6 +406,14 @@ func TestHealthz(t *testing.T) {
 	}
 	if h.Store.Series != 2 {
 		t.Errorf("series = %d, want 2", h.Store.Series)
+	}
+	if st := h.Store.Stats; st.LiveBuckets < 6 || st.LateWrites != 1 || st.LateDropped != 0 || st != e.store.Stats() {
+		t.Errorf("store = %+v, want two series of three buckets or more and one late write, as Store.Stats reports", st)
+	}
+	for _, key := range []string{`"liveBuckets"`, `"sealedSeconds"`, `"lateWrites"`, `"lateFolds"`, `"lateDropped"`} {
+		if !strings.Contains(body, key) {
+			t.Errorf("healthz store object lacks %s: %s", key, body)
+		}
 	}
 	if h.Store.Shards != e.store.ShardCount() {
 		t.Errorf("shards = %d, want %d", h.Store.Shards, e.store.ShardCount())
