@@ -48,7 +48,8 @@ func BenchmarkVerifyPairwise(b *testing.B) {
 // already holds 10⁴ events, through a FileLog with the default batched
 // sync: the per-event cost the evaluation plane pays beside the check
 // itself. It must not depend on the trail's length, and its one
-// allocation is the event's detail string.
+// allocation is the event's detail string, dead once the record and the
+// trail have copied its bytes.
 func BenchmarkRunRecord(b *testing.B) {
 	log, err := journal.Open(b.TempDir(), journal.Options{})
 	if err != nil {

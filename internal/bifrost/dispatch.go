@@ -23,12 +23,17 @@ import (
 // evalBatch evaluates checks against the run's (strategy, phase) at
 // now, in order, returning results positionally. Every check is
 // evaluated even when an earlier one will trip the phase; the caller
-// decides what to record.
+// decides what to record. The engine's busy/count instrumentation is
+// taken around the batch: one clock pair and one add to each shared
+// counter, however many checks are due.
 func (r *Run) evalBatch(p *Phase, checks []*Check, now time.Time) []CheckResult {
 	results := make([]CheckResult, len(checks))
+	start := time.Now()
 	for i, c := range checks {
 		results[i] = r.evaluateCheck(p, c, now)
 	}
+	r.engine.evalBusy.Add(int64(time.Since(start)))
+	r.engine.evalCount.Add(int64(len(checks)))
 	return results
 }
 

@@ -39,7 +39,7 @@ func memoRun(t *testing.T, stub *stubQuerier, checks ...Check) (*Run, *Phase, []
 	for i := range p.Checks {
 		ptrs[i] = &p.Checks[i]
 	}
-	return &Run{strategy: s, engine: eng}, p, ptrs
+	return &Run{strategy: s, engine: eng, log: new(runLog)}, p, ptrs
 }
 
 // p95Ladder is n thresholds over one p95 signal: n checks, one query.

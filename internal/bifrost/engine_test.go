@@ -459,8 +459,14 @@ func TestEngineMetricsInstrumentation(t *testing.T) {
 func TestDelaySamplesKeepNewest(t *testing.T) {
 	h := newHarness(t)
 	const extra = 500
-	for i := 0; i < maxDelaySamples+extra; i++ {
-		h.engine.recordDelay(time.Duration(i))
+	// Batches of five, as a tick's due checks arrive: the ring must wrap
+	// inside a batch as it does between them.
+	for i := 0; i < maxDelaySamples+extra; i += 5 {
+		var due []*checkState
+		for d := i; d < i+5; d++ {
+			due = append(due, &checkState{due: t0.Add(-time.Duration(d))})
+		}
+		h.engine.recordDelays(t0, due)
 	}
 	delays := h.engine.Metrics().Delays
 	if len(delays) != maxDelaySamples {

@@ -55,7 +55,7 @@ func BenchmarkEvalPlane(b *testing.B) {
 				},
 			}},
 		}
-		runs[i] = &Run{strategy: s, engine: eng}
+		runs[i] = &Run{strategy: s, engine: eng, log: new(runLog)}
 		scopes[i] = metrics.Scope{Service: svc, Version: "v2"}
 		// A full window of sealed per-second history ending now, so every
 		// query has data regardless of how long the timed region runs.

@@ -65,32 +65,77 @@ func journalEvent(j journal.Journal, s *Strategy, ev Event, strategyDSL string, 
 	return err
 }
 
+// recordHead is the encoded head of a run's last journal record and the
+// (At, Type, Phase) it was encoded from. A tick's records open alike —
+// same run, same instant, same type, same phase — so all but the first
+// copy the head instead of formatting the instant and quoting four
+// strings again.
+type recordHead struct {
+	at    time.Time
+	typ   EventType
+	phase string
+	b     []byte
+}
+
+// journal is journalEvent for the run that owns h.
+func (h *recordHead) journal(j journal.Journal, s *Strategy, ev Event, strategyDSL string, status RunStatus) error {
+	if len(h.b) == 0 || ev.At != h.at || ev.Type != h.typ || ev.Phase != h.phase {
+		b, err := appendRecordHead(h.b[:0], s.RunKey(), s.Tenant, ev.At, ev.Type, ev.Phase)
+		if err != nil {
+			h.b = b[:0]
+			return err
+		}
+		*h = recordHead{at: ev.At, typ: ev.Type, phase: ev.Phase, b: b}
+	}
+	buf := recordScratch.Get().(*[]byte)
+	rec := appendRecordTail(append((*buf)[:0], h.b...), ev.Check, ev.Outcome, ev.Detail, strategyDSL, status)
+	err := j.Append(rec)
+	*buf = rec
+	recordScratch.Put(buf)
+	return err
+}
+
 // appendRecord appends one event's journal record to dst: byte for byte
 // and error for error what json.Marshal of the wireRecord gives — field
 // order, omitempty, time and string escaping — without reflecting over
-// it. FuzzRecordEncoding holds it to that.
+// it. FuzzRecordEncoding holds it to that. It is a head, which only the
+// instant can fail, and a tail.
 func appendRecord(dst []byte, run, tenant string, ev Event, strategyDSL string, status RunStatus) ([]byte, error) {
+	dst, err := appendRecordHead(dst, run, tenant, ev.At, ev.Type, ev.Phase)
+	if err != nil {
+		return dst, err
+	}
+	return appendRecordTail(dst, ev.Check, ev.Outcome, ev.Detail, strategyDSL, status), nil
+}
+
+// appendRecordHead appends a record up to and including its phase.
+func appendRecordHead(dst []byte, run, tenant string, at time.Time, typ EventType, phase string) ([]byte, error) {
 	dst = appendJSONString(append(dst, `{"run":`...), run)
 	if tenant != "" {
 		dst = appendJSONString(append(dst, `,"tenant":`...), tenant)
 	}
 	dst = strconv.AppendInt(append(dst, `,"v":`...), wireVersion, 10)
-	dst, err := appendJSONTime(append(dst, `,"at":`...), ev.At)
+	dst, err := appendJSONTime(append(dst, `,"at":`...), at)
 	if err != nil {
 		return dst, err
 	}
-	dst = appendJSONString(append(dst, `,"type":`...), string(ev.Type))
-	if ev.Phase != "" {
-		dst = appendJSONString(append(dst, `,"phase":`...), ev.Phase)
+	dst = appendJSONString(append(dst, `,"type":`...), string(typ))
+	if phase != "" {
+		dst = appendJSONString(append(dst, `,"phase":`...), phase)
 	}
-	if ev.Check != "" {
-		dst = appendJSONString(append(dst, `,"check":`...), ev.Check)
+	return dst, nil
+}
+
+// appendRecordTail appends what follows a record's head, and closes it.
+func appendRecordTail(dst []byte, check string, outcome Outcome, detail, strategyDSL string, status RunStatus) []byte {
+	if check != "" {
+		dst = appendJSONString(append(dst, `,"check":`...), check)
 	}
-	if ev.Outcome != 0 {
-		dst = strconv.AppendInt(append(dst, `,"outcome":`...), int64(ev.Outcome), 10)
+	if outcome != 0 {
+		dst = strconv.AppendInt(append(dst, `,"outcome":`...), int64(outcome), 10)
 	}
-	if ev.Detail != "" {
-		dst = appendJSONString(append(dst, `,"detail":`...), ev.Detail)
+	if detail != "" {
+		dst = appendJSONString(append(dst, `,"detail":`...), detail)
 	}
 	if strategyDSL != "" {
 		dst = appendJSONString(append(dst, `,"strategy":`...), strategyDSL)
@@ -98,7 +143,7 @@ func appendRecord(dst []byte, run, tenant string, ev Event, strategyDSL string, 
 	if status != 0 {
 		dst = strconv.AppendInt(append(dst, `,"status":`...), int64(status), 10)
 	}
-	return append(dst, '}'), nil
+	return append(dst, '}')
 }
 
 // jsonPlain marks the bytes encoding/json copies into a string as they

@@ -230,7 +230,7 @@ func (e *Engine) Recover(j journal.Journal) (*RecoveryReport, error) {
 			engine:    e,
 			recovered: true,
 			status:    StatusRunning,
-			events:    trailOf(g.events),
+			log:       &runLog{events: trailOf(g.events)},
 			done:      make(chan struct{}),
 			cancel:    make(chan struct{}),
 		}

@@ -797,6 +797,9 @@ type EngineHealth struct {
 	// EvalPlane reports the evaluation plane: how many store queries
 	// the per-run memo answered and how many reached the store.
 	EvalPlane bifrost.EvalPlaneStats `json:"evalPlane"`
+	// Trail reports the audit trails held in memory: events, and the
+	// chunk bytes allocated to hold them, over all runs.
+	Trail bifrost.TrailStats `json:"trail"`
 }
 
 // JournalHealth reports the write-ahead journal backing run state.
@@ -885,6 +888,7 @@ func (s *Server) buildStatus() *statusSnapshot {
 			BusyTime:      busy.Round(time.Microsecond).String(),
 			JournalErrors: s.cfg.Engine.JournalErrors(),
 			EvalPlane:     s.cfg.Engine.EvalPlane(),
+			Trail:         s.cfg.Engine.TrailStats(),
 		},
 		Store: StoreHealth{
 			Stats:  s.cfg.Store.Stats(),

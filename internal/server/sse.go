@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -17,7 +18,10 @@ import (
 // rebuilt from the write-ahead journal after a restart — so a client
 // connecting mid-run, after the run finished, or after a crash
 // recovery still receives every event from the beginning: the stream
-// is a replay plus a live tail.
+// is a replay plus a live tail. Message i carries "id: i", and a client
+// that reconnects with Last-Event-ID: i — as an EventSource does by
+// itself — is sent the events after i instead of the replay. An id that
+// is not a non-negative integer is ignored, one past the trail clamped.
 func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	run, ok := s.cfg.Engine.Get(reqRunKey(r))
 	if !ok {
@@ -36,6 +40,9 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	flusher.Flush()
 
 	sent := 0
+	if id, err := strconv.Atoi(r.Header.Get("Last-Event-ID")); err == nil && id >= 0 {
+		sent = min(id, run.EventCount()-1) + 1
+	}
 	emit := func() {
 		for _, ev := range run.EventsFrom(sent) {
 			writeSSE(w, sent, string(ev.Type), eventView(ev))

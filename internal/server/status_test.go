@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"contexp/internal/bifrost"
 	"contexp/internal/metrics"
 )
 
@@ -97,5 +98,26 @@ func TestHealthReportsEvalPlane(t *testing.T) {
 	_, misses := plane["cacheMisses"]
 	if !hits || !misses || len(plane) != 2 {
 		t.Fatalf("evalPlane = %v; want exactly cacheHits and cacheMisses", plane)
+	}
+}
+
+// TestHealthReportsTrail: engine.trail counts the events the runs hold
+// and the chunk bytes they sit in, which start at a run's 256-byte first
+// chunk.
+func TestHealthReportsTrail(t *testing.T) {
+	e := newCustomEnv(t, func(c *Config) { c.StatusCacheTTL = -1 })
+	trail := func() bifrost.TrailStats {
+		_, body := e.do(http.MethodGet, "/healthz", "")
+		return healthOf(t, body).Engine.Trail
+	}
+	if got := trail(); got != (bifrost.TrailStats{}) {
+		t.Fatalf("engine.trail = %+v before any run", got)
+	}
+	if code, body := e.do(http.MethodPost, "/v1/strategies", longDSL); code != http.StatusCreated {
+		t.Fatalf("submit: %d: %s", code, body)
+	}
+	run, _ := e.engine.Get("long")
+	if got := trail(); got.Events < 2 || got.Events > int64(run.EventCount()) || got.Bytes < 256 {
+		t.Errorf("engine.trail = %+v with one run of %d events, want its events in 256 bytes of chunk or more", got, run.EventCount())
 	}
 }
