@@ -2,6 +2,8 @@ package bifrost
 
 import (
 	"fmt"
+
+	"contexp/internal/tenancy"
 )
 
 // This file implements experiment verification, the future-work
@@ -76,17 +78,20 @@ func Verify(strategies []*Strategy) ([]Conflict, error) {
 	return out, nil
 }
 
+// verifyPair compares tenant-qualified names, as Engine.Launch and the
+// Scheduler do: two tenants' same-named services own disjoint routing
+// entries, and their same-named groups disjoint users.
 func verifyPair(a, b *Strategy) []Conflict {
 	var out []Conflict
-	if a.Service == b.Service {
+	if a.RouteService() == b.RouteService() {
 		out = append(out, Conflict{
 			Kind: ConflictSameService, A: a.Name, B: b.Name,
-			Detail: fmt.Sprintf("both route service %q", a.Service),
+			Detail: fmt.Sprintf("both route service %q", a.RouteService()),
 		})
 		if a.Baseline == b.Candidate || b.Baseline == a.Candidate {
 			out = append(out, Conflict{
 				Kind: ConflictVersionClash, A: a.Name, B: b.Name,
-				Detail: fmt.Sprintf("one strategy's baseline is the other's candidate on %q", a.Service),
+				Detail: fmt.Sprintf("one strategy's baseline is the other's candidate on %q", a.RouteService()),
 			})
 		}
 	}
@@ -99,23 +104,17 @@ func verifyPair(a, b *Strategy) []Conflict {
 	return out
 }
 
-// sharedGroups returns group names pinned to candidates by both
-// strategies.
+// sharedGroups returns the tenant-qualified group names pinned to
+// candidates by both strategies.
 func sharedGroups(a, b *Strategy) []string {
 	inA := make(map[string]bool)
-	for i := range a.Phases {
-		for _, g := range a.Phases[i].Traffic.Groups {
-			inA[string(g)] = true
-		}
+	for _, g := range strategyGroups(a) {
+		inA[tenancy.Qualify(a.Tenant, string(g))] = true
 	}
 	var shared []string
-	seen := make(map[string]bool)
-	for i := range b.Phases {
-		for _, g := range b.Phases[i].Traffic.Groups {
-			if inA[string(g)] && !seen[string(g)] {
-				seen[string(g)] = true
-				shared = append(shared, string(g))
-			}
+	for _, g := range strategyGroups(b) {
+		if q := tenancy.Qualify(b.Tenant, string(g)); inA[q] {
+			shared = append(shared, q)
 		}
 	}
 	return shared

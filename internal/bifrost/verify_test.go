@@ -1,6 +1,7 @@
 package bifrost
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +91,59 @@ func TestVerifySharedGroups(t *testing.T) {
 	}
 	if !strings.Contains(conflicts[0].Detail, "beta") {
 		t.Errorf("detail = %q", conflicts[0].Detail)
+	}
+}
+
+// TestVerifyIsTenantAware: verification compares what Engine.Launch and
+// the Scheduler compare — tenant-qualified services and groups — so two
+// tenants' same-named services or groups do not conflict, one tenant's
+// do, and LaunchVerified refuses exactly what would collide.
+func TestVerifyIsTenantAware(t *testing.T) {
+	in := func(tenant string, s *Strategy) *Strategy {
+		s.Tenant = tenant
+		return s
+	}
+	clash := func(tenant string) *Strategy {
+		s := in(tenant, namedStrategy("b", "catalog"))
+		s.Baseline, s.Candidate = "v2", "v3"
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		a, b *Strategy
+		want []ConflictKind
+	}{
+		{"same service, two tenants", in("acme", namedStrategy("a", "catalog")), in("globex", namedStrategy("b", "catalog")), nil},
+		{"same service, one tenant", in("acme", namedStrategy("a", "catalog")), in("acme", namedStrategy("b", "catalog")), []ConflictKind{ConflictSameService}},
+		{"same service, default tenant spelled both ways", in("", namedStrategy("a", "catalog")), in("default", namedStrategy("b", "catalog")), []ConflictKind{ConflictSameService}},
+		{"same service, a tenant and the default tenant", in("acme", namedStrategy("a", "catalog")), namedStrategy("b", "catalog"), nil},
+		{"version clash, two tenants", in("acme", namedStrategy("a", "catalog")), clash("globex"), nil},
+		{"version clash, one tenant", in("acme", namedStrategy("a", "catalog")), clash("acme"), []ConflictKind{ConflictSameService, ConflictVersionClash}},
+		{"same group, two tenants", in("acme", namedStrategy("a", "svc-a", "beta")), in("globex", namedStrategy("b", "svc-b", "beta", "eu")), nil},
+		{"same group, one tenant", in("acme", namedStrategy("a", "svc-a", "beta")), in("acme", namedStrategy("b", "svc-b", "eu", "beta")), []ConflictKind{ConflictSharedGroups}},
+	} {
+		conflicts, err := Verify([]*Strategy{tc.a, tc.b})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var kinds []ConflictKind
+		for _, c := range conflicts {
+			kinds = append(kinds, c.Kind)
+		}
+		if !slices.Equal(kinds, tc.want) {
+			t.Errorf("%s: conflicts %v, want kinds %v", tc.name, conflicts, tc.want)
+		}
+
+		// What Verify reports is what LaunchVerified refuses beside a
+		// running a, and what it passes, Launch accepts.
+		h := newHarness(t)
+		if _, _, err := h.engine.LaunchVerified(tc.a); err != nil {
+			t.Fatalf("%s: launching a: %v", tc.name, err)
+		}
+		run, refused, err := h.engine.LaunchVerified(tc.b)
+		if (len(tc.want) > 0) != (err != nil) || len(refused) != len(tc.want) || (err == nil) != (run != nil) {
+			t.Errorf("%s: LaunchVerified(b) beside a = %v, %v, %v; want %d conflicts", tc.name, run, refused, err, len(tc.want))
+		}
 	}
 }
 

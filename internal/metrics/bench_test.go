@@ -227,7 +227,7 @@ func BenchmarkStoreRecordBatch(b *testing.B) {
 // series in shuffled order, all stamped with the one time the server
 // took on arrival, a second tenant's 256 series resident beside them.
 // No two neighbours share a series, so nothing coalesces and every
-// sample pays the series probe and all three rings' bucket lookups —
+// sample pays the series probe and all three tiers' bucket lookups —
 // the per-sample cost BenchmarkStoreRecordBatch's sixteen-sample runs
 // hide.
 func BenchmarkStoreRecordBatchDistinct(b *testing.B) {
@@ -255,7 +255,7 @@ func BenchmarkStoreRecordBatchDistinct(b *testing.B) {
 }
 
 // BenchmarkQueryP95Ladder is the evaluation tick's read: a 60 s p95
-// over each of 400 series in turn, every one with a full seconds ring
+// over each of 400 series in turn, every one with a full seconds tier
 // of latency-like values within a factor of ten. Round-robin over 100 MB
 // of buckets, so a query finds none of its series in cache and costs the
 // memory it touches: the window's buckets and their occupied bins.
@@ -287,7 +287,7 @@ func BenchmarkQueryP95Ladder(b *testing.B) {
 }
 
 // BenchmarkRecordNewSecond is the write that seals: the first sample of
-// each new second on a series whose seconds ring is full, so every
+// each new second on a series whose seconds tier is full, so every
 // operation recycles a bucket and seals the finished second into the
 // view. B/op is the view's cost per series-second: its share of the next
 // regrow (the one allocation is Record's key string).
@@ -310,7 +310,9 @@ func BenchmarkRecordNewSecond(b *testing.B) {
 // older than the live seconds, so buffered — and a 60 s p95 every 64
 // writes, the read that folds the buffer into the view (the other fold
 // is each new second's). B/op is the fold's copy of the view, ~20 KB,
-// spread over the 64 writes between two folds.
+// spread over the 64 writes between two folds. The writes more than
+// three minutes late are late for the minute tier too: it buffers them
+// until its next new minute.
 func BenchmarkRecordLate(b *testing.B) {
 	const perSecond = 128
 	st := NewStore(0)

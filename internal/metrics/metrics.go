@@ -26,16 +26,17 @@
 //
 // What a series retains (ring.go): no raw observations, only streaming
 // aggregates — buckets of count/sum/min/max, first/last observation
-// time and a log-binned histogram sketch — in three tiers: 1 s × 256,
-// 1 min × 1440 (24 h) and 1 h × 336 (14 days); all but the newest four
-// seconds are held packed (sealed.go). Every observation feeds all
+// time and a log-binned histogram sketch — in three tiers of one shape:
+// 1 s × 256, 1 min × 1440 (24 h) and 1 h × 336 (14 days). Each keeps its
+// newest four intervals as dense buckets and every older one packed, at
+// ~80 bytes, in its sealed view (sealed.go). Every observation feeds all
 // three, each tier accepting any sample still inside its own reach
 // however late it arrives; a bucket is allocated only once its interval
 // receives data. A query reduces the finest tier that covers its window,
-// walking only the window's bucket indices, oldest first, and merging
-// only the sketch bins each bucket occupies: it costs what the window
-// holds, not the tier's size. It snaps to that tier's bucket width: a
-// bucket straddling `since` contributes whole.
+// merging only the window's buckets, oldest first, and only the sketch
+// bins each bucket occupies: it costs what the window holds, not the
+// tier's size. It snaps to that tier's bucket width: a bucket straddling
+// `since` contributes whole.
 // Three consequences callers should know:
 //
 //   - Quantiles (median/p95/p99) always come from merged sketches and
@@ -46,20 +47,20 @@
 //     the sketch's underflow bin) is reported somewhere inside
 //     [window min, min(10⁻³, window max)]; min/max/mean/sum over such
 //     values stay exact.
-//   - A window older than every ring is answered from what the hour
-//     ring still retains. Buckets restored by LoadSnapshot carry no
+//   - A window older than every tier is answered from what the hour
+//     tier still retains. Buckets restored by LoadSnapshot carry no
 //     sketch, so a quantile over a window containing one is ErrNoData.
 //
 // All operations are safe for concurrent use. The series map is sharded
 // by a hash of the series key (hash/maphash under a per-store seed, so
 // which shard a series lands in differs from store to store and is not
 // observable) so writers of different series never contend on one
-// store-wide lock. A read over the seconds tier holds the series lock
-// only to copy two slice headers and the live seconds' summaries
-// (sealed.go): the window's sealed seconds — summaries and packed sketch
-// bins — are merged after unlocking, from an append-only view that new
-// seconds extend in place rather than copy. Memory per series is bounded
-// by the tiers' reaches and grows with the series' age towards them.
+// store-wide lock. A read, at any width, holds the series lock only to
+// copy two slice headers and the live buckets' summaries (sealed.go):
+// the window's sealed buckets — summaries and packed sketch bins — are
+// merged after unlocking, from an append-only view that new intervals
+// extend in place rather than copy. Memory per series is bounded by the
+// tiers' reaches and grows with the series' age towards them.
 package metrics
 
 import (
@@ -168,7 +169,7 @@ func (a Aggregation) String() string {
 // observations; Bifrost maps it to an inconclusive check outcome.
 var ErrNoData = errors.New("metrics: no data in window")
 
-// Ring tiers of a series, finest first.
+// Tiers of a series, finest first.
 const (
 	tierSecond = iota
 	tierMinute
@@ -179,23 +180,14 @@ const (
 type series struct {
 	mu sync.Mutex
 
-	// tiers are the three retention rings (ring.go), every one fed on
-	// every write. The minute and hour rings survive restarts via
+	// tiers are the three retention widths (ring.go), every one fed on
+	// every write. The minute and hour tiers survive restarts via
 	// Store.SaveSnapshot.
-	tiers [numTiers]ring
+	tiers [numTiers]tier
 	// earliest is the unix second of the oldest observation ever
-	// offered, kept or not: a ring whose reach starts at or before it
+	// offered, kept or not: a tier whose reach starts at or before it
 	// holds the series' whole history.
 	earliest int64
-
-	// sealed holds the seconds older than the live ring (sealed.go): each
-	// one's summary and packed sketch, extended in place as new seconds
-	// push old ones out of the ring. late buffers the writes into those
-	// older seconds until the next read or new second folds them in.
-	sealed sealedView
-	late   []lateSample
-	// What Store.Stats sums, written under mu.
-	lateWrites, lateFolds, lateDropped uint64
 
 	// lastWrite drives idle-series eviction (Store.Maintain), which sets
 	// evicted before it drops the series from the map: a writer that
@@ -207,10 +199,10 @@ type series struct {
 
 func newSeries() *series {
 	return &series{
-		tiers: [numTiers]ring{
-			tierSecond: newRing(time.Second, liveSeconds),
-			tierMinute: newRing(time.Minute, minuteSlots),
-			tierHour:   newRing(time.Hour, hourSlots),
+		tiers: [numTiers]tier{
+			tierSecond: newTier(time.Second, secondSlots),
+			tierMinute: newTier(time.Minute, minuteSlots),
+			tierHour:   newTier(time.Hour, hourSlots),
 		},
 		earliest: math.MaxInt64,
 	}
@@ -219,7 +211,7 @@ func newSeries() *series {
 // stamp is an observation time resolved for the write path: its unix
 // second and nanosecond and the bucket index it falls in on every tier.
 // A batch the server stamped on arrival carries one time on every
-// sample, so RecordBatch resolves it once, not per sample per ring.
+// sample, so RecordBatch resolves it once, not per sample per tier.
 type stamp struct {
 	at      time.Time
 	sec, ns int64
@@ -241,12 +233,11 @@ func (s *series) recordLocked(t *stamp, v float64) {
 	}
 	bin := histIndex(v)
 	s.earliest = min(s.earliest, t.sec)
-	if r := &s.tiers[tierSecond]; t.sec != r.latest && r.cur != nil {
-		s.sealLocked(t, v)
-	}
 	for i := range s.tiers {
 		if b := s.tiers[i].at(t.idx[i]); b != nil {
 			b.add(t.ns, v, bin)
+		} else {
+			s.tiers[i].lateLocked(t.idx[i], t.ns, v)
 		}
 	}
 }
@@ -418,8 +409,8 @@ func (st *Store) RecordBatch(samples []Sample) {
 
 // Query reduces the observations of (metric, scope) recorded at or after
 // `since` (up to `now` semantics are the caller's: everything recorded is
-// included) with the given aggregation, from the finest ring covering
-// `since`. Windows snap to that ring's bucket boundaries: a bucket
+// included) with the given aggregation, from the finest tier covering
+// `since`. Windows snap to that tier's bucket boundaries: a bucket
 // straddling `since` contributes whole. Quantiles merge the buckets'
 // histogram sketches and carry their bounded relative error.
 func (st *Store) Query(metric string, scope Scope, since time.Time, agg Aggregation) (float64, error) {
@@ -453,12 +444,13 @@ func (st *Store) SeriesCount() int {
 	return n
 }
 
-// Stats is the store's self-report. LiveBuckets counts the dense buckets
-// holding data over all three tiers, SealedSeconds the packed seconds in
-// the series' views. A write older than the live seconds is late:
-// LateWrites were buffered and folded into the view by LateFolds folds,
-// LateDropped were older than the seconds tier reaches and fed only the
-// coarser rings — each summed over the series alive now.
+// Stats is the store's self-report, summed over the three tiers of the
+// series alive now. LiveBuckets counts the dense buckets holding data,
+// SealedSeconds the packed buckets in the tiers' views (minutes and hours
+// too: the name is older than their views). A write older than a tier's
+// live buckets is late for that tier: LateWrites were buffered and folded
+// into its view by LateFolds folds, LateDropped were older than it
+// reaches, and fed only the coarser tiers.
 type Stats struct {
 	Series        int    `json:"series"`
 	LiveBuckets   int    `json:"liveBuckets"`
@@ -478,16 +470,13 @@ func (st *Store) Stats() Stats {
 			s.mu.Lock()
 			out.Series++
 			for t := range s.tiers {
-				for _, b := range s.tiers[t].slots {
-					if s.tiers[t].live(b) {
-						out.LiveBuckets++
-					}
-				}
+				r := &s.tiers[t]
+				r.walk(r.oldest(), r.latest, func(*bucket) { out.LiveBuckets++ })
+				out.SealedSeconds += len(r.sealed.buckets)
+				out.LateWrites += r.lateWrites
+				out.LateFolds += r.lateFolds
+				out.LateDropped += r.lateDropped
 			}
-			out.SealedSeconds += len(s.sealed.seconds)
-			out.LateWrites += s.lateWrites
-			out.LateFolds += s.lateFolds
-			out.LateDropped += s.lateDropped
 			s.mu.Unlock()
 		}
 		sh.mu.RUnlock()

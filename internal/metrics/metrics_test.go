@@ -369,37 +369,42 @@ func TestQuantileUnderflowBound(t *testing.T) {
 	}
 }
 
-// TestFreshSeriesFootprint pins what a series costs by its age, at
-// eight samples a second: slot tables of four entries and one bucket per
-// ring when it is born; liveSeconds dense 1 s buckets and ~80 B in the
-// sealed view (sealed.go: a quarter spare, no floor) per finished second
-// after that; a minute bucket per minute, and slot tables that double
-// with the span they hold. At the parent commit the same ages cost
-// 20 901, 25 749, 86 661 and 308 036 B.
+// TestFreshSeriesFootprint pins what a series costs by its age: one
+// dense bucket per tier when it is born; up to liveBuckets dense buckets
+// a tier and ~80 B in that tier's sealed view (sealed.go: a quarter
+// spare, no floor) per finished second, minute and hour after that. The
+// first four ages are written at eight samples a second into 200 series;
+// an hour and a day at two a second into 20, where the parent commit —
+// finished minutes and hours still dense, 944 B each — cost 87 KB and
+// 1.54 MB.
 func TestFreshSeriesFootprint(t *testing.T) {
-	const n, perSecond = 200, 8
 	for _, tc := range []struct {
-		seconds int
-		limit   int64
+		seconds, perSecond, n int
+		limit                 int64
 	}{
-		{1, 4 << 10},    // measured 3 398
-		{5, 8 << 10},    // measured 6 995
-		{60, 14 << 10},  // measured 10 992
-		{300, 40 << 10}, // measured 32 547
+		{1, 8, 200, 4 << 10},          // measured 3 531
+		{5, 8, 200, 8 << 10},          // measured 7 122
+		{60, 8, 200, 14 << 10},        // measured 11 119
+		{300, 8, 200, 40 << 10},       // measured 31 962
+		{3600, 2, 20, 48 << 10},       // measured 35 845
+		{24 * 3600, 2, 20, 256 << 10}, // measured 175 672
 	} {
+		if raceEnabled && tc.seconds >= 3600 {
+			continue // millions of instrumented writes; the plain run gates these rows
+		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		st := NewStore(0)
-		for i := 0; i < n; i++ {
+		for i := 0; i < tc.n; i++ {
 			scope := Scope{Service: "svc", Version: fmt.Sprintf("v%d", i)}
-			for k := 0; k < tc.seconds*perSecond; k++ {
-				st.Record("rt", scope, t0.Add(time.Duration(k)*time.Second/perSecond), 20+float64(k%50))
+			for k := 0; k < tc.seconds*tc.perSecond; k++ {
+				st.Record("rt", scope, t0.Add(time.Duration(k)*time.Second/time.Duration(tc.perSecond)), 20+float64(k%50))
 			}
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
-		perSeries := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+		perSeries := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(tc.n)
 		t.Logf("%d s: %d B", tc.seconds, perSeries)
 		if perSeries > tc.limit {
 			t.Errorf("a series %d s old costs %d B, want <= %d", tc.seconds, perSeries, tc.limit)

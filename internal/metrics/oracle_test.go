@@ -252,7 +252,7 @@ func TestLateSampleReachesCoarserRings(t *testing.T) {
 }
 
 // TestCurrentBucketOrdersMatchOracle drives the write orders that
-// ring.at's cached newest bucket could get wrong, on all three tiers at
+// tier.at's cached newest bucket could get wrong, on all three tiers at
 // once (every step below crosses a second, a minute and an hour
 // boundary together, or jumps a whole ring length of the tier named),
 // through Record and as one RecordBatch (whose resolved-time memo sees

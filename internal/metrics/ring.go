@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// This file is what a series retains: one bucket type, held in one ring
+// This file is what a series retains: one bucket type, held by one tier
 // type at three widths, reduced by one accumulator.
 
 // --- histogram sketch ---
@@ -58,11 +58,11 @@ func histValue(i int) float64 {
 // --- bucket ---
 
 // summary is the sketch-free part of a bucket: what the sealed view
-// (sealed.go) keeps of a finished second beside its packed bins, and the
-// running state of an accumulator. firstNs/lastNs are the UnixNano of
+// (sealed.go) keeps of a finished interval beside its packed bins, and
+// the running state of an accumulator. firstNs/lastNs are the UnixNano of
 // the earliest/latest observation.
 type summary struct {
-	idx     int64 // interval start / ring width (unix seconds); full index, not mod
+	idx     int64 // interval start / tier width (unix seconds); full index, not mod
 	count   int64
 	sum     float64
 	min     float64
@@ -77,8 +77,8 @@ var emptySummary = summary{
 	firstNs: math.MaxInt64, lastNs: math.MinInt64,
 }
 
-// bucket holds the streaming aggregates of one ring interval. It is
-// pointer-free, so the garbage collector never scans ring contents.
+// bucket holds the streaming aggregates of one tier interval. It is
+// pointer-free, so the garbage collector never scans its contents.
 type bucket struct {
 	summary
 	// binLo..binHi (inclusive) is the range of sketch bins that may be
@@ -98,7 +98,7 @@ func (b *bucket) reset(idx int64) {
 }
 
 // add folds one observation in; bin is histIndex(v), computed once per
-// observation for all three rings. It is merge with a one-observation
+// observation for all three tiers. It is merge with a one-observation
 // summary, written out so that it stays within the compiler's inlining
 // budget in recordLocked's loop (through merge, every sample pays three
 // calls: +17% on BenchmarkStoreRecordBatch).
@@ -146,48 +146,52 @@ func (s *summary) merge(o *summary) {
 	}
 }
 
-// --- ring ---
+// --- tier ---
 
 const (
-	liveSeconds = 4    // 1 s buckets still dense; older seconds live in the sealed view
-	secondSlots = 256  // the seconds tier's reach, live ring and view together: ~4 minutes
+	liveBuckets = 4    // newest intervals of a tier still dense; older ones live in its sealed view
+	secondSlots = 256  // the 1 s tier's reach, live buckets and view together: ~4 minutes
 	minuteSlots = 1440 // 1 min buckets: 24 hours
 	hourSlots   = 336  // 1 h buckets: 14 days
 )
 
-// ring is one retention tier: the newest reach intervals, one bucket per
-// interval that received data, reused in place once its interval leaves
-// the reach. The slot table starts at four entries and doubles, up to
-// reach, as the span of intervals it holds grows: a series pays for the
-// history it has. Caller holds the owning series' lock.
-type ring struct {
+// tier is one retention width of a series: the newest reach intervals,
+// the last liveBuckets of them as dense buckets — one per interval that
+// received data, slot idx&3, reused in place once its interval has been
+// sealed — and the older ones packed in the sealed view (sealed.go), with
+// the writes into those waiting in late for the next fold. Caller holds
+// the owning series' lock.
+type tier struct {
 	width, reach int64 // bucket width in seconds; intervals retained
-	slots        []*bucket
 
-	// latest is the highest bucket index written; the ring reaches
-	// (latest-reach, latest] and holds nothing older than first, which
-	// never lies more than len(slots) intervals behind latest. cur is
-	// latest's bucket — where every in-order write lands, found without
-	// deriving the slot — and nil until the first write.
-	latest, first int64
-	cur           *bucket
+	// latest is the highest bucket index written: the tier reaches
+	// (latest-reach, latest]. cur is latest's bucket — where every
+	// in-order write lands, found without deriving the slot — and nil
+	// until the first write.
+	latest int64
+	cur    *bucket
+	live   [liveBuckets]*bucket
+
+	sealed sealedView
+	late   []lateSample
+	// What Store.Stats sums.
+	lateWrites, lateFolds, lateDropped uint64
 }
 
-func newRing(width time.Duration, reach int) ring {
-	return ring{width: int64(width / time.Second), reach: int64(reach), slots: make([]*bucket, min(reach, 4))}
+func newTier(width time.Duration, reach int) tier {
+	return tier{width: int64(width / time.Second), reach: int64(reach)}
 }
 
-// oldest is the first bucket index the ring still reaches.
-func (r *ring) oldest() int64 {
+// oldest is the first bucket index the tier still reaches.
+func (r *tier) oldest() int64 {
 	return r.latest - r.reach + 1
 }
 
-// at returns the bucket for interval idx, allocating or recycling its
-// slot, or nil when idx is older than the ring's reach. Every tier
-// accepts any sample still inside its own reach, however late. The
-// newest interval — where all three tiers of a series take an in-order
-// write — is answered from cur.
-func (r *ring) at(idx int64) *bucket {
+// at returns the dense bucket for interval idx, allocating or recycling
+// its slot, or nil when idx is older than the live buckets (the write is
+// then lateLocked's). The newest interval — where all three tiers of a
+// series take an in-order write — is answered from cur.
+func (r *tier) at(idx int64) *bucket {
 	if idx == r.latest && r.cur != nil {
 		return r.cur
 	}
@@ -195,71 +199,37 @@ func (r *ring) at(idx int64) *bucket {
 }
 
 // seek is at for every interval but the newest: one that advances the
-// ring (and becomes cur), or an older one.
-func (r *ring) seek(idx int64) *bucket {
+// tier (and becomes cur), after the buckets it pushes out of the live
+// ones are sealed, or an older one.
+func (r *tier) seek(idx int64) *bucket {
 	advance := r.cur == nil || idx > r.latest
 	switch {
-	case r.cur == nil || idx-r.latest >= r.reach: // nothing held stays in reach
-		r.latest, r.first = idx, idx
+	case r.cur == nil:
 	case advance:
-		r.latest, r.first = idx, max(r.first, idx-r.reach+1)
-	case idx < r.oldest():
+		r.sealLocked(idx)
+	case idx <= r.latest-liveBuckets:
 		return nil
-	default:
-		r.first = min(r.first, idx)
 	}
-	if r.latest-r.first >= int64(len(r.slots)) {
-		r.grow()
-	}
-	slot := r.slot(idx)
-	b := r.slots[slot]
+	slot := idx & (liveBuckets - 1) // two's complement: indices before 1970 too
+	b := r.live[slot]
 	if b == nil {
 		b = new(bucket)
-		r.slots[slot] = b
+		r.live[slot] = b
 		b.reset(idx)
-	} else if b.idx != idx {
+	} else if b.idx != idx { // its interval is sealed: the slot is free
 		b.reset(idx)
 	}
 	if advance {
-		r.cur = b
+		r.latest, r.cur = idx, b
 	}
 	return b
 }
 
-// grow doubles the slot table until [first, latest] fits, reach at most,
-// and re-places the buckets of that span.
-func (r *ring) grow() {
-	n := int64(len(r.slots))
-	for n <= r.latest-r.first {
-		n *= 2
-	}
-	old := r.slots
-	r.slots = make([]*bucket, min(n, r.reach))
-	for _, b := range old {
-		if b != nil && b.idx >= r.first {
-			r.slots[r.slot(b.idx)] = b
-		}
-	}
-}
-
-// slot maps a bucket index to its position in the ring (indices before
-// 1970 are negative).
-func (r *ring) slot(idx int64) int64 {
-	n := int64(len(r.slots))
-	return ((idx % n) + n) % n
-}
-
-// live reports whether a slot holds data of the ring's current
-// generation (a wrapped-past bucket lingers until its slot is reused).
-func (r *ring) live(b *bucket) bool {
-	return b != nil && b.count > 0 && b.idx >= r.oldest()
-}
-
-// covers reports whether the ring fully answers a window from `since`
+// covers reports whether the tier fully answers a window from `since`
 // for a series whose oldest observation ever was at unix second
-// earliest: nothing ever fell outside the ring's reach, or the window
+// earliest: nothing ever fell outside the tier's reach, or the window
 // starts inside it.
-func (r *ring) covers(since time.Time, earliest int64) bool {
+func (r *tier) covers(since time.Time, earliest int64) bool {
 	if r.cur == nil {
 		return false
 	}
@@ -270,8 +240,7 @@ func (r *ring) covers(since time.Time, earliest int64) bool {
 // firstOverlapping is the window snap rule: the index of the first
 // width-second bucket that overlaps [sinceSec, ∞). A bucket ending at
 // or before the window start is excluded, one straddling it contributes
-// whole. Floor division: seconds before 1970 are negative. (The sealed
-// view holds one-second buckets, where this is sinceSec.)
+// whole. Floor division: seconds before 1970 are negative.
 func firstOverlapping(sinceSec, width int64) int64 {
 	idx := sinceSec / width
 	if sinceSec%width < 0 {
@@ -280,37 +249,15 @@ func firstOverlapping(sinceSec, width int64) int64 {
 	return idx
 }
 
-// walk calls visit for every bucket holding data with index in [from,
-// to], oldest first, touching only the slots of indices the ring holds:
-// a from before them — before the reach, even — costs nothing.
-func (r *ring) walk(from, to int64, visit func(*bucket)) {
-	if from = max(from, r.first); from > to {
-		return
-	}
-	n := int64(len(r.slots))
-	slot := r.slot(from)
-	for idx := from; idx <= to; idx++ {
-		if b := r.slots[slot]; b != nil && b.idx == idx && b.count > 0 {
+// walk calls visit for every live bucket holding data with index in
+// [from, to], oldest first. A slot keeps its bucket after the interval
+// is sealed, until a newer one reuses it: the index tells.
+func (r *tier) walk(from, to int64, visit func(*bucket)) {
+	for idx := max(from, r.latest-liveBuckets+1); idx <= min(to, r.latest); idx++ {
+		if b := r.live[idx&(liveBuckets-1)]; b != nil && b.idx == idx && b.count > 0 {
 			visit(b)
 		}
-		if slot++; slot == n {
-			slot = 0
-		}
 	}
-}
-
-// reduce merges the ring's buckets that overlap [since, ∞) into a, in
-// index order: it costs what the window holds, not what the ring does.
-func (r *ring) reduce(since time.Time, a *accumulator) {
-	if r.cur == nil {
-		return
-	}
-	r.walk(firstOverlapping(since.Unix(), r.width), r.latest, func(b *bucket) {
-		a.merge(&b.summary)
-		if a.hist != nil {
-			b.addBins(a.hist)
-		}
-	})
 }
 
 // --- accumulator ---
@@ -319,9 +266,9 @@ func isQuantile(agg Aggregation) bool {
 	return agg == AggMedian || agg == AggP95 || agg == AggP99
 }
 
-// accumulator is the one reducer: merge every bucket of the window,
-// then value. The sealed-view read and the locked ring walk both use
-// it; hist is set for quantile aggregations only.
+// accumulator is the one reducer: series.reduce (sealed.go) merges every
+// bucket of the window, then value. hist is set for quantile
+// aggregations only.
 type accumulator struct {
 	summary // starts as emptySummary; idx unused
 	hist    *[histSize]uint64

@@ -3,16 +3,17 @@ package metrics
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 	"time"
 )
 
 // fillRing writes two samples into every third-but-one bucket index of
-// [base, base+reach+10], so the ring wraps (the first eleven indices
-// fall out of reach, their slots reused) and has gaps. It returns what
-// it wrote, keyed by bucket index.
-func fillRing(r *ring, base int64) map[int64][]float64 {
+// [base, base+reach+10], so the tier wraps (the first eleven indices
+// fall out of reach and are trimmed off the view) and has gaps. It
+// returns what it wrote, keyed by bucket index.
+func fillRing(r *tier, base int64) map[int64][]float64 {
 	wrote := make(map[int64][]float64)
 	for idx := base; idx <= base+r.reach+10; idx++ {
 		if (idx-base)%3 == 2 {
@@ -28,10 +29,19 @@ func fillRing(r *ring, base int64) map[int64][]float64 {
 	return wrote
 }
 
-// TestReduceWindowWalk checks ring.reduce's index walk on all three
+// reduceTier runs the series read path over one tier alone: as the hour
+// tier of a series whose finer tiers are empty, it answers every window.
+func reduceTier(r *tier, since time.Time, a *accumulator) {
+	s := &series{earliest: math.MaxInt64}
+	s.tiers[tierHour] = *r
+	s.reduce(since, a)
+	*r = s.tiers[tierHour]
+}
+
+// TestReduceWindowWalk checks the window a read takes on all three
 // widths, before and after 1970: a window start inside a bucket takes
-// the bucket whole, one before the ring's reach takes what the ring
-// still holds and nothing a wrapped-past slot lingers with, one after
+// the bucket whole, one before the tier's reach takes what the tier
+// still holds and nothing a recycled live slot lingers with, one after
 // the newest bucket takes nothing. The expectation is a filter over
 // what was written, merged in index order.
 func TestReduceWindowWalk(t *testing.T) {
@@ -40,7 +50,7 @@ func TestReduceWindowWalk(t *testing.T) {
 		slots int
 	}{{time.Second, secondSlots}, {time.Minute, minuteSlots}, {time.Hour, hourSlots}} {
 		for _, base := range []int64{470_000, -int64(tier.slots) / 2, -1_000_000} {
-			r := newRing(tier.width, tier.slots)
+			r := newTier(tier.width, tier.slots)
 			wrote := fillRing(&r, base)
 			latest := base + int64(tier.slots) + 10
 			w := r.width
@@ -69,7 +79,7 @@ func TestReduceWindowWalk(t *testing.T) {
 					}
 				}
 				got := accumulator{summary: emptySummary, hist: new([histSize]uint64)}
-				r.reduce(time.Unix(tc.sinceSec, 0), &got)
+				reduceTier(&r, time.Unix(tc.sinceSec, 0), &got)
 				if got.summary != want.summary {
 					t.Errorf("%s: summary = %+v, want %+v", label, got.summary, want.summary)
 				}
@@ -81,105 +91,11 @@ func TestReduceWindowWalk(t *testing.T) {
 	}
 }
 
-// TestRingGrowsWithSpan: the slot table costs the span of intervals the
-// ring holds, not its reach. Writes arrive in order, across a gap, late
-// below the oldest interval held, around the reach and beyond it, at
-// negative indices; after each one every bucket still in reach is found
-// by at and by walk with what was written to it, nothing else is, and
-// the table is no longer than the reach and shorter than twice the
-// widest span it has held plus the four it starts with (it never shrinks).
-func TestRingGrowsWithSpan(t *testing.T) {
-	const reach = 100
-	for _, base := range []int64{470_000, -30, -1_000_000} {
-		r := newRing(time.Minute, reach)
-		wrote := make(map[int64]int64) // bucket index -> observations
-		first, widest, grows := base, int64(0), 0
-		write := func(idx int64) {
-			t.Helper()
-			if len(wrote) == 0 || idx-r.latest >= reach {
-				first = idx
-			}
-			before := len(r.slots)
-			b := r.at(idx)
-			if (b == nil) != (idx <= r.latest-reach) {
-				t.Fatalf("base %d: at(%d) = %v with latest %d", base, idx, b, r.latest)
-			}
-			if b != nil {
-				b.add(idx, 1, histIndex(1))
-				wrote[idx]++
-			}
-			if len(r.slots) != before {
-				grows++
-			}
-			first = max(min(first, idx), r.oldest())
-			span := r.latest - first + 1
-			widest = max(widest, span)
-			if n := int64(len(r.slots)); n > reach || n >= 2*widest+4 || n < span {
-				t.Fatalf("base %d: %d slots for the span [%d, %d] of a ring reaching %d", base, n, first, r.latest, reach)
-			}
-			held := make(map[int64]int64)
-			r.walk(r.oldest(), r.latest, func(b *bucket) { held[b.idx] = b.count })
-			for idx, n := range wrote {
-				switch {
-				case idx < r.oldest():
-					delete(wrote, idx)
-				case held[idx] != n:
-					t.Fatalf("base %d: walk finds %d observations in bucket %d, %d were written", base, held[idx], idx, n)
-				case r.at(idx).count != n:
-					t.Fatalf("base %d: at(%d) holds %d observations, %d were written", base, idx, r.at(idx).count, n)
-				}
-			}
-			if len(held) != len(wrote) {
-				t.Fatalf("base %d: walk finds %d buckets, %d are in reach", base, len(held), len(wrote))
-			}
-		}
-		for i := int64(0); i < 10; i++ { // in order: 4 -> 8 -> 16 slots
-			write(base + i)
-		}
-		write(base + 30)                       // a gap
-		write(base - 20)                       // late, below the oldest interval held: the span grows downwards
-		write(base + 30)                       // the newest again
-		write(base - 69)                       // the oldest interval in reach: the table is at its full length
-		write(base - 70)                       // out of reach
-		write(base + 129)                      // wraps onto the slot base+29 would have; base-69 … base+29 leave
-		for i := int64(130); i < 350; i += 7 { // around the reach twice
-			write(base + i)
-			write(base + i - 50)
-		}
-		write(base + 1000) // a gap larger than the reach: one bucket held
-		write(base + 999)
-		if grows < 5 || len(r.slots) != reach {
-			t.Errorf("base %d: the table grew %d times to %d slots", base, grows, len(r.slots))
-		}
-	}
-
-	// The reach is only a number: a ring that may hold 2^40 intervals and
-	// holds ten is walked in ten steps, not 2^40.
-	r := newRing(time.Hour, 1<<40)
-	for idx := int64(470_000); idx < 470_010; idx++ {
-		r.at(idx).add(idx, 1, histIndex(1))
-	}
-	done := make(chan accumulator)
-	go func() {
-		a := accumulator{summary: emptySummary, hist: new([histSize]uint64)}
-		r.reduce(time.Unix(-1<<50, 0), &a)
-		done <- a
-	}()
-	select {
-	case a := <-done:
-		if a.count != 10 || len(r.slots) != 16 {
-			t.Errorf("ten hours in a ring reaching 2^40: %d observations found, %d slots", a.count, len(r.slots))
-		}
-	case <-time.After(20 * time.Second): // 2^40 steps take a quarter of an hour
-		t.Fatal("a walk from the ring's reach visits every index in it, not the ten it holds")
-	}
-}
-
 func TestReduceEmptyRing(t *testing.T) {
 	for _, since := range []time.Time{{}, time.Unix(-5, 0), time.Unix(1_700_000_000, 0)} {
-		r := newRing(time.Minute, minuteSlots)
+		r := newTier(time.Minute, minuteSlots)
 		a := accumulator{summary: emptySummary, hist: new([histSize]uint64)}
-		r.reduce(since, &a)
+		reduceTier(&r, since, &a)
 		if a.summary != emptySummary || *a.hist != [histSize]uint64{} {
 			t.Errorf("since %v: an empty ring reduced to %+v", since, a.summary)
 		}
@@ -253,7 +169,7 @@ func TestReduceRestoredBucketInWindow(t *testing.T) {
 		{"live bucket only", t0.Add(2 * time.Minute), 1, 50, true},
 	} {
 		a := accumulator{summary: emptySummary, hist: new([histSize]uint64)}
-		r.reduce(tc.since, &a)
+		reduceTier(r, tc.since, &a)
 		if a.count != tc.count || a.sum != tc.sum {
 			t.Errorf("%s: count %d sum %v, want %d and %v", tc.name, a.count, a.sum, tc.count, tc.sum)
 		}
@@ -271,8 +187,8 @@ func TestReduceRestoredBucketInWindow(t *testing.T) {
 }
 
 // TestWriteIntoRestoredCurrentBuckets: LoadSnapshot places saved buckets
-// through ring.at in the file's order (slot order, not time order), so
-// the bucket each ring caches as its newest is decided by the restore.
+// through tier.at, so the bucket each tier caches as its newest is
+// decided by the restore.
 // A write into the restored current minute and hour must add to those
 // very buckets: the minute ring then answers a window inside its reach,
 // the hour ring one beyond it, with the restored history and the new
@@ -304,7 +220,7 @@ func TestWriteIntoRestoredCurrentBuckets(t *testing.T) {
 	newest := base.Add(10 * time.Minute).Unix()
 	for tier, width := range map[int]int64{tierMinute: 60, tierHour: 3600} {
 		r := &s.tiers[tier]
-		if r.cur == nil || r.latest != newest/width || r.cur.idx != r.latest || r.cur != r.slots[r.slot(r.latest)] {
+		if r.cur == nil || r.latest != newest/width || r.cur.idx != r.latest || r.cur != r.live[r.latest&(liveBuckets-1)] {
 			t.Fatalf("tier %d after restore: latest %d, cached bucket %+v; want the bucket of %d", tier, r.latest, r.cur, newest/width)
 		}
 	}

@@ -2,10 +2,12 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -59,8 +61,8 @@ func TestRollupMemoryIsBoundedOverDays(t *testing.T) {
 	base := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 
 	// Three days of traffic, sparse (one sample per minute) to keep the
-	// test fast. The minute ring wraps after day one; the hour ring
-	// carries the rest. Nothing grows past the fixed ring sizes.
+	// test fast. The minute tier wraps after day one; the hour tier
+	// carries the rest. Nothing grows past the tiers' reaches.
 	const days = 3
 	for i := 0; i < days*24*60; i++ {
 		st.Record("response_time", scope, base.Add(time.Duration(i)*time.Minute), float64(i%100))
@@ -70,10 +72,10 @@ func TestRollupMemoryIsBoundedOverDays(t *testing.T) {
 		t.Fatal("series missing")
 	}
 	s.mu.Lock()
-	minuteLen, hourLen := len(s.tiers[tierMinute].slots), len(s.tiers[tierHour].slots)
+	minuteLen, hourLen := len(s.tiers[tierMinute].sealed.buckets), len(s.tiers[tierHour].sealed.buckets)
 	s.mu.Unlock()
-	if minuteLen > minuteSlots || hourLen > hourSlots {
-		t.Fatalf("rings grew past their bounds: minute=%d hour=%d", minuteLen, hourLen)
+	if minuteLen > minuteSlots-liveBuckets || minuteLen < minuteSlots/2 || hourLen > hourSlots-liveBuckets || hourLen < days*24-liveBuckets {
+		t.Fatalf("views outside their bounds: minute=%d hour=%d", minuteLen, hourLen)
 	}
 
 	// A window beyond the minute ring's 24h reach falls to the hour
@@ -147,6 +149,65 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	st3 := NewStore(0)
 	if err := st3.LoadSnapshot(filepath.Join(t.TempDir(), "absent.json")); err != nil {
 		t.Fatalf("missing snapshot should not error: %v", err)
+	}
+}
+
+// TestSnapshotLoadsSlotOrder: until the tiers kept their history in a
+// view, a snapshot listed a ring's buckets in slot order — index order
+// rotated at wherever the ring had wrapped. Such a file restores to what
+// the same buckets in index order restore to, and is written back in
+// index order.
+func TestSnapshotLoadsSlotOrder(t *testing.T) {
+	st := NewStore(0)
+	scope := Scope{Tenant: "acme", Service: "svc", Version: "v1"}
+	base := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 30*60; i += 3 { // past the minute tier's reach
+		st.Record("response_time", scope, base.Add(time.Duration(i)*time.Minute), float64(i%90))
+	}
+	now := base.Add(30 * time.Hour)
+	dir := t.TempDir()
+	inOrder, rotated, resaved := filepath.Join(dir, "in-order.json"), filepath.Join(dir, "rotated.json"), filepath.Join(dir, "resaved.json")
+	if err := st.SaveSnapshot(inOrder, now); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(inOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshotFile
+	if err := json.Unmarshal(want, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for i := range snap.Series {
+		ss := &snap.Series[i]
+		ss.Minute = append(slices.Clone(ss.Minute[100:]), ss.Minute[:100]...)
+		ss.Hour = append(slices.Clone(ss.Hour[7:]), ss.Hour[:7]...)
+	}
+	data, err := json.Marshal(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(rotated, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st2 := NewStore(0)
+	if err := st2.LoadSnapshot(rotated); err != nil {
+		t.Fatal(err)
+	}
+	for _, back := range []time.Duration{time.Hour, 20 * time.Hour, 29 * time.Hour} {
+		for _, agg := range exactAggs {
+			got, err := st2.Query("response_time", scope, now.Add(-back), agg)
+			want, wantErr := st.Query("response_time", scope, now.Add(-back), agg)
+			if got != want || !errors.Is(err, wantErr) {
+				t.Errorf("%v over the last %v: restored %v, %v; the saved store %v, %v", agg, back, got, err, want, wantErr)
+			}
+		}
+	}
+	if err := st2.SaveSnapshot(resaved, now); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(resaved); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("a slot-order snapshot was not written back in index order (err %v)", err)
 	}
 }
 
