@@ -74,10 +74,10 @@
 //
 // Every submission goes through the live scheduler: strategies whose
 // conflict footprint (service, user groups, capacity, max-concurrency)
-// is clear launch immediately, the rest queue and are placed on the
-// planning horizon by the Fenrir genetic optimizer. The queue is
-// observable at /v1/schedule (add ?format=gantt for the ASCII chart)
-// and /v1/schedule/events.
+// is clear launch immediately, the rest queue with a projected start —
+// the same launch rule played forward over the running runs' estimated
+// ends. The queue is observable at /v1/schedule (add ?format=gantt for
+// the ASCII chart) and /v1/schedule/events.
 package main
 
 import (

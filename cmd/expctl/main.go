@@ -333,12 +333,8 @@ func listTenants(c *apiClient, out io.Writer) error {
 
 // scheduleView mirrors the scheduler's ScheduleSnapshot.
 type scheduleView struct {
-	Slot          int     `json:"slot"`
-	SlotDuration  string  `json:"slotDuration"`
 	Capacity      float64 `json:"capacity"`
 	MaxConcurrent int     `json:"maxConcurrent"`
-	PlanFitness   float64 `json:"planFitness"`
-	PlanValid     bool    `json:"planValid"`
 	Running       []struct {
 		Name      string    `json:"name"`
 		Service   string    `json:"service"`
@@ -392,17 +388,13 @@ func printQueue(entries []queueView, out io.Writer) {
 }
 
 // showSchedule prints the live schedule: running runs, the queue, and
-// the optimizer's ASCII Gantt chart.
+// the projection's ASCII Gantt chart.
 func showSchedule(c *apiClient, out io.Writer) error {
 	view, err := getSchedule(c)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "slot %d (%s per slot), capacity %.0f%%, max-concurrent %d\n",
-		view.Slot, view.SlotDuration, view.Capacity*100, view.MaxConcurrent)
-	if view.PlanFitness > 0 {
-		fmt.Fprintf(out, "plan fitness: %.0f%% of maximum (valid: %v)\n", view.PlanFitness*100, view.PlanValid)
-	}
+	fmt.Fprintf(out, "capacity %.0f%%, max-concurrent %d\n", view.Capacity*100, view.MaxConcurrent)
 	fmt.Fprintf(out, "\nrunning (%d):\n", len(view.Running))
 	for _, r := range view.Running {
 		fmt.Fprintf(out, "  %-24s %-16s %5.0f%%  est-end %s\n",

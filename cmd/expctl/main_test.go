@@ -171,9 +171,14 @@ func TestScheduleAndQueueOverHTTP(t *testing.T) {
 	if err := run([]string{"schedule", "--addr", url}, &schedOut); err != nil {
 		t.Fatalf("schedule: %v", err)
 	}
-	for _, want := range []string{"running (1)", "live", "queued (1)", "waiting", "svc"} {
+	for _, want := range []string{"capacity 80%, max-concurrent 4\n", "running (1)", "live", "queued (1)", "waiting", "svc"} {
 		if !strings.Contains(schedOut.String(), want) {
 			t.Errorf("schedule output missing %q:\n%s", want, schedOut.String())
+		}
+	}
+	for _, gone := range []string{"slot", "fitness"} {
+		if strings.Contains(schedOut.String(), gone) {
+			t.Errorf("schedule output still mentions %q:\n%s", gone, schedOut.String())
 		}
 	}
 	// The Gantt chart section charts both experiments.

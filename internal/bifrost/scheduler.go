@@ -3,7 +3,9 @@ package bifrost
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,16 +14,17 @@ import (
 	"contexp/internal/journal"
 )
 
-// Scheduler sits between strategy submission and Engine.Launch: the
-// live counterpart of Fenrir's offline planning. Submissions become
-// queue entries; entries whose conflict footprint (service ownership,
-// explicit user groups, aggregate candidate-traffic capacity,
-// max-concurrency) is clear launch immediately, the rest wait in the
-// queue. Every queue-affecting event — a submission, a run finishing
-// (early or not), a cancellation — triggers a pump: launchable entries
-// launch, and the remaining queue is re-placed on the planning horizon
-// by the genetic optimizer (warm-started through fenrir.Reevaluate) so
-// operators always see a projected start for everything that waits.
+// Scheduler sits between strategy submission and Engine.Launch.
+// Submissions become queue entries; an entry launches when the conflict
+// rule (blockReason: per-tenant max-concurrency and candidate-traffic
+// capacity, service ownership, explicit user groups) finds nothing in
+// its way among the running set, and waits in the queue otherwise.
+// Every queue-affecting event — a submission, a run finishing (early
+// or not), a cancellation — triggers a pump that launches what has
+// become clear. What still waits is given a projected start by playing
+// that same launch pass forward over the running set's estimated ends
+// (projectLocked), so "when will my experiment start?" is answered by
+// the launch rule applied to estimates.
 //
 // Queue state is event-sourced through the engine's journal:
 // EventRunQueued (carrying the strategy DSL) on admission,
@@ -30,14 +33,11 @@ import (
 // so a daemon restart restores still-pending submissions (see
 // docs/SCHEDULING.md).
 type Scheduler struct {
-	cfg   SchedulerConfig
-	epoch time.Time // slot 0 of the planning horizon
+	cfg SchedulerConfig
 
 	mu      sync.Mutex
 	queue   []*queueEntry
 	running map[string]*liveRun
-	plan    *Plan
-	planner planner
 	recent  []QueueEvent
 	closed  bool
 
@@ -62,17 +62,6 @@ type SchedulerConfig struct {
 	// concurrently enacting runs, reserving a control population
 	// (default 0.8).
 	Capacity float64
-	// SlotDuration is the planning granularity (default 30s).
-	SlotDuration time.Duration
-	// HorizonSlots is the planning horizon length (default 2880 slots =
-	// 24h at the default granularity). The horizon re-anchors when the
-	// current slot outgrows it.
-	HorizonSlots int
-	// OptimizeBudget is the fitness-evaluation budget per replanning
-	// round (default 3000).
-	OptimizeBudget int
-	// Seed makes planning deterministic (default 1).
-	Seed int64
 }
 
 func (c *SchedulerConfig) withDefaults() (SchedulerConfig, error) {
@@ -89,18 +78,6 @@ func (c *SchedulerConfig) withDefaults() (SchedulerConfig, error) {
 		}
 		cfg.Capacity = 0.8
 	}
-	if cfg.SlotDuration <= 0 {
-		cfg.SlotDuration = 30 * time.Second
-	}
-	if cfg.HorizonSlots <= 4 {
-		cfg.HorizonSlots = 2880
-	}
-	if cfg.OptimizeBudget <= 0 {
-		cfg.OptimizeBudget = 3000
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	return cfg, nil
 }
 
@@ -109,7 +86,7 @@ type queueEntry struct {
 	strategy  *Strategy
 	groups    []expmodel.UserGroup
 	share     float64
-	slots     int
+	est       time.Duration // the strategy's estimateDuration
 	queuedAt  time.Time
 	recovered bool
 	reason    string // why the entry is still waiting
@@ -120,16 +97,34 @@ type queueEntry struct {
 	scheduledJournaled bool
 }
 
+// newEntry sizes a strategy's footprint for the queue.
+func newEntry(st *Strategy) *queueEntry {
+	return &queueEntry{
+		strategy: st,
+		groups:   conflictGroups(st),
+		share:    peakShare(st),
+		est:      estimateDuration(st),
+	}
+}
+
+// footprint is what the entry holds once it launches at start.
+func (qe *queueEntry) footprint(start time.Time) footprint {
+	return footprint{
+		name:    qe.strategy.Name,
+		tenant:  qe.strategy.Tenant,
+		service: qe.strategy.RouteService(),
+		groups:  qe.groups,
+		share:   qe.share,
+		end:     start.Add(qe.est),
+	}
+}
+
 // liveRun is one run the scheduler launched (or adopted) and tracks
 // until completion.
 type liveRun struct {
+	footprint
 	run       *Run
-	service   string
-	groups    []expmodel.UserGroup
-	share     float64
-	startedAt time.Time // wall-clock launch (or adoption) time
-	start     int       // launch slot
-	estEnd    int       // estimated exclusive end slot
+	startedAt time.Time // launch (or adoption) time
 }
 
 // QueueEvent is one queue lifecycle event kept for observability (the
@@ -149,59 +144,11 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Scheduler{
-		cfg:     full,
-		epoch:   full.Engine.cfg.Clock.Now(),
-		running: make(map[string]*liveRun),
-		planner: planner{
-			slotDur:  full.SlotDuration,
-			horizon:  full.HorizonSlots,
-			capacity: full.Capacity,
-			budget:   full.OptimizeBudget,
-			seed:     full.Seed,
-		},
-	}
-	return s, nil
+	return &Scheduler{cfg: full, running: make(map[string]*liveRun)}, nil
 }
 
 // now returns the engine clock's current time.
 func (s *Scheduler) now() time.Time { return s.cfg.Engine.cfg.Clock.Now() }
-
-// slotAt maps a time onto the planning horizon, re-anchoring the epoch
-// (and dropping warm-start state) when the horizon is outgrown. Caller
-// holds s.mu.
-func (s *Scheduler) slotAt(t time.Time) int {
-	slot := int(t.Sub(s.epoch) / s.cfg.SlotDuration)
-	if slot < 0 {
-		return 0
-	}
-	if slot >= s.cfg.HorizonSlots/2 {
-		// Re-anchor: shift the epoch to now so the horizon always has
-		// room ahead, and restate running runs' rectangles relative to
-		// the new origin.
-		s.epoch = t
-		for _, lr := range s.running {
-			remaining := lr.estEnd - slot
-			if remaining < 1 {
-				remaining = 1
-			}
-			lr.start = 0
-			lr.estEnd = remaining
-		}
-		// The old plan's slot numbers are meaningless under the new
-		// epoch; drop it (and the warm-start state) until the next pump
-		// replans.
-		s.plan = nil
-		s.planner.Reset()
-		slot = 0
-	}
-	return slot
-}
-
-// slotTime is the inverse mapping. Caller holds s.mu.
-func (s *Scheduler) slotTime(slot int) time.Time {
-	return s.epoch.Add(time.Duration(slot) * s.cfg.SlotDuration)
-}
 
 // SubmitResult reports what Submit did with a strategy.
 type SubmitResult struct {
@@ -220,11 +167,11 @@ func (s *Scheduler) Submit(strategy *Strategy) (SubmitResult, error) {
 	if err := strategy.Validate(); err != nil {
 		return SubmitResult{}, err
 	}
-	share := peakShare(strategy)
-	if share > s.cfg.Capacity {
+	entry := newEntry(strategy)
+	if entry.share > s.cfg.Capacity {
 		return SubmitResult{}, fmt.Errorf(
 			"bifrost: strategy %q peaks at %.0f%% candidate traffic, above the scheduler capacity %.0f%%",
-			strategy.Name, share*100, s.cfg.Capacity*100)
+			strategy.Name, entry.share*100, s.cfg.Capacity*100)
 	}
 
 	s.mu.Lock()
@@ -242,17 +189,10 @@ func (s *Scheduler) Submit(strategy *Strategy) (SubmitResult, error) {
 	}
 
 	now := s.now()
-	est := estimateDuration(strategy)
-	entry := &queueEntry{
-		strategy: strategy,
-		groups:   conflictGroups(strategy),
-		share:    share,
-		slots:    s.planner.durationSlots(est),
-		queuedAt: now,
-	}
+	entry.queuedAt = now
 	s.journalQueueEvent(Event{At: now, Type: EventRunQueued,
 		Detail: fmt.Sprintf("service=%s share=%.0f%% est=%s",
-			strategy.Service, share*100, est)},
+			strategy.Service, entry.share*100, entry.est)},
 		strategy, WriteDSL(strategy))
 	s.queue = append(s.queue, entry)
 	s.pumpLocked()
@@ -260,13 +200,18 @@ func (s *Scheduler) Submit(strategy *Strategy) (SubmitResult, error) {
 	if lr, ok := s.running[strategy.RunKey()]; ok {
 		return SubmitResult{Run: lr.run}, nil
 	}
-	return SubmitResult{Queued: true, Entry: s.entryView(entry)}, nil
+	// Still queued, so still where it was appended: last.
+	last := len(s.queue) - 1
+	return SubmitResult{Queued: true, Entry: s.entryView(last, s.projectLocked(now)[last])}, nil
 }
 
 // Restore re-enqueues submissions recovered from the journal (see
 // RecoverQueue). The queued records already exist in the journal, so
 // restoring journals nothing new. Call before serving traffic; the
-// restored entries launch as soon as their conflicts clear.
+// restored entries launch as soon as their conflicts clear. Restore
+// does not re-run admission: an entry whose share exceeds a capacity
+// lowered since it was admitted stays queued under its capacity reason,
+// with no projected start, until it is canceled.
 func (s *Scheduler) Restore(pending []PendingSubmission) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -281,14 +226,9 @@ func (s *Scheduler) Restore(pending []PendingSubmission) {
 		if dup {
 			continue
 		}
-		s.queue = append(s.queue, &queueEntry{
-			strategy:  p.Strategy,
-			groups:    conflictGroups(p.Strategy),
-			share:     peakShare(p.Strategy),
-			slots:     s.planner.durationSlots(estimateDuration(p.Strategy)),
-			queuedAt:  p.QueuedAt,
-			recovered: true,
-		})
+		entry := newEntry(p.Strategy)
+		entry.queuedAt, entry.recovered = p.QueuedAt, true
+		s.queue = append(s.queue, entry)
 	}
 	s.pumpLocked()
 }
@@ -334,7 +274,7 @@ func (s *Scheduler) Close() {
 	s.mu.Unlock()
 }
 
-// Version increments on every observable queue or plan change; pollers
+// Version increments on every observable queue change; pollers
 // (the schedule SSE stream) re-snapshot when it moves.
 func (s *Scheduler) Version() uint64 { return s.version.Load() }
 
@@ -361,182 +301,143 @@ func (s *Scheduler) Pump() {
 	s.pumpLocked()
 }
 
-// pumpLocked launches every queue entry whose conflicts are clear, then
-// replans the remainder. Caller holds s.mu.
+// pumpLocked launches every queue entry whose conflicts are clear.
+// Caller holds s.mu.
 func (s *Scheduler) pumpLocked() {
 	defer s.version.Add(1)
 	now := s.now()
-	slot := s.slotAt(now)
-
-	// Drop finished runs from the running set (their completion watcher
-	// normally does this, but submissions may race it).
-	for name, lr := range s.running {
-		if lr.run.Status() != StatusRunning {
-			delete(s.running, name)
-		}
-	}
-	s.adoptRunningLocked(slot)
+	s.syncRunningLocked(now)
 
 	// Launch pass: queue order, later entries may overtake blocked ones
 	// (disjoint-service submissions enact concurrently).
+	live := s.liveLocked()
 	remaining := s.queue[:0]
 	for _, qe := range s.queue {
-		reason := s.blockReasonLocked(qe)
-		if reason != "" {
-			qe.reason = reason
-			remaining = append(remaining, qe)
-			continue
-		}
-		if err := s.launchLocked(qe, now, slot); err != nil {
+		qe.reason = s.cfg.blockReason(qe, live)
+		if qe.reason == "" {
+			err := s.launchLocked(qe, now)
+			if err == nil {
+				live = append(live, qe.footprint(now))
+				continue
+			}
 			// Engine-side rejection (e.g. a run launched around the
 			// scheduler owns the service): keep the entry queued and try
 			// again on the next pump.
 			qe.reason = err.Error()
-			remaining = append(remaining, qe)
 		}
+		remaining = append(remaining, qe)
 	}
 	s.queue = remaining
-
-	// Replan the projection for whatever still waits.
-	s.replanLocked(slot)
 }
 
-// adoptRunningLocked tracks live engine runs the scheduler did not
-// launch itself — recovered after a crash, or launched around the
-// scheduler by library users and the demo. Adoption gives them a
-// conflict footprint (so queued entries wait behind them) and a
-// completion watcher (so their finish pumps the queue). It reports
-// whether anything was adopted. Caller holds s.mu.
-func (s *Scheduler) adoptRunningLocked(slot int) bool {
-	adopted := false
+// syncRunningLocked brings the running set in line with the engine and
+// reports whether it changed. Finished runs leave it (their completion
+// watcher normally does this, but submissions and polls may race it).
+// Live engine runs the scheduler did not launch itself — recovered
+// after a crash, or launched around the scheduler by library users and
+// the demo — are adopted: they get a conflict footprint (so queued
+// entries wait behind them) and a completion watcher (so their finish
+// pumps the queue). Caller holds s.mu.
+func (s *Scheduler) syncRunningLocked(now time.Time) bool {
+	changed := false
+	for name, lr := range s.running {
+		if lr.run.Status() != StatusRunning {
+			delete(s.running, name)
+			changed = true
+		}
+	}
 	for _, run := range s.cfg.Engine.Runs() {
 		if run.Status() != StatusRunning {
 			continue
 		}
-		st := run.Strategy()
-		if _, ok := s.running[st.RunKey()]; ok {
-			continue
+		if _, ok := s.running[run.strategy.RunKey()]; !ok {
+			s.trackLocked(run, newEntry(run.strategy).footprint(now), now)
+			changed = true
 		}
-		adopted = true
-		s.running[st.RunKey()] = &liveRun{
-			run:       run,
-			service:   st.RouteService(),
-			groups:    conflictGroups(st),
-			share:     peakShare(st),
-			startedAt: s.now(),
-			start:     slot,
-			estEnd:    slot + s.planner.durationSlots(estimateDuration(st)),
-		}
-		name := st.RunKey()
-		go func() {
-			<-run.Done()
-			s.onRunDone(name)
-		}()
 	}
-	return adopted
+	return changed
 }
 
-// blockReasonLocked explains why an entry cannot launch right now
-// ("" when it can). Concurrency and candidate-traffic capacity are
-// budgeted per tenant — each tenant exposes its own user population,
-// so one tenant's experiments must not starve another's — while the
-// group-footprint conflicts below are already tenant-disjoint because
-// conflictGroups qualifies every group name. Caller holds s.mu.
-func (s *Scheduler) blockReasonLocked(qe *queueEntry) string {
-	tenant := qe.strategy.Tenant
-	live, used := 0, 0.0
+// trackLocked adds a live run to the running set and pumps the queue
+// when it finishes (early, failed, or on schedule). Caller holds s.mu.
+func (s *Scheduler) trackLocked(run *Run, fp footprint, now time.Time) {
+	name := run.strategy.RunKey()
+	s.running[name] = &liveRun{footprint: fp, run: run, startedAt: now}
+	go func() {
+		<-run.Done()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		delete(s.running, name)
+		s.pumpLocked()
+	}()
+}
+
+// liveLocked is the running set as the conflict rule reads it. Caller
+// holds s.mu.
+func (s *Scheduler) liveLocked() []footprint {
+	live := make([]footprint, 0, len(s.running)+len(s.queue))
 	for _, lr := range s.running {
-		if lr.run.strategy.Tenant != tenant {
-			continue
-		}
-		live++
-		used += lr.share
+		live = append(live, lr.footprint)
 	}
-	if live >= s.cfg.MaxConcurrent {
-		return fmt.Sprintf("max-concurrent reached (%d)", s.cfg.MaxConcurrent)
-	}
-	if used+qe.share > s.cfg.Capacity+1e-9 {
-		return fmt.Sprintf("capacity: %.0f%% in use, needs %.0f%%, ceiling %.0f%%",
-			used*100, qe.share*100, s.cfg.Capacity*100)
-	}
-	for _, lr := range s.running {
-		for _, g := range qe.groups {
-			for _, rg := range lr.groups {
-				if g == rg {
-					if g == serviceGroup(lr.service) {
-						return fmt.Sprintf("service %q busy with run %q", lr.service, lr.run.strategy.Name)
-					}
-					return fmt.Sprintf("user group %q held by run %q", g, lr.run.strategy.Name)
-				}
-			}
-		}
-	}
-	return ""
+	return live
 }
 
 // launchLocked journals the scheduled event and hands the entry to
 // Engine.Launch. Caller holds s.mu.
-func (s *Scheduler) launchLocked(qe *queueEntry, now time.Time, slot int) error {
+func (s *Scheduler) launchLocked(qe *queueEntry, now time.Time) error {
 	if !qe.scheduledJournaled {
 		qe.scheduledJournaled = true
 		s.journalQueueEvent(Event{At: now, Type: EventRunScheduled,
-			Detail: fmt.Sprintf("slot=%d waited=%s", slot, now.Sub(qe.queuedAt).Round(time.Millisecond))},
+			Detail: fmt.Sprintf("waited=%s", now.Sub(qe.queuedAt).Round(time.Millisecond))},
 			qe.strategy, "")
 	}
 	run, err := s.cfg.Engine.Launch(qe.strategy)
 	if err != nil {
 		return err
 	}
-	lr := &liveRun{
-		run:       run,
-		service:   qe.strategy.RouteService(),
-		groups:    qe.groups,
-		share:     qe.share,
-		startedAt: now,
-		start:     slot,
-		estEnd:    slot + qe.slots,
-	}
-	s.running[qe.strategy.RunKey()] = lr
+	s.trackLocked(run, qe.footprint(now), now)
 	s.launched.Add(1)
-	go func() {
-		<-run.Done()
-		s.onRunDone(qe.strategy.RunKey())
-	}()
 	return nil
 }
 
-// onRunDone reacts to a tracked run finishing (early, failed, or on
-// schedule): free its footprint and pump the queue.
-func (s *Scheduler) onRunDone(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.running, name)
-	s.pumpLocked()
-}
-
-// replanLocked re-places the queue on the horizon. Planning failures
-// are tolerated — the projection goes stale but launch gating (which
-// checks actual conflicts) keeps working. Caller holds s.mu.
-func (s *Scheduler) replanLocked(slot int) {
-	running := make([]planRun, 0, len(s.running))
-	for name, lr := range s.running {
-		running = append(running, planRun{
-			name: name, groups: lr.groups, share: lr.share,
-			start: lr.start, estEnd: lr.estEnd,
-		})
+// projectLocked plays the launch pass forward on estimates and returns
+// each queue entry's projected launch time, parallel to s.queue. From
+// the running set's estimated ends (an overdue run ends now) it
+// launches, in queue order with overtaking, whatever blockReason
+// clears, advances to the next estimated end, and repeats. Every round
+// but the last retires a footprint and only queue entries add any, so
+// it takes at most queue + running rounds. An entry still blocked once
+// nothing is live (its share exceeds a capacity lowered since it was
+// admitted) can never launch and keeps the zero time. Caller holds
+// s.mu.
+func (s *Scheduler) projectLocked(now time.Time) []time.Time {
+	starts := make([]time.Time, len(s.queue))
+	live := s.liveLocked()
+	for i := range live {
+		if live[i].end.Before(now) {
+			live[i].end = now
+		}
 	}
-	pending := make([]planPending, 0, len(s.queue))
-	for _, qe := range s.queue {
-		pending = append(pending, planPending{
-			name: qe.strategy.RunKey(), groups: qe.groups, share: qe.share, slots: qe.slots,
-		})
+	for t, waiting := now, len(s.queue); waiting > 0; {
+		for i, qe := range s.queue {
+			if starts[i].IsZero() && s.cfg.blockReason(qe, live) == "" {
+				starts[i] = t
+				live = append(live, qe.footprint(t))
+				waiting--
+			}
+		}
+		if len(live) == 0 {
+			break
+		}
+		t = live[0].end
+		for _, f := range live[1:] {
+			if f.end.Before(t) {
+				t = f.end
+			}
+		}
+		live = slices.DeleteFunc(live, func(f footprint) bool { return !f.end.After(t) })
 	}
-	plan, err := s.planner.Replan(slot, running, pending)
-	if err != nil {
-		s.plan = nil
-		return
-	}
-	s.plan = plan
+	return starts
 }
 
 // --- journaling ---
@@ -564,18 +465,21 @@ func (s *Scheduler) journalQueueEvent(ev Event, strategy *Strategy, dsl string) 
 // Name is tenant-qualified; Tenant repeats the owner for display
 // (omitted for the default tenant).
 type QueueEntryView struct {
-	Name     string   `json:"name"`
-	Tenant   string   `json:"tenant,omitempty"`
-	Service  string   `json:"service"`
-	Groups   []string `json:"groups,omitempty"`
-	Share    float64  `json:"share"`
-	Position int      `json:"position"`
+	Name    string   `json:"name"`
+	Tenant  string   `json:"tenant,omitempty"`
+	Service string   `json:"service"`
+	Groups  []string `json:"groups,omitempty"`
+	Share   float64  `json:"share"`
+	// Position counts the tenant's own entries queued ahead of this one:
+	// budgets are per tenant, so no other entry can hold it back.
+	Position int `json:"position"`
 	// State is "queued" until the entry launches (then it leaves the
 	// queue and appears under running).
 	State    string    `json:"state"`
 	QueuedAt time.Time `json:"queuedAt"`
-	// PlannedStart is the optimizer's projected launch time (zero when
-	// the last replanning round could not place the entry).
+	// PlannedStart is the projected launch time: when the launch rule
+	// clears the entry if every run takes its estimated duration. Zero
+	// when the entry cannot launch even with nothing running.
 	PlannedStart time.Time     `json:"plannedStart,omitzero"`
 	EstDuration  time.Duration `json:"-"`
 	EstDurationS string        `json:"estDuration"`
@@ -599,128 +503,163 @@ type ScheduledRunView struct {
 // ScheduleSnapshot is the full observable scheduler state.
 type ScheduleSnapshot struct {
 	Now           time.Time          `json:"now"`
-	Slot          int                `json:"slot"`
-	SlotDuration  string             `json:"slotDuration"`
-	HorizonSlots  int                `json:"horizonSlots"`
 	Capacity      float64            `json:"capacity"`
 	MaxConcurrent int                `json:"maxConcurrent"`
 	Version       uint64             `json:"version"`
-	PlanFitness   float64            `json:"planFitness,omitempty"`
-	PlanValid     bool               `json:"planValid"`
 	Running       []ScheduledRunView `json:"running"`
 	Queue         []QueueEntryView   `json:"queue"`
 	Recent        []QueueEvent       `json:"recent,omitempty"`
 }
 
-// entryView renders one queue entry. Caller holds s.mu.
-func (s *Scheduler) entryView(qe *queueEntry) QueueEntryView {
+// groupNames lists a strategy's explicit user groups for display.
+func groupNames(st *Strategy) []string {
+	groups := strategyGroups(st)
+	names := make([]string, len(groups))
+	for i, g := range groups {
+		names[i] = string(g)
+	}
+	return names
+}
+
+// entryView renders queue entry i with its projected start. Caller
+// holds s.mu.
+func (s *Scheduler) entryView(i int, plannedStart time.Time) QueueEntryView {
+	qe := s.queue[i]
 	v := QueueEntryView{
-		Name:        qe.strategy.RunKey(),
-		Tenant:      qe.strategy.Tenant,
-		Service:     qe.strategy.Service,
-		Share:       qe.share,
-		State:       "queued",
-		QueuedAt:    qe.queuedAt,
-		EstDuration: time.Duration(qe.slots) * s.cfg.SlotDuration,
-		Reason:      qe.reason,
-		Recovered:   qe.recovered,
+		Name:         qe.strategy.RunKey(),
+		Tenant:       qe.strategy.Tenant,
+		Service:      qe.strategy.Service,
+		Groups:       groupNames(qe.strategy),
+		Share:        qe.share,
+		State:        "queued",
+		QueuedAt:     qe.queuedAt,
+		PlannedStart: plannedStart,
+		EstDuration:  qe.est,
+		EstDurationS: qe.est.String(),
+		Reason:       qe.reason,
+		Recovered:    qe.recovered,
 	}
-	v.EstDurationS = v.EstDuration.String()
-	for _, g := range strategyGroups(qe.strategy) {
-		v.Groups = append(v.Groups, string(g))
-	}
-	for i, other := range s.queue {
-		if other == qe {
-			v.Position = i
-			break
-		}
-	}
-	if s.plan != nil {
-		if start, ok := s.plan.Starts[qe.strategy.RunKey()]; ok {
-			v.PlannedStart = s.slotTime(start)
+	for _, ahead := range s.queue[:i] {
+		if ahead.strategy.Tenant == v.Tenant {
+			v.Position++
 		}
 	}
 	return v
 }
 
-// Snapshot returns the observable scheduler state. It prunes finished
-// runs and adopts untracked live ones first, so the view reflects the
-// engine even before the next queue-affecting event pumps.
+// Snapshot returns the observable scheduler state. It syncs the running
+// set with the engine first, so the view reflects the engine even
+// before the next queue-affecting event pumps.
 func (s *Scheduler) Snapshot() ScheduleSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now()
-	slot := s.slotAt(now)
-	changed := false
-	for name, lr := range s.running {
-		if lr.run.Status() != StatusRunning {
-			delete(s.running, name)
-			changed = true
-		}
-	}
-	if s.adoptRunningLocked(slot) {
-		changed = true
-	}
-	if changed {
+	if s.syncRunningLocked(now) {
 		// Version moves on any observable change, including ones noticed
 		// here rather than by a pump — the SSE stream keys off it.
 		s.version.Add(1)
 	}
-	if s.plan == nil && (len(s.queue) > 0 || len(s.running) > 0) {
-		// An epoch re-anchor dropped the plan mid-poll; rebuild the
-		// projection here rather than waiting for the next queue event
-		// (cheap when nothing is queued: frozen genes skip the search).
-		s.replanLocked(slot)
-	}
 	snap := ScheduleSnapshot{
 		Now:           now,
-		Slot:          slot,
-		SlotDuration:  s.cfg.SlotDuration.String(),
-		HorizonSlots:  s.cfg.HorizonSlots,
 		Capacity:      s.cfg.Capacity,
 		MaxConcurrent: s.cfg.MaxConcurrent,
 		Version:       s.version.Load(),
 		Running:       make([]ScheduledRunView, 0, len(s.running)),
 		Queue:         make([]QueueEntryView, 0, len(s.queue)),
 	}
-	if s.plan != nil {
-		snap.PlanFitness = s.plan.Fitness
-		snap.PlanValid = s.plan.Valid
-	}
 	for name, lr := range s.running {
-		groups := make([]string, 0, len(lr.groups))
-		for _, g := range strategyGroups(lr.run.strategy) {
-			groups = append(groups, string(g))
-		}
 		snap.Running = append(snap.Running, ScheduledRunView{
 			Name:      name,
-			Tenant:    lr.run.strategy.Tenant,
+			Tenant:    lr.tenant,
 			Service:   lr.run.strategy.Service,
-			Groups:    groups,
+			Groups:    groupNames(lr.run.strategy),
 			Share:     lr.share,
 			StartedAt: lr.startedAt,
-			EstEnd:    s.slotTime(lr.estEnd),
+			EstEnd:    lr.end,
 			Status:    lr.run.Status().String(),
 		})
 	}
 	sort.Slice(snap.Running, func(i, j int) bool {
 		return snap.Running[i].StartedAt.Before(snap.Running[j].StartedAt)
 	})
-	for _, qe := range s.queue {
-		snap.Queue = append(snap.Queue, s.entryView(qe))
+	for i, start := range s.projectLocked(now) {
+		snap.Queue = append(snap.Queue, s.entryView(i, start))
 	}
 	snap.Recent = append(snap.Recent, s.recent...)
 	return snap
 }
 
-// Gantt renders the latest plan as the ASCII chart Fenrir's offline
-// scheduling example prints, one row per experiment (running runs and
-// queued submissions alike).
+// Gantt charts the projection as text, one row per run on a wall-clock
+// axis from now to the last projected end: running runs up to their
+// estimated end, queued submissions from their projected start. Bar
+// height is the candidate-traffic share.
 func (s *Scheduler) Gantt(width int) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.plan == nil || len(s.plan.Problem.Experiments) == 0 {
-		return "(no schedule: queue is empty)\n"
+	snap := s.Snapshot()
+	if len(snap.Running)+len(snap.Queue) == 0 {
+		return "(no schedule: nothing running or queued)\n"
 	}
-	return s.plan.Problem.Gantt(s.plan.Schedule, width)
+	if width <= 0 {
+		width = 72
+	}
+	type row struct {
+		label, note string
+		share       float64
+		start, end  time.Time
+	}
+	var rows []row
+	end := snap.Now
+	for _, rv := range snap.Running {
+		r := row{rv.Name, "running", rv.Share, snap.Now, rv.EstEnd}
+		if rv.EstEnd.Before(snap.Now) {
+			r.note = "overdue"
+		}
+		rows = append(rows, r)
+	}
+	for _, qv := range snap.Queue {
+		r := row{label: qv.Name, note: "blocked", share: qv.Share}
+		if !qv.PlannedStart.IsZero() {
+			r.note = "queued"
+			r.start, r.end = qv.PlannedStart, qv.PlannedStart.Add(qv.EstDuration)
+		}
+		rows = append(rows, r)
+	}
+	labelWidth := len("from now")
+	for _, r := range rows {
+		labelWidth = max(labelWidth, len(r.label))
+		if r.end.After(end) {
+			end = r.end
+		}
+	}
+	col := max(end.Sub(snap.Now), time.Second) / time.Duration(width)
+
+	var b strings.Builder
+	span := "+" + end.Sub(snap.Now).Round(time.Second).String()
+	fmt.Fprintf(&b, "%-*s |%-*s%s|\n", labelWidth, "from now", width-len(span), "+0s", span)
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-*s |", labelWidth, r.label)
+		for c := 0; c < width; c++ {
+			lo := snap.Now.Add(time.Duration(c) * col)
+			if r.start.Before(lo.Add(col)) && r.end.After(lo) {
+				b.WriteRune(shareGlyph(r.share))
+			} else {
+				b.WriteByte(' ')
+			}
+		}
+		fmt.Fprintf(&b, "|  %s %.0f%%\n", r.note, r.share*100)
+	}
+	return b.String()
+}
+
+// shareGlyph maps a traffic share to a bar glyph.
+func shareGlyph(share float64) rune {
+	switch {
+	case share >= 0.3:
+		return '█'
+	case share >= 0.2:
+		return '▆'
+	case share >= 0.1:
+		return '▄'
+	default:
+		return '▂'
+	}
 }

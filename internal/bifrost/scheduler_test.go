@@ -2,25 +2,23 @@ package bifrost
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"contexp/internal/expmodel"
 	"contexp/internal/journal"
+	"contexp/internal/tenancy"
 )
 
-// newScheduler wires a scheduler to a harness engine with test-sized
-// planning parameters.
+// newScheduler wires a scheduler to a harness engine.
 func (h *harness) newScheduler(t *testing.T, jnl journal.Journal, mutate func(*SchedulerConfig)) *Scheduler {
 	t.Helper()
-	cfg := SchedulerConfig{
-		Engine:         h.engine,
-		Journal:        jnl,
-		SlotDuration:   10 * time.Second,
-		HorizonSlots:   720,
-		OptimizeBudget: 500,
-	}
+	cfg := SchedulerConfig{Engine: h.engine, Journal: jnl}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -118,7 +116,7 @@ func TestSchedulerSameServiceSerializes(t *testing.T) {
 		t.Errorf("queue reason should name the service conflict, got %q", second.Entry.Reason)
 	}
 	if second.Entry.PlannedStart.IsZero() {
-		t.Error("queued entry should carry a projected start from the optimizer")
+		t.Error("queued entry should carry a projected start")
 	}
 	if !sched.Queued("second") {
 		t.Error("Queued should report the waiting entry")
@@ -456,7 +454,6 @@ func TestSchedulerPlanProjectsQueue(t *testing.T) {
 	h := newHarness(t)
 	sched := h.newScheduler(t, nil, nil)
 
-	// 60s hold = 6 slots at the 10s test slot duration.
 	if res, err := sched.Submit(holdStrategy("live", "catalog", 60*time.Second)); err != nil || res.Queued {
 		t.Fatalf("live: %+v, %v", res, err)
 	}
@@ -467,14 +464,10 @@ func TestSchedulerPlanProjectsQueue(t *testing.T) {
 	if !res.Queued {
 		t.Fatal("same-service submission should queue")
 	}
-	// The optimizer must project "next" to start at or after the live
-	// run's estimated end (slot 6).
+	// "next" must be projected to start at or after the live run's
+	// estimated end.
 	if res.Entry.PlannedStart.Before(t0.Add(60 * time.Second)) {
 		t.Errorf("planned start %v is inside the live run's window", res.Entry.PlannedStart)
-	}
-	snap := sched.Snapshot()
-	if !snap.PlanValid {
-		t.Error("plan over one frozen run and one pending entry should be valid")
 	}
 	gantt := sched.Gantt(64)
 	if !strings.Contains(gantt, "live") || !strings.Contains(gantt, "next") {
@@ -504,4 +497,234 @@ func TestSchedulerMetricsSeededRunsConclude(t *testing.T) {
 	h.waitFor(t, "scheduler to drop the finished run", func() bool {
 		return len(sched.Snapshot().Running) == 0
 	})
+}
+
+// TestSchedulerProjectionIsTheLaunchRule pins the projection to the
+// rule that gates launches: per-tenant budgets, queue order, and each
+// strategy's own estimate. Everything is submitted at t0; `at` is the
+// offset the entry must launch (0) or be projected to launch at.
+func TestSchedulerProjectionIsTheLaunchRule(t *testing.T) {
+	type sub struct {
+		tenant, name, service string
+		hold                  time.Duration
+		share                 float64
+		at                    time.Duration
+	}
+	cases := []struct {
+		name          string
+		maxConcurrent int
+		subs          []sub
+	}{
+		{"max-concurrent holds a disjoint service back to the running estEnd", 1, []sub{
+			{"", "one", "catalog", time.Hour, 0.1, 0},
+			{"", "two", "checkout", time.Hour, 0.1, time.Hour},
+		}},
+		{"budgets and services are per tenant", 0, []sub{
+			{"a", "wide", "svc", time.Hour, 0.7, 0},
+			{"b", "wide", "svc", 10 * time.Minute, 0.7, 0},
+			{"b", "next", "svc", time.Minute, 0.3, 10 * time.Minute},
+		}},
+		{"queue order on one service", 0, []sub{
+			{"", "live", "catalog", 10 * time.Minute, 0.1, 0},
+			{"", "long-first", "catalog", time.Hour, 0.1, 10 * time.Minute},
+			{"", "short-second", "catalog", time.Minute, 0.1, 70 * time.Minute},
+		}},
+		{"estimates are the strategy's own", 0, []sub{
+			{"", "blink", "catalog", 5 * time.Second, 0.1, 0},
+			{"", "days", "catalog", 72 * time.Hour, 0.1, 5 * time.Second},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t)
+			sched := h.newScheduler(t, nil, func(c *SchedulerConfig) { c.MaxConcurrent = tc.maxConcurrent })
+			for _, sb := range tc.subs {
+				st := holdStrategy(sb.name, sb.service, sb.hold)
+				st.Tenant = sb.tenant
+				st.Phases[0].Traffic.CandidateWeight = sb.share
+				res, err := sched.Submit(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Queued != (sb.at > 0) {
+					t.Fatalf("%s: queued = %v, want launch offset %v", st.RunKey(), res.Queued, sb.at)
+				}
+			}
+			snap := sched.Snapshot()
+			running := make(map[string]ScheduledRunView)
+			for _, rv := range snap.Running {
+				running[rv.Name] = rv
+			}
+			queued := make(map[string]QueueEntryView)
+			for _, qv := range snap.Queue {
+				queued[qv.Name] = qv
+			}
+			for _, sb := range tc.subs {
+				key := tenancy.Qualify(sb.tenant, sb.name)
+				if sb.at == 0 {
+					if rv := running[key]; !rv.StartedAt.Equal(t0) || !rv.EstEnd.Equal(t0.Add(sb.hold)) {
+						t.Errorf("%s runs %v – %v, want t0 – t0+%v", key, rv.StartedAt, rv.EstEnd, sb.hold)
+					}
+					continue
+				}
+				qv := queued[key]
+				if !qv.PlannedStart.Equal(t0.Add(sb.at)) {
+					t.Errorf("%s planned at t0+%v, want t0+%v (reason %q)",
+						key, qv.PlannedStart.Sub(t0), sb.at, qv.Reason)
+				}
+				if qv.EstDuration != sb.hold || qv.EstDurationS != sb.hold.String() {
+					t.Errorf("%s estDuration = %v (%q), want %v", key, qv.EstDuration, qv.EstDurationS, sb.hold)
+				}
+			}
+		})
+	}
+}
+
+// TestSchedulerRestoreAboveLoweredCapacity restores an entry admitted
+// under a higher ceiling: it can never launch, so it waits under its
+// capacity reason with no projected start, the forward pass ends on it
+// (blocked against an empty live set), and entries behind it are
+// neither held back nor left unprojected.
+func TestSchedulerRestoreAboveLoweredCapacity(t *testing.T) {
+	h := newHarness(t)
+	sched := h.newScheduler(t, nil, func(c *SchedulerConfig) { c.Capacity = 0.5 })
+
+	wide := holdStrategy("wide", "search", time.Hour)
+	wide.Phases[0].Traffic.CandidateWeight = 0.7
+	sched.Restore([]PendingSubmission{
+		{Name: "wide", Strategy: wide, QueuedAt: t0},
+		{Name: "fits", Strategy: holdStrategy("fits", "catalog", time.Hour), QueuedAt: t0},
+		{Name: "behind", Strategy: holdStrategy("behind", "catalog", time.Hour), QueuedAt: t0},
+	})
+
+	snap := sched.Snapshot()
+	if len(snap.Running) != 1 || snap.Running[0].Name != "fits" {
+		t.Fatalf("running = %+v, want just fits", snap.Running)
+	}
+	if len(snap.Queue) != 2 || snap.Queue[0].Name != "wide" || snap.Queue[1].Name != "behind" {
+		t.Fatalf("queue = %+v, want wide then behind", snap.Queue)
+	}
+	if w := snap.Queue[0]; !w.PlannedStart.IsZero() || !strings.Contains(w.Reason, "capacity") {
+		t.Errorf("wide: planned %v, reason %q; want no projected start and a capacity reason", w.PlannedStart, w.Reason)
+	}
+	if b := snap.Queue[1]; !b.PlannedStart.Equal(t0.Add(time.Hour)) {
+		t.Errorf("behind planned at %v, want fits' estimated end", b.PlannedStart)
+	}
+	if gantt := sched.Gantt(40); !strings.Contains(gantt, "blocked") {
+		t.Errorf("gantt should mark wide as blocked:\n%s", gantt)
+	}
+	// Nothing live at all: the pass still ends.
+	fits, _ := h.engine.Get("fits")
+	fits.Abort()
+	h.waitFor(t, "behind to launch", func() bool { _, ok := h.engine.Get("behind"); return ok })
+	behind, _ := h.engine.Get("behind")
+	behind.Abort()
+	h.waitFor(t, "running set to drain", func() bool { return len(sched.Snapshot().Running) == 0 })
+	if q := sched.Snapshot().Queue; len(q) != 1 || !q[0].PlannedStart.IsZero() {
+		t.Errorf("queue with nothing live = %+v, want wide alone and unprojected", q)
+	}
+}
+
+// TestSchedulerProjectionMatchesEnactment is the property the
+// projection exists for: when every run takes exactly its estimate, the
+// projection taken after the last submission is what then happens —
+// same launch order, same launch instants. Hold durations are distinct
+// powers of two seconds, so no two runs ever end at the same instant
+// (every end is t0 plus a sum over a distinct subset) and the order in
+// which simultaneous completions reach the scheduler cannot matter.
+func TestSchedulerProjectionMatchesEnactment(t *testing.T) {
+	services := []string{"catalog", "checkout", "search"}
+	tenants := []string{"a", "b"}
+	groups := []expmodel.UserGroup{"", "", "beta", "vip"}
+	shares := []float64{0.1, 0.3, 0.5}
+
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := newHarness(t)
+		sched := h.newScheduler(t, nil, func(c *SchedulerConfig) { c.MaxConcurrent = 1 + rng.Intn(3) })
+
+		n := 6 + rng.Intn(5)
+		holds := rng.Perm(n)
+		var order []string // submission order, by run key
+		for i := 0; i < n; i++ {
+			st := holdStrategy(fmt.Sprintf("s%d", i), services[rng.Intn(len(services))], time.Second<<holds[i])
+			st.Tenant = tenants[rng.Intn(len(tenants))]
+			st.Phases[0].Traffic.CandidateWeight = shares[rng.Intn(len(shares))]
+			if g := groups[rng.Intn(len(groups))]; g != "" {
+				st.Phases[0].Traffic.Groups = []expmodel.UserGroup{g}
+			}
+			if _, err := sched.Submit(st); err != nil {
+				t.Fatal(err)
+			}
+			order = append(order, st.RunKey())
+		}
+
+		// settled: every finished run has pumped the queue (one version
+		// per submission and per completion; nothing else below moves it)
+		// and every live run is parked on its single phase-end timer.
+		settled := func() bool {
+			live, finished := 0, 0
+			for _, run := range h.engine.Runs() {
+				if run.Status() == StatusRunning {
+					live++
+				} else {
+					finished++
+				}
+			}
+			return sched.Version() == uint64(n+finished) && h.sim.PendingTimers() == live
+		}
+		await := func(what string) {
+			t.Helper()
+			deadline := time.Now().Add(10 * time.Second)
+			for !settled() {
+				if time.Now().After(deadline) {
+					t.Fatalf("seed %d: %s never settled", seed, what)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		await("submissions")
+
+		// Snapshot only moves the version when it finds the running set
+		// out of sync, which a settled scheduler is not.
+		snap := sched.Snapshot()
+		projected := make(map[string]time.Time, n)
+		for _, rv := range snap.Running {
+			projected[rv.Name] = rv.StartedAt
+		}
+		for _, qv := range snap.Queue {
+			if qv.PlannedStart.IsZero() {
+				t.Fatalf("seed %d: %s has no projected start (reason %q)", seed, qv.Name, qv.Reason)
+			}
+			projected[qv.Name] = qv.PlannedStart
+		}
+		wantOrder := slices.Clone(order)
+		sort.SliceStable(wantOrder, func(i, j int) bool {
+			return projected[wantOrder[i]].Before(projected[wantOrder[j]])
+		})
+
+		for sched.Launches() < int64(n) {
+			d, ok := h.sim.NextDeadline()
+			if !ok {
+				t.Fatalf("seed %d: %d of %d launched and nothing left to wait for", seed, sched.Launches(), n)
+			}
+			h.sim.AdvanceTo(d)
+			await("completion at " + d.Sub(t0).String())
+		}
+
+		runs := h.engine.Runs()
+		sort.Slice(runs, func(i, j int) bool { return runs[i].Seq() < runs[j].Seq() })
+		var gotOrder []string
+		for _, run := range runs {
+			key := run.Strategy().RunKey()
+			gotOrder = append(gotOrder, key)
+			if launched := run.Events()[0].At; !launched.Equal(projected[key]) {
+				t.Errorf("seed %d: %s launched at t0+%v, projected t0+%v",
+					seed, key, launched.Sub(t0), projected[key].Sub(t0))
+			}
+		}
+		if !slices.Equal(gotOrder, wantOrder) {
+			t.Errorf("seed %d: launch order %v, projected %v", seed, gotOrder, wantOrder)
+		}
+	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // This file serves the live scheduler: the queue of admitted-but-
-// waiting strategies, the running set, the optimizer's projected
-// placement, and a change stream.
+// waiting strategies, the running set, each waiting strategy's
+// projected start, and a change stream.
 //
 //	GET /v1/schedule                 queue + running + projection (JSON)
 //	GET /v1/schedule?format=gantt    ASCII Gantt chart (text/plain)
@@ -21,9 +21,10 @@ import (
 // Scheduler.
 
 // handleSchedule reports the scheduler snapshot. With ?format=gantt it
-// renders the placement as the ASCII chart Fenrir's offline scheduling
-// example prints (one row per experiment, bar height = traffic share).
-// When auth is on, the JSON view is scoped to the caller's entries; the
+// renders the projection as an ASCII chart (one row per run on a
+// wall-clock axis, bar height = traffic share). When auth is on, the
+// JSON view is scoped to the caller's entries — nothing in it depends
+// on another tenant's, since every scheduler budget is per tenant; the
 // gantt chart stays whole-plant (it names runs by tenant-qualified key
 // only — operator-grade metadata, consistent with /v1/admin/tenants).
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
@@ -71,7 +72,7 @@ func scopeSnapshot(snap bifrost.ScheduleSnapshot, tenant string) bifrost.Schedul
 
 // handleScheduleEvents streams schedule changes as server-sent events:
 // one "schedule" message per observable change (submission, launch,
-// cancellation, replanning), carrying the full snapshot. The first
+// cancellation, completion), carrying the full snapshot. The first
 // message is the current state, so a client never starts blind.
 func (s *Server) handleScheduleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)

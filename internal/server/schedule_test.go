@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -31,13 +32,7 @@ func newSchedulerEnv(t *testing.T, jnl journal.Journal) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := bifrost.NewScheduler(bifrost.SchedulerConfig{
-		Engine:         engine,
-		Journal:        jnl,
-		SlotDuration:   100 * time.Millisecond,
-		HorizonSlots:   2400,
-		OptimizeBudget: 500,
-	})
+	sched, err := bifrost.NewScheduler(bifrost.SchedulerConfig{Engine: engine, Journal: jnl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +176,66 @@ func TestScheduleDequeue(t *testing.T) {
 	}
 	if h.Scheduler == nil || h.Scheduler.Running != 1 || h.Scheduler.Queued != 0 {
 		t.Fatalf("scheduler health = %+v", h.Scheduler)
+	}
+}
+
+// TestScheduleIsTenantScoped: with auth on, what beta reads from
+// /v1/schedule (everything but the clock and the change counter) does
+// not depend on what acme has running or queued — even queued ahead of
+// beta's own entry.
+func TestScheduleIsTenantScoped(t *testing.T) {
+	e := newCustomEnv(t, func(c *Config) {
+		c.Auth = testResolver(t)
+		sched, err := bifrost.NewScheduler(bifrost.SchedulerConfig{Engine: c.Engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Scheduler = sched
+	})
+	submit := func(token, name string, want int) {
+		t.Helper()
+		if code, body, _ := e.doAs(http.MethodPost, "/v1/strategies", token, serviceDSL(name, "svc"), nil); code != want {
+			t.Fatalf("%s submits %s: got %d, want %d: %s", token, name, code, want, body)
+		}
+	}
+	betaView := func() map[string]any {
+		t.Helper()
+		code, body, _ := e.doAs(http.MethodGet, "/v1/schedule", "tok-b", "", nil)
+		if code != http.StatusOK {
+			t.Fatalf("schedule: %d: %s", code, body)
+		}
+		var view map[string]any
+		if err := json.Unmarshal([]byte(body), &view); err != nil {
+			t.Fatal(err)
+		}
+		delete(view, "now")
+		delete(view, "version")
+		return view
+	}
+
+	submit("tok-a", "live", http.StatusCreated)
+	submit("tok-a", "wait", http.StatusAccepted)
+	submit("tok-b", "live", http.StatusCreated)
+	submit("tok-b", "wait", http.StatusAccepted)
+	with := betaView()
+	if q := with["queue"].([]any); len(q) != 1 || q[0].(map[string]any)["plannedStart"] == nil {
+		t.Fatalf("beta should see its one queued entry, projected: %v", with["queue"])
+	}
+
+	for _, name := range []string{"wait", "live"} {
+		if code, body, _ := e.doAs(http.MethodDelete, "/v1/runs/"+name, "tok-a", "", nil); code != http.StatusAccepted {
+			t.Fatalf("acme withdraws %s: %d: %s", name, code, body)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(e.server.cfg.Scheduler.Snapshot().Running) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("acme's aborted run never left the schedule")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if without := betaView(); !reflect.DeepEqual(with, without) {
+		t.Errorf("beta's schedule depends on acme's entries:\nwith:    %v\nwithout: %v", with, without)
 	}
 }
 

@@ -127,6 +127,28 @@ func TestImportDAG(t *testing.T) {
 	if slices.Contains(router.Imports, "net/http/httputil") {
 		t.Error("contexp/internal/router imports net/http/httputil")
 	}
+	// (e) Planning and execution are separate tools: the live scheduler
+	// projects with its own launch rule, so the engine package imports
+	// neither the offline planner nor its traffic profiles, and the
+	// benchmark (which drives no planner) links neither.
+	const (
+		fenrir  = "contexp/internal/fenrir"
+		traffic = "contexp/internal/traffic"
+	)
+	bifrost := pkgs["contexp/internal/bifrost"]
+	if len(bifrost.Imports) == 0 {
+		t.Fatal("go list reported no imports for contexp/internal/bifrost")
+	}
+	for _, imp := range bifrost.Imports {
+		if imp == fenrir || imp == traffic {
+			t.Errorf("contexp/internal/bifrost imports %s", imp)
+		}
+	}
+	for _, dep := range pkgs["contexp/benchmark"].Deps {
+		if dep == fenrir || dep == traffic {
+			t.Errorf("contexp/benchmark links %s", dep)
+		}
+	}
 	if len(daemon.Deps) == 0 || len(pkgs["contexp/benchmark"].Deps) == 0 {
 		t.Fatal("go list reported no dependencies for the binaries under test")
 	}

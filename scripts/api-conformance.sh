@@ -15,7 +15,8 @@
 #   4. the per-tenant limiter returns 429 "rate_limited" + Retry-After;
 #   5. request IDs echo through; paginated lists use {items}.
 #
-# Needs: go, curl, jq. Exits non-zero on the first failed assertion.
+# Needs: go, curl, jq, GNU date. Exits non-zero on the first failed
+# assertion.
 set -euo pipefail
 
 PORT=${PORT:-18090}
@@ -133,6 +134,18 @@ jq -e '(.items | length) == 1 and .items[0].tenant == "acme"' <"$workdir/body" >
 # returns 409 "busy"; internal/server's tests cover that.)
 req tok-b POST /v1/strategies --data-binary "${dsl/conf/conf2}"
 expect "same-tenant service conflict queues" "$status" 202
+# The 202 body is the queue entry; its projected start is the launch
+# rule played forward, so it cannot precede the blocking run's
+# estimated end.
+planned=$(jq -er '.plannedStart' <"$workdir/body") \
+    || fail "queued entry carries no plannedStart: $(body)"
+req tok-b GET /v1/schedule
+estEnd=$(jq -er '.running[0].estEnd' <"$workdir/body") \
+    || fail "schedule shows no blocking run: $(body)"
+(($(date -d "$planned" +%s%N) >= $(date -d "$estEnd" +%s%N))) \
+    || fail "plannedStart $planned precedes the blocking run's estEnd $estEnd"
+jq -e 'has("planFitness") | not' <"$workdir/body" >/dev/null \
+    || fail "schedule snapshot still carries planFitness: $(body)"
 req tok-b DELETE /v1/runs/conf2
 expect "withdraw queued submission" "$status" 202
 jq -e '.status == "dequeued"' <"$workdir/body" >/dev/null \
