@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"contexp/internal/expmodel"
 	"contexp/internal/journal"
+	"contexp/internal/metrics"
 )
 
 // crashTrail is one recorded run whose journal the crash-point tests
@@ -32,6 +34,32 @@ func oneRetryStrategy() *Strategy {
 	return s
 }
 
+// gotoRevisitStrategy is the two-phase strategy whose ab phase gates on
+// an error rate and, failing, goes back to the canary.
+func gotoRevisitStrategy() *Strategy {
+	s := twoPhaseStrategy()
+	s.Phases[1].Checks = []Check{{
+		Name: "errors", Metric: "errors",
+		Aggregation: metrics.AggMean, Upper: true, Threshold: 0.5,
+		Interval: 10 * time.Second,
+	}}
+	s.Phases[1].OnFailure = Transition{Kind: TransitionGoto, Target: "canary"}
+	return s
+}
+
+// rolloutStrategy is one gradual rollout of two 30 s steps.
+func rolloutStrategy() *Strategy {
+	s := twoPhaseStrategy()
+	s.Phases = []Phase{{
+		Name: "rollout", Practice: expmodel.PracticeGradualRollout,
+		Traffic:   TrafficSpec{Steps: []float64{0.5, 1}, StepDuration: 30 * time.Second},
+		Checks:    s.Phases[0].Checks,
+		OnSuccess: Transition{Kind: TransitionPromote},
+	}}
+	return s
+}
+
+// crashTrails[:3] are the trails testdata/recover_parent.golden holds.
 var crashTrails = []crashTrail{
 	{"healthy", twoPhaseStrategy, func(h *harness) {
 		h.seedMetrics("response_time", "catalog", "v2", "", 10*time.Minute, 50)
@@ -40,6 +68,21 @@ var crashTrails = []crashTrail{
 		h.seedMetrics("response_time", "catalog", "v2", "", 10*time.Minute, 500)
 	}, StatusRolledBack},
 	{"nodata", oneRetryStrategy, func(*harness) {}, StatusRolledBack},
+	// ab fails once → goto canary, then promotes. A check reads from
+	// now − 10 s to the end of the seeded data, so every errors check due
+	// at or before 79 s sees the spike at 61–69 s: the one ab enters at
+	// 60 s fails, and so does any ab a recovery (restarting the clock at
+	// 0) enters before 70 s; one entered later passes.
+	{"goto-revisit", gotoRevisitStrategy, func(h *harness) {
+		h.seedMetrics("response_time", "catalog", "v2", "", 10*time.Minute, 50)
+		h.seedMetrics("errors", "catalog", "v2", "", 10*time.Minute, 0)
+		for ts := 61 * time.Second; ts < 70*time.Second; ts += time.Second {
+			h.store.Record("errors", metrics.Scope{Service: "catalog", Version: "v2"}, t0.Add(ts), 500)
+		}
+	}, StatusSucceeded},
+	{"rollout", rolloutStrategy, func(h *harness) {
+		h.seedMetrics("response_time", "catalog", "v2", "", 10*time.Minute, 50)
+	}, StatusSucceeded},
 }
 
 // record runs the trail uncrashed and returns its journal records.
@@ -162,7 +205,7 @@ func (tr crashTrail) recoverAndDrive(t *testing.T, jnl journal.Journal, n int) s
 func recoveryTranscript(t *testing.T) (keys []string, cuts map[string]string) {
 	t.Helper()
 	cuts = make(map[string]string)
-	for _, tr := range crashTrails {
+	for _, tr := range crashTrails[:3] {
 		recs := tr.record(t)
 		for n := 1; n <= len(recs); n++ {
 			key := fmt.Sprintf("%s cut %d/%d after %s", tr.name, n, len(recs), cutLabel(t, recs, n))
@@ -445,16 +488,22 @@ func checkCrashPoint(t *testing.T, seed func(*harness), recs [][]byte, n int, wa
 	})
 
 	// One terminal event per run (counted since its last launch), the
-	// uncrashed status, and the table at the journal's last intent.
-	finished := make(map[string]int)
+	// uncrashed status, the table at the journal's last intent, and a
+	// report that counts the retry decisions the journal holds, recovery's
+	// own included.
+	finished, retries := make(map[string]int), make(map[string]int)
 	lastIntent := ""
 	for _, rec := range journalRecords(t, jnl) {
 		wr, _ := decodeRecord(rec)
 		switch wr.Type {
 		case EventRunLaunched:
-			finished[wr.Run] = 0
+			finished[wr.Run], retries[wr.Run] = 0, 0
 		case EventRunFinished:
 			finished[wr.Run]++
+		case EventTransition:
+			if strings.TrimPrefix(wr.Detail, recoveryNote) == "retry" {
+				retries[wr.Run]++
+			}
 		case EventTrafficApplied:
 			lastIntent = wr.Detail
 		}
@@ -466,6 +515,9 @@ func checkCrashPoint(t *testing.T, seed func(*harness), recs [][]byte, n int, wa
 		}
 		if finished[name] != 1 {
 			t.Errorf("cut %d: run %q has %d run-finished records, want 1", n, name, finished[name])
+		}
+		if got := run.BuildReport().Retries; got != retries[name] {
+			t.Errorf("cut %d: run %q reports %d retries, its journal records %d", n, name, got, retries[name])
 		}
 	}
 	if got, want := describeRoute(h, "catalog"), routeOfIntent(t, lastIntent); got != want {

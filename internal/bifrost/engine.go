@@ -322,7 +322,7 @@ func (e *Engine) Launch(s *Strategy) (*Run, error) {
 			s.Service, s.Baseline, s.Candidate, len(s.Phases))},
 		WriteDSL(s), 0)
 	run.record(Event{At: now, Type: EventTrafficApplied, Detail: "baseline=100%"})
-	if err := e.routeBaseline(s); err != nil {
+	if err := e.routeAll(s, s.Baseline); err != nil {
 		run.recordWire(Event{At: e.cfg.Clock.Now(), Type: EventRunFinished,
 			Detail: "aborted; launch routing error: " + err.Error()}, "", StatusAborted)
 		e.mu.Lock()
@@ -330,7 +330,7 @@ func (e *Engine) Launch(s *Strategy) (*Run, error) {
 		e.mu.Unlock()
 		return nil, err
 	}
-	go run.loopFrom(cursor{retries: make(map[string]int, len(s.Phases))})
+	go run.loopFrom(cursor{})
 	return run, nil
 }
 
@@ -529,40 +529,6 @@ func (r *Run) recordWire(ev Event, strategyDSL string, status RunStatus) {
 
 // --- execution ---
 
-// stage is how far a run got inside its cursor's phase. The stages are
-// one record apart, in journal order, and each implies the ones before.
-type stage int
-
-const (
-	stageLaunched  stage = iota // not entered yet: where every phase starts
-	stageEntered                // entered, no outcome: only a restart leaves a run here
-	stageConcluded              // phase-outcome recorded, transition not decided
-	stageDecided                // transition recorded, its effect not applied
-)
-
-// cursor is a run's position in its state machine: what step carries
-// from one record to the next, and what crash recovery rebuilds from the
-// journal (Strategy.cursorAfter).
-type cursor struct {
-	idx     int // phase index; outside the strategy's phases it is the promote position
-	stage   stage
-	outcome Outcome        // the phase's outcome, from stageConcluded on
-	tr      Transition     // the decision, at stageDecided
-	retries map[string]int // retry transitions each phase has consumed
-	// recovering marks the one step Engine.Recover takes from a journaled
-	// position: it observes nothing and its records say so; why is the
-	// reason they, and the recovery report, cite.
-	recovering bool
-	why        string
-}
-
-// What a recovering step's transition records say; cursorAfter reads
-// both back.
-const (
-	recoveryNote = "crash-recovery: "
-	resumingAt   = "resuming at phase "
-)
-
 // loopFrom drives the run from c to its end: from the first phase for a
 // fresh launch, from where its first step ended for a recovered run.
 func (r *Run) loopFrom(c cursor) {
@@ -571,15 +537,23 @@ func (r *Run) loopFrom(c cursor) {
 	}
 }
 
-// step is the state machine: it takes the run from c through the rest
-// of c's phase — observe, conclude, decide, apply, each recorded before
-// the next begins — leaves c at the phase to enter next, and reports
-// whether there is one. Entered past stageLaunched (by recovery) it
-// skips what the journal already holds: a recorded outcome is not
-// observed again, a recorded transition is applied, never re-decided.
+// move records ev and applies it to c: the live cursor is the fold of
+// the records the run writes, as a recovered one is of those it reads.
+func (r *Run) move(c *cursor, ev Event) {
+	r.record(ev)
+	c.apply(r.strategy, ev)
+}
+
+// step drives the state machine: it takes the run from c through the
+// rest of c's phase — enter, observe, conclude, decide, apply, each
+// recorded before the next begins — leaves c at the phase to enter next,
+// and reports whether there is one. Entered past stageLaunched (by
+// recovery) it skips what the journal already holds: a recorded outcome
+// is not observed again, a recorded transition is applied, never
+// re-decided.
 func (r *Run) step(c *cursor) bool {
 	e, s := r.engine, r.strategy
-	from, note := c.idx, ""
+	from, next, note := c.idx, c.idx, ""
 	if c.recovering {
 		note = recoveryNote
 	}
@@ -601,74 +575,56 @@ func (r *Run) step(c *cursor) bool {
 		r.phaseIdx = c.idx
 		r.mu.Unlock()
 		phase := &s.Phases[c.idx]
-		outcome, aborted := r.executePhase(phase)
+		now := e.cfg.Clock.Now()
+		r.move(c, Event{At: now, Type: EventPhaseEntered, Phase: phase.Name})
+		outcome, aborted := r.executePhase(phase, now)
 		if aborted {
 			return settle(StatusAborted)
 		}
-		r.record(Event{At: e.cfg.Clock.Now(), Type: EventPhaseOutcome, Phase: phase.Name, Outcome: outcome})
-		c.stage, c.outcome = stageConcluded, outcome
+		r.move(c, Event{At: e.cfg.Clock.Now(), Type: EventPhaseOutcome, Phase: phase.Name, Outcome: outcome})
 	}
 	if c.stage != stageLaunched {
 		phase := &s.Phases[c.idx]
 		if c.stage == stageEntered {
 			// The restart cut the observation short: inconclusive, and
 			// the strategy's own chaining decides what that means.
-			c.stage, c.outcome, c.why = stageConcluded, OutcomeInconclusive, "phase interrupted by restart"
-			r.record(Event{At: e.cfg.Clock.Now(), Type: EventPhaseOutcome, Phase: phase.Name,
+			c.why = "phase interrupted by restart"
+			r.move(c, Event{At: e.cfg.Clock.Now(), Type: EventPhaseOutcome, Phase: phase.Name,
 				Outcome: OutcomeInconclusive, Detail: "interrupted by restart (crash recovery)"})
 		} else if c.recovering {
 			c.why = fmt.Sprintf("phase had concluded %s before restart", c.outcome)
 		}
 		if c.stage == stageConcluded {
-			c.decide(phase)
-			r.record(Event{At: e.cfg.Clock.Now(), Type: EventTransition, Phase: phase.Name,
-				Detail: note + describeTransition(c.tr)})
+			tr, exhausted := phase.decide(c.outcome, c.retries[phase.Name])
+			c.why += exhausted
+			r.move(c, Event{At: e.cfg.Clock.Now(), Type: EventTransition, Phase: phase.Name,
+				Detail: note + describeTransition(tr)})
 		}
 		switch c.tr.Kind {
 		case TransitionNext:
-			c.idx++
+			next++
 		case TransitionGoto:
-			c.idx = s.phaseIndex(c.tr.Target)
+			next = s.phaseIndex(c.tr.Target)
 		case TransitionRetry:
 			// Re-execute the same phase.
 		case TransitionRollback:
 			return settle(StatusRolledBack)
 		case TransitionPromote:
 			return settle(StatusSucceeded)
-		default: // TransitionAbort and anything unknown
+		default: // TransitionAbort
 			return settle(StatusAborted)
 		}
 	}
 	if c.recovering {
-		r.record(Event{At: e.cfg.Clock.Now(), Type: EventTransition, Phase: phaseName(s, from),
-			Detail: recoveryNote + resumingAt + phaseName(s, c.idx)})
+		r.move(c, Event{At: e.cfg.Clock.Now(), Type: EventTransition, Phase: phaseName(s, from),
+			Detail: recoveryNote + resumingAt + phaseName(s, next)})
+	} else {
+		// The one move without a record of its own: the decision just
+		// applied names the phase to enter.
+		c.idx, c.stage = next, stageLaunched
 	}
-	c.stage, c.recovering, c.why = stageLaunched, false, ""
+	c.recovering, c.why = false, ""
 	return true
-}
-
-// decide resolves the concluded phase's outcome into a transition
-// through the strategy's conditional chaining, charging an inconclusive
-// retry against the phase's budget.
-func (c *cursor) decide(p *Phase) {
-	switch c.outcome {
-	case OutcomePass:
-		c.tr = p.successTransition()
-	case OutcomeFail:
-		c.tr = p.failureTransition()
-	default:
-		c.tr = p.inconclusiveTransition()
-		if c.tr.Kind == TransitionRetry {
-			c.retries[p.Name]++
-			if c.retries[p.Name] > p.maxRetries() {
-				// Retries exhausted: treat as failure.
-				c.tr = p.failureTransition()
-				c.why += fmt.Sprintf("; retries exhausted (%d of %d consumed)",
-					c.retries[p.Name]-1, p.maxRetries())
-			}
-		}
-	}
-	c.stage = stageDecided
 }
 
 // finish settles the run: it journals the terminal routing intent,
@@ -681,10 +637,10 @@ func (r *Run) finish(status RunStatus, detail string) {
 	switch status {
 	case StatusSucceeded:
 		r.record(Event{At: e.cfg.Clock.Now(), Type: EventTrafficApplied, Detail: "candidate=100%"})
-		routeErr = e.routeCandidate(r.strategy)
+		routeErr = e.routeAll(r.strategy, r.strategy.Candidate)
 	case StatusRolledBack:
 		r.record(Event{At: e.cfg.Clock.Now(), Type: EventTrafficApplied, Detail: "baseline=100%"})
-		routeErr = e.routeBaseline(r.strategy)
+		routeErr = e.routeAll(r.strategy, r.strategy.Baseline)
 	}
 	d := status.String()
 	if detail != "" {
@@ -704,53 +660,57 @@ func (r *Run) finish(status RunStatus, detail string) {
 	}
 }
 
-// executePhase runs one phase to its conclusion. The bool result is
-// true when the run was aborted mid-phase.
-func (r *Run) executePhase(p *Phase) (Outcome, bool) {
-	e := r.engine
-	now := e.cfg.Clock.Now()
-	r.record(Event{At: now, Type: EventPhaseEntered, Phase: p.Name})
-
-	if p.Practice == expmodel.PracticeGradualRollout {
-		return r.executeRollout(p)
-	}
-	if err := r.applyTraffic(p, p.Traffic.CandidateWeight); err != nil {
-		r.record(Event{At: now, Type: EventCheckResult, Phase: p.Name, Detail: "routing error: " + err.Error()})
-		return OutcomeFail, false
-	}
-	return r.observe(p, now, p.Duration)
-}
-
-// applyTraffic journals the routing intent as a traffic-applied event,
-// then installs it on the table — journal first, side effect second.
-func (r *Run) applyTraffic(p *Phase, weight float64) error {
-	e := r.engine
-	detail := fmt.Sprintf("candidate-weight=%.0f%%", weight*100)
-	if p.Traffic.Mirror {
-		detail = "mirror-to-candidate"
-	}
-	r.record(Event{At: e.cfg.Clock.Now(), Type: EventTrafficApplied, Phase: p.Name, Detail: detail})
-	return e.applyTraffic(r.strategy, p, weight)
-}
-
-func (r *Run) executeRollout(p *Phase) (Outcome, bool) {
-	e := r.engine
-	for _, w := range p.Traffic.Steps {
-		now := e.cfg.Clock.Now()
+// executePhase observes a phase entered at start to its conclusion: it
+// walks the phase's traffic steps, routing each weight and observing it
+// for the step's dwell, and concludes at the first step that does not
+// pass. The bool result is true when the run was aborted mid-phase.
+func (r *Run) executePhase(p *Phase, start time.Time) (Outcome, bool) {
+	weights, dwell := p.steps()
+	for _, w := range weights {
 		if err := r.applyTraffic(p, w); err != nil {
+			r.record(Event{At: start, Type: EventCheckResult, Phase: p.Name, Detail: "routing error: " + err.Error()})
 			return OutcomeFail, false
 		}
-		r.record(Event{At: now, Type: EventRolloutStep, Phase: p.Name,
-			Detail: fmt.Sprintf("weight=%.0f%%", w*100)})
-		outcome, aborted := r.observe(p, now, p.Traffic.StepDuration)
-		if aborted {
-			return outcome, true
+		if p.Practice == expmodel.PracticeGradualRollout {
+			r.record(Event{At: start, Type: EventRolloutStep, Phase: p.Name,
+				Detail: fmt.Sprintf("weight=%.0f%%", w*100)})
 		}
-		if outcome != OutcomePass {
-			return outcome, false
+		if outcome, aborted := r.observe(p, start, dwell); aborted || outcome != OutcomePass {
+			return outcome, aborted
 		}
+		start = r.engine.cfg.Clock.Now()
 	}
 	return OutcomePass, false
+}
+
+// applyTraffic journals the routing a phase requires, with the candidate
+// at weight, as a traffic-applied event, then installs it on the table —
+// journal first, side effect second.
+func (r *Run) applyTraffic(p *Phase, weight float64) error {
+	s := r.strategy
+	detail := fmt.Sprintf("candidate-weight=%.0f%%", weight*100)
+	route := router.Route{
+		Service: s.RouteService(),
+		Backends: []router.Backend{
+			{Version: s.Baseline, Weight: 1 - weight},
+			{Version: s.Candidate, Weight: weight},
+		},
+		StickySalt: s.Name,
+	}
+	if p.Traffic.Mirror {
+		detail = "mirror-to-candidate"
+		route.Backends = []router.Backend{{Version: s.Baseline, Weight: 1}}
+		route.Mirrors = []string{s.Candidate}
+	}
+	for _, g := range p.Traffic.Groups {
+		route.Rules = append(route.Rules, router.Rule{
+			Name:    "group-" + string(g),
+			Match:   router.GroupMatcher{Group: g},
+			Version: s.Candidate,
+		})
+	}
+	r.record(Event{At: r.engine.cfg.Clock.Now(), Type: EventTrafficApplied, Phase: p.Name, Detail: detail})
+	return r.engine.cfg.Table.Set(route)
 }
 
 // checkState tracks one check's consecutive failures within a phase.
@@ -758,8 +718,6 @@ type checkState struct {
 	check    *Check
 	due      time.Time
 	failures int
-	// sawData records whether any evaluation had data.
-	sawData bool
 }
 
 // observe runs the check loop for `dur` starting at `start`. It
@@ -826,7 +784,6 @@ func (r *Run) observe(p *Phase, start time.Time, dur time.Duration) (Outcome, bo
 			switch outcome {
 			case OutcomeFail:
 				st.failures++
-				st.sawData = true
 				if st.failures >= e.failuresToTrip(st.check) {
 					// Tripped: the batch's later results were
 					// evaluated (they count in Evaluations) but are
@@ -835,7 +792,6 @@ func (r *Run) observe(p *Phase, start time.Time, dur time.Duration) (Outcome, bo
 				}
 			case OutcomePass:
 				st.failures = 0
-				st.sawData = true
 			default:
 				// No data: does not reset or advance the failure count.
 			}
@@ -950,42 +906,11 @@ func compare(v float64, c *Check) Outcome {
 
 // --- routing ---
 
-// applyTraffic installs the routing a phase requires, with the
-// candidate at the given weight (weight is the step weight for gradual
-// rollouts).
-func (e *Engine) applyTraffic(s *Strategy, p *Phase, weight float64) error {
-	route := router.Route{
-		Service: s.RouteService(),
-		Backends: []router.Backend{
-			{Version: s.Baseline, Weight: 1 - weight},
-			{Version: s.Candidate, Weight: weight},
-		},
-		StickySalt: s.Name,
-	}
-	if p.Traffic.Mirror {
-		route.Backends = []router.Backend{{Version: s.Baseline, Weight: 1}}
-		route.Mirrors = []string{s.Candidate}
-	}
-	for _, g := range p.Traffic.Groups {
-		route.Rules = append(route.Rules, router.Rule{
-			Name:    "group-" + string(g),
-			Match:   router.GroupMatcher{Group: g},
-			Version: s.Candidate,
-		})
-	}
-	return e.cfg.Table.Set(route)
-}
-
-func (e *Engine) routeBaseline(s *Strategy) error {
+// routeAll sends every user of the strategy's service to one version:
+// the baseline at launch and on rollback, the candidate on promotion.
+func (e *Engine) routeAll(s *Strategy, version string) error {
 	return e.cfg.Table.Set(router.Route{
 		Service:  s.RouteService(),
-		Backends: []router.Backend{{Version: s.Baseline, Weight: 1}},
-	})
-}
-
-func (e *Engine) routeCandidate(s *Strategy) error {
-	return e.cfg.Table.Set(router.Route{
-		Service:  s.RouteService(),
-		Backends: []router.Backend{{Version: s.Candidate, Weight: 1}},
+		Backends: []router.Backend{{Version: version, Weight: 1}},
 	})
 }

@@ -2,6 +2,7 @@ package bifrost
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 //     service requires, so the users-in-at-most-one-experiment rule
 //     doubles as routing-table conflict detection;
 //   - the traffic share is the peak candidate exposure across phases,
-//     and the duration the sum of the phases' dwell times.
+//     and the duration the sum of the phases' dwell times (Phase.steps).
 
 // serviceGroup is the synthetic user group that models exclusive
 // ownership of a service's routing table.
@@ -56,48 +57,44 @@ func conflictGroups(s *Strategy) []expmodel.UserGroup {
 	return out
 }
 
-// peakShare estimates the peak share of users exposed to the candidate
-// across the strategy's phases. Mirrored (dark-launch) phases expose no
-// users and count as zero; the floor keeps every footprint's share
+// peakShare estimates the peak share of users exposed to the candidate:
+// the largest weight any phase's steps route. Mirrored (dark-launch)
+// phases route weight zero; the floor keeps every footprint's share
 // positive.
 func peakShare(s *Strategy) float64 {
-	var peak float64
+	peak := 0.01
 	for i := range s.Phases {
-		p := &s.Phases[i]
-		if p.Traffic.Mirror {
-			continue
+		weights, _ := s.Phases[i].steps()
+		for _, w := range weights {
+			peak = max(peak, w)
 		}
-		w := p.Traffic.CandidateWeight
-		for _, step := range p.Traffic.Steps {
-			if step > w {
-				w = step
-			}
-		}
-		if w > peak {
-			peak = w
-		}
-	}
-	if peak < 0.01 {
-		peak = 0.01
 	}
 	return peak
 }
 
-// estimateDuration sums the phases' nominal dwell times (gradual
-// rollouts dwell one step duration per step). Retries and goto loops
-// are not modeled: the estimate feeds the projection, and the
-// scheduler tracks actual completion through Run.Done.
+// estimateDuration sums the phases' nominal dwell times: each step of a
+// phase dwells once. Retries and goto loops are not modeled: the
+// estimate feeds the projection, and the scheduler tracks actual
+// completion through Run.Done.
 func estimateDuration(s *Strategy) time.Duration {
 	var d time.Duration
 	for i := range s.Phases {
-		p := &s.Phases[i]
-		if p.Practice == expmodel.PracticeGradualRollout {
-			d += time.Duration(len(p.Traffic.Steps)) * p.Traffic.StepDuration
-		} else {
-			d += p.Duration
-		}
+		weights, dwell := s.Phases[i].steps()
+		d += time.Duration(len(weights)) * dwell
 	}
 	return d
+}
+
+// commonGroups returns the conflict groups two footprints both hold, in
+// a's order: what blockReason and verifyPair both call interference.
+func commonGroups(a, b []expmodel.UserGroup) []expmodel.UserGroup {
+	var out []expmodel.UserGroup
+	for _, g := range a {
+		if slices.Contains(b, g) {
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // footprint is what one enacting run holds until it ends: a live run's
@@ -137,16 +134,13 @@ func (c *SchedulerConfig) blockReason(qe *queueEntry, live []footprint) string {
 	}
 	for i := range live {
 		f := &live[i]
-		for _, g := range qe.groups {
-			for _, held := range f.groups {
-				if g != held {
-					continue
-				}
-				if g == serviceGroup(f.service) {
-					return fmt.Sprintf("service %q busy with run %q", f.service, f.name)
-				}
-				return fmt.Sprintf("user group %q held by run %q", g, f.name)
-			}
+		shared := commonGroups(qe.groups, f.groups)
+		switch {
+		case len(shared) == 0:
+		case shared[0] == serviceGroup(f.service):
+			return fmt.Sprintf("service %q busy with run %q", f.service, f.name)
+		default:
+			return fmt.Sprintf("user group %q held by run %q", shared[0], f.name)
 		}
 	}
 	return ""

@@ -8,7 +8,7 @@ import (
 // FuzzParseStrategy feeds arbitrary source through the DSL parser: it
 // must never panic, and anything it accepts must round-trip — the
 // canonical form (WriteDSL) reparses to the same canonical form, the
-// property expctl fmt relies on.
+// property expctl fmt relies on, and to the same scheduler footprint.
 func FuzzParseStrategy(f *testing.F) {
 	f.Add(`
 strategy "recommendation-rollout" {
@@ -106,6 +106,14 @@ check "c" { kind = topology allow = remove-call allow = remove-call } } }`)
 	f.Add(`strategy "t" { service = "s" baseline = "a" candidate = "b"
 phase "p" { practice = canary traffic = 10% duration = 1s
 check "c" { heuristic = "subtree-size" metric = m aggregate = mean max = 1 } } }`)
+	// Attributes the phase's practice does not read: each used to validate
+	// and then run, journal or reserve differently from what was written.
+	f.Add(`strategy "x" { service = "s" baseline = "a" candidate = "b"
+phase "p" { practice = canary traffic = 10% steps = 20%, 50% duration = 1m } }`)
+	f.Add(`strategy "x" { service = "s" baseline = "a" candidate = "b"
+phase "p" { practice = gradual-rollout traffic = 90% steps = 10%, 20% step-duration = 1m } }`)
+	f.Add(`strategy "x" { service = "s" baseline = "a" candidate = "b"
+phase "p" { practice = dark-launch traffic = 10% duration = 1m } }`)
 	f.Add(`strategy "x" {`)
 	f.Add(`# comment only`)
 	f.Add(`strategy "" {}`)
@@ -129,6 +137,12 @@ check "c" { heuristic = "subtree-size" metric = m aggregate = mean max = 1 } } }
 		if s2.Name != s.Name || s2.Service != s.Service || len(s2.Phases) != len(s.Phases) {
 			t.Fatalf("round trip changed identity: %q/%q/%d -> %q/%q/%d",
 				s.Name, s.Service, len(s.Phases), s2.Name, s2.Service, len(s2.Phases))
+		}
+		// What the scheduler reserves is what it reserves again after a
+		// restart, which reparses the journaled canonical form.
+		if peakShare(s2) != peakShare(s) || estimateDuration(s2) != estimateDuration(s) {
+			t.Fatalf("round trip changed the footprint: share %v -> %v, duration %v -> %v\ninput:\n%s",
+				peakShare(s), peakShare(s2), estimateDuration(s), estimateDuration(s2), src)
 		}
 		// The state machine rendering must not panic either.
 		if sm := s.StateMachine(); !strings.Contains(sm, s.Name) {

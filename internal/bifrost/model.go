@@ -304,6 +304,9 @@ func (s *Strategy) Validate() error {
 	for i := range s.Phases {
 		p := &s.Phases[i]
 		for _, tr := range []Transition{p.OnSuccess, p.OnFailure, p.OnInconclusive} {
+			if tr.Kind < 0 || tr.Kind > TransitionAbort {
+				return fmt.Errorf("bifrost: %s: phase %q has unknown transition %v", s.Name, p.Name, tr.Kind)
+			}
 			if tr.Kind == TransitionGoto && !names[tr.Target] {
 				return fmt.Errorf("bifrost: %s: phase %q transitions to unknown phase %q", s.Name, p.Name, tr.Target)
 			}
@@ -316,39 +319,38 @@ func (p *Phase) validate(strategy string) error {
 	if p.Practice == 0 {
 		return fmt.Errorf("bifrost: %s/%s: practice is required", strategy, p.Name)
 	}
+	// An attribute the practice does not read (Phase.steps) is rejected,
+	// not carried along for one reader to honour and another to drop.
 	t := &p.Traffic
-	switch p.Practice {
-	case expmodel.PracticeGradualRollout:
-		if len(t.Steps) == 0 {
-			return fmt.Errorf("bifrost: %s/%s: gradual rollout without steps", strategy, p.Name)
+	rollout, dark := p.Practice == expmodel.PracticeGradualRollout, p.Practice == expmodel.PracticeDarkLaunch
+	problem := ""
+	switch {
+	case t.Mirror != dark:
+		problem = "only a dark launch mirrors, and it always does"
+	case rollout && (t.CandidateWeight != 0 || p.Duration != 0):
+		problem = "a gradual rollout routes its steps for step-duration each; traffic and duration do not apply"
+	case !rollout && (len(t.Steps) > 0 || t.StepDuration != 0):
+		problem = "steps and step-duration apply to gradual rollouts only"
+	case dark && t.CandidateWeight != 0:
+		problem = "a dark launch mirrors every request; traffic does not apply"
+	case rollout && len(t.Steps) == 0:
+		problem = "gradual rollout without steps"
+	case rollout && t.StepDuration <= 0:
+		problem = "gradual rollout without step duration"
+	case !rollout && p.Duration <= 0:
+		problem = "duration is required"
+	case t.CandidateWeight < 0 || t.CandidateWeight > 1:
+		problem = fmt.Sprintf("candidate weight %v outside [0,1]", t.CandidateWeight)
+	case !rollout && !dark && t.CandidateWeight == 0 && len(t.Groups) == 0:
+		problem = "phase routes no traffic to the candidate"
+	}
+	for i := 0; problem == "" && i < len(t.Steps); i++ {
+		if w := t.Steps[i]; w <= 0 || w > 1 || i > 0 && w <= t.Steps[i-1] {
+			problem = fmt.Sprintf("rollout steps must increase within (0,1], got %v", t.Steps)
 		}
-		if t.StepDuration <= 0 {
-			return fmt.Errorf("bifrost: %s/%s: gradual rollout without step duration", strategy, p.Name)
-		}
-		prev := 0.0
-		for _, w := range t.Steps {
-			if w <= prev || w > 1 {
-				return fmt.Errorf("bifrost: %s/%s: rollout steps must increase within (0,1], got %v", strategy, p.Name, t.Steps)
-			}
-			prev = w
-		}
-	case expmodel.PracticeDarkLaunch:
-		if !t.Mirror {
-			return fmt.Errorf("bifrost: %s/%s: dark launch requires mirroring", strategy, p.Name)
-		}
-		if p.Duration <= 0 {
-			return fmt.Errorf("bifrost: %s/%s: duration is required", strategy, p.Name)
-		}
-	default:
-		if t.CandidateWeight < 0 || t.CandidateWeight > 1 {
-			return fmt.Errorf("bifrost: %s/%s: candidate weight %v outside [0,1]", strategy, p.Name, t.CandidateWeight)
-		}
-		if t.CandidateWeight == 0 && len(t.Groups) == 0 {
-			return fmt.Errorf("bifrost: %s/%s: phase routes no traffic to the candidate", strategy, p.Name)
-		}
-		if p.Duration <= 0 {
-			return fmt.Errorf("bifrost: %s/%s: duration is required", strategy, p.Name)
-		}
+	}
+	if problem != "" {
+		return fmt.Errorf("bifrost: %s/%s: %s", strategy, p.Name, problem)
 	}
 	for i := range p.Checks {
 		c := &p.Checks[i]
@@ -403,36 +405,6 @@ func (s *Strategy) hasTopologyChecks() bool {
 		}
 	}
 	return false
-}
-
-// effective transition resolution -------------------------------------------------
-
-func (p *Phase) successTransition() Transition {
-	if p.OnSuccess.Kind == 0 {
-		return Transition{Kind: TransitionNext}
-	}
-	return p.OnSuccess
-}
-
-func (p *Phase) failureTransition() Transition {
-	if p.OnFailure.Kind == 0 {
-		return Transition{Kind: TransitionRollback}
-	}
-	return p.OnFailure
-}
-
-func (p *Phase) inconclusiveTransition() Transition {
-	if p.OnInconclusive.Kind == 0 {
-		return Transition{Kind: TransitionRetry}
-	}
-	return p.OnInconclusive
-}
-
-func (p *Phase) maxRetries() int {
-	if p.MaxRetries <= 0 {
-		return 1
-	}
-	return p.MaxRetries
 }
 
 // phaseIndex returns the index of a named phase, or -1.
@@ -495,25 +467,4 @@ func (s *Strategy) StateMachine() string {
 		fmt.Fprintf(&b, " | inconclusive -> %s\n", describeTransition(p.inconclusiveTransition()))
 	}
 	return b.String()
-}
-
-func describeTransition(t Transition) string {
-	if t.Kind == TransitionGoto {
-		return "goto " + t.Target
-	}
-	return t.Kind.String()
-}
-
-// parseTransition is describeTransition's inverse, for decisions read
-// back from the journal.
-func parseTransition(text string) (Transition, bool) {
-	if target, ok := strings.CutPrefix(text, "goto "); ok {
-		return Transition{Kind: TransitionGoto, Target: target}, true
-	}
-	for k := TransitionNext; k <= TransitionAbort; k++ {
-		if k != TransitionGoto && k.String() == text {
-			return Transition{Kind: k}, true
-		}
-	}
-	return Transition{}, false
 }

@@ -102,6 +102,37 @@ func TestDarkLaunchValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsWhatNoPracticeReads: a phase's traffic is read
+// through Phase.steps, by execution and by the scheduler alike, so an
+// attribute its practice would not read is an error rather than a value
+// one reader honours and another drops (WriteDSL, for one, does not
+// journal it).
+func TestValidateRejectsWhatNoPracticeReads(t *testing.T) {
+	dark := func(s *Strategy) {
+		s.Phases[0].Practice = expmodel.PracticeDarkLaunch
+		s.Phases[0].Traffic = TrafficSpec{Mirror: true}
+	}
+	for _, tc := range []struct {
+		name    string
+		mutate  func(*Strategy)
+		wantSub string
+	}{
+		{"canary with steps", func(s *Strategy) { s.Phases[0].Traffic.Steps = []float64{0.2, 0.5} }, "gradual rollouts only"},
+		{"canary with step duration", func(s *Strategy) { s.Phases[0].Traffic.StepDuration = time.Minute }, "gradual rollouts only"},
+		{"rollout with traffic", func(s *Strategy) { s.Phases[1].Traffic.CandidateWeight = 0.9 }, "traffic and duration do not apply"},
+		{"rollout with duration", func(s *Strategy) { s.Phases[1].Duration = time.Hour }, "traffic and duration do not apply"},
+		{"dark launch with traffic", func(s *Strategy) { dark(s); s.Phases[0].Traffic.CandidateWeight = 0.1 }, "traffic does not apply"},
+		{"mirrored canary", func(s *Strategy) { s.Phases[0].Traffic.Mirror = true }, "only a dark launch mirrors"},
+		{"unknown transition", func(s *Strategy) { s.Phases[0].OnFailure = Transition{Kind: 99} }, "unknown transition"},
+	} {
+		s := validStrategy()
+		tc.mutate(s)
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.wantSub)
+		}
+	}
+}
+
 func TestRelativeCheckValidation(t *testing.T) {
 	s := validStrategy()
 	s.Phases[0].Checks[0].Scope = ScopeRelative

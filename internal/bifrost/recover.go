@@ -3,7 +3,6 @@ package bifrost
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"contexp/internal/journal"
@@ -139,46 +138,6 @@ func foldJournal(j journal.Journal) (*journalFold, error) {
 	return f, err
 }
 
-// cursorAfter folds an in-flight run's journaled events into the
-// position its state machine had reached: the last phase entered, how
-// far that phase got, and the retries every phase has consumed — counted
-// from journaled retry transitions, not from phase-entered records, which
-// also repeat on legitimate goto revisits.
-func (s *Strategy) cursorAfter(events []Event) cursor {
-	c := cursor{retries: make(map[string]int, len(s.Phases))}
-	for _, ev := range events {
-		switch ev.Type {
-		case EventPhaseEntered:
-			if pi := s.phaseIndex(ev.Phase); pi >= 0 {
-				c.idx, c.stage = pi, stageEntered
-			}
-		case EventPhaseOutcome:
-			if c.stage == stageEntered && ev.Phase == s.Phases[c.idx].Name && ev.Outcome != 0 {
-				c.stage, c.outcome = stageConcluded, ev.Outcome
-			}
-		case EventTransition:
-			detail := strings.TrimPrefix(ev.Detail, recoveryNote)
-			if at, ok := strings.CutPrefix(detail, resumingAt); ok {
-				// An earlier recovery's marker: about to enter phase `at`.
-				if pi := s.phaseIndex(at); pi >= 0 || at == promotePosition {
-					c.idx, c.stage = pi, stageLaunched
-				}
-				continue
-			}
-			tr, ok := parseTransition(detail)
-			if !ok || c.stage != stageConcluded || ev.Phase != s.Phases[c.idx].Name ||
-				(tr.Kind == TransitionGoto && s.phaseIndex(tr.Target) < 0) {
-				continue // not a decision about the current phase
-			}
-			c.stage, c.tr = stageDecided, tr
-			if tr.Kind == TransitionRetry {
-				c.retries[ev.Phase]++
-			}
-		}
-	}
-	return c
-}
-
 // Recover replays a write-ahead journal into the engine at startup,
 // rebuilding every run the previous process journaled:
 //
@@ -188,7 +147,8 @@ func (s *Strategy) cursorAfter(events []Event) cursor {
 //     re-installed on the table, which an in-memory table lost with the
 //     process.
 //   - In-flight runs re-enter the run loop at the position the journal
-//     ends on (cursorAfter); their first step runs here, before Recover
+//     ends on (its records folded through cursor.apply, as the live loop
+//     folds them while writing); their first step runs here, before Recover
 //     returns. A phase the crash interrupted concludes as inconclusive
 //     and the strategy's own chaining decides what follows (a retry
 //     counts against MaxRetries); a journaled outcome is not observed
@@ -264,9 +224,9 @@ func (e *Engine) Recover(j journal.Journal) (*RecoveryReport, error) {
 			close(run.done)
 			switch g.status {
 			case StatusSucceeded:
-				_ = e.routeCandidate(s)
+				_ = e.routeAll(s, s.Candidate)
 			case StatusRolledBack:
-				_ = e.routeBaseline(s)
+				_ = e.routeAll(s, s.Baseline)
 			}
 			report(&rep.Finished, g.status, "finished")
 		case s.hasTopologyChecks() && e.cfg.Topology == nil:
@@ -280,7 +240,10 @@ func (e *Engine) Recover(j journal.Journal) (*RecoveryReport, error) {
 			close(run.done)
 			report(&rep.Settled, StatusAborted, "aborted: topology checks need a topology assessor")
 		default:
-			c := s.cursorAfter(g.events)
+			var c cursor
+			for _, ev := range g.events {
+				c.apply(s, ev)
+			}
 			c.recovering = true
 			if run.step(&c) {
 				report(&rep.Resumed, StatusRunning, "resumed at phase "+phaseName(s, c.idx))
@@ -292,18 +255,6 @@ func (e *Engine) Recover(j journal.Journal) (*RecoveryReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// promotePosition names the position past a strategy's last phase.
-const promotePosition = "(promote)"
-
-// phaseName names a phase index, tolerating out-of-range (the promote
-// position).
-func phaseName(s *Strategy, idx int) string {
-	if idx < 0 || idx >= len(s.Phases) {
-		return promotePosition
-	}
-	return s.Phases[idx].Name
 }
 
 // CompactJournal drops what the journal's two bookkeeping rules (see

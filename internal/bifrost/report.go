@@ -25,7 +25,8 @@ type Report struct {
 	Phases    []PhaseReport `json:"phases"`
 	// CheckFailures counts failing check evaluations across the run.
 	CheckFailures int `json:"checkFailures"`
-	// Retries counts phase re-executions.
+	// Retries counts the retry decisions the run recorded — the ones
+	// recovery charges against a phase's budget; a goto revisit is not one.
 	Retries int `json:"retries"`
 }
 
@@ -54,14 +55,11 @@ func (r *Run) BuildReport() Report {
 		rep.Started = events[0].At
 	}
 	var cur *PhaseReport
-	entered := make(map[string]int)
+	var c cursor
 	for _, ev := range events {
+		c.apply(s, ev)
 		switch ev.Type {
 		case EventPhaseEntered:
-			entered[ev.Phase]++
-			if entered[ev.Phase] > 1 {
-				rep.Retries++
-			}
 			rep.Phases = append(rep.Phases, PhaseReport{Phase: ev.Phase, Entered: ev.At})
 			cur = &rep.Phases[len(rep.Phases)-1]
 		case EventCheckResult:
@@ -81,6 +79,9 @@ func (r *Run) BuildReport() Report {
 			rep.Finished = ev.At
 			rep.Duration = ev.At.Sub(rep.Started)
 		}
+	}
+	for _, n := range c.retries {
+		rep.Retries += n
 	}
 	return rep
 }

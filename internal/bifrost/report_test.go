@@ -65,6 +65,47 @@ func TestBuildReportWithRetriesAndFailures(t *testing.T) {
 	}
 }
 
+// TestBuildReportCountsRetryDecisions: Retries is what recovery charges —
+// the retry transitions the trail records, a recovered one included —
+// not how often a phase was entered, which a goto revisit repeats too.
+func TestBuildReportCountsRetryDecisions(t *testing.T) {
+	s := twoPhaseStrategy()
+	s.Phases[1].OnFailure = Transition{Kind: TransitionGoto, Target: "canary"}
+	entered := func(phase string) Event { return Event{At: t0, Type: EventPhaseEntered, Phase: phase} }
+	concluded := func(phase string, o Outcome) Event {
+		return Event{At: t0, Type: EventPhaseOutcome, Phase: phase, Outcome: o}
+	}
+	decided := func(phase, detail string) Event {
+		return Event{At: t0, Type: EventTransition, Phase: phase, Detail: detail}
+	}
+	for _, tc := range []struct {
+		name   string
+		events []Event
+		want   int
+	}{
+		{"goto revisit", []Event{
+			entered("canary"), concluded("canary", OutcomePass), decided("canary", "next"),
+			entered("ab"), concluded("ab", OutcomeFail), decided("ab", "goto canary"),
+			entered("canary"),
+		}, 0},
+		{"inconclusive then retry", []Event{
+			entered("canary"), concluded("canary", OutcomeInconclusive), decided("canary", "retry"),
+			entered("canary"),
+		}, 1},
+		{"recovered retry", []Event{
+			entered("canary"), concluded("canary", OutcomeInconclusive),
+			decided("canary", "crash-recovery: retry"),
+			decided("canary", "crash-recovery: resuming at phase canary"),
+			entered("canary"),
+		}, 1},
+	} {
+		run := &Run{strategy: s, status: StatusRunning, log: &runLog{events: trailOf(tc.events)}}
+		if got := run.BuildReport().Retries; got != tc.want {
+			t.Errorf("%s: Retries = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestReportRenderAndJSON(t *testing.T) {
 	h := newHarness(t)
 	h.seedMetrics("response_time", "catalog", "v2", "", 10*time.Minute, 500) // failing

@@ -3,7 +3,7 @@ package bifrost
 import (
 	"fmt"
 
-	"contexp/internal/tenancy"
+	"contexp/internal/expmodel"
 )
 
 // This file implements experiment verification, the future-work
@@ -78,12 +78,18 @@ func Verify(strategies []*Strategy) ([]Conflict, error) {
 	return out, nil
 }
 
-// verifyPair compares tenant-qualified names, as Engine.Launch and the
-// Scheduler do: two tenants' same-named services own disjoint routing
-// entries, and their same-named groups disjoint users.
+// verifyPair reports the (tenant-qualified) conflict groups two
+// footprints share, as blockReason does: the service group is a
+// same-service conflict, any other a shared user group. Only the version
+// clash is this pass's own; no footprint holds versions.
 func verifyPair(a, b *Strategy) []Conflict {
 	var out []Conflict
-	if a.RouteService() == b.RouteService() {
+	var users []expmodel.UserGroup
+	for _, g := range commonGroups(conflictGroups(a), conflictGroups(b)) {
+		if g != serviceGroup(a.RouteService()) {
+			users = append(users, g)
+			continue
+		}
 		out = append(out, Conflict{
 			Kind: ConflictSameService, A: a.Name, B: b.Name,
 			Detail: fmt.Sprintf("both route service %q", a.RouteService()),
@@ -95,29 +101,13 @@ func verifyPair(a, b *Strategy) []Conflict {
 			})
 		}
 	}
-	if g := sharedGroups(a, b); len(g) > 0 {
+	if len(users) > 0 {
 		out = append(out, Conflict{
 			Kind: ConflictSharedGroups, A: a.Name, B: b.Name,
-			Detail: fmt.Sprintf("user groups %v would be in both experiments", g),
+			Detail: fmt.Sprintf("user groups %v would be in both experiments", users),
 		})
 	}
 	return out
-}
-
-// sharedGroups returns the tenant-qualified group names pinned to
-// candidates by both strategies.
-func sharedGroups(a, b *Strategy) []string {
-	inA := make(map[string]bool)
-	for _, g := range strategyGroups(a) {
-		inA[tenancy.Qualify(a.Tenant, string(g))] = true
-	}
-	var shared []string
-	for _, g := range strategyGroups(b) {
-		if q := tenancy.Qualify(b.Tenant, string(g)); inA[q] {
-			shared = append(shared, q)
-		}
-	}
-	return shared
 }
 
 // LaunchVerified launches a strategy only if it does not conflict with
@@ -127,18 +117,14 @@ func (e *Engine) LaunchVerified(s *Strategy) (*Run, []Conflict, error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
 	}
-	var live []*Strategy
+	var conflicts []Conflict
 	e.mu.Lock()
 	for _, r := range e.runs {
 		if r.Status() == StatusRunning {
-			live = append(live, r.strategy)
+			conflicts = append(conflicts, verifyPair(s, r.strategy)...)
 		}
 	}
 	e.mu.Unlock()
-	var conflicts []Conflict
-	for _, other := range live {
-		conflicts = append(conflicts, verifyPair(s, other)...)
-	}
 	if len(conflicts) > 0 {
 		return nil, conflicts, fmt.Errorf("bifrost: strategy %q conflicts with %d running strategies", s.Name, len(conflicts))
 	}

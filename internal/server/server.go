@@ -106,14 +106,6 @@ type Config struct {
 	// Logf, when set, receives one structured line per request (method,
 	// path, status, duration, tenant, request ID). Optional.
 	Logf func(format string, args ...any)
-	// StatusCacheTTL bounds how long /healthz and /v1/admin/tenants may
-	// serve one assembled status snapshot. Assembling the snapshot walks
-	// every run and every tenant's footprint; under load-balancer probes
-	// and fleet dashboards polling hundreds of times a second that walk
-	// would dominate, so both endpoints share a snapshot rebuilt at most
-	// once per TTL (single-flight: concurrent expirations rebuild once).
-	// 0 applies the 1s default; negative disables caching.
-	StatusCacheTTL time.Duration
 }
 
 // Server serves the control-plane API.
@@ -127,7 +119,7 @@ type Server struct {
 	idPrefix string
 
 	// statusCache is the shared /healthz + /v1/admin/tenants snapshot;
-	// statusMu single-flights its rebuilds (see Config.StatusCacheTTL).
+	// statusMu single-flights its rebuilds (see statusCacheTTL).
 	statusMu    sync.Mutex
 	statusCache atomic.Pointer[statusSnapshot]
 
@@ -839,29 +831,25 @@ type statusSnapshot struct {
 	usage  []TenantUsage
 }
 
-// defaultStatusCacheTTL is how long a status snapshot stays fresh when
-// Config.StatusCacheTTL is zero.
-const defaultStatusCacheTTL = time.Second
+// statusCacheTTL bounds how long /healthz and /v1/admin/tenants may
+// serve one assembled status snapshot. Assembling the snapshot walks
+// every run and every tenant's footprint; under load-balancer probes and
+// fleet dashboards polling hundreds of times a second that walk would
+// dominate, so both endpoints share a snapshot rebuilt at most once per
+// TTL.
+const statusCacheTTL = time.Second
 
 // status returns the current snapshot, rebuilding it at most once per
 // TTL. Concurrent callers racing an expired snapshot rebuild it once
 // (single flight); everyone else reads the published pointer lock-free.
 func (s *Server) status() *statusSnapshot {
-	ttl := s.cfg.StatusCacheTTL
-	if ttl == 0 {
-		ttl = defaultStatusCacheTTL
-	}
-	if ttl > 0 {
-		if snap := s.statusCache.Load(); snap != nil && time.Since(snap.at) < ttl {
-			return snap
-		}
+	if snap := s.statusCache.Load(); snap != nil && time.Since(snap.at) < statusCacheTTL {
+		return snap
 	}
 	s.statusMu.Lock()
 	defer s.statusMu.Unlock()
-	if ttl > 0 {
-		if snap := s.statusCache.Load(); snap != nil && time.Since(snap.at) < ttl {
-			return snap
-		}
+	if snap := s.statusCache.Load(); snap != nil && time.Since(snap.at) < statusCacheTTL {
+		return snap
 	}
 	snap := s.buildStatus()
 	s.statusCache.Store(snap)

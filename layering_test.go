@@ -3,9 +3,12 @@ package contexp_test
 import (
 	"bytes"
 	"encoding/json"
+	"go/parser"
+	"go/token"
 	"io"
 	"os/exec"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -151,5 +154,35 @@ func TestImportDAG(t *testing.T) {
 	}
 	if len(daemon.Deps) == 0 || len(pkgs["contexp/benchmark"].Deps) == 0 {
 		t.Fatal("go list reported no dependencies for the binaries under test")
+	}
+}
+
+// TestStateMachineImports holds internal/bifrost/machine.go — the
+// strategy state machine the run loop, crash recovery and the report all
+// fold records through — to the standard library and the experiment
+// model. Reading a strategy must not need a clock, a journal, a router or
+// a store: that is what lets recovery and the report replay a trail with
+// the same code the live loop runs, and what a clock-free checker would
+// drive. The rule is per file, so go list cannot state it; the file's
+// own import block is parsed instead.
+func TestStateMachineImports(t *testing.T) {
+	const path = "internal/bifrost/machine.go"
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Imports) == 0 {
+		t.Fatalf("%s: parsed no imports", path)
+	}
+	for _, spec := range f.Imports {
+		imp, err := strconv.Unquote(spec.Path.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Standard-library paths have no dot in their first element.
+		std := !strings.Contains(strings.Split(imp, "/")[0], ".") && !under(imp, "contexp")
+		if !std && imp != "contexp/internal/expmodel" {
+			t.Errorf("%s imports %s: only the standard library and contexp/internal/expmodel may be", path, imp)
+		}
 	}
 }
