@@ -25,7 +25,7 @@
 //	                         of the tokens as a bearer token and runs
 //	                         under that tenant's namespace. Empty keeps
 //	                         the API open (single default tenant), the
-//	                         pre-tenancy and --demo posture
+//	                         pre-tenancy and contexp-demo posture
 //	--rate-limit 0           per-tenant request budget (requests/second
 //	                         against /v1/*); 0 disables throttling
 //	--rate-burst 0           per-tenant burst on top of --rate-limit
@@ -34,30 +34,9 @@
 //	                         0 keeps every series forever
 //	--http-log               log one structured line per API request
 //	                         (method, path, status, tenant, request ID)
-//	--demo                   boot the simulated shop and drive traffic
-//	--demo-rps 25            demo request rate
-//	--demo-latency-scale 0.1 demo latency compression factor
-//	--demo-population 500    demo user population size
-//	--demo-seed 1            demo determinism seed
-//	--demo-enact             auto-submit the demo canary→rollout strategy
-//	--demo-faults ""         inject a builtin chaos scenario's fault
-//	                         schedule into the demo shop (error-storm,
-//	                         dependency-blackout, flash-crowd, ...);
-//	                         /healthz reports the live fault state
-//	--demo-wire              ship the demo's telemetry to the daemon's
-//	                         own /v1/metrics and /v1/spans as binary
-//	                         batch frames instead of recording
-//	                         in-process (exercises the wire codec)
 //
-// With --demo the daemon is a self-contained system: the microservice
-// shop runs as real HTTP servers behind per-service routing proxies, a
-// load generator plays the user population, and (unless --demo-enact
-// is disabled) a canary → gradual-rollout strategy is enacted so phase
-// transitions are immediately observable:
-//
-//	go run ./cmd/contexpd --demo
-//	curl localhost:8080/v1/runs
-//	curl -N localhost:8080/v1/runs/demo-canary-rollout/events
+// The simulated shop of the paper's case study is not part of the
+// daemon: cmd/contexp-demo runs this control plane against it.
 //
 // With --data-dir the daemon journals every run event to a segmented
 // write-ahead log before applying it, and replays the log at boot:
@@ -67,8 +46,8 @@
 // launched are restored to the queue (see docs/SCHEDULING.md).
 //
 // With --trace-buffer > 0 (the default) the daemon runs the live
-// topology pipeline of docs/HEALTH.md: spans stream in from the demo
-// backends or POST /v1/spans, a bounded collector assembles them into
+// topology pipeline of docs/HEALTH.md: spans stream in over
+// POST /v1/spans, a bounded collector assembles them into
 // traces, and per-run baseline/candidate interaction graphs answer
 // `kind = topology` checks and GET /v1/runs/{name}/health.
 //
@@ -95,13 +74,11 @@ import (
 	"time"
 
 	"contexp/internal/bifrost"
-	"contexp/internal/demo"
 	"contexp/internal/fleet"
 	"contexp/internal/health"
 	"contexp/internal/journal"
 	"contexp/internal/metrics"
 	"contexp/internal/router"
-	"contexp/internal/scenario"
 	"contexp/internal/server"
 	"contexp/internal/tenancy"
 	"contexp/internal/tracing"
@@ -121,14 +98,6 @@ type options struct {
 	rateBurst      int
 	retention      time.Duration
 	httpLog        bool
-	demo           bool
-	demoRPS        float64
-	demoScale      float64
-	demoPop        int
-	demoSeed       int64
-	demoEnact      bool
-	demoFaults     string
-	demoWire       bool
 }
 
 func parseFlags(args []string) (*options, error) {
@@ -159,21 +128,6 @@ func parseFlags(args []string) (*options, error) {
 		"evict metric series idle longer than this; 0 keeps every series forever")
 	fs.BoolVar(&opt.httpLog, "http-log", false,
 		"log one structured line per API request")
-	fs.BoolVar(&opt.demo, "demo", false,
-		"boot the simulated shop behind routing proxies and drive traffic")
-	fs.Float64Var(&opt.demoRPS, "demo-rps", 25, "demo request rate (requests/second)")
-	fs.Float64Var(&opt.demoScale, "demo-latency-scale", 0.1,
-		"demo latency compression (0.1 runs a 20ms endpoint in 2ms)")
-	fs.IntVar(&opt.demoPop, "demo-population", 500, "demo user population size")
-	fs.Int64Var(&opt.demoSeed, "demo-seed", 1, "demo determinism seed")
-	fs.BoolVar(&opt.demoEnact, "demo-enact", true,
-		"with --demo, auto-submit the demo canary→rollout strategy")
-	fs.StringVar(&opt.demoFaults, "demo-faults", "",
-		fmt.Sprintf("with --demo, inject the named chaos scenario's fault schedule (one of %v)",
-			scenario.Names()))
-	fs.BoolVar(&opt.demoWire, "demo-wire", false,
-		"with --demo, post the shop's telemetry to the daemon's own ingestion "+
-			"endpoints as binary batch frames instead of recording in-process")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -204,36 +158,7 @@ func parseFlags(args []string) (*options, error) {
 	if opt.retention < 0 {
 		return nil, errors.New("--metrics-retention must be >= 0")
 	}
-	if opt.demoFaults != "" && !opt.demo {
-		return nil, errors.New("--demo-faults requires --demo")
-	}
-	if opt.demoWire && !opt.demo {
-		return nil, errors.New("--demo-wire requires --demo")
-	}
 	return opt, nil
-}
-
-// demoScenarioTarget aims builtin chaos scenarios at the demo shop:
-// candidate-targeted faults hit the experimental recommender, ambient
-// faults hit the catalog service both recommender versions depend on.
-var demoScenarioTarget = scenario.Target{
-	Service: "recommendation", Candidate: "v2", Dependency: "catalog",
-}
-
-// demoScenario resolves --demo-faults into the compiled chaos scenario
-// whose fault schedule the demo shop gets. Scenarios without faults
-// (steady, ramp, diurnal) yield a nil injector.
-func demoScenario(name string, seed int64) (*scenario.Scenario, error) {
-	spec, err := scenario.ByName(demoScenarioTarget, name)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := spec.Compile()
-	if err != nil {
-		return nil, err
-	}
-	sc.Seed = seed
-	return sc, nil
 }
 
 func main() {
@@ -451,59 +376,9 @@ func run(args []string) error {
 		fmt.Printf("pprof: profiling on http://%s/debug/pprof/ (keep this address private)\n", pln.Addr())
 	}
 
-	// Bind the listener before the demo boots: with --demo-wire the shop
-	// posts its telemetry to the daemon's own ingestion endpoints, so the
-	// address must be live (accepting connections) from the first request.
 	ln, err := net.Listen("tcp", opt.addr)
 	if err != nil {
 		return err
-	}
-
-	if opt.demo {
-		demoCfg := demo.Config{
-			RPS:            opt.demoRPS,
-			LatencyScale:   opt.demoScale,
-			PopulationSize: opt.demoPop,
-			Seed:           opt.demoSeed,
-			Enact:          opt.demoEnact,
-			Traces:         collector,
-			Logf: func(format string, args ...any) {
-				fmt.Printf("demo: "+format+"\n", args...)
-			},
-		}
-		if opt.demoFaults != "" {
-			sc, err := demoScenario(opt.demoFaults, opt.demoSeed)
-			if err != nil {
-				return err
-			}
-			if demoCfg.Faults, err = sc.Injector(time.Now()); err != nil {
-				return err
-			}
-		}
-		if opt.demoWire {
-			demoCfg.TelemetryURL = selfURL(ln.Addr())
-		}
-		shop, err := demo.Start(engine, table, store, demoCfg)
-		if err != nil {
-			return err
-		}
-		defer shop.Stop()
-		srv.SetDemo(func() any { return shop.Health() })
-		fmt.Printf("demo: shop entry at %s, %.0f rps, latency scale %g\n",
-			shop.EntryURL(), opt.demoRPS, opt.demoScale)
-		if opt.demoEnact {
-			fmt.Println("demo: enacted strategy \"demo-canary-rollout\" (canary → gradual rollout)")
-		}
-		if faults := demoCfg.Faults; faults != nil {
-			fmt.Printf("demo: chaos scenario %q armed: %d fault(s), live state at /healthz\n",
-				opt.demoFaults, len(faults.Snapshot(time.Now())))
-		} else if opt.demoFaults != "" {
-			fmt.Printf("demo: scenario %q has no faults (traffic-shape only)\n", opt.demoFaults)
-		}
-		if opt.demoWire {
-			fmt.Printf("demo: telemetry over the wire: binary batch frames to %s\n",
-				demoCfg.TelemetryURL)
-		}
 	}
 
 	httpSrv := &http.Server{
@@ -541,20 +416,4 @@ func curlHost(addr string) string {
 		return "localhost" + addr
 	}
 	return addr
-}
-
-// selfURL renders the bound listener address as a base URL the demo's
-// wire-telemetry client can post to: an unspecified host (":8080",
-// "[::]:8080") becomes loopback.
-func selfURL(addr net.Addr) string {
-	host, port, err := net.SplitHostPort(addr.String())
-	if err != nil {
-		return "http://" + addr.String()
-	}
-	if host == "" {
-		host = "127.0.0.1"
-	} else if ip := net.ParseIP(host); ip != nil && ip.IsUnspecified() {
-		host = "127.0.0.1"
-	}
-	return "http://" + net.JoinHostPort(host, port)
 }

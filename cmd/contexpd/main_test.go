@@ -24,7 +24,7 @@ func TestParseFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if opt.addr != ":8080" || opt.demo || !opt.demoEnact {
+		if opt.addr != ":8080" || opt.dataDir != "" || opt.authTokens != "" {
 			t.Errorf("defaults = %+v", opt)
 		}
 		if opt.checkInterval != 5*time.Second {
@@ -32,28 +32,12 @@ func TestParseFlags(t *testing.T) {
 		}
 	})
 
-	t.Run("demo flags", func(t *testing.T) {
-		opt, err := parseFlags([]string{
-			"--addr", "127.0.0.1:9999", "--demo",
-			"--demo-rps", "50", "--demo-latency-scale", "0.05",
-			"--demo-population", "100", "--demo-seed", "9",
-			"--demo-enact=false", "--check-interval", "1s",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !opt.demo || opt.demoEnact || opt.demoRPS != 50 ||
-			opt.demoScale != 0.05 || opt.demoPop != 100 || opt.demoSeed != 9 {
-			t.Errorf("opt = %+v", opt)
-		}
-		if opt.addr != "127.0.0.1:9999" || opt.checkInterval != time.Second {
-			t.Errorf("opt = %+v", opt)
-		}
-	})
-
 	t.Run("unknown flag", func(t *testing.T) {
-		if _, err := parseFlags([]string{"--wibble"}); err == nil {
-			t.Error("expected error for unknown flag")
+		// The demo is cmd/contexp-demo; the daemon has no demo mode.
+		for _, arg := range []string{"--wibble", "--demo", "--demo-faults=error-storm"} {
+			if _, err := parseFlags([]string{arg}); err == nil {
+				t.Errorf("expected error for unknown flag %s", arg)
+			}
 		}
 	})
 

@@ -155,15 +155,15 @@ func lex(src string) ([]token, error) {
 			toks = append(toks, token{tokArrow, "->", line})
 			i += 2
 		case c == '"':
-			j := i + 1
-			for j < n && src[j] != '"' && src[j] != '\n' {
-				j++
+			// A string is a Go string literal: exactly what strconv.Quote
+			// (and so WriteDSL) writes, escapes included.
+			q, err := strconv.QuotedPrefix(src[i:])
+			if err != nil {
+				return nil, fmt.Errorf("bifrost: line %d: unterminated string or bad escape", line)
 			}
-			if j >= n || src[j] != '"' {
-				return nil, fmt.Errorf("bifrost: line %d: unterminated string", line)
-			}
-			toks = append(toks, token{tokString, src[i+1 : j], line})
-			i = j + 1
+			text, _ := strconv.Unquote(q) // cannot fail: QuotedPrefix accepted q
+			toks = append(toks, token{tokString, text, line})
+			i += len(q)
 		case c >= '0' && c <= '9' || (c == '.' && i+1 < n && src[i+1] >= '0' && src[i+1] <= '9'):
 			j := i
 			for j < n && (src[j] >= '0' && src[j] <= '9' || src[j] == '.') {

@@ -2,14 +2,17 @@ package bifrost
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
 
 // WriteDSL renders a strategy back into its DSL form. Parse(WriteDSL(s))
-// yields a strategy equivalent to s (verified by a round-trip property
-// test), which is what makes experimentation-as-code reviewable: the
-// engine can always show the canonical source of what it is executing.
+// yields a strategy equal to s (verified by a round-trip property test
+// and FuzzParseStrategy), which is what makes experimentation-as-code
+// reviewable: the engine can always show the canonical source of what
+// it is executing. Names are always quoted (%q is strconv.Quote, which
+// the lexer reverses); other free-form values go through value.
 func WriteDSL(s *Strategy) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy %q {\n", s.Name)
@@ -39,11 +42,7 @@ func writePhase(b *strings.Builder, p *Phase) {
 		fmt.Fprintf(b, "        traffic = %s\n", percent(t.CandidateWeight))
 	}
 	if len(t.Groups) > 0 {
-		names := make([]string, len(t.Groups))
-		for i, g := range t.Groups {
-			names[i] = string(g)
-		}
-		fmt.Fprintf(b, "        groups = %s\n", strings.Join(names, ", "))
+		fmt.Fprintf(b, "        groups = %s\n", values(t.Groups))
 	}
 	if p.Duration > 0 && len(t.Steps) == 0 {
 		fmt.Fprintf(b, "        duration = %s\n", duration(p.Duration))
@@ -79,10 +78,10 @@ func writeCheck(b *strings.Builder, c *Check) {
 			fmt.Fprintf(b, "            min-traces = %d\n", c.MinTraces)
 		}
 		if len(c.Allow) > 0 {
-			fmt.Fprintf(b, "            allow     = %s\n", strings.Join(c.Allow, ", "))
+			fmt.Fprintf(b, "            allow     = %s\n", values(c.Allow))
 		}
 	} else {
-		fmt.Fprintf(b, "            metric    = %s\n", c.Metric)
+		fmt.Fprintf(b, "            metric    = %s\n", value(c.Metric))
 		fmt.Fprintf(b, "            aggregate = %s\n", c.Aggregation)
 		switch c.Scope {
 		case ScopeBaseline:
@@ -120,6 +119,26 @@ func writeChain(b *strings.Builder, outcome string, tr Transition) {
 		action = tr.Kind.String()
 	}
 	fmt.Fprintf(b, "        on %s -> %s\n", outcome, action)
+}
+
+// value renders a free-form value (metric, group, allowed change class)
+// bare when it lexes back as one identifier, and as a quoted string
+// otherwise: "5xx_errors" would lex as a number and "beta users" as two
+// identifiers.
+func value(v string) string {
+	if toks, err := lex(v); err == nil && len(toks) == 2 && toks[0].kind == tokIdent && toks[0].text == v {
+		return v
+	}
+	return strconv.Quote(v)
+}
+
+// values renders a comma-separated list of values.
+func values[S ~string](vs []S) string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = value(string(v))
+	}
+	return strings.Join(out, ", ")
 }
 
 // percent renders a fraction as a DSL percentage where exact, falling

@@ -1,6 +1,8 @@
 package bifrost
 
 import (
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -8,7 +10,8 @@ import (
 // FuzzParseStrategy feeds arbitrary source through the DSL parser: it
 // must never panic, and anything it accepts must round-trip — the
 // canonical form (WriteDSL) reparses to the same canonical form, the
-// property expctl fmt relies on, and to the same scheduler footprint.
+// property expctl fmt relies on, to an equal strategy, field by field,
+// and to the same scheduler footprint.
 func FuzzParseStrategy(f *testing.F) {
 	f.Add(`
 strategy "recommendation-rollout" {
@@ -114,6 +117,16 @@ phase "p" { practice = canary traffic = 10% steps = 20%, 50% duration = 1m } }`)
 phase "p" { practice = gradual-rollout traffic = 90% steps = 10%, 20% step-duration = 1m } }`)
 	f.Add(`strategy "x" { service = "s" baseline = "a" candidate = "b"
 phase "p" { practice = dark-launch traffic = 10% duration = 1m } }`)
+	// Values that are not one identifier, and a name holding an escape:
+	// their canonical form used to fail to reparse, or to reparse to a
+	// different name.
+	f.Add(`strategy "x" { service = "s" baseline = "a" candidate = "b"
+phase "p" { practice = canary traffic = 10% duration = 1s
+check "c" { metric = "5xx_errors" aggregate = rate max = 1 } } }`)
+	f.Add(`strategy "x" { service = "s" baseline = "a" candidate = "b"
+phase "p" { practice = canary traffic = 10% duration = 1s groups = "beta users", staff } }`)
+	f.Add(`strategy "a\\b" { service = "s" baseline = "a" candidate = "b"
+phase "p" { practice = canary traffic = 10% duration = 1s } }`)
 	f.Add(`strategy "x" {`)
 	f.Add(`# comment only`)
 	f.Add(`strategy "" {}`)
@@ -134,9 +147,9 @@ phase "p" { practice = dark-launch traffic = 10% duration = 1m } }`)
 			t.Fatalf("canonical form is not a fixed point:\nfirst:\n%s\nsecond:\n%s",
 				canonical, again)
 		}
-		if s2.Name != s.Name || s2.Service != s.Service || len(s2.Phases) != len(s.Phases) {
-			t.Fatalf("round trip changed identity: %q/%q/%d -> %q/%q/%d",
-				s.Name, s.Service, len(s.Phases), s2.Name, s2.Service, len(s2.Phases))
+		if !reflect.DeepEqual(s2, s) {
+			t.Fatalf("round trip changed the strategy:\nbefore: %+v\nafter:  %+v\ninput:\n%s\ncanonical:\n%s",
+				s, s2, src, canonical)
 		}
 		// What the scheduler reserves is what it reserves again after a
 		// restart, which reparses the journaled canonical form.
@@ -145,7 +158,7 @@ phase "p" { practice = dark-launch traffic = 10% duration = 1m } }`)
 				peakShare(s), peakShare(s2), estimateDuration(s), estimateDuration(s2), src)
 		}
 		// The state machine rendering must not panic either.
-		if sm := s.StateMachine(); !strings.Contains(sm, s.Name) {
+		if sm := s.StateMachine(); !strings.Contains(sm, strconv.Quote(s.Name)) {
 			t.Fatalf("state machine rendering lost the strategy name:\n%s", sm)
 		}
 	})

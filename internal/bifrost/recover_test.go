@@ -395,6 +395,49 @@ func TestRecoverCrashBeforeFirstPhase(t *testing.T) {
 	}
 }
 
+// TestRecoverResumesQuotedValues: a value that is not one identifier (a
+// metric starting with a digit, a group holding a space) and a name
+// holding an escape are journaled in WriteDSL's canonical form, which
+// recovery must reparse to resume the run rather than skip it.
+func TestRecoverResumesQuotedValues(t *testing.T) {
+	for _, tc := range []struct{ name, dsl string }{
+		{"metric", `strategy "errs" { service = "catalog" baseline = "v1" candidate = "v2"
+phase "canary" { practice = canary traffic = 5% duration = 1m
+check "errors" { metric = "5xx_errors" aggregate = rate max = 1 interval = 10s } } }`},
+		{"groups", `strategy "beta" { service = "catalog" baseline = "v1" candidate = "v2"
+phase "canary" { practice = canary traffic = 5% duration = 1m groups = "beta users", staff } }`},
+		{"escaped name", `strategy "a\\b" { service = "catalog" baseline = "v1" candidate = "v2"
+phase "canary" { practice = canary traffic = 5% duration = 1m } }`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := ParseStrategy(tc.dsl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jnl := journal.NewMemory()
+			h := newJournalHarness(t, jnl)
+			run, err := h.engine.Launch(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.await(t, func() bool { return countEvents(run, EventPhaseEntered, "canary") == 1 })
+			snap := jnl.Snapshot()
+
+			h2 := newJournalHarness(t, snap)
+			rep, err := h2.engine.Recover(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Resumed != 1 || rep.Skipped != 0 {
+				t.Fatalf("report = %v, runs %+v; want the run resumed", rep, rep.Runs)
+			}
+			if _, ok := h2.engine.Get(s.Name); !ok {
+				t.Fatalf("run %q not registered after recovery", s.Name)
+			}
+		})
+	}
+}
+
 func TestRecoverIsIdempotent(t *testing.T) {
 	// First recovery settles an interrupted run and journals the
 	// decision; a second recovery from the same journal must land on the

@@ -1,14 +1,13 @@
-// Package demo is contexpd's --demo environment: the simulated shop
-// deployed as real HTTP servers behind routing proxies, a synthetic
+// Package demo is the environment cmd/contexp-demo runs: the simulated
+// shop deployed as real HTTP servers behind routing proxies, a synthetic
 // user population driving it, and the bundled canary → rollout
-// strategy. It is the one production-side client of the simulators
-// (microsim, loadgen); the server package knows it only as the
-// func() any it reports under "demo" on /healthz.
+// strategy. It is a client of the control plane, never linked by the
+// daemon; the server package knows it only as the func() any it
+// reports under "demo" on /healthz.
 package demo
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -98,7 +97,7 @@ type Config struct {
 	// Faults, when set, injects the schedule into the shop's backends
 	// (latency spikes, error storms, blackouts, slow restarts); /healthz
 	// reports the live fault state. Typically built from a builtin
-	// chaos scenario via --demo-faults.
+	// chaos scenario via contexp-demo --faults.
 	Faults *microsim.Injector
 	// TelemetryURL, when set, reroutes the shop's self-reported
 	// telemetry through the binary wire protocol: the backends and the
@@ -204,21 +203,7 @@ func Start(engine *bifrost.Engine, table *router.Table, store *metrics.Store, cf
 			d.Stop()
 			return nil, fmt.Errorf("demo: parsing demo strategy: %w", err)
 		}
-		// A live run of this strategy may already exist — typically one
-		// recovered from a --data-dir journal after a mid-demo restart.
-		// That run IS the demo enactment; keep driving traffic at it
-		// instead of failing the boot on a name collision.
-		if existing, ok := engine.Get(strategy.Name); ok && existing.Status() == bifrost.StatusRunning {
-			return d, nil
-		}
 		if _, err := engine.Launch(strategy); err != nil {
-			// The service-conflict variant of the same restart: a
-			// recovered (or restored-from-queue) run owns the demo
-			// strategy's service. The demo keeps driving traffic at the
-			// live run rather than failing the boot.
-			if errors.Is(err, bifrost.ErrServiceBusy) {
-				return d, nil
-			}
 			d.Stop()
 			return nil, fmt.Errorf("demo: launching demo strategy: %w", err)
 		}

@@ -58,38 +58,6 @@ func TestDemoEnact(t *testing.T) {
 	}
 }
 
-// TestDemoSkipsEnactWhenRunAlreadyLive covers the --data-dir restart
-// path: a recovered live run of the demo strategy must not make the
-// demo's auto-enactment fail the boot on a name collision.
-func TestDemoSkipsEnactWhenRunAlreadyLive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots real HTTP servers")
-	}
-	table := router.NewTable()
-	store := metrics.NewStore(0)
-	engine, err := bifrost.NewEngine(bifrost.Config{Table: table, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	strategy, err := bifrost.ParseStrategy(StrategyDSL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := engine.Launch(strategy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	demo, err := Start(engine, table, store, Config{
-		RPS: 1, Seed: 1, Enact: true, LatencyScale: 0.01, PopulationSize: 10,
-	})
-	if err != nil {
-		t.Fatalf("Start with a live same-name run: %v", err)
-	}
-	demo.Stop()
-	live.Abort()
-	<-live.Done()
-}
-
 // TestDemoFaultSurface verifies injected chaos is both effective (an
 // error storm on the recommender really fails user requests) and
 // observable: /healthz's demo section reports each configured fault

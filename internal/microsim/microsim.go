@@ -14,7 +14,7 @@
 //   - HTTPApplication (StartHTTP) deploys the same Application as real
 //     net/http servers on loopback — one backend per service version
 //     behind one router.Proxy per service — for the wire-level overhead
-//     measurements of Section 4.5.1 and for contexpd's demo mode.
+//     measurements of Section 4.5.1 and for cmd/contexp-demo.
 //     Endpoint latencies are slept for real (scaled by LatencyScale),
 //     and each backend self-reports response_time/requests/errors
 //     telemetry into the store, exactly like an instrumented service.

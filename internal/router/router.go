@@ -58,7 +58,6 @@ import (
 	"sync/atomic"
 
 	"contexp/internal/expmodel"
-	"contexp/internal/fnvx"
 )
 
 // Request carries the routing-relevant attributes of a user request.
@@ -413,26 +412,51 @@ func (t *Table) Resolve(service string, req *Request) (Decision, error) {
 }
 
 // stickyPoint maps (user, service, salt) to [0,1) with allocation-free
-// FNV-1a (fnvx): the hot path neither allocates a hash.Hash64 nor
-// formats strings. For identified users the byte stream is identical to
-// the previous hash.Hash64 implementation, so sticky assignments are
-// stable across this refactor. Anonymous requests hash a per-table
-// atomic sequence number instead of a user identity.
+// FNV-1a: the hot path neither allocates a hash.Hash64 nor formats
+// strings. For identified users the byte stream is identical to
+// hash/fnv's New64a over the same bytes, so sticky assignments are
+// stable across processes and releases. Anonymous requests hash a
+// per-table atomic sequence number instead of a user identity.
 func (t *Table) stickyPoint(userID, service, salt string) float64 {
-	h := fnvx.Offset64
+	h := fnvOffset64
 	if userID == "" {
 		n := t.anonSeq.Add(1)
 		for shift := uint(0); shift < 64; shift += 8 {
-			h = fnvx.Byte(h, byte(n>>shift))
+			h = fnvByte(h, byte(n>>shift))
 		}
 	} else {
-		h = fnvx.String(h, userID)
+		h = fnvString(h, userID)
 	}
-	h = fnvx.Byte(h, 0)
-	h = fnvx.String(h, service)
-	h = fnvx.Byte(h, 0)
-	h = fnvx.String(h, salt)
+	h = fnvByte(h, 0)
+	h = fnvString(h, service)
+	h = fnvByte(h, 0)
+	h = fnvString(h, salt)
 	return float64(h>>11) / float64(1<<53)
+}
+
+// FNV-1a 64 folded into a plain uint64. The hash is unseeded on
+// purpose: the control plane and every edge agent must put the same
+// user in the same bucket, which a per-process seed (hash/maphash)
+// would break.
+const (
+	fnvOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
+// fnvString folds s into h.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// fnvByte folds one byte into h.
+func fnvByte(h uint64, b byte) uint64 {
+	h ^= uint64(b)
+	h *= fnvPrime64
+	return h
 }
 
 // String renders the table for debugging and the expctl tool.

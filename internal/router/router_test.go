@@ -3,6 +3,7 @@ package router
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net/http"
 	"strings"
@@ -459,5 +460,24 @@ func TestTableString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestFNVMatchesStdlib pins the hand-folded FNV-1a to the stdlib
+// hash/fnv stream: sticky user→arm assignments depend on this
+// equivalence.
+func TestFNVMatchesStdlib(t *testing.T) {
+	inputs := []string{"", "a", "user-12345", "catalog\x00salt", "héllo"}
+	for _, in := range inputs {
+		std := fnv.New64a()
+		_, _ = std.Write([]byte(in))
+		if got := fnvString(fnvOffset64, in); got != std.Sum64() {
+			t.Errorf("fnvString(%q) = %d, stdlib %d", in, got, std.Sum64())
+		}
+	}
+	std := fnv.New64a()
+	_, _ = std.Write([]byte{0x42})
+	if got := fnvByte(fnvOffset64, 0x42); got != std.Sum64() {
+		t.Errorf("fnvByte = %d, stdlib %d", got, std.Sum64())
 	}
 }

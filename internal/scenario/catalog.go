@@ -21,7 +21,7 @@ type Target struct {
 }
 
 // Builtin scenario names. The grading suite's acceptance matrix runs
-// all of them; the daemon's --demo-faults flag accepts any of them.
+// all of them; contexp-demo's --faults flag accepts any of them.
 const (
 	ScenarioSteady       = "steady"
 	ScenarioRamp         = "ramp"

@@ -135,8 +135,8 @@ func (s *Server) loggingMiddleware(next http.Handler) http.Handler {
 
 // authMiddleware resolves the bearer token to a tenant. With no
 // resolver configured every caller is the default tenant (the
-// pre-tenancy, --demo, and test posture); with one configured, every
-// guarded request must present a known token.
+// pre-tenancy, contexp-demo, and test posture); with one configured,
+// every guarded request must present a known token.
 func (s *Server) authMiddleware(next http.Handler) http.Handler {
 	if s.cfg.Auth == nil {
 		return next

@@ -97,7 +97,7 @@ type Config struct {
 	Fleet *fleet.Hub
 	// Auth, when set, requires a bearer token on every /v1/* request and
 	// resolves it to the calling tenant. Nil means every caller is the
-	// default tenant (the --demo and test posture). Optional.
+	// default tenant (the contexp-demo and test posture). Optional.
 	Auth *tenancy.Resolver
 	// RateLimit, when set, charges each /v1/* request against the
 	// calling tenant's token bucket; throttled callers get 429 with

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io"
+	"maps"
 	"os/exec"
 	"slices"
 	"strconv"
@@ -54,9 +55,29 @@ func under(pkg string, roots ...string) bool {
 	return false
 }
 
+// closures is each binary's import closure within contexp/internal,
+// exactly as `go list -deps` reports it. A new edge into a binary, or a
+// lost one, is a reviewed diff of this table.
+var closures = map[string][]string{
+	"contexp/cmd/contexpd": {"bifrost", "clock", "expmodel", "fleet", "health", "journal",
+		"metrics", "router", "server", "stats", "tenancy", "topology", "tracing", "wire"},
+	"contexp/cmd/contexp-agent": {"agent", "expmodel", "metrics", "router", "stats", "tracing", "wire"},
+	"contexp/cmd/expctl": {"bifrost", "clock", "expmodel", "health", "journal", "metrics",
+		"router", "stats", "tenancy", "topology", "tracing"},
+	"contexp/cmd/contexp-demo": {"bifrost", "clock", "demo", "expmodel", "fleet", "health", "journal",
+		"loadgen", "metrics", "microsim", "router", "scenario", "server", "stats", "tenancy",
+		"topology", "tracing", "traffic", "wire"},
+	"contexp/cmd/repro": {"bifrost", "clock", "expmodel", "fenrir", "health", "journal", "metrics",
+		"microsim", "repro/ch2", "repro/ch3", "repro/ch4", "repro/ch5", "router", "stats",
+		"tenancy", "topology", "tracing", "traffic"},
+	"contexp/cmd/benchgate": {},
+	"contexp/benchmark": {"agent", "bifrost", "clock", "expmodel", "fleet", "health", "journal",
+		"metrics", "router", "server", "stats", "tenancy", "topology", "tracing", "wire"},
+}
+
 // TestImportDAG holds the layering README.md draws ("Layering"):
 // production packages host neither the paper's evaluation nor the
-// simulators it runs on.
+// simulators it runs on, and each binary links a reviewed list.
 func TestImportDAG(t *testing.T) {
 	const (
 		httptest = "net/http/httptest"
@@ -96,29 +117,32 @@ func TestImportDAG(t *testing.T) {
 				}
 			}
 		}
+		if _, ok := closures[path]; under(path, "contexp/cmd") && !ok {
+			t.Errorf("%s has no reviewed closure: add it to closures", path)
+		}
 	}
 
-	// (b) What ships: the agent, the CLI and the benchmark link none of
-	// it; the daemon links the simulators only for --demo.
-	for _, main := range []string{"contexp/cmd/contexp-agent", "contexp/cmd/expctl", "contexp/benchmark"} {
-		for _, dep := range pkgs[main].Deps {
-			if simulation(dep) || under(dep, scenario, demo, repro) {
-				t.Errorf("%s links %s", main, dep)
-			}
-		}
-	}
-	daemon := pkgs["contexp/cmd/contexpd"]
-	for _, dep := range append(daemon.Deps, daemon.ImportPath) {
-		if dep == httptest || under(dep, repro) {
-			t.Errorf("contexpd links %s", dep)
-		}
-		if under(dep, demo, scenario, microsim, loadgen) {
+	// (b) Every binary links exactly its reviewed closure.
+	for main, want := range closures {
+		p, ok := pkgs[main]
+		if !ok || len(p.Deps) == 0 {
+			t.Errorf("go list reported no dependencies for %s", main)
 			continue
 		}
-		for _, imp := range pkgs[dep].Imports {
-			if simulation(imp) {
-				t.Errorf("contexpd reaches %s through %s: only %s and %s may", imp, dep, demo, scenario)
+		got := make(map[string]bool)
+		for _, dep := range p.Deps {
+			if under(dep, "contexp/internal") {
+				got[strings.TrimPrefix(dep, "contexp/internal/")] = true
 			}
+		}
+		for _, pkg := range want {
+			if !got[pkg] {
+				t.Errorf("%s no longer links contexp/internal/%s: drop it from its closure", main, pkg)
+			}
+			delete(got, pkg)
+		}
+		for _, pkg := range slices.Sorted(maps.Keys(got)) {
+			t.Errorf("%s links contexp/internal/%s, which its closure does not list", main, pkg)
 		}
 	}
 	// (d) The data plane forwards through its own code: one
@@ -151,9 +175,6 @@ func TestImportDAG(t *testing.T) {
 		if dep == fenrir || dep == traffic {
 			t.Errorf("contexp/benchmark links %s", dep)
 		}
-	}
-	if len(daemon.Deps) == 0 || len(pkgs["contexp/benchmark"].Deps) == 0 {
-		t.Fatal("go list reported no dependencies for the binaries under test")
 	}
 }
 
