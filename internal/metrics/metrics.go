@@ -28,15 +28,16 @@
 // aggregates — buckets of count/sum/min/max, first/last observation
 // time and a log-binned histogram sketch — in three tiers of one shape:
 // 1 s × 256, 1 min × 1440 (24 h) and 1 h × 336 (14 days). Each keeps its
-// newest four intervals as dense buckets and every older one packed, at
-// ~80 bytes, in its sealed view (sealed.go). Every observation feeds all
-// three, each tier accepting any sample still inside its own reach
-// however late it arrives; a bucket is allocated only once its interval
-// receives data. A query reduces the finest tier that covers its window,
-// merging only the window's buckets, oldest first, and only the sketch
-// bins each bucket occupies: it costs what the window holds, not the
-// tier's size. It snaps to that tier's bucket width: a bucket straddling
-// `since` contributes whole.
+// newest four intervals as live buckets — 288 bytes, their sketch
+// counting in one byte a bin, carrying into four more once a bin passes
+// 255 — and every older one packed, at ~80 bytes, in its sealed view
+// (sealed.go). Every observation feeds all three, each tier accepting any
+// sample still inside its own reach however late it arrives; a bucket is
+// allocated only once its interval receives data. A query reduces the
+// finest tier that covers its window, merging only the window's buckets,
+// oldest first, and only the sketch bins each bucket occupies: it costs
+// what the window holds, not the tier's size. It snaps to that tier's
+// bucket width: a bucket straddling `since` contributes whole.
 // Three consequences callers should know:
 //
 //   - Quantiles (median/p95/p99) always come from merged sketches and
@@ -236,6 +237,7 @@ func (s *series) recordLocked(t *stamp, v float64) {
 	for i := range s.tiers {
 		if b := s.tiers[i].at(t.idx[i]); b != nil {
 			b.add(t.ns, v, bin)
+			b.tally(bin)
 		} else {
 			s.tiers[i].lateLocked(t.idx[i], t.ns, v)
 		}
@@ -445,15 +447,18 @@ func (st *Store) SeriesCount() int {
 }
 
 // Stats is the store's self-report, summed over the three tiers of the
-// series alive now. LiveBuckets counts the dense buckets holding data,
-// SealedSeconds the packed buckets in the tiers' views (minutes and hours
-// too: the name is older than their views). A write older than a tier's
-// live buckets is late for that tier: LateWrites were buffered and folded
-// into its view by LateFolds folds, LateDropped were older than it
-// reaches, and fed only the coarser tiers.
+// series alive now. LiveBuckets counts the live buckets holding data and
+// WideBuckets those of them whose sketch has outgrown a byte a bin (a bin
+// passed 255 in the slot's life), SealedSeconds the packed buckets in
+// the tiers' views (minutes and hours too: the name is older than their
+// views). A write older than a tier's live buckets is late for that
+// tier: LateWrites were buffered and folded into its view by LateFolds
+// folds, LateDropped were older than it reaches, and fed only the
+// coarser tiers.
 type Stats struct {
 	Series        int    `json:"series"`
 	LiveBuckets   int    `json:"liveBuckets"`
+	WideBuckets   int    `json:"wideBuckets"`
 	SealedSeconds int    `json:"sealedSeconds"`
 	LateWrites    uint64 `json:"lateWrites"`
 	LateFolds     uint64 `json:"lateFolds"`
@@ -471,7 +476,12 @@ func (st *Store) Stats() Stats {
 			out.Series++
 			for t := range s.tiers {
 				r := &s.tiers[t]
-				r.walk(r.oldest(), r.latest, func(*bucket) { out.LiveBuckets++ })
+				r.walk(r.oldest(), r.latest, func(b *bucket) {
+					out.LiveBuckets++
+					if b.high != nil {
+						out.WideBuckets++
+					}
+				})
 				out.SealedSeconds += len(r.sealed.buckets)
 				out.LateWrites += r.lateWrites
 				out.LateFolds += r.lateFolds

@@ -369,25 +369,29 @@ func TestQuantileUnderflowBound(t *testing.T) {
 	}
 }
 
-// TestFreshSeriesFootprint pins what a series costs by its age: one
-// dense bucket per tier when it is born; up to liveBuckets dense buckets
-// a tier and ~80 B in that tier's sealed view (sealed.go: a quarter
-// spare, no floor) per finished second, minute and hour after that. The
-// first four ages are written at eight samples a second into 200 series;
-// an hour and a day at two a second into 20, where the parent commit —
-// finished minutes and hours still dense, 944 B each — cost 87 KB and
-// 1.54 MB.
+// TestFreshSeriesFootprint pins what a series costs by its age: one live
+// bucket per tier when it is born, 288 B while its sketch counts in bytes;
+// up to liveBuckets live buckets a tier and ~80 B in that tier's sealed
+// view (sealed.go: a quarter spare, no floor) per finished second, minute
+// and hour after that. The first four ages are written at eight samples a
+// second of fifty values into 200 series; an hour and a day at two a
+// second into 20. The measured bytes beside each row are this layout's,
+// then those of dense four-byte live buckets (944 B each). The hot row
+// writes a thousand samples of one value in its second, so all three
+// buckets widen, to 288 B plus 880 B of high parts (the 896-byte size
+// class) each: the series costs 19 % more than with dense buckets.
 func TestFreshSeriesFootprint(t *testing.T) {
 	for _, tc := range []struct {
-		seconds, perSecond, n int
-		limit                 int64
+		seconds, perSecond, values, n int
+		limit                         int64
 	}{
-		{1, 8, 200, 4 << 10},          // measured 3 531
-		{5, 8, 200, 8 << 10},          // measured 7 122
-		{60, 8, 200, 14 << 10},        // measured 11 119
-		{300, 8, 200, 40 << 10},       // measured 31 962
-		{3600, 2, 20, 48 << 10},       // measured 35 845
-		{24 * 3600, 2, 20, 256 << 10}, // measured 175 672
+		{1, 8, 50, 200, 2 << 10},          // measured 1 319; dense 3 531
+		{5, 8, 50, 200, 4 << 10},          // measured 2 711; dense 7 123
+		{60, 8, 50, 200, 8 << 10},         // measured 6 711; dense 11 119
+		{300, 8, 50, 200, 28 << 10},       // measured 26 237; dense 31 964
+		{3600, 2, 50, 20, 32 << 10},       // measured 30 121; dense 35 900
+		{24 * 3600, 2, 50, 20, 256 << 10}, // measured 170 442; dense 175 996
+		{1, 1000, 1, 200, 4300},           // hot: measured 4 194; dense 3 530
 	} {
 		if raceEnabled && tc.seconds >= 3600 {
 			continue // millions of instrumented writes; the plain run gates these rows
@@ -399,15 +403,15 @@ func TestFreshSeriesFootprint(t *testing.T) {
 		for i := 0; i < tc.n; i++ {
 			scope := Scope{Service: "svc", Version: fmt.Sprintf("v%d", i)}
 			for k := 0; k < tc.seconds*tc.perSecond; k++ {
-				st.Record("rt", scope, t0.Add(time.Duration(k)*time.Second/time.Duration(tc.perSecond)), 20+float64(k%50))
+				st.Record("rt", scope, t0.Add(time.Duration(k)*time.Second/time.Duration(tc.perSecond)), 20+float64(k%tc.values))
 			}
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		perSeries := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(tc.n)
-		t.Logf("%d s: %d B", tc.seconds, perSeries)
+		t.Logf("%d s at %d a second: %d B", tc.seconds, tc.perSecond, perSeries)
 		if perSeries > tc.limit {
-			t.Errorf("a series %d s old costs %d B, want <= %d", tc.seconds, perSeries, tc.limit)
+			t.Errorf("a series %d s old written %d times a second costs %d B, want <= %d", tc.seconds, tc.perSecond, perSeries, tc.limit)
 		}
 		runtime.KeepAlive(st)
 	}

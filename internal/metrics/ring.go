@@ -7,7 +7,9 @@ import (
 )
 
 // This file is what a series retains: one bucket type, held by one tier
-// type at three widths, reduced by one accumulator.
+// type at three widths, reduced by one accumulator. A bucket's sketch
+// takes the width its counts need, as a sealed interval's packed bins do
+// (sealed.go): one byte a bin, and more once a bin passes 255.
 
 // --- histogram sketch ---
 //
@@ -77,31 +79,45 @@ var emptySummary = summary{
 	firstNs: math.MaxInt64, lastNs: math.MinInt64,
 }
 
-// bucket holds the streaming aggregates of one tier interval. It is
-// pointer-free, so the garbage collector never scans its contents.
+// bucket holds the streaming aggregates of one tier interval, 288 bytes.
+// Its sketch counts each bin in one byte (hist). The count that takes a
+// bin past 255 widens the bucket: it allocates high, which from then on
+// holds every bin's count above its low byte, so a bin counts
+// hist + 256·high, up to 2³² as a sealed count does. A live bucket's
+// fullest bin rarely holds more than a few dozen, so most never widen; a
+// widened one costs 1 184 bytes of heap. high is the only pointer and
+// comes first, so the garbage collector scans one word of a bucket.
 type bucket struct {
+	high *[histSize]uint32
 	summary
 	// binLo..binHi (inclusive) is the range of sketch bins that may be
 	// non-zero, so a merge reads the bins a bucket's values span rather
 	// than all histSize; binLo > binHi is the empty range. The pair sits
 	// beside the summary, on the cache line every read loads anyway.
 	binLo, binHi uint8
-	hist         [histSize]uint32
+	hist         [histSize]uint8
 }
 
 // reset empties the bucket for interval idx. A reset bucket has the
 // empty bin range; so does one restored from a snapshot, whose summary
-// is then filled in without a sketch.
+// is then filled in without a sketch. A widened bucket stays wide, its
+// counts zeroed: a slot that needed more than a byte once is likely to
+// again.
 func (b *bucket) reset(idx int64) {
-	*b = bucket{summary: emptySummary, binLo: math.MaxUint8}
+	if h := b.high; h != nil && b.binLo <= b.binHi {
+		clear(h[b.binLo : int(b.binHi)+1])
+	}
+	*b = bucket{high: b.high, summary: emptySummary, binLo: math.MaxUint8}
 	b.idx = idx
 }
 
-// add folds one observation in; bin is histIndex(v), computed once per
-// observation for all three tiers. It is merge with a one-observation
-// summary, written out so that it stays within the compiler's inlining
-// budget in recordLocked's loop (through merge, every sample pays three
-// calls: +17% on BenchmarkStoreRecordBatch).
+// add folds one observation's summary in and widens the bin range to
+// bin, which is histIndex(v), computed once per observation for all three
+// tiers; tally counts it. It is merge with a one-observation summary,
+// written out so that it stays within the compiler's inlining budget in
+// recordLocked's loop (through merge, every sample pays three calls: +17%
+// on BenchmarkStoreRecordBatch), and tally is a call of its own for the
+// same reason: the two together are over that budget.
 func (b *bucket) add(ns int64, v float64, bin int) {
 	b.count++
 	b.sum += v
@@ -117,13 +133,50 @@ func (b *bucket) add(ns int64, v float64, bin int) {
 	if ns > b.lastNs {
 		b.lastNs = ns
 	}
-	b.hist[bin]++
 	b.binLo, b.binHi = min(b.binLo, uint8(bin)), max(b.binHi, uint8(bin))
+}
+
+// tally counts one observation in sketch bin bin, after add has taken it
+// into the bin range: in the bin's byte, narrow or wide, and a byte that
+// wraps to zero carries out of line.
+func (b *bucket) tally(bin int) {
+	if b.hist[bin]++; b.hist[bin] == 0 {
+		b.carry(bin)
+	}
+}
+
+// carry adds the 256 that bin's byte wrapped from to its high part,
+// widening the bucket on its first carry. Inlined, it would take tally
+// past the budget add and tally fit in.
+//
+//go:noinline
+func (b *bucket) carry(bin int) {
+	if b.high == nil {
+		b.high = new([histSize]uint32)
+	}
+	b.high[bin]++
+}
+
+// setCount sets bin's count to c, widening the bucket if c needs it.
+func (b *bucket) setCount(bin int, c uint32) {
+	if c > math.MaxUint8 && b.high == nil {
+		b.high = new([histSize]uint32)
+	}
+	b.hist[bin] = uint8(c)
+	if b.high != nil {
+		b.high[bin] = c >> 8
+	}
 }
 
 // addBins adds the bucket's sketch into h, reading only the bins it
 // occupies.
 func (b *bucket) addBins(h *[histSize]uint64) {
+	if hi := b.high; hi != nil {
+		for i := int(b.binLo); i <= int(b.binHi); i++ {
+			h[i] += uint64(uint32(b.hist[i]) | hi[i]<<8)
+		}
+		return
+	}
 	for i := int(b.binLo); i <= int(b.binHi); i++ {
 		h[i] += uint64(b.hist[i])
 	}

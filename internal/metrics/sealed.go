@@ -17,8 +17,8 @@ import (
 // sealedBuckets (the bucket's summary plus where its sketch sits), in
 // index order, and one byte slab holding, back to back, each interval's
 // occupied sketch bins at the narrowest count width that fits them. A
-// finished second, minute or hour so costs ~80 bytes, not a 944-byte
-// bucket, and a 60 s p95 streams ~4 KB of contiguous memory.
+// finished second, minute or hour so costs ~80 bytes, not a 288-byte
+// live bucket, and a 60 s p95 streams ~4 KB of contiguous memory.
 //
 // Both arrays are append-only. A new interval trims those that left the
 // tier's reach off the front by reslicing and appends those leaving the
@@ -71,51 +71,53 @@ func viewCap(n int) int {
 	return n + n/4 + 4
 }
 
-// packed is how b's sketch goes into a view: its occupied bins, from
+// packed is how b's sketch goes into a view: its n occupied bins, from
 // bin lo on, and the narrowest width — 1, 2 or 4 bytes — that holds the
-// largest count. A bucket without a sketch packs to nothing.
-func (b *bucket) packed() (lo uint8, counts []uint32, width uint8) {
+// largest count. A narrow bucket's counts are its bytes; a wide one's
+// may all fit in them again. A bucket without a sketch packs to nothing.
+func (b *bucket) packed() (lo, n, width uint8) {
 	if b.binLo > b.binHi {
-		return 0, nil, 0
+		return 0, 0, 0
 	}
-	counts = b.hist[b.binLo : int(b.binHi)+1]
+	lo, n = b.binLo, b.binHi-b.binLo+1
+	if b.high == nil {
+		return lo, n, 1
+	}
 	var bits uint32
-	for _, c := range counts {
+	for _, c := range b.high[lo:][:n] {
 		bits |= c
 	}
 	switch {
-	case bits < 1<<8:
+	case bits == 0:
 		width = 1
-	case bits < 1<<16:
+	case bits < 1<<8:
 		width = 2
 	default:
 		width = 4
 	}
-	return b.binLo, counts, width
+	return lo, n, width
 }
 
 // seal appends a finished interval. Only spare capacity is written:
 // nothing a reader's copy of the view reaches.
 func (v *sealedView) seal(b *bucket) {
-	lo, counts, width := b.packed()
-	if need := len(counts) * int(width); len(v.buckets) == cap(v.buckets) || len(v.bins)+need > cap(v.bins) {
+	lo, n, width := b.packed()
+	if need := int(n) * int(width); len(v.buckets) == cap(v.buckets) || len(v.bins)+need > cap(v.bins) {
 		v.regrow(need)
 	}
 	v.buckets = append(v.buckets, sealedBucket{
 		summary: b.summary, off: uint32(len(v.bins)),
-		lo: lo, n: uint8(len(counts)), width: width,
+		lo: lo, n: n, width: width,
 	})
-	switch width {
-	case 1:
-		for _, c := range counts {
-			v.bins = append(v.bins, byte(c))
-		}
-	case 2:
-		for _, c := range counts {
+	if width == 1 { // every count is its byte
+		v.bins = append(v.bins, b.hist[lo:][:n]...)
+		return
+	}
+	for i := int(lo); i < int(lo)+int(n); i++ {
+		c := uint32(b.hist[i]) | b.high[i]<<8
+		if width == 2 {
 			v.bins = binary.LittleEndian.AppendUint16(v.bins, uint16(c))
-		}
-	case 4:
-		for _, c := range counts {
+		} else {
 			v.bins = binary.LittleEndian.AppendUint32(v.bins, c)
 		}
 	}
@@ -142,8 +144,9 @@ func (v *sealedView) regrow(need int) {
 }
 
 // addBins adds sb's packed sketch into h: a query's merged sketch, or
-// the bins of a bucket a fold unpacks the interval into.
-func addBins[T uint32 | uint64](v *sealedView, sb *sealedBucket, h *[histSize]T) {
+// the counts a fold unpacks the interval into (the bucket's bytes when
+// the interval was packed at width 1).
+func addBins[T uint8 | uint32 | uint64](v *sealedView, sb *sealedBucket, h *[histSize]T) {
 	src, dst := v.bins[sb.off:], h[sb.lo:][:sb.n]
 	switch sb.width {
 	case 1:
@@ -163,13 +166,23 @@ func addBins[T uint32 | uint64](v *sealedView, sb *sealedBucket, h *[histSize]T)
 }
 
 // unpack is seal's inverse: sb's summary and sketch into b, which the
-// caller has reset.
+// caller has reset: straight into its bytes if they were packed in
+// bytes, else count by count, widening b.
 func (v *sealedView) unpack(sb *sealedBucket, b *bucket) {
 	b.summary = sb.summary
-	if sb.n > 0 {
-		b.binLo, b.binHi = sb.lo, sb.lo+sb.n-1
+	if sb.n == 0 {
+		return
 	}
-	addBins(v, sb, &b.hist)
+	b.binLo, b.binHi = sb.lo, sb.lo+sb.n-1
+	if sb.width == 1 {
+		addBins(v, sb, &b.hist)
+		return
+	}
+	var counts [histSize]uint32
+	addBins(v, sb, &counts)
+	for i := int(b.binLo); i <= int(b.binHi); i++ {
+		b.setCount(i, counts[i])
+	}
 }
 
 // put places a bare summary — a restored bucket, which has no sketch — at
@@ -266,7 +279,9 @@ func (r *tier) foldLocked() {
 			i++
 		}
 		for ; j < len(r.late) && r.late[j].idx == idx; j++ {
-			touched.add(r.late[j].ns, r.late[j].v, histIndex(r.late[j].v))
+			bin := histIndex(r.late[j].v)
+			touched.add(r.late[j].ns, r.late[j].v, bin)
+			touched.tally(bin)
 		}
 		v.seal(&touched)
 	}

@@ -208,12 +208,59 @@ func concurrentConsistency(t *testing.T, unit int64) {
 	wg.Wait()
 }
 
+// denseBucket is the bucket layout the live buckets replaced: four bytes
+// a bin from the first count. The shadow rings hold these, so that the
+// oracle shares no counting code with the buckets it checks.
+type denseBucket struct {
+	summary
+	binLo, binHi uint8
+	hist         [histSize]uint32
+}
+
+func (b *denseBucket) reset(idx int64) {
+	*b = denseBucket{summary: emptySummary, binLo: math.MaxUint8}
+	b.idx = idx
+}
+
+// add is bucket.add and tally together, written as what bucket.add is:
+// merge with a one-observation summary.
+func (b *denseBucket) add(ns int64, v float64, bin int) {
+	b.merge(&summary{count: 1, sum: v, min: v, max: v, firstNs: ns, lastNs: ns})
+	b.hist[bin]++
+	b.binLo, b.binHi = min(b.binLo, uint8(bin)), max(b.binHi, uint8(bin))
+}
+
+// top is the bucket's largest count.
+func (b *denseBucket) top() (top uint32) {
+	for _, c := range b.hist {
+		top = max(top, c)
+	}
+	return top
+}
+
+// counts reads a bucket's sketch by count values, whichever width it
+// holds them in.
+func (b *bucket) counts() (h [histSize]uint64) {
+	b.addBins(&h)
+	return h
+}
+
+// sameAs reports whether a live bucket holds what its shadow does: the
+// same summary, bin range and count in every bin.
+func (b *bucket) sameAs(d *denseBucket) bool {
+	var want [histSize]uint64
+	for i, c := range d.hist {
+		want[i] = uint64(c)
+	}
+	return b.summary == d.summary && b.binLo == d.binLo && b.binHi == d.binHi && b.counts() == want
+}
+
 // shadowRing is the oracle of one tier: a ring of reach dense buckets —
 // the layout the live buckets and the sealed view replaced — fed the same
 // writes and read by walking it.
 type shadowRing struct {
 	width, reach int64
-	slots        []*bucket
+	slots        []*denseBucket
 	latest       int64
 	written      bool
 }
@@ -224,7 +271,7 @@ func (r *shadowRing) slot(idx int64) int64 { return ((idx % r.reach) + r.reach) 
 
 // at returns the bucket for interval idx, emptied if its slot still held
 // an interval that has left the reach, or nil when idx is older than that.
-func (r *shadowRing) at(idx int64) *bucket {
+func (r *shadowRing) at(idx int64) *denseBucket {
 	switch {
 	case !r.written || idx > r.latest:
 		r.latest, r.written = idx, true
@@ -233,7 +280,7 @@ func (r *shadowRing) at(idx int64) *bucket {
 	}
 	b := r.slots[r.slot(idx)]
 	if b == nil {
-		b = new(bucket)
+		b = new(denseBucket)
 		r.slots[r.slot(idx)] = b
 		b.reset(idx)
 	} else if b.idx != idx {
@@ -243,7 +290,7 @@ func (r *shadowRing) at(idx int64) *bucket {
 }
 
 // walk visits every bucket holding data with index in [from, to], oldest first.
-func (r *shadowRing) walk(from, to int64, visit func(*bucket)) {
+func (r *shadowRing) walk(from, to int64, visit func(*denseBucket)) {
 	for idx := max(from, r.oldest()); idx <= min(to, r.latest); idx++ {
 		if b := r.slots[r.slot(idx)]; b != nil && b.idx == idx && b.count > 0 {
 			visit(b)
@@ -252,9 +299,11 @@ func (r *shadowRing) walk(from, to int64, visit func(*bucket)) {
 }
 
 func (r *shadowRing) reduce(since time.Time, a *accumulator) {
-	r.walk(firstOverlapping(since.Unix(), r.width), r.latest, func(b *bucket) {
+	r.walk(firstOverlapping(since.Unix(), r.width), r.latest, func(b *denseBucket) {
 		a.merge(&b.summary)
-		b.addBins(a.hist)
+		for i, c := range b.hist {
+			a.hist[i] += uint64(c)
+		}
 	})
 }
 
@@ -264,40 +313,41 @@ func (r *shadowRing) covers(since time.Time, earliest int64) bool {
 	return r.written && (earliest >= reach || since.Unix() >= reach)
 }
 
-// shadowed is a series beside a shadow ring for each of its tiers.
+// shadowed is a series beside a shadow ring for each of its tiers, and
+// which of each tier's live slots has ever held an interval with a count
+// above 255: exactly those must be wide.
 type shadowed struct {
 	s      *series
 	shadow [numTiers]shadowRing
+	wide   [numTiers][liveBuckets]bool
 }
 
 func newShadowed() *shadowed {
 	p := &shadowed{s: newSeries()}
 	for i := range p.shadow {
 		r := &p.s.tiers[i]
-		p.shadow[i] = shadowRing{width: r.width, reach: r.reach, slots: make([]*bucket, r.reach)}
+		p.shadow[i] = shadowRing{width: r.width, reach: r.reach, slots: make([]*denseBucket, r.reach)}
 	}
 	return p
 }
+
+// bulkTallies is the largest count burst adds to a live bucket one tally
+// at a time; a larger one widens the bucket and is added at once.
+const bulkTallies = 1 << 10
 
 // burst records n observations of v at one instant in a series and, if
 // there are any, the shadow rings of its tiers. Into a second the series
 // holds dense (its minute and hour are then dense too): one through
 // recordLocked, which keeps the tiers in step, the rest added to each
-// bucket in bulk — a bin holding 65 536 counts without 65 536 calls. Into
-// an older second: all n through recordLocked, because a fold adds
-// buffered samples one by one and the shadows must add the same floats in
-// the same order.
+// bucket in bulk — a bin holding 65 536 counts without 65 536 calls, and
+// up to bulkTallies of them through tally, so that the byte a bin starts
+// in is passed as the write path passes it. Into an older second: all n
+// through recordLocked, because a fold adds buffered samples one by one
+// and the shadows must add the same floats in the same order.
 func burst(s *series, shadow *[numTiers]shadowRing, at time.Time, v float64, n int) {
 	t, bin := stampOf(at), histIndex(v)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bulk := func(b *bucket) {
-		if b != nil {
-			b.count += int64(n - 1)
-			b.sum += float64(n-1) * v
-			b.hist[bin] += uint32(n - 1)
-		}
-	}
 	single := n
 	if r := &s.tiers[tierSecond]; r.cur == nil || t.sec > r.latest-liveBuckets {
 		single = 1
@@ -310,15 +360,41 @@ func burst(s *series, shadow *[numTiers]shadowRing, at time.Time, v float64, n i
 			}
 		}
 	}
-	for k := 0; single == 1 && k < numTiers; k++ {
-		bulk(s.tiers[k].at(t.idx[k]))
-		if shadow != nil {
-			bulk(shadow[k].at(t.idx[k]))
+	for k := 0; single == 1 && n > 1 && k < numTiers; k++ {
+		if b := s.tiers[k].at(t.idx[k]); b != nil {
+			b.count += int64(n - 1)
+			b.sum += float64(n-1) * v
+			if n-1 <= bulkTallies {
+				for range n - 1 {
+					b.tally(bin)
+				}
+			} else {
+				b.setCount(bin, uint32(b.counts()[bin])+uint32(n-1))
+			}
+		}
+		if shadow == nil {
+			continue
+		}
+		if b := shadow[k].at(t.idx[k]); b != nil {
+			b.count += int64(n - 1)
+			b.sum += float64(n-1) * v
+			b.hist[bin] += uint32(n - 1)
 		}
 	}
 }
 
-func (p *shadowed) burst(at time.Time, v float64, n int) { burst(p.s, &p.shadow, at, v, n) }
+// burst records into the series and its shadows, and notes a live slot
+// whose interval now holds a count above 255.
+func (p *shadowed) burst(at time.Time, v float64, n int) {
+	burst(p.s, &p.shadow, at, v, n)
+	t := stampOf(at)
+	for k := range p.shadow {
+		r, idx := &p.s.tiers[k], t.idx[k]
+		if idx > r.latest-liveBuckets && p.shadow[k].at(idx).top() > math.MaxUint8 {
+			p.wide[k][idx&(liveBuckets-1)] = true
+		}
+	}
+}
 
 // oracle is the tier that answers a window from since: the finest whose
 // shadow ring, which has the tier's reach, covers it — the rule
@@ -339,10 +415,11 @@ func (v *sealedView) dense(i int) (h [histSize]uint64) {
 }
 
 // checkTier holds one tier, its late buffer folded, to its shadow ring
-// bucket for bucket: the newest liveBuckets are dense, equal in every
-// field; every older one is in the view, oldest first, summary and
-// sketch, each sketch at the narrowest width and laid out back to back in
-// the slab; and neither holds anything else.
+// bucket for bucket: the newest liveBuckets hold the same summary, bin
+// range and counts, and a live slot is wide exactly when an interval it
+// held had a count above 255; every older one is in the view, oldest
+// first, summary and sketch, each sketch at the narrowest width and laid
+// out back to back in the slab; and neither holds anything else.
 func (p *shadowed) checkTier(t *testing.T, tier int, label string) {
 	t.Helper()
 	s, sh := p.s, &p.shadow[tier]
@@ -355,11 +432,16 @@ func (p *shadowed) checkTier(t *testing.T, tier int, label string) {
 	if r.latest != sh.latest {
 		t.Fatalf("%s: newest interval %d, the shadow's %d", label, r.latest, sh.latest)
 	}
+	for slot, b := range r.live {
+		if b != nil && (b.high != nil) != p.wide[tier][slot] {
+			t.Fatalf("%s: live slot %d (interval %d) wide: %v; a count above 255 in its life: %v", label, slot, b.idx, b.high != nil, p.wide[tier][slot])
+		}
+	}
 	i, live := 0, 0
-	sh.walk(sh.oldest(), sh.latest, func(b *bucket) {
+	sh.walk(sh.oldest(), sh.latest, func(b *denseBucket) {
 		if b.idx > r.latest-liveBuckets {
 			live++
-			if got := r.live[b.idx&(liveBuckets-1)]; got == nil || *got != *b {
+			if got := r.live[b.idx&(liveBuckets-1)]; got == nil || !got.sameAs(b) {
 				t.Fatalf("%s: live bucket %d is %+v, the shadow has %+v", label, b.idx, got, b)
 			}
 			return
@@ -372,11 +454,10 @@ func (p *shadowed) checkTier(t *testing.T, tier int, label string) {
 			t.Fatalf("%s: view[%d] = %+v, the shadow has %+v", label, i, sb.summary, b.summary)
 		}
 		var want [histSize]uint64
-		var top uint32
 		for bin, c := range b.hist {
 			want[bin] = uint64(c)
-			top = max(top, c)
 		}
+		top := b.top()
 		if v.dense(i) != want {
 			t.Fatalf("%s: view[%d] (interval %d) unpacks to a sketch that is not the bucket's", label, i, b.idx)
 		}
@@ -671,7 +752,9 @@ func TestSealedSketchCases(t *testing.T) {
 	}
 	p.s.mu.Lock()
 	p.s.restoreLocked(tierSecond, []snapshotBucket{restored}) // base+2 is the oldest live second
-	*p.shadow[tierSecond].at(restored.Idx) = *p.s.tiers[tierSecond].at(restored.Idx)
+	sh := p.shadow[tierSecond].at(restored.Idx)
+	sh.reset(restored.Idx)
+	sh.summary = p.s.tiers[tierSecond].at(restored.Idx).summary
 	p.s.mu.Unlock()
 	check := func(stage string, counts [3]float64) {
 		t.Helper()
@@ -825,6 +908,18 @@ func FuzzSealedSketch(f *testing.F) {
 	f.Add(append(append(op(1, 7, 300), op(40, 9, 1)...), op(0x84, 7, 300)...)) // a gap, then a late write
 	f.Add(append(op(0x7f, 50, 1<<24-1), op(0xff, 50, 1)...))                   // the largest count and jump, the latest write
 	f.Add(append(boundaries, append(op(0x80, 100, 65536), boundaries...)...))  // a late write among wide buckets
+	// A live bucket's bytes at their edge, one tally at a time: a bin that
+	// reaches 255 in its interval stays narrow, one that reaches 256 widens.
+	f.Add(append(op(1, 100, 254), op(5, 0, 0)...))
+	f.Add(append(op(1, 100, 255), op(5, 0, 0)...))
+	// A slot that widened and is reused, four intervals on, with small
+	// counts: it stays wide, and seals at width 1 the bytes a never-widened
+	// bucket would.
+	f.Add(append(append(append(op(1, 100, 299), op(4, 100, 2)...), op(1, 101, 2)...), op(6, 0, 0)...))
+	// Late writes folded into a sealed interval of width 1, one of width 2,
+	// and one of width 1 whose 255 the late write takes to 256.
+	f.Add(append(append(append(append(append(op(1, 50, 1), op(1, 60, 299)...), op(1, 70, 254)...),
+		op(5, 0, 0)...), op(0x86, 50, 0)...), append(op(0x85, 60, 2), op(0x84, 70, 0)...)...))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		for tier, unit := range tierUnits {
 			p := newShadowed()

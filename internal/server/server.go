@@ -806,9 +806,9 @@ type JournalHealth struct {
 }
 
 // StoreHealth reports the metric store: what it holds and how late its
-// writes arrived (metrics.Stats: series, liveBuckets, sealedSeconds,
-// lateWrites, lateFolds, lateDropped), and how many lock shards the
-// series are spread over.
+// writes arrived (metrics.Stats: series, liveBuckets, wideBuckets,
+// sealedSeconds, lateWrites, lateFolds, lateDropped), and how many lock
+// shards the series are spread over.
 type StoreHealth struct {
 	metrics.Stats
 	Shards int `json:"shards"`

@@ -410,7 +410,7 @@ func TestHealthz(t *testing.T) {
 	if st := h.Store.Stats; st.LiveBuckets < 6 || st.LateWrites != 1 || st.LateDropped != 0 || st != e.store.Stats() {
 		t.Errorf("store = %+v, want two series of three buckets or more and one late write, as Store.Stats reports", st)
 	}
-	for _, key := range []string{`"liveBuckets"`, `"sealedSeconds"`, `"lateWrites"`, `"lateFolds"`, `"lateDropped"`} {
+	for _, key := range []string{`"liveBuckets"`, `"wideBuckets"`, `"sealedSeconds"`, `"lateWrites"`, `"lateFolds"`, `"lateDropped"`} {
 		if !strings.Contains(body, key) {
 			t.Errorf("healthz store object lacks %s: %s", key, body)
 		}
