@@ -113,6 +113,21 @@ func TestChapter3MatchesParentGolden(t *testing.T) {
 	}
 }
 
+// The ch5 goldens were written while the simulator still recorded into
+// a second, offline span collector: reading the traces out of the live
+// collector instead changed no byte of either ranking figure.
+func TestChapter5MatchesParentGolden(t *testing.T) {
+	for _, id := range []string{"5.6", "5.8"} {
+		want, err := os.ReadFile("testdata/ch5_" + id + "_parent.golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runOut(t, "ch5", "-artifact", id); got != string(want) {
+			t.Errorf("artifact %s differs from the parent's output:\n%s\nwant:\n%s", id, got, want)
+		}
+	}
+}
+
 // At the parent the startup/SME/corporation columns of the Chapter 2
 // tables changed from run to run (Generate drew from its seeded RNG
 // while ranging over maps), so only the label and the all/web/other

@@ -15,6 +15,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"contexp/internal/bifrost"
@@ -138,7 +139,7 @@ func scenario(title string, degraded bool) error {
 		return err
 	}
 	store := metrics.NewStore(0)
-	traces := tracing.NewCollector()
+	traces := tracing.NewLiveCollector(0)
 	sim := microsim.NewSim(app, table, traces, store, 7)
 
 	start := time.Date(2017, 12, 11, 9, 0, 0, 0, time.UTC)
@@ -163,6 +164,13 @@ func scenario(title string, degraded bool) error {
 	// 40 requests per virtual second until the strategy concludes
 	// (bounded at 90 virtual minutes as a safety net).
 	for elapsed := time.Duration(0); elapsed < 90*time.Minute; elapsed += time.Second {
+		done, err := simClock.AwaitPark(run.Done())
+		if err != nil {
+			return err
+		}
+		if done {
+			break
+		}
 		now := simClock.Now()
 		for i := 0; i < 40; i++ {
 			if _, err := sim.Execute(pop.Sample(), now); err != nil {
@@ -170,11 +178,6 @@ func scenario(title string, degraded bool) error {
 			}
 		}
 		simClock.Advance(time.Second)
-		select {
-		case <-run.Done():
-			elapsed = 90 * time.Minute
-		default:
-		}
 	}
 
 	fmt.Print(run.BuildReport().Render())
@@ -200,14 +203,17 @@ func scenario(title string, degraded bool) error {
 		}
 	}
 	// Variant-level latency report from the collected traces.
+	trs := traces.Harvest(0)
+	sort.Slice(trs, func(i, j int) bool { return trs[i].ID < trs[j].ID })
 	for _, variant := range []tracing.Variant{tracing.VariantBaseline, tracing.VariantExperiment} {
-		trs := traces.Traces(variant)
-		if len(trs) == 0 {
-			continue
+		var ms []float64
+		for _, tr := range trs {
+			if tr.Variant == variant {
+				ms = append(ms, float64(tr.Duration())/float64(time.Millisecond))
+			}
 		}
-		ms := make([]float64, len(trs))
-		for i, tr := range trs {
-			ms[i] = float64(tr.Duration()) / float64(time.Millisecond)
+		if len(ms) == 0 {
+			continue
 		}
 		s := stats.Summarize(ms)
 		fmt.Printf("end-user latency (%s): n=%d mean=%.1fms p95=%.1fms\n",

@@ -12,6 +12,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"contexp/internal/bifrost"
@@ -82,7 +83,7 @@ func run() error {
 		return err
 	}
 	store := metrics.NewStore(0)
-	traces := tracing.NewCollector()
+	traces := tracing.NewLiveCollector(0)
 	sim := microsim.NewSim(app, table, traces, store, 1)
 
 	// The engine runs on a simulated clock: ten virtual minutes of
@@ -113,7 +114,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	for done := false; !done; {
+	for {
+		done, err := simClock.AwaitPark(run.Done())
+		if err != nil {
+			return err
+		}
+		if done {
+			break
+		}
 		now := simClock.Now()
 		for i := 0; i < 50; i++ {
 			req := pop.Sample()
@@ -122,11 +130,6 @@ func run() error {
 			}
 		}
 		simClock.Advance(time.Second)
-		select {
-		case <-run.Done():
-			done = true
-		default:
-		}
 	}
 
 	fmt.Printf("strategy finished: %s after %v of virtual time\n",
@@ -143,8 +146,10 @@ func run() error {
 	// Compare the variants the way a release engineer would. The metric
 	// store keeps windowed aggregates, not samples; the per-request
 	// response times are the durations of the recorded checkout spans.
+	trs := traces.Harvest(0)
+	sort.Slice(trs, func(i, j int) bool { return trs[i].ID < trs[j].ID })
 	ms := map[string][]float64{}
-	for _, tr := range traces.Traces("") {
+	for _, tr := range trs {
 		for _, sp := range tr.Spans {
 			if sp.Service == "checkout" {
 				ms[sp.Version] = append(ms[sp.Version], float64(sp.Duration)/float64(time.Millisecond))

@@ -133,9 +133,6 @@ type Config struct {
 	// DefaultCheckInterval applies to checks without an Interval
 	// (default 10s).
 	DefaultCheckInterval time.Duration
-	// SampleMetric is the series counted against Phase.MinSamples
-	// (default "requests").
-	SampleMetric string
 	// Journal, when set, receives every run event as a write-ahead
 	// record before the event's side effects are applied. Replaying the
 	// journal into a fresh engine (Recover) rebuilds all runs. Nil
@@ -199,9 +196,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if cfg.DefaultCheckInterval <= 0 {
 		cfg.DefaultCheckInterval = 10 * time.Second
-	}
-	if cfg.SampleMetric == "" {
-		cfg.SampleMetric = "requests"
 	}
 	e := &Engine{cfg: cfg, runs: make(map[string]*Run)}
 	e.evaluators = map[CheckKind]CheckEvaluator{
@@ -307,16 +301,16 @@ func (e *Engine) Launch(s *Strategy) (*Run, error) {
 	e.runs[s.RunKey()] = run
 	e.mu.Unlock()
 
+	now := e.cfg.Clock.Now()
 	// Open the run's topology assessment before any traffic shifts, so
 	// the baseline graph already grows while the first phase routes.
 	if e.cfg.Topology != nil {
-		e.cfg.Topology.Register(s.RunKey(), s.RouteService(), s.Baseline, s.Candidate)
+		e.cfg.Topology.Register(s.RunKey(), s.RouteService(), s.Baseline, s.Candidate, now)
 	}
 
 	// Write-ahead: the launch record (carrying the strategy source) and
 	// the baseline routing intent hit the journal before the routing
 	// table changes.
-	now := e.cfg.Clock.Now()
 	run.recordWire(Event{At: now, Type: EventRunLaunched,
 		Detail: fmt.Sprintf("service=%s baseline=%s candidate=%s phases=%d",
 			s.Service, s.Baseline, s.Candidate, len(s.Phases))},
@@ -804,6 +798,10 @@ func (r *Run) observe(p *Phase, start time.Time, dur time.Duration) (Outcome, bo
 	}
 }
 
+// sampleMetric is the series counted against Phase.MinSamples: the
+// per-call request count every instrumented service reports.
+const sampleMetric = "requests"
+
 // concludePhase decides the phase outcome at its natural end.
 func (r *Run) concludePhase(p *Phase, start, now time.Time) Outcome {
 	e := r.engine
@@ -811,7 +809,7 @@ func (r *Run) concludePhase(p *Phase, start, now time.Time) Outcome {
 	// inconclusive regardless of check outcomes.
 	if p.MinSamples > 0 {
 		scope := e.candidateScope(r.strategy, p)
-		n, err := e.cfg.Store.Query(e.cfg.SampleMetric, scope, start, metrics.AggCount)
+		n, err := e.cfg.Store.Query(sampleMetric, scope, start, metrics.AggCount)
 		if err != nil || int(n) < p.MinSamples {
 			return OutcomeInconclusive
 		}

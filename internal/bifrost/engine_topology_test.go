@@ -22,7 +22,7 @@ type fakeAssessor struct {
 	verdict    health.LiveVerdict
 }
 
-func (f *fakeAssessor) Register(run, service, baseline, candidate string) {
+func (f *fakeAssessor) Register(run, service, baseline, candidate string, _ time.Time) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.registered = append(f.registered, run+":"+service+":"+baseline+":"+candidate)

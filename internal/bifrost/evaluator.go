@@ -40,9 +40,10 @@ type CheckEvaluator interface {
 // Register/Freeze bracket a run's assessment lifecycle; Verdict returns
 // the current classified, ranked structural difference.
 type TopologyAssessor interface {
-	// Register starts assessment for a run of service: traces carrying
-	// the baseline or candidate version feed the respective graph.
-	Register(run, service, baseline, candidate string)
+	// Register starts assessment for a run of service at instant at
+	// (the engine's clock): traces carrying the baseline or candidate
+	// version feed the respective graph, traces ended before at do not.
+	Register(run, service, baseline, candidate string, at time.Time)
 	// Freeze stops folding new traces for a finished run while keeping
 	// the accumulated assessment readable.
 	Freeze(run string)

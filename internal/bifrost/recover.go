@@ -212,7 +212,7 @@ func (e *Engine) Recover(j journal.Journal) (*RecoveryReport, error) {
 		// process, so resumed runs start fresh graphs; terminal runs get
 		// a frozen (empty) assessment so their health surface answers.
 		if e.cfg.Topology != nil {
-			e.cfg.Topology.Register(s.RunKey(), s.RouteService(), s.Baseline, s.Candidate)
+			e.cfg.Topology.Register(s.RunKey(), s.RouteService(), s.Baseline, s.Candidate, e.cfg.Clock.Now())
 			if g.status != 0 {
 				e.cfg.Topology.Freeze(s.RunKey())
 			}

@@ -7,6 +7,7 @@ package clock
 
 import (
 	"container/heap"
+	"errors"
 	"sync"
 	"time"
 )
@@ -109,6 +110,33 @@ func (s *Sim) PendingTimers() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.timers)
+}
+
+// parkTimeout bounds AwaitPark: a goroutine that neither parks nor
+// finishes within it is stuck.
+const parkTimeout = 10 * time.Second
+
+// AwaitPark blocks until done is closed (finished = true) or a goroutine
+// is parked on the clock. Code that advances the clock calls it before
+// each advance and before each batch of traffic, so neither races the
+// work the previous advance released: that lockstep is what makes a
+// simulated run repeatable. It fails after 10s of wall time.
+func (s *Sim) AwaitPark(done <-chan struct{}) (finished bool, err error) {
+	deadline := time.Now().Add(parkTimeout)
+	for {
+		select {
+		case <-done:
+			return true, nil
+		default:
+		}
+		if s.PendingTimers() > 0 {
+			return false, nil
+		}
+		if time.Now().After(deadline) {
+			return false, errors.New("clock: nothing parked within " + parkTimeout.String())
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
 }
 
 // NextDeadline returns the earliest pending timer deadline and true, or

@@ -157,3 +157,22 @@ func TestSimNextDeadline(t *testing.T) {
 		t.Errorf("NextDeadline = %v, %v", d, ok)
 	}
 }
+
+func TestSimAwaitPark(t *testing.T) {
+	s := NewSim(time.Unix(0, 0))
+	done := make(chan struct{})
+	// A goroutine that parks on the clock a little later, then finishes
+	// once released.
+	go func() {
+		time.Sleep(time.Millisecond)
+		s.Sleep(time.Second)
+		close(done)
+	}()
+	if finished, err := s.AwaitPark(done); err != nil || finished {
+		t.Fatalf("AwaitPark = %v, %v; want parked", finished, err)
+	}
+	s.Advance(time.Second)
+	if finished, err := s.AwaitPark(done); err != nil || !finished {
+		t.Fatalf("AwaitPark after release = %v, %v; want finished", finished, err)
+	}
+}

@@ -67,7 +67,6 @@ func GenerateGraphPair(cfg GraphGenConfig) (*topology.Graph, *topology.Graph, er
 			dur := time.Duration(meanMs * float64(time.Millisecond))
 			g.Nodes[nk] = &topology.Node{
 				Key: nk, Calls: 100, TotalDuration: 100 * dur,
-				Durations: []time.Duration{dur},
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"contexp/internal/clock"
 	"contexp/internal/topology"
 	"contexp/internal/tracing"
 )
@@ -31,11 +30,6 @@ type Monitor struct {
 	// settle is how long a trace must be span-quiet before it is
 	// harvested as complete.
 	settle time.Duration
-
-	// now stamps runAssessment.since at registration; overridable via
-	// UseClock so virtual-time harnesses can register runs at simulated
-	// instants instead of wall time.
-	now func() time.Time
 
 	mu     sync.Mutex
 	runs   map[string]*runAssessment
@@ -97,23 +91,16 @@ func NewMonitor(collector *tracing.LiveCollector, settle time.Duration) *Monitor
 	if settle < 0 {
 		settle = 0
 	}
-	return &Monitor{src: collector, settle: settle, now: time.Now, runs: make(map[string]*runAssessment)}
-}
-
-// UseClock makes the monitor stamp run registrations from clk instead of
-// wall time. Span timestamps are compared against that registration
-// instant, so a monitor fed virtual-time spans (the in-process Sim under
-// clock.Sim) must share the spans' notion of "now".
-func (m *Monitor) UseClock(clk clock.Clock) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.now = clk.Now
+	return &Monitor{src: collector, settle: settle, runs: make(map[string]*runAssessment)}
 }
 
 // Register starts (or restarts, on run-name reuse) topology assessment
 // for a run: traces touching service at the baseline or candidate
-// version are folded into fresh per-variant graphs from now on.
-func (m *Monitor) Register(run, service, baseline, candidate string) {
+// version are folded into fresh per-variant graphs from now on. Traces
+// that ended before at are a predecessor's traffic and are skipped; at
+// is read from the clock the spans are stamped by (the engine passes
+// its own, so a virtual-time run registers at a virtual instant).
+func (m *Monitor) Register(run, service, baseline, candidate string, at time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	// Drain traces already settled before this run existed, so the
@@ -122,7 +109,7 @@ func (m *Monitor) Register(run, service, baseline, candidate string) {
 	m.ingestLocked()
 	a := &runAssessment{
 		run: run, service: service, baseline: baseline, candidate: candidate,
-		since: m.now(),
+		since: at,
 		base:  topology.NewGraph(tracing.VariantBaseline),
 		cand:  topology.NewGraph(tracing.VariantExperiment),
 	}

@@ -40,7 +40,7 @@ func feed(c *tracing.LiveCollector, traces ...tracing.Trace) {
 func TestMonitorFoldsTracesByVariant(t *testing.T) {
 	c := tracing.NewLiveCollector(0)
 	m := NewMonitor(c, -1) // harvest immediately
-	m.Register("run", "rec", "v1", "v2")
+	m.Register("run", "rec", "v1", "v2", time.Now())
 
 	feed(c,
 		// Baseline user: frontend -> rec@v1.
@@ -79,7 +79,7 @@ func TestMonitorVerdictErrors(t *testing.T) {
 	if _, err := m.Verdict("missing", ""); err == nil {
 		t.Error("expected error for unregistered run")
 	}
-	m.Register("run", "svc", "v1", "v2")
+	m.Register("run", "svc", "v1", "v2", time.Now())
 	if _, err := m.Verdict("run", "no-such-heuristic"); err == nil {
 		t.Error("expected error for unknown heuristic")
 	}
@@ -93,7 +93,7 @@ func TestMonitorVerdictErrors(t *testing.T) {
 func TestMonitorFreezeStopsFolding(t *testing.T) {
 	c := tracing.NewLiveCollector(0)
 	m := NewMonitor(c, -1)
-	m.Register("run", "rec", "v1", "v2")
+	m.Register("run", "rec", "v1", "v2", time.Now())
 
 	feed(c, mkTrace(1, "frontend", "v1", "GET /", [3]string{"rec", "v1", "GET /r"}))
 	if v, _ := m.Verdict("run", ""); v.BaselineTraces != 1 {
@@ -116,7 +116,7 @@ func TestMonitorIgnoresPreRegistrationTraffic(t *testing.T) {
 
 	// Settled before the run existed: drained at registration.
 	feed(c, mkTrace(1, "frontend", "v1", "GET /", [3]string{"rec", "v2", "GET /r"}))
-	m.Register("run", "rec", "v1", "v2")
+	m.Register("run", "rec", "v1", "v2", time.Now())
 	v, err := m.Verdict("run", "")
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestMonitorIgnoresPreRegistrationTraffic(t *testing.T) {
 func TestMonitorFreezeFoldsSettledBacklog(t *testing.T) {
 	c := tracing.NewLiveCollector(0)
 	m := NewMonitor(c, -1)
-	m.Register("run", "rec", "v1", "v2")
+	m.Register("run", "rec", "v1", "v2", time.Now())
 	feed(c, mkTrace(1, "frontend", "v1", "GET /", [3]string{"rec", "v1", "GET /r"}))
 	// No Verdict/View between the trace settling and the freeze: the
 	// freeze itself must harvest.
@@ -167,7 +167,7 @@ func TestMonitorFreezeFoldsSettledBacklog(t *testing.T) {
 func TestMonitorBrokenTracesCounted(t *testing.T) {
 	c := tracing.NewLiveCollector(0)
 	m := NewMonitor(c, -1)
-	m.Register("run", "svc", "v1", "v2")
+	m.Register("run", "svc", "v1", "v2", time.Now())
 	// Orphan span: parent never recorded.
 	c.Record(tracing.Span{TraceID: 9, SpanID: 2, ParentID: 1,
 		Service: "svc", Version: "v1", Endpoint: "GET /x",
@@ -186,13 +186,13 @@ func TestMonitorBrokenTracesCounted(t *testing.T) {
 func TestMonitorRegisterResetsOnReuse(t *testing.T) {
 	c := tracing.NewLiveCollector(0)
 	m := NewMonitor(c, -1)
-	m.Register("run", "rec", "v1", "v2")
+	m.Register("run", "rec", "v1", "v2", time.Now())
 	feed(c, mkTrace(1, "frontend", "v1", "GET /", [3]string{"rec", "v1", "GET /r"}))
 	if v, _ := m.Verdict("run", ""); v.BaselineTraces != 1 {
 		t.Fatal("fold failed")
 	}
 	// Relaunch under the same name: the assessment starts over.
-	m.Register("run", "rec", "v1", "v3")
+	m.Register("run", "rec", "v1", "v3", time.Now())
 	if v, _ := m.Verdict("run", ""); v.BaselineTraces != 0 {
 		t.Fatalf("BaselineTraces after re-register = %d, want 0", v.BaselineTraces)
 	}
@@ -201,7 +201,7 @@ func TestMonitorRegisterResetsOnReuse(t *testing.T) {
 func TestMonitorView(t *testing.T) {
 	c := tracing.NewLiveCollector(0)
 	m := NewMonitor(c, -1)
-	m.Register("run", "rec", "v1", "v2")
+	m.Register("run", "rec", "v1", "v2", time.Now())
 	feed(c,
 		mkTrace(1, "frontend", "v1", "GET /", [3]string{"rec", "v1", "GET /r"}),
 		mkTrace(2, "frontend", "v1", "GET /", [3]string{"rec", "v2", "GET /r"}, [3]string{"users", "v1", "GET /h"}),

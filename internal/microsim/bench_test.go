@@ -18,7 +18,7 @@ func BenchmarkSimExecuteShop(b *testing.B) {
 	if err := InstallBaselineRoutes(app, tbl); err != nil {
 		b.Fatal(err)
 	}
-	sim := NewSim(app, tbl, tracing.NewCollector(), metrics.NewStore(0), 1)
+	sim := NewSim(app, tbl, tracing.NewLiveCollector(0), metrics.NewStore(0), 1)
 	req := &router.Request{UserID: "user-1"}
 	at := time.Now()
 	b.ResetTimer()

@@ -34,7 +34,7 @@ func faultSim(t *testing.T, app *Application, in *Injector) (*Sim, *metrics.Stor
 		t.Fatal(err)
 	}
 	store := metrics.NewStore(0)
-	sim := NewSim(app, table, tracing.NewCollector(), store, 1)
+	sim := NewSim(app, table, tracing.NewLiveCollector(0), store, 1)
 	sim.SetFaults(in)
 	return sim, store
 }

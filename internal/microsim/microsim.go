@@ -4,7 +4,7 @@
 // services, versions, endpoints, latency distributions, error rates, and
 // downstream calls; a Sim executes user requests against it in-process,
 // resolving versions through a router.Table, emitting spans into a
-// tracing.Collector and observations into a metrics.Store.
+// tracing.LiveCollector and observations into a metrics.Store.
 //
 // Two execution modes share one topology:
 //

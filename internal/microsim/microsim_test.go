@@ -104,7 +104,7 @@ func TestSimExecuteBaseline(t *testing.T) {
 	if err := InstallBaselineRoutes(app, tbl); err != nil {
 		t.Fatal(err)
 	}
-	traces := tracing.NewCollector()
+	traces := tracing.NewLiveCollector(0)
 	store := metrics.NewStore(0)
 	sim := NewSim(app, tbl, traces, store, 1)
 
@@ -118,7 +118,7 @@ func TestSimExecuteBaseline(t *testing.T) {
 	if res.Duration <= 0 {
 		t.Error("duration should be positive")
 	}
-	trs := traces.Traces("")
+	trs := traces.Harvest(0)
 	if len(trs) != 1 {
 		t.Fatalf("traces = %d", len(trs))
 	}
@@ -160,7 +160,7 @@ func TestSimExperimentVariantTagging(t *testing.T) {
 	if err := tbl.SetWeights("back", []router.Backend{{Version: "v2", Weight: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	sim := NewSim(app, tbl, tracing.NewCollector(), nil, 1)
+	sim := NewSim(app, tbl, tracing.NewLiveCollector(0), nil, 1)
 	res, err := sim.Execute(&router.Request{UserID: "u"}, tBase)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestSimDarkLaunchGeneratesLoadNotLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := metrics.NewStore(0)
-	traces := tracing.NewCollector()
+	traces := tracing.NewLiveCollector(0)
 	sim := NewSim(app, tbl, traces, store, 1)
 
 	res, err := sim.Execute(&router.Request{UserID: "u"}, tBase)
@@ -199,7 +199,7 @@ func TestSimDarkLaunchGeneratesLoadNotLatency(t *testing.T) {
 		t.Errorf("dark requests = %v, %v", n, err)
 	}
 	// Dark spans do not pollute traces.
-	for _, tr := range traces.Traces("") {
+	for _, tr := range traces.Harvest(0) {
 		for _, s := range tr.Spans {
 			if s.Version == "v2" {
 				t.Error("dark span leaked into traces")
@@ -282,14 +282,14 @@ func TestShopApplication(t *testing.T) {
 	if err := InstallBaselineRoutes(app, tbl); err != nil {
 		t.Fatal(err)
 	}
-	traces := tracing.NewCollector()
+	traces := tracing.NewLiveCollector(0)
 	sim := NewSim(app, tbl, traces, nil, 1)
 	for i := 0; i < 20; i++ {
 		if _, err := sim.Execute(&router.Request{UserID: "u"}, tBase); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, tr := range traces.Traces("") {
+	for _, tr := range traces.Harvest(0) {
 		if err := tr.Validate(); err != nil {
 			t.Fatal(err)
 		}

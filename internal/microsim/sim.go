@@ -21,8 +21,7 @@ import (
 type Sim struct {
 	app    *Application
 	table  *router.Table
-	traces *tracing.Collector
-	live   *tracing.LiveCollector
+	traces *tracing.LiveCollector
 	store  *metrics.Store
 	faults *Injector
 
@@ -40,9 +39,9 @@ const MetricErrors = "errors"
 // MetricRequests is the request-count metric name (1 per call).
 const MetricRequests = "requests"
 
-// NewSim wires an application to a routing table, trace collector, and
-// metric store. Collector and store may be nil if unneeded.
-func NewSim(app *Application, table *router.Table, traces *tracing.Collector, store *metrics.Store, seed int64) *Sim {
+// NewSim wires an application to a routing table, span sink, and metric
+// store. Sink and store may be nil if unneeded.
+func NewSim(app *Application, table *router.Table, traces *tracing.LiveCollector, store *metrics.Store, seed int64) *Sim {
 	return &Sim{
 		app:    app,
 		table:  table,
@@ -56,12 +55,6 @@ func NewSim(app *Application, table *router.Table, traces *tracing.Collector, st
 // (nil disables injection). Install before issuing traffic.
 func (s *Sim) SetFaults(in *Injector) { s.faults = in }
 
-// SetLiveTraces mirrors finished spans into a data-plane LiveCollector
-// in addition to the analysis-time Collector, so virtual-time scenario
-// runs can drive the live topology pipeline (harvest → graphs →
-// health verdicts) without real services.
-func (s *Sim) SetLiveTraces(lc *tracing.LiveCollector) { s.live = lc }
-
 // Result summarizes one simulated end-user request.
 type Result struct {
 	Duration time.Duration
@@ -74,11 +67,8 @@ type Result struct {
 // point at the given instant.
 func (s *Sim) Execute(req *router.Request, at time.Time) (Result, error) {
 	var tid tracing.TraceID
-	switch {
-	case s.traces != nil:
+	if s.traces != nil {
 		tid = s.traces.NextTraceID()
-	case s.live != nil:
-		tid = s.live.NextTraceID()
 	}
 	ex := &execution{sim: s, at: at, traceID: tid}
 	dur, failed, err := ex.call(s.app.EntryService, s.app.EntryEndpoint, req, at, 0, 0)
@@ -91,12 +81,9 @@ func (s *Sim) Execute(req *router.Request, at time.Time) (Result, error) {
 	}
 	for i := range ex.spans {
 		ex.spans[i].Variant = variant
-		if s.traces != nil {
-			s.traces.Record(ex.spans[i])
-		}
-		if s.live != nil {
-			s.live.Record(ex.spans[i])
-		}
+	}
+	if s.traces != nil {
+		s.traces.RecordBatch(ex.spans)
 	}
 	return Result{Duration: dur, Err: failed, Variant: variant, TraceID: tid}, nil
 }

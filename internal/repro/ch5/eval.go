@@ -106,7 +106,7 @@ func scenarioTraces(app *microsim.Application, experimentRoutes func(*router.Tab
 				return nil, err
 			}
 		}
-		collector := tracing.NewCollector()
+		collector := tracing.NewLiveCollector(0)
 		sim := microsim.NewSim(app, table, collector, metrics.NewStore(0), seed)
 		for i := 0; i < traces; i++ {
 			req := &router.Request{UserID: fmt.Sprintf("user-%04d", i)}
@@ -114,7 +114,7 @@ func scenarioTraces(app *microsim.Application, experimentRoutes func(*router.Tab
 				return nil, err
 			}
 		}
-		return topology.Build(variant, collector.Traces("")), nil
+		return topology.Build(variant, collector.Harvest(0)), nil
 	}
 	base, err := runOnce(nil, tracing.VariantBaseline)
 	if err != nil {

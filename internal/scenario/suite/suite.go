@@ -161,21 +161,10 @@ type Options struct {
 // check evaluation against traffic generation — that lockstep is what
 // makes a whole scenario run bit-for-bit reproducible from its seed.
 func settleWait(clk *clock.Sim, run *bifrost.Run) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		select {
-		case <-run.Done():
-			return nil
-		default:
-		}
-		if clk.PendingTimers() > 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("suite: engine did not settle (status=%v)", run.Status())
-		}
-		time.Sleep(20 * time.Microsecond)
+	if _, err := clk.AwaitPark(run.Done()); err != nil {
+		return fmt.Errorf("suite: engine did not settle (status=%v): %w", run.Status(), err)
 	}
+	return nil
 }
 
 // RunScenario executes one scenario against one strategy kind on the
@@ -201,10 +190,8 @@ func RunScenario(spec *scenario.Spec, kind Kind, opt Options) (*Result, error) {
 	store := metrics.NewStore(0)
 	live := tracing.NewLiveCollector(0)
 	monitor := health.NewMonitor(live, -1) // harvest immediately
-	monitor.UseClock(clk)
 
-	sim := microsim.NewSim(app, table, nil, store, sc.Seed+1)
-	sim.SetLiveTraces(live)
+	sim := microsim.NewSim(app, table, live, store, sc.Seed+1)
 	injector, err := sc.Injector(Epoch)
 	if err != nil {
 		return nil, err

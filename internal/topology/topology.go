@@ -23,10 +23,9 @@ type Node struct {
 	// Errors is how many of those spans failed.
 	Errors int
 	// TotalDuration accumulates span durations; mean = Total/Calls.
+	// A node keeps no per-span state, so folding traces into a graph
+	// costs memory only for novel nodes and edges.
 	TotalDuration time.Duration
-	// Durations retains the raw values for percentile queries by the
-	// response-time heuristics.
-	Durations []time.Duration
 }
 
 // MeanDuration returns the average observed duration of the endpoint.
@@ -166,7 +165,6 @@ func (g *Graph) addTrace(tr *tracing.Trace) {
 			n.Errors++
 		}
 		n.TotalDuration += s.Duration
-		n.Durations = append(n.Durations, s.Duration)
 
 		if s.ParentID == 0 {
 			g.Roots[key] = true

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -246,5 +247,33 @@ func TestAddTraceMaintainsAdjacencyCache(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Callees[%d] = %v, want %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestAddTraceRetainsNoPerSpanState: once a trace's nodes and edges
+// exist, folding it again only bumps counters. A live run folds every
+// settled trace for its whole life, so anything kept per span would
+// grow without bound.
+func TestAddTraceRetainsNoPerSpanState(t *testing.T) {
+	tr := synthTraces(1, 6, 6)[0] // 7 spans
+	g := NewGraph(tracing.VariantBaseline)
+	if err := g.AddTrace(&tr); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100_000; i++ {
+		if err := g.AddTrace(&tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := g.Nodes[tr.Spans[0].Node()].Calls; n != 100_001 {
+		t.Fatalf("root calls = %d, want 100001", n)
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 64<<10 {
+		t.Errorf("100k folds of a known trace retained %d bytes of heap, want < 64 KiB", grew)
 	}
 }

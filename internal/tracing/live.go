@@ -6,10 +6,9 @@ import (
 	"time"
 )
 
-// LiveCollector is the data-plane span sink: the bounded, sharded
-// counterpart of Collector built for live ingestion. Where Collector is
-// an unbounded analysis-time store, LiveCollector accepts spans from
-// concurrently running services (in-process backends or the batched
+// LiveCollector is the span sink, the in-memory stand-in for a
+// Zipkin/Jaeger backend. It accepts spans from concurrently running
+// services (in-process backends, the simulator, or the batched
 // POST /v1/spans API), shards them by trace to keep ingestion scalable,
 // enforces a hard span cap so a traffic burst cannot exhaust memory
 // (dropped spans are counted, like router.Proxy.MirrorDrops), and hands

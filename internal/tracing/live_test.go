@@ -139,8 +139,7 @@ func TestLiveCollectorConcurrentRecordHarvest(t *testing.T) {
 }
 
 func TestCollectorCapDrops(t *testing.T) {
-	c := NewCollector()
-	c.SetCap(2)
+	c := NewLiveCollector(2)
 	c.Record(liveSpan(1, 1, 0))
 	c.Record(liveSpan(1, 2, 1))
 	c.Record(liveSpan(1, 3, 1)) // beyond cap
@@ -150,11 +149,11 @@ func TestCollectorCapDrops(t *testing.T) {
 	if got := c.Drops(); got != 1 {
 		t.Fatalf("Drops = %d, want 1", got)
 	}
-	// Reset frees capacity but keeps the drop counter.
-	c.Reset()
+	// Harvesting frees capacity but keeps the drop counter.
+	c.Harvest(0)
 	c.Record(liveSpan(2, 4, 0))
 	if got, drops := c.SpanCount(), c.Drops(); got != 1 || drops != 1 {
-		t.Fatalf("after reset: SpanCount = %d, Drops = %d, want 1, 1", got, drops)
+		t.Fatalf("after harvest: SpanCount = %d, Drops = %d, want 1, 1", got, drops)
 	}
 }
 

@@ -5,15 +5,14 @@
 // Spans sharing a TraceID form a Trace; Traces carry a Variant tag so
 // baseline and experimental user populations can be separated, which is
 // what enables the topological comparison of Section 5.5.
+//
+// LiveCollector is the one span sink: services, the simulator and the
+// POST /v1/spans API record into it, and the analysis plane takes
+// settled traces out of it with Harvest.
 package tracing
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -89,149 +88,6 @@ func (t *Trace) Duration() time.Duration {
 		return root.Duration
 	}
 	return 0
-}
-
-// Collector gathers spans concurrently and assembles them into traces.
-// It is the in-memory stand-in for a Zipkin/Jaeger backend. The zero
-// value is not usable; construct with NewCollector.
-type Collector struct {
-	mu    sync.Mutex
-	spans map[TraceID][]Span
-	count int
-	// cap bounds buffered spans (0 = unbounded); drops counts spans
-	// discarded against it, exposed like router.Proxy.MirrorDrops.
-	cap    int
-	drops  atomic.Uint64
-	nextID atomic.Uint64
-}
-
-// NewCollector creates an empty, unbounded Collector.
-func NewCollector() *Collector {
-	return &Collector{spans: make(map[TraceID][]Span)}
-}
-
-// SetCap bounds the collector to at most n buffered spans (0 removes
-// the bound). Spans recorded beyond the cap are dropped and counted.
-func (c *Collector) SetCap(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cap = n
-}
-
-// Drops reports how many spans were discarded because the collector was
-// at its cap. A growing value means later traces are incomplete and the
-// topological analysis undercounts interactions.
-func (c *Collector) Drops() uint64 { return c.drops.Load() }
-
-// NextTraceID allocates a fresh trace identifier.
-func (c *Collector) NextTraceID() TraceID {
-	return TraceID(c.nextID.Add(1))
-}
-
-// NextSpanID allocates a fresh span identifier (shared sequence with
-// trace IDs; uniqueness is all that matters).
-func (c *Collector) NextSpanID() SpanID {
-	return SpanID(c.nextID.Add(1))
-}
-
-// Record stores one finished span. When the collector is at its cap the
-// span is dropped and counted instead.
-func (c *Collector) Record(s Span) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cap > 0 && c.count >= c.cap {
-		c.drops.Add(1)
-		return
-	}
-	c.count++
-	c.spans[s.TraceID] = append(c.spans[s.TraceID], s)
-}
-
-// Traces assembles and returns all collected traces, optionally filtered
-// by variant ("" keeps everything). Spans within a trace are ordered by
-// start time; traces are ordered by ID for determinism.
-func (c *Collector) Traces(variant Variant) []Trace {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ids := make([]TraceID, 0, len(c.spans))
-	for id := range c.spans {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	out := make([]Trace, 0, len(ids))
-	for _, id := range ids {
-		spans := c.spans[id]
-		if len(spans) == 0 {
-			continue
-		}
-		v := spans[0].Variant
-		if variant != "" && v != variant {
-			continue
-		}
-		cp := make([]Span, len(spans))
-		copy(cp, spans)
-		sort.Slice(cp, func(i, j int) bool { return cp[i].Start.Before(cp[j].Start) })
-		out = append(out, Trace{ID: id, Variant: v, Spans: cp})
-	}
-	return out
-}
-
-// SpanCount returns the total number of spans collected.
-func (c *Collector) SpanCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.count
-}
-
-// Reset drops all collected spans (the cap and drop counter persist).
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.spans = make(map[TraceID][]Span)
-	c.count = 0
-}
-
-// MarshalJSON encodes the trace in a Zipkin-v2-like JSON array form, so
-// collected traces can be inspected with external tools.
-func (t Trace) MarshalJSON() ([]byte, error) {
-	type jsonSpan struct {
-		TraceID  string `json:"traceId"`
-		ID       string `json:"id"`
-		ParentID string `json:"parentId,omitempty"`
-		Name     string `json:"name"`
-		Kind     string `json:"kind"`
-		Ts       int64  `json:"timestamp"` // microseconds
-		Duration int64  `json:"duration"`  // microseconds
-		Local    struct {
-			ServiceName string `json:"serviceName"`
-		} `json:"localEndpoint"`
-		Tags map[string]string `json:"tags,omitempty"`
-	}
-	out := make([]jsonSpan, 0, len(t.Spans))
-	for _, s := range t.Spans {
-		js := jsonSpan{
-			TraceID:  strconv.FormatUint(uint64(s.TraceID), 16),
-			ID:       strconv.FormatUint(uint64(s.SpanID), 16),
-			Name:     s.Endpoint,
-			Kind:     "SERVER",
-			Ts:       s.Start.UnixMicro(),
-			Duration: s.Duration.Microseconds(),
-			Tags: map[string]string{
-				"version": s.Version,
-				"variant": string(s.Variant),
-			},
-		}
-		if s.ParentID != 0 {
-			js.ParentID = strconv.FormatUint(uint64(s.ParentID), 16)
-		}
-		if s.Err {
-			js.Tags["error"] = "true"
-		}
-		js.Local.ServiceName = s.Service
-		out = append(out, js)
-	}
-	return json.Marshal(out)
 }
 
 // Validate checks structural integrity of a trace: exactly one root, all

@@ -1,7 +1,6 @@
 package tracing
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +9,7 @@ import (
 
 var tBase = time.Date(2017, 12, 11, 9, 0, 0, 0, time.UTC)
 
-func sampleTrace(c *Collector, variant Variant) TraceID {
+func sampleTrace(c *LiveCollector, variant Variant) TraceID {
 	tid := c.NextTraceID()
 	root := Span{
 		TraceID: tid, SpanID: c.NextSpanID(),
@@ -29,9 +28,9 @@ func sampleTrace(c *Collector, variant Variant) TraceID {
 }
 
 func TestCollectorAssemblesTraces(t *testing.T) {
-	c := NewCollector()
+	c := NewLiveCollector(0)
 	tid := sampleTrace(c, VariantBaseline)
-	traces := c.Traces("")
+	traces := c.Harvest(0)
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1", len(traces))
 	}
@@ -39,9 +38,10 @@ func TestCollectorAssemblesTraces(t *testing.T) {
 	if tr.ID != tid || tr.Variant != VariantBaseline || len(tr.Spans) != 2 {
 		t.Fatalf("trace = %+v", tr)
 	}
-	// Spans sorted by start time.
-	if tr.Spans[0].Service != "frontend" {
-		t.Errorf("spans not sorted by start: %v first", tr.Spans[0].Service)
+	// Spans keep their arrival order; the root is found by parent, not
+	// by position.
+	if root, ok := tr.Root(); !ok || root.Service != "frontend" {
+		t.Errorf("Root = %+v, %v", root, ok)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -49,9 +49,9 @@ func TestCollectorAssemblesTraces(t *testing.T) {
 }
 
 func TestTraceRootAndDuration(t *testing.T) {
-	c := NewCollector()
+	c := NewLiveCollector(0)
 	sampleTrace(c, VariantExperiment)
-	tr := c.Traces(VariantExperiment)[0]
+	tr := c.Harvest(0)[0]
 	root, ok := tr.Root()
 	if !ok || root.Service != "frontend" {
 		t.Fatalf("Root = %+v, %v", root, ok)
@@ -68,31 +68,19 @@ func TestTraceRootAndDuration(t *testing.T) {
 	}
 }
 
+// A harvested trace carries its spans' variant, so a reader can split
+// baseline from experimental users without looking inside.
 func TestVariantFiltering(t *testing.T) {
-	c := NewCollector()
+	c := NewLiveCollector(0)
 	sampleTrace(c, VariantBaseline)
 	sampleTrace(c, VariantBaseline)
 	sampleTrace(c, VariantExperiment)
-	if got := len(c.Traces(VariantBaseline)); got != 2 {
-		t.Errorf("baseline traces = %d, want 2", got)
+	count := map[Variant]int{}
+	for _, tr := range c.Harvest(0) {
+		count[tr.Variant]++
 	}
-	if got := len(c.Traces(VariantExperiment)); got != 1 {
-		t.Errorf("experiment traces = %d, want 1", got)
-	}
-	if got := len(c.Traces("")); got != 3 {
-		t.Errorf("all traces = %d, want 3", got)
-	}
-}
-
-func TestSpanCountAndReset(t *testing.T) {
-	c := NewCollector()
-	sampleTrace(c, VariantBaseline)
-	if c.SpanCount() != 2 {
-		t.Errorf("SpanCount = %d", c.SpanCount())
-	}
-	c.Reset()
-	if c.SpanCount() != 0 || len(c.Traces("")) != 0 {
-		t.Error("Reset did not clear collector")
+	if count[VariantBaseline] != 2 || count[VariantExperiment] != 1 {
+		t.Errorf("traces per variant = %v, want 2 baseline, 1 experiment", count)
 	}
 }
 
@@ -132,60 +120,31 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-func TestTraceJSON(t *testing.T) {
-	c := NewCollector()
-	sampleTrace(c, VariantBaseline)
-	tr := c.Traces("")[0]
-	data, err := json.Marshal(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded []map[string]any
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != 2 {
-		t.Fatalf("decoded %d spans", len(decoded))
-	}
-	// Root span has no parentId key; child does.
-	var sawParent bool
-	for _, m := range decoded {
-		if _, ok := m["parentId"]; ok {
-			sawParent = true
-		}
-		if m["kind"] != "SERVER" {
-			t.Errorf("kind = %v", m["kind"])
-		}
-	}
-	if !sawParent {
-		t.Error("child span lost its parentId in JSON")
-	}
-}
-
 func TestIDAllocationUniqueUnderConcurrency(t *testing.T) {
-	c := NewCollector()
+	c := NewLiveCollector(0)
 	const n = 1000
-	ids := make([]TraceID, n)
+	ids := make([]uint64, 2*n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ids[i] = c.NextTraceID()
+			ids[2*i] = uint64(c.NextTraceID())
+			ids[2*i+1] = uint64(c.NextSpanID())
 		}(i)
 	}
 	wg.Wait()
-	seen := make(map[TraceID]bool, n)
+	seen := make(map[uint64]bool, len(ids))
 	for _, id := range ids {
 		if seen[id] {
-			t.Fatalf("duplicate trace id %d", id)
+			t.Fatalf("duplicate id %d", id)
 		}
 		seen[id] = true
 	}
 }
 
 func TestConcurrentRecord(t *testing.T) {
-	c := NewCollector()
+	c := NewLiveCollector(0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -200,7 +159,11 @@ func TestConcurrentRecord(t *testing.T) {
 	if got := c.SpanCount(); got != 8*100*2 {
 		t.Errorf("SpanCount = %d, want %d", got, 8*100*2)
 	}
-	for _, tr := range c.Traces("") {
+	traces := c.Harvest(0)
+	if len(traces) != 8*100 {
+		t.Errorf("harvested %d traces, want %d", len(traces), 8*100)
+	}
+	for _, tr := range traces {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("invalid trace after concurrent recording: %v", err)
 		}
