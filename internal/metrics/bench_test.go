@@ -37,9 +37,12 @@ func BenchmarkQueryP95(b *testing.B) {
 	}
 }
 
-// BenchmarkRecordParallel hammers the write path from all cores over
-// several series: the sharded map means writers of different series
-// never serialize on a store-wide lock.
+// BenchmarkRecordParallel hammers the write path from all cores, each on
+// a series of its own: writers of different series share no lock, and
+// find their series in the index without writing to it. Its timestamps
+// advance 1 ms an operation, so how many seconds and minutes it seals —
+// and its ns/op — depends on b.N: the bench gate runs it at a fixed
+// -benchtime count.
 func BenchmarkRecordParallel(b *testing.B) {
 	st := NewStore(0)
 	now := time.Now()
@@ -252,6 +255,46 @@ func BenchmarkStoreRecordBatchDistinct(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st.RecordBatch(batch)
 	}
+}
+
+// BenchmarkStoreRecordBatchTenants is ingest_binary's shape (benchmark/
+// ingest_binary.go): two goroutines, whatever GOMAXPROCS is, each
+// recording its own tenant's 256 one-sample series in shuffled order,
+// b.N batches between them, so ns/op is a batch's share of the wall
+// time. Both find every series through the one index at once; a probe
+// that wrote to memory the other core reads would send that line back
+// and forth between them on every sample.
+func BenchmarkStoreRecordBatchTenants(b *testing.B) {
+	st := NewStore(0)
+	now := time.Now()
+	var batches [2][]Sample
+	for w, tenant := range []string{"tenant-a", "tenant-b"} {
+		for _, metric := range []string{"response_time", "requests", "errors", "queue_depth"} {
+			for svc := 0; svc < 32; svc++ {
+				for _, ver := range []string{"v1", "v2"} {
+					scope := Scope{Tenant: tenant, Service: fmt.Sprintf("svc-%02d", svc), Version: ver}
+					batches[w] = append(batches[w], Sample{Metric: metric, Scope: scope, At: now, Value: 1 + float64(len(batches[w])%100)})
+				}
+			}
+		}
+		rand.New(rand.NewSource(int64(19+w))).Shuffle(len(batches[w]), func(i, j int) {
+			batches[w][i], batches[w][j] = batches[w][j], batches[w][i]
+		})
+		st.RecordBatch(batches[w]) // create the series outside the timed region
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w, n := range [2]int{b.N - b.N/2, b.N / 2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				st.RecordBatch(batches[w])
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkQueryP95Ladder is the evaluation tick's read: a 60 s p95

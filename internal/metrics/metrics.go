@@ -52,11 +52,13 @@
 //     tier still retains. Buckets restored by LoadSnapshot carry no
 //     sketch, so a quantile over a window containing one is ErrNoData.
 //
-// All operations are safe for concurrent use. The series map is sharded
-// by a hash of the series key (hash/maphash under a per-store seed, so
-// which shard a series lands in differs from store to store and is not
-// observable) so writers of different series never contend on one
-// store-wide lock. A read, at any width, holds the series lock only to
+// All operations are safe for concurrent use. A series is found through
+// one read-mostly index: a map that is never written once published
+// behind an atomic pointer, so finding an existing series is a hash and
+// loads — no lock, no write to memory another core reads. Series created
+// since the last publish sit in a second map under a mutex, which is
+// published in turn once as many probes have had to look there as it
+// holds series (Store). A read, at any width, holds the series lock only to
 // copy two slice headers and the live buckets' summaries (sealed.go):
 // the window's sealed buckets — summaries and packed sketch bins — are
 // merged after unlocking, from an append-only view that new intervals
@@ -67,10 +69,11 @@ package metrics
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
+	"maps"
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -191,7 +194,7 @@ type series struct {
 	earliest int64
 
 	// lastWrite drives idle-series eviction (Store.Maintain), which sets
-	// evicted before it drops the series from the map: a writer that
+	// evicted before it drops the series from the index: a writer that
 	// resolved the series earlier finds the mark once it holds mu and
 	// writes to the series' replacement instead (Store.lockSeries).
 	lastWrite time.Time
@@ -244,32 +247,39 @@ func (s *series) recordLocked(t *stamp, v float64) {
 	}
 }
 
-// shard is one partition of the series map with its own lock.
-type shard struct {
-	mu     sync.RWMutex
-	series map[string]*series
+// index is one published state of the series map. Its map is never
+// written once the index is in Store.read; amended says series were
+// created since, and only Store.dirty holds them.
+type index struct {
+	series  map[string]*series
+	amended bool
 }
-
-// NumShards is the number of series-map partitions; writers of
-// different series only contend within their shard.
-const NumShards = 16
 
 // Store is a concurrency-safe metric store. The zero value is not usable;
 // construct with NewStore.
 type Store struct {
-	shards [NumShards]shard
-	// seed keys the hash that spreads series keys over the shards.
-	seed maphash.Seed
+	// read is where every probe starts: an atomic load and a lookup in a
+	// map nobody writes, so a probe performs no read-modify-write and no
+	// store, and cores probing at once share its cache lines.
+	read atomic.Pointer[index]
+
+	// mu guards dirty and misses and orders every publish of read.
+	mu sync.Mutex
+	// dirty is read's series plus those created since read was
+	// published, nil when there are none. It replaces read once misses —
+	// probes read could not answer, taken here under mu — reach its
+	// length, so the copy that made it is paid for by the probes it
+	// then spares the mutex.
+	dirty  map[string]*series
+	misses int
 }
 
 // NewStore creates a Store. The argument is ignored: it once sized a
 // per-series raw-sample ring that no longer exists, and remains only so
 // existing callers keep compiling.
 func NewStore(_ int) *Store {
-	st := &Store{seed: maphash.MakeSeed()}
-	for i := range st.shards {
-		st.shards[i].series = make(map[string]*series)
-	}
+	st := &Store{}
+	st.read.Store(&index{series: make(map[string]*series)})
 	return st
 }
 
@@ -300,51 +310,103 @@ func appendSeriesKey(dst []byte, metric string, scope Scope) []byte {
 var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // lookupBytes returns the series for the key bytes, or nil. The
-// string(key) map probe does not allocate.
+// string(key) map probes do not allocate, and a key read holds is found
+// with loads alone: no lock, no atomic read-modify-write, no store.
 func (st *Store) lookupBytes(key []byte) *series {
-	sh := &st.shards[maphash.Bytes(st.seed, key)&(NumShards-1)]
-	sh.mu.RLock()
-	s := sh.series[string(key)]
-	sh.mu.RUnlock()
+	idx := st.read.Load()
+	s := idx.series[string(key)]
+	if s != nil || !idx.amended {
+		return s
+	}
+	st.mu.Lock()
+	if st.dirty != nil {
+		s = st.dirty[string(key)]
+		st.missLocked()
+	} else { // published while we waited
+		s = st.read.Load().series[string(key)]
+	}
+	st.mu.Unlock()
 	return s
-}
-
-func (st *Store) shardFor(key string) *shard {
-	return &st.shards[maphash.String(st.seed, key)&(NumShards-1)]
 }
 
 // getOrCreate returns the series for key, creating it on first write.
 func (st *Store) getOrCreate(key string) *series {
-	sh := st.shardFor(key)
-	sh.mu.RLock()
-	s := sh.series[key]
-	sh.mu.RUnlock()
-	if s != nil {
+	if s := st.read.Load().series[key]; s != nil {
 		return s
 	}
-	sh.mu.Lock()
-	s = sh.series[key]
-	if s == nil {
-		s = newSeries()
-		sh.series[key] = s
-	}
-	sh.mu.Unlock()
+	st.mu.Lock()
+	s := st.getOrCreateLocked(key)
+	st.mu.Unlock()
 	return s
+}
+
+// getOrCreateLocked is getOrCreate under st.mu. The first series created
+// since read was published copies read into dirty; every later one until
+// the next publish is one insert into dirty.
+func (st *Store) getOrCreateLocked(key string) *series {
+	idx := st.read.Load()
+	if s := idx.series[key]; s != nil {
+		return s
+	}
+	if s := st.dirty[key]; s != nil {
+		st.missLocked()
+		return s
+	}
+	if st.dirty == nil {
+		st.dirty = maps.Clone(idx.series)
+		st.read.Store(&index{series: idx.series, amended: true})
+	}
+	s := newSeries()
+	st.dirty[key] = s
+	return s
+}
+
+// missLocked counts a probe that read could not answer, and publishes
+// dirty as read once those probes have cost as much as copying it.
+func (st *Store) missLocked() {
+	st.misses++
+	if st.misses >= len(st.dirty) {
+		st.publishLocked(st.dirty)
+	}
+}
+
+// publishLocked makes m the map every probe reads, and m must not be
+// written again. Caller holds st.mu.
+func (st *Store) publishLocked(m map[string]*series) {
+	st.read.Store(&index{series: m})
+	st.dirty, st.misses = nil, 0
+}
+
+// published returns every series in one map that is never written,
+// publishing the series created since the last publish first: walks
+// read it without holding st.mu.
+func (st *Store) published() map[string]*series {
+	st.mu.Lock()
+	if st.dirty != nil {
+		st.publishLocked(st.dirty)
+	}
+	m := st.read.Load().series
+	st.mu.Unlock()
+	return m
 }
 
 // lockSeries returns the series for key, created on first use, with its
 // mutex held, for a write. A series Maintain has marked evicted is about
-// to leave the map, or has: a sample recorded into it would be one no
-// query can reach, so the lookup is made again — getOrCreate waits out
-// Maintain's hold on the shard and finds or makes the replacement.
+// to leave the index, or has: a sample recorded into it would be one no
+// query can reach, so the lookup is made again under st.mu, which waits
+// out Maintain's publish of the index without the series and then finds
+// or makes the replacement.
 func (st *Store) lockSeries(key string) *series {
+	s := st.getOrCreate(key)
 	for {
-		s := st.getOrCreate(key)
 		s.mu.Lock()
 		if !s.evicted {
 			return s
 		}
 		s.mu.Unlock()
+		st.mu.Lock()
+		s = st.getOrCreateLocked(key)
+		st.mu.Unlock()
 	}
 }
 
@@ -436,14 +498,12 @@ func (st *Store) Query(metric string, scope Scope, since time.Time, agg Aggregat
 
 // SeriesCount returns the number of distinct series in the store.
 func (st *Store) SeriesCount() int {
-	var n int
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n += len(sh.series)
-		sh.mu.RUnlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.dirty != nil {
+		return len(st.dirty)
 	}
-	return n
+	return len(st.read.Load().series)
 }
 
 // Stats is the store's self-report, summed over the three tiers of the
@@ -468,41 +528,30 @@ type Stats struct {
 // Stats walks every series under its lock: for a status page, not a hot path.
 func (st *Store) Stats() Stats {
 	var out Stats
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.series {
-			s.mu.Lock()
-			out.Series++
-			for t := range s.tiers {
-				r := &s.tiers[t]
-				r.walk(r.oldest(), r.latest, func(b *bucket) {
-					out.LiveBuckets++
-					if b.high != nil {
-						out.WideBuckets++
-					}
-				})
-				out.SealedSeconds += len(r.sealed.buckets)
-				out.LateWrites += r.lateWrites
-				out.LateFolds += r.lateFolds
-				out.LateDropped += r.lateDropped
-			}
-			s.mu.Unlock()
+	for _, s := range st.published() {
+		s.mu.Lock()
+		out.Series++
+		for t := range s.tiers {
+			r := &s.tiers[t]
+			r.walk(r.oldest(), r.latest, func(b *bucket) {
+				out.LiveBuckets++
+				if b.high != nil {
+					out.WideBuckets++
+				}
+			})
+			out.SealedSeconds += len(r.sealed.buckets)
+			out.LateWrites += r.lateWrites
+			out.LateFolds += r.lateFolds
+			out.LateDropped += r.lateDropped
 		}
-		sh.mu.RUnlock()
+		s.mu.Unlock()
 	}
 	return out
 }
 
-// ShardCount returns the number of series-map partitions.
-func (st *Store) ShardCount() int { return NumShards }
-
 // Reset drops all series.
 func (st *Store) Reset() {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		sh.series = make(map[string]*series)
-		sh.mu.Unlock()
-	}
+	st.mu.Lock()
+	st.publishLocked(make(map[string]*series))
+	st.mu.Unlock()
 }

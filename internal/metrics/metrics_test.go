@@ -179,17 +179,33 @@ func TestRecordBatch(t *testing.T) {
 	st.RecordBatch(nil) // no-op
 }
 
-func TestShardCount(t *testing.T) {
+// TestSeriesCountAcrossPublishes: series created since the index was
+// last published are counted and found as the ones published before
+// them, and stay so once a walk publishes them.
+func TestSeriesCountAcrossPublishes(t *testing.T) {
 	st := NewStore(0)
-	if st.ShardCount() != NumShards {
-		t.Errorf("ShardCount = %d, want %d", st.ShardCount(), NumShards)
-	}
-	// Series land across shards and are all counted.
+	scope := func(i int) Scope { return Scope{Service: "svc", Version: fmt.Sprintf("v%d", i)} }
 	for i := 0; i < 100; i++ {
-		st.Record("rt", Scope{Service: "svc", Version: string(rune('a'+i%26)) + string(rune('0'+i/26))}, t0, 1)
+		st.Record("rt", scope(i), t0, float64(i))
+		if i == 49 {
+			if got := st.Stats().Series; got != 50 { // publishes the first fifty
+				t.Fatalf("Stats().Series = %d, want 50", got)
+			}
+		}
 	}
-	if st.SeriesCount() != 100 {
-		t.Errorf("SeriesCount = %d, want 100", st.SeriesCount())
+	if st.dirty == nil {
+		t.Fatal("the second fifty were published without a walk or a probe")
+	}
+	for _, when := range []string{"unpublished", "published"} {
+		if st.SeriesCount() != 100 {
+			t.Errorf("%s: SeriesCount = %d, want 100", when, st.SeriesCount())
+		}
+		for i := 0; i < 100; i++ {
+			if got, err := st.Query("rt", scope(i), t0, AggMax); err != nil || got != float64(i) {
+				t.Fatalf("%s: max of series %d = %v, %v", when, i, got, err)
+			}
+		}
+		st.published()
 	}
 }
 
@@ -292,7 +308,7 @@ func TestConcurrentRecordQuery(t *testing.T) {
 	}
 }
 
-// TestParallelRecordQueryReset exercises the sharded store under -race:
+// TestParallelRecordQueryReset exercises the store under -race:
 // concurrent writers on many series, readers on both query paths, and
 // periodic store-wide resets.
 func TestParallelRecordQueryReset(t *testing.T) {

@@ -93,7 +93,10 @@ type bucket struct {
 	// binLo..binHi (inclusive) is the range of sketch bins that may be
 	// non-zero, so a merge reads the bins a bucket's values span rather
 	// than all histSize; binLo > binHi is the empty range. The pair sits
-	// beside the summary, on the cache line every read loads anyway.
+	// at byte 64, after high and the summary. 288-byte buckets start on a
+	// line boundary and mid-line in turn: on the first kind the pair
+	// opens a line the summary does not reach, on the second it shares
+	// one with the summary's last 32 bytes.
 	binLo, binHi uint8
 	hist         [histSize]uint8
 }

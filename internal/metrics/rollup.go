@@ -29,25 +29,29 @@ func (st *Store) Maintain(now time.Time, idleFor time.Duration) int {
 		return 0
 	}
 	cutoff := now.Add(-idleFor)
-	evicted := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for key, s := range sh.series {
-			// The verdict and the mark are one step under s.mu, and the
-			// shard stays locked until the entry is gone: a writer either
-			// records before the verdict (and is seen by it) or finds the
-			// mark and re-resolves once the shard is free (Store.lockSeries).
-			s.mu.Lock()
-			s.evicted = !s.lastWrite.IsZero() && s.lastWrite.Before(cutoff)
-			idle := s.evicted
-			s.mu.Unlock()
-			if idle {
-				delete(sh.series, key)
-				evicted++
-			}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	all := st.dirty
+	if all == nil {
+		all = st.read.Load().series
+	}
+	kept := make(map[string]*series, len(all))
+	for key, s := range all {
+		// The verdict and the mark are one step under s.mu, and st.mu is
+		// held until the index without the series is published: a writer
+		// either records before the verdict (and is seen by it) or finds
+		// the mark and resolves again under st.mu (Store.lockSeries),
+		// after the publish.
+		s.mu.Lock()
+		s.evicted = !s.lastWrite.IsZero() && s.lastWrite.Before(cutoff)
+		if !s.evicted {
+			kept[key] = s
 		}
-		sh.mu.Unlock()
+		s.mu.Unlock()
+	}
+	evicted := len(all) - len(kept)
+	if evicted > 0 {
+		st.publishLocked(kept)
 	}
 	return evicted
 }
@@ -57,14 +61,9 @@ func (st *Store) Maintain(now time.Time, idleFor time.Duration) int {
 // "default".
 func (st *Store) TenantSeries() map[string]int {
 	out := make(map[string]int)
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for key := range sh.series {
-			tenant, _, _ := strings.Cut(key, "\x00")
-			out[tenant]++
-		}
-		sh.mu.RUnlock()
+	for key := range st.published() {
+		tenant, _, _ := strings.Cut(key, "\x00")
+		out[tenant]++
 	}
 	return out
 }
@@ -161,19 +160,14 @@ func (s *series) restoreLocked(tier int, saved []snapshotBucket) {
 // latter would multiply the file size by histSize.
 func (st *Store) SaveSnapshot(path string, now time.Time) error {
 	snap := snapshotFile{V: snapshotVersion, SavedAt: now}
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for key, s := range sh.series {
-			s.mu.Lock()
-			ss := snapshotSeries{Key: key, Minute: s.tiers[tierMinute].dump(), Hour: s.tiers[tierHour].dump()}
-			s.mu.Unlock()
-			if len(ss.Minute) == 0 && len(ss.Hour) == 0 {
-				continue
-			}
-			snap.Series = append(snap.Series, ss)
+	for key, s := range st.published() {
+		s.mu.Lock()
+		ss := snapshotSeries{Key: key, Minute: s.tiers[tierMinute].dump(), Hour: s.tiers[tierHour].dump()}
+		s.mu.Unlock()
+		if len(ss.Minute) == 0 && len(ss.Hour) == 0 {
+			continue
 		}
-		sh.mu.RUnlock()
+		snap.Series = append(snap.Series, ss)
 	}
 	data, err := json.Marshal(&snap)
 	if err != nil {

@@ -701,7 +701,6 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 		"tableVersion":    s.cfg.Table.Version(),
 		"snapshotVersion": s.cfg.Table.Version(),
 		"storeSeries":     s.cfg.Store.SeriesCount(),
-		"storeShards":     s.cfg.Store.ShardCount(),
 		"services":        view,
 	})
 }
@@ -713,7 +712,7 @@ type Health struct {
 	Status    string           `json:"status"`
 	Uptime    string           `json:"uptime"`
 	Engine    EngineHealth     `json:"engine"`
-	Store     StoreHealth      `json:"store"`
+	Store     metrics.Stats    `json:"store"`
 	Router    RouterHealth     `json:"router"`
 	Journal   *JournalHealth   `json:"journal,omitempty"`
 	Scheduler *SchedulerHealth `json:"scheduler,omitempty"`
@@ -805,15 +804,6 @@ type JournalHealth struct {
 	Truncations uint64 `json:"truncations"`
 }
 
-// StoreHealth reports the metric store: what it holds and how late its
-// writes arrived (metrics.Stats: series, liveBuckets, wideBuckets,
-// sealedSeconds, lateWrites, lateFolds, lateDropped), and how many lock
-// shards the series are spread over.
-type StoreHealth struct {
-	metrics.Stats
-	Shards int `json:"shards"`
-}
-
 // RouterHealth reports the routing table. TableVersion and
 // SnapshotVersion are the same counter: the version of the immutable
 // routing snapshot currently published to the data plane.
@@ -878,10 +868,7 @@ func (s *Server) buildStatus() *statusSnapshot {
 			EvalPlane:     s.cfg.Engine.EvalPlane(),
 			Trail:         s.cfg.Engine.TrailStats(),
 		},
-		Store: StoreHealth{
-			Stats:  s.cfg.Store.Stats(),
-			Shards: s.cfg.Store.ShardCount(),
-		},
+		Store: s.cfg.Store.Stats(),
 		Router: RouterHealth{
 			Services:        s.cfg.Table.Services(),
 			TableVersion:    s.cfg.Table.Version(),

@@ -407,16 +407,13 @@ func TestHealthz(t *testing.T) {
 	if h.Store.Series != 2 {
 		t.Errorf("series = %d, want 2", h.Store.Series)
 	}
-	if st := h.Store.Stats; st.LiveBuckets < 6 || st.LateWrites != 1 || st.LateDropped != 0 || st != e.store.Stats() {
+	if st := h.Store; st.LiveBuckets < 6 || st.LateWrites != 1 || st.LateDropped != 0 || st != e.store.Stats() {
 		t.Errorf("store = %+v, want two series of three buckets or more and one late write, as Store.Stats reports", st)
 	}
 	for _, key := range []string{`"liveBuckets"`, `"wideBuckets"`, `"sealedSeconds"`, `"lateWrites"`, `"lateFolds"`, `"lateDropped"`} {
 		if !strings.Contains(body, key) {
 			t.Errorf("healthz store object lacks %s: %s", key, body)
 		}
-	}
-	if h.Store.Shards != e.store.ShardCount() {
-		t.Errorf("shards = %d, want %d", h.Store.Shards, e.store.ShardCount())
 	}
 	if h.Router.SnapshotVersion != e.table.Version() {
 		t.Errorf("snapshotVersion = %d, want %d", h.Router.SnapshotVersion, e.table.Version())
@@ -432,7 +429,7 @@ func TestHealthz(t *testing.T) {
 
 // TestRoutesReportsSnapshotAndStoreCounts covers the data-plane
 // introspection fields of /v1/routes: the published routing-snapshot
-// version plus the metric store's series and shard counts.
+// version plus the metric store's series count.
 func TestRoutesReportsSnapshotAndStoreCounts(t *testing.T) {
 	e := newEnv(t)
 	e.seedMetrics()
@@ -450,7 +447,6 @@ func TestRoutesReportsSnapshotAndStoreCounts(t *testing.T) {
 		TableVersion    uint64 `json:"tableVersion"`
 		SnapshotVersion uint64 `json:"snapshotVersion"`
 		StoreSeries     int    `json:"storeSeries"`
-		StoreShards     int    `json:"storeShards"`
 	}
 	if err := json.Unmarshal([]byte(body), &view); err != nil {
 		t.Fatal(err)
@@ -463,9 +459,6 @@ func TestRoutesReportsSnapshotAndStoreCounts(t *testing.T) {
 	}
 	if view.StoreSeries != e.store.SeriesCount() || view.StoreSeries == 0 {
 		t.Errorf("storeSeries = %d, want %d", view.StoreSeries, e.store.SeriesCount())
-	}
-	if view.StoreShards != e.store.ShardCount() {
-		t.Errorf("storeShards = %d, want %d", view.StoreShards, e.store.ShardCount())
 	}
 }
 
