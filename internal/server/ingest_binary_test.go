@@ -75,6 +75,20 @@ func binSpansFrame(spans ...tracing.Span) []byte {
 	return append([]byte(nil), e.Encode(spans)...)
 }
 
+// hostileMetricsFrame is the frame of samples with mut applied to it;
+// mut gets the offset of the first column, past the dictionary and the
+// row count, and the dictionary's count.
+func hostileMetricsFrame(mut func(b []byte, cols, count int), samples ...metrics.Sample) []byte {
+	b := binMetricsFrame(samples...)
+	count := int(binary.LittleEndian.Uint32(b[wire.HeaderSize:]))
+	at := wire.HeaderSize + 4
+	for range count {
+		at += 4 + int(binary.LittleEndian.Uint32(b[at:]))
+	}
+	mut(b, at+4, count)
+	return b
+}
+
 func goodSample(i int) metrics.Sample {
 	return metrics.Sample{
 		Metric: "response_time",
@@ -119,6 +133,26 @@ func TestBinaryIngestErrorPaths(t *testing.T) {
 	goodS := binSpansFrame(goodSpan(0))
 	wrongVersion := append([]byte(nil), goodM...)
 	wrongVersion[2] = 9
+	versionOne := append([]byte(nil), goodM...)
+	versionOne[2] = 1
+	// Hostile column bytes, at one-byte indexes unless said otherwise.
+	// Two rows stamped apart carry a per-row at column (tag 1) after
+	// 2·(4+8) bytes of indexes and values.
+	stampedApart := []metrics.Sample{goodSample(0), goodSample(1)}
+	stampedApart[0].At = time.Now()
+	stampedApart[1].At = stampedApart[0].At.Add(time.Second)
+	tagTwo := hostileMetricsFrame(func(b []byte, cols, _ int) { b[cols+2*(4+8)] = 2 }, stampedApart...)
+	tagZeroLong := hostileMetricsFrame(func(b []byte, cols, _ int) { b[cols+2*(4+8)] = 0 }, stampedApart...)
+	indexW1 := hostileMetricsFrame(func(b []byte, cols, count int) { b[cols] = byte(count) }, goodSample(0))
+	// 65 rows of four distinct strings: 260 strings, two-byte indexes.
+	wide := make([]metrics.Sample, 65)
+	for i := range wide {
+		wide[i] = metrics.Sample{Metric: fmt.Sprintf("m%d", i), Value: 1,
+			Scope: metrics.Scope{Service: fmt.Sprintf("s%d", i), Version: fmt.Sprintf("v%d", i), Variant: fmt.Sprintf("r%d", i)}}
+	}
+	indexW2 := hostileMetricsFrame(func(b []byte, cols, count int) {
+		binary.LittleEndian.PutUint16(b[cols:], uint16(count))
+	}, wide...)
 	truncated := goodM[:len(goodM)-5]
 	badDict := append([]byte(nil), goodM...)
 	binary.LittleEndian.PutUint32(badDict[wire.HeaderSize:], 0xFFFFFFF0)
@@ -147,6 +181,11 @@ func TestBinaryIngestErrorPaths(t *testing.T) {
 		{"oversized batch", "/v1/metrics", oversized, http.StatusRequestEntityTooLarge, "larger than"},
 		{"truncated frame", "/v1/metrics", truncated, http.StatusBadRequest, "length"},
 		{"wrong version header", "/v1/metrics", wrongVersion, http.StatusBadRequest, "version"},
+		{"version 1 frame", "/v1/metrics", versionOne, http.StatusBadRequest, "unsupported version 1"},
+		{"at column tag 2", "/v1/metrics", tagTwo, http.StatusBadRequest, "tag 2"},
+		{"tag 0 carrying 8n time bytes", "/v1/metrics", tagZeroLong, http.StatusBadRequest, "time bytes"},
+		{"index equal to dictionary count, width 1", "/v1/metrics", indexW1, http.StatusBadRequest, "out of dictionary range"},
+		{"index equal to dictionary count, width 2", "/v1/metrics", indexW2, http.StatusBadRequest, "out of dictionary range"},
 		{"kind cross-posted to metrics", "/v1/metrics", goodS, http.StatusBadRequest, "kind"},
 		{"kind cross-posted to spans", "/v1/spans", goodM, http.StatusBadRequest, "kind"},
 		{"garbage bytes", "/v1/spans", []byte("not a frame at all"), http.StatusBadRequest, "magic"},

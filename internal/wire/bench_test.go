@@ -69,6 +69,26 @@ func BenchmarkWireDecodeMetrics(b *testing.B) {
 	}
 }
 
+// BenchmarkWireDecodeMetricsDistinct decodes the frame a fleet sends
+// (distinctSamples: 256 distinct series, At unset, so the at column is
+// one stamp), gated at zero allocations like BenchmarkWireDecodeMetrics.
+func BenchmarkWireDecodeMetricsDistinct(b *testing.B) {
+	var e MetricsEncoder
+	var d MetricsDecoder
+	frame := append([]byte(nil), e.Encode(distinctSamples())...)
+	if _, err := d.Decode(frame); err != nil { // warm the intern table
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := d.Decode(frame)
+		if err != nil || len(out) != 256 {
+			b.Fatalf("decode: %v, %d samples", err, len(out))
+		}
+	}
+}
+
 // BenchmarkWireDecodeSpans is the span twin of the gated decode bench.
 func BenchmarkWireDecodeSpans(b *testing.B) {
 	var e SpansEncoder

@@ -1,10 +1,14 @@
 package wire
 
 import (
+	"context"
 	"io"
+	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,5 +136,64 @@ func TestClientRecordsDuringFlush(t *testing.T) {
 	}
 	if c.Errors() != 0 {
 		t.Errorf("client counted %d errors", c.Errors())
+	}
+}
+
+// writeCounter counts Write calls on a connection.
+type writeCounter struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c writeCounter) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestFleetFlushIsOneWrite: over a transport left at net/http's
+// defaults, whose write buffer is 4 KiB, a fleet's 256-sample flush —
+// request line, headers and frame — leaves in one write to the
+// connection. Two shapes: distinctSamples, 256 series with At unset,
+// and a rollback's batch of 256 rows for one service's v1 and v2, all
+// stamped with one instant.
+func TestFleetFlushIsOneWrite(t *testing.T) {
+	var writes atomic.Int64
+	transport := &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			conn, err := new(net.Dialer).DialContext(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return writeCounter{Conn: conn, writes: &writes}, nil
+		},
+	}
+	defer transport.CloseIdleConnections()
+	srv := newStubServer(t, func() {})
+	defer srv.Close()
+
+	rng := rand.New(rand.NewSource(7))
+	at := time.Date(2017, 12, 11, 9, 0, 0, 0, time.UTC)
+	rollback := make([]metrics.Sample, 256)
+	for i := range rollback {
+		rollback[i] = metrics.Sample{Metric: "response_time",
+			Scope: metrics.Scope{Service: "svc-3", Version: []string{"v1", "v2"}[i%2]},
+			Value: 100 + 800*rng.Float64(), At: at}
+	}
+	for _, tt := range []struct {
+		name    string
+		samples []metrics.Sample
+	}{
+		{"distinct series, unstamped", distinctSamples()},
+		{"rollback batch, one instant", rollback},
+	} {
+		c := NewClient(srv.URL, &http.Client{Transport: transport}, len(tt.samples)+1)
+		c.RecordBatch(tt.samples)
+		writes.Store(0)
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if n := writes.Load(); n != 1 {
+			t.Errorf("%s: the flush took %d writes, want 1", tt.name, n)
+		}
 	}
 }

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"testing"
+	"time"
 
 	"contexp/internal/router"
 )
@@ -10,26 +12,63 @@ import (
 // FuzzWireDecode throws arbitrary bytes at both decoders: they must
 // reject malformed frames with an error, never panic or over-read.
 // Corpus seeds are real frames from the round-trip fixtures, so
-// mutation starts from structurally valid inputs.
+// mutation starts from structurally valid inputs. An accepted frame
+// must reach a canonical fixpoint, as FuzzSnapshotDecode's do: its
+// re-encoding decodes to the same values (floats compared as bits, so
+// NaN holds), and encoding those once more gives the same bytes. A
+// hand-made frame may differ from its re-encoding — unused dictionary
+// strings, a wider index than its count needs, a per-row at column of
+// one stamp — but the encoder's own output may not.
 func FuzzWireDecode(f *testing.F) {
 	for _, seed := range wireFuzzSeeds() { // golden_test.go pins their re-encoding
 		f.Add(seed)
 	}
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		var md MetricsDecoder
+		var md, md2 MetricsDecoder
 		if samples, err := md.Decode(frame); err == nil {
-			// Accepted frames must round-trip through the encoder.
 			var e MetricsEncoder
-			if len(e.Encode(samples)) < HeaderSize {
-				t.Fatal("re-encode produced short frame")
+			canon := append([]byte(nil), e.Encode(samples)...)
+			again, err := md2.Decode(canon)
+			if err != nil {
+				t.Fatalf("canonical metrics frame rejected: %v", err)
+			}
+			if len(again) != len(samples) {
+				t.Fatalf("canonical frame holds %d samples, want %d", len(again), len(samples))
+			}
+			for i, s := range samples {
+				g := again[i]
+				if g.Metric != s.Metric || g.Scope != s.Scope || !g.At.Equal(s.At) ||
+					math.Float64bits(g.Value) != math.Float64bits(s.Value) {
+					t.Fatalf("sample %d: %+v after a re-encoding, want %+v", i, g, s)
+				}
+			}
+			var e2 MetricsEncoder
+			if !bytes.Equal(e2.Encode(again), canon) {
+				t.Fatal("metrics canonical form is not a fixpoint")
 			}
 		}
-		var sd SpansDecoder
+		var sd, sd2 SpansDecoder
 		if spans, err := sd.Decode(frame); err == nil {
 			var e SpansEncoder
-			if len(e.Encode(spans)) < HeaderSize {
-				t.Fatal("re-encode produced short frame")
+			canon := append([]byte(nil), e.Encode(spans)...)
+			again, err := sd2.Decode(canon)
+			if err != nil {
+				t.Fatalf("canonical spans frame rejected: %v", err)
+			}
+			if len(again) != len(spans) {
+				t.Fatalf("canonical frame holds %d spans, want %d", len(again), len(spans))
+			}
+			for i, s := range spans {
+				g := again[i]
+				g.Start, s.Start = time.Time{}, time.Time{}
+				if g != s || !again[i].Start.Equal(spans[i].Start) {
+					t.Fatalf("span %d: %+v after a re-encoding, want %+v", i, again[i], spans[i])
+				}
+			}
+			var e2 SpansEncoder
+			if !bytes.Equal(e2.Encode(again), canon) {
+				t.Fatal("spans canonical form is not a fixpoint")
 			}
 		}
 	})

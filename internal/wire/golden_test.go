@@ -99,16 +99,16 @@ func goldenCases(t *testing.T) []goldenCase {
 	return cases
 }
 
-// TestEncodeGolden pins the v1 frame bytes: testdata/encode_parent.golden
-// was written (one "name hex-frame" line per case, each from a fresh
-// encoder) by the encoders as they stood before the one-pass rewrite,
-// when they made two passes over the batch and a dictionary map lookup
-// per cell. Every frame must still come out byte for byte, from a fresh
-// encoder and from one that has encoded every other case before it, in
-// both directions, so scratch left over from a larger batch cannot leak
-// into a smaller one.
+// TestEncodeGolden pins the version-2 frame bytes:
+// testdata/encode_v2.golden holds one "name hex-frame" line per case,
+// each encoded by a fresh encoder when the layout of width-sized index
+// columns and a tagged at column was introduced. Every frame must still
+// come out byte for byte, from a fresh encoder and from one that has
+// encoded every other case before it, in both directions, so scratch
+// left over from a larger batch cannot leak into a smaller one, nor an
+// index width or at-column tag from one batch into the next.
 func TestEncodeGolden(t *testing.T) {
-	const path = "testdata/encode_parent.golden"
+	const path = "testdata/encode_v2.golden"
 	cases := goldenCases(t)
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -13,11 +13,11 @@
 // at full load-generator throughput with a flat GC profile — the
 // property CI enforces through `benchgate --gate-allocs`.
 //
-// # Frame layout (version 1)
+// # Frame layout (version 2)
 //
 //	offset  size  field
 //	0       2     magic "CX"
-//	2       1     format version (1)
+//	2       1     format version (2)
 //	3       1     batch kind: 1 = metric samples, 2 = spans
 //	4       4     body length, uint32 little-endian
 //	8       ...   body (exactly body-length bytes)
@@ -28,24 +28,37 @@
 //	dictionary:  u32 count, then per string: u32 byteLen + bytes
 //	row count:   u32 n
 //
+// A string column holds dictionary indexes of w bytes each, where w is
+// set by the dictionary's count: 1 for up to 256 strings, 2 for up to
+// 65 536, 4 above. The width is not carried in the frame; both sides
+// derive it from the count.
+//
 //	metrics columns (kind 1):
-//	  metric   [n]u32  dictionary index
-//	  service  [n]u32  dictionary index
-//	  version  [n]u32  dictionary index
-//	  variant  [n]u32  dictionary index ("" allowed)
+//	  metric   [n]uw   dictionary index
+//	  service  [n]uw   dictionary index
+//	  version  [n]uw   dictionary index
+//	  variant  [n]uw   dictionary index ("" allowed)
 //	  value    [n]u64  IEEE-754 bits
-//	  at       [n]i64  UnixNano; 0 = unset (receiver stamps arrival)
+//	  at       u8 tag, then
+//	             tag 0: one i64 every row carries
+//	             tag 1: [n]i64, one per row
+//	           UnixNano; 0 = unset (receiver stamps arrival)
 //
 //	span columns (kind 2):
 //	  traceId  [n]u64
 //	  spanId   [n]u64
 //	  parentId [n]u64  0 = root span
-//	  service  [n]u32  dictionary index
-//	  version  [n]u32  dictionary index
-//	  endpoint [n]u32  dictionary index
+//	  service  [n]uw   dictionary index
+//	  version  [n]uw   dictionary index
+//	  endpoint [n]uw   dictionary index
 //	  start    [n]i64  UnixNano; 0 = unset
 //	  duration [n]i64  nanoseconds
 //	  err      bitset, ceil(n/8) bytes, LSB-first
+//
+// The encoder writes the at column with tag 0 exactly when every sample
+// carries the same stamp: a batch left unstamped, or stamped with one
+// instant as the control plane stamps on arrival. A fleet's 256-sample
+// flush over a few dozen names so fits one 4 KiB transport write.
 //
 // A timestamp of exactly UnixNano 0 cannot be represented (it reads
 // back as unset); real telemetry never stamps the 1970 epoch.
@@ -66,8 +79,9 @@ import (
 // ContentType is the negotiated media type of binary batch frames.
 const ContentType = "application/x-contexp-batch"
 
-// Version is the format version this package reads and writes.
-const Version = 1
+// Version is the format version this package reads and writes, for
+// every frame kind; a frame of any other version is a DecodeError.
+const Version = 2
 
 // Batch kinds.
 const (
@@ -213,13 +227,36 @@ func (e *enc) dict() {
 	}
 }
 
-// putU32s writes vs as consecutive little-endian u32s at the front of
-// out and returns the rest of out.
-func putU32s(out []byte, vs []uint32) []byte {
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(out[4*i:], v)
+// indexWidth is the byte width of a string column's cells in a frame
+// whose dictionary holds count strings.
+func indexWidth(count int) int {
+	switch {
+	case count <= 1<<8:
+		return 1
+	case count <= 1<<16:
+		return 2
 	}
-	return out[4*len(vs):]
+	return 4
+}
+
+// putIndexes writes vs as consecutive little-endian w-byte indexes at
+// the front of out and returns the rest of out.
+func putIndexes(out []byte, vs []uint32, w int) []byte {
+	switch w {
+	case 1:
+		for i, v := range vs {
+			out[i] = byte(v)
+		}
+	case 2:
+		for i, v := range vs {
+			binary.LittleEndian.PutUint16(out[2*i:], uint16(v))
+		}
+	default:
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(out[4*i:], v)
+		}
+	}
+	return out[w*len(vs):]
 }
 
 // finish stamps the body length and returns the frame, valid until the
@@ -236,6 +273,12 @@ func unixNano(t time.Time) int64 {
 	return t.UnixNano()
 }
 
+// Tags of the metrics frame's at column.
+const (
+	atOnce   = 0 // one i64 for every row
+	atPerRow = 1 // an i64 per row
+)
+
 // MetricsEncoder encodes metric sample batches. Not safe for concurrent
 // use; the returned frame is valid until the next Encode.
 type MetricsEncoder struct{ e enc }
@@ -247,26 +290,45 @@ func (m *MetricsEncoder) Encode(samples []metrics.Sample) []byte {
 	// The dictionary serializes before the columns that index it, so the
 	// batch is interned first: one pass, row by row (which fixes the
 	// dictionary's order), each cell's index kept in the scratch the
-	// columns are then written from.
+	// columns are then written from. The same pass learns whether every
+	// row carries one stamp.
 	n := len(samples)
 	cols := e.strCols(4, n)
 	metric, service, version, variant := cols[:n], cols[n:2*n], cols[2*n:3*n], cols[3*n:]
 	var mm, ms, mv, mr colMemo
+	var at int64
+	if n > 0 {
+		at = unixNano(samples[0].At)
+	}
+	perRow := false
 	for i := range samples {
 		s := &samples[i]
 		metric[i] = e.col(&mm, s.Metric)
 		service[i] = e.col(&ms, s.Scope.Service)
 		version[i] = e.col(&mv, s.Scope.Version)
 		variant[i] = e.col(&mr, s.Scope.Variant)
+		perRow = perRow || unixNano(s.At) != at
 	}
 	e.dict()
-	out := e.extend(4 + n*metricRowWidth)
+	w := indexWidth(len(e.strs))
+	timeBytes := 8
+	if perRow {
+		timeBytes = 8 * n
+	}
+	out := e.extend(4 + n*(4*w+8) + 1 + timeBytes)
 	binary.LittleEndian.PutUint32(out, uint32(n))
-	out = putU32s(out[4:], cols)
+	out = putIndexes(out[4:], cols, w)
 	for i := range samples {
 		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(samples[i].Value))
 	}
 	out = out[8*n:]
+	if !perRow {
+		out[0] = atOnce
+		binary.LittleEndian.PutUint64(out[1:], uint64(at))
+		return e.finish()
+	}
+	out[0] = atPerRow
+	out = out[1:]
 	for i := range samples {
 		binary.LittleEndian.PutUint64(out[8*i:], uint64(unixNano(samples[i].At)))
 	}
@@ -294,7 +356,8 @@ func (se *SpansEncoder) Encode(spans []tracing.Span) []byte {
 		endpoint[i] = e.col(&me, s.Endpoint)
 	}
 	e.dict()
-	out := e.extend(4 + n*spanRowWidth + (n+7)/8)
+	w := indexWidth(len(e.strs))
+	out := e.extend(4 + n*spanRowWidth(w) + (n+7)/8)
 	binary.LittleEndian.PutUint32(out, uint32(n))
 	out = out[4:]
 	for i := range spans {
@@ -308,7 +371,7 @@ func (se *SpansEncoder) Encode(spans []tracing.Span) []byte {
 	for i := range spans {
 		binary.LittleEndian.PutUint64(out[8*i:], uint64(spans[i].ParentID))
 	}
-	out = putU32s(out[8*n:], cols)
+	out = putIndexes(out[8*n:], cols, w)
 	for i := range spans {
 		binary.LittleEndian.PutUint64(out[8*i:], uint64(unixNano(spans[i].Start)))
 	}
@@ -344,6 +407,9 @@ type dec struct {
 	off    int
 	intern map[string]string
 	strs   []string // per-frame dictionary, resolved to interned strings
+	// idx is the index scratch of the columnar decoders: a frame's
+	// string columns, widened to u32 and checked against strs.
+	idx []uint32
 }
 
 func (d *dec) u32() (uint32, error) {
@@ -402,22 +468,60 @@ func (d *dec) readDict() error {
 	return nil
 }
 
-func (d *dec) rows(width int) (int, error) {
-	n, err := d.u32()
-	if err != nil {
-		return 0, err
-	}
-	if n > MaxRows || int(n)*width != len(d.body)-d.off {
-		return 0, errf("%d rows of %d column bytes do not fit %d remaining bytes", n, width, len(d.body)-d.off)
-	}
-	return int(n), nil
-}
-
 func (d *dec) str(i uint32) (string, error) {
 	if int(i) >= len(d.strs) {
 		return "", errf("string index %d out of dictionary range %d", i, len(d.strs))
 	}
 	return d.strs[i], nil
+}
+
+// take returns the next n bytes of a body whose length the caller has
+// checked.
+func (d *dec) take(n int) []byte {
+	b := d.body[d.off : d.off+n]
+	d.off += n
+	return b
+}
+
+// indexes reads k string columns of n w-byte dictionary indexes into
+// the decoder's scratch, widened to u32, and checks every one against
+// the dictionary. The caller has checked the body length.
+func (d *dec) indexes(k, n, w int) ([]uint32, error) {
+	if cap(d.idx) < k*n {
+		d.idx = make([]uint32, k*n)
+	}
+	idx := d.idx[:k*n]
+	b := d.take(w * k * n)
+	var top uint32
+	switch w {
+	case 1:
+		for i := range idx {
+			idx[i] = uint32(b[i])
+			top = max(top, idx[i])
+		}
+	case 2:
+		for i := range idx {
+			idx[i] = uint32(binary.LittleEndian.Uint16(b[2*i:]))
+			top = max(top, idx[i])
+		}
+	default:
+		for i := range idx {
+			idx[i] = binary.LittleEndian.Uint32(b[4*i:])
+			top = max(top, idx[i])
+		}
+	}
+	if len(idx) > 0 && int(top) >= len(d.strs) {
+		return nil, errf("string index %d out of dictionary range %d", top, len(d.strs))
+	}
+	return idx, nil
+}
+
+// instant is the time a UnixNano column cell stands for.
+func instant(ns uint64) time.Time {
+	if ns == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, int64(ns))
 }
 
 // MetricsDecoder decodes metric sample frames. Not safe for concurrent
@@ -427,10 +531,6 @@ type MetricsDecoder struct {
 	d       dec
 	samples []metrics.Sample
 }
-
-// metricRowWidth is the fixed per-row column footprint: four u32
-// indexes + value u64 + at i64.
-const metricRowWidth = 4*4 + 8 + 8
 
 // Decode parses one metrics frame.
 func (md *MetricsDecoder) Decode(frame []byte) ([]metrics.Sample, error) {
@@ -443,7 +543,28 @@ func (md *MetricsDecoder) Decode(frame []byte) ([]metrics.Sample, error) {
 	if err := d.readDict(); err != nil {
 		return nil, err
 	}
-	n, err := d.rows(metricRowWidth)
+	n32, err := d.u32()
+	if err != nil {
+		return nil, err
+	}
+	// Four index columns and the values, then the at column's tag, which
+	// sets how many time bytes must follow.
+	n, w, rest := int(n32), indexWidth(len(d.strs)), len(d.body)-d.off
+	if n32 > MaxRows || n*(4*w+8)+1 > rest {
+		return nil, errf("%d rows of %d column bytes do not fit %d remaining bytes", n, 4*w+8, rest)
+	}
+	tag, timeBytes := d.body[d.off+n*(4*w+8)], 8
+	switch tag {
+	case atOnce:
+	case atPerRow:
+		timeBytes = 8 * n
+	default:
+		return nil, errf("%d rows: at column tag %d, want %d (one stamp) or %d (one per row)", n, tag, atOnce, atPerRow)
+	}
+	if n*(4*w+8)+1+timeBytes != rest {
+		return nil, errf("%d rows of %d column bytes and %d time bytes do not fit %d remaining bytes", n, 4*w+8, timeBytes, rest)
+	}
+	idx, err := d.indexes(4, n, w)
 	if err != nil {
 		return nil, err
 	}
@@ -451,43 +572,30 @@ func (md *MetricsDecoder) Decode(frame []byte) ([]metrics.Sample, error) {
 		md.samples = make([]metrics.Sample, n)
 	}
 	out := md.samples[:n]
-	// Columns decode in wire order; every index is bounds-checked
-	// against the dictionary.
-	for i := 0; i < n; i++ {
-		idx, _ := d.u32()
-		if out[i].Metric, err = d.str(idx); err != nil {
-			return nil, err
-		}
+	metric, service, version, variant := idx[:n], idx[n:2*n], idx[2*n:3*n], idx[3*n:]
+	values := d.take(8 * n)
+	d.off++ // the tag
+	times := d.take(timeBytes)
+	strs := d.strs
+	// Field by field: a composite literal is built aside and copied in
+	// whole, which made this loop most of the decode's time.
+	for i := range out {
+		s := &out[i]
+		s.Metric = strs[metric[i]]
+		s.Scope.Service = strs[service[i]]
+		s.Scope.Version = strs[version[i]]
+		s.Scope.Variant = strs[variant[i]]
+		s.Value = math.Float64frombits(binary.LittleEndian.Uint64(values[8*i:]))
 	}
-	for i := 0; i < n; i++ {
-		idx, _ := d.u32()
-		if out[i].Scope.Service, err = d.str(idx); err != nil {
-			return nil, err
+	if tag == atOnce {
+		at := instant(binary.LittleEndian.Uint64(times))
+		for i := range out {
+			out[i].At = at
 		}
+		return out, nil
 	}
-	for i := 0; i < n; i++ {
-		idx, _ := d.u32()
-		if out[i].Scope.Version, err = d.str(idx); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < n; i++ {
-		idx, _ := d.u32()
-		if out[i].Scope.Variant, err = d.str(idx); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < n; i++ {
-		bits, _ := d.u64()
-		out[i].Value = math.Float64frombits(bits)
-	}
-	for i := 0; i < n; i++ {
-		ns, _ := d.u64()
-		if ns == 0 {
-			out[i].At = time.Time{}
-		} else {
-			out[i].At = time.Unix(0, int64(ns))
-		}
+	for i := range out {
+		out[i].At = instant(binary.LittleEndian.Uint64(times[8*i:]))
 	}
 	return out, nil
 }
@@ -499,9 +607,10 @@ type SpansDecoder struct {
 	spans []tracing.Span
 }
 
-// spanRowWidth is the fixed per-row column footprint, the error bitset
-// aside: three u64 ids + three u32 indexes + start i64 + duration i64.
-const spanRowWidth = 3*8 + 3*4 + 2*8
+// spanRowWidth is the per-row column footprint at index width w, the
+// error bitset aside: three u64 ids + three indexes + start i64 +
+// duration i64.
+func spanRowWidth(w int) int { return 3*8 + 3*w + 2*8 }
 
 // Decode parses one spans frame.
 func (sd *SpansDecoder) Decode(frame []byte) ([]tracing.Span, error) {
@@ -515,64 +624,39 @@ func (sd *SpansDecoder) Decode(frame []byte) ([]tracing.Span, error) {
 		return nil, err
 	}
 	// Row width is fractional because of the error bitset; validate the
-	// fixed columns here and the bitset tail explicitly below.
+	// fixed columns and the bitset tail together.
 	n32, err := d.u32()
 	if err != nil {
 		return nil, err
 	}
-	n := int(n32)
-	if n32 > MaxRows || n*spanRowWidth+(n+7)/8 != len(d.body)-d.off {
+	n, w := int(n32), indexWidth(len(d.strs))
+	if n32 > MaxRows || n*spanRowWidth(w)+(n+7)/8 != len(d.body)-d.off {
 		return nil, errf("%d spans do not fit %d remaining bytes", n, len(d.body)-d.off)
+	}
+	ids := d.take(3 * 8 * n)
+	idx, err := d.indexes(3, n, w)
+	if err != nil {
+		return nil, err
 	}
 	if cap(sd.spans) < n {
 		sd.spans = make([]tracing.Span, n)
 	}
 	out := sd.spans[:n]
-	for i := 0; i < n; i++ {
-		v, _ := d.u64()
-		out[i].TraceID = tracing.TraceID(v)
-	}
-	for i := 0; i < n; i++ {
-		v, _ := d.u64()
-		out[i].SpanID = tracing.SpanID(v)
-	}
-	for i := 0; i < n; i++ {
-		v, _ := d.u64()
-		out[i].ParentID = tracing.SpanID(v)
-	}
-	for i := 0; i < n; i++ {
-		idx, _ := d.u32()
-		if out[i].Service, err = d.str(idx); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < n; i++ {
-		idx, _ := d.u32()
-		if out[i].Version, err = d.str(idx); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < n; i++ {
-		idx, _ := d.u32()
-		if out[i].Endpoint, err = d.str(idx); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < n; i++ {
-		ns, _ := d.u64()
-		if ns == 0 {
-			out[i].Start = time.Time{}
-		} else {
-			out[i].Start = time.Unix(0, int64(ns))
-		}
-	}
-	for i := 0; i < n; i++ {
-		v, _ := d.u64()
-		out[i].Duration = time.Duration(v)
-	}
-	for i := 0; i < n; i++ {
-		out[i].Err = d.body[d.off+i/8]&(1<<(i%8)) != 0
-		out[i].Variant = ""
+	service, version, endpoint := idx[:n], idx[n:2*n], idx[2*n:]
+	starts, durations, errBits := d.take(8*n), d.take(8*n), d.take((n+7)/8)
+	strs := d.strs
+	for i := range out {
+		sp := &out[i] // field by field, as in MetricsDecoder.Decode
+		sp.TraceID = tracing.TraceID(binary.LittleEndian.Uint64(ids[8*i:]))
+		sp.SpanID = tracing.SpanID(binary.LittleEndian.Uint64(ids[8*(n+i):]))
+		sp.ParentID = tracing.SpanID(binary.LittleEndian.Uint64(ids[8*(2*n+i):]))
+		sp.Service = strs[service[i]]
+		sp.Version = strs[version[i]]
+		sp.Endpoint = strs[endpoint[i]]
+		sp.Start = instant(binary.LittleEndian.Uint64(starts[8*i:]))
+		sp.Duration = time.Duration(binary.LittleEndian.Uint64(durations[8*i:]))
+		sp.Err = errBits[i/8]&(1<<(i%8)) != 0
+		sp.Variant = ""
 	}
 	return out, nil
 }

@@ -1,9 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -34,63 +34,174 @@ func spanBatch() []tracing.Span {
 	}
 }
 
-func TestMetricsRoundTrip(t *testing.T) {
-	in := sampleBatch()
-	var e MetricsEncoder
-	var d MetricsDecoder
-	frame := e.Encode(in)
-	if Kind(frame) != KindMetrics {
-		t.Fatalf("Kind = %d", Kind(frame))
+// dictSamples is a batch whose frame's dictionary holds exactly k
+// strings: k-3 metric names over one service, one version and the empty
+// variant, every stamp unset.
+func dictSamples(k int) []metrics.Sample {
+	out := make([]metrics.Sample, k-3)
+	for i := range out {
+		out[i] = metrics.Sample{Metric: fmt.Sprintf("m%d", i), Scope: metrics.Scope{Service: "svc", Version: "v1"}, Value: float64(i)}
 	}
-	out, err := d.Decode(frame)
-	if err != nil {
+	return out
+}
+
+// dictSpans is the span twin of dictSamples: k-2 endpoints over one
+// service and one version.
+func dictSpans(k int) []tracing.Span {
+	out := make([]tracing.Span, k-2)
+	for i := range out {
+		out[i] = tracing.Span{TraceID: 1, SpanID: tracing.SpanID(i + 1), Service: "svc", Version: "v1",
+			Endpoint: fmt.Sprintf("GET /%d", i), Duration: time.Duration(i), Err: i%3 == 0}
+	}
+	return out
+}
+
+// stamped is samples with every At set to at.
+func stamped(samples []metrics.Sample, at time.Time) []metrics.Sample {
+	for i := range samples {
+		samples[i].At = at
+	}
+	return samples
+}
+
+// columnsAt is the frame offset of a telemetry frame's first column,
+// past its dictionary and row count, and the dictionary's count.
+func columnsAt(t *testing.T, frame []byte) (at, dictCount int) {
+	t.Helper()
+	var d dec
+	d.body = frame[HeaderSize:]
+	if err := d.readDict(); err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("decoded %d samples, want %d", len(out), len(in))
+	return HeaderSize + d.off + 4, len(d.strs)
+}
+
+func TestMetricsRoundTrip(t *testing.T) {
+	tests := []struct {
+		name  string
+		in    []metrics.Sample
+		width int  // bytes per string index
+		tag   byte // of the at column
+	}{
+		{"tag 1, unset and stamped rows mixed", sampleBatch(), 1, atPerRow},
+		{"tag 1, stamped per row", benchSamples(256), 1, atPerRow},
+		{"tag 0, every stamp unset", distinctSamples(), 1, atOnce},
+		{"tag 0, one pre-1970 instant", stamped(sampleBatch(), time.Date(1969, 7, 20, 20, 17, 40, 5, time.UTC)), 1, atOnce},
+		{"256 strings", dictSamples(256), 1, atOnce},
+		{"257 strings", stamped(dictSamples(257), time.Date(2017, 12, 11, 9, 0, 0, 0, time.UTC)), 2, atOnce},
+		{"65536 strings", dictSamples(65536), 2, atOnce},
+		{"65537 strings", dictSamples(65537), 4, atOnce},
 	}
-	for i := range in {
-		// Compare on UTC: the codec carries UnixNano, not location.
-		if !out[i].At.Equal(in[i].At) {
-			t.Fatalf("sample %d At = %v, want %v", i, out[i].At, in[i].At)
-		}
-		got, want := out[i], in[i]
-		got.At, want.At = time.Time{}, time.Time{}
-		if got != want {
-			t.Fatalf("sample %d = %+v, want %+v", i, got, want)
-		}
-	}
-	// Re-encoding the decoded batch yields an identical frame.
-	var e2 MetricsEncoder
-	if !reflect.DeepEqual(e2.Encode(out), frame) {
-		t.Fatal("re-encoded frame differs")
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var e MetricsEncoder
+			var d MetricsDecoder
+			frame := e.Encode(tt.in)
+			if Kind(frame) != KindMetrics {
+				t.Fatalf("Kind = %d", Kind(frame))
+			}
+			n := len(tt.in)
+			at, count := columnsAt(t, frame)
+			if w := indexWidth(count); w != tt.width {
+				t.Fatalf("%d strings give index width %d, want %d", count, w, tt.width)
+			}
+			tagAt := at + n*(4*tt.width+8)
+			timeBytes := 8
+			if tt.tag == atPerRow {
+				timeBytes = 8 * n
+			}
+			if tagAt >= len(frame) || frame[tagAt] != tt.tag || len(frame) != tagAt+1+timeBytes {
+				t.Fatalf("frame of %d bytes: want at-column tag %d at offset %d and %d time bytes after it", len(frame), tt.tag, tagAt, timeBytes)
+			}
+			out, err := d.Decode(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != n {
+				t.Fatalf("decoded %d samples, want %d", len(out), n)
+			}
+			for i := range tt.in {
+				// Compare on UTC: the codec carries UnixNano, not location.
+				if !out[i].At.Equal(tt.in[i].At) {
+					t.Fatalf("sample %d At = %v, want %v", i, out[i].At, tt.in[i].At)
+				}
+				got, want := out[i], tt.in[i]
+				got.At, want.At = time.Time{}, time.Time{}
+				if got != want {
+					t.Fatalf("sample %d = %+v, want %+v", i, got, want)
+				}
+			}
+			// Re-encoding the decoded batch yields an identical frame.
+			var e2 MetricsEncoder
+			if !bytes.Equal(e2.Encode(out), frame) {
+				t.Fatal("re-encoded frame differs")
+			}
+			// A warm decoder allocates nothing, while its intern table
+			// holds the frame's strings.
+			if count <= maxInterned {
+				if a := testing.AllocsPerRun(5, func() { _, _ = d.Decode(frame) }); a != 0 {
+					t.Fatalf("warm decode allocates %.0f times", a)
+				}
+			}
+		})
 	}
 }
 
 func TestSpansRoundTrip(t *testing.T) {
-	in := spanBatch()
-	var e SpansEncoder
-	var d SpansDecoder
-	frame := e.Encode(in)
-	if Kind(frame) != KindSpans {
-		t.Fatalf("Kind = %d", Kind(frame))
+	tests := []struct {
+		name  string
+		in    []tracing.Span
+		width int // bytes per string index
+	}{
+		{"three spans", spanBatch(), 1},
+		{"256 strings", dictSpans(256), 1},
+		{"257 strings", dictSpans(257), 2},
+		{"65536 strings", dictSpans(65536), 2},
+		{"65537 strings", dictSpans(65537), 4},
 	}
-	out, err := d.Decode(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("decoded %d spans, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if !out[i].Start.Equal(in[i].Start) {
-			t.Fatalf("span %d Start = %v, want %v", i, out[i].Start, in[i].Start)
-		}
-		got, want := out[i], in[i]
-		got.Start, want.Start = time.Time{}, time.Time{}
-		if got != want {
-			t.Fatalf("span %d = %+v, want %+v", i, got, want)
-		}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var e SpansEncoder
+			var d SpansDecoder
+			frame := e.Encode(tt.in)
+			if Kind(frame) != KindSpans {
+				t.Fatalf("Kind = %d", Kind(frame))
+			}
+			n := len(tt.in)
+			at, count := columnsAt(t, frame)
+			if w := indexWidth(count); w != tt.width {
+				t.Fatalf("%d strings give index width %d, want %d", count, w, tt.width)
+			}
+			if want := at + n*spanRowWidth(tt.width) + (n+7)/8; len(frame) != want {
+				t.Fatalf("frame of %d bytes, want %d", len(frame), want)
+			}
+			out, err := d.Decode(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != n {
+				t.Fatalf("decoded %d spans, want %d", len(out), n)
+			}
+			for i := range tt.in {
+				if !out[i].Start.Equal(tt.in[i].Start) {
+					t.Fatalf("span %d Start = %v, want %v", i, out[i].Start, tt.in[i].Start)
+				}
+				got, want := out[i], tt.in[i]
+				got.Start, want.Start = time.Time{}, time.Time{}
+				if got != want {
+					t.Fatalf("span %d = %+v, want %+v", i, got, want)
+				}
+			}
+			var e2 SpansEncoder
+			if !bytes.Equal(e2.Encode(out), frame) {
+				t.Fatal("re-encoded frame differs")
+			}
+			if count <= maxInterned {
+				if a := testing.AllocsPerRun(5, func() { _, _ = d.Decode(frame) }); a != 0 {
+					t.Fatalf("warm decode allocates %.0f times", a)
+				}
+			}
+		})
 	}
 }
 
@@ -155,31 +266,76 @@ func TestDecoderInternTableIsBounded(t *testing.T) {
 	}
 }
 
+// wideSamples is a batch of n rows whose four string columns are all
+// distinct: 4n dictionary strings from few rows, so a frame past 256
+// strings (two-byte indexes) stays small.
+func wideSamples(n int) []metrics.Sample {
+	out := make([]metrics.Sample, n)
+	for i := range out {
+		out[i] = metrics.Sample{Metric: fmt.Sprintf("m%d", i), Value: 1,
+			Scope: metrics.Scope{Service: fmt.Sprintf("s%d", i), Version: fmt.Sprintf("v%d", i), Variant: fmt.Sprintf("r%d", i)}}
+	}
+	return out
+}
+
 func TestDecodeErrors(t *testing.T) {
 	var e MetricsEncoder
-	good := append([]byte(nil), e.Encode(sampleBatch())...)
+	good := append([]byte(nil), e.Encode(sampleBatch())...) // at column tag 1
+	once := append([]byte(nil), e.Encode(distinctSamples())...)
+	wide := append([]byte(nil), e.Encode(wideSamples(65))...) // 260 strings
 	var se SpansEncoder
 	goodSpans := append([]byte(nil), se.Encode(spanBatch())...)
 
-	corrupt := func(mut func([]byte) []byte) []byte {
-		return mut(append([]byte(nil), good...))
+	// corrupt applies mut to a copy of frame, handing it the offset of
+	// the first column and the dictionary's count.
+	corrupt := func(frame []byte, mut func(b []byte, cols, count int) []byte) []byte {
+		cols, count := columnsAt(t, frame)
+		return mut(append([]byte(nil), frame...), cols, count)
 	}
+	// tagAt is the at column's tag offset in a 1-byte-index frame of n rows.
+	tagAt := func(cols, n int) int { return cols + n*(4+8) }
 	tests := []struct {
 		name    string
 		frame   []byte
 		wantSub string
 	}{
 		{"empty", nil, "header"},
-		{"short header", []byte{'C', 'X', 1}, "header"},
-		{"bad magic", corrupt(func(b []byte) []byte { b[0] = 'Z'; return b }), "magic"},
-		{"wrong version", corrupt(func(b []byte) []byte { b[2] = 9; return b }), "version"},
+		{"short header", []byte{'C', 'X', Version}, "header"},
+		{"bad magic", corrupt(good, func(b []byte, _, _ int) []byte { b[0] = 'Z'; return b }), "magic"},
+		{"wrong version", corrupt(good, func(b []byte, _, _ int) []byte { b[2] = 9; return b }), "version"},
+		{"version 1", corrupt(good, func(b []byte, _, _ int) []byte { b[2] = 1; return b }), "unsupported version 1"},
 		{"wrong kind", goodSpans, "kind"},
-		{"truncated body", corrupt(func(b []byte) []byte { return b[:len(b)-3] }), "length"},
-		{"trailing garbage", corrupt(func(b []byte) []byte { return append(b, 0xFF) }), "length"},
-		{"oversized dict count", corrupt(func(b []byte) []byte {
+		{"truncated body", corrupt(good, func(b []byte, _, _ int) []byte { return b[:len(b)-3] }), "length"},
+		{"trailing garbage", corrupt(good, func(b []byte, _, _ int) []byte { return append(b, 0xFF) }), "length"},
+		{"oversized dict count", corrupt(good, func(b []byte, _, _ int) []byte {
 			binary.LittleEndian.PutUint32(b[HeaderSize:], 0xFFFFFFFF)
 			return b
 		}), "dictionary"},
+		// The row count directly precedes the columns; the batch has 4.
+		{"row count short by one", corrupt(good, func(b []byte, cols, _ int) []byte {
+			binary.LittleEndian.PutUint32(b[cols-4:], 3)
+			return b
+		}), "rows"},
+		{"at column tag 2", corrupt(good, func(b []byte, cols, _ int) []byte {
+			b[tagAt(cols, 4)] = 2
+			return b
+		}), "tag 2"},
+		{"tag 0 carrying 8n time bytes", corrupt(good, func(b []byte, cols, _ int) []byte {
+			b[tagAt(cols, 4)] = atOnce
+			return b
+		}), "time bytes"},
+		{"tag 1 carrying one stamp", corrupt(once, func(b []byte, cols, _ int) []byte {
+			b[tagAt(cols, 256)] = atPerRow
+			return b
+		}), "time bytes"},
+		{"index equal to dictionary count, width 1", corrupt(good, func(b []byte, cols, count int) []byte {
+			b[cols] = byte(count)
+			return b
+		}), "index"},
+		{"index equal to dictionary count, width 2", corrupt(wide, func(b []byte, cols, count int) []byte {
+			binary.LittleEndian.PutUint16(b[cols+2*(4*65-1):], uint16(count)) // the last variant
+			return b
+		}), "index"},
 	}
 	var d MetricsDecoder
 	for _, tt := range tests {
@@ -188,30 +344,6 @@ func TestDecodeErrors(t *testing.T) {
 				t.Fatalf("Decode = %v, want error containing %q", err, tt.wantSub)
 			}
 		})
-	}
-
-	// Row-count corruption: rewrite the count in place (it directly
-	// follows the dictionary) and verify the width check trips.
-	var d2 dec
-	d2.body = good[HeaderSize:]
-	if err := d2.readDict(); err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(good[HeaderSize+d2.off:], 3) // actual batch has 4
-	if _, err := d.Decode(good); err == nil || !strings.Contains(err.Error(), "rows") {
-		t.Fatalf("row-count corruption: %v", err)
-	}
-
-	// String index out of range.
-	frame2 := append([]byte(nil), e.Encode(sampleBatch())...)
-	var d3 dec
-	d3.body = frame2[HeaderSize:]
-	if err := d3.readDict(); err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(frame2[HeaderSize+d3.off+4:], 0xFFFF) // first metric index
-	if _, err := d.Decode(frame2); err == nil || !strings.Contains(err.Error(), "index") {
-		t.Fatalf("bad string index: %v", err)
 	}
 }
 
