@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"contexp/internal/topology"
 	"contexp/internal/tracing"
 )
 
@@ -258,44 +257,6 @@ func newLatencyIndex(d *Diff) *latencyIndex {
 		}
 	}
 	return idx
-}
-
-// meanForLogical returns the mean duration (ms) of a logical endpoint
-// in a graph. With preferNewest, the lexicographically newest version's
-// mean is used — experimental graphs contain both the old and the new
-// version of the service under test, and the new version's behaviour is
-// what the experiment is about; otherwise versions are averaged
-// weighted by call counts.
-func meanForLogical(g *topology.Graph, service, endpoint string, preferNewest bool) (float64, bool) {
-	var (
-		found       bool
-		bestVersion string
-		bestMean    float64
-		totalDur    time.Duration
-		totalCalls  int
-	)
-	for nk, node := range g.Nodes {
-		if nk.Service != service || nk.Endpoint != endpoint || node.Calls == 0 {
-			continue
-		}
-		found = true
-		if preferNewest {
-			if bestVersion == "" || nk.Version > bestVersion {
-				bestVersion = nk.Version
-				bestMean = float64(node.MeanDuration()) / float64(time.Millisecond)
-			}
-			continue
-		}
-		totalDur += node.TotalDuration
-		totalCalls += node.Calls
-	}
-	if !found {
-		return 0, false
-	}
-	if preferNewest {
-		return bestMean, true
-	}
-	return float64(totalDur) / float64(totalCalls) / float64(time.Millisecond), true
 }
 
 // Hybrid combines the structural and temporal evidence (Section 5.5.5):

@@ -2,9 +2,7 @@ package health
 
 import (
 	"testing"
-	"time"
 
-	"contexp/internal/topology"
 	"contexp/internal/tracing"
 )
 
@@ -181,29 +179,5 @@ func TestRemoveCallScoredOnBaselineGraph(t *testing.T) {
 	scores := SubtreeComplexity{}.Score(d)
 	if len(scores) != 1 || scores[0] <= 0 {
 		t.Errorf("remove-call should score from the baseline subtree: %v", scores)
-	}
-}
-
-func TestMeanForLogical(t *testing.T) {
-	g := topology.NewGraph("")
-	add := func(k tracing.NodeKey, ms float64, calls int) {
-		dur := time.Duration(ms * float64(time.Millisecond))
-		g.Nodes[k] = &topology.Node{Key: k, Calls: calls, TotalDuration: time.Duration(calls) * dur}
-	}
-	add(recV1, 10, 10)
-	add(recV2, 40, 10)
-
-	// preferNewest picks v2.
-	v, ok := meanForLogical(g, "rec", "GET /recs", true)
-	if !ok || v != 40 {
-		t.Errorf("preferNewest = %v, %v", v, ok)
-	}
-	// averaged: (10*10 + 40*10) / 20 = 25.
-	v, ok = meanForLogical(g, "rec", "GET /recs", false)
-	if !ok || v != 25 {
-		t.Errorf("averaged = %v, %v", v, ok)
-	}
-	if _, ok := meanForLogical(g, "ghost", "x", true); ok {
-		t.Error("missing endpoint should report !ok")
 	}
 }

@@ -106,7 +106,8 @@ func queryExact(obs []observation, agg Aggregation) (float64, error) {
 	}
 }
 
-// quantileSorted mirrors stats.QuantileSorted (type-7 interpolation).
+// quantileSorted is the type-7 interpolation stats.Quantile uses, over
+// an ascending slice.
 func quantileSorted(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	if n == 0 {

@@ -112,12 +112,11 @@ type Handoff string
 
 // Handoff phases.
 const (
-	HandoffNever      Handoff = "never"
-	HandoffDev        Handoff = "development"
-	HandoffStaging    Handoff = "staging"
-	HandoffPreprod    Handoff = "preproduction"
-	HandoffDontKnow   Handoff = "don't know + other"
-	handoffUnassigned Handoff = ""
+	HandoffNever    Handoff = "never"
+	HandoffDev      Handoff = "development"
+	HandoffStaging  Handoff = "staging"
+	HandoffPreprod  Handoff = "preproduction"
+	HandoffDontKnow Handoff = "don't know + other"
 )
 
 // Reason is a reason against conducting experiments (Tables 2.7, 2.8).

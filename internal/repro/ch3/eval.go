@@ -31,11 +31,6 @@ type EvalConfig struct {
 	Seed int64
 }
 
-// DefaultEvalConfig runs in a few seconds on a laptop.
-func DefaultEvalConfig() EvalConfig {
-	return EvalConfig{Budget: 3000, Runs: 5, Days: 14, Seed: 1}
-}
-
 // evalProfile builds the evaluation traffic profile.
 func evalProfile(cfg EvalConfig) (*traffic.Profile, error) {
 	pc := traffic.DefaultGeneratorConfig()

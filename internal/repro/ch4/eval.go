@@ -43,16 +43,6 @@ type OverheadConfig struct {
 	Seed int64
 }
 
-// DefaultOverheadConfig keeps the full figure under ~10 s of wall time.
-func DefaultOverheadConfig() OverheadConfig {
-	return OverheadConfig{
-		Requests:      1500,
-		ServiceTimeMs: 5,
-		PhaseDuration: 2 * time.Second,
-		Seed:          1,
-	}
-}
-
 // Figure4_6 is the end-user overhead result.
 type Figure4_6 struct {
 	// Baseline are request latencies (ms) hitting the service directly.

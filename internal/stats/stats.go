@@ -86,11 +86,6 @@ func Sum(xs []float64) float64 {
 	return s
 }
 
-// Median returns the median of xs.
-func Median(xs []float64) float64 {
-	return Quantile(xs, 0.5)
-}
-
 // Quantile returns the p-quantile (0 <= p <= 1) of xs using linear
 // interpolation between order statistics (R type-7, the default of most
 // statistics environments). It returns 0 for an empty sample. The input
@@ -107,15 +102,6 @@ func Quantile(xs []float64, p float64) float64 {
 	copy(sorted, xs)
 	sort.Float64s(sorted)
 	return quantileSorted(sorted, p)
-}
-
-// QuantileSorted is like Quantile but requires xs to be sorted ascending,
-// avoiding the copy. It returns 0 for an empty sample.
-func QuantileSorted(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return quantileSorted(xs, p)
 }
 
 func quantileSorted(sorted []float64, p float64) float64 {

@@ -669,7 +669,6 @@ func (sd *SpansDecoder) Decode(frame []byte) ([]tracing.Span, error) {
 
 var (
 	metricsEncPool = sync.Pool{New: func() any { return new(MetricsEncoder) }}
-	spansEncPool   = sync.Pool{New: func() any { return new(SpansEncoder) }}
 	metricsDecPool = sync.Pool{New: func() any { return new(MetricsDecoder) }}
 	spansDecPool   = sync.Pool{New: func() any { return new(SpansDecoder) }}
 )
@@ -679,12 +678,6 @@ func GetMetricsEncoder() *MetricsEncoder { return metricsEncPool.Get().(*Metrics
 
 // PutMetricsEncoder returns a pooled encoder.
 func PutMetricsEncoder(e *MetricsEncoder) { metricsEncPool.Put(e) }
-
-// GetSpansEncoder borrows a pooled encoder.
-func GetSpansEncoder() *SpansEncoder { return spansEncPool.Get().(*SpansEncoder) }
-
-// PutSpansEncoder returns a pooled encoder.
-func PutSpansEncoder(e *SpansEncoder) { spansEncPool.Put(e) }
 
 // GetMetricsDecoder borrows a pooled decoder.
 func GetMetricsDecoder() *MetricsDecoder { return metricsDecPool.Get().(*MetricsDecoder) }

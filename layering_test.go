@@ -3,11 +3,17 @@ package contexp_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io"
 	"maps"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -18,15 +24,20 @@ import (
 // rules read.
 type listedPackage struct {
 	ImportPath   string
+	Dir          string
+	GoFiles      []string // non-test files, relative to Dir
+	Export       string   // export data file, with -export
 	Imports      []string // of non-test files
 	TestImports  []string
 	XTestImports []string
 	Deps         []string // transitive closure of Imports
 }
 
-func goListAll(t *testing.T) map[string]listedPackage {
+// goListAll lists the module's packages and everything they link;
+// flags are extra `go list` flags.
+func goListAll(t *testing.T, flags ...string) map[string]listedPackage {
 	t.Helper()
-	cmd := exec.Command("go", "list", "-deps", "-json", "./...")
+	cmd := exec.Command("go", slices.Concat([]string{"list", "-deps", "-json"}, flags, []string{"./..."})...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -60,10 +71,10 @@ func under(pkg string, roots ...string) bool {
 // lost one, is a reviewed diff of this table.
 var closures = map[string][]string{
 	"contexp/cmd/contexpd": {"bifrost", "clock", "expmodel", "fleet", "health", "journal",
-		"metrics", "router", "server", "stats", "tenancy", "topology", "tracing", "wire"},
-	"contexp/cmd/contexp-agent": {"agent", "expmodel", "metrics", "router", "stats", "tracing", "wire"},
+		"metrics", "router", "server", "tenancy", "topology", "tracing", "wire"},
+	"contexp/cmd/contexp-agent": {"agent", "expmodel", "metrics", "router", "tracing", "wire"},
 	"contexp/cmd/expctl": {"bifrost", "clock", "expmodel", "health", "journal", "metrics",
-		"router", "stats", "tenancy", "topology", "tracing"},
+		"router", "tenancy", "topology", "tracing"},
 	"contexp/cmd/contexp-demo": {"bifrost", "clock", "demo", "expmodel", "fleet", "health", "journal",
 		"loadgen", "metrics", "microsim", "router", "scenario", "server", "stats", "tenancy",
 		"topology", "tracing", "traffic", "wire"},
@@ -72,7 +83,7 @@ var closures = map[string][]string{
 		"tenancy", "topology", "tracing", "traffic"},
 	"contexp/cmd/benchgate": {},
 	"contexp/benchmark": {"agent", "bifrost", "clock", "expmodel", "fleet", "health", "journal",
-		"metrics", "router", "server", "stats", "tenancy", "topology", "tracing", "wire"},
+		"metrics", "router", "server", "tenancy", "topology", "tracing", "wire"},
 }
 
 // TestImportDAG holds the layering README.md draws ("Layering"):
@@ -98,13 +109,13 @@ func TestImportDAG(t *testing.T) {
 		if !under(path, "contexp") {
 			continue
 		}
-		// (a) Only the evaluation, the demo, the scenario lab and the
-		// examples build on the simulators or on httptest.
-		if !under(path, repro, cmdRepro, demo, scenario, examples, microsim, loadgen) {
+		// (a) Only the evaluation, the demo, the scenario lab, the
+		// examples and the simulators themselves build on the simulators
+		// or on httptest.
+		if allowed := []string{repro, cmdRepro, demo, scenario, examples, microsim, loadgen}; !under(path, allowed...) {
 			for _, imp := range p.Imports {
 				if simulation(imp) {
-					t.Errorf("%s imports %s outside a test: only %s, %s, %s, %s and %s may",
-						path, imp, repro, cmdRepro, demo, scenario, examples)
+					t.Errorf("%s imports %s outside a test: only %s may", path, imp, strings.Join(allowed, ", "))
 				}
 			}
 		}
@@ -206,4 +217,281 @@ func TestStateMachineImports(t *testing.T) {
 			t.Errorf("%s imports %s: only the standard library and contexp/internal/expmodel may be", path, imp)
 		}
 	}
+}
+
+// unreachedAllowed names the declarations under internal/ that
+// TestEverythingIsReachable lets stand although no root reaches them,
+// keyed "import/path.Name", each with the reason it stays. What an
+// entry refers to stays with it. An entry without a reason, or one
+// naming a declaration that is gone or that a root now reaches, fails
+// the test, so the list only shrinks.
+var unreachedAllowed = map[string]string{
+	"contexp/internal/expmodel.Classify":    onlyTested + "TestClassify, TestClassString",
+	"contexp/internal/expmodel.NewGroupSet": onlyTested + "TestGroupSet",
+	"contexp/internal/expmodel.Variant":     onlyTested + "TestVariantString",
+	"contexp/internal/scenario.Parse": onlyTested + "FuzzParseSpec, TestParseRejectsBadSpecs, " +
+		"TestCatalogJSONRoundTrip; no catalog entry is read from JSON",
+	"contexp/internal/stats.EWMA":         onlyTested + "TestEWMA",
+	"contexp/internal/stats.Exponential":  onlyTested + "TestExponentialSample",
+	"contexp/internal/stats.MannWhitneyU": onlyTested + "TestMannWhitneyU, TestMannWhitneyUTies",
+	"contexp/internal/stats.Max":          onlyTested + "TestMinMaxSum, TestQuantileOrderingProperty",
+	"contexp/internal/stats.Quantile": onlyTested + "TestQuantile, TestQuantileDoesNotMutate, " +
+		"TestQuantileOrderingProperty, TestLogNormalSampleMoments",
+	"contexp/internal/stats.Min":                     onlyTested + "TestMinMaxSum, TestQuantileOrderingProperty",
+	"contexp/internal/stats.MinSampleSizeMean":       onlyTested + "TestMinSampleSizeMean",
+	"contexp/internal/stats.MinSampleSizeProportion": onlyTested + "TestMinSampleSizeProportion",
+	"contexp/internal/stats.Pareto":                  onlyTested + "TestParetoSample",
+	"contexp/internal/stats.Sum":                     onlyTested + "TestMinMaxSum",
+	"contexp/internal/stats.TwoProportionZ":          onlyTested + "TestTwoProportionZ",
+	"contexp/internal/traffic.NewConsumption": onlyTested + "TestConsumptionAllocateRelease, TestConsumptionBounds, " +
+		"TestNewConsumptionValidation, TestConsumptionNeverExceedsCapacityProperty",
+}
+
+// onlyTested opens the reason of an allowed declaration whose only
+// callers are tests: it is deleted together with them.
+const onlyTested = "only tests call it, and it goes when they do: "
+
+// TestEverythingIsReachable holds internal/ to code something runs.
+// The roots are every main package's main, the root facade's exported
+// names and every init func. From them the test follows each reference
+// the type checker resolves, through function bodies, var initializers
+// and type definitions; a reached type keeps all its methods, and a
+// reached method its type. A package var is reached only through its
+// uses, and a blank `var _ I = T{}` assertion reaches nothing. Test
+// files are not roots: code only a test calls is unreached. Every
+// top-level func, type, var or const under internal/ that no root
+// reaches fails the test, exported or not, unless unreachedAllowed
+// names it with a reason.
+//
+// The module is type-checked from source with go/types; the standard
+// library comes from the export data `go list -export` leaves in the
+// build cache, read by the stdlib gc importer.
+func TestEverythingIsReachable(t *testing.T) {
+	pkgs := goListAll(t, "-export")
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if p := pkgs[path]; p.Export != "" {
+			return os.Open(p.Export)
+		}
+		return nil, fmt.Errorf("go list reported no export data for %s", path)
+	})
+	g := declGraph{decls: make(map[types.Object]*decl)}
+	checked := make(map[string]*types.Package)
+	var check func(path string) (*types.Package, error)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if under(path, "contexp") {
+			return check(path)
+		}
+		return std.Import(path)
+	})}
+	check = func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		p, ok := pkgs[path]
+		if !ok {
+			return nil, fmt.Errorf("go list did not report %s", path)
+		}
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)}
+		pkg, err := conf.Check(path, fset, files, info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = pkg
+		g.add(pkg, files, info)
+		return pkg, nil
+	}
+	for _, path := range slices.Sorted(maps.Keys(pkgs)) {
+		if under(path, "contexp") {
+			if _, err := check(path); err != nil {
+				t.Fatalf("type-checking %s: %v", path, err)
+			}
+		}
+	}
+	if len(g.roots) == 0 {
+		t.Fatal("found no roots")
+	}
+	reached := g.reach(g.roots)
+
+	named := make(map[string]*decl)
+	for _, d := range g.decls {
+		if d.top && under(d.pkg.Path(), "contexp/internal") {
+			named[d.key()] = d
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(unreachedAllowed)) {
+		switch d, ok := named[key]; {
+		case strings.TrimSpace(unreachedAllowed[key]) == "":
+			t.Errorf("unreachedAllowed[%q] gives no reason", key)
+		case !ok:
+			t.Errorf("unreachedAllowed[%q] names no top-level declaration: drop the entry", key)
+		case reached[d]:
+			t.Errorf("unreachedAllowed[%q] is reached from a root: drop the entry", key)
+		}
+	}
+	roots := slices.Clone(g.roots)
+	for key := range unreachedAllowed {
+		if d, ok := named[key]; ok {
+			roots = append(roots, d)
+		}
+	}
+	kept := g.reach(roots)
+	var dead []string
+	for key, d := range named {
+		if !kept[d] {
+			dead = append(dead, fmt.Sprintf("%s: %s", fset.Position(d.pos), key))
+		}
+	}
+	slices.Sort(dead)
+	for _, line := range dead {
+		t.Errorf("no root reaches %s: delete it, or allow it in unreachedAllowed with a reason", line)
+	}
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// decl is one package-level declaration or method of the module, with
+// every module object its source refers to.
+type decl struct {
+	pkg  *types.Package
+	name string // Name, or Recv.Name for a method
+	pos  token.Pos
+	top  bool // a top-level func, type, var or const; not a method
+	refs []types.Object
+}
+
+func (d *decl) key() string { return d.pkg.Path() + "." + d.name }
+
+type declGraph struct {
+	decls map[types.Object]*decl
+	roots []*decl
+}
+
+// add records pkg's declarations: the roots among them (main, init, and
+// the root facade's exported names) and each one's references.
+func (g *declGraph) add(pkg *types.Package, files []*ast.File, info *types.Info) {
+	refs := func(n ast.Node) []types.Object {
+		var out []types.Object
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if obj := info.Uses[id]; obj != nil && obj.Pkg() != nil && under(obj.Pkg().Path(), "contexp") {
+					out = append(out, origin(obj))
+				}
+			}
+			return true
+		})
+		return out
+	}
+	facade := pkg.Path() == "contexp"
+	newDecl := func(id *ast.Ident, top bool, n ast.Node) *decl {
+		d := &decl{pkg: pkg, name: id.Name, pos: id.Pos(), top: top, refs: refs(n)}
+		g.decls[info.Defs[id]] = d
+		if facade && top && id.IsExported() {
+			g.roots = append(g.roots, d)
+		}
+		return d
+	}
+	var methods [][2]types.Object // type, method
+	for _, f := range files {
+		for _, fd := range f.Decls {
+			switch fd := fd.(type) {
+			case *ast.FuncDecl:
+				if fd.Recv != nil {
+					d := newDecl(fd.Name, false, fd)
+					recv := receiverType(info.Defs[fd.Name].(*types.Func))
+					d.name = recv.Name() + "." + d.name
+					methods = append(methods, [2]types.Object{recv, info.Defs[fd.Name]})
+					continue
+				}
+				d := newDecl(fd.Name, true, fd)
+				if fd.Name.Name == "init" || (pkg.Name() == "main" && fd.Name.Name == "main") {
+					g.roots = append(g.roots, d)
+				}
+			case *ast.GenDecl:
+				for _, spec := range fd.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						newDecl(spec.Name, true, spec)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							if id.Name != "_" {
+								newDecl(id, true, spec)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// A reached type keeps every method.
+	for _, m := range methods {
+		g.decls[m[0]].refs = append(g.decls[m[0]].refs, m[1])
+	}
+}
+
+// reach returns every declaration one of roots reaches.
+func (g *declGraph) reach(roots []*decl) map[*decl]bool {
+	reached := make(map[*decl]bool)
+	queue := slices.Clone(roots)
+	for len(queue) > 0 {
+		d := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if reached[d] {
+			continue
+		}
+		reached[d] = true
+		for _, obj := range d.refs {
+			next, ok := g.decls[obj]
+			if !ok {
+				// A method with no declaration of its own (one of an
+				// interface) reaches the type it belongs to.
+				if fn, isFunc := obj.(*types.Func); isFunc {
+					if recv := receiverType(fn); recv != nil {
+						next, ok = g.decls[recv]
+					}
+				}
+			}
+			if ok && !reached[next] {
+				queue = append(queue, next)
+			}
+		}
+	}
+	return reached
+}
+
+// origin maps an object of an instantiated generic to its declaration.
+func origin(obj types.Object) types.Object {
+	switch obj := obj.(type) {
+	case *types.Func:
+		return obj.Origin()
+	case *types.Var:
+		return obj.Origin()
+	}
+	return obj
+}
+
+// receiverType is the named type fn is a method of, or nil.
+func receiverType(fn *types.Func) *types.TypeName {
+	recv := fn.Signature().Recv()
+	if recv == nil {
+		return nil
+	}
+	typ := recv.Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	if named, ok := typ.(*types.Named); ok {
+		return named.Origin().Obj()
+	}
+	return nil
 }
