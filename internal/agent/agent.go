@@ -30,11 +30,11 @@
 package agent
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -62,8 +62,9 @@ type Config struct {
 	// reported in the fleet registry. Optional.
 	AdvertiseAddr string
 	// HTTPClient is used for the watch stream and heartbeats; nil uses
-	// a dedicated client with no overall timeout (the watch stream is
-	// long-lived by design).
+	// a client with no overall timeout (the watch stream is long-lived
+	// by design) on http.DefaultTransport, whose connection pool it
+	// shares with the rest of the process.
 	HTTPClient *http.Client
 	// HeartbeatInterval is how often the agent posts its applied
 	// version upstream (default 5s).
@@ -73,7 +74,9 @@ type Config struct {
 	// Staleness never stops serving — it is surfaced, not enforced.
 	LeaseTTL time.Duration
 	// ReconnectMin/ReconnectMax bound the watch reconnect backoff
-	// (defaults 100ms / 5s).
+	// (defaults 100ms and the larger of 5s and ReconnectMin). The delay
+	// doubles after each stream that ends before applying a frame and
+	// starts again from ReconnectMin after one that applied any.
 	ReconnectMin time.Duration
 	ReconnectMax time.Duration
 	// Token, when set, is sent as a bearer token on every control-plane
@@ -124,7 +127,7 @@ func New(cfg Config) (*Agent, error) {
 		cfg.ReconnectMin = 100 * time.Millisecond
 	}
 	if cfg.ReconnectMax < cfg.ReconnectMin {
-		cfg.ReconnectMax = 5 * time.Second
+		cfg.ReconnectMax = max(5*time.Second, cfg.ReconnectMin)
 	}
 	hc := cfg.HTTPClient
 	if hc == nil {
@@ -195,73 +198,91 @@ func (a *Agent) Resolves() uint64 { return a.resolves.Load() }
 
 func (a *Agent) watchLoop() {
 	defer a.wg.Done()
-	backoff := a.cfg.ReconnectMin
+	var delay time.Duration
 	for {
-		err := a.watchOnce()
+		applied, err := a.watchOnce()
 		a.connected.Store(false)
 		if a.ctx.Err() != nil {
 			return
 		}
 		a.reconns.Add(1)
+		delay = a.reconnectDelay(delay, applied)
 		a.logf("watch stream ended (%v); failing static at version %d, reconnecting in %s",
-			err, a.table.Version(), backoff)
+			err, a.table.Version(), delay)
 		select {
 		case <-a.ctx.Done():
 			return
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > a.cfg.ReconnectMax {
-			backoff = a.cfg.ReconnectMax
+		case <-time.After(delay):
 		}
 	}
 }
 
+// reconnectDelay is the wait before the next watch attempt, given the
+// previous wait (0 before the first) and whether the stream that just
+// ended applied a frame. A stream that applied one was healthy, however
+// long ago the failures that grew the delay were, so the wait starts
+// again from ReconnectMin; otherwise it doubles up to ReconnectMax.
+func (a *Agent) reconnectDelay(prev time.Duration, applied bool) time.Duration {
+	if applied || prev <= 0 {
+		return a.cfg.ReconnectMin
+	}
+	return min(2*prev, a.cfg.ReconnectMax)
+}
+
 // watchOnce runs one watch connection until it breaks, applying every
-// frame to the local table.
-func (a *Agent) watchOnce() error {
+// frame to the local table. applied reports whether any frame was.
+func (a *Agent) watchOnce() (applied bool, err error) {
 	u := fmt.Sprintf("%s/v1/routing/watch?agent=%s&lastApplied=%d",
 		a.cfg.ControlPlane, url.QueryEscape(a.cfg.ID), a.table.Version())
 	req, err := http.NewRequestWithContext(a.ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if a.cfg.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+a.cfg.Token)
 	}
 	resp, err := a.hc.Do(req)
 	if err != nil {
-		return err
+		return false, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("agent: watch returned %s", resp.Status)
+		return false, fmt.Errorf("agent: watch returned %s", resp.Status)
 	}
-	br := bufio.NewReaderSize(resp.Body, 64<<10)
+	return a.follow(resp.Body)
+}
+
+// follow applies the frames of one watch stream to the local table
+// until the stream breaks or a frame fails to apply. applied reports
+// whether any frame was. The stream is read unbuffered: ReadFrame takes
+// a header and a body with one exact read each, and the HTTP transport
+// already buffers the connection, so a second buffer here would cost
+// every agent its size and save no system call.
+func (a *Agent) follow(stream io.Reader) (applied bool, err error) {
 	var buf []byte
 	sd := wire.GetSnapshotDecoder()
 	defer wire.PutSnapshotDecoder(sd)
 	dd := wire.GetDeltaDecoder()
 	defer wire.PutDeltaDecoder(dd)
-	first := true
 	for {
-		frame, err := wire.ReadFrame(br, buf, MaxFrameBytes)
+		frame, err := wire.ReadFrame(stream, buf, MaxFrameBytes)
 		if err != nil {
-			return err
+			return applied, err
 		}
 		buf = frame
 		switch wire.Kind(frame) {
 		case wire.KindSnapshot:
 			snap, err := sd.Decode(frame)
 			if err != nil {
-				return err
+				return applied, err
 			}
 			if err := a.table.ApplySnapshot(snap); err != nil {
-				return err
+				return applied, err
 			}
 		case wire.KindDelta:
 			delta, err := dd.Decode(frame)
 			if err != nil {
-				return err
+				return applied, err
 			}
 			if err := a.table.ApplyDelta(delta); err != nil {
 				if errors.Is(err, router.ErrVersionSkew) {
@@ -270,19 +291,19 @@ func (a *Agent) watchOnce() error {
 					// a delta chain or a full snapshot.
 					a.skews.Add(1)
 				}
-				return err
+				return applied, err
 			}
 		case wire.KindHeartbeat:
 			if _, err := wire.DecodeHeartbeat(frame); err != nil {
-				return err
+				return applied, err
 			}
 		default:
-			return fmt.Errorf("agent: unexpected frame kind %d on watch stream", wire.Kind(frame))
+			return applied, fmt.Errorf("agent: unexpected frame kind %d on watch stream", wire.Kind(frame))
 		}
 		a.lastFrame.Store(time.Now().UnixNano())
 		a.connected.Store(true)
-		if first {
-			first = false
+		if !applied {
+			applied = true
 			a.logf("synced at version %d", a.table.Version())
 		}
 	}

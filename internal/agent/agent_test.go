@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"contexp/internal/metrics"
 	"contexp/internal/router"
 	"contexp/internal/server"
+	"contexp/internal/wire"
 )
 
 // canaryDSL promotes svc v2 after a 200ms canary phase with a passing
@@ -418,5 +420,108 @@ func TestAgentProxyForwards(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("unmounted proxy status = %s", resp2.Status)
+	}
+}
+
+// TestReconnectBackoff checks the backoff without waiting it out: the
+// cap defaults to no less than the floor, the delay doubles over
+// attempts that applied nothing, and a stream that applied a frame
+// starts it again from the floor.
+func TestReconnectBackoff(t *testing.T) {
+	defaults := []struct {
+		min, max         time.Duration
+		wantMin, wantMax time.Duration
+	}{
+		{0, 0, 100 * time.Millisecond, 5 * time.Second},
+		{time.Second, 0, time.Second, 5 * time.Second},
+		{10 * time.Second, 0, 10 * time.Second, 10 * time.Second},
+		{3 * time.Second, 2 * time.Second, 3 * time.Second, 5 * time.Second},
+		{time.Second, 2 * time.Second, time.Second, 2 * time.Second},
+	}
+	for _, tt := range defaults {
+		a, err := New(Config{ID: "a", ControlPlane: "http://127.0.0.1:1", ReconnectMin: tt.min, ReconnectMax: tt.max})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.cfg.ReconnectMin != tt.wantMin || a.cfg.ReconnectMax != tt.wantMax {
+			t.Errorf("ReconnectMin %s, ReconnectMax %s: bounds %s..%s, want %s..%s",
+				tt.min, tt.max, a.cfg.ReconnectMin, a.cfg.ReconnectMax, tt.wantMin, tt.wantMax)
+		}
+	}
+
+	a, err := New(Config{ID: "a", ControlPlane: "http://127.0.0.1:1",
+		ReconnectMin: 100 * time.Millisecond, ReconnectMax: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	steps := []struct {
+		applied bool
+		want    time.Duration
+	}{
+		{false, ms(100)}, {false, ms(200)}, {false, ms(400)}, {false, ms(800)},
+		{false, ms(1000)}, {false, ms(1000)},
+		{true, ms(100)}, // a healthy stream ended: back to the floor
+		{false, ms(200)},
+		{true, ms(100)},
+	}
+	var delay time.Duration
+	for i, s := range steps {
+		if delay = a.reconnectDelay(delay, s.applied); delay != s.want {
+			t.Fatalf("attempt %d (applied %v): delay %s, want %s", i+1, s.applied, delay, s.want)
+		}
+	}
+}
+
+// TestFollowReportsApplied: a watch stream counts as healthy, and so
+// resets the backoff, once it applied any frame; one that broke before
+// its first frame applied did not.
+func TestFollowReportsApplied(t *testing.T) {
+	encodeSnapshot := func(version uint64) []byte {
+		var e wire.SnapshotEncoder
+		frame, err := e.Encode(router.TableSnapshot{Version: version, Routes: []router.Route{svcRoute(0.9)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Clone(frame)
+	}
+	encodeDelta := func(from uint64) []byte {
+		var e wire.DeltaEncoder
+		frame, err := e.Encode(router.TableDelta{FromVersion: from, ToVersion: from + 1, Upserts: []router.Route{svcRoute(0.5)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Clone(frame)
+	}
+	tests := []struct {
+		name        string
+		stream      []byte
+		wantApplied bool
+		wantVersion uint64
+		wantSkews   uint64
+	}{
+		{"snapshot, then the stream ends", encodeSnapshot(7), true, 7, 0},
+		{"snapshot and delta", append(encodeSnapshot(7), encodeDelta(7)...), true, 8, 0},
+		{"heartbeat only", wire.EncodeHeartbeat(3), true, 0, 0},
+		{"snapshot, then a skewed delta", append(encodeSnapshot(7), encodeDelta(9)...), true, 7, 1},
+		{"a skewed delta first", encodeDelta(9), false, 0, 1},
+		{"cut in the first frame", encodeSnapshot(7)[:20], false, 0, 0},
+		{"nothing", nil, false, 0, 0},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			a, err := New(Config{ID: "a", ControlPlane: "http://127.0.0.1:1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			applied, err := a.follow(bytes.NewReader(tt.stream))
+			if err == nil {
+				t.Fatal("follow returned without an error")
+			}
+			if applied != tt.wantApplied || a.Version() != tt.wantVersion || a.skews.Load() != tt.wantSkews {
+				t.Errorf("applied %v, version %d, skews %d (%v); want %v, %d, %d",
+					applied, a.Version(), a.skews.Load(), err, tt.wantApplied, tt.wantVersion, tt.wantSkews)
+			}
+		})
 	}
 }

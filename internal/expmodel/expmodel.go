@@ -1,9 +1,8 @@
 // Package expmodel holds the shared vocabulary of the conceptual
 // framework for continuous experimentation (Section 1.2.1): the
-// experimentation practices identified by the empirical study, the
-// regression-driven vs. business-driven classification, user groups, and
-// variant definitions. Fenrir (planning), Bifrost (execution), and the
-// health assessment (analysis) all speak in these terms.
+// experimentation practices identified by the empirical study and user
+// groups. Fenrir (planning), Bifrost (execution), and the health
+// assessment (analysis) all speak in these terms.
 package expmodel
 
 import (
@@ -70,100 +69,7 @@ func ParsePractice(s string) (Practice, error) {
 	return 0, fmt.Errorf("expmodel: unknown practice %q", s)
 }
 
-// Class is the study's two-way classification of experiments
-// (Section 2.6, Table 2.5).
-type Class int
-
-// Experiment classes.
-const (
-	// ClassRegressionDriven: quality assurance — canaries, dark
-	// launches, gradual rollouts; verdicts from technical metrics.
-	ClassRegressionDriven Class = iota + 1
-	// ClassBusinessDriven: feature evaluation — A/B tests; verdicts
-	// from business metrics with hypothesis testing.
-	ClassBusinessDriven
-)
-
-// String names the class.
-func (c Class) String() string {
-	switch c {
-	case ClassRegressionDriven:
-		return "regression-driven"
-	case ClassBusinessDriven:
-		return "business-driven"
-	default:
-		return fmt.Sprintf("class(%d)", int(c))
-	}
-}
-
-// Classify maps a practice to its experiment class per Table 2.5.
-func Classify(p Practice) Class {
-	if p == PracticeABTest {
-		return ClassBusinessDriven
-	}
-	return ClassRegressionDriven
-}
-
 // UserGroup identifies a segment of the user population (e.g., a region,
 // a device class, a loyalty tier). Fenrir's group-coverage objective and
 // overlap constraints, and Bifrost's routing filters, operate on these.
 type UserGroup string
-
-// GroupSet is an immutable set of user groups with value semantics.
-type GroupSet struct {
-	groups map[UserGroup]bool
-}
-
-// NewGroupSet builds a set from the given groups.
-func NewGroupSet(groups ...UserGroup) GroupSet {
-	m := make(map[UserGroup]bool, len(groups))
-	for _, g := range groups {
-		m[g] = true
-	}
-	return GroupSet{groups: m}
-}
-
-// Contains reports membership.
-func (s GroupSet) Contains(g UserGroup) bool { return s.groups[g] }
-
-// Len returns the set size.
-func (s GroupSet) Len() int { return len(s.groups) }
-
-// Intersects reports whether the sets share any group. Fenrir uses this
-// for the overlap constraint: experiments with intersecting groups must
-// not run in the same slot.
-func (s GroupSet) Intersects(o GroupSet) bool {
-	a, b := s.groups, o.groups
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for g := range a {
-		if b[g] {
-			return true
-		}
-	}
-	return false
-}
-
-// Slice returns the groups (unspecified order).
-func (s GroupSet) Slice() []UserGroup {
-	out := make([]UserGroup, 0, len(s.groups))
-	for g := range s.groups {
-		out = append(out, g)
-	}
-	return out
-}
-
-// Variant describes one deployed version participating in an experiment.
-type Variant struct {
-	// Name labels the variant ("baseline", "candidate", "B", ...).
-	Name string
-	// Service and Version locate the deployment.
-	Service string
-	Version string
-}
-
-// String renders name(service@version).
-func (v Variant) String() string {
-	return fmt.Sprintf("%s(%s@%s)", v.Name, v.Service, v.Version)
-}

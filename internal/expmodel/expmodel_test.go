@@ -9,6 +9,9 @@ func TestPracticeRoundTrip(t *testing.T) {
 			t.Errorf("round trip %v -> %q -> %v (%v)", p, p.String(), got, err)
 		}
 	}
+	if Practice(42).String() == "" {
+		t.Error("unknown practice should still stringify")
+	}
 }
 
 func TestParsePracticeAliases(t *testing.T) {
@@ -32,71 +35,5 @@ func TestParsePracticeAliases(t *testing.T) {
 	}
 	if _, err := ParsePractice("catapult"); err == nil {
 		t.Error("expected error for unknown practice")
-	}
-}
-
-func TestClassify(t *testing.T) {
-	tests := []struct {
-		p    Practice
-		want Class
-	}{
-		{PracticeCanary, ClassRegressionDriven},
-		{PracticeDarkLaunch, ClassRegressionDriven},
-		{PracticeGradualRollout, ClassRegressionDriven},
-		{PracticeBlueGreen, ClassRegressionDriven},
-		{PracticeABTest, ClassBusinessDriven},
-	}
-	for _, tt := range tests {
-		if got := Classify(tt.p); got != tt.want {
-			t.Errorf("Classify(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-}
-
-func TestClassString(t *testing.T) {
-	if ClassRegressionDriven.String() != "regression-driven" {
-		t.Error("bad class name")
-	}
-	if ClassBusinessDriven.String() != "business-driven" {
-		t.Error("bad class name")
-	}
-	if Class(42).String() == "" {
-		t.Error("unknown class should still stringify")
-	}
-	if Practice(42).String() == "" {
-		t.Error("unknown practice should still stringify")
-	}
-}
-
-func TestGroupSet(t *testing.T) {
-	s := NewGroupSet("eu", "us")
-	if !s.Contains("eu") || s.Contains("apac") {
-		t.Error("Contains wrong")
-	}
-	if s.Len() != 2 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	if got := len(s.Slice()); got != 2 {
-		t.Errorf("Slice len = %d", got)
-	}
-
-	other := NewGroupSet("us", "apac")
-	if !s.Intersects(other) {
-		t.Error("expected intersection on us")
-	}
-	disjoint := NewGroupSet("apac")
-	if s.Intersects(disjoint) {
-		t.Error("unexpected intersection")
-	}
-	empty := NewGroupSet()
-	if s.Intersects(empty) || empty.Intersects(s) {
-		t.Error("empty set should intersect nothing")
-	}
-}
-
-func TestVariantString(t *testing.T) {
-	v := Variant{Name: "candidate", Service: "catalog", Version: "v2"}
-	if got := v.String(); got != "candidate(catalog@v2)" {
-		t.Errorf("Variant.String = %q", got)
 	}
 }

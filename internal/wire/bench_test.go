@@ -56,7 +56,7 @@ func BenchmarkWireDecodeMetrics(b *testing.B) {
 	var e MetricsEncoder
 	var d MetricsDecoder
 	frame := append([]byte(nil), e.Encode(benchSamples(256))...)
-	if _, err := d.Decode(frame); err != nil { // warm the intern table
+	if _, err := d.Decode(frame); err != nil { // warm the scratch slices
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -76,7 +76,7 @@ func BenchmarkWireDecodeMetricsDistinct(b *testing.B) {
 	var e MetricsEncoder
 	var d MetricsDecoder
 	frame := append([]byte(nil), e.Encode(distinctSamples())...)
-	if _, err := d.Decode(frame); err != nil { // warm the intern table
+	if _, err := d.Decode(frame); err != nil { // warm the scratch slices
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -181,8 +181,8 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 }
 
 // BenchmarkSnapshotDecode tracks the agent-side cost of a full sync.
-// Routes allocate (they outlive the decoder inside the table), but all
-// strings intern across frames.
+// Routes and their strings allocate: they outlive the decoder inside the
+// table, and the decoder keeps none of them.
 func BenchmarkSnapshotDecode(b *testing.B) {
 	var e SnapshotEncoder
 	var d SnapshotDecoder
@@ -191,7 +191,7 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	frame = append([]byte(nil), frame...)
-	if _, err := d.Decode(frame); err != nil { // warm the intern table
+	if _, err := d.Decode(frame); err != nil { // warm the scratch slices
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -1,10 +1,10 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"contexp/internal/expmodel"
@@ -16,8 +16,10 @@ import (
 // and heartbeats (kind 5) — the three frame kinds a contexpd streams to
 // edge agents over GET /v1/routing/watch. The framing, dictionary, and
 // hostile-input discipline are exactly the telemetry codec's: bounded
-// pre-allocation before any count is trusted, interned strings across
-// frames, pooled encoders/decoders.
+// pre-allocation before any count is trusted, pooled encoders/decoders.
+// Only the strings differ: a routing decoder copies them out of the
+// frame and keeps none (see dec.readDict), so an agent holds what its
+// table holds.
 //
 // Snapshot body (kind 3), after the shared dictionary:
 //
@@ -252,9 +254,8 @@ func (d *dec) strIdx() (string, error) {
 	return d.str(i)
 }
 
-// route decodes one route. Routes are freshly allocated — they outlive
-// the decoder inside the receiving table — but all strings are interned,
-// so repeated snapshots of a stable fleet share storage.
+// route decodes one route. Routes and their strings are freshly
+// allocated: they outlive the decoder inside the receiving table.
 func (d *dec) route() (router.Route, error) {
 	var r router.Route
 	var err error
@@ -350,7 +351,7 @@ func (d *dec) trailing() error {
 
 // SnapshotDecoder decodes full-snapshot frames. Not safe for concurrent
 // use. The returned snapshot is freshly allocated and the caller's to
-// keep (strings are interned across frames).
+// keep.
 type SnapshotDecoder struct{ d dec }
 
 // Decode parses one snapshot frame.
@@ -362,7 +363,7 @@ func (sd *SnapshotDecoder) Decode(frame []byte) (router.TableSnapshot, error) {
 	}
 	d := &sd.d
 	d.body, d.off = body, 0
-	if err := d.readDict(); err != nil {
+	if err := d.readDict(KindSnapshot); err != nil {
 		return snap, err
 	}
 	if snap.Version, err = d.u64(); err != nil {
@@ -401,7 +402,7 @@ func (dd *DeltaDecoder) Decode(frame []byte) (router.TableDelta, error) {
 	}
 	d := &dd.d
 	d.body, d.off = body, 0
-	if err := d.readDict(); err != nil {
+	if err := d.readDict(KindDelta); err != nil {
 		return delta, err
 	}
 	if delta.FromVersion, err = d.u64(); err != nil {
@@ -444,17 +445,20 @@ func (dd *DeltaDecoder) Decode(frame []byte) (router.TableDelta, error) {
 
 // --- stream reading ---
 
-// ReadFrame reads one self-delimiting frame (any kind) from a buffered
-// stream: the 8-byte header, then exactly the declared body. The frame
-// is appended into buf (reused across calls when capacity allows) and
-// the whole frame, header included, is returned. maxBody bounds a
-// hostile length prefix. io.EOF is returned verbatim on a clean
-// end-of-stream boundary.
-func ReadFrame(r *bufio.Reader, buf []byte, maxBody int) ([]byte, error) {
-	if cap(buf) < HeaderSize {
-		buf = make([]byte, HeaderSize, 4096)
-	}
-	buf = buf[:HeaderSize]
+// ReadFrame reads one self-delimiting frame (any kind) from r: the
+// 8-byte header, then exactly the declared body, each with one
+// io.ReadFull. r need not buffer; a watch stream's HTTP response body,
+// which its transport already reads through a buffer, is passed as it
+// is. The frame is read into buf, whose capacity is reused across
+// calls; a buf too small for the frame is grown to fit it, so a
+// stream's buffer is as large as its largest frame so far, never a
+// fixed size (a nil buf takes the 8-byte header first). The whole frame,
+// header included, is returned. maxBody bounds a hostile length prefix
+// before anything is allocated for the body. io.EOF is returned
+// verbatim on a clean end-of-stream boundary; a stream cut inside a
+// frame is an error.
+func ReadFrame(r io.Reader, buf []byte, maxBody int) ([]byte, error) {
+	buf = slices.Grow(buf[:0], HeaderSize)[:HeaderSize]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -468,13 +472,7 @@ func ReadFrame(r *bufio.Reader, buf []byte, maxBody int) ([]byte, error) {
 	if bodyLen > maxBody {
 		return nil, errf("frame body %d bytes exceeds limit %d", bodyLen, maxBody)
 	}
-	total := HeaderSize + bodyLen
-	if cap(buf) < total {
-		grown := make([]byte, total)
-		copy(grown, buf)
-		buf = grown
-	}
-	buf = buf[:total]
+	buf = slices.Grow(buf, bodyLen)[:HeaderSize+bodyLen]
 	if _, err := io.ReadFull(r, buf[HeaderSize:]); err != nil {
 		return nil, errf("reading %d-byte frame body: %v", bodyLen, err)
 	}

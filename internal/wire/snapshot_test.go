@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"contexp/internal/expmodel"
 	"contexp/internal/router"
@@ -205,41 +208,133 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFrameStream reads a snapshot and a heartbeat back to back
+// through readers that return as little as they may, then streams cut
+// short or declaring too much.
 func TestReadFrameStream(t *testing.T) {
 	var se SnapshotEncoder
 	sframe, err := se.Encode(demoSnapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sframe = bytes.Clone(sframe)
 	hframe := EncodeHeartbeat(9)
-	var stream bytes.Buffer
-	stream.Write(sframe)
-	stream.Write(hframe)
-	r := bufio.NewReader(&stream)
+	stream := append(bytes.Clone(sframe), hframe...)
 
-	var buf []byte
-	buf, err = ReadFrame(r, buf, 1<<20)
-	if err != nil || Kind(buf) != KindSnapshot {
-		t.Fatalf("first frame: kind %d, %v", Kind(buf), err)
+	whole := []struct {
+		name string
+		r    func(io.Reader) io.Reader
+	}{
+		{"buffered", func(r io.Reader) io.Reader { return bufio.NewReader(r) }},
+		{"unbuffered", func(r io.Reader) io.Reader { return r }},
+		{"one byte a read", iotest.OneByteReader},
+		{"half a request a read", iotest.HalfReader},
+		{"EOF with the last bytes", iotest.DataErrReader},
 	}
-	if !bytes.Equal(buf, sframe) {
-		t.Error("first frame bytes differ")
-	}
-	buf, err = ReadFrame(r, buf, 1<<20)
-	if err != nil || Kind(buf) != KindHeartbeat {
-		t.Fatalf("second frame: kind %d, %v", Kind(buf), err)
-	}
-	if _, err = ReadFrame(r, buf, 1<<20); err != io.EOF {
-		t.Fatalf("end of stream: %v, want io.EOF", err)
+	for _, tt := range whole {
+		t.Run(tt.name, func(t *testing.T) {
+			r := tt.r(bytes.NewReader(stream))
+			buf, err := ReadFrame(r, nil, 1<<20)
+			if err != nil || !bytes.Equal(buf, sframe) {
+				t.Fatalf("first frame: kind %d, %v; bytes equal %v", Kind(buf), err, bytes.Equal(buf, sframe))
+			}
+			// Sized from the header, not a fixed capacity.
+			if cap(buf) < len(sframe) || cap(buf) >= 2*len(sframe) {
+				t.Errorf("first frame of %d bytes read into capacity %d", len(sframe), cap(buf))
+			}
+			first := &buf[0]
+			buf, err = ReadFrame(r, buf, 1<<20)
+			if err != nil || !bytes.Equal(buf, hframe) {
+				t.Fatalf("second frame: kind %d, %v", Kind(buf), err)
+			}
+			if &buf[0] != first {
+				t.Error("a frame that fits the buffer was read into a new one")
+			}
+			if _, err = ReadFrame(r, buf, 1<<20); err != io.EOF {
+				t.Fatalf("end of stream: %v, want io.EOF", err)
+			}
+		})
 	}
 
 	// A frame body exceeding the budget is rejected before any read.
 	big := EncodeHeartbeat(1)
 	big[4] = 0xFF
 	big[5] = 0xFF
-	r = bufio.NewReader(bytes.NewReader(big))
-	if _, err := ReadFrame(r, nil, 1024); err == nil {
-		t.Error("oversized frame accepted")
+	cut := []struct {
+		name    string
+		stream  []byte
+		wantSub string
+	}{
+		{"cut in the header", sframe[:5], "reading frame header"},
+		{"cut in the body", sframe[:len(sframe)-3], "frame body"},
+		{"cut in the second frame", stream[:len(stream)-1], "frame body"},
+		{"bad magic", append([]byte("XC"), sframe[2:]...), "bad magic"},
+		{"body over the limit", big, "exceeds limit"},
+	}
+	for _, tt := range cut {
+		t.Run(tt.name, func(t *testing.T) {
+			r := iotest.OneByteReader(bytes.NewReader(tt.stream))
+			var buf []byte
+			var err error
+			for err == nil {
+				buf, err = ReadFrame(r, buf, 1024)
+			}
+			var de *DecodeError
+			if !errors.As(err, &de) || !strings.Contains(err.Error(), tt.wantSub) {
+				t.Errorf("got %v, want a DecodeError containing %q", err, tt.wantSub)
+			}
+		})
+	}
+}
+
+// TestRoutingDecodersHoldNoRunNames: every strategy's traffic route
+// carries the run's name as its sticky salt, so an agent decodes a name
+// it never sees again with every run the control plane launches. A
+// routing decoder fed 20 000 such frames must hold no more than it held
+// after 1 000; one that kept the names would grow by ~100 B a run.
+func TestRoutingDecodersHoldNoRunNames(t *testing.T) {
+	var (
+		de DeltaEncoder
+		dd DeltaDecoder
+		se SnapshotEncoder
+		sd SnapshotDecoder
+	)
+	feed := func(from, to int) {
+		for i := from; i < to; i++ {
+			r := router.Route{Service: "checkout", StickySalt: fmt.Sprintf("checkout-canary-%05d", i),
+				Backends: []router.Backend{{Version: "v1", Weight: 0.9}, {Version: "v2", Weight: 0.1}}}
+			frame, err := de.Encode(router.TableDelta{FromVersion: uint64(i), ToVersion: uint64(i + 1), Upserts: []router.Route{r}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			delta, err := dd.Decode(frame)
+			if err != nil || delta.Upserts[0].StickySalt != r.StickySalt {
+				t.Fatalf("delta %d: %+v, %v", i, delta, err)
+			}
+			frame, err = se.Encode(router.TableSnapshot{Version: uint64(i + 1), Routes: []router.Route{r}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := sd.Decode(frame)
+			if err != nil || snap.Routes[0].StickySalt != r.StickySalt {
+				t.Fatalf("snapshot %d: %+v, %v", i, snap, err)
+			}
+		}
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	feed(0, 1_000)
+	before := liveHeap()
+	feed(1_000, 20_000)
+	after := liveHeap()
+	runtime.KeepAlive(&dd)
+	runtime.KeepAlive(&sd)
+	if grew := after - before; grew > 8<<10 {
+		t.Errorf("decoders grew by %d B over 19 000 run names, want at most 8 KiB", grew)
 	}
 }
 

@@ -399,14 +399,14 @@ func (se *SpansEncoder) Encode(spans []tracing.Span) []byte {
 // decoding still allocates nothing.
 const maxInterned = 1 << 14
 
-// dec is the shared decoder core. The intern table persists across
-// frames: once every distinct string has been seen, decoding allocates
-// nothing.
+// dec is the shared decoder core. A telemetry decoder's intern table
+// persists across frames: once every distinct string has been seen,
+// decoding allocates nothing. Routing decoders leave it nil.
 type dec struct {
 	body   []byte
 	off    int
 	intern map[string]string
-	strs   []string // per-frame dictionary, resolved to interned strings
+	strs   []string // the frame's dictionary, resolved to strings
 	// idx is the index scratch of the columnar decoders: a frame's
 	// string columns, widened to u32 and checked against strs.
 	idx []uint32
@@ -430,8 +430,16 @@ func (d *dec) u64() (uint64, error) {
 	return v, nil
 }
 
-// readDict parses the string dictionary, interning every entry.
-func (d *dec) readDict() error {
+// readDict parses the string dictionary of a frame of the given kind.
+// Telemetry frames intern every entry: a fleet's metric, service and
+// endpoint names repeat in every batch, and the decoded rows are
+// dropped once stored, so a warm table decodes without allocating.
+// Routing frames copy every entry out of the frame: their strings live
+// in the receiving table exactly as long as the route that holds them,
+// and a run name (a traffic route's sticky salt) appears only in the
+// frames of the one strategy that launched it, so a table of them would
+// hold every run the control plane ever enacted.
+func (d *dec) readDict(kind byte) error {
 	n, err := d.u32()
 	if err != nil {
 		return err
@@ -439,7 +447,8 @@ func (d *dec) readDict() error {
 	if n > MaxStrings || int(n)*4 > len(d.body)-d.off {
 		return errf("dictionary declares %d strings in %d remaining bytes", n, len(d.body)-d.off)
 	}
-	if d.intern == nil {
+	intern := kind == KindMetrics || kind == KindSpans
+	if intern && d.intern == nil {
 		d.intern = make(map[string]string)
 	}
 	d.strs = d.strs[:0]
@@ -453,6 +462,10 @@ func (d *dec) readDict() error {
 		}
 		raw := d.body[d.off : d.off+int(l)]
 		d.off += int(l)
+		if !intern {
+			d.strs = append(d.strs, string(raw))
+			continue
+		}
 		// The map lookup on a []byte conversion does not allocate; only
 		// a first-seen string pays for its copy out of the frame buffer.
 		s, ok := d.intern[string(raw)]
@@ -540,7 +553,7 @@ func (md *MetricsDecoder) Decode(frame []byte) ([]metrics.Sample, error) {
 	}
 	d := &md.d
 	d.body, d.off = body, 0
-	if err := d.readDict(); err != nil {
+	if err := d.readDict(KindMetrics); err != nil {
 		return nil, err
 	}
 	n32, err := d.u32()
@@ -620,7 +633,7 @@ func (sd *SpansDecoder) Decode(frame []byte) ([]tracing.Span, error) {
 	}
 	d := &sd.d
 	d.body, d.off = body, 0
-	if err := d.readDict(); err != nil {
+	if err := d.readDict(KindSpans); err != nil {
 		return nil, err
 	}
 	// Row width is fractional because of the error bitset; validate the

@@ -70,7 +70,7 @@ func columnsAt(t *testing.T, frame []byte) (at, dictCount int) {
 	t.Helper()
 	var d dec
 	d.body = frame[HeaderSize:]
-	if err := d.readDict(); err != nil {
+	if err := d.readDict(KindMetrics); err != nil {
 		t.Fatal(err)
 	}
 	return HeaderSize + d.off + 4, len(d.strs)
@@ -237,8 +237,9 @@ func TestDecoderReuseAcrossFrames(t *testing.T) {
 // TestDecoderInternTableIsBounded: an emitter whose label values never
 // repeat (10⁴ frames, every string unique) must not grow a decoder —
 // pooled, so immortal — past maxInterned, and what it decodes must
-// still be right while the table turns over. All four decoders intern
-// through dec.readDict; the two telemetry ones stand for it here.
+// still be right while the table turns over. Only the two telemetry
+// decoders intern; the routing ones hold no table at all
+// (TestRoutingDecodersHoldNoRunNames).
 func TestDecoderInternTableIsBounded(t *testing.T) {
 	var me MetricsEncoder
 	var md MetricsDecoder

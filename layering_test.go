@@ -226,9 +226,6 @@ func TestStateMachineImports(t *testing.T) {
 // naming a declaration that is gone or that a root now reaches, fails
 // the test, so the list only shrinks.
 var unreachedAllowed = map[string]string{
-	"contexp/internal/expmodel.Classify":    onlyTested + "TestClassify, TestClassString",
-	"contexp/internal/expmodel.NewGroupSet": onlyTested + "TestGroupSet",
-	"contexp/internal/expmodel.Variant":     onlyTested + "TestVariantString",
 	"contexp/internal/scenario.Parse": onlyTested + "FuzzParseSpec, TestParseRejectsBadSpecs, " +
 		"TestCatalogJSONRoundTrip; no catalog entry is read from JSON",
 	"contexp/internal/stats.EWMA":         onlyTested + "TestEWMA",
