@@ -194,12 +194,14 @@ func run(args []string) error {
 	}
 
 	// Durable windowed metrics: reload the rollup tiers saved by the
-	// previous process, then periodically persist them and evict idle
-	// series (the maintenance loop below).
+	// previous process, whole or not at all, then periodically persist
+	// them and evict idle series (the maintenance loop below). The name
+	// predates the format: the next save replaces a JSON file.
 	rollupPath := ""
 	if opt.dataDir != "" {
 		rollupPath = filepath.Join(opt.dataDir, "metrics-rollups.json")
-		if err := store.LoadSnapshot(rollupPath); err != nil {
+		if err := journal.ReadFile(rollupPath, store.Restore); err != nil && !errors.Is(err, os.ErrNotExist) {
+			store.Reset()
 			fmt.Printf("metrics: ignoring rollup snapshot: %v\n", err)
 		}
 	}
@@ -334,7 +336,7 @@ func run(args []string) error {
 						}
 					}
 					if rollupPath != "" {
-						if err := store.SaveSnapshot(rollupPath, time.Now()); err != nil {
+						if err := journal.WriteFile(rollupPath, store.Snapshot); err != nil {
 							fmt.Printf("metrics: saving rollup snapshot: %v\n", err)
 						}
 					}
@@ -344,7 +346,7 @@ func run(args []string) error {
 		defer func() {
 			<-maintDone
 			if rollupPath != "" {
-				if err := store.SaveSnapshot(rollupPath, time.Now()); err != nil {
+				if err := journal.WriteFile(rollupPath, store.Snapshot); err != nil {
 					fmt.Printf("metrics: final rollup snapshot: %v\n", err)
 				}
 			}

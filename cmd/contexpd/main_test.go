@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -226,6 +228,117 @@ strategy "crashy" {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not shut down on SIGTERM")
+	}
+}
+
+// TestDataDirMetricsSurviveRestart is the restart probe of the windowed
+// metrics: contexpd boots on a --data-dir holding a rollup file of the
+// old JSON format (which it ignores), takes samples spanning fifteen
+// minutes over HTTP, and saves its tiers as it shuts down, over the old
+// file. Booted again on the same directory, it reports the same series,
+// leaves no temp file behind, and the saved file answers a p95 over the
+// samples.
+func TestDataDirMetricsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	rollups := filepath.Join(dir, "metrics-rollups.json")
+	v1, err := os.ReadFile("../../internal/metrics/testdata/snapshot_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(rollups, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boot := func() (string, chan error) {
+		addr := freeAddr(t)
+		errc := make(chan error, 1)
+		go func() { errc <- run([]string{"--addr", addr, "--data-dir", dir}) }()
+		base := "http://" + addr
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(25 * time.Millisecond) {
+			if resp, err := http.Get(base + "/healthz"); err == nil {
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					return base, errc
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("daemon never served /healthz")
+			}
+		}
+	}
+	stop := func(errc chan error) {
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatalf("daemon exited with error: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("daemon did not shut down on SIGTERM")
+		}
+	}
+	seriesCount := func(base string) int {
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var health struct {
+			Store struct {
+				Series int `json:"series"`
+			} `json:"store"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+			t.Fatal(err)
+		}
+		return health.Store.Series
+	}
+
+	base, errc := boot()
+	if n := seriesCount(base); n != 0 {
+		t.Fatalf("booted on the v1 file with %d series, want none", n)
+	}
+	now := time.Now()
+	var body strings.Builder
+	body.WriteString(`{"observations": [`)
+	for i := 0; i < 90; i++ { // every ten seconds for fifteen minutes, into three series
+		if i > 0 {
+			body.WriteString(",")
+		}
+		at := now.Add(-15*time.Minute + time.Duration(i)*10*time.Second).UTC().Format(time.RFC3339Nano)
+		fmt.Fprintf(&body, `{"metric": "rt", "service": "svc-%d", "version": "v1", "value": %d, "at": %q}`, i%3, 10+i, at)
+	}
+	body.WriteString("]}")
+	resp, err := http.Post(base+"/v1/metrics", "application/json", strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		t.Fatalf("ingest: %s", resp.Status)
+	}
+	time.Sleep(1100 * time.Millisecond) // past /healthz's cache
+	if n := seriesCount(base); n != 3 {
+		t.Fatalf("ingested into %d series, want 3", n)
+	}
+	stop(errc)
+
+	base, errc = boot()
+	if n := seriesCount(base); n != 3 {
+		t.Errorf("restarted with %d series, want 3", n)
+	}
+	stop(errc)
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("temp files left behind: %v", tmps)
+	}
+	saved := metrics.NewStore(0)
+	if err := journal.ReadFile(rollups, saved.Restore); err != nil {
+		t.Fatal(err)
+	}
+	scope := metrics.Scope{Service: "svc-0", Version: "v1"}
+	if p95, err := saved.Query("rt", scope, now.Add(-20*time.Minute), metrics.AggP95); err != nil || p95 < 10 || p95 > 100*1.05 {
+		t.Errorf("p95 from the saved file = %v, %v", p95, err)
 	}
 }
 

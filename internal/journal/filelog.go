@@ -212,6 +212,9 @@ func (f *FileLog) segments() ([]segment, error) {
 	var segs []segment
 	for _, e := range entries {
 		name := e.Name()
+		if strings.HasSuffix(name, segmentSuffix+".tmp") { // a compaction a crash cut short
+			os.Remove(filepath.Join(f.dir, name))
+		}
 		if e.IsDir() || !strings.HasSuffix(name, segmentSuffix) {
 			continue
 		}
@@ -522,7 +525,7 @@ func (f *FileLog) Replay(fn func(rec []byte) error) error {
 func replaySegment(path string, limit int64, fn func(rec []byte) error) (bool, error) {
 	file, err := os.Open(path)
 	if err != nil {
-		return false, fmt.Errorf("journal: opening segment: %w", err)
+		return false, fmt.Errorf("journal: %w", err)
 	}
 	defer file.Close()
 	var src io.Reader = file
@@ -564,7 +567,7 @@ func replaySegment(path string, limit int64, fn func(rec []byte) error) (bool, e
 // Compact rewrites the journal keeping only the records keep returns
 // true for: the retention hook callers use to drop events of runs that
 // no longer need replaying. The kept records land in one fresh segment
-// (fsynced before the old segments are removed), and appends continue
+// (WriteFile, before the old segments are removed), and appends continue
 // in a new active segment after it. keep must not touch the journal.
 func (f *FileLog) Compact(keep func(rec []byte) bool) error {
 	f.mu.Lock()
@@ -581,56 +584,26 @@ func (f *FileLog) Compact(keep func(rec []byte) bool) error {
 		return err
 	}
 
-	// Write survivors into the next segment via a temp file.
-	tmpPath := filepath.Join(f.dir, "compact.tmp")
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: creating compaction file: %w", err)
-	}
-	w := bufio.NewWriter(tmp)
-	var kept, keptBytes uint64
-	for _, seg := range segs {
-		_, err := replaySegment(seg.path, -1, func(rec []byte) error {
-			if !keep(rec) {
-				return nil
-			}
-			header := frameHeader(rec)
-			if _, err := w.Write(header[:]); err != nil {
-				return err
-			}
-			if _, err := w.Write(rec); err != nil {
-				return err
-			}
-			kept++
-			keptBytes += uint64(frameHeaderSize + len(rec))
-			return nil
-		})
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return err
-	}
-
-	// Publish: rename into place as the next segment, drop the old
-	// segments, fsync the directory so the swap is crash-durable, and
-	// continue in a fresh active segment after it.
+	// The survivors become the next segment, the old ones go, and the
+	// directory is fsynced so the swap is crash-durable.
 	compactSeq := f.seq + 1
-	if err := os.Rename(tmpPath, f.segmentPath(compactSeq)); err != nil {
+	var kept, keptBytes uint64
+	err = WriteFile(f.segmentPath(compactSeq), func(emit func(rec []byte) error) error {
+		for _, seg := range segs {
+			if _, err := replaySegment(seg.path, -1, func(rec []byte) error {
+				if !keep(rec) {
+					return nil
+				}
+				kept++
+				keptBytes += uint64(frameHeaderSize + len(rec))
+				return emit(rec)
+			}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	if err := f.active.Close(); err != nil {
@@ -652,6 +625,57 @@ func (f *FileLog) Compact(keep func(rec []byte) bool) error {
 	f.active = nil // openSegment must not re-seal the closed file
 	f.seq = compactSeq
 	return f.openSegment(compactSeq + 1)
+}
+
+// WriteFile replaces path with the records emit is given, framed as
+// Append frames them, so that a crash leaves the old file or the whole
+// new one: path+".tmp" is written, flushed, fsynced, closed and renamed
+// over path, then the directory is fsynced. On any failure the temp file
+// is removed and path is untouched. emit does not retain rec.
+func WriteFile(path string, records func(emit func(rec []byte) error) error) error {
+	tmp := path + ".tmp"
+	file, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	w := bufio.NewWriter(file)
+	err = records(func(rec []byte) error {
+		if len(rec) == 0 || len(rec) > MaxRecord {
+			return fmt.Errorf("journal: record of %d bytes outside (0, %d]", len(rec), MaxRecord)
+		}
+		header := frameHeader(rec)
+		w.Write(header[:]) // a bufio.Writer's error is sticky: the next Write returns it
+		_, err := w.Write(rec)
+		return err
+	})
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = file.Sync()
+	}
+	if cerr := file.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// ReadFile calls fn for every record of a file WriteFile wrote, in
+// order. A file written whole has no crash-shaped tail, so a torn or
+// corrupt frame — anywhere — is an error, where Replay would truncate.
+func ReadFile(path string, fn func(rec []byte) error) error {
+	torn, err := replaySegment(path, -1, fn)
+	if err == nil && torn {
+		err = fmt.Errorf("journal: %s: torn or corrupt frame", path)
+	}
+	return err
 }
 
 // Stats implements Stater. It reads in-memory counters only — no

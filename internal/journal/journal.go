@@ -8,6 +8,7 @@
 // slice (tests, benches, and daemons that opt out of durability), and
 // FileLog is a segmented append-only file log with CRC-framed records,
 // batched fsync, segment rotation, and compaction (filelog.go).
+// WriteFile and ReadFile frame a file written whole the same way.
 package journal
 
 // Journal is an append-only record log. Records are opaque byte

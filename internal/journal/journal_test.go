@@ -3,9 +3,12 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -264,6 +267,117 @@ func TestFileLogCompact(t *testing.T) {
 	}
 }
 
+// writeTestFile writes recs with WriteFile.
+func writeTestFile(path string, recs ...string) error {
+	return WriteFile(path, func(emit func(rec []byte) error) error {
+		for _, rec := range recs {
+			if err := emit([]byte(rec)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// readTestFile reads a file with ReadFile.
+func readTestFile(path string) ([]string, error) {
+	var got []string
+	err := ReadFile(path, func(rec []byte) error {
+		got = append(got, string(rec))
+		return nil
+	})
+	return got, err
+}
+
+// TestWriteFileReplacesWhole: WriteFile writes the records it is given
+// over the old file and ReadFile reads them back; a producer that fails
+// part way — after emitting — leaves the old file byte for byte and no
+// temp file behind, and so does a record the framing cannot hold. A file
+// that is not there is fs.ErrNotExist.
+func TestWriteFileReplacesWhole(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "file")
+	if _, err := readTestFile(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("reading a missing file: %v, want fs.ErrNotExist", err)
+	}
+	if err := writeTestFile(path, "old", "older"); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeTestFile(path, "one", "two", strings.Repeat("x", 10_000)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readTestFile(path); err != nil || len(got) != 3 || got[0] != "one" || got[1] != "two" || len(got[2]) != 10_000 {
+		t.Fatalf("read back %d records, %v", len(got), err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := errors.New("producer failed")
+	for name, records := range map[string]func(emit func([]byte) error) error{
+		"producer error": func(emit func([]byte) error) error {
+			if err := emit([]byte("new")); err != nil {
+				return err
+			}
+			return failed
+		},
+		"empty record":     func(emit func([]byte) error) error { return emit(nil) },
+		"oversized record": func(emit func([]byte) error) error { return emit(make([]byte, MaxRecord+1)) },
+	} {
+		if err := WriteFile(path, records); err == nil {
+			t.Errorf("%s: WriteFile succeeded", name)
+		} else if name == "producer error" && !errors.Is(err, failed) {
+			t.Errorf("%s: WriteFile returned %v, not the producer's error", name, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: the old file changed (%v)", name, err)
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+			t.Errorf("%s: the directory holds %v (%v), want the file alone", name, entries, err)
+		}
+	}
+}
+
+// TestReadFileRejectsAnyFlippedByte: a file WriteFile wrote whole has no
+// crash-shaped tail, so one flipped byte anywhere — header or payload, of
+// any record — is an error, where Replay of the same bytes as a segment
+// truncates and reports the records before it.
+func TestReadFileRejectsAnyFlippedByte(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "file")
+	if err := writeTestFile(path, "first", "second record", "third"); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segDir := filepath.Join(dir, "log")
+	for i := range good {
+		bad := bytes.Clone(good)
+		bad[i] ^= 0x40
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := readTestFile(path); err == nil {
+			t.Fatalf("byte %d flipped: ReadFile read %q without an error", i, got)
+		}
+		// The same bytes as a journal segment: Replay truncates instead.
+		os.RemoveAll(segDir)
+		if err := os.MkdirAll(segDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(segDir, "00000001.wal"), bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f := openTestLog(t, segDir, Options{})
+		if got := collect(t, f); len(got) >= 3 {
+			t.Fatalf("byte %d flipped: Replay returned all %d records", i, len(got))
+		}
+		f.Close()
+	}
+}
+
 func TestFileLogSyncEveryAppend(t *testing.T) {
 	f := openTestLog(t, t.TempDir(), Options{SyncInterval: -1})
 	if err := f.Append([]byte("durable")); err != nil {
@@ -328,6 +442,35 @@ func TestFileLogIgnoresForeignFiles(t *testing.T) {
 	}
 	if got := collect(t, f); len(got) != 1 {
 		t.Errorf("replayed %d records, want 1", len(got))
+	}
+}
+
+// TestFileLogDropsCutShortCompaction: Compact writes the next segment
+// through WriteFile, whose temp file a crash can leave behind. Opening
+// the log removes it unread: the segments it would have replaced are all
+// still there.
+func TestFileLogDropsCutShortCompaction(t *testing.T) {
+	dir := t.TempDir()
+	f := openTestLog(t, dir, Options{})
+	if err := f.Append([]byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, "00000009.wal.tmp")
+	if err := writeTestFile(filepath.Join(dir, "unused"), "kept"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(dir, "unused"), tmp); err != nil {
+		t.Fatal(err)
+	}
+	f2 := openTestLog(t, dir, Options{})
+	if got := collect(t, f2); len(got) != 1 || string(got[0]) != "kept" {
+		t.Errorf("replayed %q, want the one record", got)
+	}
+	if _, err := os.Stat(tmp); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the cut-short compaction file is still there (%v)", err)
 	}
 }
 

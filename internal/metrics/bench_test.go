@@ -4,10 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"contexp/internal/journal"
 )
 
 func BenchmarkRecord(b *testing.B) {
@@ -383,6 +387,67 @@ func BenchmarkRecordLate(b *testing.B) {
 			if _, err := st.Query("rt", scope, now.Add(-60*time.Second), AggP95); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// snapshotStore is what the snapshot benchmarks save: n series, one
+// lognormal sample each every 5 s for span, all three tiers fed.
+func snapshotStore(n int, span time.Duration) *Store {
+	st := NewStore(0)
+	rng := rand.New(rand.NewSource(1))
+	base := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+	batch := make([]Sample, n)
+	for at := time.Duration(0); at < span; at += 5 * time.Second {
+		for i := range batch {
+			batch[i] = Sample{
+				Metric: "response_time", Scope: Scope{Tenant: "t", Service: fmt.Sprintf("svc-%d", i), Version: "v1"},
+				At: base.Add(at), Value: 5 * math.Exp(rng.NormFloat64()),
+			}
+		}
+		st.RecordBatch(batch)
+	}
+	return st
+}
+
+// saveBenchSeries and saveBenchSpan size the snapshot benchmarks: two
+// hours fill 120 minute and 2 hour buckets a series.
+const (
+	saveBenchSeries = 512
+	saveBenchSpan   = 2 * time.Hour
+)
+
+// BenchmarkSnapshotSave is contexpd's save of the minute and hour tiers:
+// a record per series, written through journal.WriteFile — flush, fsync,
+// rename, directory sync included. bytes/series is the file's size.
+func BenchmarkSnapshotSave(b *testing.B) {
+	st := snapshotStore(saveBenchSeries, saveBenchSpan)
+	path := filepath.Join(b.TempDir(), "rollups")
+	b.ResetTimer()
+	for range b.N {
+		if err := journal.WriteFile(path, st.Snapshot); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	info, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(info.Size())/saveBenchSeries, "bytes/series")
+}
+
+// BenchmarkSnapshotLoad is contexpd's boot-time restore of the file
+// BenchmarkSnapshotSave writes, into an empty store.
+func BenchmarkSnapshotLoad(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "rollups")
+	if err := journal.WriteFile(path, snapshotStore(saveBenchSeries, saveBenchSpan).Snapshot); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for range b.N {
+		if err := journal.ReadFile(path, NewStore(0).Restore); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

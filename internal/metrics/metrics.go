@@ -49,8 +49,11 @@
 //     [window min, min(10⁻³, window max)]; min/max/mean/sum over such
 //     values stay exact.
 //   - A window older than every tier is answered from what the hour
-//     tier still retains. Buckets restored by LoadSnapshot carry no
-//     sketch, so a quantile over a window containing one is ErrNoData.
+//     tier still retains.
+//
+// The minute and hour tiers outlive the process as one record per series
+// of their sealed buckets, sketches included (Store.Snapshot and Restore,
+// which do no file I/O), so a restored store answers as the saved one did.
 //
 // All operations are safe for concurrent use. A series is found through
 // one read-mostly index: a map that is never written once published
@@ -71,6 +74,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -117,56 +121,32 @@ const (
 	AggRate // observations per second over the window
 )
 
-// ParseAggregation converts the DSL spelling of an aggregation.
+// aggNames are the canonical spellings, by aggregation.
+var aggNames = [...]string{AggMean: "mean", AggMedian: "median", AggP95: "p95", AggP99: "p99",
+	AggMin: "min", AggMax: "max", AggCount: "count", AggSum: "sum", AggRate: "rate"}
+
+// ParseAggregation converts the DSL spelling of an aggregation: the
+// canonical one, any case, or avg for mean and p50 for median.
 func ParseAggregation(s string) (Aggregation, error) {
-	switch strings.ToLower(s) {
-	case "mean", "avg":
-		return AggMean, nil
-	case "median", "p50":
-		return AggMedian, nil
-	case "p95":
-		return AggP95, nil
-	case "p99":
-		return AggP99, nil
-	case "min":
-		return AggMin, nil
-	case "max":
-		return AggMax, nil
-	case "count":
-		return AggCount, nil
-	case "sum":
-		return AggSum, nil
-	case "rate":
-		return AggRate, nil
-	default:
-		return 0, fmt.Errorf("metrics: unknown aggregation %q", s)
+	name := strings.ToLower(s)
+	switch name {
+	case "avg":
+		name = "mean"
+	case "p50":
+		name = "median"
 	}
+	if a := slices.Index(aggNames[:], name); a > 0 {
+		return Aggregation(a), nil
+	}
+	return 0, fmt.Errorf("metrics: unknown aggregation %q", s)
 }
 
 // String returns the canonical spelling.
 func (a Aggregation) String() string {
-	switch a {
-	case AggMean:
-		return "mean"
-	case AggMedian:
-		return "median"
-	case AggP95:
-		return "p95"
-	case AggP99:
-		return "p99"
-	case AggMin:
-		return "min"
-	case AggMax:
-		return "max"
-	case AggCount:
-		return "count"
-	case AggSum:
-		return "sum"
-	case AggRate:
-		return "rate"
-	default:
-		return fmt.Sprintf("aggregation(%d)", int(a))
+	if a > 0 && int(a) < len(aggNames) {
+		return aggNames[a]
 	}
+	return fmt.Sprintf("aggregation(%d)", int(a))
 }
 
 // ErrNoData is returned by queries over series or windows with no
@@ -186,7 +166,7 @@ type series struct {
 
 	// tiers are the three retention widths (ring.go), every one fed on
 	// every write. The minute and hour tiers survive restarts via
-	// Store.SaveSnapshot.
+	// Store.Snapshot.
 	tiers [numTiers]tier
 	// earliest is the unix second of the oldest observation ever
 	// offered, kept or not: a tier whose reach starts at or before it
@@ -340,25 +320,30 @@ func (st *Store) getOrCreate(key string) *series {
 	return s
 }
 
-// getOrCreateLocked is getOrCreate under st.mu. The first series created
-// since read was published copies read into dirty; every later one until
-// the next publish is one insert into dirty.
+// getOrCreateLocked is getOrCreate under st.mu.
 func (st *Store) getOrCreateLocked(key string) *series {
-	idx := st.read.Load()
-	if s := idx.series[key]; s != nil {
+	if s := st.read.Load().series[key]; s != nil {
 		return s
 	}
 	if s := st.dirty[key]; s != nil {
 		st.missLocked()
 		return s
 	}
+	s := newSeries()
+	st.addLocked(key, s)
+	return s
+}
+
+// addLocked puts s in the index as key's series, which it does not hold.
+// The first series added since read was published copies read into dirty;
+// every later one until the next publish is one insert into dirty.
+func (st *Store) addLocked(key string, s *series) {
 	if st.dirty == nil {
+		idx := st.read.Load()
 		st.dirty = maps.Clone(idx.series)
 		st.read.Store(&index{series: idx.series, amended: true})
 	}
-	s := newSeries()
 	st.dirty[key] = s
-	return s
 }
 
 // missLocked counts a probe that read could not answer, and publishes

@@ -101,11 +101,9 @@ type bucket struct {
 	hist         [histSize]uint8
 }
 
-// reset empties the bucket for interval idx. A reset bucket has the
-// empty bin range; so does one restored from a snapshot, whose summary
-// is then filled in without a sketch. A widened bucket stays wide, its
-// counts zeroed: a slot that needed more than a byte once is likely to
-// again.
+// reset empties the bucket for interval idx: the empty bin range. A
+// widened bucket stays wide, its counts zeroed: a slot that needed more
+// than a byte once is likely to again.
 func (b *bucket) reset(idx int64) {
 	if h := b.high; h != nil && b.binLo <= b.binHi {
 		clear(h[b.binLo : int(b.binHi)+1])
@@ -375,12 +373,6 @@ func (a *accumulator) quantile(p float64) (float64, error) {
 		if !found && c > 0 && float64(mass-1) >= target {
 			q, found = histValue(i), true
 		}
-	}
-	// A window holding buckets restored from a snapshot (which persists
-	// no sketches) has less sketch mass than observations: that is no
-	// evidence, not a quantile of whatever the sketches did see.
-	if mass != uint64(a.count) {
-		return 0, ErrNoData
 	}
 	// The window's exact extremes bound the sketch answer, so the
 	// under/overflow bins' representatives never leave the observed range.

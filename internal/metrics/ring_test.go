@@ -1,10 +1,8 @@
 package metrics
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -140,62 +138,13 @@ func TestBucketBinRange(t *testing.T) {
 	}
 }
 
-// TestReduceRestoredBucketInWindow: a bucket restored from a snapshot
-// carries no sketch. Inside a window it still counts exactly, and makes
-// a quantile over that window ErrNoData rather than a quantile of the
-// other buckets.
-func TestReduceRestoredBucketInWindow(t *testing.T) {
-	s := newSeries()
-	minute := t0.Unix() / 60
-	s.mu.Lock()
-	// Live samples first, so the restore overwrites a slot that already
-	// has a sketch as well as filling an empty one.
-	for _, o := range []observation{{t0.Add(time.Minute), 30}, {t0.Add(2 * time.Minute), 50}} {
-		at := stampOf(o.at)
-		s.recordLocked(&at, o.value)
-	}
-	s.restoreLocked(tierMinute, []snapshotBucket{
-		{Idx: minute, Count: 4, Sum: 40, Min: 5, Max: 20, FirstAt: t0.UnixNano(), LastAt: t0.UnixNano() + 3},
-		{Idx: minute + 1, Count: 2, Sum: 60, Min: 25, Max: 35, FirstAt: t0.UnixNano() + int64(time.Minute), LastAt: t0.UnixNano() + int64(time.Minute) + 1},
-	})
-	s.mu.Unlock()
-	r := &s.tiers[tierMinute]
-	for _, tc := range []struct {
-		name      string
-		since     time.Time
-		count     int64
-		sum       float64
-		quantiles bool
-	}{
-		{"both restored buckets", t0, 7, 150, false},
-		{"one restored bucket", t0.Add(time.Minute), 3, 110, false},
-		{"live bucket only", t0.Add(2 * time.Minute), 1, 50, true},
-	} {
-		a := accumulator{summary: emptySummary, hist: new([histSize]uint64)}
-		reduceTier(r, tc.since, &a)
-		if a.count != tc.count || a.sum != tc.sum {
-			t.Errorf("%s: count %d sum %v, want %d and %v", tc.name, a.count, a.sum, tc.count, tc.sum)
-		}
-		if got, err := a.value(AggMean); err != nil || got != tc.sum/float64(tc.count) {
-			t.Errorf("%s: mean = %v, %v", tc.name, got, err)
-		}
-		_, err := a.value(AggP95)
-		if tc.quantiles && err != nil {
-			t.Errorf("%s: p95: %v", tc.name, err)
-		}
-		if !tc.quantiles && !errors.Is(err, ErrNoData) {
-			t.Errorf("%s: p95 err = %v, want ErrNoData", tc.name, err)
-		}
-	}
-}
-
-// TestWriteIntoRestoredCurrentBuckets: LoadSnapshot places saved buckets
-// through tier.at, so the bucket each tier caches as its newest is
-// decided by the restore.
-// A write into the restored current minute and hour must add to those
-// very buckets: the minute ring then answers a window inside its reach,
-// the hour ring one beyond it, with the restored history and the new
-// sample both.
+// TestWriteIntoRestoredCurrentBuckets: Restore unpacks each tier's
+// newest saved intervals into live buckets and makes the newest the one
+// the tier caches, so a write into the restored current minute and hour
+// must add to those very buckets: the minute tier then answers a window
+// inside its reach, the hour tier one beyond it, with the restored
+// history and the new samples both — quantiles included, over windows
+// that straddle the restart.
 func TestWriteIntoRestoredCurrentBuckets(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0).Truncate(time.Hour)
 	all := []observation{
@@ -208,17 +157,10 @@ func TestWriteIntoRestoredCurrentBuckets(t *testing.T) {
 	for _, o := range all {
 		saved.Record("rt", scopeV1, o.at, o.value)
 	}
-	path := filepath.Join(t.TempDir(), "rollups.json")
-	if err := saved.SaveSnapshot(path, base.Add(11*time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	st := NewStore(0)
-	if err := st.LoadSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
+	st := restoredStore(t, snapshotRecords(t, saved))
 	s := st.lookupBytes([]byte(seriesKey("rt", scopeV1)))
 	if s == nil {
-		t.Fatal("series missing after LoadSnapshot")
+		t.Fatal("series missing after Restore")
 	}
 	newest := base.Add(10 * time.Minute).Unix()
 	for tier, width := range map[int]int64{tierMinute: 60, tierHour: 3600} {
@@ -243,12 +185,10 @@ func TestWriteIntoRestoredCurrentBuckets(t *testing.T) {
 		{"minute ring, whole hour", base},
 		{"hour ring", base.Add(-31 * time.Hour)},
 	} {
-		checkAggsAgainstOracle(t, st, all, w.since, w.name, exactAggs)
+		checkAgainstOracle(t, st, all, w.since, w.name)
 	}
-	// A later minute opens a fresh bucket with a sketch: quantiles over it
-	// alone work again (TestSnapshotV1Fixture covers the seconds ring).
 	next := observation{base.Add(12 * time.Minute), 60}
 	st.Record("rt", scopeV1, next.at, next.value)
 	all = append(all, next)
-	checkAggsAgainstOracle(t, st, all, base.Add(3*time.Minute), "after the next minute", exactAggs)
+	checkAgainstOracle(t, st, all, base.Add(3*time.Minute), "after the next minute")
 }

@@ -1,20 +1,19 @@
 package metrics
 
 import (
-	"cmp"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"slices"
+	"math"
 	"strings"
 	"time"
 )
 
 // This file is the long-uptime side of the store: idle-series eviction
-// (Maintain), per-tenant series accounting (TenantSeries), and
-// persistence of the minute and hour tiers (SaveSnapshot/LoadSnapshot)
-// so long-window history survives a daemon restart.
+// (Maintain), per-tenant series accounting (TenantSeries), and the
+// records that carry the minute and hour tiers across a daemon restart
+// (Snapshot/Restore). The store encodes and decodes them; where they are
+// kept is the caller's (contexpd writes them with journal.WriteFile).
 
 // --- maintenance ---
 
@@ -68,150 +67,171 @@ func (st *Store) TenantSeries() map[string]int {
 	return out
 }
 
-// --- rollup persistence ---
+// --- persistence ---
+//
+// A saved series is one record: its key, then its minute and hour tiers,
+// each as every interval it holds, oldest first, exactly as a sealed view
+// holds it. Every number is little-endian, a float its IEEE bits:
+//
+//	record := u32 len(key) · key · tier(minute) · tier(hour)
+//	tier   := u32 n · n × bucket
+//	bucket := idx · count · sum · min · max · firstNs · lastNs (8 bytes each)
+//	          · lo · n · width (1 byte each) · n × width bytes of counts
+//
+// The seconds tier is not saved: it reaches four minutes and refills at once.
 
-// snapshotVersion is bumped when the snapshot schema changes
-// incompatibly; LoadSnapshot rejects newer versions.
-const snapshotVersion = 1
+// savedTiers are the tiers a record carries, in its order.
+var savedTiers = [...]int{tierMinute, tierHour}
 
-type snapshotBucket struct {
-	Idx     int64   `json:"idx"`
-	Count   int     `json:"count"`
-	Sum     float64 `json:"sum"`
-	Min     float64 `json:"min"`
-	Max     float64 `json:"max"`
-	FirstAt int64   `json:"firstAt"` // unix nanos
-	LastAt  int64   `json:"lastAt"`
-}
+// bucketHead is a saved bucket's size before its counts.
+const bucketHead = 7*8 + 3
 
-type snapshotSeries struct {
-	Key    string           `json:"key"`
-	Minute []snapshotBucket `json:"minute,omitempty"`
-	Hour   []snapshotBucket `json:"hour,omitempty"`
-}
-
-type snapshotFile struct {
-	V       int              `json:"v"`
-	SavedAt time.Time        `json:"savedAt"`
-	Series  []snapshotSeries `json:"series"`
-}
-
-// dump is what a snapshot keeps of a tier, oldest first: the view, its
-// late buffer folded, then the live buckets.
-func (r *tier) dump() []snapshotBucket {
-	var out []snapshotBucket
-	put := func(s *summary) {
-		out = append(out, snapshotBucket{
-			Idx: s.idx, Count: int(s.count), Sum: s.sum, Min: s.min, Max: s.max,
-			FirstAt: s.firstNs, LastAt: s.lastNs,
-		})
-	}
-	r.foldLocked()
-	for i := range r.sealed.buckets {
-		put(&r.sealed.buckets[i].summary)
-	}
-	r.walk(r.oldest(), r.latest, func(b *bucket) { put(&b.summary) })
-	return out
-}
-
-// restoreLocked places saved buckets as their samples would have been: a
-// bucket beyond the tier's reach of the newest is dropped, and one
-// already present is overwritten. They are taken oldest first (a file
-// written from a ring's slot table is not in that order), so that on a
-// tier holding nothing newer each arrives as the newest interval and is
-// sealed by the next; out of order, every bucket older than the live
-// ones is a copy of the view (22 ms for a full minute tier, measured).
-// Sketches are not persisted, so restored buckets answer everything but
-// quantiles. Caller holds the series mutex.
-func (s *series) restoreLocked(tier int, saved []snapshotBucket) {
-	r := &s.tiers[tier]
-	saved = slices.Clone(saved)
-	slices.SortStableFunc(saved, func(a, b snapshotBucket) int { return cmp.Compare(a.Idx, b.Idx) })
-	for _, sb := range saved {
-		if sb.Count <= 0 {
-			continue
-		}
-		sum := summary{
-			idx: sb.Idx, count: int64(sb.Count), sum: sb.Sum, min: sb.Min, max: sb.Max,
-			firstNs: sb.FirstAt, lastNs: sb.LastAt,
-		}
-		if b := r.at(sb.Idx); b != nil {
-			b.reset(sb.Idx) // no sketch: the empty bin range
-			b.summary = sum
-		} else if sb.Idx >= r.oldest() {
-			r.foldLocked()
-			r.sealed.put(sum)
-		}
-		// Seed lastWrite so Maintain can age restored-but-idle series out
-		// instead of keeping them forever, and earliest so the finer
-		// tiers, which never saw this history, do not claim to cover it.
-		if at := time.Unix(0, sb.LastAt); at.After(s.lastWrite) {
-			s.lastWrite = at
-		}
-		s.earliest = min(s.earliest, sb.FirstAt/int64(time.Second))
-	}
-}
-
-// SaveSnapshot writes the minute and hour tiers of every series to
-// path as versioned JSON, atomically (temp file + rename), so a
-// restarted daemon can answer long-window queries from before the
-// restart. The seconds tier and the histogram sketches are deliberately
-// not persisted: the former covers minutes and refills immediately, the
-// latter would multiply the file size by histSize.
-func (st *Store) SaveSnapshot(path string, now time.Time) error {
-	snap := snapshotFile{V: snapshotVersion, SavedAt: now}
+// Snapshot calls emit, which must not retain rec, with every series'
+// record. Saving a tier is sealing a copy of it: under the series lock
+// its late buffer is folded, its view's slice headers are copied and its
+// live buckets sealed into a scratch view; the encoding runs unlocked.
+func (st *Store) Snapshot(emit func(rec []byte) error) error {
+	var rec []byte
+	var live [len(savedTiers)]sealedView
 	for key, s := range st.published() {
+		var views [len(savedTiers)]sealedView
 		s.mu.Lock()
-		ss := snapshotSeries{Key: key, Minute: s.tiers[tierMinute].dump(), Hour: s.tiers[tierHour].dump()}
+		for i, t := range savedTiers {
+			r := &s.tiers[t]
+			r.foldLocked()
+			views[i] = r.sealed
+			live[i].buckets, live[i].bins = live[i].buckets[:0], live[i].bins[:0]
+			r.walk(r.oldest(), r.latest, live[i].seal)
+		}
 		s.mu.Unlock()
-		if len(ss.Minute) == 0 && len(ss.Hour) == 0 {
-			continue
+		rec = binary.LittleEndian.AppendUint32(rec[:0], uint32(len(key)))
+		rec = append(rec, key...)
+		for i := range views {
+			rec = binary.LittleEndian.AppendUint32(rec, uint32(len(views[i].buckets)+len(live[i].buckets)))
+			rec = live[i].appendTo(views[i].appendTo(rec))
 		}
-		snap.Series = append(snap.Series, ss)
-	}
-	data, err := json.Marshal(&snap)
-	if err != nil {
-		return fmt.Errorf("metrics: encode snapshot: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadSnapshot merges a SaveSnapshot file into the store, restoring
-// each series' minute and hour tiers (creating series as needed; the
-// seconds tier starts empty). A missing file is not an error — a first
-// boot simply has no history.
-func (st *Store) LoadSnapshot(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
+		if err := emit(rec); err != nil {
+			return err
 		}
-		return err
-	}
-	var snap snapshotFile
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("metrics: undecodable snapshot %s: %w", path, err)
-	}
-	if snap.V > snapshotVersion {
-		return fmt.Errorf("metrics: snapshot %s version %d newer than supported %d", path, snap.V, snapshotVersion)
-	}
-	for _, ss := range snap.Series {
-		if ss.Key == "" {
-			continue
-		}
-		s := st.lockSeries(ss.Key)
-		// The seconds tier is untouched; what the merge may lower,
-		// series.earliest, reads judge under the lock.
-		s.restoreLocked(tierMinute, ss.Minute)
-		s.restoreLocked(tierHour, ss.Hour)
-		s.mu.Unlock()
 	}
 	return nil
+}
+
+// appendTo appends the view's buckets to rec as a record carries them.
+func (v *sealedView) appendTo(rec []byte) []byte {
+	for i := range v.buckets {
+		sb := &v.buckets[i]
+		for _, x := range [...]uint64{uint64(sb.idx), uint64(sb.count), math.Float64bits(sb.sum),
+			math.Float64bits(sb.min), math.Float64bits(sb.max), uint64(sb.firstNs), uint64(sb.lastNs)} {
+			rec = binary.LittleEndian.AppendUint64(rec, x)
+		}
+		rec = append(append(rec, sb.lo, sb.n, sb.width), v.bins[sb.off:][:int(sb.n)*int(sb.width)]...)
+	}
+	return rec
+}
+
+// Restore adds the series a Snapshot record holds. The store must not
+// hold it: restoring comes before anything is recorded. rec is not retained.
+func (st *Store) Restore(rec []byte) error {
+	if len(rec) < 4 || uint64(binary.LittleEndian.Uint32(rec)) > uint64(len(rec)-4) {
+		return errors.New("metrics: snapshot record: short key")
+	}
+	n := binary.LittleEndian.Uint32(rec)
+	key, data, s := string(rec[4:][:n]), rec[4+n:], newSeries()
+	for _, t := range savedTiers {
+		var err error
+		if data, err = s.restore(t, data); err != nil {
+			return fmt.Errorf("metrics: snapshot record of %q: %w", key, err)
+		}
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	switch {
+	case len(data) != 0:
+		return fmt.Errorf("metrics: snapshot record of %q: %d bytes after its tiers", key, len(data))
+	case st.read.Load().series[key] != nil || st.dirty[key] != nil:
+		return fmt.Errorf("metrics: snapshot record of %q: the store holds the series", key)
+	}
+	st.addLocked(key, s)
+	return nil
+}
+
+// restore decodes one saved tier from the front of data into s, which
+// nobody else holds, and returns the rest. It accepts only what Snapshot
+// writes of a tier, all checked before more than the buckets the length
+// allows is allocated. The newest intervals, up to liveBuckets, are
+// unpacked live, the rest become the view as they are.
+func (s *series) restore(t int, data []byte) ([]byte, error) {
+	if len(data) < 4 || uint64(binary.LittleEndian.Uint32(data))*(bucketHead+1) > uint64(len(data)-4) {
+		return nil, errors.New("short tier")
+	}
+	r, n, raw := &s.tiers[t], binary.LittleEndian.Uint32(data), data
+	if data = data[4:]; n == 0 {
+		return data, nil
+	}
+	all, size := sealedView{buckets: make([]sealedBucket, n)}, 0
+	for i := range all.buckets {
+		if len(data) < bucketHead {
+			return nil, errors.New("short bucket")
+		}
+		u := func(at int) uint64 { return binary.LittleEndian.Uint64(data[at:]) }
+		sb := sealedBucket{summary: summary{idx: int64(u(0)), count: int64(u(8)),
+			sum: math.Float64frombits(u(16)), min: math.Float64frombits(u(24)), max: math.Float64frombits(u(32)),
+			firstNs: int64(u(40)), lastNs: int64(u(48)),
+		}, off: uint32(len(raw) - len(data) + bucketHead), lo: data[56], n: data[57], width: data[58]}
+		bins := int(sb.n) * int(sb.width)
+		if sb.width != 1 && sb.width != 2 && sb.width != 4 || sb.n == 0 || int(sb.lo)+int(sb.n) > histSize ||
+			len(data) < bucketHead+bins || sb.idx < math.MinInt64/r.width || sb.idx > math.MaxInt64/r.width ||
+			i > 0 && (sb.idx <= all.buckets[i-1].idx || sb.idx-all.buckets[0].idx >= r.reach) ||
+			!sealable(&sb, data[bucketHead:][:bins]) {
+			return nil, fmt.Errorf("bucket %d (%d of %d) is not one a tier seals", sb.idx, i, n)
+		}
+		all.buckets[i], size, data = sb, size+bins, data[bucketHead+bins:]
+	}
+	latest := all.buckets[n-1].idx
+
+	all.bins = make([]byte, 0, size) // the counts, moved out of raw, where off pointed
+	live := len(all.buckets)
+	for i := range all.buckets {
+		sb := &all.buckets[i]
+		bins := raw[sb.off:][:int(sb.n)*int(sb.width)]
+		sb.off, all.bins = uint32(len(all.bins)), append(all.bins, bins...)
+		if sb.idx > latest-liveBuckets {
+			live = min(live, i)
+		}
+		s.earliest = min(s.earliest, time.Unix(0, sb.firstNs).Unix())
+		if at := time.Unix(0, sb.lastNs); at.After(s.lastWrite) {
+			s.lastWrite = at
+		}
+	}
+	for i := live; i < len(all.buckets); i++ {
+		b := new(bucket)
+		b.reset(all.buckets[i].idx)
+		all.unpack(&all.buckets[i], b)
+		r.live[b.idx&(liveBuckets-1)] = b
+	}
+	r.sealed = sealedView{buckets: all.buckets[:live], bins: all.bins[:all.buckets[live].off]}
+	r.latest, r.cur = latest, r.live[latest&(liveBuckets-1)]
+	return data, nil
+}
+
+// sealable reports whether counts are what sealing makes of a bucket's
+// sketch: as many as its observations, the first and last bin occupied
+// (add widens the range to bins it counts in), at the narrowest width
+// that holds the largest.
+func sealable(sb *sealedBucket, counts []byte) bool {
+	var h [histSize]uint64
+	addBins(&sealedView{bins: counts}, &sealedBucket{lo: sb.lo, n: sb.n, width: sb.width}, &h)
+	var top, mass uint64
+	for _, c := range h {
+		top, mass = max(top, c), mass+c
+	}
+	width := uint8(4)
+	switch {
+	case top < 1<<8:
+		width = 1
+	case top < 1<<16:
+		width = 2
+	}
+	return h[sb.lo] > 0 && h[int(sb.lo)+int(sb.n)-1] > 0 && mass == uint64(sb.count) && width == sb.width
 }

@@ -48,8 +48,7 @@ import (
 type sealedBucket struct {
 	summary
 	// The n bins from lo on are bins[off : off+n*width], each a
-	// little-endian count of width bytes. n is 0 for a bucket without a
-	// sketch (restored from a snapshot).
+	// little-endian count of width bytes.
 	off          uint32
 	lo, n, width uint8
 }
@@ -74,11 +73,8 @@ func viewCap(n int) int {
 // packed is how b's sketch goes into a view: its n occupied bins, from
 // bin lo on, and the narrowest width — 1, 2 or 4 bytes — that holds the
 // largest count. A narrow bucket's counts are its bytes; a wide one's
-// may all fit in them again. A bucket without a sketch packs to nothing.
+// may all fit in them again. Only a bucket holding data is sealed.
 func (b *bucket) packed() (lo, n, width uint8) {
-	if b.binLo > b.binHi {
-		return 0, 0, 0
-	}
 	lo, n = b.binLo, b.binHi-b.binLo+1
 	if b.high == nil {
 		return lo, n, 1
@@ -170,9 +166,6 @@ func addBins[T uint8 | uint32 | uint64](v *sealedView, sb *sealedBucket, h *[his
 // bytes, else count by count, widening b.
 func (v *sealedView) unpack(sb *sealedBucket, b *bucket) {
 	b.summary = sb.summary
-	if sb.n == 0 {
-		return
-	}
 	b.binLo, b.binHi = sb.lo, sb.lo+sb.n-1
 	if sb.width == 1 {
 		addBins(v, sb, &b.hist)
@@ -183,23 +176,6 @@ func (v *sealedView) unpack(sb *sealedBucket, b *bucket) {
 	for i := int(b.binLo); i <= int(b.binHi); i++ {
 		b.setCount(i, counts[i])
 	}
-}
-
-// put places a bare summary — a restored bucket, which has no sketch — at
-// its index, in a fresh array, replacing what the view held there (whose
-// bins, if it had any, stay in the slab until they are trimmed with it).
-func (v *sealedView) put(sum summary) {
-	i, found := slices.BinarySearchFunc(v.buckets, sum.idx, func(b sealedBucket, idx int64) int { return cmp.Compare(b.idx, idx) })
-	bare := sealedBucket{summary: sum, off: uint32(len(v.bins))}
-	if i < len(v.buckets) {
-		bare.off = v.buckets[i].off
-	}
-	out := append(make([]sealedBucket, 0, viewCap(len(v.buckets)+1)), v.buckets[:i]...)
-	out = append(out, bare)
-	if found {
-		i++
-	}
-	v.buckets = append(out, v.buckets[i:]...)
 }
 
 // lateSample is a write into a sealed interval, waiting for the next fold.

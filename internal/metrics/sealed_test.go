@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -429,6 +428,9 @@ func (p *shadowed) checkTier(t *testing.T, tier int, label string) {
 	r.foldLocked()
 	v := &r.sealed
 	label = fmt.Sprintf("%s, %d s tier", label, r.width)
+	if err := r.layoutErr(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 	if r.latest != sh.latest {
 		t.Fatalf("%s: newest interval %d, the shadow's %d", label, r.latest, sh.latest)
 	}
@@ -463,22 +465,14 @@ func (p *shadowed) checkTier(t *testing.T, tier int, label string) {
 		}
 		width := uint8(4)
 		switch {
-		case b.binLo > b.binHi:
-			width = 0
 		case top < 1<<8:
 			width = 1
 		case top < 1<<16:
 			width = 2
 		}
-		if sb.width != width || (width > 0 && (sb.lo != b.binLo || sb.n != b.binHi-b.binLo+1)) {
+		if sb.width != width || sb.lo != b.binLo || sb.n != b.binHi-b.binLo+1 {
 			t.Fatalf("%s: view[%d] packs bins %d+%d at width %d; the bucket has [%d, %d], top count %d",
 				label, i, sb.lo, sb.n, sb.width, b.binLo, b.binHi, top)
-		}
-		if i > 0 {
-			if prev := &v.buckets[i-1]; sb.off != prev.off+uint32(prev.n)*uint32(prev.width) {
-				t.Fatalf("%s: view[%d] at slab offset %d does not follow its predecessor (%d + %d×%d)",
-					label, i, sb.off, prev.off, prev.n, prev.width)
-			}
 		}
 		i++
 	})
@@ -489,6 +483,51 @@ func (p *shadowed) checkTier(t *testing.T, tier int, label string) {
 	if live != 0 {
 		t.Fatalf("%s: the tier holds %d live buckets the shadow does not", label, -live)
 	}
+}
+
+// layoutErr checks what a tier's shape alone says of it. Its view holds
+// intervals inside its reach and older than its live buckets, in index
+// order, their sketches back to back in the slab, each as sealing packs
+// one (sealable). Its live buckets sit in their interval's slot and
+// count each observation once in their bin range, whose edge bins are
+// occupied; cur is the newest.
+func (r *tier) layoutErr() error {
+	v := &r.sealed
+	for i := range v.buckets {
+		sb := &v.buckets[i]
+		size := int(sb.n) * int(sb.width)
+		switch {
+		case sb.idx < r.oldest() || sb.idx > r.latest-liveBuckets:
+			return fmt.Errorf("view[%d] holds interval %d; the tier reaches (%d, %d], the last %d live", i, sb.idx, r.oldest()-1, r.latest, liveBuckets)
+		case i > 0 && sb.idx <= v.buckets[i-1].idx:
+			return fmt.Errorf("view[%d] holds interval %d after %d", i, sb.idx, v.buckets[i-1].idx)
+		case i > 0 && sb.off != v.buckets[i-1].off+uint32(v.buckets[i-1].n)*uint32(v.buckets[i-1].width):
+			return fmt.Errorf("view[%d] at slab offset %d does not follow its predecessor", i, sb.off)
+		case sb.n == 0 || int(sb.lo)+int(sb.n) > histSize || int(sb.off)+size > len(v.bins):
+			return fmt.Errorf("view[%d] packs bins %d+%d at width %d from %d, in a %d-byte slab", i, sb.lo, sb.n, sb.width, sb.off, len(v.bins))
+		}
+		if !sealable(sb, v.bins[sb.off:][:size]) {
+			return fmt.Errorf("view[%d] (interval %d) is not packed as sealing packs it", i, sb.idx)
+		}
+	}
+	for slot, b := range r.live {
+		if b == nil || b.idx <= r.latest-liveBuckets || b.count == 0 {
+			continue
+		}
+		var h [histSize]uint64
+		b.addBins(&h)
+		mass := uint64(0)
+		for _, c := range h {
+			mass += c
+		}
+		if b.idx&(liveBuckets-1) != int64(slot) || b.binLo > b.binHi || h[b.binLo] == 0 || h[b.binHi] == 0 || mass != uint64(b.count) {
+			return fmt.Errorf("live slot %d: interval %d, bins [%d, %d], %d counts of %d observations", slot, b.idx, b.binLo, b.binHi, mass, b.count)
+		}
+	}
+	if r.cur != nil && (r.cur.idx != r.latest || r.cur != r.live[r.latest&(liveBuckets-1)]) {
+		return fmt.Errorf("cur holds interval %d, the newest is %d", r.cur.idx, r.latest)
+	}
+	return nil
 }
 
 func (p *shadowed) checkTiers(t *testing.T, label string) {
@@ -695,8 +734,7 @@ func TestSealedViewInvariant(t *testing.T) {
 }
 
 // TestSealedSketchCases: the packed sketch at the edges of its three
-// count widths, sealed from the live ring and re-sealed by a fold, and a
-// second that has no sketch at all.
+// count widths, sealed from the live ring and re-sealed by a fold.
 func TestSealedSketchCases(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	for _, tc := range []struct {
@@ -737,55 +775,6 @@ func TestSealedSketchCases(t *testing.T) {
 		}
 	}
 
-	// A second restored without a sketch (LoadSnapshot only restores the
-	// coarser tiers; the tier type is the same at all three widths, so the
-	// seconds tier is held to the same rule): inside the window it counts
-	// exactly and makes a quantile ErrNoData, while it is live, once it is
-	// sealed, and after a fold has added a late sample to it.
-	p := newShadowed()
-	for i := 0; i < 6; i++ {
-		p.burst(base.Add(time.Duration(i)*time.Second), 10+float64(i), 2)
-	}
-	restored := snapshotBucket{
-		Idx: base.Unix() + 2, Count: 4, Sum: 100, Min: 20, Max: 30,
-		FirstAt: base.UnixNano() + 2e9, LastAt: base.UnixNano() + 2e9 + 5,
-	}
-	p.s.mu.Lock()
-	p.s.restoreLocked(tierSecond, []snapshotBucket{restored}) // base+2 is the oldest live second
-	sh := p.shadow[tierSecond].at(restored.Idx)
-	sh.reset(restored.Idx)
-	sh.summary = p.s.tiers[tierSecond].at(restored.Idx).summary
-	p.s.mu.Unlock()
-	check := func(stage string, counts [3]float64) {
-		t.Helper()
-		for _, tc := range []struct {
-			back      time.Duration
-			count     float64
-			quantiles bool
-		}{{0, counts[0], false}, {2 * time.Second, counts[1], false}, {3 * time.Second, counts[2], true}} {
-			since := base.Add(tc.back)
-			if tier := p.checkReduce(t, since, fmt.Sprintf("%s, window from %v", stage, tc.back)); tier != tierSecond {
-				t.Fatalf("%s: window from %v answered by tier %d, not the seconds tier", stage, tc.back, tier)
-			}
-			a := accumulator{summary: emptySummary, hist: new([histSize]uint64)}
-			p.s.reduce(since, &a)
-			if c, err := a.value(AggCount); err != nil || c != tc.count {
-				t.Errorf("%s, window from %v: count %v, %v; want %v", stage, tc.back, c, err, tc.count)
-			}
-			if _, err := a.value(AggP95); tc.quantiles != (err == nil) || (err != nil && !errors.Is(err, ErrNoData)) {
-				t.Errorf("%s, window from %v: p95 err = %v; answerable: %v", stage, tc.back, err, tc.quantiles)
-			}
-		}
-		p.checkTier(t, tierSecond, stage) // the restore touched this tier alone
-	}
-	check("restored second, live", [3]float64{14, 10, 6})
-	p.burst(base.Add(9*time.Second), 16, 2)
-	if sec := p.s.tiers[tierSecond].sealed.buckets[2]; sec.idx != restored.Idx || sec.n != 0 || sec.width != 0 {
-		t.Fatalf("restored second sealed as %+v, want no sketch", sec)
-	}
-	check("restored second, sealed", [3]float64{16, 12, 8})
-	p.burst(base.Add(2*time.Second), 25, 1) // the fold unpacks a second without a sketch
-	check("restored second, folded", [3]float64{17, 13, 8})
 }
 
 // TestLateBufferIsBounded: a series that is only back-filled — every
@@ -828,65 +817,6 @@ func TestLateBufferIsBounded(t *testing.T) {
 		t.Errorf("tiers that answered: %v, want all three", answered)
 	}
 	p.checkTiers(t, "after the back-fill")
-}
-
-// TestRestoreIntoSealedHistory: LoadSnapshot merges into a series that
-// may hold newer data, and a file written from a ring's slot table is not
-// in index order. A restored bucket lands where its samples would have —
-// dense if its interval is still live, in the view if it is older, at its
-// place in index order, nowhere if it is beyond the reach — without a
-// sketch, replacing what was there; a late write folded into it later
-// finds it like any other bucket.
-func TestRestoreIntoSealedHistory(t *testing.T) {
-	p := newShadowed()
-	base := time.Unix(1_700_000_000, 0).Truncate(time.Minute)
-	minute := base.Unix() / 60
-	for i := 0; i <= 30; i += 2 { // minutes 0, 2 … 30: 28 and 30 live, the rest sealed
-		p.burst(base.Add(time.Duration(i)*time.Minute), 10+float64(i), 3)
-	}
-	restore := func(offsets ...int64) {
-		t.Helper()
-		var saved []snapshotBucket
-		for _, off := range offsets {
-			at := (minute + off) * int64(time.Minute)
-			saved = append(saved, snapshotBucket{Idx: minute + off, Count: 4, Sum: 100 + float64(off), Min: 20, Max: 30, FirstAt: at, LastAt: at + 5})
-		}
-		saved = append(saved, snapshotBucket{Idx: minute + 7}) // no observations: skipped
-		p.s.mu.Lock()
-		p.s.restoreLocked(tierMinute, saved)
-		p.s.mu.Unlock()
-		for _, sb := range saved[:len(offsets)] {
-			if b := p.shadow[tierMinute].at(sb.Idx); b != nil {
-				b.reset(sb.Idx)
-				b.summary = summary{idx: sb.Idx, count: 4, sum: sb.Sum, min: 20, max: 30, firstNs: sb.FirstAt, lastNs: sb.LastAt}
-			}
-		}
-	}
-	windows := func(stage string) {
-		t.Helper()
-		for _, off := range []int64{-10, 9, 10, 11, 13, 21, 25} {
-			if tier := p.checkReduce(t, base.Add(time.Duration(off)*time.Minute), fmt.Sprintf("%s, window from minute %d", stage, off)); tier != tierMinute {
-				t.Fatalf("%s: window from minute %d answered by tier %d", stage, off, tier)
-			}
-		}
-	}
-	// Newest first, as a wrapped slot table presents them: an empty live
-	// slot, a live bucket with a sketch, a gap in the view, before the
-	// view's first bucket, and one interval beyond the reach.
-	restore(29, 28, 13, -5, 30-minuteSlots)
-	windows("inserted")
-	p.checkTier(t, tierMinute, "inserted")
-	if got, want := len(p.s.tiers[tierMinute].sealed.buckets), 14+2; got != want {
-		t.Fatalf("view holds %d minutes after the restore, want %d", got, want)
-	}
-	// Over a sealed bucket that has a sketch: its bins stay behind in the
-	// slab, so the layout check waits for the fold below to rebuild it.
-	restore(10)
-	windows("replaced")
-	p.burst(base.Add(10*time.Minute+time.Second), 25, 2)
-	p.burst(base.Add(13*time.Minute), 26, 1)
-	windows("folded")
-	p.checkTiers(t, "folded")
 }
 
 // FuzzSealedSketch: arbitrary per-interval histograms, sealed into a
