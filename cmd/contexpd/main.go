@@ -245,6 +245,15 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	sched, err := bifrost.NewScheduler(bifrost.SchedulerConfig{
+		Engine:        engine,
+		Journal:       jnl,
+		MaxConcurrent: opt.maxConcurrent,
+		Capacity:      opt.capacity,
+	})
+	if err != nil {
+		return err
+	}
 	if jnl != nil {
 		report, err := engine.Recover(jnl)
 		if err != nil {
@@ -256,40 +265,13 @@ func run(args []string) error {
 				fmt.Printf("  run %q: %s\n", rr.Name, rr.Action)
 			}
 		}
-		// Retention: drop generations superseded by name reuse. Runs
-		// before the HTTP server accepts new launches (and before the
-		// scheduler can relaunch restored entries), so no relaunch can
-		// land between the journal fold and the rewrite.
-		if err := bifrost.CompactJournal(jnl); err != nil {
-			return fmt.Errorf("compacting journal %s: %w", opt.dataDir, err)
-		}
-	}
-
-	sched, err := bifrost.NewScheduler(bifrost.SchedulerConfig{
-		Engine:        engine,
-		Journal:       jnl,
-		MaxConcurrent: opt.maxConcurrent,
-		Capacity:      opt.capacity,
-	})
-	if err != nil {
-		return err
-	}
-	if jnl != nil {
-		// Strategies queued before the crash re-enter the queue; their
-		// queued records are already in the journal. Entries whose
-		// conflicts cleared (the blocking run settled during recovery)
-		// launch right here.
-		pending, qerrs := bifrost.RecoverQueue(jnl)
-		for _, qe := range qerrs {
-			fmt.Printf("journal %s: %v\n", opt.dataDir, qe)
-		}
-		if len(pending) > 0 {
-			names := make([]string, len(pending))
-			for i, p := range pending {
+		if len(report.Queued) > 0 {
+			names := make([]string, len(report.Queued))
+			for i, p := range report.Queued {
 				names[i] = p.Name
 			}
-			fmt.Printf("journal %s: restoring %d queued strategies: %v\n", opt.dataDir, len(pending), names)
-			sched.Restore(pending)
+			fmt.Printf("journal %s: restoring %d queued strategies: %v\n", opt.dataDir, len(names), names)
+			sched.Restore(report.Queued)
 		}
 	}
 

@@ -79,7 +79,8 @@ func NewMemoryJournal() RunJournal { return journal.NewMemory() }
 // pair it with Engine.Recover at startup for crash recovery: finished
 // runs come back as they ended, in-flight runs re-enter the run loop at
 // the position the journal ends on (docs/PERSISTENCE.md, "Recovery
-// semantics").
+// semantics"). Recover also compacts the journal and reports the
+// still-queued submissions.
 func OpenFileJournal(dir string, opts FileJournalOptions) (RunJournal, error) {
 	return journal.Open(dir, opts)
 }

@@ -84,8 +84,8 @@ const (
 	// a crashed daemon can restore still-pending submissions,
 	// EventRunScheduled marks the moment the scheduler hands the
 	// strategy to Engine.Launch, and EventRunDequeued marks a queued
-	// submission withdrawn before launch. Engine.Recover ignores them;
-	// RecoverQueue replays them.
+	// submission withdrawn before launch. Engine.Recover rebuilds no run
+	// from them; it hands the pending ones back in RecoveryReport.Queued.
 	EventRunQueued    EventType = "run-queued"
 	EventRunScheduled EventType = "run-scheduled"
 	EventRunDequeued  EventType = "run-dequeued"

@@ -31,14 +31,19 @@ type RecoveryReport struct {
 	// Settled counts in-flight runs recovery drove to a terminal state
 	// (rollback, promote, or abort per the strategy's transitions).
 	Settled int
-	// Skipped counts runs that could not be rebuilt (undecodable
-	// strategy, name collision).
+	// Skipped counts runs and queued submissions that could not be
+	// rebuilt (undecodable strategy, name collision).
 	Skipped int
 	// DecodeErrors counts journal records that did not decode as run
 	// events.
 	DecodeErrors int
-	// Runs details every run in launch order.
+	// Runs details every run in launch order, then every skipped queued
+	// submission.
 	Runs []RecoveredRun
+	// Queued holds the submissions still pending when the journal was
+	// written (queued, never launched, never dequeued), in submission
+	// order, for Scheduler.Restore.
+	Queued []PendingSubmission
 }
 
 // String renders the report one line per category.
@@ -47,9 +52,9 @@ func (rep *RecoveryReport) String() string {
 		len(rep.Runs), rep.Finished, rep.Resumed, rep.Settled, rep.Skipped, rep.DecodeErrors)
 }
 
-// journalFold is the one reading of a journal that recovery, queue
-// recovery and compaction all view. It applies the journal's two
-// bookkeeping rules:
+// journalFold is Recover's one reading of a journal: the runs it
+// rebuilds, the queue it hands back and the records compaction keeps
+// are all views of it. It applies the journal's two bookkeeping rules:
 //
 //   - Generations. A run name's records form generations, each opened by
 //     a run-launched record; a relaunch under the same name supersedes
@@ -83,8 +88,7 @@ type queueRecord struct {
 	wireRecord
 }
 
-// foldJournal replays j once. On a replay error it returns what it had
-// folded before the fault along with the error.
+// foldJournal replays j once.
 func foldJournal(j journal.Journal) (*journalFold, error) {
 	f := &journalFold{}
 	runs := make(map[string]*generation)
@@ -127,6 +131,9 @@ func foldJournal(j journal.Journal) (*journalFold, error) {
 		f.owner = append(f.owner, id)
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for _, g := range runs {
 		f.runs = append(f.runs, g)
 	}
@@ -135,7 +142,7 @@ func foldJournal(j journal.Journal) (*journalFold, error) {
 		f.queue = append(f.queue, q)
 	}
 	sort.Slice(f.queue, func(a, b int) bool { return f.queue[a].id < f.queue[b].id })
-	return f, err
+	return f, nil
 }
 
 // Recover replays a write-ahead journal into the engine at startup,
@@ -158,26 +165,41 @@ func foldJournal(j journal.Journal) (*journalFold, error) {
 //
 // That step's records are journaled like any others (through
 // cfg.Journal, normally the same journal), so recovering twice from the
-// same log is idempotent. Recover must run before the engine launches
-// new runs.
+// same log is idempotent.
+//
+// Straight after the fold, before any run is rebuilt, Recover compacts
+// j: it drops the generations a relaunch superseded, the queue records
+// of submissions no longer pending, and undecodable records. The queue
+// comes back in the report; pass rep.Queued to Scheduler.Restore. Call
+// Recover once at boot, before anything launches or queues a strategy
+// (a launch reusing a run name between the fold and the rewrite would
+// shift which generation is latest); records appended to j after the
+// fold are kept all the same.
 func (e *Engine) Recover(j journal.Journal) (*RecoveryReport, error) {
 	f, err := foldJournal(j)
 	if err != nil {
 		return nil, fmt.Errorf("bifrost: journal replay: %w", err)
 	}
+	if err := f.compact(j); err != nil {
+		return nil, fmt.Errorf("bifrost: journal compaction: %w", err)
+	}
 	rep := &RecoveryReport{DecodeErrors: f.decodeErrors}
+	skip := func(name, why string) {
+		rep.Skipped++
+		rep.Runs = append(rep.Runs, RecoveredRun{Name: name, Action: "skipped: " + why})
+	}
 	for _, g := range f.runs {
 		report := func(category *int, status RunStatus, action string) {
 			*category++
 			rep.Runs = append(rep.Runs, RecoveredRun{Name: g.name, Status: status, Action: action})
 		}
 		if !g.launched || g.dsl == "" {
-			report(&rep.Skipped, 0, "skipped: no launch record with strategy source")
+			skip(g.name, "no launch record with strategy source")
 			continue
 		}
 		s, err := ParseStrategy(g.dsl)
 		if err != nil {
-			report(&rep.Skipped, 0, fmt.Sprintf("skipped: strategy source unparseable: %v", err))
+			skip(g.name, fmt.Sprintf("strategy source unparseable: %v", err))
 			continue
 		}
 		// The DSL never names a tenant; re-stamp it from the journal
@@ -200,7 +222,7 @@ func (e *Engine) Recover(j journal.Journal) (*RecoveryReport, error) {
 		e.mu.Lock()
 		if _, exists := e.runs[s.RunKey()]; exists {
 			e.mu.Unlock()
-			report(&rep.Skipped, 0, "skipped: a run with this name already exists")
+			skip(g.name, "a run with this name already exists")
 			continue
 		}
 		run.seq = e.nextSeq
@@ -254,31 +276,23 @@ func (e *Engine) Recover(j journal.Journal) (*RecoveryReport, error) {
 			}
 		}
 	}
+	for _, q := range f.queue {
+		s, err := ParseStrategy(q.Strategy)
+		if err != nil {
+			skip(q.Run, fmt.Sprintf("queued strategy source unparseable: %v", err))
+			continue
+		}
+		s.Tenant = q.Tenant
+		rep.Queued = append(rep.Queued, PendingSubmission{Name: q.Run, Strategy: s, QueuedAt: q.At})
+	}
 	return rep, nil
 }
 
-// CompactJournal drops what the journal's two bookkeeping rules (see
-// journalFold) have made dead weight: generations that a relaunch of the
-// same run name superseded, the queue lifecycle records of submissions
-// that are no longer pending — a consumed entry's history lives on in
-// the run's own records — and undecodable records. Each run's latest
-// generation keeps its full event history. It is a no-op on journals
-// without compaction support.
-//
-// Call it while no new strategies can launch or queue — contexpd runs
-// it at boot, after Recover and before the scheduler restores (and
-// possibly relaunches) the queue — since a launch reusing an existing
-// run name between the fold and the rewrite would shift which generation
-// is "latest". Records appended after the fold are kept.
-func CompactJournal(j journal.Journal) error {
-	c, ok := j.(journal.Compactor)
-	if !ok {
-		return nil
-	}
-	f, err := foldJournal(j)
-	if err != nil {
-		return err
-	}
+// compact rewrites j keeping the records of each run name's latest
+// generation and of each pending submission, plus whatever was appended
+// after the fold. A consumed submission's history lives on in its run's
+// own records.
+func (f *journalFold) compact(j journal.Journal) error {
 	live := make(map[int]bool, len(f.runs)+len(f.queue))
 	for _, g := range f.runs {
 		live[g.id] = true
@@ -287,7 +301,7 @@ func CompactJournal(j journal.Journal) error {
 		live[q.id] = true
 	}
 	pos := -1
-	return c.Compact(func([]byte) bool {
+	return j.Compact(func([]byte) bool {
 		pos++
 		return pos >= len(f.owner) || live[f.owner[pos]]
 	})
@@ -303,31 +317,4 @@ type PendingSubmission struct {
 	Strategy *Strategy
 	// QueuedAt is the original submission time.
 	QueuedAt time.Time
-}
-
-// RecoverQueue returns the submissions that were still pending when the
-// journal was written: queued, never launched, never dequeued. The
-// result is in original submission order. Undecodable queue entries
-// (missing or unparseable strategy source) are dropped with an error in
-// the second result.
-func RecoverQueue(j journal.Journal) ([]PendingSubmission, []error) {
-	f, err := foldJournal(j)
-	var out []PendingSubmission
-	var errs []error
-	if err != nil {
-		// A failed replay may have cut the scan short: whatever decoded
-		// before the fault is still returned, but the caller must know
-		// the list can be incomplete.
-		errs = append(errs, fmt.Errorf("bifrost: queue recovery replay: %w", err))
-	}
-	for _, q := range f.queue {
-		s, err := ParseStrategy(q.Strategy)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("bifrost: queued strategy %q unrecoverable: %w", q.Run, err))
-			continue
-		}
-		s.Tenant = q.Tenant
-		out = append(out, PendingSubmission{Name: q.Run, Strategy: s, QueuedAt: q.At})
-	}
-	return out, errs
 }

@@ -1,6 +1,7 @@
 package bifrost
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -649,7 +650,9 @@ func TestCompactJournalDropsSupersededGenerations(t *testing.T) {
 	}
 	h.drive(t, run2)
 
-	if err := CompactJournal(jnl); err != nil {
+	// Recovery compacts before it rebuilds anything.
+	h2 := newJournalHarness(t, jnl)
+	if _, err := h2.engine.Recover(jnl); err != nil {
 		t.Fatal(err)
 	}
 	launches := 0
@@ -674,12 +677,113 @@ func TestCompactJournalDropsSupersededGenerations(t *testing.T) {
 		t.Errorf("compacted journal has %d records, want the latest generation's %d", total, len(run2.Events()))
 	}
 	// The compacted journal still recovers cleanly.
-	h2 := newJournalHarness(t, jnl)
-	rep, err := h2.engine.Recover(jnl)
+	h3 := newJournalHarness(t, jnl)
+	rep, err := h3.engine.Recover(jnl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Finished != 1 {
 		t.Fatalf("report after compaction = %+v", rep)
+	}
+}
+
+// countingJournal counts the passes a reader makes over a journal.
+type countingJournal struct {
+	*journal.Memory
+	replays, compacts int
+}
+
+func (c *countingJournal) Replay(fn func(rec []byte) error) error {
+	c.replays++
+	return c.Memory.Replay(fn)
+}
+
+func (c *countingJournal) Compact(keep func(rec []byte) bool) error {
+	c.compacts++
+	return c.Memory.Compact(keep)
+}
+
+// TestRecoverReadsJournalOnce holds boot to one pass over the journal:
+// Recover replays it once and compacts it once, and the one fold yields
+// the runs, the queue and the compacted log together.
+func TestRecoverReadsJournalOnce(t *testing.T) {
+	jnl := &countingJournal{Memory: journal.NewMemory()}
+	var kept [][]byte // the records compaction must leave, in order
+	appendRec := func(keep bool, name string, ev Event, dsl string, status RunStatus) {
+		t.Helper()
+		rec, err := appendRecord(nil, name, "", ev, dsl, status)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jnl.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if keep {
+			kept = append(kept, rec)
+		}
+	}
+	finished := func(keep bool, name, service string, status RunStatus) {
+		t.Helper()
+		appendRec(keep, name, Event{At: t0, Type: EventRunLaunched}, WriteDSL(holdStrategy(name, service, time.Minute)), 0)
+		appendRec(keep, name, Event{At: t0, Type: EventPhaseEntered, Phase: "hold"}, "", 0)
+		appendRec(keep, name, Event{At: t0.Add(time.Minute), Type: EventRunFinished, Detail: status.String()}, "", status)
+	}
+	queued := func(keep bool, name, dsl string) {
+		t.Helper()
+		appendRec(keep, name, Event{At: t0, Type: EventRunQueued}, dsl, 0)
+	}
+	dsl := func(name string) string { return WriteDSL(holdStrategy(name, "search", time.Minute)) }
+
+	finished(false, "relaunched", "catalog", StatusRolledBack) // superseded below
+	queued(false, "consumed", dsl("consumed"))
+	appendRec(false, "consumed", Event{At: t0, Type: EventRunScheduled}, "", 0)
+	finished(true, "consumed", "checkout", StatusSucceeded)
+	if err := jnl.Append([]byte("not a run event")); err != nil {
+		t.Fatal(err)
+	}
+	queued(true, "pending", dsl("pending"))
+	queued(false, "canceled", dsl("canceled"))
+	appendRec(false, "canceled", Event{At: t0, Type: EventRunDequeued, Detail: "canceled by operator"}, "", 0)
+	finished(true, "relaunched", "catalog", StatusSucceeded)
+	queued(true, "garbled", `strategy "garbled" {`)
+	queued(true, "later", dsl("later"))
+
+	h := newJournalHarness(t, jnl)
+	rep, err := h.engine.Recover(jnl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jnl.replays != 1 || jnl.compacts != 1 {
+		t.Errorf("Recover made %d replays and %d compactions, want 1 and 1", jnl.replays, jnl.compacts)
+	}
+
+	var queue []string
+	for _, p := range rep.Queued {
+		if p.Strategy.RunKey() != p.Name || !p.QueuedAt.Equal(t0) {
+			t.Errorf("queued %q: strategy %q queued at %v", p.Name, p.Strategy.RunKey(), p.QueuedAt)
+		}
+		queue = append(queue, p.Name)
+	}
+	if got, want := strings.Join(queue, " "), "pending later"; got != want {
+		t.Errorf("queued = %q, want %q (submission order)", got, want)
+	}
+	if rep.Finished != 2 || rep.Skipped != 1 || rep.DecodeErrors != 1 || len(rep.Runs) != 3 {
+		t.Fatalf("report = %s: %+v", rep, rep.Runs)
+	}
+	if rr := rep.Runs[2]; rr.Name != "garbled" || !strings.HasPrefix(rr.Action, "skipped: queued strategy source unparseable: ") {
+		t.Errorf("skipped entry = %+v", rr)
+	}
+	if run, _ := h.engine.Get("relaunched"); run.Status() != StatusSucceeded {
+		t.Errorf("relaunched recovered as %v, want the latest generation's %v", run.Status(), StatusSucceeded)
+	}
+
+	got := journalRecords(t, jnl)
+	if len(got) != len(kept) {
+		t.Fatalf("compacted journal holds %d records, want %d", len(got), len(kept))
+	}
+	for i := range kept {
+		if !bytes.Equal(got[i], kept[i]) {
+			t.Errorf("compacted record %d = %s, want %s", i, got[i], kept[i])
+		}
 	}
 }

@@ -29,9 +29,9 @@ import (
 // Queue state is event-sourced through the engine's journal:
 // EventRunQueued (carrying the strategy DSL) on admission,
 // EventRunScheduled when an entry is handed to Engine.Launch, and
-// EventRunDequeued on cancellation. RecoverQueue replays those records
-// so a daemon restart restores still-pending submissions (see
-// docs/SCHEDULING.md).
+// EventRunDequeued on cancellation. Engine.Recover folds those records
+// into RecoveryReport.Queued, which Restore takes, so a daemon restart
+// restores still-pending submissions (see docs/SCHEDULING.md).
 type Scheduler struct {
 	cfg SchedulerConfig
 
@@ -205,8 +205,8 @@ func (s *Scheduler) Submit(strategy *Strategy) (SubmitResult, error) {
 	return SubmitResult{Queued: true, Entry: s.entryView(last, s.projectLocked(now)[last])}, nil
 }
 
-// Restore re-enqueues submissions recovered from the journal (see
-// RecoverQueue). The queued records already exist in the journal, so
+// Restore re-enqueues submissions recovered from the journal
+// (RecoveryReport.Queued). The queued records already exist in the journal, so
 // restoring journals nothing new. Call before serving traffic; the
 // restored entries launch as soon as their conflicts clear. Restore
 // does not re-run admission: an entry whose share exceeds a capacity
@@ -290,16 +290,6 @@ func (s *Scheduler) Launches() int64 { return s.launched.Load() }
 func (s *Scheduler) Dequeues() int64 { return s.dequeued.Load() }
 
 // --- pump: the scheduling loop body ---
-
-// Pump re-evaluates the queue against current engine state. The
-// scheduler pumps itself on submissions, cancellations, and tracked-run
-// completions; callers (contexpd after recovery, tests) can force a
-// pass after changing engine state behind the scheduler's back.
-func (s *Scheduler) Pump() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pumpLocked()
-}
 
 // pumpLocked launches every queue entry whose conflicts are clear.
 // Caller holds s.mu.

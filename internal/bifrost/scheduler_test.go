@@ -254,12 +254,13 @@ func TestSchedulerCancelQueued(t *testing.T) {
 	if err := sched.Cancel("waiting"); err == nil {
 		t.Error("second cancel should fail")
 	}
-	// A canceled entry is consumed: RecoverQueue must not resurrect it.
-	pending, errs := RecoverQueue(jnl)
-	if len(errs) > 0 {
-		t.Fatalf("recover errors: %v", errs)
+	// A canceled entry is consumed: recovery must not resurrect it.
+	snap := jnl.Snapshot()
+	rep, err := newJournalHarness(t, snap).engine.Recover(snap)
+	if err != nil || rep.Skipped > 0 {
+		t.Fatalf("recover: %v, %+v", err, rep)
 	}
-	for _, p := range pending {
+	for _, p := range rep.Queued {
 		if p.Name == "waiting" {
 			t.Error("canceled submission recovered as pending")
 		}
@@ -322,13 +323,11 @@ func TestSchedulerQueueRecovery(t *testing.T) {
 	snap := jnl.Snapshot()
 	h2 := newJournalHarness(t, snap)
 	eng2 := h2.engine
-	if _, err := eng2.Recover(snap); err != nil {
-		t.Fatal(err)
+	rep, err := eng2.Recover(snap)
+	if err != nil || rep.Skipped > 0 {
+		t.Fatalf("recover: %v, %+v", err, rep)
 	}
-	pending, errs := RecoverQueue(snap)
-	if len(errs) > 0 {
-		t.Fatalf("recover errors: %v", errs)
-	}
+	pending := rep.Queued
 	if len(pending) != 1 || pending[0].Name != "pending" {
 		t.Fatalf("pending = %+v, want just \"pending\"", pending)
 	}
@@ -342,18 +341,14 @@ func TestSchedulerQueueRecovery(t *testing.T) {
 	if len(snap2.Queue) != 1 || snap2.Queue[0].Name != "pending" || !snap2.Queue[0].Recovered {
 		t.Fatalf("restored queue = %+v", snap2.Queue)
 	}
-	// ...until the blocker concludes, when the pump launches it. The
-	// recovered blocker is not scheduler-tracked, so completion is
-	// noticed on the next queue-affecting event; nudge with a pump via
-	// Cancel of a throwaway submission? No: recovered runs finish and
-	// the scheduler rechecks conflicts through the engine on submit.
+	// ...until the blocker concludes: Restore adopted the recovered
+	// blocker with a completion watcher, which pumps.
 	blocker, ok := eng2.Get("blocker")
 	if !ok {
 		t.Fatal("blocker not recovered")
 	}
 	blocker.Abort()
 	h2.waitFor(t, "blocker to finish", func() bool { return blocker.Status() != StatusRunning })
-	sched2.Pump()
 	h2.waitFor(t, "pending to launch", func() bool {
 		run, ok := eng2.Get("pending")
 		return ok && run.Status() == StatusRunning
@@ -382,7 +377,6 @@ func TestSchedulerBlockedByUntrackedEngineRun(t *testing.T) {
 	outsider, _ := h.engine.Get("outsider")
 	outsider.Abort()
 	h.waitFor(t, "outsider to finish", func() bool { return outsider.Status() != StatusRunning })
-	sched.Pump()
 	h.waitFor(t, "insider to launch", func() bool {
 		run, ok := h.engine.Get("insider")
 		return ok && run.Status() == StatusRunning
@@ -410,11 +404,13 @@ func TestCompactJournalKeepsPendingQueueRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := CompactJournal(jnl); err != nil {
+	// "Crash" and recover: recovery compacts the log it reads.
+	snap := jnl.Snapshot()
+	if _, err := newJournalHarness(t, snap).engine.Recover(snap); err != nil {
 		t.Fatal(err)
 	}
 	counts := map[string]map[EventType]int{}
-	if err := jnl.Replay(func(rec []byte) error {
+	if err := snap.Replay(func(rec []byte) error {
 		wr, err := decodeRecord(rec)
 		if err != nil {
 			return err
@@ -441,11 +437,12 @@ func TestCompactJournalKeepsPendingQueueRecords(t *testing.T) {
 	}
 
 	// And the compacted journal still recovers the pending entry.
-	pending, errs := RecoverQueue(jnl)
-	if len(errs) > 0 {
-		t.Fatalf("recover errors: %v", errs)
+	again := snap.Snapshot()
+	rep, err := newJournalHarness(t, again).engine.Recover(again)
+	if err != nil || rep.Skipped > 0 {
+		t.Fatalf("recover: %v, %+v", err, rep)
 	}
-	if len(pending) != 1 || pending[0].Name != "pending" {
+	if pending := rep.Queued; len(pending) != 1 || pending[0].Name != "pending" {
 		t.Fatalf("pending after compaction = %+v", pending)
 	}
 }

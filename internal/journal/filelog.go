@@ -130,7 +130,6 @@ type FileLog struct {
 
 var _ Journal = (*FileLog)(nil)
 var _ Stater = (*FileLog)(nil)
-var _ Compactor = (*FileLog)(nil)
 
 // Open creates or opens a file journal in dir (created if missing).
 // Existing segments are preserved and replayed in order; new appends go

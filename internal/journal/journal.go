@@ -31,6 +31,10 @@ type Journal interface {
 	Replay(fn func(rec []byte) error) error
 	// Sync forces buffered records to stable storage.
 	Sync() error
+	// Compact rewrites the log keeping only the records keep returns
+	// true for, in order. keep must not touch the journal (Compact
+	// holds the journal's lock).
+	Compact(keep func(rec []byte) bool) error
 	// Close releases the journal. Appends after Close fail.
 	Close() error
 }
@@ -41,8 +45,8 @@ type Journal interface {
 type Stats struct {
 	// Records is the number of records in the log. For FileLog the
 	// on-disk records present at open time are tallied by the first
-	// full Replay (recovery runs one at boot); before that, Records
-	// reflects only this process's appends.
+	// full Replay or Compact (Engine.Recover runs one of each at boot);
+	// before that, Records reflects only this process's appends.
 	Records uint64
 	// Bytes is the total size of the log, framing included.
 	Bytes uint64
@@ -58,11 +62,4 @@ type Stats struct {
 // Stater is the optional stats surface of a Journal.
 type Stater interface {
 	Stats() Stats
-}
-
-// Compactor is the optional retention surface of a Journal: Compact
-// rewrites the log keeping only the records keep returns true for.
-// keep must not touch the journal (Compact holds the journal's lock).
-type Compactor interface {
-	Compact(keep func(rec []byte) bool) error
 }

@@ -17,7 +17,6 @@ type Memory struct {
 
 var _ Journal = (*Memory)(nil)
 var _ Stater = (*Memory)(nil)
-var _ Compactor = (*Memory)(nil)
 
 // NewMemory returns an empty in-memory journal.
 func NewMemory() *Memory { return &Memory{} }
@@ -56,7 +55,7 @@ func (m *Memory) Replay(fn func(rec []byte) error) error {
 // Sync implements Journal (a no-op: memory has no stable storage).
 func (m *Memory) Sync() error { return nil }
 
-// Compact implements Compactor.
+// Compact implements Journal.
 func (m *Memory) Compact(keep func(rec []byte) bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

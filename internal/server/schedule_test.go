@@ -344,14 +344,11 @@ func TestScheduleQueueSurvivesRestart(t *testing.T) {
 	// the boot sequence contexpd runs with --data-dir.
 	snap := jnl.Snapshot()
 	e2 := newSchedulerEnv(t, snap)
-	if _, err := e2.engine.Recover(snap); err != nil {
-		t.Fatal(err)
+	rep, err := e2.engine.Recover(snap)
+	if err != nil || rep.Skipped > 0 {
+		t.Fatalf("recover: %v, %+v", err, rep)
 	}
-	pending, errs := bifrost.RecoverQueue(snap)
-	if len(errs) > 0 {
-		t.Fatalf("recover queue: %v", errs)
-	}
-	e2.server.cfg.Scheduler.Restore(pending)
+	e2.server.cfg.Scheduler.Restore(rep.Queued)
 
 	code, body := e2.do(http.MethodGet, "/v1/schedule", "")
 	if code != http.StatusOK {
