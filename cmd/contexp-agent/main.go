@@ -16,7 +16,10 @@
 //	--lease 15s                      staleness lease: no routing frame
 //	                                 within this window marks the agent
 //	                                 stale on /healthz (it keeps serving
-//	                                 its last snapshot either way)
+//	                                 its last snapshot either way) and
+//	                                 drops the watch stream to reconnect;
+//	                                 must exceed contexpd's
+//	                                 --fleet-heartbeat
 //	--proxy ""                       mount a reverse proxy, repeatable:
 //	                                 service=version@url[,version@url...]
 //	--telemetry-batch 256            batch size of the binary telemetry
@@ -97,7 +100,8 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&opt.id, "id", "", "agent identity; empty derives host-pid")
 	fs.DurationVar(&opt.heartbeat, "heartbeat", 5*time.Second, "fleet heartbeat interval")
 	fs.DurationVar(&opt.lease, "lease", 15*time.Second,
-		"staleness lease; the agent reports stale after this long without a routing frame")
+		"staleness lease; after this long without a routing frame the agent reports stale and "+
+			"reconnects its watch stream (must exceed contexpd's --fleet-heartbeat)")
 	fs.Var(&opt.proxies, "proxy",
 		"mount a reverse proxy (repeatable): service=version@url[,version@url...]")
 	fs.IntVar(&opt.telemBatch, "telemetry-batch", 256,

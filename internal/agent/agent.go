@@ -13,8 +13,11 @@
 //     the stream answers with a full snapshot, or just the missing
 //     deltas when the control plane still retains them.
 //   - Every frame (snapshot, delta, heartbeat) renews the agent's
-//     lease. Deltas that no longer chain (version skew after a missed
-//     frame) drop the connection; the reconnect catches up.
+//     lease; a stream silent for a whole lease is dropped. Deltas that
+//     no longer chain (version skew after a missed frame) drop the
+//     connection; the reconnect catches up. Versions are trusted only
+//     within the control-plane process that numbered them (its epoch),
+//     so after a restart the agent takes a full snapshot.
 //   - When the stream dies the agent FAILS STATIC: it keeps serving
 //     the last-applied snapshot and reports itself stale on /healthz
 //     once the lease expires — availability over freshness, the same
@@ -70,8 +73,10 @@ type Config struct {
 	// version upstream (default 5s).
 	HeartbeatInterval time.Duration
 	// LeaseTTL is how long the agent trusts its snapshot without
-	// hearing a frame before reporting itself stale (default 15s).
-	// Staleness never stops serving — it is surfaced, not enforced.
+	// hearing a frame before reporting itself stale and dropping the
+	// watch stream to reconnect (default 15s); it must exceed the
+	// control plane's stream heartbeat interval. Staleness never stops
+	// serving — it is surfaced, not enforced.
 	LeaseTTL time.Duration
 	// ReconnectMin/ReconnectMax bound the watch reconnect backoff
 	// (defaults 100ms and the larger of 5s and ReconnectMin). The delay
@@ -103,6 +108,11 @@ type Agent struct {
 	connected atomic.Bool
 	reconns   atomic.Uint64
 	skews     atomic.Uint64
+	// epoch names the control-plane process whose snapshot the table
+	// last took; the next watch sends it back with the table's version,
+	// so a restarted control plane, whose versions start over, answers
+	// with a snapshot. Only the watch loop touches it.
+	epoch string
 
 	proxyMu sync.RWMutex
 	proxies map[string]*router.Proxy
@@ -191,9 +201,6 @@ func (a *Agent) Connected() bool { return a.connected.Load() }
 // Version is the snapshot version the local table has applied.
 func (a *Agent) Version() uint64 { return a.table.Version() }
 
-// Resolves is the lifetime count of local routing decisions.
-func (a *Agent) Resolves() uint64 { return a.resolves.Load() }
-
 // --- watch stream ---
 
 func (a *Agent) watchLoop() {
@@ -229,12 +236,27 @@ func (a *Agent) reconnectDelay(prev time.Duration, applied bool) time.Duration {
 	return min(2*prev, a.cfg.ReconnectMax)
 }
 
+// errSilentStream ends a watch stream that sent no frame for a lease.
+var errSilentStream = errors.New("agent: no frame on the watch stream for a lease")
+
 // watchOnce runs one watch connection until it breaks, applying every
 // frame to the local table. applied reports whether any frame was.
+// A stream silent for a whole lease is cut, even if its connection
+// stays open (a wedged peer, a proxy holding the socket): the control
+// plane's heartbeats keep a healthy stream well inside the lease.
 func (a *Agent) watchOnce() (applied bool, err error) {
-	u := fmt.Sprintf("%s/v1/routing/watch?agent=%s&lastApplied=%d",
-		a.cfg.ControlPlane, url.QueryEscape(a.cfg.ID), a.table.Version())
-	req, err := http.NewRequestWithContext(a.ctx, http.MethodGet, u, nil)
+	ctx, cancel := context.WithCancelCause(a.ctx)
+	defer cancel(nil)
+	lease := time.AfterFunc(a.cfg.LeaseTTL, func() { cancel(errSilentStream) })
+	defer lease.Stop()
+	defer func() {
+		if err != nil && ctx.Err() != nil {
+			err = context.Cause(ctx)
+		}
+	}()
+	u := fmt.Sprintf("%s/v1/routing/watch?agent=%s&lastApplied=%d&epoch=%s",
+		a.cfg.ControlPlane, url.QueryEscape(a.cfg.ID), a.table.Version(), url.QueryEscape(a.epoch))
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return false, err
 	}
@@ -249,16 +271,18 @@ func (a *Agent) watchOnce() (applied bool, err error) {
 	if resp.StatusCode != http.StatusOK {
 		return false, fmt.Errorf("agent: watch returned %s", resp.Status)
 	}
-	return a.follow(resp.Body)
+	return a.follow(resp.Body, resp.Header.Get(wire.EpochHeader), lease)
 }
 
-// follow applies the frames of one watch stream to the local table
-// until the stream breaks or a frame fails to apply. applied reports
-// whether any frame was. The stream is read unbuffered: ReadFrame takes
-// a header and a body with one exact read each, and the HTTP transport
-// already buffers the connection, so a second buffer here would cost
-// every agent its size and save no system call.
-func (a *Agent) follow(stream io.Reader) (applied bool, err error) {
+// follow applies the frames of one watch stream, served by the
+// control-plane process epoch names, to the local table until the
+// stream breaks or a frame fails to apply; every frame renews lease.
+// applied reports whether any frame was. The stream is read
+// unbuffered: ReadFrame takes a header and a body with one exact read
+// each, and the HTTP transport already buffers the connection, so a
+// second buffer here would cost every agent its size and save no
+// system call.
+func (a *Agent) follow(stream io.Reader, epoch string, lease *time.Timer) (applied bool, err error) {
 	var buf []byte
 	sd := wire.GetSnapshotDecoder()
 	defer wire.PutSnapshotDecoder(sd)
@@ -279,6 +303,7 @@ func (a *Agent) follow(stream io.Reader) (applied bool, err error) {
 			if err := a.table.ApplySnapshot(snap); err != nil {
 				return applied, err
 			}
+			a.epoch = epoch
 		case wire.KindDelta:
 			delta, err := dd.Decode(frame)
 			if err != nil {
@@ -300,6 +325,7 @@ func (a *Agent) follow(stream io.Reader) (applied bool, err error) {
 		default:
 			return applied, fmt.Errorf("agent: unexpected frame kind %d on watch stream", wire.Kind(frame))
 		}
+		lease.Reset(a.cfg.LeaseTTL)
 		a.lastFrame.Store(time.Now().UnixNano())
 		a.connected.Store(true)
 		if !applied {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -352,8 +353,8 @@ func TestAgentResolveEndpointAndHealth(t *testing.T) {
 	if rv.Version != "v1" || rv.TableVersion != p.table.Version() || rv.Stale {
 		t.Fatalf("resolve view = %+v", rv)
 	}
-	if a.Resolves() != 1 {
-		t.Fatalf("resolves = %d", a.Resolves())
+	if a.resolves.Load() != 1 {
+		t.Fatalf("resolves = %d", a.resolves.Load())
 	}
 
 	// Unknown service is a gateway error, not a counter bump.
@@ -365,8 +366,8 @@ func TestAgentResolveEndpointAndHealth(t *testing.T) {
 	if resp2.StatusCode != http.StatusBadGateway {
 		t.Fatalf("unknown service status = %s", resp2.Status)
 	}
-	if a.Resolves() != 1 {
-		t.Fatalf("resolves = %d after failed resolve", a.Resolves())
+	if a.resolves.Load() != 1 {
+		t.Fatalf("resolves = %d after failed resolve", a.resolves.Load())
 	}
 
 	resp3, err := http.Get(as.URL + "/healthz")
@@ -409,7 +410,7 @@ func TestAgentProxyForwards(t *testing.T) {
 	if string(body) != "v1:/items/42" {
 		t.Fatalf("proxied body = %q", body)
 	}
-	if a.Resolves() == 0 {
+	if a.resolves.Load() == 0 {
 		t.Fatal("proxy path did not count resolves")
 	}
 
@@ -514,7 +515,7 @@ func TestFollowReportsApplied(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			applied, err := a.follow(bytes.NewReader(tt.stream))
+			applied, err := a.follow(bytes.NewReader(tt.stream), "", time.NewTimer(time.Hour))
 			if err == nil {
 				t.Fatal("follow returned without an error")
 			}
@@ -523,5 +524,71 @@ func TestFollowReportsApplied(t *testing.T) {
 					applied, a.Version(), a.skews.Load(), err, tt.wantApplied, tt.wantVersion, tt.wantSkews)
 			}
 		})
+	}
+}
+
+// TestAgentResyncsAfterControlPlaneRestart: a restarted control plane
+// numbers its tables from zero again, so the version an agent holds can
+// name a different table there. The agent must take the new process's
+// table, not keep routes it no longer has.
+func TestAgentResyncsAfterControlPlaneRestart(t *testing.T) {
+	before, after := newPlane(t), newPlane(t)
+	if err := before.table.Set(router.Route{Service: "x", Backends: []router.Backend{{Version: "v1", Weight: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := after.table.Set(router.Route{Service: "y", Backends: []router.Backend{{Version: "v1", Weight: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if before.table.Version() != 1 || after.table.Version() != 1 {
+		t.Fatalf("versions %d and %d, want both 1", before.table.Version(), after.table.Version())
+	}
+	var current atomic.Pointer[http.Handler]
+	current.Store(&before.ts.Config.Handler)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*current.Load()).ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	p := &plane{t: t, ts: ts}
+	a := p.newAgent("edge")
+	waitFor(t, "the agent to hold the first table", func() bool { return a.Version() == 1 })
+
+	current.Store(&after.ts.Config.Handler)
+	ts.CloseClientConnections()
+	waitFor(t, "the agent to hold the restarted table", func() bool {
+		services := a.Table().Services()
+		return len(services) == 1 && services[0] == "y"
+	})
+}
+
+// TestAgentDropsSilentStream: a watch stream that stays open but sends
+// nothing for a lease is cut, and the agent watches again.
+func TestAgentDropsSilentStream(t *testing.T) {
+	var e wire.SnapshotEncoder
+	frame, err := e.Encode(router.TableSnapshot{Version: 1, Routes: []router.Route{svcRoute(0.9)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var watches atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/routing/watch" {
+			return
+		}
+		watches.Add(1)
+		w.Write(frame)
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}))
+	t.Cleanup(ts.Close)
+	a, err := New(Config{ID: "edge", ControlPlane: ts.URL, LeaseTTL: 200 * time.Millisecond,
+		ReconnectMin: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	t.Cleanup(func() { _ = a.Close() })
+	for deadline := time.Now().Add(2 * time.Second); watches.Load() < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d watch requests in 2s; a silent stream must be dropped after its 200ms lease", watches.Load())
+		}
 	}
 }

@@ -253,19 +253,6 @@ func (s *Scheduler) Cancel(name string) error {
 	return fmt.Errorf("bifrost: no queued strategy named %q", name)
 }
 
-// Queued reports whether a submission with this tenant-qualified name
-// is waiting.
-func (s *Scheduler) Queued(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, qe := range s.queue {
-		if qe.strategy.RunKey() == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Close stops admission. Queued entries stay queued; live runs keep
 // running.
 func (s *Scheduler) Close() {
@@ -273,10 +260,6 @@ func (s *Scheduler) Close() {
 	s.closed = true
 	s.mu.Unlock()
 }
-
-// Version increments on every observable queue change; pollers
-// (the schedule SSE stream) re-snapshot when it moves.
-func (s *Scheduler) Version() uint64 { return s.version.Load() }
 
 // JournalErrors reports queue lifecycle records that failed to append.
 func (s *Scheduler) JournalErrors() int64 { return s.journalErrs.Load() }

@@ -50,6 +50,14 @@ func holdStrategy(name, service string, hold time.Duration) *Strategy {
 	}
 }
 
+// queued reports whether a submission with this tenant-qualified name
+// is waiting in sched's queue.
+func queued(sched *Scheduler, name string) bool {
+	sched.mu.Lock()
+	defer sched.mu.Unlock()
+	return slices.ContainsFunc(sched.queue, func(qe *queueEntry) bool { return qe.strategy.RunKey() == name })
+}
+
 // waitFor drives the sim clock until cond holds or a real deadline
 // passes.
 func (h *harness) waitFor(t *testing.T, what string, cond func() bool) {
@@ -118,8 +126,8 @@ func TestSchedulerSameServiceSerializes(t *testing.T) {
 	if second.Entry.PlannedStart.IsZero() {
 		t.Error("queued entry should carry a projected start")
 	}
-	if !sched.Queued("second") {
-		t.Error("Queued should report the waiting entry")
+	if !queued(sched, "second") {
+		t.Error("the waiting entry should be queued")
 	}
 
 	// The first run concluding frees the service; the queue pump
@@ -131,7 +139,7 @@ func TestSchedulerSameServiceSerializes(t *testing.T) {
 		run, ok := h.engine.Get("second")
 		return ok && run.Status() == StatusRunning
 	})
-	if sched.Queued("second") {
+	if queued(sched, "second") {
 		t.Error("launched entry should have left the queue")
 	}
 
@@ -248,7 +256,7 @@ func TestSchedulerCancelQueued(t *testing.T) {
 	if err := sched.Cancel("waiting"); err != nil {
 		t.Fatal(err)
 	}
-	if sched.Queued("waiting") {
+	if queued(sched, "waiting") {
 		t.Error("canceled entry still queued")
 	}
 	if err := sched.Cancel("waiting"); err == nil {
@@ -668,7 +676,7 @@ func TestSchedulerProjectionMatchesEnactment(t *testing.T) {
 					finished++
 				}
 			}
-			return sched.Version() == uint64(n+finished) && h.sim.PendingTimers() == live
+			return sched.version.Load() == uint64(n+finished) && h.sim.PendingTimers() == live
 		}
 		await := func(what string) {
 			t.Helper()

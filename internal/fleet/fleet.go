@@ -33,9 +33,9 @@ type Config struct {
 	// Table is the routing table to distribute (required).
 	Table *router.Table
 	// HeartbeatInterval is how often idle watchers receive a heartbeat
-	// frame (default 5s). It bounds how stale a partitioned agent's
-	// lease can look: agents treat silence longer than a few intervals
-	// as a lost control plane.
+	// frame (default 5s). It must stay below the agents' lease: an
+	// agent drops a stream silent for a whole lease (default 15s) and
+	// reconnects.
 	HeartbeatInterval time.Duration
 	// DeltaRing is how many recent delta frames are retained for
 	// catch-up (default 128). A reconnecting agent whose last applied

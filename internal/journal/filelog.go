@@ -129,7 +129,6 @@ type FileLog struct {
 }
 
 var _ Journal = (*FileLog)(nil)
-var _ Stater = (*FileLog)(nil)
 
 // Open creates or opens a file journal in dir (created if missing).
 // Existing segments are preserved and replayed in order; new appends go
@@ -193,9 +192,6 @@ func Open(dir string, opts Options) (*FileLog, error) {
 	}
 	return f, nil
 }
-
-// Dir returns the journal directory.
-func (f *FileLog) Dir() string { return f.dir }
 
 type segment struct {
 	seq  uint64
@@ -677,7 +673,7 @@ func ReadFile(path string, fn func(rec []byte) error) error {
 	return err
 }
 
-// Stats implements Stater. It reads in-memory counters only — no
+// Stats implements Journal. It reads in-memory counters only — no
 // directory I/O under the mutex Append contends on.
 func (f *FileLog) Stats() Stats {
 	f.mu.Lock()

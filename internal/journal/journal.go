@@ -35,31 +35,27 @@ type Journal interface {
 	// true for, in order. keep must not touch the journal (Compact
 	// holds the journal's lock).
 	Compact(keep func(rec []byte) bool) error
+	// Stats reports the log's size and activity.
+	Stats() Stats
 	// Close releases the journal. Appends after Close fail.
 	Close() error
 }
 
-// Stats describes a journal's size and activity. Backends expose it via
-// the Stater interface so health surfaces can report journal state
-// without widening Journal itself.
+// Stats describes a journal's size and activity; /healthz reports it
+// as its journal object.
 type Stats struct {
 	// Records is the number of records in the log. For FileLog the
 	// on-disk records present at open time are tallied by the first
 	// full Replay or Compact (Engine.Recover runs one of each at boot);
 	// before that, Records reflects only this process's appends.
-	Records uint64
+	Records uint64 `json:"records"`
 	// Bytes is the total size of the log, framing included.
-	Bytes uint64
+	Bytes uint64 `json:"bytes"`
 	// Segments is the number of on-disk segment files (1 for Memory).
-	Segments int
+	Segments int `json:"segments"`
 	// Syncs counts fsync batches flushed to stable storage.
-	Syncs uint64
+	Syncs uint64 `json:"syncs"`
 	// Truncations counts torn record tails dropped during replays: the
 	// residue of crashes mid-append.
-	Truncations uint64
-}
-
-// Stater is the optional stats surface of a Journal.
-type Stater interface {
-	Stats() Stats
+	Truncations uint64 `json:"truncations"`
 }

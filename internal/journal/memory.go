@@ -16,7 +16,6 @@ type Memory struct {
 }
 
 var _ Journal = (*Memory)(nil)
-var _ Stater = (*Memory)(nil)
 
 // NewMemory returns an empty in-memory journal.
 func NewMemory() *Memory { return &Memory{} }
@@ -79,7 +78,7 @@ func (m *Memory) Close() error {
 	return nil
 }
 
-// Stats implements Stater.
+// Stats implements Journal.
 func (m *Memory) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()

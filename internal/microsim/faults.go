@@ -197,11 +197,6 @@ type Perturbation struct {
 	Unavailable bool
 }
 
-// None reports whether the perturbation leaves the call untouched.
-func (p Perturbation) None() bool {
-	return p.LatencyFactor == 1 && p.ExtraLatency == 0 && !p.ForceError && !p.Unavailable
-}
-
 // Injector evaluates a fault schedule against individual invocations.
 // It is safe for concurrent use; with a fixed seed and a deterministic
 // call order the perturbation stream is reproducible.
@@ -230,9 +225,6 @@ func NewInjector(epoch time.Time, faults []Fault, seed int64) (*Injector, error)
 	}
 	return in, nil
 }
-
-// Epoch returns the schedule's zero instant.
-func (in *Injector) Epoch() time.Time { return in.epoch }
 
 // Apply evaluates every fault matching the invocation at instant `at`
 // and folds them into one Perturbation (factors multiply, pads add,

@@ -18,9 +18,10 @@ import (
 //
 // The watch stream speaks the wire snapshot codec: on connect the agent
 // receives either a full snapshot or (when it reports a recent enough
-// lastApplied version) the delta chain from there, then one delta per
-// table swap and periodic heartbeats. Frames are self-delimiting, so
-// the stream is just frames back to back with a flush after each.
+// lastApplied version, from this process's epoch) the delta chain from
+// there, then one delta per table swap and periodic heartbeats. Frames
+// are self-delimiting, so the stream is just frames back to back with a
+// flush after each.
 
 // handleRoutingWatch streams routing frames to one agent until the
 // agent disconnects, the hub drops it for lagging, or the daemon shuts
@@ -40,6 +41,11 @@ func (s *Server) handleRoutingWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		lastApplied = v
 	}
+	// A version names a table only within the process that published
+	// it: one from before a restart gets a full snapshot.
+	if r.URL.Query().Get("epoch") != s.epoch {
+		lastApplied = 0
+	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
@@ -54,6 +60,7 @@ func (s *Server) handleRoutingWatch(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", wire.StreamContentType)
 	w.Header().Set("Cache-Control", "no-cache")
+	w.Header().Set(wire.EpochHeader, s.epoch)
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 	for {

@@ -198,3 +198,33 @@ func TestHealthzReportsJournal(t *testing.T) {
 		t.Errorf("journal errors = %d", h.Engine.JournalErrors)
 	}
 }
+
+// TestHealthzJournalObject pins /healthz's journal object byte for
+// byte: its field names and order are the API, whatever type backs it.
+func TestHealthzJournalObject(t *testing.T) {
+	jnl := journal.NewMemory()
+	for _, rec := range []string{"abc", "de"} {
+		if err := jnl.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := newJournalEnv(t, jnl)
+	code, body := e.do(http.MethodGet, "/healthz", "")
+	if code != http.StatusOK {
+		t.Fatalf("/healthz: %d: %s", code, body)
+	}
+	var h struct{ Journal json.RawMessage }
+	if err := json.Unmarshal([]byte(body), &h); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{
+    "records": 2,
+    "bytes": 5,
+    "segments": 1,
+    "syncs": 0,
+    "truncations": 0
+  }`
+	if string(h.Journal) != want {
+		t.Errorf("journal object %s, want %s", h.Journal, want)
+	}
+}

@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"sort"
 	"strconv"
@@ -117,6 +118,8 @@ type Server struct {
 	// idPrefix leads every request ID this process mints: the low 32
 	// bits of start in hex, and a dash.
 	idPrefix string
+	// epoch names this process on watch streams (wire.EpochHeader).
+	epoch string
 
 	// statusCache is the shared /healthz + /v1/admin/tenants snapshot;
 	// statusMu single-flights its rebuilds (see statusCacheTTL).
@@ -140,6 +143,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux(), start: time.Now()}
 	s.idPrefix = fmt.Sprintf("%08x-", uint32(s.start.UnixNano()))
+	s.epoch = strconv.FormatUint(rand.Uint64(), 36)
 	s.mux.HandleFunc("POST /v1/strategies", s.handleSubmitStrategy)
 	s.mux.HandleFunc("GET /v1/runs", s.handleListRuns)
 	s.mux.HandleFunc("GET /v1/runs/{name}", s.handleGetRun)
@@ -714,7 +718,7 @@ type Health struct {
 	Engine    EngineHealth     `json:"engine"`
 	Store     metrics.Stats    `json:"store"`
 	Router    RouterHealth     `json:"router"`
-	Journal   *JournalHealth   `json:"journal,omitempty"`
+	Journal   *journal.Stats   `json:"journal,omitempty"`
 	Scheduler *SchedulerHealth `json:"scheduler,omitempty"`
 	Tracing   *TracingHealth   `json:"tracing,omitempty"`
 	Fleet     *FleetHealth     `json:"fleet,omitempty"`
@@ -793,17 +797,6 @@ type EngineHealth struct {
 	Trail bifrost.TrailStats `json:"trail"`
 }
 
-// JournalHealth reports the write-ahead journal backing run state.
-type JournalHealth struct {
-	Records  uint64 `json:"records"`
-	Bytes    uint64 `json:"bytes"`
-	Segments int    `json:"segments"`
-	Syncs    uint64 `json:"syncs"`
-	// Truncations counts torn record tails dropped during replays — the
-	// residue of crashes mid-append.
-	Truncations uint64 `json:"truncations"`
-}
-
 // RouterHealth reports the routing table. TableVersion and
 // SnapshotVersion are the same counter: the version of the immutable
 // routing snapshot currently published to the data plane.
@@ -875,15 +868,9 @@ func (s *Server) buildStatus() *statusSnapshot {
 			SnapshotVersion: s.cfg.Table.Version(),
 		},
 	}
-	if st, ok := s.cfg.Journal.(journal.Stater); ok {
-		stats := st.Stats()
-		h.Journal = &JournalHealth{
-			Records:     stats.Records,
-			Bytes:       stats.Bytes,
-			Segments:    stats.Segments,
-			Syncs:       stats.Syncs,
-			Truncations: stats.Truncations,
-		}
+	if s.cfg.Journal != nil {
+		stats := s.cfg.Journal.Stats()
+		h.Journal = &stats
 	}
 	if s.cfg.Scheduler != nil {
 		snap := s.cfg.Scheduler.Snapshot()

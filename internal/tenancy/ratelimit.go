@@ -2,7 +2,6 @@ package tenancy
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -81,17 +80,5 @@ func (l *Limiter) Stats() map[string]Usage {
 	for t, bk := range l.buckets {
 		out[t] = Usage{Requests: bk.requests, Throttled: bk.throttled}
 	}
-	return out
-}
-
-// Tenants lists tenants that have made at least one request, sorted.
-func (l *Limiter) Tenants() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.buckets))
-	for t := range l.buckets {
-		out = append(out, t)
-	}
-	sort.Strings(out)
 	return out
 }

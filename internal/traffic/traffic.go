@@ -134,106 +134,6 @@ func Generate(start time.Time, days int, cfg GeneratorConfig) (*Profile, error) 
 	return &Profile{Start: start, SlotLength: time.Hour, Slots: slots}, nil
 }
 
-// Consumption tracks, per slot, how much of the profile's traffic has been
-// allocated to experiments. It enforces the overarching constraint that
-// the summed traffic share per slot stays below a capacity ceiling, which
-// reserves the remainder as the untouched control population.
-type Consumption struct {
-	profile  *Profile
-	capacity float64 // max total share per slot, e.g. 0.8
-	used     []float64
-}
-
-// NewConsumption creates a consumption tracker over profile with the given
-// per-slot capacity ceiling in (0, 1].
-func NewConsumption(profile *Profile, capacity float64) (*Consumption, error) {
-	if capacity <= 0 || capacity > 1 {
-		return nil, fmt.Errorf("traffic: capacity %v outside (0,1]", capacity)
-	}
-	return &Consumption{
-		profile:  profile,
-		capacity: capacity,
-		used:     make([]float64, profile.NumSlots()),
-	}, nil
-}
-
-// Capacity returns the per-slot share ceiling.
-func (c *Consumption) Capacity() float64 { return c.capacity }
-
-// Used returns the share already allocated in slot i.
-func (c *Consumption) Used(i int) float64 {
-	if i < 0 || i >= len(c.used) {
-		return 0
-	}
-	return c.used[i]
-}
-
-// Free returns the share still available in slot i.
-func (c *Consumption) Free(i int) float64 {
-	if i < 0 || i >= len(c.used) {
-		return 0
-	}
-	free := c.capacity - c.used[i]
-	if free < 0 {
-		return 0
-	}
-	return free
-}
-
-// CanAllocate reports whether share fits into every slot of
-// [from, from+length).
-func (c *Consumption) CanAllocate(from, length int, share float64) bool {
-	if from < 0 || from+length > len(c.used) {
-		return false
-	}
-	for i := from; i < from+length; i++ {
-		if c.used[i]+share > c.capacity+1e-12 {
-			return false
-		}
-	}
-	return true
-}
-
-// Allocate reserves share in each slot of [from, from+length), returning
-// the number of samples (requests) the allocation yields. It fails without
-// side effects if any slot would exceed capacity.
-func (c *Consumption) Allocate(from, length int, share float64) (float64, error) {
-	if share < 0 {
-		return 0, errors.New("traffic: negative share")
-	}
-	if !c.CanAllocate(from, length, share) {
-		return 0, fmt.Errorf("traffic: allocation of %.3f in slots [%d,%d) exceeds capacity %.3f",
-			share, from, from+length, c.capacity)
-	}
-	var samples float64
-	for i := from; i < from+length; i++ {
-		c.used[i] += share
-		samples += share * c.profile.Slots[i]
-	}
-	return samples, nil
-}
-
-// Release returns share to each slot of [from, from+length). Shares are
-// clamped at zero to stay safe under double releases.
-func (c *Consumption) Release(from, length int, share float64) {
-	for i := from; i < from+length && i < len(c.used); i++ {
-		if i < 0 {
-			continue
-		}
-		c.used[i] -= share
-		if c.used[i] < 0 {
-			c.used[i] = 0
-		}
-	}
-}
-
-// Reset clears all allocations.
-func (c *Consumption) Reset() {
-	for i := range c.used {
-		c.used[i] = 0
-	}
-}
-
 // Sparkline renders the profile as a unicode sparkline, `width` slots wide
 // (downsampled by averaging), for the textual reproduction of Fig 3.3.
 func (p *Profile) Sparkline(width int) string {

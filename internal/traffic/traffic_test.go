@@ -3,7 +3,6 @@ package traffic
 import (
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -115,100 +114,6 @@ func TestProfileAccessors(t *testing.T) {
 	c.Slots[0] = 999
 	if p.Slots[0] == 999 {
 		t.Error("Clone aliases slots")
-	}
-}
-
-func TestConsumptionAllocateRelease(t *testing.T) {
-	p := &Profile{Start: monday(), SlotLength: time.Hour, Slots: []float64{100, 100, 100, 100}}
-	c, err := NewConsumption(p, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := c.Allocate(0, 2, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if samples != 100 { // 0.5 * 100 * 2 slots
-		t.Errorf("samples = %v, want 100", samples)
-	}
-	if c.Used(0) != 0.5 || math.Abs(c.Free(0)-0.3) > 1e-9 {
-		t.Errorf("Used/Free wrong: %v / %v", c.Used(0), c.Free(0))
-	}
-	// Second allocation exceeding capacity fails atomically.
-	if _, err := c.Allocate(1, 2, 0.5); err == nil {
-		t.Fatal("expected capacity error")
-	}
-	if c.Used(2) != 0 {
-		t.Error("failed allocation must not leave partial state")
-	}
-	// Fits in remaining capacity.
-	if _, err := c.Allocate(0, 4, 0.3); err != nil {
-		t.Fatalf("allocation within capacity failed: %v", err)
-	}
-	c.Release(0, 2, 0.5)
-	if math.Abs(c.Used(0)-0.3) > 1e-9 {
-		t.Errorf("Used(0) after release = %v, want 0.3", c.Used(0))
-	}
-	c.Reset()
-	if c.Used(0) != 0 || c.Used(3) != 0 {
-		t.Error("Reset did not clear usage")
-	}
-}
-
-func TestConsumptionBounds(t *testing.T) {
-	p := &Profile{Slots: []float64{100, 100}}
-	c, _ := NewConsumption(p, 1.0)
-	if c.CanAllocate(-1, 1, 0.1) {
-		t.Error("negative from should not be allocatable")
-	}
-	if c.CanAllocate(1, 2, 0.1) {
-		t.Error("allocation past end should fail")
-	}
-	if _, err := c.Allocate(0, 1, -0.1); err == nil {
-		t.Error("negative share should error")
-	}
-	if c.Used(-1) != 0 || c.Free(99) != 0 {
-		t.Error("out-of-range Used/Free should be 0")
-	}
-}
-
-func TestNewConsumptionValidation(t *testing.T) {
-	p := &Profile{Slots: []float64{1}}
-	if _, err := NewConsumption(p, 0); err == nil {
-		t.Error("capacity 0 should error")
-	}
-	if _, err := NewConsumption(p, 1.1); err == nil {
-		t.Error("capacity > 1 should error")
-	}
-}
-
-func TestConsumptionNeverExceedsCapacityProperty(t *testing.T) {
-	p, err := Generate(monday(), 2, DefaultGeneratorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(ops []struct {
-		From, Length uint8
-		Share        float64
-	}) bool {
-		c, err := NewConsumption(p, 0.8)
-		if err != nil {
-			return false
-		}
-		for _, op := range ops {
-			share := math.Mod(math.Abs(op.Share), 1)
-			// Ignore the error; failed allocations must be side-effect free.
-			_, _ = c.Allocate(int(op.From), int(op.Length)%8, share)
-		}
-		for i := 0; i < p.NumSlots(); i++ {
-			if c.Used(i) > 0.8+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

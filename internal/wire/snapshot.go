@@ -59,6 +59,12 @@ const (
 // sequence of self-delimiting frames (snapshot, deltas, heartbeats).
 const StreamContentType = "application/x-contexp-stream"
 
+// EpochHeader names, on a watch response, the control-plane process
+// that serves it. Table versions start over when that process does, so
+// an agent sends the epoch back (query parameter epoch) with the
+// version it holds, and a version from another epoch is not trusted.
+const EpochHeader = "X-Contexp-Epoch"
+
 // Matcher kinds on the wire. Only the two built-in matcher types
 // serialize; a custom Matcher implementation is an encode error, never
 // a silent drop.

@@ -221,17 +221,36 @@ func TestStateMachineImports(t *testing.T) {
 
 // unreachedAllowed names the declarations under internal/ that
 // TestEverythingIsReachable lets stand although no root reaches them,
-// keyed "import/path.Name", each with the reason it stays. What an
-// entry refers to stays with it. An entry without a reason, or one
-// naming a declaration that is gone or that a root now reaches, fails
-// the test, so the list only shrinks.
+// keyed "import/path.Name" or, for a method, "import/path.Type.Method",
+// each with the reason it stays. What an entry refers to stays with it,
+// and an allowed type keeps its methods. An entry without a reason, or
+// one naming a declaration that is gone or that a root now reaches,
+// fails the test, so the list only shrinks.
 var unreachedAllowed = map[string]string{
+	"contexp/internal/journal.Memory.Snapshot": "a test fixture that freezes a journal mid-run: bifrost's " +
+		"TestRecover*, TestSchedulerQueueRecovery, TestSchedulerCancelQueued and " +
+		"TestCompactJournalKeepsPendingQueueRecords, journal's TestMemorySnapshotIsIndependent, and " +
+		"server's TestServerServesRecoveredRun and TestScheduleQueueSurvivesRestart call it",
+	"contexp/internal/loadgen.Population.GroupShare":       onlyTested + "TestPopulationGroupShares",
+	"contexp/internal/loadgen.Result.FailureRate":          onlyTested + "TestResultHelpers, TestRunCountsTransportErrors",
+	"contexp/internal/loadgen.Result.Latencies":            onlyTested + "TestResultHelpers",
+	"contexp/internal/microsim.Application.SetBaseline":    onlyTested + "TestBaselineManagement",
+	"contexp/internal/microsim.HTTPApplication.ServiceURL": onlyTested + "TestHTTPAppUnknownPath",
+	"contexp/internal/microsim.Injector.ActiveFaults": onlyTested + "TestInjectorSnapshot, " +
+		"scenario's TestInjectorFromScenario",
+	"contexp/internal/repro/ch2.Table.Pct": onlyTested + "TestTable2_{2,3,4,6,7,8}MatchesPaper (through assertPct), " +
+		"TestMarginalsSeedIndependent, TestTablePctMissing",
+	"contexp/internal/repro/ch3.Figure3_4.Best":        onlyTested + "TestEvalFigure3_4",
+	"contexp/internal/repro/ch3.Figure3_5.MeanFitness": onlyTested + "TestEvalFigure3_5SmallGrid",
 	"contexp/internal/scenario.Parse": onlyTested + "FuzzParseSpec, TestParseRejectsBadSpecs, " +
 		"TestCatalogJSONRoundTrip; no catalog entry is read from JSON",
-	"contexp/internal/stats.EWMA":         onlyTested + "TestEWMA",
-	"contexp/internal/stats.Exponential":  onlyTested + "TestExponentialSample",
-	"contexp/internal/stats.MannWhitneyU": onlyTested + "TestMannWhitneyU, TestMannWhitneyUTies",
-	"contexp/internal/stats.Max":          onlyTested + "TestMinMaxSum, TestQuantileOrderingProperty",
+	"contexp/internal/stats.EWMA":        onlyTested + "TestEWMA",
+	"contexp/internal/stats.Exponential": onlyTested + "TestExponentialSample",
+	"contexp/internal/stats.LogNormal.Mean": onlyTested + "TestLogNormalFromMeanP95, " +
+		"TestLogNormalFromMeanP95Degenerate",
+	"contexp/internal/stats.LogNormal.Quantile": onlyTested + "TestLogNormalFromMeanP95",
+	"contexp/internal/stats.MannWhitneyU":       onlyTested + "TestMannWhitneyU, TestMannWhitneyUTies",
+	"contexp/internal/stats.Max":                onlyTested + "TestMinMaxSum, TestQuantileOrderingProperty",
 	"contexp/internal/stats.Quantile": onlyTested + "TestQuantile, TestQuantileDoesNotMutate, " +
 		"TestQuantileOrderingProperty, TestLogNormalSampleMoments",
 	"contexp/internal/stats.Min":                     onlyTested + "TestMinMaxSum, TestQuantileOrderingProperty",
@@ -240,8 +259,6 @@ var unreachedAllowed = map[string]string{
 	"contexp/internal/stats.Pareto":                  onlyTested + "TestParetoSample",
 	"contexp/internal/stats.Sum":                     onlyTested + "TestMinMaxSum",
 	"contexp/internal/stats.TwoProportionZ":          onlyTested + "TestTwoProportionZ",
-	"contexp/internal/traffic.NewConsumption": onlyTested + "TestConsumptionAllocateRelease, TestConsumptionBounds, " +
-		"TestNewConsumptionValidation, TestConsumptionNeverExceedsCapacityProperty",
 }
 
 // onlyTested opens the reason of an allowed declaration whose only
@@ -252,17 +269,30 @@ const onlyTested = "only tests call it, and it goes when they do: "
 // The roots are every main package's main, the root facade's exported
 // names and every init func. From them the test follows each reference
 // the type checker resolves, through function bodies, var initializers
-// and type definitions; a reached type keeps all its methods, and a
-// reached method its type. A package var is reached only through its
+// and type definitions. A package var is reached only through its
 // uses, and a blank `var _ I = T{}` assertion reaches nothing. Test
-// files are not roots: code only a test calls is unreached. Every
-// top-level func, type, var or const under internal/ that no root
-// reaches fails the test, exported or not, unless unreachedAllowed
-// names it with a reason.
+// files are not roots: code only a test calls is unreached.
+//
+// A reached type does not keep its methods. A method stays when a
+// reached declaration refers to it (a call, a method value or a method
+// expression); when its type is reached and some interface in the build
+// graph, of the module or of the standard library it links, has a
+// method of its name, so a call through an interface may land on it
+// (`String`, `Error`, `ServeHTTP`, `Less`, `Evaluate`); or when it is
+// exported on the facade's public surface — a type the facade exports,
+// or one that an exported field, method or signature of that surface
+// names, transitively — so a downstream user can call it. A reached
+// method reaches its type.
+// Every top-level func, type, var or const and every method under
+// internal/ that no root reaches fails the test, exported or not,
+// unless unreachedAllowed names it with a reason.
 //
 // The module is type-checked from source with go/types; the standard
 // library comes from the export data `go list -export` leaves in the
-// build cache, read by the stdlib gc importer.
+// build cache, read by the stdlib gc importer. Interfaces declared
+// inside standard-library function bodies (errors' `Unwrap`, net's
+// `Timeout`) are not in export data; a method that only they call
+// would be reported.
 func TestEverythingIsReachable(t *testing.T) {
 	pkgs := goListAll(t, "-export")
 	fset := token.NewFileSet()
@@ -272,7 +302,12 @@ func TestEverythingIsReachable(t *testing.T) {
 		}
 		return nil, fmt.Errorf("go list reported no export data for %s", path)
 	})
-	g := declGraph{decls: make(map[types.Object]*decl)}
+	g := declGraph{
+		decls:      make(map[types.Object]*decl),
+		methods:    make(map[types.Object][]types.Object),
+		interfaces: make(map[string]bool),
+	}
+	g.addInterface(types.Universe.Lookup("error").Type())
 	checked := make(map[string]*types.Package)
 	var check func(path string) (*types.Package, error)
 	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
@@ -297,7 +332,11 @@ func TestEverythingIsReachable(t *testing.T) {
 			}
 			files = append(files, f)
 		}
-		info := &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)}
+		info := &types.Info{
+			Defs:  make(map[*ast.Ident]types.Object),
+			Uses:  make(map[*ast.Ident]types.Object),
+			Types: make(map[ast.Expr]types.TypeAndValue),
+		}
 		pkg, err := conf.Check(path, fset, files, info)
 		if err != nil {
 			return nil, err
@@ -311,8 +350,26 @@ func TestEverythingIsReachable(t *testing.T) {
 			if _, err := check(path); err != nil {
 				t.Fatalf("type-checking %s: %v", path, err)
 			}
+			continue
+		}
+		if pkgs[path].Export == "" {
+			continue // unsafe
+		}
+		pkg, err := std.Import(path)
+		if err != nil {
+			t.Fatalf("importing %s: %v", path, err)
+		}
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				g.addInterface(tn.Type())
+			}
 		}
 	}
+	facade, ok := checked["contexp"]
+	if !ok {
+		t.Fatal("go list did not report the root facade")
+	}
+	g.link(facade)
 	if len(g.roots) == 0 {
 		t.Fatal("found no roots")
 	}
@@ -320,7 +377,7 @@ func TestEverythingIsReachable(t *testing.T) {
 
 	named := make(map[string]*decl)
 	for _, d := range g.decls {
-		if d.top && under(d.pkg.Path(), "contexp/internal") {
+		if under(d.pkg.Path(), "contexp/internal") {
 			named[d.key()] = d
 		}
 	}
@@ -329,7 +386,7 @@ func TestEverythingIsReachable(t *testing.T) {
 		case strings.TrimSpace(unreachedAllowed[key]) == "":
 			t.Errorf("unreachedAllowed[%q] gives no reason", key)
 		case !ok:
-			t.Errorf("unreachedAllowed[%q] names no top-level declaration: drop the entry", key)
+			t.Errorf("unreachedAllowed[%q] names no top-level declaration or method: drop the entry", key)
 		case reached[d]:
 			t.Errorf("unreachedAllowed[%q] is reached from a root: drop the entry", key)
 		}
@@ -338,6 +395,9 @@ func TestEverythingIsReachable(t *testing.T) {
 	for key := range unreachedAllowed {
 		if d, ok := named[key]; ok {
 			roots = append(roots, d)
+			for _, m := range g.methods[d.obj] {
+				roots = append(roots, g.decls[m])
+			}
 		}
 	}
 	kept := g.reach(roots)
@@ -360,22 +420,25 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // decl is one package-level declaration or method of the module, with
 // every module object its source refers to.
 type decl struct {
+	obj  types.Object
 	pkg  *types.Package
 	name string // Name, or Recv.Name for a method
 	pos  token.Pos
-	top  bool // a top-level func, type, var or const; not a method
 	refs []types.Object
 }
 
 func (d *decl) key() string { return d.pkg.Path() + "." + d.name }
 
 type declGraph struct {
-	decls map[types.Object]*decl
-	roots []*decl
+	decls      map[types.Object]*decl
+	roots      []*decl
+	methods    map[types.Object][]types.Object // a named type's declared methods
+	interfaces map[string]bool                 // method names of every interface in the build graph
 }
 
 // add records pkg's declarations: the roots among them (main, init, and
-// the root facade's exported names) and each one's references.
+// the root facade's exported names), each one's references, and the
+// method names of the interfaces its source spells out.
 func (g *declGraph) add(pkg *types.Package, files []*ast.File, info *types.Info) {
 	refs := func(n ast.Node) []types.Object {
 		var out []types.Object
@@ -390,27 +453,37 @@ func (g *declGraph) add(pkg *types.Package, files []*ast.File, info *types.Info)
 		return out
 	}
 	facade := pkg.Path() == "contexp"
-	newDecl := func(id *ast.Ident, top bool, n ast.Node) *decl {
-		d := &decl{pkg: pkg, name: id.Name, pos: id.Pos(), top: top, refs: refs(n)}
-		g.decls[info.Defs[id]] = d
-		if facade && top && id.IsExported() {
+	newDecl := func(id *ast.Ident, n ast.Node) *decl {
+		obj := info.Defs[id]
+		d := &decl{obj: obj, pkg: pkg, name: id.Name, pos: id.Pos(), refs: refs(n)}
+		g.decls[obj] = d
+		return d
+	}
+	top := func(id *ast.Ident, n ast.Node) *decl {
+		d := newDecl(id, n)
+		if facade && id.IsExported() {
 			g.roots = append(g.roots, d)
 		}
 		return d
 	}
-	var methods [][2]types.Object // type, method
 	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				g.addInterface(info.TypeOf(it))
+			}
+			return true
+		})
 		for _, fd := range f.Decls {
 			switch fd := fd.(type) {
 			case *ast.FuncDecl:
 				if fd.Recv != nil {
-					d := newDecl(fd.Name, false, fd)
-					recv := receiverType(info.Defs[fd.Name].(*types.Func))
+					d := newDecl(fd.Name, fd)
+					recv := receiverType(d.obj.(*types.Func))
 					d.name = recv.Name() + "." + d.name
-					methods = append(methods, [2]types.Object{recv, info.Defs[fd.Name]})
+					g.methods[recv] = append(g.methods[recv], d.obj)
 					continue
 				}
-				d := newDecl(fd.Name, true, fd)
+				d := top(fd.Name, fd)
 				if fd.Name.Name == "init" || (pkg.Name() == "main" && fd.Name.Name == "main") {
 					g.roots = append(g.roots, d)
 				}
@@ -418,11 +491,11 @@ func (g *declGraph) add(pkg *types.Package, files []*ast.File, info *types.Info)
 				for _, spec := range fd.Specs {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
-						newDecl(spec.Name, true, spec)
+						top(spec.Name, spec)
 					case *ast.ValueSpec:
 						for _, id := range spec.Names {
 							if id.Name != "_" {
-								newDecl(id, true, spec)
+								top(id, spec)
 							}
 						}
 					}
@@ -430,9 +503,92 @@ func (g *declGraph) add(pkg *types.Package, files []*ast.File, info *types.Info)
 			}
 		}
 	}
-	// A reached type keeps every method.
-	for _, m := range methods {
-		g.decls[m[0]].refs = append(g.decls[m[0]].refs, m[1])
+}
+
+// addInterface records the method names of typ if it is an interface.
+func (g *declGraph) addInterface(typ types.Type) {
+	if it, ok := typ.Underlying().(*types.Interface); ok {
+		for i := range it.NumMethods() {
+			g.interfaces[it.Method(i).Name()] = true
+		}
+	}
+}
+
+// link runs once every package is added: a type reaches each method
+// that an interface may call, and the exported methods of facade's
+// public surface are roots.
+func (g *declGraph) link(facade *types.Package) {
+	for recv, methods := range g.methods {
+		for _, m := range methods {
+			if g.interfaces[m.Name()] {
+				g.decls[recv].refs = append(g.decls[recv].refs, m)
+			}
+		}
+	}
+	seen := make(map[types.Type]bool)
+	var visit func(typ types.Type)
+	visit = func(typ types.Type) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ := typ.(type) {
+		case *types.Alias:
+			visit(types.Unalias(typ))
+		case *types.Named:
+			for i := range typ.TypeArgs().Len() {
+				visit(typ.TypeArgs().At(i))
+			}
+			if pkg := typ.Obj().Pkg(); pkg == nil || !under(pkg.Path(), "contexp") {
+				return
+			}
+			// The method set of *T holds T's methods and every one it
+			// promotes from an embedded field.
+			mset := types.NewMethodSet(types.NewPointer(typ))
+			for i := range mset.Len() {
+				if fn := mset.At(i).Obj().(*types.Func); fn.Exported() {
+					if d, ok := g.decls[origin(fn)]; ok {
+						g.roots = append(g.roots, d)
+					}
+					visit(fn.Type())
+				}
+			}
+			visit(typ.Underlying())
+		case *types.Pointer:
+			visit(typ.Elem())
+		case *types.Slice:
+			visit(typ.Elem())
+		case *types.Array:
+			visit(typ.Elem())
+		case *types.Chan:
+			visit(typ.Elem())
+		case *types.Map:
+			visit(typ.Key())
+			visit(typ.Elem())
+		case *types.Signature:
+			for _, tuple := range []*types.Tuple{typ.Params(), typ.Results()} {
+				for v := range tuple.Variables() {
+					visit(v.Type())
+				}
+			}
+		case *types.Struct:
+			for f := range typ.Fields() {
+				if f.Exported() || f.Embedded() {
+					visit(f.Type())
+				}
+			}
+		case *types.Interface:
+			for m := range typ.Methods() {
+				if m.Exported() {
+					visit(m.Type())
+				}
+			}
+		}
+	}
+	for _, name := range facade.Scope().Names() {
+		if obj := facade.Scope().Lookup(name); obj.Exported() {
+			visit(obj.Type())
+		}
 	}
 }
 
