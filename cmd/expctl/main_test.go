@@ -224,8 +224,8 @@ func TestAgentsOverHTTP(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// One current agent, one lagging stale one.
-	hub.Ack("edge-1", "10.0.0.1:7080", table.Version(), 1234, false)
-	hub.Ack("edge-2", "10.0.0.2:7080", 0, 7, true)
+	hub.Ack("edge-1", "10.0.0.1:7080", hub.Epoch(), table.Version(), 1234, false)
+	hub.Ack("edge-2", "10.0.0.2:7080", hub.Epoch(), 0, 7, true)
 
 	var out strings.Builder
 	if err := run([]string{"agents", "--addr", ts.URL}, &out); err != nil {

@@ -23,9 +23,9 @@
 //     once the lease expires — availability over freshness, the same
 //     trade Envoy/xDS makes. Reconnection retries forever with capped
 //     backoff.
-//   - A heartbeat loop POSTs the applied version and resolve counters
-//     to /v1/agents/heartbeat so the control plane's fleet registry
-//     sees lag and staleness per agent.
+//   - A heartbeat loop POSTs the applied version, its epoch and the
+//     resolve counters to /v1/agents/heartbeat so the control plane's
+//     fleet registry sees lag and staleness per agent.
 //
 // Telemetry flows the other way on the existing binary batch path: a
 // wire.Client buffers locally observed samples/spans and ships them to
@@ -111,8 +111,9 @@ type Agent struct {
 	// epoch names the control-plane process whose snapshot the table
 	// last took; the next watch sends it back with the table's version,
 	// so a restarted control plane, whose versions start over, answers
-	// with a snapshot. Only the watch loop touches it.
-	epoch string
+	// with a snapshot, and heartbeats report it with the version. The
+	// watch loop stores it after the snapshot is applied.
+	epoch atomic.Pointer[string]
 
 	proxyMu sync.RWMutex
 	proxies map[string]*router.Proxy
@@ -255,7 +256,7 @@ func (a *Agent) watchOnce() (applied bool, err error) {
 		}
 	}()
 	u := fmt.Sprintf("%s/v1/routing/watch?agent=%s&lastApplied=%d&epoch=%s",
-		a.cfg.ControlPlane, url.QueryEscape(a.cfg.ID), a.table.Version(), url.QueryEscape(a.epoch))
+		a.cfg.ControlPlane, url.QueryEscape(a.cfg.ID), a.table.Version(), url.QueryEscape(a.tableEpoch()))
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return false, err
@@ -303,7 +304,7 @@ func (a *Agent) follow(stream io.Reader, epoch string, lease *time.Timer) (appli
 			if err := a.table.ApplySnapshot(snap); err != nil {
 				return applied, err
 			}
-			a.epoch = epoch
+			a.epoch.Store(&epoch)
 		case wire.KindDelta:
 			delta, err := dd.Decode(frame)
 			if err != nil {
@@ -357,10 +358,26 @@ func (a *Agent) heartbeatLoop() {
 	}
 }
 
+// tableEpoch is the epoch of the snapshot the table last took, "" before
+// the first.
+func (a *Agent) tableEpoch() string {
+	if e := a.epoch.Load(); e != nil {
+		return *e
+	}
+	return ""
+}
+
 func (a *Agent) sendHeartbeat(ctx context.Context) {
+	// The epoch is read before the version: the watch loop stores a new
+	// epoch after applying its snapshot, so a heartbeat racing a resync
+	// may report the new version under the old epoch, which the registry
+	// counts as nothing applied yet, but never an old version under the
+	// new epoch.
+	epoch := a.tableEpoch()
 	body, err := json.Marshal(map[string]any{
 		"id":       a.cfg.ID,
 		"addr":     a.cfg.AdvertiseAddr,
+		"epoch":    epoch,
 		"version":  a.table.Version(),
 		"resolves": a.resolves.Load(),
 		"stale":    a.Stale(),

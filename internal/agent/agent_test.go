@@ -560,6 +560,52 @@ func TestAgentResyncsAfterControlPlaneRestart(t *testing.T) {
 	})
 }
 
+// TestAgentTakesRestartedEmptyTable: a restarted control plane that has
+// installed no route sits at version 0, its table empty. Its snapshot is
+// authoritative: an agent holding the old process's routes takes the
+// empty table, and the new process's registry shows the agent at its
+// own epoch's version 0, not at the old process's version 2 with no lag.
+func TestAgentTakesRestartedEmptyTable(t *testing.T) {
+	before, after := newPlane(t), newPlane(t)
+	for _, weight := range []float64{1, 0.5} {
+		if err := before.table.Set(router.Route{Service: "svc-a", Backends: []router.Backend{
+			{Version: "v1", Weight: weight}, {Version: "v2", Weight: 1 - weight}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var current atomic.Pointer[http.Handler]
+	current.Store(&before.ts.Config.Handler)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*current.Load()).ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	p := &plane{t: t, ts: ts}
+	a := p.newAgent("edge")
+	waitFor(t, "the agent to hold svc-a at version 2", func() bool { return a.Version() == 2 })
+
+	current.Store(&after.ts.Config.Handler)
+	ts.CloseClientConnections()
+	waitFor(t, "the agent to hold the restarted control plane's empty table", func() bool {
+		return len(a.Table().Services()) == 0
+	})
+	if v := a.Version(); v != 0 {
+		t.Fatalf("agent at version %d, want the restarted control plane's 0", v)
+	}
+	waitFor(t, "/v1/agents to show the agent on the restarted control plane's table", func() bool {
+		resp, err := http.Get(ts.URL + "/v1/agents")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct{ Items []fleet.AgentState }
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return len(out.Items) == 1 && out.Items[0].ID == "edge" && out.Items[0].AppliedVersion == 0 &&
+			out.Items[0].Epoch == after.hub.Epoch() && out.Items[0].Lag == 0
+	})
+}
+
 // TestAgentDropsSilentStream: a watch stream that stays open but sends
 // nothing for a lease is cut, and the agent watches again.
 func TestAgentDropsSilentStream(t *testing.T) {

@@ -20,7 +20,10 @@
 package fleet
 
 import (
+	"math"
+	"math/rand/v2"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -66,7 +69,13 @@ type AgentState struct {
 	// them is in-flight propagation.
 	SentVersion    uint64 `json:"sentVersion"`
 	AppliedVersion uint64 `json:"appliedVersion"`
-	// Lag is the control plane's current version minus AppliedVersion.
+	// Epoch names the control-plane process whose table the agent last
+	// acknowledged applying (Hub.Epoch); "" before its first snapshot.
+	Epoch string `json:"epoch,omitempty"`
+	// Lag counts the versions of the hub's epoch the agent has yet to
+	// apply: the current version minus AppliedVersion. A version from
+	// another epoch, or one the hub never published, counts as none
+	// applied.
 	Lag uint64 `json:"lag"`
 	// LastAck is when the agent last posted a heartbeat.
 	LastAck time.Time `json:"lastAck,omitzero"`
@@ -164,6 +173,7 @@ type Stats struct {
 type Hub struct {
 	cfg   Config
 	table *router.Table
+	epoch string
 
 	mu     sync.Mutex
 	last   router.TableSnapshot // latest export, the diff base
@@ -193,6 +203,7 @@ func New(cfg Config) *Hub {
 	h := &Hub{
 		cfg:    cfg,
 		table:  cfg.Table,
+		epoch:  strconv.FormatUint(rand.Uint64(), 36),
 		last:   cfg.Table.Export(),
 		subs:   make(map[*Subscription]struct{}),
 		agents: make(map[string]*AgentState),
@@ -204,6 +215,17 @@ func New(cfg Config) *Hub {
 	go h.run(changes)
 	return h
 }
+
+// Epoch names this hub, and so the control-plane process that holds
+// it: a version is the version of a table only within the epoch that
+// numbered it. Watch streams carry it (wire.EpochHeader), and agents
+// send it back with the version they hold.
+func (h *Hub) Epoch() string { return h.epoch }
+
+// NoVersion is the lastApplied of an agent whose table is not one of
+// this hub's (another epoch's, or none): no table version reaches it, so
+// Watch answers it with a full snapshot, the hub's empty table included.
+const NoVersion = math.MaxUint64
 
 // Close stops the publisher and ends every live stream. Idempotent.
 func (h *Hub) Close() {
@@ -399,9 +421,10 @@ func (h *Hub) Unwatch(sub *Subscription) {
 }
 
 // Ack records an agent's heartbeat: the snapshot version its table has
-// applied plus its self-reported counters. Agents that never opened a
-// watch stream (or whose stream dropped) still register here.
-func (h *Hub) Ack(id, addr string, applied, resolves uint64, stale bool) {
+// applied, in the epoch that numbered it, plus its self-reported
+// counters. Agents that never opened a watch stream (or whose stream
+// dropped) still register here.
+func (h *Hub) Ack(id, addr, epoch string, applied, resolves uint64, stale bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.agents[id]
@@ -413,21 +436,23 @@ func (h *Hub) Ack(id, addr string, applied, resolves uint64, stale bool) {
 		st.Addr = addr
 	}
 	st.AppliedVersion = applied
+	st.Epoch = epoch
 	st.Resolves = resolves
 	st.Stale = stale
 	st.LastAck = time.Now()
 }
 
 // Agents returns the registry sorted by agent ID, lag computed against
-// the current published version.
+// the current published version within the hub's epoch.
 func (h *Hub) Agents() []AgentState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make([]AgentState, 0, len(h.agents))
 	for _, st := range h.agents {
 		view := *st
-		if h.last.Version > view.AppliedVersion {
-			view.Lag = h.last.Version - view.AppliedVersion
+		view.Lag = h.last.Version
+		if view.Epoch == h.epoch && view.AppliedVersion <= h.last.Version {
+			view.Lag -= view.AppliedVersion
 		}
 		out = append(out, view)
 	}

@@ -275,11 +275,15 @@ func TestAckAndAgentsLag(t *testing.T) {
 	}
 	h := newTestHub(t, src)
 	// Hub exported at construction; version is 3.
-	h.Ack("a1", "10.0.0.1:8080", 3, 1000, false)
-	h.Ack("a2", "10.0.0.2:8080", 1, 50, true)
+	h.Ack("a1", "10.0.0.1:8080", h.Epoch(), 3, 1000, false)
+	h.Ack("a2", "10.0.0.2:8080", h.Epoch(), 1, 50, true)
+	// Versions another process numbered, above and below the hub's: none
+	// of them is one of this hub's tables.
+	h.Ack("a3", "", "restarted", 7, 0, false)
+	h.Ack("a4", "", "restarted", 2, 0, false)
 
 	agents := h.Agents()
-	if len(agents) != 2 {
+	if len(agents) != 4 {
 		t.Fatalf("agents = %+v", agents)
 	}
 	if agents[0].ID != "a1" || agents[0].Lag != 0 || agents[0].Resolves != 1000 || agents[0].Stale {
@@ -288,8 +292,37 @@ func TestAckAndAgentsLag(t *testing.T) {
 	if agents[1].ID != "a2" || agents[1].Lag != 2 || !agents[1].Stale {
 		t.Fatalf("a2 = %+v", agents[1])
 	}
+	for _, a := range agents[2:] {
+		if a.Lag != 3 || a.Epoch != "restarted" {
+			t.Fatalf("%s = %+v, want lag 3: a version of another epoch counts as none applied", a.ID, a)
+		}
+	}
 	if agents[0].LastAck.IsZero() {
 		t.Fatal("LastAck not recorded")
+	}
+}
+
+// TestWatchNoVersionIsSnapshot: an agent whose table is not one of the
+// hub's gets a snapshot, also from a hub at version 0, whose table is
+// empty, and also when it holds that version number.
+func TestWatchNoVersionIsSnapshot(t *testing.T) {
+	h := newTestHub(t, router.NewTable())
+	sub, err := h.Watch("a1", "", NoVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Unwatch(sub)
+	frame := recvFrame(t, sub)
+	if wire.Kind(frame) != wire.KindSnapshot {
+		t.Fatalf("frame kind %d, want a snapshot", wire.Kind(frame))
+	}
+	held := router.NewTable()
+	if err := held.Set(testRoute("from-another-epoch")); err != nil {
+		t.Fatal(err)
+	}
+	applyFrame(t, held, frame)
+	if v, services := held.Version(), held.Services(); v != 0 || len(services) != 0 {
+		t.Fatalf("after the snapshot: version %d, services %v; want the hub's empty table", v, services)
 	}
 }
 

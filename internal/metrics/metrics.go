@@ -26,7 +26,9 @@
 //
 // What a series retains (ring.go): no raw observations, only streaming
 // aggregates — buckets of count/sum/min/max, first/last observation
-// time and a log-binned histogram sketch — in three tiers of one shape:
+// time and a histogram sketch of log-spaced bins, a value's bin read
+// from tables rather than computed with a logarithm per write — in
+// three tiers of one shape:
 // 1 s × 256, 1 min × 1440 (24 h) and 1 h × 336 (14 days). Each keeps its
 // newest four intervals as live buckets — 288 bytes, their sketch
 // counting in one byte a bin, carrying into four more once a bin passes
@@ -163,32 +165,36 @@ const (
 
 type series struct {
 	mu sync.Mutex
+	// What every write reads and writes besides its buckets sits next to
+	// mu, on the line a writer's lock takes.
+	//
+	// earliest is the unix second of the oldest observation ever
+	// offered, kept or not: a tier whose reach starts at or before it
+	// holds the series' whole history.
+	earliest int64
+	// lastWriteNs, the UnixNano of the newest observation (math.MinInt64
+	// before the first), drives idle-series eviction (Store.Maintain),
+	// which sets evicted before it drops the series from the index: a
+	// writer that resolved the series earlier finds the mark once it holds
+	// mu and writes to the series' replacement instead (Store.lockSeries).
+	lastWriteNs int64
+	evicted     bool
 
 	// tiers are the three retention widths (ring.go), every one fed on
 	// every write. The minute and hour tiers survive restarts via
 	// Store.Snapshot.
 	tiers [numTiers]tier
-	// earliest is the unix second of the oldest observation ever
-	// offered, kept or not: a tier whose reach starts at or before it
-	// holds the series' whole history.
-	earliest int64
-
-	// lastWrite drives idle-series eviction (Store.Maintain), which sets
-	// evicted before it drops the series from the index: a writer that
-	// resolved the series earlier finds the mark once it holds mu and
-	// writes to the series' replacement instead (Store.lockSeries).
-	lastWrite time.Time
-	evicted   bool
 }
 
 func newSeries() *series {
 	return &series{
+		earliest:    math.MaxInt64,
+		lastWriteNs: math.MinInt64,
 		tiers: [numTiers]tier{
 			tierSecond: newTier(time.Second, secondSlots),
 			tierMinute: newTier(time.Minute, minuteSlots),
 			tierHour:   newTier(time.Hour, hourSlots),
 		},
-		earliest: math.MaxInt64,
 	}
 }
 
@@ -212,11 +218,8 @@ func stampOf(at time.Time) stamp {
 }
 
 func (s *series) recordLocked(t *stamp, v float64) {
-	if t.at.After(s.lastWrite) {
-		s.lastWrite = t.at
-	}
 	bin := histIndex(v)
-	s.earliest = min(s.earliest, t.sec)
+	s.earliest, s.lastWriteNs = min(s.earliest, t.sec), max(s.lastWriteNs, t.ns)
 	for i := range s.tiers {
 		if b := s.tiers[i].at(t.idx[i]); b != nil {
 			b.add(t.ns, v, bin)

@@ -14,11 +14,12 @@ import (
 // --- histogram sketch ---
 //
 // Values are assigned to log-spaced bins: bin i (1 ≤ i ≤ histInterior)
-// covers (histMin·γ^(i-1), histMin·γ^i]; bin 0 catches everything ≤
-// histMin (including zero and negatives, which latencies and counters
-// never produce) and the last bin everything > histMax. A quantile read
-// returns the geometric midpoint of its bin, so the relative error is
-// bounded by √γ − 1 (≈ 4.9% with γ = 1.1).
+// covers [histMin·γ^(i-1), histMin·γ^i) as floats round it, bin 1 from
+// just above histMin and the last interior one up to histMax; bin 0
+// catches everything ≤ histMin (including zero and negatives, which
+// latencies and counters never produce) and the last bin everything ≥
+// histMax. A quantile read returns the geometric midpoint of its bin, so
+// the relative error is bounded by √γ − 1 (≈ 4.9% with γ = 1.1).
 const (
 	histGamma    = 1.1
 	histMin      = 1e-3
@@ -27,8 +28,13 @@ const (
 	histSize     = histInterior + 2
 )
 
-var lnHistGamma = math.Log(histGamma)
-
+// histIndex returns v's sketch bin: histBin's answer, read from tables
+// that histBin builds at init, so the write path takes no logarithm. The
+// bits of positive floats order them as their values do. The top 16 —
+// sign, exponent and four mantissa bits — name a cell of ratio at most
+// 2^(1/16), less than γ, so the bin of the cell's smallest value
+// (histGuess) is v's bin or the one below it, and one compare against
+// the next bin's first value (histEdge) decides.
 func histIndex(v float64) int {
 	if !(v > histMin) { // also catches NaN
 		return 0
@@ -36,14 +42,66 @@ func histIndex(v float64) int {
 	if v >= histMax {
 		return histSize - 1
 	}
-	i := 1 + int(math.Log(v/histMin)/lnHistGamma)
-	if i < 1 {
-		i = 1
-	}
-	if i > histInterior {
-		i = histInterior
+	b := math.Float64bits(v)
+	i := int(histGuess[b>>histCellShift-histCellBase])
+	if b >= histEdge[i+1] {
+		i++
 	}
 	return i
+}
+
+// histBin is the definition of a value's sketch bin: 1 + ⌊ln(v/histMin)
+// / ln γ⌋ inside (histMin, histMax), as floats compute it. histIndex
+// answers it bit for bit from tables built here.
+func histBin(v float64) int {
+	if !(v > histMin) {
+		return 0
+	}
+	if v >= histMax {
+		return histSize - 1
+	}
+	return min(max(1+int(math.Log(v/histMin)/math.Log(histGamma)), 1), histInterior)
+}
+
+// The cells of histGuess: a positive float's bits shifted right by
+// histCellShift, from the cell holding histMin to the one holding histMax.
+const histCellShift = 64 - 1 - 11 - 4 // sign, exponent, four mantissa bits
+
+var (
+	histCellBase = math.Float64bits(histMin) >> histCellShift
+	// histEdge[i] is the bits of the smallest float whose bin is at
+	// least i; histEdge[histSize-1] is histMax's.
+	histEdge [histSize]uint64
+	// histGuess[c] is the bin of the smallest value of cell c in
+	// (histMin, histMax).
+	histGuess [histCells]uint8
+)
+
+// histCells counts the cells from histMin's to histMax's: 10⁻³ is
+// 1.024·2⁻¹⁰, 10⁶ is 1.907·2¹⁹, so 29 whole exponents of 16 cells and
+// the 15 cells of 2¹⁹ up to mantissa bits 1110.
+const histCells = 29*16 + 15
+
+func init() {
+	lo, hi := math.Float64bits(histMin), math.Float64bits(histMax)
+	for i := 1; i < histSize; i++ {
+		// The least bits in (histMin, histMax] whose value histBin puts in
+		// bin i or above; histBin never decreases as v grows.
+		a, z := lo+1, hi
+		for a < z {
+			m := a + (z-a)/2
+			if histBin(math.Float64frombits(m)) >= i {
+				z = m
+			} else {
+				a = m + 1
+			}
+		}
+		histEdge[i] = a
+	}
+	for c := range histGuess {
+		first := max((histCellBase+uint64(c))<<histCellShift, lo+1)
+		histGuess[c] = uint8(histBin(math.Float64frombits(first)))
+	}
 }
 
 func histValue(i int) float64 {
@@ -113,8 +171,8 @@ func (b *bucket) reset(idx int64) {
 }
 
 // add folds one observation's summary in and widens the bin range to
-// bin, which is histIndex(v), computed once per observation for all three
-// tiers; tally counts it. It is merge with a one-observation summary,
+// bin, which is histIndex(v) — two table reads, no logarithm — found
+// once per observation for all three tiers; tally counts it. It is merge with a one-observation summary,
 // written out so that it stays within the compiler's inlining budget in
 // recordLocked's loop (through merge, every sample pays three calls: +17%
 // on BenchmarkStoreRecordBatch), and tally is a call of its own for the

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -191,4 +192,47 @@ func TestWriteIntoRestoredCurrentBuckets(t *testing.T) {
 	st.Record("rt", scopeV1, next.at, next.value)
 	all = append(all, next)
 	checkAgainstOracle(t, st, all, base.Add(3*time.Minute), "after the next minute")
+}
+
+// TestHistIndexMatchesFormula holds the table histIndex to histBin, the
+// log formula it is built from, bit for bit: one ulp either side of every
+// bin's first value, at both ends of every guess cell, at the values
+// outside the interior, and at 10⁶ seeded random values spread over the
+// sketch's range and past it.
+func TestHistIndexMatchesFormula(t *testing.T) {
+	if last := math.Float64bits(histMax) >> histCellShift; histCellBase+histCells-1 != last {
+		t.Fatalf("histGuess covers cells %d..%d, histMax is in cell %d", histCellBase, histCellBase+histCells-1, last)
+	}
+	check := func(what string, v float64) {
+		t.Helper()
+		if got, want := histIndex(v), histBin(v); got != want {
+			t.Fatalf("%s: histIndex(%v) = %d, histBin = %d", what, v, got, want)
+		}
+	}
+	for i := 1; i < histSize; i++ {
+		e := math.Float64frombits(histEdge[i])
+		if histBin(e) < i || histBin(math.Nextafter(e, 0)) >= i {
+			t.Fatalf("histEdge[%d] = %v is not the first value of a bin ≥ %d", i, e, i)
+		}
+		for _, v := range []float64{math.Nextafter(e, 0), e, math.Nextafter(e, math.Inf(1))} {
+			check(fmt.Sprintf("edge %d", i), v)
+		}
+	}
+	for c := uint64(0); c < histCells; c++ {
+		first := math.Float64frombits((histCellBase + c) << histCellShift)
+		last := math.Float64frombits((histCellBase+c+1)<<histCellShift - 1)
+		check(fmt.Sprintf("cell %d first", c), first)
+		check(fmt.Sprintf("cell %d last", c), last)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -1, -histMax,
+		histMin, math.Nextafter(histMin, 0), math.Nextafter(histMin, 1),
+		histMax, math.Nextafter(histMax, 0), math.Nextafter(histMax, math.Inf(1)),
+		math.SmallestNonzeroFloat64, math.MaxFloat64} {
+		check("special", v)
+	}
+	rng := rand.New(rand.NewSource(41))
+	for range 1_000_000 {
+		// Log-uniform over [10⁻⁵, 10⁸]: every bin, and both outer ones.
+		check("random", math.Pow(10, -5+13*rng.Float64()))
+	}
 }

@@ -27,7 +27,7 @@ func (st *Store) Maintain(now time.Time, idleFor time.Duration) int {
 	if idleFor <= 0 {
 		return 0
 	}
-	cutoff := now.Add(-idleFor)
+	cutoff := now.Add(-idleFor).UnixNano()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	all := st.dirty
@@ -42,7 +42,7 @@ func (st *Store) Maintain(now time.Time, idleFor time.Duration) int {
 		// the mark and resolves again under st.mu (Store.lockSeries),
 		// after the publish.
 		s.mu.Lock()
-		s.evicted = !s.lastWrite.IsZero() && s.lastWrite.Before(cutoff)
+		s.evicted = s.lastWriteNs != math.MinInt64 && s.lastWriteNs < cutoff
 		if !s.evicted {
 			kept[key] = s
 		}
@@ -200,9 +200,7 @@ func (s *series) restore(t int, data []byte) ([]byte, error) {
 			live = min(live, i)
 		}
 		s.earliest = min(s.earliest, time.Unix(0, sb.firstNs).Unix())
-		if at := time.Unix(0, sb.lastNs); at.After(s.lastWrite) {
-			s.lastWrite = at
-		}
+		s.lastWriteNs = max(s.lastWriteNs, sb.lastNs)
 	}
 	for i := live; i < len(all.buckets); i++ {
 		b := new(bucket)

@@ -204,7 +204,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := st2.Restore(recs[0]); err == nil {
 		t.Error("a record restored onto a series the store holds")
 	}
-	// Restored series carry a lastWrite, so retention still ages them.
+	// Restored series carry a lastWriteNs, so retention still ages them.
 	if n := st2.Maintain(now.Add(48*time.Hour), 24*time.Hour); n != len(scopes) {
 		t.Fatalf("restored series should age out, evicted %d", n)
 	}

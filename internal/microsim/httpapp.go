@@ -199,14 +199,17 @@ func (h *HTTPApplication) serve(handler http.Handler) (string, error) {
 // through the callees' proxies, and self-reports telemetry.
 func (h *HTTPApplication) backendHandler(sv *ServiceVersion) http.Handler {
 	type route struct {
-		ep     *Endpoint
-		method string
-		name   string
+		ep *Endpoint
+		// key is "METHOD /path", the routes key and the span's Endpoint:
+		// one string for every span, not one built per request.
+		key  string
+		name string
 	}
 	routes := make(map[string]route, len(sv.Endpoints)) // path -> route
 	for name, ep := range sv.Endpoints {
 		method, path := splitEndpoint(name)
-		routes[method+" "+path] = route{ep: ep, method: method, name: name}
+		key := method + " " + path
+		routes[key] = route{ep: ep, key: key, name: name}
 	}
 	client := &http.Client{Timeout: 30 * time.Second}
 
@@ -337,7 +340,7 @@ func (h *HTTPApplication) backendHandler(sv *ServiceVersion) http.Handler {
 				ParentID: parentID,
 				Service:  sv.Service,
 				Version:  sv.Version,
-				Endpoint: rt.method + " " + r.URL.Path,
+				Endpoint: rt.key,
 				Start:    start,
 				Duration: time.Since(start),
 				Err:      failed,

@@ -42,9 +42,11 @@ func (s *Server) handleRoutingWatch(w http.ResponseWriter, r *http.Request) {
 		lastApplied = v
 	}
 	// A version names a table only within the process that published
-	// it: one from before a restart gets a full snapshot.
-	if r.URL.Query().Get("epoch") != s.epoch {
-		lastApplied = 0
+	// it: one from before a restart gets a full snapshot, even of a table
+	// this process has not yet written to.
+	epoch := s.cfg.Fleet.Epoch()
+	if r.URL.Query().Get("epoch") != epoch {
+		lastApplied = fleet.NoVersion
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -60,7 +62,7 @@ func (s *Server) handleRoutingWatch(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", wire.StreamContentType)
 	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set(wire.EpochHeader, s.epoch)
+	w.Header().Set(wire.EpochHeader, epoch)
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 	for {
@@ -119,13 +121,14 @@ func (s *Server) handleAgents(w http.ResponseWriter, r *http.Request) {
 }
 
 // Heartbeat is an agent's periodic self-report: which snapshot version
-// its table has applied, how much traffic it has resolved, and whether
-// it considers itself stale (fail-static mode after losing the watch
-// stream).
+// its table has applied and the epoch that numbered it, how much traffic
+// it has resolved, and whether it considers itself stale (fail-static
+// mode after losing the watch stream).
 type Heartbeat struct {
 	ID       string `json:"id"`
 	Addr     string `json:"addr,omitempty"`
 	Version  uint64 `json:"version"`
+	Epoch    string `json:"epoch,omitempty"`
 	Resolves uint64 `json:"resolves"`
 	Stale    bool   `json:"stale,omitempty"`
 }
@@ -148,7 +151,7 @@ func (s *Server) handleAgentHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "id is required")
 		return
 	}
-	s.cfg.Fleet.Ack(hb.ID, hb.Addr, hb.Version, hb.Resolves, hb.Stale)
+	s.cfg.Fleet.Ack(hb.ID, hb.Addr, hb.Epoch, hb.Version, hb.Resolves, hb.Stale)
 	writeJSON(w, http.StatusAccepted, map[string]any{
 		"currentVersion": s.cfg.Fleet.Version(),
 	})

@@ -142,7 +142,9 @@ func TestAgentHeartbeatAndRegistry(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	hb := Heartbeat{ID: "edge-1", Addr: "10.0.0.1:7080", Version: 1, Resolves: 42}
+	// A heartbeat names the epoch its version is from: the version
+	// counts only as one of this process's tables.
+	hb := Heartbeat{ID: "edge-1", Addr: "10.0.0.1:7080", Version: 1, Epoch: hub.Epoch(), Resolves: 42}
 	body, _ := json.Marshal(hb)
 	resp, err := http.Post(e.ts.URL+"/v1/agents/heartbeat", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -178,7 +180,7 @@ func TestAgentHeartbeatAndRegistry(t *testing.T) {
 		t.Fatalf("listing = %+v", listing)
 	}
 	a := listing.Agents[0]
-	if a.ID != "edge-1" || a.AppliedVersion != 1 || a.Lag != 0 || a.Resolves != 42 {
+	if a.ID != "edge-1" || a.AppliedVersion != 1 || a.Epoch != hub.Epoch() || a.Lag != 0 || a.Resolves != 42 {
 		t.Fatalf("agent = %+v", a)
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand/v2"
 	"net/http"
 	"sort"
 	"strconv"
@@ -118,8 +117,6 @@ type Server struct {
 	// idPrefix leads every request ID this process mints: the low 32
 	// bits of start in hex, and a dash.
 	idPrefix string
-	// epoch names this process on watch streams (wire.EpochHeader).
-	epoch string
 
 	// statusCache is the shared /healthz + /v1/admin/tenants snapshot;
 	// statusMu single-flights its rebuilds (see statusCacheTTL).
@@ -143,7 +140,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux(), start: time.Now()}
 	s.idPrefix = fmt.Sprintf("%08x-", uint32(s.start.UnixNano()))
-	s.epoch = strconv.FormatUint(rand.Uint64(), 36)
 	s.mux.HandleFunc("POST /v1/strategies", s.handleSubmitStrategy)
 	s.mux.HandleFunc("GET /v1/runs", s.handleListRuns)
 	s.mux.HandleFunc("GET /v1/runs/{name}", s.handleGetRun)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -137,6 +138,57 @@ func BenchmarkWireEncodeMetricsDistinct(b *testing.B) {
 		if frame := e.Encode(samples); len(frame) < HeaderSize {
 			b.Fatal("short frame")
 		}
+	}
+}
+
+// BenchmarkWireEncodeMetricsFresh encodes the batch of an emitter whose
+// strings are built per sample, as a resolve handler's service name
+// read from a query string would be: every service cell is a string the
+// encoder has never seen, so it misses the identity cache. The metric
+// and version cells are constants, as an agent's are. Each iteration
+// encodes the next of freshBatches batches, whose strings are copies of
+// their own, so no batch's pointers are still cached when it comes
+// round again. "sorted" flushes runs of one service; "shuffled" mixes
+// them.
+func BenchmarkWireEncodeMetricsFresh(b *testing.B) {
+	const freshBatches = 64
+	for _, order := range []string{"sorted", "shuffled"} {
+		b.Run(order, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(23))
+			at := time.Date(2017, 12, 11, 9, 0, 0, 0, time.UTC)
+			batches := make([][]metrics.Sample, freshBatches)
+			for k := range batches {
+				batch := make([]metrics.Sample, 256)
+				for i := range batch {
+					batch[i] = metrics.Sample{
+						Metric: "edge_resolves",
+						Scope: metrics.Scope{
+							Service: fmt.Sprintf("svc-%02d", i*8/len(batch)), // a fresh copy each
+							Version: []string{"v1", "v2"}[i%2],
+						},
+						Value: 1,
+						At:    at.Add(time.Duration(i) * time.Microsecond),
+					}
+				}
+				if order == "shuffled" {
+					rng.Shuffle(len(batch), func(i, j int) {
+						batch[i].Scope, batch[j].Scope = batch[j].Scope, batch[i].Scope
+					})
+				}
+				batches[k] = batch
+			}
+			var e MetricsEncoder
+			for _, batch := range batches {
+				e.Encode(batch)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if frame := e.Encode(batches[i%freshBatches]); len(frame) < HeaderSize {
+					b.Fatal("short frame")
+				}
+			}
+		})
 	}
 }
 

@@ -71,6 +71,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"contexp/internal/metrics"
 	"contexp/internal/tracing"
@@ -140,70 +141,164 @@ func Kind(frame []byte) byte {
 
 // --- encoding ---
 
-// enc is the shared encoder core: a grow-only frame buffer, a string
-// dictionary reset per batch, and the index scratch of the columnar
-// (metrics and spans) encoders.
+// enc is the shared encoder core: a grow-only frame buffer and the
+// frame's string dictionary. The two kinds of encoder find a string's
+// dictionary index differently, as the decoders keep strings differently
+// (readDict):
+//
+//   - Routing encoders intern into a map (idx) cleared per frame. A
+//     table that outlived the frame would hold every run name the hub
+//     ever published, as the routing decoders would.
+//   - Telemetry encoders (telemetryEnc) keep a string table for their
+//     lifetime instead, and leave idx nil.
 type enc struct {
 	buf  []byte
-	idx  map[string]uint32
 	strs []string
 	// dictBytes is the serialized size of strs (u32 length + bytes each),
-	// kept by intern so dict can size its write before making it.
+	// kept as strings are added so dict can size its write before making it.
 	dictBytes int
-	// cols holds a batch's string columns as dictionary indexes, column
-	// after column in wire order. It is filled in the one pass that
-	// interns the batch, so the columns are written from it rather than
-	// from a second dictionary lookup per cell.
-	cols []uint32
+	idx       map[string]uint32
 }
 
 func (e *enc) reset(kind byte) {
 	e.buf = append(e.buf[:0], 'C', 'X', Version, kind, 0, 0, 0, 0)
-	if e.idx == nil {
-		e.idx = make(map[string]uint32)
-	} else {
-		clear(e.idx)
-	}
+	clear(e.idx)
 	e.strs = e.strs[:0]
 	e.dictBytes = 0
 }
 
-// intern returns the dictionary index of s, adding it on first use.
+// add appends s to the frame's dictionary and returns its index.
+func (e *enc) add(s string) uint32 {
+	e.strs = append(e.strs, s)
+	e.dictBytes += 4 + len(s)
+	return uint32(len(e.strs) - 1)
+}
+
+// intern returns a routing frame's dictionary index of s, adding it on
+// first use.
 func (e *enc) intern(s string) uint32 {
 	if i, ok := e.idx[s]; ok {
 		return i
 	}
-	i := uint32(len(e.strs))
+	if e.idx == nil {
+		e.idx = make(map[string]uint32)
+	}
+	i := e.add(s)
 	e.idx[s] = i
-	e.strs = append(e.strs, s)
-	e.dictBytes += 4 + len(s)
 	return i
+}
+
+// telemetryEnc is the core of the columnar (metrics and spans) encoders.
+// A client sends the same metric, service and version strings in every
+// flush, so a cell is resolved by the string's identity — its data
+// pointer and length — in tab's front cache, and its contents are hashed
+// only the first time that string value is met.
+type telemetryEnc struct {
+	enc
+	tab strTable
+	// cols holds a batch's string columns as dictionary indexes, column
+	// after column in wire order. It is filled in the one pass that
+	// resolves the batch, so the columns are written from it rather than
+	// from a second lookup per cell.
+	cols []uint32
+}
+
+func (e *telemetryEnc) reset(kind byte) {
+	e.enc.reset(kind)
+	e.tab.nextFrame()
+}
+
+// strTable is a telemetry encoder's string table: every distinct string
+// it has encoded gets a stable id, and seen[id] says whether, and at
+// which index, the current frame's dictionary holds it. Like a decoder's
+// intern table it is dropped when it reaches maxInterned strings, at the
+// start of a frame, so a frame's dictionary never changes under it.
+type strTable struct {
+	ids  map[string]uint32 // string value → id
+	seen []seenStr         // by id
+	gen  uint32            // the current frame's; 0 marks no frame
+	// front caches ids by string identity. Go strings are immutable and
+	// an entry's pointer keeps its string's bytes alive, so an equal
+	// pointer and length mean equal bytes. Allocated on the first frame.
+	front *[frontSize]frontEntry
+	// last is the string the front cache last missed, and lastID its id
+	// + 1, 0 when there is none.
+	// An emitter that builds its strings per sample (a service name read
+	// from each request) misses on every such cell, and usually sends a
+	// run of one value: a compare answers the run without hashing.
+	last   string
+	lastID uint32
+}
+
+// seenStr is where one string last went: into frame gen's dictionary at
+// index at.
+type seenStr struct{ gen, at uint32 }
+
+// frontEntry is one slot of the front cache: 16 bytes.
+type frontEntry struct {
+	p *byte
+	// n is len(s) + 1, so that no string matches a zeroed entry; a frame
+	// cannot carry a string of 4 GiB.
+	n  uint32
+	id uint32
+}
+
+const (
+	frontBits = 9
+	frontSize = 1 << frontBits
+)
+
+// nextFrame starts a frame: no string is in its dictionary yet.
+func (t *strTable) nextFrame() {
+	if t.front == nil {
+		t.front = new([frontSize]frontEntry)
+		t.ids = make(map[string]uint32)
+	}
+	if len(t.seen) >= maxInterned {
+		clear(t.ids)
+		clear(t.front[:])
+		t.seen = t.seen[:0]
+		t.last, t.lastID = "", 0
+	}
+	if t.gen++; t.gen == 0 { // wrapped: no gen in seen may look current
+		clear(t.seen)
+		t.gen = 1
+	}
+}
+
+// cell returns the dictionary index of one string cell, adding the
+// string on its first use in the frame.
+func (e *telemetryEnc) cell(s string) uint32 {
+	t := &e.tab
+	p, n := unsafe.StringData(s), uint32(len(s))+1
+	f := &t.front[(uint64(uintptr(unsafe.Pointer(p)))^uint64(n))*0x9E3779B97F4A7C15>>(64-frontBits)]
+	if f.p != p || f.n != n {
+		id := t.lastID - 1
+		if t.lastID == 0 || s != t.last {
+			var ok bool
+			if id, ok = t.ids[s]; !ok {
+				id = uint32(len(t.seen))
+				t.ids[s] = id
+				t.seen = append(t.seen, seenStr{})
+			}
+			t.last, t.lastID = s, id+1
+		}
+		*f = frontEntry{p: p, n: n, id: id}
+	}
+	m := &t.seen[f.id]
+	if m.gen != t.gen {
+		m.gen, m.at = t.gen, e.add(s)
+	}
+	return m.at
 }
 
 // strCols returns the index scratch for k string columns of n rows,
 // one []uint32 of n per column.
-func (e *enc) strCols(k, n int) []uint32 {
+func (e *telemetryEnc) strCols(k, n int) []uint32 {
 	if cap(e.cols) < k*n {
 		e.cols = make([]uint32, k*n)
 	}
 	return e.cols[:k*n]
-}
-
-// colMemo is one string column's previous cell and its index.
-type colMemo struct {
-	prev string
-	idx  uint32
-	set  bool
-}
-
-// col resolves one cell of a string column: the previous row's index
-// when the value repeats it (sorted and run-shaped batches, constant
-// columns such as an unused variant), the dictionary's otherwise.
-func (e *enc) col(m *colMemo, s string) uint32 {
-	if !m.set || s != m.prev {
-		m.prev, m.idx, m.set = s, e.intern(s), true
-	}
-	return m.idx
 }
 
 func (e *enc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
@@ -281,7 +376,7 @@ const (
 
 // MetricsEncoder encodes metric sample batches. Not safe for concurrent
 // use; the returned frame is valid until the next Encode.
-type MetricsEncoder struct{ e enc }
+type MetricsEncoder struct{ e telemetryEnc }
 
 // Encode renders samples as one binary frame.
 func (m *MetricsEncoder) Encode(samples []metrics.Sample) []byte {
@@ -295,7 +390,6 @@ func (m *MetricsEncoder) Encode(samples []metrics.Sample) []byte {
 	n := len(samples)
 	cols := e.strCols(4, n)
 	metric, service, version, variant := cols[:n], cols[n:2*n], cols[2*n:3*n], cols[3*n:]
-	var mm, ms, mv, mr colMemo
 	var at int64
 	if n > 0 {
 		at = unixNano(samples[0].At)
@@ -303,10 +397,10 @@ func (m *MetricsEncoder) Encode(samples []metrics.Sample) []byte {
 	perRow := false
 	for i := range samples {
 		s := &samples[i]
-		metric[i] = e.col(&mm, s.Metric)
-		service[i] = e.col(&ms, s.Scope.Service)
-		version[i] = e.col(&mv, s.Scope.Version)
-		variant[i] = e.col(&mr, s.Scope.Variant)
+		metric[i] = e.cell(s.Metric)
+		service[i] = e.cell(s.Scope.Service)
+		version[i] = e.cell(s.Scope.Version)
+		variant[i] = e.cell(s.Scope.Variant)
 		perRow = perRow || unixNano(s.At) != at
 	}
 	e.dict()
@@ -337,7 +431,7 @@ func (m *MetricsEncoder) Encode(samples []metrics.Sample) []byte {
 
 // SpansEncoder encodes span batches. Not safe for concurrent use; the
 // returned frame is valid until the next Encode.
-type SpansEncoder struct{ e enc }
+type SpansEncoder struct{ e telemetryEnc }
 
 // Encode renders spans as one binary frame. The span Variant tag is not
 // carried (parity with the JSON ingestion form, which also omits it).
@@ -348,12 +442,11 @@ func (se *SpansEncoder) Encode(spans []tracing.Span) []byte {
 	n := len(spans)
 	cols := e.strCols(3, n)
 	service, version, endpoint := cols[:n], cols[n:2*n], cols[2*n:]
-	var ms, mv, me colMemo
 	for i := range spans {
 		s := &spans[i]
-		service[i] = e.col(&ms, s.Service)
-		version[i] = e.col(&mv, s.Version)
-		endpoint[i] = e.col(&me, s.Endpoint)
+		service[i] = e.cell(s.Service)
+		version[i] = e.cell(s.Version)
+		endpoint[i] = e.cell(s.Endpoint)
 	}
 	e.dict()
 	w := indexWidth(len(e.strs))
@@ -391,12 +484,13 @@ func (se *SpansEncoder) Encode(spans []tracing.Span) []byte {
 
 // --- decoding ---
 
-// maxInterned bounds a decoder's intern table. Decoders are pooled and
-// live as long as the process, so without a bound an emitter that sends
+// maxInterned bounds a decoder's intern table and a telemetry encoder's
+// string table. Decoders are pooled and live as long as the process, as
+// a client's encoders do, so without a bound an emitter that sends
 // never-repeating strings (request IDs as label values) would grow
 // every one of them forever. A table that fills is dropped and starts
 // again: a fleet's working set of names is far smaller, so steady-state
-// decoding still allocates nothing.
+// coding still allocates nothing.
 const maxInterned = 1 << 14
 
 // dec is the shared decoder core. A telemetry decoder's intern table

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -264,6 +266,129 @@ func TestDecoderInternTableIsBounded(t *testing.T) {
 	}
 	if n := len(sd.d.intern); n > maxInterned {
 		t.Errorf("spans decoder interned %d strings after 30 000 unique ones, bound is %d", n, maxInterned)
+	}
+}
+
+// TestEncoderStringTable: a telemetry encoder finds a cell's dictionary
+// index by the string's identity (data pointer and length) first, and
+// its frames must still depend on string values alone. Each batch is
+// encoded by one long-lived encoder and by a fresh one: the frames must
+// be byte-equal, hold each value once in their dictionary, and decode
+// back to the batch. The batches cover equal bytes behind distinct
+// pointers, prefixes sharing a pointer with a longer string, the empty
+// string from several sources, more distinct strings than maxInterned
+// (the table is dropped), and a frame generation that wraps.
+func TestEncoderStringTable(t *testing.T) {
+	var reused MetricsEncoder
+	var reusedSpans SpansEncoder
+	check := func(name string, batch []metrics.Sample) {
+		t.Helper()
+		want := append([]byte(nil), new(MetricsEncoder).Encode(batch)...)
+		got := reused.Encode(batch)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: the reused encoder's frame differs from a fresh encoder's", name)
+		}
+		values := make(map[string]bool)
+		for _, s := range batch {
+			values[s.Metric], values[s.Scope.Service], values[s.Scope.Version], values[s.Scope.Variant] = true, true, true, true
+		}
+		if _, n := columnsAt(t, got); n != len(values) {
+			t.Fatalf("%s: dictionary of %d strings, the batch has %d distinct values", name, n, len(values))
+		}
+		var d MetricsDecoder
+		out, err := d.Decode(got)
+		if err != nil || len(out) != len(batch) {
+			t.Fatalf("%s: decoded %d samples, %v; want %d", name, len(out), err, len(batch))
+		}
+		for i := range out {
+			if out[i] != batch[i] {
+				t.Fatalf("%s: row %d decoded %+v, want %+v", name, i, out[i], batch[i])
+			}
+		}
+	}
+	row := func(metric, service, version, variant string) metrics.Sample {
+		return metrics.Sample{Metric: metric, Scope: metrics.Scope{Service: service, Version: version, Variant: variant}, Value: 1}
+	}
+
+	base := strings.Clone("catalog-v2")
+	check("equal bytes, distinct pointers", []metrics.Sample{
+		row(strings.Clone("rt"), base, "v1", ""),
+		row(strings.Clone("rt"), strings.Clone(base), strings.Clone("v1"), ""),
+		row("rt", "catalog-v2", "v1", ""),
+	})
+	check("prefixes of one string", []metrics.Sample{
+		row(base[:3], base, base[:7], base[:1]),
+		row(base, base[:7], base[:3], base[:1]),
+		row(base[:1], base[:3], base, base[:7]),
+	})
+	empty := []string{"", base[:0], base[3:3], strings.Clone(""), string([]byte{}), string(make([]byte, 0, 8))}
+	var empties []metrics.Sample
+	for i, e := range empty {
+		empties = append(empties, row(e, empty[(i+1)%len(empty)], base[i:i+1], e))
+	}
+	check("the empty string from several sources", empties)
+	run := make([]metrics.Sample, 64)
+	for i := range run {
+		run[i] = row("edge_resolves", strings.Clone(base), []string{"v1", "v2"}[i/16%2], "")
+	}
+	check("runs of one value, a fresh copy per row", run)
+
+	// 6 × 4 000 distinct values pass maxInterned: the table, past it after
+	// the fifth frame, is dropped as the sixth starts, and what it held is
+	// met again after. Each frame opens with a fresh copy of the string
+	// the frame before missed last, which the table must not answer from
+	// before the drop.
+	var first []metrics.Sample
+	lastMiss := ""
+	for f := 0; f < 6; f++ {
+		batch := make([]metrics.Sample, 1000)
+		for i := range batch {
+			k := f*1000 + i
+			batch[i] = row(fmt.Sprintf("m%d", k), fmt.Sprintf("s%d", k), fmt.Sprintf("v%d", k), fmt.Sprintf("r%d", k))
+		}
+		if f > 0 {
+			batch[0].Metric = strings.Clone(lastMiss)
+		}
+		lastMiss = batch[len(batch)-1].Scope.Variant
+		if f == 0 {
+			first = batch
+		}
+		check(fmt.Sprintf("distinct frame %d", f), batch)
+	}
+	if n := len(reused.e.tab.seen); n > maxInterned {
+		t.Fatalf("string table holds %d strings after 24 000 distinct ones, bound is %d", n, maxInterned)
+	}
+	check("distinct frame 0 again", first)
+	reversed := slices.Clone(first)
+	slices.Reverse(reversed)
+	check("distinct frame 0, reversed", reversed)
+
+	// The generation wraps: a string last placed in a frame of the
+	// generation the counter wraps to must count as absent from the frame
+	// after the wrap, not as placed where that old frame put it.
+	ordered := []metrics.Sample{row("a", "b", "c", "d"), row("e", "f", "g", "h")}
+	reused.e.tab.gen = 0
+	check("generation 1", ordered)
+	reused.e.tab.gen = math.MaxUint32 - 1
+	check("the last generation", []metrics.Sample{row("w", "x", "y", "z")})
+	check("the wrap", []metrics.Sample{ordered[1], ordered[0]})
+	if reused.e.tab.gen != 1 {
+		t.Fatalf("generation %d after the wrap, want 1", reused.e.tab.gen)
+	}
+
+	// Spans resolve their cells the same way.
+	spans := []tracing.Span{
+		{TraceID: 1, SpanID: 1, Service: base, Version: base[:3], Endpoint: ""},
+		{TraceID: 1, SpanID: 2, Service: strings.Clone(base), Version: "cat", Endpoint: base[:0]},
+	}
+	for range 2 {
+		if got, want := reusedSpans.Encode(spans), new(SpansEncoder).Encode(spans); !bytes.Equal(got, want) {
+			t.Fatal("spans: the reused encoder's frame differs from a fresh encoder's")
+		}
+	}
+	var sd SpansDecoder
+	if out, err := sd.Decode(reusedSpans.Encode(spans)); err != nil || out[0] != spans[0] || out[1] != spans[1] {
+		t.Fatalf("spans decoded %+v, %v; want %+v", out, err, spans)
 	}
 }
 

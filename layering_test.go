@@ -219,6 +219,58 @@ func TestStateMachineImports(t *testing.T) {
 	}
 }
 
+// unsafeAllowed names, by path, the non-test files under internal/ and
+// cmd/ that may import unsafe, each with its reason. An entry whose file
+// no longer imports unsafe fails the rule too, so the list shrinks with
+// the code.
+var unsafeAllowed = map[string]string{
+	"internal/wire/wire.go": "the telemetry encoders' front cache keys a string by its data pointer " +
+		"(unsafe.StringData), so a cell costs a pointer compare instead of a hash of its bytes",
+}
+
+// TestUnsafeImports: unsafe does not spread. Only the files unsafeAllowed
+// names import it, outside tests; the rule is per file, so each file's
+// own import block is parsed.
+func TestUnsafeImports(t *testing.T) {
+	importers := make(map[string]bool)
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			for _, spec := range f.Imports {
+				if imp, _ := strconv.Unquote(spec.Path.Value); imp == "unsafe" {
+					importers[filepath.ToSlash(path)] = true
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range slices.Sorted(maps.Keys(importers)) {
+		if strings.TrimSpace(unsafeAllowed[path]) == "" {
+			t.Errorf("%s imports unsafe: allow it in unsafeAllowed with a reason, or do without", path)
+		}
+	}
+	for _, path := range slices.Sorted(maps.Keys(unsafeAllowed)) {
+		if !importers[path] {
+			t.Errorf("unsafeAllowed[%q]: the file does not import unsafe: drop the entry", path)
+		}
+	}
+}
+
 // unreachedAllowed names the declarations under internal/ that
 // TestEverythingIsReachable lets stand although no root reaches them,
 // keyed "import/path.Name" or, for a method, "import/path.Type.Method",
