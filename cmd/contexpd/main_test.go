@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -12,12 +13,15 @@ import (
 	"testing"
 	"time"
 
+	"contexp/internal/agent"
 	"contexp/internal/bifrost"
+	"contexp/internal/fleet"
 	"contexp/internal/health"
 	"contexp/internal/journal"
 	"contexp/internal/metrics"
 	"contexp/internal/router"
 	"contexp/internal/tracing"
+	"contexp/internal/wire"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -634,6 +638,169 @@ strategy "topo-crashy" {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not shut down on SIGTERM")
+	}
+}
+
+// TestDataDirAgentTakesRecoveredTable: a contexpd restarted on the same
+// --data-dir recovers its runs and re-applies their routing, so an edge
+// agent that reconnects to it is handed the recovered table under the
+// new process's epoch — a canary split, not an empty table — and the new
+// process's /v1/agents shows the agent on that table with no lag.
+func TestDataDirAgentTakesRecoveredTable(t *testing.T) {
+	dir := t.TempDir()
+	addr := freeAddr(t)
+	base := "http://" + addr
+
+	first := startDaemon(t, addr, dir)
+	dsl := `
+strategy "canary" {
+    service   = "svc"
+    baseline  = "v1"
+    candidate = "v2"
+    phase "hold" {
+        practice = canary
+        traffic  = 10%
+        duration = 600s
+        on inconclusive -> retry
+        max-retries = 10
+        on success -> promote
+    }
+}
+`
+	resp, err := http.Post(base+"/v1/strategies", "text/plain", strings.NewReader(dsl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	a, err := agent.New(agent.Config{
+		ID: "edge", ControlPlane: base,
+		HeartbeatInterval: 25 * time.Millisecond, LeaseTTL: time.Second,
+		ReconnectMin: 10 * time.Millisecond, ReconnectMax: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	defer a.Close()
+	holdsCanary := func() bool {
+		route, err := a.Table().Route("svc")
+		return err == nil && len(route.Backends) == 2 && route.Backends[1].Version == "v2" &&
+			route.Backends[1].Weight == 0.1
+	}
+	var firstEpoch string
+	waitUntil(t, "the agent to hold the canary split and ack it", func() bool {
+		firstEpoch = agentView(t, base).Epoch
+		return holdsCanary() && firstEpoch != ""
+	})
+	stopDaemon(t, first)
+
+	second := startDaemon(t, addr, dir)
+	defer stopDaemon(t, second)
+	epoch := watchEpoch(t, base)
+	if epoch == "" || epoch == firstEpoch {
+		t.Fatalf("restarted epoch %q, first process's %q", epoch, firstEpoch)
+	}
+	var routes struct {
+		TableVersion uint64 `json:"tableVersion"`
+	}
+	getJSON(t, base+"/v1/routes", &routes)
+	waitUntil(t, "the agent to hold the recovered table under the new epoch", func() bool {
+		view := agentView(t, base)
+		return holdsCanary() && a.Version() == routes.TableVersion &&
+			view.Epoch == epoch && view.AppliedVersion == routes.TableVersion && view.Lag == 0
+	})
+}
+
+// startDaemon runs contexpd on addr and dir until stopDaemon, once it
+// answers /healthz.
+func startDaemon(t *testing.T, addr, dir string) chan error {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run([]string{"--addr", addr, "--data-dir", dir})
+	}()
+	waitUntil(t, "contexpd to answer /healthz", func() bool {
+		resp, err := http.Get("http://" + addr + "/healthz")
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	})
+	return errc
+}
+
+// stopDaemon shuts a startDaemon process down through its signal path.
+func stopDaemon(t *testing.T, errc chan error) {
+	t.Helper()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("daemon exited with error: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not shut down on SIGTERM")
+	}
+}
+
+// agentView is the registry entry /v1/agents holds for agent "edge".
+func agentView(t *testing.T, base string) fleet.AgentState {
+	t.Helper()
+	var out struct{ Items []fleet.AgentState }
+	getJSON(t, base+"/v1/agents", &out)
+	for _, view := range out.Items {
+		if view.ID == "edge" {
+			return view
+		}
+	}
+	return fleet.AgentState{}
+}
+
+// watchEpoch opens a watch stream, as agent "probe", only to read the
+// epoch it is served under.
+func watchEpoch(t *testing.T, base string) string {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/routing/watch?agent=probe", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	return resp.Header.Get(wire.EpochHeader)
+}
+
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s", url, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 

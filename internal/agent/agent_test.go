@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -421,6 +422,50 @@ func TestAgentProxyForwards(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("unmounted proxy status = %s", resp2.Status)
+	}
+}
+
+// TestAgentNoRouteAnswers502: a service the agent's table has no route
+// for — never routed, or removed by the control plane, as a restarted
+// control plane without --data-dir removes everything — is a gateway
+// error at the edge. The mounted proxy and /v1/resolve both answer 502
+// naming router.ErrNoRoute, the upstream is never called, and neither
+// counts a resolve.
+func TestAgentNoRouteAnswers502(t *testing.T) {
+	p := newPlane(t)
+	var hits atomic.Int32
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+	}))
+	defer upstream.Close()
+	if err := p.table.Set(svcRoute(1)); err != nil {
+		t.Fatal(err)
+	}
+	a := p.newAgent("edge-1")
+	waitFor(t, "sync", func() bool { return a.Version() == p.table.Version() })
+	for _, service := range []string{"svc", "unrouted"} {
+		if _, err := a.RegisterProxy(service, map[string]string{"v1": upstream.URL, "v2": upstream.URL}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.table.Remove("svc")
+	waitFor(t, "the removal", func() bool { return a.Version() == p.table.Version() })
+
+	as := httptest.NewServer(a.Handler())
+	defer as.Close()
+	for _, path := range []string{"/proxy/svc/items/42", "/proxy/unrouted/x", "/v1/resolve?service=svc"} {
+		resp, err := http.Get(as.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(body), router.ErrNoRoute.Error()) {
+			t.Errorf("GET %s = %s %q, want 502 naming %q", path, resp.Status, body, router.ErrNoRoute)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("upstream called %d times for services without a route", n)
 	}
 }
 

@@ -281,6 +281,16 @@ func (s *Scheduler) pumpLocked() {
 	now := s.now()
 	s.syncRunningLocked(now)
 
+	// One launch pass per instant: while a run estimated to end now is
+	// still running, its own completion pumps next. Runs that end at one
+	// instant are then retired together, as projectLocked plans them,
+	// whatever order their completions arrive in.
+	for _, lr := range s.running {
+		if lr.end.Equal(now) {
+			return
+		}
+	}
+
 	// Launch pass: queue order, later entries may overtake blocked ones
 	// (disjoint-service submissions enact concurrently).
 	live := s.liveLocked()

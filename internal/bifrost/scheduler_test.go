@@ -7,11 +7,15 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"contexp/internal/clock"
 	"contexp/internal/expmodel"
 	"contexp/internal/journal"
+	"contexp/internal/metrics"
+	"contexp/internal/router"
 	"contexp/internal/tenancy"
 )
 
@@ -630,6 +634,44 @@ func TestSchedulerRestoreAboveLoweredCapacity(t *testing.T) {
 	}
 }
 
+// settled reports whether sched is at rest at the sim clock's instant:
+// every finished run has pumped the queue (one version per submission
+// and per completion; nothing else the scheduler tests do moves it) and
+// every live run is parked on its single phase-end timer. It reads under
+// the scheduler's lock, so no pump lands between its reads: read apart,
+// a pump that launched a run after the runs were listed but before the
+// version was read passed for rest while the new run had not parked,
+// and the test then advanced the clock under it. between, when set, runs
+// after the runs are read.
+func settled(h *harness, sched *Scheduler, submissions int, between func()) bool {
+	sched.mu.Lock()
+	defer sched.mu.Unlock()
+	live, finished := 0, 0
+	for _, run := range h.engine.Runs() {
+		if run.Status() == StatusRunning {
+			live++
+		} else {
+			finished++
+		}
+	}
+	if between != nil {
+		between()
+	}
+	return sched.version.Load() == uint64(submissions+finished) && h.sim.PendingTimers() == live
+}
+
+// awaitSettled polls settled for up to 10s of wall time.
+func awaitSettled(t *testing.T, what string, h *harness, sched *Scheduler, submissions int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !settled(h, sched, submissions, nil) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never settled", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestSchedulerProjectionMatchesEnactment is the property the
 // projection exists for: when every run takes exactly its estimate, the
 // projection taken after the last submission is what then happens —
@@ -664,29 +706,9 @@ func TestSchedulerProjectionMatchesEnactment(t *testing.T) {
 			order = append(order, st.RunKey())
 		}
 
-		// settled: every finished run has pumped the queue (one version
-		// per submission and per completion; nothing else below moves it)
-		// and every live run is parked on its single phase-end timer.
-		settled := func() bool {
-			live, finished := 0, 0
-			for _, run := range h.engine.Runs() {
-				if run.Status() == StatusRunning {
-					live++
-				} else {
-					finished++
-				}
-			}
-			return sched.version.Load() == uint64(n+finished) && h.sim.PendingTimers() == live
-		}
 		await := func(what string) {
 			t.Helper()
-			deadline := time.Now().Add(10 * time.Second)
-			for !settled() {
-				if time.Now().After(deadline) {
-					t.Fatalf("seed %d: %s never settled", seed, what)
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
+			awaitSettled(t, fmt.Sprintf("seed %d: %s", seed, what), h, sched, n)
 		}
 		await("submissions")
 
@@ -732,4 +754,196 @@ func TestSchedulerProjectionMatchesEnactment(t *testing.T) {
 			t.Errorf("seed %d: launch order %v, projected %v", seed, gotOrder, wantOrder)
 		}
 	}
+}
+
+// gateQuerier answers every query with a passing value, but a query
+// first announces itself on entered and waits for release: a run whose
+// check is due at its phase end stays running, at that instant, until
+// the test lets it go.
+type gateQuerier struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (q *gateQuerier) Query(string, metrics.Scope, time.Time, metrics.Aggregation) (float64, error) {
+	select {
+	case q.entered <- struct{}{}:
+	default:
+	}
+	<-q.release
+	return 0, nil
+}
+
+// TestSchedulerSameInstantCompletionsPumpOnce pins the launch pass to
+// the instant, not to the order in which same-instant completions reach
+// the scheduler. Runs a and b both end at t0+10s. b is held mid-check at
+// that instant, so a's completion pumps first while b still runs. A pass
+// then would launch d (capacity allows it beside b, while c waits for
+// b's service), and d's share would keep c out until t0+30s. The
+// projection retires a and b together and launches c at t0+10s, d at
+// t0+30s; the enactment must do the same.
+func TestSchedulerSameInstantCompletionsPumpOnce(t *testing.T) {
+	gate := &gateQuerier{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	h := &harness{sim: clock.NewSim(t0), table: router.NewTable()}
+	eng, err := NewEngine(Config{Clock: h.sim, Table: h.table, Store: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.engine = eng
+	sched := h.newScheduler(t, nil, func(c *SchedulerConfig) { c.Capacity = 1 })
+
+	a := holdStrategy("a", "svc-x", 10*time.Second)
+	a.Phases[0].Traffic.CandidateWeight = 0.3
+	b := holdStrategy("b", "svc-y", 10*time.Second)
+	b.Phases[0].Traffic.CandidateWeight = 0.3
+	b.Phases[0].Checks = []Check{{Name: "gate", Metric: "gate", Aggregation: metrics.AggMean,
+		Upper: true, Threshold: 1, Interval: 10 * time.Second}}
+	c := holdStrategy("c", "svc-y", 20*time.Second)
+	c.Phases[0].Traffic.CandidateWeight = 0.5
+	d := holdStrategy("d", "svc-z", 20*time.Second)
+	d.Phases[0].Traffic.CandidateWeight = 0.6
+	for _, st := range []*Strategy{a, b, c, d} {
+		if _, err := sched.Submit(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitSettled(t, "submissions", h, sched, 4)
+	if got := sched.Launches(); got != 2 {
+		t.Fatalf("%d launched at t0, want a and b", got)
+	}
+	projected := map[string]time.Time{}
+	for _, qv := range sched.Snapshot().Queue {
+		projected[qv.Name] = qv.PlannedStart
+	}
+	if !projected["c"].Equal(t0.Add(10*time.Second)) || !projected["d"].Equal(t0.Add(30*time.Second)) {
+		t.Fatalf("projection c=t0+%v d=t0+%v, want t0+10s and t0+30s",
+			projected["c"].Sub(t0), projected["d"].Sub(t0))
+	}
+
+	h.sim.AdvanceTo(t0.Add(10 * time.Second))
+	select {
+	case <-gate.entered: // b is at its check, still running
+	case <-time.After(10 * time.Second):
+		t.Fatal("b's check never ran")
+	}
+	// a's completion pumps: the four submissions' pumps plus one.
+	deadline := time.Now().Add(10 * time.Second)
+	for sched.version.Load() < 5 {
+		if time.Now().After(deadline) {
+			t.Fatal("a's completion never pumped")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(gate.release)
+	awaitSettled(t, "b's completion", h, sched, 4)
+
+	for sched.Launches() < 4 {
+		next, ok := h.sim.NextDeadline()
+		if !ok {
+			t.Fatalf("%d of 4 launched and nothing left to wait for", sched.Launches())
+		}
+		h.sim.AdvanceTo(next)
+		awaitSettled(t, "completion at t0+"+next.Sub(t0).String(), h, sched, 4)
+	}
+	for _, run := range h.engine.Runs() {
+		name := run.Strategy().Name
+		if want, ok := projected[name]; ok && !run.Events()[0].At.Equal(want) {
+			t.Errorf("%s launched at t0+%v, projected t0+%v", name, run.Events()[0].At.Sub(t0), want.Sub(t0))
+		}
+	}
+}
+
+// gateJournal is a journal that holds back the appends of chosen
+// (run, event type) records until their gates open.
+type gateJournal struct {
+	journal.Journal
+	mu    sync.Mutex
+	gates map[string]chan struct{}
+}
+
+// hold makes appends of run's typ records wait until the returned gate
+// is closed.
+func (j *gateJournal) hold(run string, typ EventType) chan struct{} {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	g := make(chan struct{})
+	j.gates[run+"\x00"+string(typ)] = g
+	return g
+}
+
+func (j *gateJournal) Append(rec []byte) error {
+	if wr, err := decodeRecord(rec); err == nil {
+		j.mu.Lock()
+		g := j.gates[wr.Run+"\x00"+string(wr.Type)]
+		j.mu.Unlock()
+		if g != nil {
+			<-g
+		}
+	}
+	return j.Journal.Append(rec)
+}
+
+// TestSchedulerSettledReadsAtOneInstant pins the settle predicate the
+// scheduler tests advance the clock on. s1's completion is held between
+// its status change and its pump, the predicate lists the runs, and then
+// the pump is let go: it launches s3, whose goroutine is held before it
+// parks. A predicate whose reads a pump can land between sees s1
+// finished, no s3 and the version moved, and passes for rest; this one
+// holds the pump off until it has read.
+func TestSchedulerSettledReadsAtOneInstant(t *testing.T) {
+	gj := &gateJournal{Journal: journal.NewMemory(), gates: map[string]chan struct{}{}}
+	h := &harness{sim: clock.NewSim(t0), table: router.NewTable(), store: metrics.NewStore(0)}
+	eng, err := NewEngine(Config{Clock: h.sim, Table: h.table, Store: h.store, Journal: gj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.engine = eng
+	sched := h.newScheduler(t, nil, func(c *SchedulerConfig) { c.MaxConcurrent = 1 })
+	for _, st := range []*Strategy{holdStrategy("s1", "catalog", 8*time.Second), holdStrategy("s3", "search", time.Second)} {
+		if _, err := sched.Submit(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitSettled(t, "submissions", h, sched, 2)
+
+	s1Finished := gj.hold("s1", EventRunFinished)
+	s3Parks := gj.hold("s3", EventPhaseEntered)
+	h.sim.AdvanceTo(t0.Add(8 * time.Second))
+	s1, _ := h.engine.Get("s1")
+	deadline := time.Now().Add(10 * time.Second)
+	for s1.Status() == StatusRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("s1 never finished")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	racePump := func() {
+		close(s1Finished)
+		// Give the pump time to land; it cannot while the predicate
+		// holds the scheduler's lock.
+		for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end) && sched.version.Load() < 3; {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if settled(h, sched, 2, racePump) {
+		t.Fatal("settled while s1's completion was still pumping")
+	}
+	for sched.Launches() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("s1's completion never launched s3")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if settled(h, sched, 2, nil) {
+		t.Fatal("settled while s3 had not parked")
+	}
+	close(s3Parks)
+	awaitSettled(t, "s3 parked", h, sched, 2)
+	s3, _ := h.engine.Get("s3")
+	if got := s3.Events()[0].At; !got.Equal(t0.Add(8 * time.Second)) {
+		t.Errorf("s3 launched at t0+%v, want t0+8s", got.Sub(t0))
+	}
+	h.sim.AdvanceTo(t0.Add(9 * time.Second))
+	awaitSettled(t, "s3's completion", h, sched, 2)
 }

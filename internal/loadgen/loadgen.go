@@ -102,23 +102,6 @@ func (p *Population) Sample() *router.Request {
 	return &router.Request{UserID: u.id, Groups: u.groups}
 }
 
-// GroupShare returns the fraction of users in group g.
-func (p *Population) GroupShare(g expmodel.UserGroup) float64 {
-	if len(p.users) == 0 {
-		return 0
-	}
-	var n int
-	for _, u := range p.users {
-		for _, have := range u.groups {
-			if have == g {
-				n++
-				break
-			}
-		}
-	}
-	return float64(n) / float64(len(p.users))
-}
-
 // Config parameterizes a load run.
 type Config struct {
 	// RPS is the mean arrival rate (requests per second). Ignored when
@@ -184,29 +167,6 @@ type Result struct {
 	// Errors counts requests whose Target returned a transport error
 	// (as opposed to an application failure).
 	Errors int
-}
-
-// Latencies extracts the latency column in milliseconds.
-func (r *Result) Latencies() []float64 {
-	out := make([]float64, len(r.Samples))
-	for i, s := range r.Samples {
-		out[i] = float64(s.Latency) / float64(time.Millisecond)
-	}
-	return out
-}
-
-// FailureRate returns the fraction of samples with application failures.
-func (r *Result) FailureRate() float64 {
-	if len(r.Samples) == 0 {
-		return 0
-	}
-	var n int
-	for _, s := range r.Samples {
-		if s.Failed {
-			n++
-		}
-	}
-	return float64(n) / float64(len(r.Samples))
 }
 
 // Run executes the workload synchronously against target: arrivals are

@@ -3,8 +3,6 @@ package loadgen
 import (
 	"math"
 	"time"
-
-	"contexp/internal/traffic"
 )
 
 // Rate is a time-varying arrival intensity: requests per second as a
@@ -72,27 +70,6 @@ func DiurnalRate(base, amplitude float64, period, peak time.Duration) Rate {
 		}
 		phase := 2 * math.Pi * float64(elapsed-peak) / float64(period)
 		return base * (1 + amplitude*math.Cos(phase))
-	}
-}
-
-// ProfileRate replays a recorded traffic profile as an arrival process:
-// during slot i the rate is scale * Slots[i] / SlotLength, so with
-// scale = 1 a full replay issues (up to sampling noise) exactly the
-// recorded per-slot volumes. Elapsed time 0 maps to the profile start;
-// beyond the last slot the rate is 0.
-func ProfileRate(p *traffic.Profile, scale float64) Rate {
-	if scale <= 0 {
-		scale = 1
-	}
-	return func(elapsed time.Duration) float64 {
-		if p == nil || p.SlotLength <= 0 || elapsed < 0 {
-			return 0
-		}
-		i := int(elapsed / p.SlotLength)
-		if i >= p.NumSlots() {
-			return 0
-		}
-		return scale * p.Slots[i] / p.SlotLength.Seconds()
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"contexp/internal/router"
-	"contexp/internal/traffic"
 )
 
 func TestConstantRate(t *testing.T) {
@@ -72,35 +71,6 @@ func TestDiurnalRate(t *testing.T) {
 	r = DiurnalRate(100, 3, period, 0)
 	if got := r(period / 2); got < 0 {
 		t.Errorf("clamped trough = %v, want >= 0", got)
-	}
-}
-
-func TestProfileRate(t *testing.T) {
-	p := &traffic.Profile{
-		Start:      tBase,
-		SlotLength: 10 * time.Second,
-		Slots:      []float64{100, 400, 0, 200},
-	}
-	r := ProfileRate(p, 1)
-	cases := []struct {
-		at   time.Duration
-		want float64
-	}{
-		{0, 10},
-		{9 * time.Second, 10},
-		{10 * time.Second, 40},
-		{25 * time.Second, 0},
-		{35 * time.Second, 20},
-		{40 * time.Second, 0}, // beyond the profile
-	}
-	for _, c := range cases {
-		if got := r(c.at); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("profile rate(%s) = %v, want %v", c.at, got, c.want)
-		}
-	}
-	// Half-scale replay halves the rate.
-	if got := ProfileRate(p, 0.5)(0); math.Abs(got-5) > 1e-9 {
-		t.Errorf("scaled rate = %v, want 5", got)
 	}
 }
 

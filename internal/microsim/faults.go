@@ -324,18 +324,3 @@ func (in *Injector) Snapshot(at time.Time) []FaultStatus {
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Active && !out[j].Active })
 	return out
 }
-
-// ActiveFaults counts faults whose window covers `at`.
-func (in *Injector) ActiveFaults(at time.Time) int {
-	if in == nil {
-		return 0
-	}
-	elapsed := at.Sub(in.epoch)
-	n := 0
-	for i := range in.faults {
-		if in.faults[i].activeAt(elapsed) {
-			n++
-		}
-	}
-	return n
-}

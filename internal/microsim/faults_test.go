@@ -264,7 +264,4 @@ func TestInjectorSnapshot(t *testing.T) {
 	if snap[1].Active {
 		t.Errorf("future spike should be inactive, got %+v", snap[1])
 	}
-	if got := in.ActiveFaults(faultEpoch.Add(10 * time.Second)); got != 1 {
-		t.Errorf("ActiveFaults = %d, want 1", got)
-	}
 }

@@ -156,11 +156,6 @@ func (h *HTTPApplication) EntryURL() string {
 	return h.frontURL[h.app.EntryService] + path
 }
 
-// ServiceURL returns the proxy base URL of a service.
-func (h *HTTPApplication) ServiceURL(service string) string {
-	return h.frontURL[service]
-}
-
 // MirrorDrops sums the dark-launch mirror jobs every proxy dropped
 // because its mirror queue was full.
 func (h *HTTPApplication) MirrorDrops() uint64 {

@@ -138,7 +138,7 @@ func TestHTTPAppUnknownPath(t *testing.T) {
 	app := NewApplication("front", "GET /")
 	_ = app.AddService("front", "v1").Endpoint("GET /", 1, 3)
 	h, _, _ := startHTTPApp(t, app)
-	status, _ := get(t, h.ServiceURL("front")+"/nope", "u")
+	status, _ := get(t, h.frontURL["front"]+"/nope", "u")
 	if status != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404", status)
 	}

@@ -96,8 +96,8 @@ type ServiceBuilder struct {
 }
 
 // AddService registers a service version and returns a builder for its
-// endpoints. The first version added for a service becomes its baseline
-// unless SetBaseline overrides it.
+// endpoints. The first version added for a service becomes its
+// baseline.
 func (a *Application) AddService(service, version string) *ServiceBuilder {
 	if a.versions[service] == nil {
 		a.versions[service] = make(map[string]*ServiceVersion)
@@ -182,15 +182,6 @@ func (b *ServiceBuilder) current() (*Endpoint, error) {
 		return nil, fmt.Errorf("microsim: no endpoint declared yet on %s@%s", b.sv.Service, b.sv.Version)
 	}
 	return b.sv.Endpoints[b.last], nil
-}
-
-// SetBaseline marks version as the stable baseline of service.
-func (a *Application) SetBaseline(service, version string) error {
-	if a.versions[service] == nil || a.versions[service][version] == nil {
-		return fmt.Errorf("microsim: unknown %s@%s", service, version)
-	}
-	a.baseline[service] = version
-	return nil
 }
 
 // Baseline returns the baseline version of service ("" when unknown).

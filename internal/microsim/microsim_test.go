@@ -87,15 +87,6 @@ func TestBaselineManagement(t *testing.T) {
 	if app.Baseline("front") != "v1" {
 		t.Error("adding a version must not change baseline")
 	}
-	if err := app.SetBaseline("front", "v2"); err != nil {
-		t.Fatal(err)
-	}
-	if app.Baseline("front") != "v2" {
-		t.Error("SetBaseline failed")
-	}
-	if err := app.SetBaseline("front", "v9"); err == nil {
-		t.Error("SetBaseline to unknown version should fail")
-	}
 }
 
 func TestSimExecuteBaseline(t *testing.T) {

@@ -264,17 +264,3 @@ func (p *Population) AllTables() string {
 	b.WriteString(RenderTable2_9())
 	return b.String()
 }
-
-// Pct looks up a row's percentage for a stratum (-1 when missing);
-// tests use it to compare against the paper's published values.
-func (t *Table) Pct(label, stratum string) float64 {
-	for _, r := range t.Rows {
-		if r.Label == label {
-			if v, ok := r.Pct[stratum]; ok {
-				return v
-			}
-			return -1
-		}
-	}
-	return -1
-}

@@ -182,17 +182,6 @@ func (f *Figure3_4) Render() string {
 	return b.String()
 }
 
-// Best returns the algorithm with the highest mean fitness fraction.
-func (f *Figure3_4) Best() string {
-	best, bestMean := "", -1.0
-	for _, r := range f.Results {
-		if m := stats.Mean(r.FitnessFrac); m > bestMean {
-			best, bestMean = r.Algorithm, m
-		}
-	}
-	return best
-}
-
 // Figure3_5Cell is one (n, class) configuration of the scaling study.
 type Figure3_5Cell struct {
 	N       int
@@ -269,22 +258,6 @@ func (f *Figure3_5) RenderTable3_3() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// MeanFitness returns the mean fitness fraction of an algorithm in the
-// cell for (n, class), or -1 when absent.
-func (f *Figure3_5) MeanFitness(n int, class fenrir.SampleSizeClass, algorithm string) float64 {
-	for _, c := range f.Cells {
-		if c.N != n || c.Class != class {
-			continue
-		}
-		for _, r := range c.Results {
-			if r.Algorithm == algorithm {
-				return stats.Mean(r.FitnessFrac)
-			}
-		}
-	}
-	return -1
 }
 
 // Figure3_6 is the reevaluation study: an existing GA schedule is

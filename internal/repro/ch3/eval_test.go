@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"contexp/internal/fenrir"
+	"contexp/internal/stats"
 )
 
 // fastEval keeps harness tests quick.
@@ -65,8 +66,8 @@ func TestEvalFigure3_4(t *testing.T) {
 	if !strings.Contains(out, "GA") || !strings.Contains(out, "Random") {
 		t.Errorf("render missing algorithms:\n%s", out)
 	}
-	if fig.Best() == "" {
-		t.Error("Best() empty")
+	if best(fig) == "" {
+		t.Error("best(fig) empty")
 	}
 }
 
@@ -78,10 +79,10 @@ func TestEvalFigure3_5SmallGrid(t *testing.T) {
 	if len(fig.Cells) != 3 { // one n × three classes
 		t.Fatalf("cells = %d", len(fig.Cells))
 	}
-	if got := fig.MeanFitness(10, fenrir.SamplesLow, "GA"); got < 0 {
+	if got := meanFitness(fig, 10, fenrir.SamplesLow, "GA"); got < 0 {
 		t.Error("MeanFitness lookup failed")
 	}
-	if got := fig.MeanFitness(99, fenrir.SamplesLow, "GA"); got != -1 {
+	if got := meanFitness(fig, 99, fenrir.SamplesLow, "GA"); got != -1 {
 		t.Error("missing cell should return -1")
 	}
 	out := fig.Render()
@@ -121,4 +122,31 @@ func TestTable3_1(t *testing.T) {
 	if !strings.Contains(out, "exp-15") {
 		t.Errorf("table missing experiments:\n%s", out)
 	}
+}
+
+// best returns the algorithm with the highest mean fitness fraction.
+func best(f *Figure3_4) string {
+	best, bestMean := "", -1.0
+	for _, r := range f.Results {
+		if m := stats.Mean(r.FitnessFrac); m > bestMean {
+			best, bestMean = r.Algorithm, m
+		}
+	}
+	return best
+}
+
+// meanFitness returns the mean fitness fraction of an algorithm in the
+// cell for (n, class), or -1 when absent.
+func meanFitness(f *Figure3_5, n int, class fenrir.SampleSizeClass, algorithm string) float64 {
+	for _, c := range f.Cells {
+		if c.N != n || c.Class != class {
+			continue
+		}
+		for _, r := range c.Results {
+			if r.Algorithm == algorithm {
+				return stats.Mean(r.FitnessFrac)
+			}
+		}
+	}
+	return -1
 }

@@ -35,7 +35,7 @@ const (
 
 // catalogDuration is the virtual length of every builtin scenario,
 // sized to cover a 90s canary phase plus tail traffic.
-const catalogDuration = Duration(2 * time.Minute)
+const catalogDuration = 2 * time.Minute
 
 // catalogRPS is the builtin base arrival rate.
 const catalogRPS = 80
@@ -67,12 +67,12 @@ func Catalog(t Target) []*Spec {
 				"slows under load — a canary must not be blamed for it",
 			Duration: catalogDuration,
 			Seed:     3,
-			Arrival:  ArrivalSpec{Process: ProcessBurst, RPS: catalogRPS, Factor: 4, Start: Duration(30 * time.Second), Width: Duration(30 * time.Second)},
+			Arrival:  ArrivalSpec{Process: ProcessBurst, RPS: catalogRPS, Factor: 4, Start: 30 * time.Second, Width: 30 * time.Second},
 			Faults: []FaultSpec{{
 				// The crowd slows every version of the dependency equally:
 				// relative (candidate vs baseline) checks stay clean.
 				Kind: "latency-spike", Service: t.Dependency,
-				Start: Duration(30 * time.Second), Duration: Duration(30 * time.Second),
+				Start: 30 * time.Second, Duration: 30 * time.Second,
 				LatencyFactor: 3,
 			}},
 		},
@@ -81,7 +81,7 @@ func Catalog(t Target) []*Spec {
 			Description: "day/night sinusoid compressed into the run: rate swings ±60%",
 			Duration:    catalogDuration,
 			Seed:        4,
-			Arrival:     ArrivalSpec{Process: ProcessDiurnal, RPS: catalogRPS, Amplitude: 0.6, Period: Duration(2 * time.Minute), Peak: Duration(30 * time.Second)},
+			Arrival:     ArrivalSpec{Process: ProcessDiurnal, RPS: catalogRPS, Amplitude: 0.6, Period: 2 * time.Minute, Peak: 30 * time.Second},
 		},
 		{
 			Name:        ScenarioErrorStorm,
@@ -91,7 +91,7 @@ func Catalog(t Target) []*Spec {
 			Arrival:     steady,
 			Faults: []FaultSpec{{
 				Kind: "error-storm", Service: t.Service, Version: t.Candidate,
-				Start: Duration(30 * time.Second), Duration: Duration(45 * time.Second),
+				Start: 30 * time.Second, Duration: 45 * time.Second,
 				ErrorRate: 0.25,
 			}},
 		},
@@ -103,7 +103,7 @@ func Catalog(t Target) []*Spec {
 			Arrival:     steady,
 			Faults: []FaultSpec{{
 				Kind: "latency-spike", Service: t.Service, Version: t.Candidate,
-				Start: Duration(30 * time.Second), Duration: Duration(45 * time.Second),
+				Start: 30 * time.Second, Duration: 45 * time.Second,
 				LatencyFactor: 5,
 			}},
 		},
@@ -116,7 +116,7 @@ func Catalog(t Target) []*Spec {
 			Arrival:  steady,
 			Faults: []FaultSpec{{
 				Kind: "blackout", Service: t.Dependency,
-				Start: Duration(40 * time.Second), Duration: Duration(30 * time.Second),
+				Start: 40 * time.Second, Duration: 30 * time.Second,
 				Probability: 0.4,
 			}},
 		},
@@ -129,8 +129,8 @@ func Catalog(t Target) []*Spec {
 			Arrival:  steady,
 			Faults: []FaultSpec{{
 				Kind: "slow-restart", Service: t.Dependency,
-				Start: Duration(40 * time.Second), Duration: Duration(40 * time.Second),
-				RestartDowntime: Duration(5 * time.Second), LatencyFactor: 3,
+				Start: 40 * time.Second, Duration: 40 * time.Second,
+				RestartDowntime: 5 * time.Second, LatencyFactor: 3,
 			}},
 		},
 	}

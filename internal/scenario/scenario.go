@@ -1,8 +1,8 @@
 // Package scenario composes {arrival process × fault schedule ×
 // duration} into named, runtime-configurable experiment conditions.
-// A Spec is the declarative JSON form (hand-written, generated, or one
-// of the builtin catalog entries); Compile lowers it into the runtime
-// pieces the substrates consume — a loadgen.Rate driving arrivals and a
+// A Spec is the declarative form (one of the builtin catalog entries,
+// or one a test writes); Compile lowers it into the runtime pieces the
+// substrates consume — a loadgen.Rate driving arrivals and a
 // microsim fault schedule driving chaos. The grading suite
 // (scenario/suite) runs every strategy kind against a matrix of these
 // and asserts graded outcomes, which is what turns "as many scenarios
@@ -10,47 +10,12 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"contexp/internal/loadgen"
 	"contexp/internal/microsim"
-	"contexp/internal/traffic"
 )
-
-// Duration is a time.Duration that marshals as a Go duration string
-// ("90s", "2m30s"), keeping specs human-writable.
-type Duration time.Duration
-
-// MarshalJSON renders the duration string form.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// UnmarshalJSON accepts a duration string or a number of seconds.
-func (d *Duration) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err == nil {
-		dur, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("scenario: bad duration %q: %w", s, err)
-		}
-		*d = Duration(dur)
-		return nil
-	}
-	var secs float64
-	if err := json.Unmarshal(data, &secs); err == nil {
-		*d = Duration(secs * float64(time.Second))
-		return nil
-	}
-	return fmt.Errorf("scenario: duration must be a string like \"90s\" or a number of seconds, got %s", data)
-}
-
-// Std returns the standard-library duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
 
 // Arrival process names accepted by ArrivalSpec.Process.
 const (
@@ -58,78 +23,56 @@ const (
 	ProcessRamp    = "ramp"
 	ProcessBurst   = "burst"
 	ProcessDiurnal = "diurnal"
-	ProcessReplay  = "replay"
 )
 
 // ArrivalSpec describes the open-loop arrival process of a scenario.
 type ArrivalSpec struct {
-	// Process selects the shape: steady | ramp | burst | diurnal |
-	// replay.
-	Process string `json:"process"`
+	// Process selects the shape: steady | ramp | burst | diurnal.
+	Process string
 	// RPS is the base rate (steady, burst, diurnal) or the starting
 	// rate (ramp).
-	RPS float64 `json:"rps,omitempty"`
+	RPS float64
 	// ToRPS is the final rate of a ramp.
-	ToRPS float64 `json:"toRps,omitempty"`
+	ToRPS float64
 	// RampOver is how long a ramp takes to reach ToRPS (defaults to the
 	// scenario duration).
-	RampOver Duration `json:"rampOver,omitempty"`
+	RampOver time.Duration
 	// Factor multiplies RPS inside a burst window.
-	Factor float64 `json:"factor,omitempty"`
+	Factor float64
 	// Start/Width place the burst window.
-	Start Duration `json:"start,omitempty"`
-	Width Duration `json:"width,omitempty"`
+	Start time.Duration
+	Width time.Duration
 	// Amplitude (0..1] and Period/Peak shape the diurnal sinusoid.
-	Amplitude float64  `json:"amplitude,omitempty"`
-	Period    Duration `json:"period,omitempty"`
-	Peak      Duration `json:"peak,omitempty"`
-	// ProfileCSV is an inline recorded traffic profile (the
-	// internal/traffic CSV format) replayed as the arrival process.
-	ProfileCSV string `json:"profileCsv,omitempty"`
-	// Scale multiplies the replayed volumes (default 1 = replay the
-	// recorded per-slot volumes).
-	Scale float64 `json:"scale,omitempty"`
+	Amplitude float64
+	Period    time.Duration
+	Peak      time.Duration
 	// Uniform switches from Poisson sampling to deterministic spacing.
-	Uniform bool `json:"uniform,omitempty"`
+	Uniform bool
 }
 
 // FaultSpec is the declarative form of one microsim.Fault.
 type FaultSpec struct {
-	Kind            string   `json:"kind"`
-	Service         string   `json:"service"`
-	Version         string   `json:"version,omitempty"`
-	Endpoint        string   `json:"endpoint,omitempty"`
-	Start           Duration `json:"start"`
-	Duration        Duration `json:"duration"`
-	Probability     float64  `json:"probability,omitempty"`
-	LatencyFactor   float64  `json:"latencyFactor,omitempty"`
-	ExtraLatency    Duration `json:"extraLatency,omitempty"`
-	ErrorRate       float64  `json:"errorRate,omitempty"`
-	RestartDowntime Duration `json:"restartDowntime,omitempty"`
+	Kind            string
+	Service         string
+	Version         string
+	Endpoint        string
+	Start           time.Duration
+	Duration        time.Duration
+	Probability     float64
+	LatencyFactor   float64
+	ExtraLatency    time.Duration
+	ErrorRate       float64
+	RestartDowntime time.Duration
 }
 
 // Spec is a named scenario in declarative form.
 type Spec struct {
-	Name        string      `json:"name"`
-	Description string      `json:"description,omitempty"`
-	Duration    Duration    `json:"duration"`
-	Seed        int64       `json:"seed,omitempty"`
-	Arrival     ArrivalSpec `json:"arrival"`
-	Faults      []FaultSpec `json:"faults,omitempty"`
-}
-
-// Parse decodes and validates a JSON spec.
-func Parse(data []byte) (*Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("scenario: parse: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
+	Name        string
+	Description string
+	Duration    time.Duration
+	Seed        int64
+	Arrival     ArrivalSpec
+	Faults      []FaultSpec
 }
 
 // Validate checks the spec without compiling it.
@@ -138,7 +81,7 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: spec has no name")
 	}
 	if s.Duration <= 0 {
-		return fmt.Errorf("scenario %s: non-positive duration %v", s.Name, s.Duration.Std())
+		return fmt.Errorf("scenario %s: non-positive duration %v", s.Name, s.Duration)
 	}
 	if err := s.Arrival.validate(s.Name); err != nil {
 		return err
@@ -181,18 +124,8 @@ func (a *ArrivalSpec) validate(name string) error {
 		if a.Period <= 0 {
 			return fmt.Errorf("scenario %s: diurnal arrival needs period > 0", name)
 		}
-	case ProcessReplay:
-		if a.ProfileCSV == "" {
-			return fmt.Errorf("scenario %s: replay needs an inline profileCsv", name)
-		}
-		if a.Scale < 0 {
-			return fmt.Errorf("scenario %s: negative replay scale", name)
-		}
-		if _, err := traffic.ReadCSV(strings.NewReader(a.ProfileCSV)); err != nil {
-			return fmt.Errorf("scenario %s: replay profile: %w", name, err)
-		}
 	case "":
-		return fmt.Errorf("scenario %s: arrival process missing (want steady, ramp, burst, diurnal, or replay)", name)
+		return fmt.Errorf("scenario %s: arrival process missing (want steady, ramp, burst, or diurnal)", name)
 	default:
 		return fmt.Errorf("scenario %s: unknown arrival process %q", name, a.Process)
 	}
@@ -205,25 +138,15 @@ func (a *ArrivalSpec) rate(total time.Duration) (loadgen.Rate, error) {
 	case ProcessSteady:
 		return loadgen.ConstantRate(a.RPS), nil
 	case ProcessRamp:
-		over := a.RampOver.Std()
+		over := a.RampOver
 		if over == 0 {
 			over = total
 		}
 		return loadgen.RampRate(a.RPS, a.ToRPS, over), nil
 	case ProcessBurst:
-		return loadgen.Spike(loadgen.ConstantRate(a.RPS), a.Factor, a.Start.Std(), a.Width.Std()), nil
+		return loadgen.Spike(loadgen.ConstantRate(a.RPS), a.Factor, a.Start, a.Width), nil
 	case ProcessDiurnal:
-		return loadgen.DiurnalRate(a.RPS, a.Amplitude, a.Period.Std(), a.Peak.Std()), nil
-	case ProcessReplay:
-		p, err := traffic.ReadCSV(strings.NewReader(a.ProfileCSV))
-		if err != nil {
-			return nil, err
-		}
-		scale := a.Scale
-		if scale == 0 {
-			scale = 1
-		}
-		return loadgen.ProfileRate(p, scale), nil
+		return loadgen.DiurnalRate(a.RPS, a.Amplitude, a.Period, a.Peak), nil
 	default:
 		return nil, fmt.Errorf("scenario: unknown arrival process %q", a.Process)
 	}
@@ -239,13 +162,13 @@ func (f *FaultSpec) compile() (microsim.Fault, error) {
 		Service:         f.Service,
 		Version:         f.Version,
 		Endpoint:        f.Endpoint,
-		Start:           f.Start.Std(),
-		Duration:        f.Duration.Std(),
+		Start:           f.Start,
+		Duration:        f.Duration,
 		Probability:     f.Probability,
 		LatencyFactor:   f.LatencyFactor,
-		ExtraLatency:    f.ExtraLatency.Std(),
+		ExtraLatency:    f.ExtraLatency,
 		ErrorRate:       f.ErrorRate,
-		RestartDowntime: f.RestartDowntime.Std(),
+		RestartDowntime: f.RestartDowntime,
 	}
 	if err := out.Validate(); err != nil {
 		return microsim.Fault{}, err
@@ -273,14 +196,14 @@ func (s *Spec) Compile() (*Scenario, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	rate, err := s.Arrival.rate(s.Duration.Std())
+	rate, err := s.Arrival.rate(s.Duration)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	out := &Scenario{
 		Name:        s.Name,
 		Description: s.Description,
-		Duration:    s.Duration.Std(),
+		Duration:    s.Duration,
 		Seed:        s.Seed,
 		Rate:        rate,
 		Uniform:     s.Arrival.Uniform,

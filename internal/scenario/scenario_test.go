@@ -1,34 +1,14 @@
 package scenario
 
 import (
-	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
 	"contexp/internal/microsim"
-	"contexp/internal/traffic"
 )
 
 var testTarget = Target{Service: "api", Candidate: "v2", Dependency: "backend"}
-
-func TestDurationJSON(t *testing.T) {
-	var d Duration
-	if err := json.Unmarshal([]byte(`"90s"`), &d); err != nil || d.Std() != 90*time.Second {
-		t.Errorf("string form: %v %v", d.Std(), err)
-	}
-	if err := json.Unmarshal([]byte(`2.5`), &d); err != nil || d.Std() != 2500*time.Millisecond {
-		t.Errorf("numeric form: %v %v", d.Std(), err)
-	}
-	if err := json.Unmarshal([]byte(`"bogus"`), &d); err == nil {
-		t.Error("bad duration string should fail")
-	}
-	out, err := json.Marshal(Duration(time.Minute))
-	if err != nil || string(out) != `"1m0s"` {
-		t.Errorf("marshal: %s %v", out, err)
-	}
-}
 
 func TestCatalogCompiles(t *testing.T) {
 	specs := Catalog(testTarget)
@@ -66,22 +46,6 @@ func TestCatalogCompiles(t *testing.T) {
 	}
 }
 
-func TestCatalogJSONRoundTrip(t *testing.T) {
-	for _, spec := range Catalog(testTarget) {
-		data, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", spec.Name, err)
-		}
-		back, err := Parse(data)
-		if err != nil {
-			t.Fatalf("%s: reparse: %v\n%s", spec.Name, err, data)
-		}
-		if back.Name != spec.Name || back.Duration != spec.Duration || len(back.Faults) != len(spec.Faults) {
-			t.Errorf("%s: round trip drifted: %+v vs %+v", spec.Name, back, spec)
-		}
-	}
-}
-
 func TestByName(t *testing.T) {
 	spec, err := ByName(testTarget, ScenarioErrorStorm)
 	if err != nil {
@@ -95,56 +59,33 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestParseRejectsBadSpecs(t *testing.T) {
+func TestValidateRejectsBadSpecs(t *testing.T) {
+	steady := ArrivalSpec{Process: ProcessSteady, RPS: 10}
+	window := func(f FaultSpec) FaultSpec {
+		f.Duration = 5 * time.Second
+		return f
+	}
 	cases := []struct {
 		name string
-		json string
+		spec Spec
 	}{
-		{"empty object", `{}`},
-		{"no duration", `{"name":"x","arrival":{"process":"steady","rps":10}}`},
-		{"no process", `{"name":"x","duration":"10s","arrival":{}}`},
-		{"unknown process", `{"name":"x","duration":"10s","arrival":{"process":"warp"}}`},
-		{"steady without rps", `{"name":"x","duration":"10s","arrival":{"process":"steady"}}`},
-		{"burst without window", `{"name":"x","duration":"10s","arrival":{"process":"burst","rps":10,"factor":2}}`},
-		{"unknown field", `{"name":"x","duration":"10s","arrival":{"process":"steady","rps":10},"surprise":1}`},
-		{"bad fault kind", `{"name":"x","duration":"10s","arrival":{"process":"steady","rps":10},"faults":[{"kind":"meteor","service":"s","start":"0s","duration":"5s"}]}`},
-		{"fault without service", `{"name":"x","duration":"10s","arrival":{"process":"steady","rps":10},"faults":[{"kind":"blackout","start":"0s","duration":"5s"}]}`},
-		{"replay without profile", `{"name":"x","duration":"10s","arrival":{"process":"replay"}}`},
-		{"not json", `steady 80rps please`},
+		{"empty spec", Spec{}},
+		{"no duration", Spec{Name: "x", Arrival: steady}},
+		{"no process", Spec{Name: "x", Duration: 10 * time.Second}},
+		{"unknown process", Spec{Name: "x", Duration: 10 * time.Second, Arrival: ArrivalSpec{Process: "warp"}}},
+		{"steady without rps", Spec{Name: "x", Duration: 10 * time.Second, Arrival: ArrivalSpec{Process: ProcessSteady}}},
+		{"burst without window", Spec{Name: "x", Duration: 10 * time.Second, Arrival: ArrivalSpec{Process: ProcessBurst, RPS: 10, Factor: 2}}},
+		{"bad fault kind", Spec{Name: "x", Duration: 10 * time.Second, Arrival: steady,
+			Faults: []FaultSpec{window(FaultSpec{Kind: "meteor", Service: "s"})}}},
+		{"fault without service", Spec{Name: "x", Duration: 10 * time.Second, Arrival: steady,
+			Faults: []FaultSpec{window(FaultSpec{Kind: "blackout"})}}},
 	}
 	for _, c := range cases {
-		if _, err := Parse([]byte(c.json)); err == nil {
-			t.Errorf("%s: expected parse error", c.name)
+		if err := c.spec.Validate(); err == nil {
+			t.Errorf("%s: expected a validation error", c.name)
 		}
-	}
-}
-
-func TestReplayScenario(t *testing.T) {
-	p := &traffic.Profile{
-		Start:      time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC),
-		SlotLength: 30 * time.Second,
-		Slots:      []float64{600, 1800, 900},
-	}
-	var csv strings.Builder
-	if err := p.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	spec := &Spec{
-		Name:     "replayed",
-		Duration: Duration(90 * time.Second),
-		Arrival:  ArrivalSpec{Process: ProcessReplay, ProfileCSV: csv.String()},
-	}
-	sc, err := spec.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Slot volumes over 30s slots: 20, 60, 30 rps.
-	for _, c := range []struct {
-		at   time.Duration
-		want float64
-	}{{0, 20}, {45 * time.Second, 60}, {80 * time.Second, 30}, {2 * time.Minute, 0}} {
-		if got := sc.Rate(c.at); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("rate(%s) = %v, want %v", c.at, got, c.want)
+		if _, err := c.spec.Compile(); err == nil {
+			t.Errorf("%s: expected a compile error", c.name)
 		}
 	}
 }
@@ -166,11 +107,11 @@ func TestInjectorFromScenario(t *testing.T) {
 	if in == nil {
 		t.Fatal("blackout scenario should yield an injector")
 	}
-	if got := in.ActiveFaults(epoch.Add(50 * time.Second)); got != 1 {
-		t.Errorf("ActiveFaults inside window = %d", got)
+	if got := activeFaults(in, epoch.Add(50*time.Second)); got != 1 {
+		t.Errorf("active faults inside window = %d", got)
 	}
-	if got := in.ActiveFaults(epoch); got != 0 {
-		t.Errorf("ActiveFaults before window = %d", got)
+	if got := activeFaults(in, epoch); got != 0 {
+		t.Errorf("active faults before window = %d", got)
 	}
 
 	// A fault-free scenario yields no injector.
@@ -189,5 +130,15 @@ func TestInjectorFromScenario(t *testing.T) {
 	if in2 != nil {
 		t.Error("steady scenario should have no injector")
 	}
-	var _ *microsim.Injector = in2
+}
+
+// activeFaults counts the injector's faults whose window covers at.
+func activeFaults(in *microsim.Injector, at time.Time) int {
+	n := 0
+	for _, f := range in.Snapshot(at) {
+		if f.Active {
+			n++
+		}
+	}
+	return n
 }

@@ -698,10 +698,9 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 		view[svc] = rv
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"tableVersion":    s.cfg.Table.Version(),
-		"snapshotVersion": s.cfg.Table.Version(),
-		"storeSeries":     s.cfg.Store.SeriesCount(),
-		"services":        view,
+		"tableVersion": s.cfg.Table.Version(),
+		"storeSeries":  s.cfg.Store.SeriesCount(),
+		"services":     view,
 	})
 }
 
@@ -793,13 +792,12 @@ type EngineHealth struct {
 	Trail bifrost.TrailStats `json:"trail"`
 }
 
-// RouterHealth reports the routing table. TableVersion and
-// SnapshotVersion are the same counter: the version of the immutable
-// routing snapshot currently published to the data plane.
+// RouterHealth reports the routing table. TableVersion is the version
+// of the immutable routing snapshot currently published to the data
+// plane.
 type RouterHealth struct {
-	Services        []string `json:"services"`
-	TableVersion    uint64   `json:"tableVersion"`
-	SnapshotVersion uint64   `json:"snapshotVersion"`
+	Services     []string `json:"services"`
+	TableVersion uint64   `json:"tableVersion"`
 }
 
 // statusSnapshot is one assembled status view shared by /healthz and
@@ -859,9 +857,8 @@ func (s *Server) buildStatus() *statusSnapshot {
 		},
 		Store: s.cfg.Store.Stats(),
 		Router: RouterHealth{
-			Services:        s.cfg.Table.Services(),
-			TableVersion:    s.cfg.Table.Version(),
-			SnapshotVersion: s.cfg.Table.Version(),
+			Services:     s.cfg.Table.Services(),
+			TableVersion: s.cfg.Table.Version(),
 		},
 	}
 	if s.cfg.Journal != nil {

@@ -5,10 +5,8 @@ import (
 	"math/rand"
 )
 
-// This file provides the random samplers used by the simulation
-// substrates: lognormal service times (the canonical latency model for
-// microservice endpoints), exponential inter-arrival times for open-loop
-// load generation, and Pareto tails for heavy-tailed payloads.
+// This file provides the lognormal service-time sampler, the canonical
+// latency model for microservice endpoints in the simulation substrates.
 
 // LogNormal samples service times whose logarithm is normally
 // distributed. Mu and Sigma parameterize the underlying normal.
@@ -48,40 +46,4 @@ func LogNormalFromMeanP95(mean, p95 float64) LogNormal {
 // Sample draws one value using rng.
 func (d LogNormal) Sample(rng *rand.Rand) float64 {
 	return math.Exp(d.Mu + d.Sigma*rng.NormFloat64())
-}
-
-// Mean returns the distribution mean exp(mu + sigma^2/2).
-func (d LogNormal) Mean() float64 {
-	return math.Exp(d.Mu + d.Sigma*d.Sigma/2)
-}
-
-// Quantile returns the p-quantile of the distribution.
-func (d LogNormal) Quantile(p float64) float64 {
-	return math.Exp(d.Mu + d.Sigma*normalQuantile(p))
-}
-
-// Exponential samples with the given rate (events per unit time).
-type Exponential struct {
-	Rate float64
-}
-
-// Sample draws one inter-arrival interval.
-func (d Exponential) Sample(rng *rand.Rand) float64 {
-	return rng.ExpFloat64() / d.Rate
-}
-
-// Pareto samples a heavy-tailed distribution with minimum xm and shape
-// alpha (> 1 for a finite mean).
-type Pareto struct {
-	Xm    float64
-	Alpha float64
-}
-
-// Sample draws one value.
-func (d Pareto) Sample(rng *rand.Rand) float64 {
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return d.Xm / math.Pow(u, 1/d.Alpha)
 }

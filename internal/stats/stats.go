@@ -1,21 +1,17 @@
-// Package stats provides the descriptive and inferential statistics used
-// across the continuous-experimentation framework: summary statistics,
-// quantiles, five-number summaries for box plots, moving averages,
-// hypothesis tests, power analysis for experiment sample sizes, and the
-// nDCG ranking-quality metric used by the health-assessment evaluation.
+// Package stats provides the statistics the reproduction and the
+// simulators use: summary statistics, five-number summaries for box
+// plots, moving averages, Welch's t-test, the lognormal service-time
+// sampler, and the nDCG ranking-quality metric used by the
+// health-assessment evaluation.
 //
 // All functions operate on plain float64 slices and never mutate their
 // inputs unless documented otherwise.
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
-
-// ErrEmpty is returned by functions that require at least one observation.
-var ErrEmpty = errors.New("stats: empty sample")
 
 // Mean returns the arithmetic mean of xs, or 0 when xs is empty.
 func Mean(xs []float64) float64 {
@@ -49,61 +45,9 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// Min returns the smallest value in xs, or 0 when xs is empty.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value in xs, or 0 when xs is empty.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Quantile returns the p-quantile (0 <= p <= 1) of xs using linear
-// interpolation between order statistics (R type-7, the default of most
-// statistics environments). It returns 0 for an empty sample. The input
-// slice is not modified.
-func Quantile(xs []float64, p float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if n == 1 {
-		return xs[0]
-	}
-	sorted := make([]float64, n)
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, p)
-}
-
+// quantileSorted returns the p-quantile (0 <= p <= 1) of a sorted,
+// non-empty sample using linear interpolation between order statistics
+// (R type-7, the default of most statistics environments).
 func quantileSorted(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	if p <= 0 {
@@ -233,20 +177,6 @@ func MovingAverage(xs []float64, window int) []float64 {
 		} else {
 			out[i] = sum / float64(i+1)
 		}
-	}
-	return out
-}
-
-// EWMA returns the exponentially weighted moving average of xs with
-// smoothing factor alpha in (0, 1]. The first element seeds the average.
-func EWMA(xs []float64, alpha float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	out[0] = xs[0]
-	for i := 1; i < len(xs); i++ {
-		out[i] = alpha*xs[i] + (1-alpha)*out[i-1]
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -45,22 +46,6 @@ func TestVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMaxSum(t *testing.T) {
-	xs := []float64{3, -1, 7, 0}
-	if Min(xs) != -1 {
-		t.Errorf("Min = %v", Min(xs))
-	}
-	if Max(xs) != 7 {
-		t.Errorf("Max = %v", Max(xs))
-	}
-	if Sum(xs) != 9 {
-		t.Errorf("Sum = %v", Sum(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("Min/Max of empty slice should be 0")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	tests := []struct {
@@ -70,32 +55,27 @@ func TestQuantile(t *testing.T) {
 		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {0.1, 1.4},
 	}
 	for _, tt := range tests {
-		if got := Quantile(xs, tt.p); !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.p, got, tt.want)
+		if got := quantileSorted(xs, tt.p); !almostEqual(got, tt.want, 1e-12) {
+			t.Errorf("quantileSorted(%v) = %v, want %v", tt.p, got, tt.want)
 		}
 	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("Quantile of empty slice should be 0")
-	}
-	if Quantile([]float64{42}, 0.9) != 42 {
-		t.Error("Quantile of single element should be that element")
+	if quantileSorted([]float64{42}, 0.9) != 42 {
+		t.Error("quantile of single element should be that element")
 	}
 }
 
-func TestQuantileDoesNotMutate(t *testing.T) {
+func TestSummariesDoNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
+	Summarize(xs)
+	NewBoxPlot(xs)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("Quantile mutated its input: %v", xs)
+		t.Errorf("a summary mutated its input: %v", xs)
 	}
 }
 
 func TestQuantileOrderingProperty(t *testing.T) {
 	// Property: quantiles are monotone in p and bounded by min/max.
 	f := func(raw []float64, p1, p2 float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
 		xs := make([]float64, 0, len(raw))
 		for _, x := range raw {
 			if !math.IsNaN(x) && !math.IsInf(x, 0) {
@@ -105,13 +85,14 @@ func TestQuantileOrderingProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
+		sort.Float64s(xs)
 		p1 = math.Abs(math.Mod(p1, 1))
 		p2 = math.Abs(math.Mod(p2, 1))
 		if p1 > p2 {
 			p1, p2 = p2, p1
 		}
-		q1, q2 := Quantile(xs, p1), Quantile(xs, p2)
-		return q1 <= q2 && q1 >= Min(xs) && q2 <= Max(xs)
+		q1, q2 := quantileSorted(xs, p1), quantileSorted(xs, p2)
+		return q1 <= q2 && q1 >= xs[0] && q2 <= xs[len(xs)-1]
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -162,17 +143,6 @@ func TestMovingAverage(t *testing.T) {
 	cp[0] = 99
 	if xs[0] == 99 {
 		t.Error("MovingAverage(_, 1) aliases its input")
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	xs := []float64{10, 20, 30}
-	got := EWMA(xs, 0.5)
-	if got[0] != 10 || got[1] != 15 || got[2] != 22.5 {
-		t.Errorf("EWMA = %v", got)
-	}
-	if len(EWMA(nil, 0.5)) != 0 {
-		t.Error("EWMA(nil) should be empty")
 	}
 }
 
@@ -227,113 +197,6 @@ func TestWelchTConstantSamples(t *testing.T) {
 	}
 	if !res.Significant {
 		t.Error("different constant samples should be significant")
-	}
-}
-
-func TestMannWhitneyU(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := make([]float64, 150)
-	b := make([]float64, 150)
-	for i := range a {
-		a[i] = rng.ExpFloat64()
-		b[i] = rng.ExpFloat64() * 3
-	}
-	res, err := MannWhitneyU(a, b, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Significant {
-		t.Errorf("expected significant shift, p = %v", res.PValue)
-	}
-	if _, err := MannWhitneyU(nil, a, 0.05); err == nil {
-		t.Error("expected error on empty sample")
-	}
-}
-
-func TestMannWhitneyUTies(t *testing.T) {
-	// All ties: p-value must be 1.
-	a := []float64{1, 1, 1}
-	res, err := MannWhitneyU(a, a, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Significant {
-		t.Errorf("all-tie samples should not be significant, p = %v", res.PValue)
-	}
-}
-
-func TestTwoProportionZ(t *testing.T) {
-	// 10% vs 15% conversion with large n: clearly significant.
-	res, err := TwoProportionZ(1000, 10000, 1500, 10000, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Significant {
-		t.Errorf("expected significance, p = %v", res.PValue)
-	}
-	// Identical rates: not significant.
-	res, err = TwoProportionZ(100, 1000, 100, 1000, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Significant {
-		t.Error("identical rates flagged significant")
-	}
-	if _, err := TwoProportionZ(0, 0, 1, 10, 0.05); err == nil {
-		t.Error("expected error on zero trials")
-	}
-}
-
-func TestMinSampleSizeProportion(t *testing.T) {
-	// Classic example: baseline 10%, detect +2pp at alpha=.05 power=.8
-	// should require a few thousand per variant (textbook ~3,800).
-	n, err := MinSampleSizeProportion(0.10, 0.02, 0.05, 0.80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 3000 || n > 5000 {
-		t.Errorf("sample size = %d, want in [3000, 5000]", n)
-	}
-	// Larger effects need fewer samples.
-	n2, err := MinSampleSizeProportion(0.10, 0.05, 0.05, 0.80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n2 >= n {
-		t.Errorf("larger MDE should need fewer samples: %d >= %d", n2, n)
-	}
-	if _, err := MinSampleSizeProportion(0, 0.05, 0.05, 0.8); err == nil {
-		t.Error("expected error for invalid baseline")
-	}
-	if _, err := MinSampleSizeProportion(0.99, 0.05, 0.05, 0.8); err == nil {
-		t.Error("expected error for effect pushing rate above 1")
-	}
-}
-
-func TestMinSampleSizeMean(t *testing.T) {
-	n, err := MinSampleSizeMean(10, 1, 0.05, 0.80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2*(1.96+0.84)^2*100 ≈ 1570.
-	if n < 1400 || n > 1700 {
-		t.Errorf("sample size = %d, want ≈ 1570", n)
-	}
-	if _, err := MinSampleSizeMean(0, 1, 0.05, 0.8); err == nil {
-		t.Error("expected error for sigma <= 0")
-	}
-}
-
-func TestNormalQuantileRoundTrip(t *testing.T) {
-	for _, p := range []float64{0.01, 0.025, 0.1, 0.5, 0.9, 0.975, 0.99} {
-		z := normalQuantile(p)
-		back := 1 - normalSF(z)
-		if !almostEqual(back, p, 1e-6) {
-			t.Errorf("round trip p=%v: got %v", p, back)
-		}
-	}
-	if normalQuantile(0.5) != 0 {
-		t.Errorf("median of standard normal should be 0, got %v", normalQuantile(0.5))
 	}
 }
 

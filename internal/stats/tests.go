@@ -3,19 +3,14 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
-// This file contains the inferential statistics used to interpret
-// experiment data: Welch's t-test and the Mann-Whitney U test for
-// comparing variants of business-driven experiments, and the
-// two-proportion z-test with its power analysis used by the planning
-// phase to derive minimum sample sizes (cf. Kohavi et al.'s rules of
-// thumb cited throughout the paper).
+// This file contains Welch's t-test for comparing the samples of two
+// experiment variants.
 
 // TestResult is the outcome of a two-sample hypothesis test.
 type TestResult struct {
-	Statistic   float64 // test statistic (t, z, or standardized U)
+	Statistic   float64 // test statistic t
 	PValue      float64 // two-sided p-value
 	Significant bool    // PValue < alpha at the time of the test
 	Alpha       float64
@@ -45,149 +40,6 @@ func WelchT(a, b []float64, alpha float64) (TestResult, error) {
 	df := num / den
 	p := 2 * studentTSF(math.Abs(t), df)
 	return TestResult{Statistic: t, PValue: p, Significant: p < alpha, Alpha: alpha}, nil
-}
-
-// MannWhitneyU performs the Mann-Whitney U test (normal approximation with
-// tie correction) on two samples, returning a two-sided result.
-func MannWhitneyU(a, b []float64, alpha float64) (TestResult, error) {
-	na, nb := len(a), len(b)
-	if na == 0 || nb == 0 {
-		return TestResult{}, ErrEmpty
-	}
-	type obs struct {
-		v     float64
-		fromA bool
-	}
-	all := make([]obs, 0, na+nb)
-	for _, x := range a {
-		all = append(all, obs{x, true})
-	}
-	for _, x := range b {
-		all = append(all, obs{x, false})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-
-	// Assign mid-ranks, accumulating the tie correction term.
-	ranks := make([]float64, len(all))
-	var tieTerm float64
-	for i := 0; i < len(all); {
-		j := i
-		for j < len(all) && all[j].v == all[i].v {
-			j++
-		}
-		r := float64(i+j+1) / 2 // average of ranks i+1 .. j
-		for k := i; k < j; k++ {
-			ranks[k] = r
-		}
-		t := float64(j - i)
-		tieTerm += t*t*t - t
-		i = j
-	}
-	var ra float64
-	for i, o := range all {
-		if o.fromA {
-			ra += ranks[i]
-		}
-	}
-	fa, fb := float64(na), float64(nb)
-	u := ra - fa*(fa+1)/2
-	mu := fa * fb / 2
-	n := fa + fb
-	sigma2 := fa * fb / 12 * ((n + 1) - tieTerm/(n*(n-1)))
-	if sigma2 <= 0 {
-		return TestResult{Statistic: 0, PValue: 1, Alpha: alpha}, nil
-	}
-	z := (u - mu) / math.Sqrt(sigma2)
-	p := 2 * normalSF(math.Abs(z))
-	return TestResult{Statistic: z, PValue: p, Significant: p < alpha, Alpha: alpha}, nil
-}
-
-// TwoProportionZ tests whether two conversion rates differ: successes sa of
-// na trials vs. sb of nb trials.
-func TwoProportionZ(sa, na, sb, nb int, alpha float64) (TestResult, error) {
-	if na == 0 || nb == 0 {
-		return TestResult{}, ErrEmpty
-	}
-	pa := float64(sa) / float64(na)
-	pb := float64(sb) / float64(nb)
-	pool := float64(sa+sb) / float64(na+nb)
-	se := math.Sqrt(pool * (1 - pool) * (1/float64(na) + 1/float64(nb)))
-	if se == 0 {
-		return TestResult{Statistic: 0, PValue: 1, Alpha: alpha}, nil
-	}
-	z := (pa - pb) / se
-	p := 2 * normalSF(math.Abs(z))
-	return TestResult{Statistic: z, PValue: p, Significant: p < alpha, Alpha: alpha}, nil
-}
-
-// MinSampleSizeProportion returns the per-variant sample size needed to
-// detect an absolute lift `mde` over baseline rate p0 with significance
-// alpha and power (1-beta), using the standard two-proportion formula.
-// This is the "established statistical formula" the paper refers to for
-// deriving required sample sizes in the planning phase.
-func MinSampleSizeProportion(p0, mde, alpha, power float64) (int, error) {
-	if p0 <= 0 || p0 >= 1 {
-		return 0, errors.New("stats: baseline rate must be in (0,1)")
-	}
-	p1 := p0 + mde
-	if p1 <= 0 || p1 >= 1 || mde == 0 {
-		return 0, errors.New("stats: effect size out of range")
-	}
-	zAlpha := normalQuantile(1 - alpha/2)
-	zBeta := normalQuantile(power)
-	pBar := (p0 + p1) / 2
-	num := zAlpha*math.Sqrt(2*pBar*(1-pBar)) + zBeta*math.Sqrt(p0*(1-p0)+p1*(1-p1))
-	n := num * num / (mde * mde)
-	return int(math.Ceil(n)), nil
-}
-
-// MinSampleSizeMean returns the per-variant sample size needed to detect a
-// difference of `mde` in means given standard deviation sigma.
-func MinSampleSizeMean(sigma, mde, alpha, power float64) (int, error) {
-	if sigma <= 0 || mde <= 0 {
-		return 0, errors.New("stats: sigma and mde must be positive")
-	}
-	zAlpha := normalQuantile(1 - alpha/2)
-	zBeta := normalQuantile(power)
-	n := 2 * (zAlpha + zBeta) * (zAlpha + zBeta) * sigma * sigma / (mde * mde)
-	return int(math.Ceil(n)), nil
-}
-
-// normalSF returns the standard normal survival function P(Z > z).
-func normalSF(z float64) float64 {
-	return 0.5 * math.Erfc(z/math.Sqrt2)
-}
-
-// normalQuantile returns the p-quantile of the standard normal
-// distribution using the Acklam rational approximation (|err| < 1.15e-9).
-func normalQuantile(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02, 1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02, 6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00, -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00, 3.754408661907416e+00}
-
-	const pLow = 0.02425
-	switch {
-	case p < pLow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= 1-pLow:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
 }
 
 // studentTSF returns the survival function P(T > t) of Student's t

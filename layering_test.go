@@ -77,7 +77,7 @@ var closures = map[string][]string{
 		"router", "tenancy", "topology", "tracing"},
 	"contexp/cmd/contexp-demo": {"bifrost", "clock", "demo", "expmodel", "fleet", "health", "journal",
 		"loadgen", "metrics", "microsim", "router", "scenario", "server", "stats", "tenancy",
-		"topology", "tracing", "traffic", "wire"},
+		"topology", "tracing", "wire"},
 	"contexp/cmd/repro": {"bifrost", "clock", "expmodel", "fenrir", "health", "journal", "metrics",
 		"microsim", "repro/ch2", "repro/ch3", "repro/ch4", "repro/ch5", "router", "stats",
 		"tenancy", "topology", "tracing", "traffic"},
@@ -271,6 +271,181 @@ func TestUnsafeImports(t *testing.T) {
 	}
 }
 
+// wallClockExempt are the packages under internal/ that TestNoWallClock
+// leaves to the wall clock, by path below internal/ (subpackages
+// included), each with its reason. An exemption no file of its package
+// uses fails the rule.
+var wallClockExempt = map[string]string{
+	"clock": "clock.Real is the wall clock every other package is handed",
+	"repro": "chapters 4 and 5 time real work on the wall clock: what they measure is elapsed time",
+	"microsim": "the HTTP backends serve real requests: they sleep their simulated service times " +
+		"and stamp faults and telemetry in real time",
+	"demo": "the demo paces its synthetic users to their arrival instants in real time, over real HTTP",
+	"scenario/suite": "the grading suite bounds a run's drain by a wall-clock deadline and yields " +
+		"while nothing is parked on the virtual clock",
+	"fenrir": "each optimizer reports the wall time it took (Stats.Elapsed), which chapter 3's figures compare",
+}
+
+// wallClockSite is one function allowed to read the wall clock: the
+// time functions it uses, in source order, and why.
+type wallClockSite struct {
+	calls  string
+	reason string
+}
+
+// wallClockAllowed names, as "file:func" ("file:Type.Method" for a
+// method), the functions under internal/ outside wallClockExempt that
+// may use time.Now, Since, Until, After, AfterFunc, Tick, NewTicker,
+// NewTimer or Sleep. calls must match what the function uses, so an
+// added call fails the rule, and so does an entry whose function no
+// longer uses them: the list only shrinks as sites take a clock.Clock.
+var wallClockAllowed = map[string]wallClockSite{
+	"internal/agent/agent.go:Agent.Stale":         {"Since", "lease expiry: the age of the last frame"},
+	"internal/agent/agent.go:Agent.watchLoop":     {"After", "reconnect backoff between watch attempts"},
+	"internal/agent/agent.go:Agent.watchOnce":     {"AfterFunc", "the lease timer that cuts a silent stream"},
+	"internal/agent/agent.go:Agent.follow":        {"Now", "stamps the last frame the lease is measured from"},
+	"internal/agent/agent.go:Agent.heartbeatLoop": {"NewTicker", "the heartbeat ticker"},
+	"internal/agent/agent.go:Agent.Health":        {"Since", "the age of the last frame on the agent's /healthz"},
+	"internal/agent/agent.go:Agent.handleResolve": {"Now", "stamps the edge_resolves sample"},
+	"internal/bifrost/dispatch.go:Run.evalBatch": {"Now Since", "evalBusy: the wall time a check batch " +
+		"costs, which /healthz and the benchmark report"},
+	"internal/fleet/fleet.go:Hub.run":              {"NewTicker", "the heartbeat ticker of every watch stream"},
+	"internal/fleet/fleet.go:Hub.Watch":            {"Now", "the registry's connectedAt"},
+	"internal/fleet/fleet.go:Hub.Ack":              {"Now", "the registry's lastAck"},
+	"internal/journal/filelog.go:FileLog.syncLoop": {"NewTicker", "the group-commit interval"},
+	"internal/server/middleware.go:Server.loggingMiddleware": {"Now Since", "the request duration " +
+		"in the access log"},
+	"internal/server/middleware.go:Server.rateLimitMiddleware": {"Now", "the token bucket refills by elapsed time"},
+	"internal/server/schedule.go:Server.handleScheduleEvents":  {"NewTicker", "SSE polling of the schedule"},
+	"internal/server/server.go:New":                            {"Now", "start time: uptime and the request-id prefix"},
+	"internal/server/server.go:Server.recordSamples": {"Now", "the default stamp of a sample sent " +
+		"without one"},
+	"internal/server/server.go:Server.status":        {"Since Since", "the status cache's TTL"},
+	"internal/server/server.go:Server.buildStatus":   {"Since Now", "uptime, and the status cache's stamp"},
+	"internal/server/sse.go:Server.handleRunEvents":  {"NewTicker", "SSE polling of a run's events"},
+	"internal/server/tracing.go:Server.recordSpans":  {"Now", "the default stamp of a span sent without one"},
+	"internal/tracing/live.go:LiveCollector.Record":  {"Now", "the last-span time a trace settles from"},
+	"internal/tracing/live.go:LiveCollector.Harvest": {"Now", "the settle cutoff"},
+}
+
+// wallClockFuncs are the time package's wall-clock reads and timers.
+var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true, "After": true,
+	"AfterFunc": true, "Tick": true, "NewTicker": true, "NewTimer": true, "Sleep": true}
+
+// TestNoWallClock holds internal/ to the clock it is handed: outside
+// wallClockExempt's packages, a non-test file uses time.Now, Since,
+// Until, After, AfterFunc, Tick, NewTicker, NewTimer or Sleep only in a
+// function wallClockAllowed names, and only the calls it names. A use is
+// a reference through the file's import of "time" (a call or a func
+// value); comments are not code.
+func TestNoWallClock(t *testing.T) {
+	found := make(map[string][]string) // "file:func" -> uses, in source order
+	exemptUsed := make(map[string]bool)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		path = filepath.ToSlash(path)
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		timeName := ""
+		for _, spec := range f.Imports {
+			if imp, _ := strconv.Unquote(spec.Path.Value); imp == "time" {
+				timeName = "time"
+				if spec.Name != nil {
+					timeName = spec.Name.Name
+				}
+			}
+		}
+		if timeName == "" {
+			return nil
+		}
+		exempt := ""
+		for pkg := range wallClockExempt {
+			if under(filepath.Dir(strings.TrimPrefix(path, "internal/")), pkg) {
+				exempt = pkg
+			}
+		}
+		for _, decl := range f.Decls {
+			key := path + ":" + declName(decl)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || !wallClockFuncs[sel.Sel.Name] {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == timeName {
+					if exempt != "" {
+						exemptUsed[exempt] = true
+					} else {
+						found[key] = append(found[key], sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range slices.Sorted(maps.Keys(found)) {
+		calls := strings.Join(found[key], " ")
+		site, ok := wallClockAllowed[key]
+		switch {
+		case !ok:
+			t.Errorf("%s uses the wall clock (time.%s): take a clock.Clock, or allow it in wallClockAllowed with a reason",
+				key, strings.Join(found[key], ", time."))
+		case site.calls != calls:
+			t.Errorf("wallClockAllowed[%q] allows %q, but the function uses %q: take a clock.Clock, or update the entry",
+				key, site.calls, calls)
+		case strings.TrimSpace(site.reason) == "":
+			t.Errorf("wallClockAllowed[%q] gives no reason", key)
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(wallClockAllowed)) {
+		if _, ok := found[key]; !ok {
+			t.Errorf("wallClockAllowed[%q]: the function no longer uses the wall clock: drop the entry", key)
+		}
+	}
+	for _, pkg := range slices.Sorted(maps.Keys(wallClockExempt)) {
+		if !exemptUsed[pkg] {
+			t.Errorf("wallClockExempt[%q]: no file of the package uses the wall clock: drop the exemption", pkg)
+		}
+	}
+}
+
+// declName names a top-level declaration as wallClockAllowed keys it:
+// "Func", "Type.Method", or "var" for a var, const or type block.
+func declName(decl ast.Decl) string {
+	fn, ok := decl.(*ast.FuncDecl)
+	if !ok {
+		return "var"
+	}
+	if fn.Recv == nil {
+		return fn.Name.Name
+	}
+	recv := fn.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	switch r := recv.(type) {
+	case *ast.IndexExpr:
+		recv = r.X
+	case *ast.IndexListExpr:
+		recv = r.X
+	}
+	return recv.(*ast.Ident).Name + "." + fn.Name.Name
+}
+
 // unreachedAllowed names the declarations under internal/ that
 // TestEverythingIsReachable lets stand although no root reaches them,
 // keyed "import/path.Name" or, for a method, "import/path.Type.Method",
@@ -283,39 +458,7 @@ var unreachedAllowed = map[string]string{
 		"TestRecover*, TestSchedulerQueueRecovery, TestSchedulerCancelQueued and " +
 		"TestCompactJournalKeepsPendingQueueRecords, journal's TestMemorySnapshotIsIndependent, and " +
 		"server's TestServerServesRecoveredRun and TestScheduleQueueSurvivesRestart call it",
-	"contexp/internal/loadgen.Population.GroupShare":       onlyTested + "TestPopulationGroupShares",
-	"contexp/internal/loadgen.Result.FailureRate":          onlyTested + "TestResultHelpers, TestRunCountsTransportErrors",
-	"contexp/internal/loadgen.Result.Latencies":            onlyTested + "TestResultHelpers",
-	"contexp/internal/microsim.Application.SetBaseline":    onlyTested + "TestBaselineManagement",
-	"contexp/internal/microsim.HTTPApplication.ServiceURL": onlyTested + "TestHTTPAppUnknownPath",
-	"contexp/internal/microsim.Injector.ActiveFaults": onlyTested + "TestInjectorSnapshot, " +
-		"scenario's TestInjectorFromScenario",
-	"contexp/internal/repro/ch2.Table.Pct": onlyTested + "TestTable2_{2,3,4,6,7,8}MatchesPaper (through assertPct), " +
-		"TestMarginalsSeedIndependent, TestTablePctMissing",
-	"contexp/internal/repro/ch3.Figure3_4.Best":        onlyTested + "TestEvalFigure3_4",
-	"contexp/internal/repro/ch3.Figure3_5.MeanFitness": onlyTested + "TestEvalFigure3_5SmallGrid",
-	"contexp/internal/scenario.Parse": onlyTested + "FuzzParseSpec, TestParseRejectsBadSpecs, " +
-		"TestCatalogJSONRoundTrip; no catalog entry is read from JSON",
-	"contexp/internal/stats.EWMA":        onlyTested + "TestEWMA",
-	"contexp/internal/stats.Exponential": onlyTested + "TestExponentialSample",
-	"contexp/internal/stats.LogNormal.Mean": onlyTested + "TestLogNormalFromMeanP95, " +
-		"TestLogNormalFromMeanP95Degenerate",
-	"contexp/internal/stats.LogNormal.Quantile": onlyTested + "TestLogNormalFromMeanP95",
-	"contexp/internal/stats.MannWhitneyU":       onlyTested + "TestMannWhitneyU, TestMannWhitneyUTies",
-	"contexp/internal/stats.Max":                onlyTested + "TestMinMaxSum, TestQuantileOrderingProperty",
-	"contexp/internal/stats.Quantile": onlyTested + "TestQuantile, TestQuantileDoesNotMutate, " +
-		"TestQuantileOrderingProperty, TestLogNormalSampleMoments",
-	"contexp/internal/stats.Min":                     onlyTested + "TestMinMaxSum, TestQuantileOrderingProperty",
-	"contexp/internal/stats.MinSampleSizeMean":       onlyTested + "TestMinSampleSizeMean",
-	"contexp/internal/stats.MinSampleSizeProportion": onlyTested + "TestMinSampleSizeProportion",
-	"contexp/internal/stats.Pareto":                  onlyTested + "TestParetoSample",
-	"contexp/internal/stats.Sum":                     onlyTested + "TestMinMaxSum",
-	"contexp/internal/stats.TwoProportionZ":          onlyTested + "TestTwoProportionZ",
 }
-
-// onlyTested opens the reason of an allowed declaration whose only
-// callers are tests: it is deleted together with them.
-const onlyTested = "only tests call it, and it goes when they do: "
 
 // TestEverythingIsReachable holds internal/ to code something runs.
 // The roots are every main package's main, the root facade's exported
