@@ -1,7 +1,6 @@
 package router
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log"
@@ -136,17 +135,10 @@ func (p *Proxy) badGateway(w http.ResponseWriter, err error) {
 
 // forward sends r to target and relays the reply; Proxy's godoc is the
 // contract. It rewrites r.Header in place.
-func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, target *url.URL) {
-	p.refs.Add(1)
-	defer p.release()
-	out := outbound(r, target)
+func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, target upstream) {
+	out := outbound(r, target.base)
 	if r.ContentLength == 0 {
-		out.Body = nil // a request the transport may send again on a stale connection
-	}
-	if out.Body != nil {
-		// The transport may still be reading the body when RoundTrip
-		// returns; closing it keeps that read from outliving the handler.
-		defer out.Body.Close()
+		out.Body = nil // a request that may be sent again on a fresh connection
 	}
 
 	h := r.Header
@@ -176,23 +168,23 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, target *url.URL)
 		}
 	}
 	if _, ok := h["User-Agent"]; !ok {
-		h.Set("User-Agent", "") // empty suppresses the transport's default
+		h.Set("User-Agent", "") // empty suppresses Request.Write's default
 	}
 
-	res, err := p.transport.RoundTrip(out)
+	res, err := target.pool.roundTrip(out)
 	if err != nil {
 		p.badGateway(w, err)
 		return
 	}
 	if res.StatusCode == http.StatusSwitchingProtocols {
-		p.switchProtocols(w, out, res, upType)
+		p.switchProtocols(w, res, upType)
 		return
 	}
 
 	removeHopByHop(res.Header)
 	dst := w.Header()
 	addHeaders(dst, res.Header, "")
-	// The transport keeps the Trailer header out of res.Header; announce
+	// ReadResponse keeps the Trailer header out of res.Header; announce
 	// from res.Trailer, whose keys are known before the body.
 	announced := len(res.Trailer)
 	if announced > 0 {
@@ -276,7 +268,7 @@ func copyBody(w io.Writer, body io.Reader, flush func() error) error {
 // switchProtocols completes an Upgrade the upstream accepted: it takes
 // over the client connection, relays the 101 and copies bytes both ways
 // until either side stops.
-func (p *Proxy) switchProtocols(w http.ResponseWriter, out *http.Request, res *http.Response, asked string) {
+func (p *Proxy) switchProtocols(w http.ResponseWriter, res *http.Response, asked string) {
 	defer res.Body.Close()
 	got := upgradeType(res.Header)
 	if !isPrintableASCII(got) || !strings.EqualFold(got, asked) {
@@ -294,9 +286,6 @@ func (p *Proxy) switchProtocols(w http.ResponseWriter, out *http.Request, res *h
 		return
 	}
 	defer client.Close()
-	// A cancelled request must not leave the upstream connection open.
-	stop := context.AfterFunc(out.Context(), func() { upstream.Close() })
-	defer stop()
 
 	addHeaders(w.Header(), res.Header, "")
 	res.Header, res.Body = w.Header(), nil // Write sends the status line and headers only

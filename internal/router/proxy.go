@@ -3,10 +3,10 @@ package router
 import (
 	"bytes"
 	"context"
+	"crypto/x509"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -86,33 +86,47 @@ const (
 //   - Compression is between client and upstream: the proxy neither
 //     asks for it nor undoes it. 1xx interim replies are not relayed.
 //
-// Every upstream call, primary or mirrored, goes through one
-// http.Transport the Proxy owns; the environment's HTTP_PROXY is not
-// consulted.
+// Every upstream call, primary or mirrored, goes through the Proxy's
+// own client (upstream.go), on the goroutine that makes it. It speaks
+// HTTP/1.1 only, to http and https upstreams alike (no HTTP/2), verifies
+// https upstreams against the system's roots, and does not consult the
+// environment's HTTP_PROXY. It keeps at most 64 idle keep-alive
+// connections per upstream address, with no idle timeout: an idle
+// connection is checked when next taken and dropped if the upstream has
+// closed it or sent anything. A connection is kept only when neither
+// side said "Connection: close". A request that fails on a reused
+// connection is sent once more on a fresh one if it is replayable: GET,
+// HEAD, OPTIONS or TRACE, or carrying an Idempotency-Key (or
+// X-Idempotency-Key) header, and without a body unless the body can be
+// had again. A reply the upstream sends before it has read the whole
+// request is relayed.
 type Proxy struct {
 	service string
 	table   *Table
 
 	mu      sync.RWMutex
-	targets map[string]*url.URL // version -> upstream base URL
-
-	transport *http.Transport
-	// refs is one for the open Proxy plus one per request inside forward.
-	// Whoever takes it to zero drops the idle upstream connections: Close
-	// must not pull them from under a request (agent.RegisterProxy closes
-	// a proxy that handlers may still be inside), because the transport
-	// fails a request whose connection it refuses to take back.
-	refs atomic.Int64
+	targets map[string]upstream  // version -> where its requests go
+	pools   map[string]*connPool // scheme://host of an upstream URL -> its connections
+	// roots verifies https upstreams; nil means the system's roots.
+	roots *x509.CertPool
 
 	// mirror queues dark-launch copies for the mirror workers. It is
 	// never closed: ServeHTTP may still be sending when Close runs.
-	mirror chan mirrorJob
-	wg     sync.WaitGroup
-	closed chan struct{}
+	mirror        chan mirrorJob
+	mirrorTimeout time.Duration
+	wg            sync.WaitGroup
+	closed        chan struct{}
 
 	// mirrorDrops counts mirror jobs discarded: dark-launch coverage
 	// silently lost unless surfaced.
 	mirrorDrops atomic.Uint64
+}
+
+// upstream is a registered version's base URL and the pool its
+// requests draw connections from.
+type upstream struct {
+	base *url.URL
+	pool *connPool
 }
 
 // mirrorJob is one dark-launch copy: the inbound request as it arrived
@@ -134,48 +148,33 @@ func newProxy(service string, table *Table, mirrorTimeout time.Duration) *Proxy 
 	p := &Proxy{
 		service: service,
 		table:   table,
-		targets: make(map[string]*url.URL),
-		// http.DefaultTransport's settings, except: no proxy lookup, no
-		// compression of its own, and an idle pool sized for one busy
-		// upstream per version instead of two connections each.
-		transport: &http.Transport{
-			DialContext:           (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
-			ForceAttemptHTTP2:     true,
-			DisableCompression:    true,
-			MaxIdleConns:          256,
-			MaxIdleConnsPerHost:   64,
-			IdleConnTimeout:       90 * time.Second,
-			TLSHandshakeTimeout:   10 * time.Second,
-			ExpectContinueTimeout: time.Second,
-		},
+		targets: make(map[string]upstream),
+		pools:   make(map[string]*connPool),
 		// Room for a burst of mirrored requests while every worker is
 		// busy; past it jobs are dropped and counted.
-		mirror: make(chan mirrorJob, 256),
-		closed: make(chan struct{}),
+		mirror:        make(chan mirrorJob, 256),
+		mirrorTimeout: mirrorTimeout,
+		closed:        make(chan struct{}),
 	}
-	p.refs.Store(1)
-	client := &http.Client{Transport: p.transport, Timeout: mirrorTimeout}
 	for i := 0; i < mirrorWorkers; i++ {
 		p.wg.Add(1)
-		go p.mirrorWorker(client)
+		go p.mirrorWorker()
 	}
 	return p
 }
 
 // Close stops the mirror workers and waits for the requests they have
 // in flight (each bounded by the mirror timeout); queued mirror jobs
-// are abandoned. Requests still inside ServeHTTP finish normally, and
-// the idle upstream connections are dropped once the last of them has.
+// are abandoned. It closes the idle upstream connections. Requests
+// still inside ServeHTTP finish normally, and close their connections
+// when they end.
 func (p *Proxy) Close() {
 	close(p.closed)
 	p.wg.Wait()
-	p.release()
-}
-
-// release gives up one reference to the transport's connections.
-func (p *Proxy) release() {
-	if p.refs.Add(-1) == 0 {
-		p.transport.CloseIdleConnections()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	for _, cp := range p.pools {
+		cp.close()
 	}
 }
 
@@ -186,19 +185,28 @@ func (p *Proxy) release() {
 // sample counts.
 func (p *Proxy) MirrorDrops() uint64 { return p.mirrorDrops.Load() }
 
-// RegisterUpstream maps a version to its backend base URL.
+// RegisterUpstream maps a version to its backend base URL, which must
+// be http or https.
 func (p *Proxy) RegisterUpstream(version, baseURL string) error {
 	u, err := url.Parse(baseURL)
 	if err != nil {
 		return fmt.Errorf("router: bad upstream url %q: %w", baseURL, err)
 	}
+	key := u.Scheme + "://" + u.Host
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.targets[version] = u
+	cp := p.pools[key]
+	if cp == nil {
+		if cp, err = newConnPool(u, p.roots); err != nil {
+			return err
+		}
+		p.pools[key] = cp
+	}
+	p.targets[version] = upstream{base: u, pool: cp}
 	return nil
 }
 
-func (p *Proxy) target(version string) *url.URL {
+func (p *Proxy) target(version string) upstream {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return p.targets[version]
@@ -212,7 +220,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	target := p.target(decision.Version)
-	if target == nil {
+	if target.pool == nil {
 		http.Error(w, fmt.Sprintf("router: no upstream for %s@%s", p.service, decision.Version),
 			http.StatusBadGateway)
 		return
@@ -281,31 +289,33 @@ func mirrorBody(r *http.Request) ([]byte, bool) {
 	return body, err == nil
 }
 
-func (p *Proxy) mirrorWorker(client *http.Client) {
+func (p *Proxy) mirrorWorker() {
 	defer p.wg.Done()
 	for {
 		select {
 		case <-p.closed:
 			return
 		case job := <-p.mirror:
-			p.sendMirror(client, job)
+			p.sendMirror(job)
 		}
 	}
 }
 
-func (p *Proxy) sendMirror(client *http.Client, job mirrorJob) {
+func (p *Proxy) sendMirror(job mirrorJob) {
 	target := p.target(job.version)
-	if target == nil {
+	if target.pool == nil {
 		return
 	}
-	out := outbound(job.req, target)
+	ctx, cancel := context.WithTimeout(context.Background(), p.mirrorTimeout)
+	defer cancel()
+	out := outbound(job.req.WithContext(ctx), target.base)
 	if job.body != nil {
 		out.GetBody = func() (io.ReadCloser, error) {
 			return io.NopCloser(bytes.NewReader(job.body)), nil
 		}
 		out.Body, _ = out.GetBody()
 	}
-	resp, err := client.Do(out)
+	resp, err := target.pool.roundTrip(out)
 	if err != nil {
 		return
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -182,6 +181,9 @@ func TestProxyErrors(t *testing.T) {
 	if err := p.RegisterUpstream("v1", "://bad-url"); err == nil {
 		t.Error("bad upstream URL should error")
 	}
+	if err := p.RegisterUpstream("v1", "localhost:8080"); err == nil {
+		t.Error("an upstream URL that is neither http nor https should error")
+	}
 }
 
 func TestProxySetsVersionHeader(t *testing.T) {
@@ -216,7 +218,7 @@ func TestProxyCountsMirrorDrops(t *testing.T) {
 	p := &Proxy{
 		service: "s",
 		table:   NewTable(),
-		targets: make(map[string]*url.URL),
+		targets: make(map[string]upstream),
 		mirror:  make(chan mirrorJob, 1),
 		closed:  make(chan struct{}),
 	}
