@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -229,6 +230,23 @@ func BenchmarkStoreRecordBatch(b *testing.B) {
 	}
 }
 
+// distinctBatch is tenant-a's 256 one-sample series in shuffled order,
+// all stamped at, and tenant-b's 256 beside them.
+func distinctBatch(at time.Time) (batch, other []Sample) {
+	for _, metric := range []string{"response_time", "requests", "errors", "queue_depth"} {
+		for svc := 0; svc < 32; svc++ {
+			for _, ver := range []string{"v1", "v2"} {
+				scope := Scope{Tenant: "tenant-a", Service: fmt.Sprintf("svc-%02d", svc), Version: ver}
+				batch = append(batch, Sample{Metric: metric, Scope: scope, At: at, Value: 1 + float64(len(batch)%100)})
+				scope.Tenant = "tenant-b"
+				other = append(other, Sample{Metric: metric, Scope: scope, At: at, Value: 1})
+			}
+		}
+	}
+	rand.New(rand.NewSource(19)).Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+	return batch, other
+}
+
 // BenchmarkStoreRecordBatchDistinct is the batch a fleet sends (and
 // benchmark/ingest_binary.go posts): 256 samples for 256 distinct
 // series in shuffled order, all stamped with the one time the server
@@ -239,25 +257,40 @@ func BenchmarkStoreRecordBatch(b *testing.B) {
 // hide.
 func BenchmarkStoreRecordBatchDistinct(b *testing.B) {
 	st := NewStore(0)
-	now := time.Now()
-	var batch, other []Sample
-	for _, metric := range []string{"response_time", "requests", "errors", "queue_depth"} {
-		for svc := 0; svc < 32; svc++ {
-			for _, ver := range []string{"v1", "v2"} {
-				scope := Scope{Tenant: "tenant-a", Service: fmt.Sprintf("svc-%02d", svc), Version: ver}
-				batch = append(batch, Sample{Metric: metric, Scope: scope, At: now, Value: 1 + float64(len(batch)%100)})
-				scope.Tenant = "tenant-b"
-				other = append(other, Sample{Metric: metric, Scope: scope, At: now, Value: 1})
-			}
-		}
-	}
-	rand.New(rand.NewSource(19)).Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+	batch, other := distinctBatch(time.Now())
 	st.RecordBatch(other)
 	st.RecordBatch(batch) // create the series outside the timed region
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.RecordBatch(batch)
+	}
+}
+
+// BenchmarkStoreRecordBatchFresh is BenchmarkStoreRecordBatchDistinct's
+// batch as the JSON ingest path delivers it: every string but the
+// tenant is a fresh allocation per batch, so no write finds its series
+// by the addresses of its strings and every sample takes the miss path.
+// The batch cycles through 64 copies, each with its own strings, built
+// outside the timed region.
+func BenchmarkStoreRecordBatchFresh(b *testing.B) {
+	st := NewStore(0)
+	batch, other := distinctBatch(time.Now())
+	copies := make([][]Sample, 64)
+	for c := range copies {
+		copies[c] = make([]Sample, len(batch))
+		for i, sm := range batch {
+			sm.Metric = strings.Clone(sm.Metric)
+			sm.Scope.Service, sm.Scope.Version = strings.Clone(sm.Scope.Service), strings.Clone(sm.Scope.Version)
+			copies[c][i] = sm
+		}
+	}
+	st.RecordBatch(other)
+	st.RecordBatch(batch) // create the series outside the timed region
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.RecordBatch(copies[i%len(copies)])
 	}
 }
 

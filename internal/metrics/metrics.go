@@ -57,8 +57,14 @@
 // of their sealed buckets, sketches included (Store.Snapshot and Restore,
 // which do no file I/O), so a restored store answers as the saved one did.
 //
-// All operations are safe for concurrent use. A series is found through
-// one read-mostly index: a map that is never written once published
+// All operations are safe for concurrent use. A write finds its series
+// by the identity of its five strings (cache.go): a direct-mapped table,
+// one per P, keyed by the strings' addresses and lengths, so a sample
+// whose strings the store has met before — the wire decoder's interned
+// dictionary, the principal's tenant — costs a hash of five pointers and
+// pointer compares, no series key built, no string hashed. A write the
+// table cannot answer, and every Query, probes one read-mostly index
+// with the series key: a map that is never written once published
 // behind an atomic pointer, so finding an existing series is a hash and
 // loads — no lock, no write to memory another core reads. Series created
 // since the last publish sit in a second map under a mutex, which is
@@ -255,6 +261,12 @@ type Store struct {
 	// then spares the mutex.
 	dirty  map[string]*series
 	misses int
+
+	// caches are the write caches (cache.go) Record and RecordBatch find
+	// series through, one per P, and gen the generation they must carry
+	// to be used: Reset bumps it.
+	caches sync.Pool
+	gen    atomic.Uint64
 }
 
 // NewStore creates a Store. The argument is ignored: it once sized a
@@ -266,16 +278,11 @@ func NewStore(_ int) *Store {
 	return st
 }
 
-// seriesKey leads with the tenant so per-tenant accounting
+// appendSeriesKey appends the key of (metric, scope)'s series in the
+// index to dst. It leads with the tenant so per-tenant accounting
 // (TenantSeries) can attribute every series by splitting at the first
 // NUL; the default tenant's prefix is the empty string.
-func seriesKey(metric string, scope Scope) string {
-	return scope.Tenant + "\x00" + metric + "\x00" + scope.Service + "\x00" + scope.Version + "\x00" + scope.Variant
-}
-
-// appendSeriesKey builds seriesKey into dst, so batched ingestion can
-// probe the series map without materializing a key string per run.
-func appendSeriesKey(dst []byte, metric string, scope Scope) []byte {
+func appendSeriesKey(dst []byte, metric string, scope *Scope) []byte {
 	dst = append(dst, scope.Tenant...)
 	dst = append(dst, 0)
 	dst = append(dst, metric...)
@@ -288,8 +295,7 @@ func appendSeriesKey(dst []byte, metric string, scope Scope) []byte {
 	return dst
 }
 
-// keyBufPool recycles the scratch buffers RecordBatch builds series
-// keys in.
+// keyBufPool recycles the scratch buffers Query builds series keys in.
 var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // lookupBytes returns the series for the key bytes, or nil. The
@@ -401,7 +407,10 @@ func (st *Store) lockSeries(key string) *series {
 // Record appends an observation to (metric, scope) at time at.
 func (st *Store) Record(metric string, scope Scope, at time.Time, value float64) {
 	t := stampOf(at)
-	s := st.lockSeries(seriesKey(metric, scope))
+	c := st.writeCache(1)
+	h := identityHash(metric, &scope)
+	s := st.lockCached(c, h, c.lookup(h, metric, &scope), metric, &scope)
+	st.caches.Put(c)
 	s.recordLocked(&t, value)
 	s.mu.Unlock()
 }
@@ -424,39 +433,28 @@ func (st *Store) RecordBatch(samples []Sample) {
 	if len(samples) == 0 {
 		return
 	}
-	bufp := keyBufPool.Get().(*[]byte)
-	buf := *bufp
+	c := st.writeCache(len(samples))
 	t := stampOf(samples[0].At)
-	for i := 0; i < len(samples); {
-		j := i + 1
-		for j < len(samples) &&
-			samples[j].Metric == samples[i].Metric && samples[j].Scope == samples[i].Scope {
-			j++
-		}
-		// Probe with a pooled key buffer first: recording into existing
-		// series (the steady state) allocates nothing. Only a series'
-		// first-ever write materializes the key string.
-		buf = appendSeriesKey(buf[:0], samples[i].Metric, samples[i].Scope)
-		s := st.lookupBytes(buf)
-		if s == nil {
-			s = st.getOrCreate(string(buf))
-		}
-		s.mu.Lock()
-		if s.evicted { // between the probe and the lock: rare enough to pay for the string
-			s.mu.Unlock()
-			s = st.lockSeries(string(buf))
-		}
-		for k := i; k < j; k++ {
-			if samples[k].At != t.at { // the same value, not merely the same instant
-				t = stampOf(samples[k].At)
+	var cur *series // locked
+	for k := range samples {
+		sm := &samples[k]
+		// A run is the samples that resolve to one series pointer,
+		// whichever strings name it. A miss resolves with no series lock
+		// held: Maintain takes the index lock before series locks.
+		h := identityHash(sm.Metric, &sm.Scope)
+		if s := c.lookup(h, sm.Metric, &sm.Scope); s == nil || s != cur {
+			if cur != nil {
+				cur.mu.Unlock()
 			}
-			s.recordLocked(&t, samples[k].Value)
+			cur = st.lockCached(c, h, s, sm.Metric, &sm.Scope)
 		}
-		s.mu.Unlock()
-		i = j
+		if sm.At != t.at { // the same value, not merely the same instant
+			t = stampOf(sm.At)
+		}
+		cur.recordLocked(&t, sm.Value)
 	}
-	*bufp = buf
-	keyBufPool.Put(bufp)
+	cur.mu.Unlock()
+	st.caches.Put(c)
 }
 
 // Query reduces the observations of (metric, scope) recorded at or after
@@ -466,10 +464,9 @@ func (st *Store) RecordBatch(samples []Sample) {
 // straddling `since` contributes whole. Quantiles merge the buckets'
 // histogram sketches and carry their bounded relative error.
 func (st *Store) Query(metric string, scope Scope, since time.Time, agg Aggregation) (float64, error) {
-	// Pooled key probe (as in RecordBatch): looking up an existing
-	// series allocates nothing.
+	// Pooled key probe: looking up an existing series allocates nothing.
 	bufp := keyBufPool.Get().(*[]byte)
-	buf := appendSeriesKey((*bufp)[:0], metric, scope)
+	buf := appendSeriesKey((*bufp)[:0], metric, &scope)
 	s := st.lookupBytes(buf)
 	*bufp = buf
 	keyBufPool.Put(bufp)
@@ -537,9 +534,12 @@ func (st *Store) Stats() Stats {
 	return out
 }
 
-// Reset drops all series.
+// Reset drops all series. The write caches still hold them: the new
+// generation, published after the empty index, has a write that sees it
+// empty its cache first.
 func (st *Store) Reset() {
 	st.mu.Lock()
 	st.publishLocked(make(map[string]*series))
+	st.gen.Add(1)
 	st.mu.Unlock()
 }

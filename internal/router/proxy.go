@@ -116,6 +116,7 @@ type Proxy struct {
 	mirrorTimeout time.Duration
 	wg            sync.WaitGroup
 	closed        chan struct{}
+	closeOnce     sync.Once
 
 	// mirrorDrops counts mirror jobs discarded: dark-launch coverage
 	// silently lost unless surfaced.
@@ -167,15 +168,18 @@ func newProxy(service string, table *Table, mirrorTimeout time.Duration) *Proxy 
 // in flight (each bounded by the mirror timeout); queued mirror jobs
 // are abandoned. It closes the idle upstream connections. Requests
 // still inside ServeHTTP finish normally, and close their connections
-// when they end.
+// when they end. Close may be called again, from any goroutine: a later
+// call returns once the first has finished.
 func (p *Proxy) Close() {
-	close(p.closed)
-	p.wg.Wait()
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	for _, cp := range p.pools {
-		cp.close()
-	}
+	p.closeOnce.Do(func() {
+		close(p.closed)
+		p.wg.Wait()
+		p.mu.RLock()
+		defer p.mu.RUnlock()
+		for _, cp := range p.pools {
+			cp.close()
+		}
+	})
 }
 
 // MirrorDrops reports how many dark-launch mirror jobs were discarded:

@@ -341,6 +341,51 @@ func TestProxyCloseDuringMirroredRequests(t *testing.T) {
 	}
 }
 
+// Close may be called twice. A second call made while the first waits
+// for a mirror request in flight returns only once that request has
+// ended, and a call after both returns at once.
+func TestProxyCloseTwice(t *testing.T) {
+	arrived, release := make(chan struct{}), make(chan struct{})
+	var ended atomic.Bool
+	p := mirroredProxy(t,
+		http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}),
+		http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+			close(arrived)
+			<-release
+			ended.Store(true)
+		}),
+		time.Minute)
+	p.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/x", nil))
+	<-arrived
+
+	first, second := make(chan struct{}), make(chan struct{})
+	go func() { p.Close(); close(first) }()
+	<-p.closed // the first call is inside Close
+	go func() {
+		p.Close()
+		if !ended.Load() {
+			t.Error("the second Close returned while the first still waited for the mirror request")
+		}
+		close(second)
+	}()
+	select {
+	case <-first:
+		t.Fatal("Close returned with a mirror request in flight")
+	case <-second:
+		t.Fatal("the second Close returned with a mirror request in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	for name, done := range map[string]chan struct{}{"first": first, "second": second} {
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the %s Close did not return once the mirror request ended", name)
+		}
+	}
+	p.Close()
+}
+
 // Candidates that never answer must not hold the mirror workers for
 // good: once the timeout frees them, later mirrors still go out.
 func TestProxyMirrorTimeoutFreesWorkers(t *testing.T) {

@@ -633,7 +633,11 @@ func instant(ns uint64) time.Time {
 
 // MetricsDecoder decodes metric sample frames. Not safe for concurrent
 // use. The returned slice is decoder-owned and valid until the next
-// Decode — callers hand it straight to Store.RecordBatch.
+// Decode — callers hand it straight to Store.RecordBatch. Its strings
+// are interned for the decoder's life (up to maxInterned of them), so a
+// series' samples carry the same strings, at the same addresses, frame
+// after frame: the store's write cache keys on those addresses, and
+// finds the series without building or hashing its key.
 type MetricsDecoder struct {
 	d       dec
 	samples []metrics.Sample
