@@ -83,7 +83,7 @@ func startDaemon(t *testing.T) string {
 	t.Helper()
 	table := router.NewTable()
 	store := metrics.NewStore(0)
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	engine, err := bifrost.NewEngine(bifrost.Config{Table: table, Store: store, Journal: jnl})
 	if err != nil {
 		t.Fatal(err)

@@ -8,8 +8,11 @@ import (
 	"time"
 
 	"contexp"
+	"contexp/internal/expmodel"
+	"contexp/internal/fenrir"
 	"contexp/internal/metrics"
 	"contexp/internal/microsim"
+	"contexp/internal/traffic"
 )
 
 // TestFullStackCanaryOverHTTP is the end-to-end integration test: a
@@ -46,7 +49,7 @@ func TestFullStackCanaryOverHTTP(t *testing.T) {
 			if err := microsim.InstallBaselineRoutes(app, table); err != nil {
 				t.Fatal(err)
 			}
-			store := contexp.NewMetricStore(0)
+			store := contexp.NewMetricStore()
 			httpApp, err := microsim.StartHTTP(app, table, store, microsim.HTTPConfig{Seed: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -137,10 +140,9 @@ strategy "api-canary" {
 }
 
 // TestFacadeSchedulingRoundTrip exercises the planning surface of the
-// public API.
+// public API on a hand-built problem.
 func TestFacadeSchedulingRoundTrip(t *testing.T) {
-	// The facade re-exports fenrir types; build a tiny problem through it.
-	profile := &contexp.TrafficProfile{
+	profile := &traffic.Profile{
 		Start:      time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC),
 		SlotLength: time.Hour,
 		Slots:      make([]float64, 96),
@@ -151,11 +153,11 @@ func TestFacadeSchedulingRoundTrip(t *testing.T) {
 	problem := &contexp.SchedulingProblem{
 		Profile:  profile,
 		Capacity: 0.8,
-		Experiments: []contexp.PlannedExperiment{{
-			ID: "exp-1", Practice: contexp.PracticeCanary,
+		Experiments: []fenrir.Experiment{{
+			ID: "exp-1", Practice: expmodel.PracticeCanary,
 			RequiredSamples: 5000, MinDuration: 2, MaxDuration: 24,
 			MinShare: 0.05, MaxShare: 0.3,
-			CandidateGroups: []contexp.UserGroup{"eu"},
+			CandidateGroups: []expmodel.UserGroup{"eu"},
 			Priority:        1,
 		}},
 	}

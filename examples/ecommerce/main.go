@@ -18,14 +18,10 @@ import (
 	"sort"
 	"time"
 
-	"contexp/internal/bifrost"
-	"contexp/internal/clock"
+	"contexp"
 	"contexp/internal/loadgen"
-	"contexp/internal/metrics"
 	"contexp/internal/microsim"
-	"contexp/internal/router"
 	"contexp/internal/stats"
-	"contexp/internal/tracing"
 )
 
 const recommendationStrategy = `
@@ -109,18 +105,19 @@ strategy "recommendation-v2" {
 `
 
 func main() {
-	if err := scenario("healthy candidate", false); err != nil {
+	if err := scenario("healthy candidate", false, contexp.StatusSucceeded); err != nil {
 		fmt.Fprintln(os.Stderr, "ecommerce:", err)
 		os.Exit(1)
 	}
 	fmt.Println()
-	if err := scenario("degraded candidate (injected 6x latency regression)", true); err != nil {
+	if err := scenario("degraded candidate (injected 6x latency regression)", true, contexp.StatusRolledBack); err != nil {
 		fmt.Fprintln(os.Stderr, "ecommerce:", err)
 		os.Exit(1)
 	}
 }
 
-func scenario(title string, degraded bool) error {
+// scenario runs the strategy once and fails unless it ends in want.
+func scenario(title string, degraded bool, want contexp.RunStatus) error {
 	fmt.Printf("=== %s ===\n", title)
 	app, err := microsim.ShopApplication()
 	if err != nil {
@@ -134,21 +131,21 @@ func scenario(title string, degraded bool) error {
 		sv.Endpoints["GET /recommendations"].Latency = stats.LogNormalFromMeanP95(80, 200)
 	}
 
-	table := router.NewTable()
+	table := contexp.NewRoutingTable()
 	if err := microsim.InstallBaselineRoutes(app, table); err != nil {
 		return err
 	}
-	store := metrics.NewStore(0)
-	traces := tracing.NewLiveCollector(0)
+	store := contexp.NewMetricStore()
+	traces := contexp.NewLiveSpanCollector(0)
 	sim := microsim.NewSim(app, table, traces, store, 7)
 
 	start := time.Date(2017, 12, 11, 9, 0, 0, 0, time.UTC)
-	simClock := clock.NewSim(start)
-	engine, err := bifrost.NewEngine(bifrost.Config{Clock: simClock, Table: table, Store: store})
+	simClock := contexp.NewSimClock(start)
+	engine, err := contexp.NewEngine(contexp.EngineConfig{Clock: simClock, Table: table, Store: store})
 	if err != nil {
 		return err
 	}
-	strategy, err := bifrost.ParseStrategy(recommendationStrategy)
+	strategy, err := contexp.ParseStrategy(recommendationStrategy)
 	if err != nil {
 		return err
 	}
@@ -184,11 +181,11 @@ func scenario(title string, degraded bool) error {
 	fmt.Printf("virtual time elapsed: %v\n", simClock.Now().Sub(start))
 	for _, ev := range run.Events() {
 		switch ev.Type {
-		case bifrost.EventPhaseEntered:
+		case contexp.EventPhaseEntered:
 			fmt.Printf("  %s entered %q\n", ev.At.Format("15:04:05"), ev.Phase)
-		case bifrost.EventRolloutStep:
+		case contexp.EventRolloutStep:
 			fmt.Printf("  %s rollout %s\n", ev.At.Format("15:04:05"), ev.Detail)
-		case bifrost.EventPhaseOutcome:
+		case contexp.EventPhaseOutcome:
 			fmt.Printf("  %s phase %q: %s\n", ev.At.Format("15:04:05"), ev.Phase, ev.Outcome)
 		}
 	}
@@ -205,7 +202,7 @@ func scenario(title string, degraded bool) error {
 	// Variant-level latency report from the collected traces.
 	trs := traces.Harvest(0)
 	sort.Slice(trs, func(i, j int) bool { return trs[i].ID < trs[j].ID })
-	for _, variant := range []tracing.Variant{tracing.VariantBaseline, tracing.VariantExperiment} {
+	for _, variant := range []contexp.SpanVariant{contexp.VariantBaseline, contexp.VariantExperiment} {
 		var ms []float64
 		for _, tr := range trs {
 			if tr.Variant == variant {
@@ -218,6 +215,9 @@ func scenario(title string, degraded bool) error {
 		s := stats.Summarize(ms)
 		fmt.Printf("end-user latency (%s): n=%d mean=%.1fms p95=%.1fms\n",
 			variant, s.N, s.Mean, s.P95)
+	}
+	if run.Status() != want {
+		return fmt.Errorf("%s: strategy ended %s, want %s", title, run.Status(), want)
 	}
 	return nil
 }

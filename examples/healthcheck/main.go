@@ -22,13 +22,8 @@ import (
 	"strings"
 	"time"
 
-	"contexp/internal/bifrost"
-	"contexp/internal/health"
-	"contexp/internal/metrics"
+	"contexp"
 	"contexp/internal/microsim"
-	"contexp/internal/router"
-	"contexp/internal/server"
-	"contexp/internal/tracing"
 )
 
 const strategyDSL = `
@@ -65,19 +60,19 @@ func run() error {
 	// The live pipeline: routing table, metric store, bounded span
 	// collector, and the monitor folding settled traces into per-run
 	// interaction graphs.
-	table := router.NewTable()
-	store := metrics.NewStore(0)
-	collector := tracing.NewLiveCollector(50_000)
-	monitor := health.NewMonitor(collector, 100*time.Millisecond)
+	table := contexp.NewRoutingTable()
+	store := contexp.NewMetricStore()
+	collector := contexp.NewLiveSpanCollector(50_000)
+	monitor := contexp.NewHealthMonitor(collector, 100*time.Millisecond)
 
-	engine, err := bifrost.NewEngine(bifrost.Config{
+	engine, err := contexp.NewEngine(contexp.EngineConfig{
 		Table: table, Store: store, Topology: monitor,
 		DefaultCheckInterval: 250 * time.Millisecond,
 	})
 	if err != nil {
 		return err
 	}
-	srv, err := server.New(server.Config{
+	srv, err := contexp.NewServer(contexp.ServerConfig{
 		Engine: engine, Table: table, Store: store,
 		Traces: collector, Health: monitor,
 	})
@@ -137,7 +132,7 @@ func run() error {
 		return err
 	}
 	defer hr.Body.Close()
-	var view health.AssessmentView
+	var view contexp.AssessmentView
 	if err := json.NewDecoder(hr.Body).Decode(&view); err != nil {
 		return err
 	}
@@ -148,18 +143,25 @@ func run() error {
 		view.CandidateGraph.Nodes, view.CandidateGraph.Edges)
 	fmt.Println(view.Report)
 
+	tripped := false
 	for _, ev := range run.Events() {
-		if ev.Type == bifrost.EventTopologyVerdict && ev.Outcome == bifrost.OutcomeFail {
+		if ev.Type == contexp.EventTopologyVerdict && ev.Outcome == contexp.OutcomeFail {
 			fmt.Printf("tripping verdict: %s\n", ev.Detail)
+			tripped = true
 			break
 		}
+	}
+	// The candidate's new dependency must be what rolled it back.
+	if run.Status() != contexp.StatusRolledBack || !tripped {
+		return fmt.Errorf("run ended %s with tripping topology verdict %v, want %s with one",
+			run.Status(), tripped, contexp.StatusRolledBack)
 	}
 	return nil
 }
 
 // driveUsers plays a small user population against the entry proxy,
 // minting one trace per request like a browser's traceparent.
-func driveUsers(entryURL string, collector *tracing.LiveCollector, stop <-chan struct{}, done chan<- struct{}) {
+func driveUsers(entryURL string, collector *contexp.LiveSpanCollector, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	client := &http.Client{Timeout: 10 * time.Second}
 	for i := 0; ; i++ {
@@ -173,7 +175,7 @@ func driveUsers(entryURL string, collector *tracing.LiveCollector, stop <-chan s
 			return
 		}
 		req.Header.Set("X-User-ID", fmt.Sprintf("user-%04d", i%200))
-		req.Header.Set(router.HeaderTraceID,
+		req.Header.Set(contexp.HeaderTraceID,
 			strconv.FormatUint(uint64(collector.NextTraceID()), 16))
 		resp, err := client.Do(req)
 		if err == nil {

@@ -15,14 +15,10 @@ import (
 	"sort"
 	"time"
 
-	"contexp/internal/bifrost"
-	"contexp/internal/clock"
+	"contexp"
 	"contexp/internal/loadgen"
-	"contexp/internal/metrics"
 	"contexp/internal/microsim"
-	"contexp/internal/router"
 	"contexp/internal/stats"
-	"contexp/internal/tracing"
 )
 
 const strategySrc = `
@@ -78,26 +74,26 @@ func run() error {
 	}
 
 	// Wire the substrate: routing table, metrics, traces, simulation.
-	table := router.NewTable()
+	table := contexp.NewRoutingTable()
 	if err := microsim.InstallBaselineRoutes(app, table); err != nil {
 		return err
 	}
-	store := metrics.NewStore(0)
-	traces := tracing.NewLiveCollector(0)
+	store := contexp.NewMetricStore()
+	traces := contexp.NewLiveSpanCollector(0)
 	sim := microsim.NewSim(app, table, traces, store, 1)
 
 	// The engine runs on a simulated clock: ten virtual minutes of
 	// A/B testing finish instantly.
 	start := time.Date(2017, 12, 11, 9, 0, 0, 0, time.UTC)
-	simClock := clock.NewSim(start)
-	engine, err := bifrost.NewEngine(bifrost.Config{
+	simClock := contexp.NewSimClock(start)
+	engine, err := contexp.NewEngine(contexp.EngineConfig{
 		Clock: simClock, Table: table, Store: store,
 	})
 	if err != nil {
 		return err
 	}
 
-	strategy, err := bifrost.ParseStrategy(strategySrc)
+	strategy, err := contexp.ParseStrategy(strategySrc)
 	if err != nil {
 		return err
 	}
@@ -136,9 +132,9 @@ func run() error {
 		run.Status(), simClock.Now().Sub(start))
 	for _, ev := range run.Events() {
 		switch ev.Type {
-		case bifrost.EventPhaseOutcome:
+		case contexp.EventPhaseOutcome:
 			fmt.Printf("  %s %-14s %s: %s\n", ev.At.Format("15:04:05"), ev.Type, ev.Phase, ev.Outcome)
-		case bifrost.EventRunFinished:
+		case contexp.EventRunFinished:
 			fmt.Printf("  %s %-14s %s\n", ev.At.Format("15:04:05"), ev.Type, ev.Detail)
 		}
 	}
@@ -171,5 +167,9 @@ func run() error {
 	}
 	fmt.Printf("final routing: %d%% -> %s\n",
 		int(route.Backends[0].Weight*100), route.Backends[0].Version)
+	// The faster candidate must win.
+	if run.Status() != contexp.StatusSucceeded {
+		return fmt.Errorf("strategy ended %s, want %s", run.Status(), contexp.StatusSucceeded)
+	}
 	return nil
 }

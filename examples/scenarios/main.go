@@ -16,7 +16,7 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"contexp/internal/bifrost"
+	"contexp"
 	"contexp/internal/scenario/suite"
 )
 
@@ -59,11 +59,11 @@ func main() {
 	fmt.Println("All graded outcomes match: real regressions rolled back, ambient trouble survived.")
 }
 
-func statusWord(s bifrost.RunStatus) string {
+func statusWord(s contexp.RunStatus) string {
 	switch s {
-	case bifrost.StatusSucceeded:
+	case contexp.StatusSucceeded:
 		return "promote"
-	case bifrost.StatusRolledBack:
+	case contexp.StatusRolledBack:
 		return "rollback"
 	default:
 		return s.String()

@@ -11,8 +11,7 @@ import (
 	"os"
 	"time"
 
-	"contexp/internal/fenrir"
-	"contexp/internal/traffic"
+	"contexp"
 )
 
 func main() {
@@ -24,20 +23,20 @@ func main() {
 
 func run() error {
 	start := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC) // a Monday
-	profile, err := traffic.Generate(start, 14, traffic.DefaultGeneratorConfig())
+	profile, err := contexp.GenerateTraffic(start, 14)
 	if err != nil {
 		return err
 	}
 	fmt.Println("traffic profile (14 days, hourly):")
 	fmt.Println("  " + profile.Sparkline(112))
 
-	experiments, err := fenrir.GenerateExperiments(fenrir.GeneratorConfig{
-		N: 15, Class: fenrir.SamplesMedium, Seed: 1, Horizon: profile.NumSlots(),
+	experiments, err := contexp.GenerateExperiments(contexp.ExperimentGeneratorConfig{
+		N: 15, Class: contexp.SamplesMedium, Seed: 1, Horizon: profile.NumSlots(),
 	})
 	if err != nil {
 		return err
 	}
-	problem := &fenrir.Problem{
+	problem := &contexp.SchedulingProblem{
 		Experiments: experiments,
 		Profile:     profile,
 		Capacity:    0.8, // keep >= 20% of users out of all experiments
@@ -46,7 +45,7 @@ func run() error {
 		return err
 	}
 
-	ga := &fenrir.GeneticAlgorithm{}
+	ga := &contexp.GeneticAlgorithm{}
 	schedule, stats := ga.Optimize(problem, 4000, 1, nil)
 	fmt.Printf("\nGA: %d fitness evaluations in %v, fitness %.1f%% of max, valid=%v\n",
 		stats.Evaluations, stats.Elapsed.Round(time.Millisecond),
@@ -60,8 +59,8 @@ func run() error {
 	// A week in: exp-03 and exp-07 were canceled, three new experiments
 	// arrived. Running experiments are frozen; the rest is re-planned.
 	now := 7 * 24
-	added, err := fenrir.GenerateExperiments(fenrir.GeneratorConfig{
-		N: 3, Class: fenrir.SamplesMedium, Seed: 99, Horizon: profile.NumSlots(),
+	added, err := contexp.GenerateExperiments(contexp.ExperimentGeneratorConfig{
+		N: 3, Class: contexp.SamplesMedium, Seed: 99, Horizon: profile.NumSlots(),
 	})
 	if err != nil {
 		return err
@@ -70,7 +69,7 @@ func run() error {
 		added[i].ID = fmt.Sprintf("new-%02d", i+1)
 		added[i].EarliestStart = now
 	}
-	reeval, err := fenrir.Reevaluate(problem, schedule, fenrir.ReevalInput{
+	reeval, err := contexp.Reevaluate(problem, schedule, contexp.ReevalInput{
 		Now:      now,
 		Canceled: []string{"exp-03", "exp-07"},
 		Added:    added,
@@ -79,7 +78,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("reevaluation at slot %d (day 7): %d finished, %d canceled, %d frozen, %d added\n",
-		now, len(reeval.Finished), len(reeval.Dropped), fenrir.FrozenCount(reeval.Seed), len(added))
+		now, len(reeval.Finished), len(reeval.Dropped), contexp.FrozenCount(reeval.Seed), len(added))
 
 	schedule2, stats2 := ga.Optimize(reeval.Problem, 4000, 2, reeval.Seed)
 	fmt.Printf("re-optimized: fitness %.1f%% of max, valid=%v\n",

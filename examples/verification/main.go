@@ -2,7 +2,7 @@
 // the paper's Section 1.6.4 future-work direction ("identify upfront
 // whether a defined experiment could negatively interfere with other
 // planned or currently running experiments"), implemented as
-// bifrost.Verify and Engine.LaunchVerified.
+// contexp.Verify and the engine's LaunchVerified.
 //
 //	go run ./examples/verification
 package main
@@ -12,10 +12,7 @@ import (
 	"os"
 	"time"
 
-	"contexp/internal/bifrost"
-	"contexp/internal/clock"
-	"contexp/internal/metrics"
-	"contexp/internal/router"
+	"contexp"
 )
 
 const checkoutStrategy = `
@@ -87,8 +84,8 @@ func main() {
 }
 
 func run() error {
-	parse := func(src string) *bifrost.Strategy {
-		s, err := bifrost.ParseStrategy(src)
+	parse := func(src string) *contexp.Strategy {
+		s, err := contexp.ParseStrategy(src)
 		if err != nil {
 			panic(err)
 		}
@@ -104,7 +101,7 @@ func run() error {
 	checkout.Phases[0].Traffic.Groups = append(checkout.Phases[0].Traffic.Groups, "beta")
 
 	fmt.Println("static verification of the planned experiment portfolio:")
-	conflicts, err := bifrost.Verify([]*bifrost.Strategy{checkout, redesign, searchBeta, cart})
+	conflicts, err := contexp.Verify([]*contexp.Strategy{checkout, redesign, searchBeta, cart})
 	if err != nil {
 		return err
 	}
@@ -117,17 +114,17 @@ func run() error {
 
 	// At launch time the engine enforces the same rules against the
 	// live set.
-	table := router.NewTable()
-	engine, err := bifrost.NewEngine(bifrost.Config{
-		Clock: clock.NewSim(time.Date(2017, 12, 11, 9, 0, 0, 0, time.UTC)),
+	table := contexp.NewRoutingTable()
+	engine, err := contexp.NewEngine(contexp.EngineConfig{
+		Clock: contexp.NewSimClock(time.Date(2017, 12, 11, 9, 0, 0, 0, time.UTC)),
 		Table: table,
-		Store: metrics.NewStore(0),
+		Store: contexp.NewMetricStore(),
 	})
 	if err != nil {
 		return err
 	}
 	fmt.Println("\nlaunching with verification:")
-	for _, s := range []*bifrost.Strategy{checkout, redesign, cart} {
+	for _, s := range []*contexp.Strategy{checkout, redesign, cart} {
 		_, cs, err := engine.LaunchVerified(s)
 		switch {
 		case err == nil:

@@ -448,7 +448,10 @@ func TestAgentNoRouteAnswers502(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.table.Remove("svc")
+	v := p.table.Version()
+	if err := p.table.ApplyDelta(router.TableDelta{FromVersion: v, ToVersion: v + 1, Removes: []string{"svc"}}); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, "the removal", func() bool { return a.Version() == p.table.Version() })
 
 	as := httptest.NewServer(a.Handler())

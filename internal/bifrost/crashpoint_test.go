@@ -89,7 +89,7 @@ var crashTrails = []crashTrail{
 // record runs the trail uncrashed and returns its journal records.
 func (tr crashTrail) record(t *testing.T) [][]byte {
 	t.Helper()
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	h := newJournalHarness(t, jnl)
 	tr.seed(h)
 	run, err := h.engine.Launch(tr.strategy())
@@ -118,7 +118,7 @@ func journalRecords(t *testing.T, j journal.Journal) [][]byte {
 // cutJournal is the journal a crash after the first n records leaves.
 func cutJournal(t *testing.T, recs [][]byte, n int) *journal.Memory {
 	t.Helper()
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	for _, rec := range recs[:n] {
 		if err := jnl.Append(rec); err != nil {
 			t.Fatal(err)
@@ -373,7 +373,7 @@ func TestRecoverHonorsJournaledTransition(t *testing.T) {
 // two runs' records with both submissions' queue lifecycle.
 func recordQueued(t *testing.T) [][]byte {
 	t.Helper()
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	h := newJournalHarness(t, jnl)
 	crashTrails[0].seed(h)
 	sched := h.newScheduler(t, jnl, nil)

@@ -463,8 +463,4 @@ func TestEvalPlaneStats(t *testing.T) {
 	if evals := h.engine.Metrics().Evaluations; evals != want.InlineEvals {
 		t.Errorf("Evaluations = %d; want %d", evals, want.InlineEvals)
 	}
-	h.engine.ResetMetrics()
-	if st := h.engine.EvalPlane(); st != (EvalPlaneStats{}) {
-		t.Errorf("ResetMetrics left %+v", st)
-	}
 }

@@ -389,17 +389,6 @@ func (e *Engine) EvalStats() (evaluations int64, busy time.Duration) {
 	return e.evalCount.Load(), time.Duration(e.evalBusy.Load())
 }
 
-// ResetMetrics clears the instrumentation counters.
-func (e *Engine) ResetMetrics() {
-	e.evalBusy.Store(0)
-	e.evalCount.Store(0)
-	e.cacheHits.Store(0)
-	e.cacheMisses.Store(0)
-	e.delayMu.Lock()
-	e.delays, e.delayNext = nil, 0
-	e.delayMu.Unlock()
-}
-
 const maxDelaySamples = 100_000
 
 // recordDelays samples how far past due each of a tick's checks is

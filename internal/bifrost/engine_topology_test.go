@@ -163,7 +163,7 @@ func TestTopologyCheckPassesWhenChangesAllowed(t *testing.T) {
 // with no assessor is settled with a clear reason, not left spinning
 // inconclusive.
 func TestRecoverSettlesTopologyRunWithoutAssessor(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	assessor := &fakeAssessor{verdict: health.LiveVerdict{
 		Heuristic: "subtree-weighted", // trace-starved: stays inconclusive
 	}}

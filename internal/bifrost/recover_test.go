@@ -83,7 +83,7 @@ func TestWireRecordRoundTrip(t *testing.T) {
 }
 
 func TestRecoverFinishedRuns(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	h := newJournalHarness(t, jnl)
 	h.seedMetrics("response_time", "catalog", "v2", "", 10*time.Minute, 50)
 	run, err := h.engine.Launch(twoPhaseStrategy())
@@ -129,7 +129,7 @@ func TestRecoverFinishedRuns(t *testing.T) {
 }
 
 func TestRecoverResumesInterruptedRun(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	h := newJournalHarness(t, jnl)
 	h.seedMetrics("response_time", "catalog", "v2", "", 10*time.Minute, 50)
 	run, err := h.engine.Launch(twoPhaseStrategy())
@@ -186,7 +186,7 @@ func TestRecoverResumesInterruptedRun(t *testing.T) {
 }
 
 func TestRecoverRollsBackWhenRetriesExhausted(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	h := newJournalHarness(t, jnl)
 	s := twoPhaseStrategy()
 	s.Phases = s.Phases[:1]
@@ -235,7 +235,7 @@ func TestRecoverRollsBackWhenRetriesExhausted(t *testing.T) {
 }
 
 func TestRecoverHonorsInconclusiveTransition(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	h := newJournalHarness(t, jnl)
 	s := twoPhaseStrategy()
 	s.Phases = s.Phases[:1]
@@ -273,7 +273,7 @@ func TestRecoverHonorsJournaledPhaseOutcome(t *testing.T) {
 	s := twoPhaseStrategy()
 	s.Phases = s.Phases[:1]
 	s.Phases[0].OnInconclusive = Transition{Kind: TransitionPromote}
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	appendRec := func(ev Event, dsl string, status RunStatus) {
 		t.Helper()
 		rec, err := appendRecord(nil, s.Name, "", ev, dsl, status)
@@ -325,7 +325,7 @@ func TestRecoverHonorsJournaledPassOutcome(t *testing.T) {
 	// Conversely, a journaled pass resumes at the NEXT phase instead of
 	// re-running the one that already passed.
 	s := twoPhaseStrategy()
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	for _, rec := range []struct {
 		ev     Event
 		dsl    string
@@ -375,7 +375,7 @@ func TestRecoverCrashBeforeFirstPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	if err := jnl.Append(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ phase "canary" { practice = canary traffic = 5% duration = 1m } }`},
 			if err != nil {
 				t.Fatal(err)
 			}
-			jnl := journal.NewMemory()
+			jnl := &journal.Memory{}
 			h := newJournalHarness(t, jnl)
 			run, err := h.engine.Launch(s)
 			if err != nil {
@@ -443,7 +443,7 @@ func TestRecoverIsIdempotent(t *testing.T) {
 	// First recovery settles an interrupted run and journals the
 	// decision; a second recovery from the same journal must land on the
 	// same terminal state without re-deciding.
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	h := newJournalHarness(t, jnl)
 	s := twoPhaseStrategy()
 	s.Phases = s.Phases[:1]
@@ -479,7 +479,7 @@ func TestRecoverIsIdempotent(t *testing.T) {
 }
 
 func TestRecoverRelaunchedNameKeepsLatestGeneration(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	h := newJournalHarness(t, jnl)
 	h.seedMetrics("response_time", "catalog", "v2", "", 30*time.Minute, 50)
 	run1, err := h.engine.Launch(twoPhaseStrategy())
@@ -601,7 +601,7 @@ func TestRecoverGotoRevisitsDoNotExhaustRetries(t *testing.T) {
 	s := twoPhaseStrategy()
 	s.Phases[0].OnSuccess = Transition{Kind: TransitionGoto, Target: "ab"}
 	s.Phases[1].OnFailure = Transition{Kind: TransitionGoto, Target: "canary"}
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	appendRec := func(ev Event, dsl string) {
 		t.Helper()
 		rec, err := appendRecord(nil, s.Name, "", ev, dsl, 0)
@@ -636,7 +636,7 @@ func TestRecoverGotoRevisitsDoNotExhaustRetries(t *testing.T) {
 }
 
 func TestCompactJournalDropsSupersededGenerations(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	h := newJournalHarness(t, jnl)
 	h.seedMetrics("response_time", "catalog", "v2", "", 30*time.Minute, 50)
 	run1, err := h.engine.Launch(twoPhaseStrategy())
@@ -707,7 +707,7 @@ func (c *countingJournal) Compact(keep func(rec []byte) bool) error {
 // Recover replays it once and compacts it once, and the one fold yields
 // the runs, the queue and the compacted log together.
 func TestRecoverReadsJournalOnce(t *testing.T) {
-	jnl := &countingJournal{Memory: journal.NewMemory()}
+	jnl := &countingJournal{Memory: &journal.Memory{}}
 	var kept [][]byte // the records compaction must leave, in order
 	appendRec := func(keep bool, name string, ev Event, dsl string, status RunStatus) {
 		t.Helper()

@@ -1,43 +1,42 @@
 package bifrost
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 )
 
-// This file turns a run's audit trail into the artifacts teams share
-// after an experiment: a human-readable report and a JSON export —
-// part of the experimentation-as-code story: the strategy, its
-// execution, and its outcome are all plain, versionable text.
+// This file turns a run's audit trail into the report teams share
+// after an experiment — part of the experimentation-as-code story: the
+// strategy, its execution, and its outcome are all plain, versionable
+// text.
 
 // Report summarizes a finished (or running) strategy run.
 type Report struct {
-	Strategy  string        `json:"strategy"`
-	Service   string        `json:"service"`
-	Baseline  string        `json:"baseline"`
-	Candidate string        `json:"candidate"`
-	Status    string        `json:"status"`
-	Started   time.Time     `json:"started"`
-	Finished  time.Time     `json:"finished,omitempty"`
-	Duration  time.Duration `json:"durationNs,omitempty"`
-	Phases    []PhaseReport `json:"phases"`
+	Strategy  string
+	Service   string
+	Baseline  string
+	Candidate string
+	Status    string
+	Started   time.Time
+	Finished  time.Time
+	Duration  time.Duration
+	Phases    []PhaseReport
 	// CheckFailures counts failing check evaluations across the run.
-	CheckFailures int `json:"checkFailures"`
+	CheckFailures int
 	// Retries counts the retry decisions the run recorded — the ones
 	// recovery charges against a phase's budget; a goto revisit is not one.
-	Retries int `json:"retries"`
+	Retries int
 }
 
 // PhaseReport is one phase's execution summary.
 type PhaseReport struct {
-	Phase    string        `json:"phase"`
-	Entered  time.Time     `json:"entered"`
-	Outcome  string        `json:"outcome,omitempty"`
-	Duration time.Duration `json:"durationNs,omitempty"`
-	Checks   int           `json:"checkEvaluations"`
-	Failures int           `json:"checkFailures"`
+	Phase    string
+	Entered  time.Time
+	Outcome  string
+	Duration time.Duration
+	Checks   int
+	Failures int
 }
 
 // BuildReport assembles a Report from a run's events.
@@ -108,9 +107,4 @@ func (rep Report) Render() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// JSON marshals the report (indented, stable field order).
-func (rep Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(rep, "", "  ")
 }

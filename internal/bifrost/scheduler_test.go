@@ -106,7 +106,7 @@ func TestSchedulerDisjointServicesRunConcurrently(t *testing.T) {
 }
 
 func TestSchedulerSameServiceSerializes(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	h := newJournalHarness(t, jnl)
 	sched := h.newScheduler(t, jnl, nil)
 
@@ -247,7 +247,7 @@ func TestSchedulerUserGroupConflict(t *testing.T) {
 }
 
 func TestSchedulerCancelQueued(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	h := newJournalHarness(t, jnl)
 	sched := h.newScheduler(t, jnl, nil)
 
@@ -320,7 +320,7 @@ func TestEngineRejectsSameServiceLaunch(t *testing.T) {
 }
 
 func TestSchedulerQueueRecovery(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	h := newJournalHarness(t, jnl)
 	sched := h.newScheduler(t, jnl, nil)
 
@@ -396,7 +396,7 @@ func TestSchedulerBlockedByUntrackedEngineRun(t *testing.T) {
 }
 
 func TestCompactJournalKeepsPendingQueueRecords(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	h := newJournalHarness(t, jnl)
 	sched := h.newScheduler(t, jnl, nil)
 
@@ -891,7 +891,7 @@ func (j *gateJournal) Append(rec []byte) error {
 // finished, no s3 and the version moved, and passes for rest; this one
 // holds the pump off until it has read.
 func TestSchedulerSettledReadsAtOneInstant(t *testing.T) {
-	gj := &gateJournal{Journal: journal.NewMemory(), gates: map[string]chan struct{}{}}
+	gj := &gateJournal{Journal: &journal.Memory{}, gates: map[string]chan struct{}{}}
 	h := &harness{sim: clock.NewSim(t0), table: router.NewTable(), store: metrics.NewStore(0)}
 	eng, err := NewEngine(Config{Clock: h.sim, Table: h.table, Store: h.store, Journal: gj})
 	if err != nil {

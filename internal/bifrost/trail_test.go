@@ -291,7 +291,7 @@ func flatNumbered(from, to int) []Event {
 // the one a fresh appendRecord writes, and the unencodable ones count as
 // journal errors and leave nothing behind.
 func TestRecordHeadReuse(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	plain := longTrailRun(t, 0, jnl)
 	eng := plain.engine
 	acme := &Run{strategy: twoPhaseStrategy(), engine: eng, log: new(runLog)}

@@ -11,7 +11,7 @@ func BenchmarkFitness(b *testing.B) {
 		b.Run(itoa(n), func(b *testing.B) {
 			p := mediumProblem(b, n, SamplesMedium)
 			rng := rand.New(rand.NewSource(1))
-			s := p.RandomSchedule(rng)
+			s := randomSchedule(p, rng)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p.Fitness(s)
@@ -25,7 +25,7 @@ func BenchmarkRandomSchedule(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.RandomSchedule(rng)
+		randomSchedule(p, rng)
 	}
 }
 

@@ -23,6 +23,9 @@ func flatProfile(slots int, volume float64) *traffic.Profile {
 	}
 }
 
+// randomSchedule draws a constructive schedule with nothing frozen.
+func randomSchedule(p *Problem, rng *rand.Rand) *Schedule { return p.RandomScheduleFrom(rng, nil) }
+
 // smallProblem: two experiments on a flat profile, generously satisfiable.
 func smallProblem() *Problem {
 	return &Problem{
@@ -253,7 +256,7 @@ func TestRandomScheduleMostlyValid(t *testing.T) {
 	valid := 0
 	const n = 100
 	for i := 0; i < n; i++ {
-		if p.Valid(p.RandomSchedule(rng)) {
+		if p.Valid(randomSchedule(p, rng)) {
 			valid++
 		}
 	}

@@ -103,7 +103,7 @@ func TestOptimizersDeterministicPerSeed(t *testing.T) {
 func TestGARespectsFrozenGenes(t *testing.T) {
 	p := mediumProblem(t, 8, SamplesLow)
 	rng := rand.New(rand.NewSource(3))
-	seedSchedule := p.RandomSchedule(rng)
+	seedSchedule := randomSchedule(p, rng)
 	frozen := seedSchedule.Genes[0]
 	frozen.Frozen = true
 	seedSchedule.Genes[0] = frozen
@@ -121,8 +121,8 @@ func TestGARespectsFrozenGenes(t *testing.T) {
 func TestCrossoverPreservesGeneCount(t *testing.T) {
 	p := mediumProblem(t, 6, SamplesLow)
 	rng := rand.New(rand.NewSource(1))
-	a := p.RandomSchedule(rng)
-	b := p.RandomSchedule(rng)
+	a := randomSchedule(p, rng)
+	b := randomSchedule(p, rng)
 	child := crossover(a, b, rng)
 	if len(child.Genes) != len(a.Genes) {
 		t.Fatalf("child has %d genes", len(child.Genes))

@@ -12,7 +12,7 @@ func TestFitnessBoundsProperty(t *testing.T) {
 	maxF := p.MaxFitness()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := p.RandomSchedule(rng)
+		s := randomSchedule(p, rng)
 		fit := p.Fitness(s)
 		if p.Valid(s) {
 			return fit > 0 && fit <= maxF+1e-9
@@ -30,7 +30,7 @@ func TestFitnessCheckConsistencyProperty(t *testing.T) {
 	p := mediumProblem(t, 6, SamplesMedium)
 	f := func(seed int64, mutations uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := p.RandomSchedule(rng)
+		s := randomSchedule(p, rng)
 		// Random walk through mutation space, checking consistency at
 		// every step.
 		for i := 0; i < int(mutations%16); i++ {
@@ -55,7 +55,7 @@ func TestConstructiveRespectsExperimentBoundsProperty(t *testing.T) {
 	horizon := p.Profile.NumSlots()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := p.RandomSchedule(rng)
+		s := randomSchedule(p, rng)
 		for i := range p.Experiments {
 			e := &p.Experiments[i]
 			g := s.Genes[i]
@@ -82,8 +82,8 @@ func TestCrossoverGeneIntegrityProperty(t *testing.T) {
 	p := mediumProblem(t, 10, SamplesLow)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := p.RandomSchedule(rng)
-		b := p.RandomSchedule(rng)
+		a := randomSchedule(p, rng)
+		b := randomSchedule(p, rng)
 		child := crossover(a, b, rng)
 		for i := range child.Genes {
 			if child.Genes[i] != a.Genes[i] && child.Genes[i] != b.Genes[i] {

@@ -238,19 +238,14 @@ func (p *Problem) FormatSchedule(s *Schedule) string {
 	return b.String()
 }
 
-// RandomSchedule constructively generates a schedule: experiments are
-// placed one by one (in random order) into feasible slots, shares, and
-// groups, tracking slot usage and group occupancy so the result is
+// RandomScheduleFrom constructively generates a schedule: experiments
+// are placed one by one (in random order) into feasible slots, shares,
+// and groups, tracking slot usage and group occupancy so the result is
 // usually valid. The constructive bias matters: with high required
-// sample sizes, uniformly random genes are almost never valid.
-func (p *Problem) RandomSchedule(rng *rand.Rand) *Schedule {
-	return p.RandomScheduleFrom(rng, nil)
-}
-
-// RandomScheduleFrom is RandomSchedule with frozen genes carried over
-// from seed: those genes are committed first (verbatim) and the
-// remaining experiments are placed around them. Optimizers use it during
-// reevaluation so already-running experiments are never moved.
+// sample sizes, uniformly random genes are almost never valid. Frozen
+// genes of seed (nil for none) are committed first, verbatim, and the
+// remaining experiments are placed around them: optimizers pass the
+// reevaluation seed so already-running experiments are never moved.
 func (p *Problem) RandomScheduleFrom(rng *rand.Rand, seed *Schedule) *Schedule {
 	horizon := p.Profile.NumSlots()
 	s := &Schedule{Genes: make([]Gene, len(p.Experiments))}

@@ -2,7 +2,6 @@ package health
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -391,16 +390,4 @@ func (m *Monitor) View(run string) (*AssessmentView, error) {
 	view.Report = report.Render()
 	a.view = view
 	return view, nil
-}
-
-// RegisteredRuns lists registered run names, sorted.
-func (m *Monitor) RegisteredRuns() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.runs))
-	for name := range m.runs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

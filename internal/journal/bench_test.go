@@ -54,7 +54,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 		wg.Wait()
 	})
 	b.Run("memory", func(b *testing.B) {
-		log := NewMemory()
+		log := &Memory{}
 		b.SetBytes(int64(len(benchRecord)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

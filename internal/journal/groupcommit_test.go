@@ -18,7 +18,7 @@ func TestAppendDoesNotRetainRecord(t *testing.T) {
 		name string
 		open func(t *testing.T) Journal
 	}{
-		{"memory", func(*testing.T) Journal { return NewMemory() }},
+		{"memory", func(*testing.T) Journal { return &Memory{} }},
 		{"filelog", func(t *testing.T) Journal { return openTestLog(t, t.TempDir(), Options{}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

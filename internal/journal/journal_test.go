@@ -51,7 +51,7 @@ func testRoundTrip(t *testing.T, j Journal) {
 }
 
 func TestMemoryRoundTrip(t *testing.T) {
-	m := NewMemory()
+	m := &Memory{}
 	testRoundTrip(t, m)
 	st := m.Stats()
 	if st.Records != 3 {
@@ -60,7 +60,7 @@ func TestMemoryRoundTrip(t *testing.T) {
 }
 
 func TestMemorySnapshotIsIndependent(t *testing.T) {
-	m := NewMemory()
+	m := &Memory{}
 	if err := m.Append([]byte("a")); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestMemorySnapshotIsIndependent(t *testing.T) {
 }
 
 func TestMemoryClosedAppendFails(t *testing.T) {
-	m := NewMemory()
+	m := &Memory{}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,6 @@ type Memory struct {
 
 var _ Journal = (*Memory)(nil)
 
-// NewMemory returns an empty in-memory journal.
-func NewMemory() *Memory { return &Memory{} }
-
 // Append implements Journal. The record is copied.
 func (m *Memory) Append(rec []byte) error {
 	if len(rec) == 0 {

@@ -168,7 +168,12 @@ func TestSimDarkLaunchGeneratesLoadNotLatency(t *testing.T) {
 	if err := InstallBaselineRoutes(app, tbl); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.SetMirrors("back", []string{"v2"}); err != nil {
+	route, err := tbl.Route("back")
+	if err != nil {
+		t.Fatal(err)
+	}
+	route.Mirrors = []string{"v2"}
+	if err := tbl.Set(route); err != nil {
 		t.Fatal(err)
 	}
 	store := metrics.NewStore(0)

@@ -14,8 +14,8 @@
 // between consecutive experiments.
 //
 // The table is the single source of truth shared by every consumer:
-// the Bifrost engine mutates it as phases advance (Set, SetWeights,
-// SetMirrors), in-process simulations resolve against it directly
+// the Bifrost engine mutates it as phases advance (Set, SetWeights),
+// in-process simulations resolve against it directly
 // (Resolve), and Proxy exposes it at the wire level — one lightweight
 // reverse proxy per service, the sidecar idiom of Section 4.4, reading
 // routing identity from the X-User-ID and X-User-Groups headers and
@@ -321,34 +321,6 @@ func (t *Table) SetWeights(service string, backends []Backend) error {
 			return err
 		}
 		routes[service] = cr
-		return nil
-	})
-}
-
-// SetMirrors replaces the mirror set of an existing route (dark launch
-// on/off switch).
-func (t *Table) SetMirrors(service string, mirrors []string) error {
-	return t.mutate(func(routes map[string]*compiledRoute) error {
-		cur, ok := routes[service]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrNoRoute, service)
-		}
-		next := cur.route
-		next.Mirrors = mirrors
-		cr, err := compileRoute(next)
-		if err != nil {
-			return err
-		}
-		routes[service] = cr
-		return nil
-	})
-}
-
-// Remove deletes the route for service (no-op when absent; the snapshot
-// version still advances).
-func (t *Table) Remove(service string) {
-	_ = t.mutate(func(routes map[string]*compiledRoute) error {
-		delete(routes, service)
 		return nil
 	})
 }

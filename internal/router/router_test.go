@@ -24,6 +24,16 @@ func twoArmRoute(service string, canaryWeight float64) Route {
 	}
 }
 
+// remove deletes service's route with a one-entry delta; like any
+// mutation, it advances the version even when there is no such route.
+func remove(t testing.TB, tbl *Table, service string) {
+	t.Helper()
+	v := tbl.Version()
+	if err := tbl.ApplyDelta(TableDelta{FromVersion: v, ToVersion: v + 1, Removes: []string{service}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSetValidation(t *testing.T) {
 	tbl := NewTable()
 	if err := tbl.Set(Route{Service: "s"}); err == nil {
@@ -177,16 +187,6 @@ func TestMirrors(t *testing.T) {
 	if len(d.Mirrors) != 1 || d.Mirrors[0] != "v2-dark" {
 		t.Errorf("mirrors = %v", d.Mirrors)
 	}
-	if err := tbl.SetMirrors("catalog", nil); err != nil {
-		t.Fatal(err)
-	}
-	d, _ = tbl.Resolve("catalog", &Request{UserID: "u"})
-	if len(d.Mirrors) != 0 {
-		t.Errorf("mirrors after clear = %v", d.Mirrors)
-	}
-	if err := tbl.SetMirrors("nope", nil); !errors.Is(err, ErrNoRoute) {
-		t.Errorf("SetMirrors on missing route: %v", err)
-	}
 }
 
 func TestResolveNoRoute(t *testing.T) {
@@ -210,12 +210,12 @@ func TestRemoveAndServices(t *testing.T) {
 	if len(svcs) != 2 || svcs[0] != "a" || svcs[1] != "b" {
 		t.Errorf("Services = %v", svcs)
 	}
-	tbl.Remove("a")
+	remove(t, tbl, "a")
 	if len(tbl.Services()) != 1 {
 		t.Error("Remove failed")
 	}
 	v := tbl.Version()
-	tbl.Remove("nonexistent")
+	remove(t, tbl, "nonexistent")
 	if tbl.Version() != v+1 {
 		t.Error("Version should bump on every mutation")
 	}
@@ -325,17 +325,15 @@ func TestResolveRacesSnapshotSwap(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		route := twoArmRoute("s", w)
 		switch i % 3 {
 		case 0:
-			_ = tbl.SetMirrors("s", []string{"v2"})
-		case 1:
-			_ = tbl.SetMirrors("s", nil)
-		default:
-			route := twoArmRoute("s", w)
+			route.Mirrors = []string{"v2"}
+		case 2:
 			route.Rules = []Rule{{Name: "beta", Match: GroupMatcher{Group: "beta"}, Version: "v2"}}
-			if err := tbl.Set(route); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := tbl.Set(route); err != nil {
+			t.Fatal(err)
 		}
 	}
 	close(stop)

@@ -39,10 +39,6 @@ type TableDelta struct {
 	Removes     []string
 }
 
-// Empty reports whether the delta changes no routes (it may still
-// advance the version).
-func (d TableDelta) Empty() bool { return len(d.Upserts) == 0 && len(d.Removes) == 0 }
-
 // Export captures the current snapshot as a deep copy: the returned
 // routes never alias the live table.
 func (t *Table) Export() TableSnapshot {

@@ -95,7 +95,7 @@ func TestDiffAndApplyDelta(t *testing.T) {
 	if err := src.Set(demoRoute("c")); err != nil {
 		t.Fatal(err)
 	}
-	src.Remove("b")
+	remove(t, src, "b")
 	cur := src.Export()
 
 	d := DiffSnapshots(old, cur)
@@ -119,10 +119,10 @@ func TestDiffAndApplyDelta(t *testing.T) {
 
 	// Version-bump-only mutation diffs to an empty delta that still
 	// advances the version.
-	src.Remove("never-existed")
+	remove(t, src, "never-existed")
 	next := src.Export()
 	d2 := DiffSnapshots(cur, next)
-	if !d2.Empty() || d2.ToVersion != next.Version {
+	if len(d2.Upserts)+len(d2.Removes) != 0 || d2.ToVersion != next.Version {
 		t.Errorf("empty-change delta = %+v", d2)
 	}
 	if err := dst.ApplyDelta(d2); err != nil {
@@ -177,7 +177,7 @@ func TestSubscribeCoalesces(t *testing.T) {
 		t.Errorf("version = %d", tbl.Version())
 	}
 	cancel()
-	tbl.Remove("svc")
+	remove(t, tbl, "svc")
 	select {
 	case <-ch:
 		t.Fatal("notified after cancel")

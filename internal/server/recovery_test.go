@@ -87,7 +87,7 @@ func TestListRunsLaunchOrder(t *testing.T) {
 // journal and serves the run's full pre-crash history — list, detail,
 // and SSE replay — while the engine settles it without intervention.
 func TestServerServesRecoveredRun(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	e := newJournalEnv(t, jnl)
 	e.seedMetrics()
 	if code, body := e.do(http.MethodPost, "/v1/strategies", longDSL); code != http.StatusCreated {
@@ -172,7 +172,7 @@ func TestServerServesRecoveredRun(t *testing.T) {
 }
 
 func TestHealthzReportsJournal(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	e := newJournalEnv(t, jnl)
 	e.seedMetrics()
 	if code, body := e.do(http.MethodPost, "/v1/strategies", fastDSL); code != http.StatusCreated {
@@ -202,7 +202,7 @@ func TestHealthzReportsJournal(t *testing.T) {
 // TestHealthzJournalObject pins /healthz's journal object byte for
 // byte: its field names and order are the API, whatever type backs it.
 func TestHealthzJournalObject(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	for _, rec := range []string{"abc", "de"} {
 		if err := jnl.Append([]byte(rec)); err != nil {
 			t.Fatal(err)

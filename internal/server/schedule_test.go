@@ -331,7 +331,7 @@ func TestScheduleSSE(t *testing.T) {
 // journal, stays queued behind the recovered blocker, and is
 // launchable after the blocker concludes.
 func TestScheduleQueueSurvivesRestart(t *testing.T) {
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	e := newSchedulerEnv(t, jnl)
 	if code, body := e.do(http.MethodPost, "/v1/strategies", serviceDSL("blocker", "svc")); code != http.StatusCreated {
 		t.Fatalf("submit blocker: %d: %s", code, body)

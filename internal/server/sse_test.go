@@ -25,7 +25,7 @@ type sseMessage struct {
 func recoveredLongRun(t *testing.T, checks int) (*env, *bifrost.Run) {
 	t.Helper()
 	at := time.Date(2017, 12, 11, 9, 0, 0, 0, time.UTC)
-	jnl := journal.NewMemory()
+	jnl := &journal.Memory{}
 	appendRecord := func(fields map[string]any) {
 		fields["run"], fields["v"], fields["at"] = "long", 1, at
 		rec, err := json.Marshal(fields)

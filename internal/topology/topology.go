@@ -36,14 +36,6 @@ func (n *Node) MeanDuration() time.Duration {
 	return n.TotalDuration / time.Duration(n.Calls)
 }
 
-// ErrorRate returns the fraction of failed calls.
-func (n *Node) ErrorRate() float64 {
-	if n.Calls == 0 {
-		return 0
-	}
-	return float64(n.Errors) / float64(n.Calls)
-}
-
 // EdgeKey identifies a caller→callee interaction.
 type EdgeKey struct {
 	From tracing.NodeKey
@@ -310,16 +302,6 @@ func (g *Graph) ServiceVersions() map[string][]string {
 		out[svc] = vs
 	}
 	return out
-}
-
-// HasEndpoint reports whether any version of service exposes endpoint.
-func (g *Graph) HasEndpoint(service, endpoint string) bool {
-	for k := range g.Nodes {
-		if k.Service == service && k.Endpoint == endpoint {
-			return true
-		}
-	}
-	return false
 }
 
 // String summarizes the graph.

@@ -29,28 +29,6 @@ type Profile struct {
 // NumSlots returns the number of slots in the profile.
 func (p *Profile) NumSlots() int { return len(p.Slots) }
 
-// Total returns the sum of traffic over all slots.
-func (p *Profile) Total() float64 {
-	var sum float64
-	for _, v := range p.Slots {
-		sum += v
-	}
-	return sum
-}
-
-// At returns the traffic volume of slot i, or 0 when i is out of range.
-func (p *Profile) At(i int) float64 {
-	if i < 0 || i >= len(p.Slots) {
-		return 0
-	}
-	return p.Slots[i]
-}
-
-// SlotTime returns the start instant of slot i.
-func (p *Profile) SlotTime(i int) time.Time {
-	return p.Start.Add(time.Duration(i) * p.SlotLength)
-}
-
 // Window returns the total traffic in slots [from, from+length).
 func (p *Profile) Window(from, length int) float64 {
 	var sum float64
@@ -60,13 +38,6 @@ func (p *Profile) Window(from, length int) float64 {
 		}
 	}
 	return sum
-}
-
-// Clone returns a deep copy of the profile.
-func (p *Profile) Clone() *Profile {
-	slots := make([]float64, len(p.Slots))
-	copy(slots, p.Slots)
-	return &Profile{Start: p.Start, SlotLength: p.SlotLength, Slots: slots}
 }
 
 // GeneratorConfig parameterizes the synthetic seasonal profile.

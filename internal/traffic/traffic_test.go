@@ -95,25 +95,11 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestProfileAccessors(t *testing.T) {
 	p := &Profile{Start: monday(), SlotLength: time.Hour, Slots: []float64{10, 20, 30}}
-	if p.Total() != 60 {
-		t.Errorf("Total = %v", p.Total())
-	}
-	if p.At(1) != 20 || p.At(-1) != 0 || p.At(5) != 0 {
-		t.Error("At out-of-range handling wrong")
-	}
-	if got := p.SlotTime(2); !got.Equal(monday().Add(2 * time.Hour)) {
-		t.Errorf("SlotTime(2) = %v", got)
-	}
 	if p.Window(1, 2) != 50 {
 		t.Errorf("Window(1,2) = %v", p.Window(1, 2))
 	}
 	if p.Window(2, 10) != 30 {
 		t.Errorf("Window clamps at end: %v", p.Window(2, 10))
-	}
-	c := p.Clone()
-	c.Slots[0] = 999
-	if p.Slots[0] == 999 {
-		t.Error("Clone aliases slots")
 	}
 }
 

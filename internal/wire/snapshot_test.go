@@ -131,7 +131,7 @@ func TestEmptySnapshotAndDelta(t *testing.T) {
 	}
 	var dd DeltaDecoder
 	delta, err := dd.Decode(frame)
-	if err != nil || !delta.Empty() || delta.ToVersion != 4 {
+	if err != nil || len(delta.Upserts)+len(delta.Removes) != 0 || delta.ToVersion != 4 {
 		t.Fatalf("empty delta = %+v, %v", delta, err)
 	}
 }
@@ -387,7 +387,10 @@ func TestSnapshotDeltaReplayProperty(t *testing.T) {
 			}
 		case 2:
 			// May target an absent service: version bumps, no change.
-			src.Remove(svc)
+			v := src.Version()
+			if err := src.ApplyDelta(router.TableDelta{FromVersion: v, ToVersion: v + 1, Removes: []string{svc}}); err != nil {
+				t.Fatal(err)
+			}
 		case 3:
 			bk := []router.Backend{{Version: "v1", Weight: 0.5}, {Version: "v2", Weight: 0.5}}
 			_ = src.SetWeights(svc, bk) // error when absent: no version bump

@@ -88,7 +88,8 @@ var closures = map[string][]string{
 
 // TestImportDAG holds the layering README.md draws ("Layering"):
 // production packages host neither the paper's evaluation nor the
-// simulators it runs on, and each binary links a reviewed list.
+// simulators it runs on, each binary links a reviewed list, and the
+// examples use the library through the facade.
 func TestImportDAG(t *testing.T) {
 	const (
 		httptest = "net/http/httptest"
@@ -125,6 +126,16 @@ func TestImportDAG(t *testing.T) {
 			for _, imp := range slices.Concat(p.Imports, p.TestImports, p.XTestImports) {
 				if under(imp, repro) {
 					t.Errorf("%s imports %s: only %s may", path, imp, cmdRepro)
+				}
+			}
+		}
+		// (f) The examples drive the library through the facade: of
+		// internal/ they import only the lab they run on.
+		if lab := []string{microsim, loadgen, scenario, "contexp/internal/stats"}; under(path, examples) {
+			for _, imp := range slices.Concat(p.Imports, p.TestImports, p.XTestImports) {
+				if under(imp, "contexp/internal") && !under(imp, lab...) {
+					t.Errorf("%s imports %s: an example reaches internal/ through the facade, "+
+						"apart from %s", path, imp, strings.Join(lab, ", "))
 				}
 			}
 		}
@@ -448,13 +459,13 @@ func declName(decl ast.Decl) string {
 	return recv.(*ast.Ident).Name + "." + fn.Name.Name
 }
 
-// unreachedAllowed names the declarations under internal/ that
-// TestEverythingIsReachable lets stand although no root reaches them,
-// keyed "import/path.Name" or, for a method, "import/path.Type.Method",
-// each with the reason it stays. What an entry refers to stays with it,
-// and an allowed type keeps its methods. An entry without a reason, or
-// one naming a declaration that is gone or that a root now reaches,
-// fails the test, so the list only shrinks.
+// unreachedAllowed names the declarations under internal/ or in the
+// facade that TestEverythingIsReachable lets stand although no root
+// reaches them, keyed "import/path.Name" or, for a method,
+// "import/path.Type.Method", each with the reason it stays. What an
+// entry refers to stays with it, and an allowed type keeps its methods.
+// An entry without a reason, or one naming a declaration that is gone or
+// that a root now reaches, fails the test, so the list only shrinks.
 var unreachedAllowed = map[string]string{
 	"contexp/internal/journal.Memory.Snapshot": "a test fixture that freezes a journal mid-run: bifrost's " +
 		"TestRecover*, TestSchedulerQueueRecovery, TestSchedulerCancelQueued and " +
@@ -462,27 +473,25 @@ var unreachedAllowed = map[string]string{
 		"server's TestServerServesRecoveredRun and TestScheduleQueueSurvivesRestart call it",
 }
 
-// TestEverythingIsReachable holds internal/ to code something runs.
-// The roots are every main package's main, the root facade's exported
-// names and every init func. From them the test follows each reference
-// the type checker resolves, through function bodies, var initializers
-// and type definitions. A package var is reached only through its
-// uses, and a blank `var _ I = T{}` assertion reaches nothing. Test
-// files are not roots: code only a test calls is unreached.
+// TestEverythingIsReachable holds internal/ and the root facade to code
+// something runs. The roots are every main package's main and every
+// init func; the examples are mains, so the facade keeps exactly the
+// names they spell. From the roots the test follows each reference the
+// type checker resolves, through function bodies, var initializers and
+// type definitions. A package var is reached only through its uses,
+// and a blank `var _ I = T{}` assertion reaches nothing. Test files are
+// not roots: code only a test calls is unreached.
 //
 // A reached type does not keep its methods. A method stays when a
 // reached declaration refers to it (a call, a method value or a method
-// expression); when its type is reached and some interface in the build
-// graph, of the module or of the standard library it links, has a
+// expression), or when its type is reached and some interface in the
+// build graph, of the module or of the standard library it links, has a
 // method of its name, so a call through an interface may land on it
-// (`String`, `Error`, `ServeHTTP`, `Less`, `Evaluate`); or when it is
-// exported on the facade's public surface — a type the facade exports,
-// or one that an exported field, method or signature of that surface
-// names, transitively — so a downstream user can call it. A reached
+// (`String`, `Error`, `ServeHTTP`, `Less`, `Evaluate`). A reached
 // method reaches its type.
 // Every top-level func, type, var or const and every method under
-// internal/ that no root reaches fails the test, exported or not,
-// unless unreachedAllowed names it with a reason.
+// internal/ or in the facade that no root reaches fails the test,
+// exported or not, unless unreachedAllowed names it with a reason.
 //
 // The module is type-checked from source with go/types; the standard
 // library comes from the export data `go list -export` leaves in the
@@ -562,11 +571,10 @@ func TestEverythingIsReachable(t *testing.T) {
 			}
 		}
 	}
-	facade, ok := checked["contexp"]
-	if !ok {
+	if _, ok := checked["contexp"]; !ok {
 		t.Fatal("go list did not report the root facade")
 	}
-	g.link(facade)
+	g.link()
 	if len(g.roots) == 0 {
 		t.Fatal("found no roots")
 	}
@@ -574,7 +582,7 @@ func TestEverythingIsReachable(t *testing.T) {
 
 	named := make(map[string]*decl)
 	for _, d := range g.decls {
-		if under(d.pkg.Path(), "contexp/internal") {
+		if d.pkg.Path() == "contexp" || under(d.pkg.Path(), "contexp/internal") {
 			named[d.key()] = d
 		}
 	}
@@ -633,9 +641,9 @@ type declGraph struct {
 	interfaces map[string]bool                 // method names of every interface in the build graph
 }
 
-// add records pkg's declarations: the roots among them (main, init, and
-// the root facade's exported names), each one's references, and the
-// method names of the interfaces its source spells out.
+// add records pkg's declarations: the roots among them (main and
+// init), each one's references, and the method names of the interfaces
+// its source spells out.
 func (g *declGraph) add(pkg *types.Package, files []*ast.File, info *types.Info) {
 	refs := func(n ast.Node) []types.Object {
 		var out []types.Object
@@ -649,18 +657,10 @@ func (g *declGraph) add(pkg *types.Package, files []*ast.File, info *types.Info)
 		})
 		return out
 	}
-	facade := pkg.Path() == "contexp"
 	newDecl := func(id *ast.Ident, n ast.Node) *decl {
 		obj := info.Defs[id]
 		d := &decl{obj: obj, pkg: pkg, name: id.Name, pos: id.Pos(), refs: refs(n)}
 		g.decls[obj] = d
-		return d
-	}
-	top := func(id *ast.Ident, n ast.Node) *decl {
-		d := newDecl(id, n)
-		if facade && id.IsExported() {
-			g.roots = append(g.roots, d)
-		}
 		return d
 	}
 	for _, f := range files {
@@ -680,7 +680,7 @@ func (g *declGraph) add(pkg *types.Package, files []*ast.File, info *types.Info)
 					g.methods[recv] = append(g.methods[recv], d.obj)
 					continue
 				}
-				d := top(fd.Name, fd)
+				d := newDecl(fd.Name, fd)
 				if fd.Name.Name == "init" || (pkg.Name() == "main" && fd.Name.Name == "main") {
 					g.roots = append(g.roots, d)
 				}
@@ -688,11 +688,11 @@ func (g *declGraph) add(pkg *types.Package, files []*ast.File, info *types.Info)
 				for _, spec := range fd.Specs {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
-						top(spec.Name, spec)
+						newDecl(spec.Name, spec)
 					case *ast.ValueSpec:
 						for _, id := range spec.Names {
 							if id.Name != "_" {
-								top(id, spec)
+								newDecl(id, spec)
 							}
 						}
 					}
@@ -712,79 +712,13 @@ func (g *declGraph) addInterface(typ types.Type) {
 }
 
 // link runs once every package is added: a type reaches each method
-// that an interface may call, and the exported methods of facade's
-// public surface are roots.
-func (g *declGraph) link(facade *types.Package) {
+// that an interface may call.
+func (g *declGraph) link() {
 	for recv, methods := range g.methods {
 		for _, m := range methods {
 			if g.interfaces[m.Name()] {
 				g.decls[recv].refs = append(g.decls[recv].refs, m)
 			}
-		}
-	}
-	seen := make(map[types.Type]bool)
-	var visit func(typ types.Type)
-	visit = func(typ types.Type) {
-		if seen[typ] {
-			return
-		}
-		seen[typ] = true
-		switch typ := typ.(type) {
-		case *types.Alias:
-			visit(types.Unalias(typ))
-		case *types.Named:
-			for i := range typ.TypeArgs().Len() {
-				visit(typ.TypeArgs().At(i))
-			}
-			if pkg := typ.Obj().Pkg(); pkg == nil || !under(pkg.Path(), "contexp") {
-				return
-			}
-			// The method set of *T holds T's methods and every one it
-			// promotes from an embedded field.
-			mset := types.NewMethodSet(types.NewPointer(typ))
-			for i := range mset.Len() {
-				if fn := mset.At(i).Obj().(*types.Func); fn.Exported() {
-					if d, ok := g.decls[origin(fn)]; ok {
-						g.roots = append(g.roots, d)
-					}
-					visit(fn.Type())
-				}
-			}
-			visit(typ.Underlying())
-		case *types.Pointer:
-			visit(typ.Elem())
-		case *types.Slice:
-			visit(typ.Elem())
-		case *types.Array:
-			visit(typ.Elem())
-		case *types.Chan:
-			visit(typ.Elem())
-		case *types.Map:
-			visit(typ.Key())
-			visit(typ.Elem())
-		case *types.Signature:
-			for _, tuple := range []*types.Tuple{typ.Params(), typ.Results()} {
-				for v := range tuple.Variables() {
-					visit(v.Type())
-				}
-			}
-		case *types.Struct:
-			for f := range typ.Fields() {
-				if f.Exported() || f.Embedded() {
-					visit(f.Type())
-				}
-			}
-		case *types.Interface:
-			for m := range typ.Methods() {
-				if m.Exported() {
-					visit(m.Type())
-				}
-			}
-		}
-	}
-	for _, name := range facade.Scope().Names() {
-		if obj := facade.Scope().Lookup(name); obj.Exported() {
-			visit(obj.Type())
 		}
 	}
 }
