@@ -305,8 +305,9 @@ func (d *Demo) Stop() {
 	<-d.done
 	d.app.Close()
 	if d.telemetry != nil {
-		// Best-effort final flush; the control plane may already be down.
-		_ = d.telemetry.Flush()
+		// Best-effort final flush, which also ends the client's streams;
+		// the control plane may already be down.
+		_ = d.telemetry.Close()
 	}
 }
 

@@ -91,8 +91,8 @@ func (t *Table) notify() {
 }
 
 // ErrVersionSkew reports a delta that does not chain onto the table's
-// current version; the receiver must resynchronize from a full
-// snapshot.
+// current version, or one whose ToVersion does not lie past its
+// FromVersion; the receiver must resynchronize from a full snapshot.
 var ErrVersionSkew = errors.New("router: delta does not chain onto current snapshot version")
 
 // ApplySnapshot replaces the table's entire contents with snap,
@@ -116,10 +116,14 @@ func (t *Table) ApplySnapshot(snap TableSnapshot) error {
 }
 
 // ApplyDelta advances the table from d.FromVersion to d.ToVersion. The
-// table must sit exactly at FromVersion (ErrVersionSkew otherwise), and
-// every upsert compiles before anything is installed — a bad delta
-// leaves the table untouched at its current version.
+// table must sit exactly at FromVersion, and ToVersion must lie past it
+// (ErrVersionSkew otherwise: a version only moves forward), and every
+// upsert compiles before anything is installed — a bad delta leaves the
+// table untouched at its current version.
 func (t *Table) ApplyDelta(d TableDelta) error {
+	if d.ToVersion <= d.FromVersion {
+		return fmt.Errorf("%w: delta from %d to %d does not move forward", ErrVersionSkew, d.FromVersion, d.ToVersion)
+	}
 	compiled := make([]*compiledRoute, 0, len(d.Upserts))
 	for _, r := range d.Upserts {
 		cr, err := compileRoute(r)

@@ -152,6 +152,32 @@ func TestApplyDeltaVersionSkew(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaOnlyMovesForward: a delta that chains onto the table's
+// version but would rewind it (ToVersion 0) or leave it where it is is
+// refused with ErrVersionSkew, and the table keeps its version and its
+// routes; the removal it carries is not applied.
+func TestApplyDeltaOnlyMovesForward(t *testing.T) {
+	dst := NewTable()
+	for _, svc := range []string{"a", "b"} {
+		if err := dst.Set(demoRoute(svc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at := dst.Version()
+	for _, to := range []uint64{0, at - 1, at} {
+		err := dst.ApplyDelta(TableDelta{FromVersion: at, ToVersion: to, Removes: []string{"a"}})
+		if !errors.Is(err, ErrVersionSkew) {
+			t.Fatalf("delta %d -> %d: err = %v, want ErrVersionSkew", at, to, err)
+		}
+		if v := dst.Version(); v != at {
+			t.Fatalf("delta %d -> %d moved the table to version %d", at, to, v)
+		}
+		if _, err := dst.Route("a"); err != nil {
+			t.Fatalf("delta %d -> %d removed a route: %v", at, to, err)
+		}
+	}
+}
+
 func TestSubscribeCoalesces(t *testing.T) {
 	tbl := NewTable()
 	ch, cancel := tbl.Subscribe()

@@ -320,8 +320,9 @@ func TestAcceptedBodyMatchesJSONEncoder(t *testing.T) {
 }
 
 // BenchmarkIngestHTTP measures the full HTTP ingestion path for a
-// 256-observation batch, JSON vs binary — the end-to-end number behind
-// the codec's per-sample wins.
+// 256-observation batch: JSON and binary posts, one request each, and
+// binary frames on a wire.Client's stream, a frame and its ack each —
+// the end-to-end number behind the codec's per-sample wins.
 func BenchmarkIngestHTTP(b *testing.B) {
 	newBench := func(b *testing.B) *httptest.Server {
 		table := router.NewTable()
@@ -385,6 +386,23 @@ func BenchmarkIngestHTTP(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			post(b, ts, wire.ContentType, frame)
+		}
+	})
+	b.Run("stream", func(b *testing.B) {
+		ts := newBench(b)
+		c := wire.NewClient(ts.URL, ts.Client(), len(samples)+1)
+		b.Cleanup(func() { _ = c.Close() })
+		flush := func() {
+			c.RecordBatch(samples)
+			if err := c.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		flush() // open the stream
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			flush()
 		}
 	})
 }

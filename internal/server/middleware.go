@@ -14,14 +14,16 @@ import (
 // This file is the control plane's HTTP edge: a pluggable middleware
 // chain wrapped around the API mux. Order matters and is fixed:
 //
-//	request ID → logging → auth → rate limit → JSON 404/405 → mux
+//	stream edge → request ID → logging → auth → rate limit → JSON 404/405 → mux
 //
-// Request IDs are minted (or accepted) first so every log line and
-// error can carry one; logging wraps everything downstream so rejected
-// requests (401, 429) are logged too; auth resolves the bearer token to
-// a tenant before the limiter charges that tenant's bucket; and the
-// envelope interceptor converts the mux's plain-text 404/405 defaults
-// into the API's typed error envelope.
+// The stream edge comes first so that nothing behind it can answer a
+// telemetry stream's open by waiting on a body that never ends (see
+// streamEdge). Request IDs are minted (or accepted) next so every log
+// line and error can carry one; logging wraps everything downstream so
+// rejected requests (401, 429) are logged too; auth resolves the bearer
+// token to a tenant before the limiter charges that tenant's bucket;
+// and the envelope interceptor converts the mux's plain-text 404/405
+// defaults into the API's typed error envelope.
 
 // --- typed error envelope ---
 
@@ -91,7 +93,26 @@ func (s *Server) chain() http.Handler {
 	h = s.authMiddleware(h)
 	h = s.loggingMiddleware(h)
 	h = s.requestIDMiddleware(h)
-	return h
+	return streamEdge(h)
+}
+
+// streamEdge readies the connection of a request that offers to stream
+// telemetry (it accepts wire.AckContentType) before any handler can
+// answer it. Unless full duplex is on, net/http drains an unread
+// request body before it writes a response, and a stream's body ends
+// only when its client ends it, while the client waits for that
+// response: a 401, 429 or 404 to the open would never leave. So the
+// edge enables full duplex, or, where the ResponseWriter cannot (a
+// wrapper without Unwrap), marks the response Connection: close, which
+// skips the drain; ingestFrames then answers the stream's first frame
+// alone.
+func streamEdge(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if acceptsAcks(r) && http.NewResponseController(w).EnableFullDuplex() != nil {
+			w.Header().Set("Connection", "close")
+		}
+		next.ServeHTTP(w, r)
+	})
 }
 
 // guarded reports whether the edge guards (auth, rate limit) apply to
@@ -108,10 +129,23 @@ func (s *Server) requestIDMiddleware(next http.Handler) http.Handler {
 }
 
 // logState is a mutable cell the logging middleware plants in the
-// request context so the auth middleware (which runs downstream, on a
-// derived request the logger never sees) can report the resolved
-// tenant back up for the access-log line.
-type logState struct{ tenant string }
+// request context so the middleware and handlers downstream (which run
+// on a derived request the logger never sees) can report back up for
+// the access-log line: auth the resolved tenant, and ingestFrames the
+// status of the frame it refused, which ends a telemetry stream. The
+// line reports that status in place of the stream's 200, as it would
+// for a one-frame POST.
+type logState struct {
+	tenant  string
+	refused int
+}
+
+// noteRefused reports a stream's refused frame to the access log.
+func noteRefused(r *http.Request, status int) {
+	if ls, ok := r.Context().Value(logStateKey{}).(*logState); ok {
+		ls.refused = status
+	}
+}
 
 type logStateKey struct{}
 
@@ -125,8 +159,12 @@ func (s *Server) loggingMiddleware(next http.Handler) http.Handler {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		next.ServeHTTP(rec, r)
+		status := rec.status
+		if ls.refused != 0 {
+			status = ls.refused
+		}
 		s.cfg.Logf("http %s %s status=%d bytes=%d dur=%s tenant=%s req=%s",
-			r.Method, r.URL.Path, rec.status, rec.bytes,
+			r.Method, r.URL.Path, status, rec.bytes,
 			time.Since(start).Round(time.Microsecond),
 			tenancy.Display(ls.tenant),
 			tenancy.RequestIDFromContext(r.Context()))
@@ -182,28 +220,39 @@ func (s *Server) rateLimitMiddleware(next http.Handler) http.Handler {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !guarded(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		tenant := tenancy.FromContext(r.Context())
-		ok, retryAfter := s.cfg.RateLimit.Allow(tenant, time.Now())
-		if !ok {
-			secs := int(retryAfter/time.Second) + 1
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeErrorCode(w, http.StatusTooManyRequests, "rate_limited",
-				"tenant %s over its request budget; retry in %ds",
-				tenancy.Display(tenant), secs)
+		if guarded(r.URL.Path) && s.throttle(w, r) {
 			return
 		}
 		next.ServeHTTP(w, r)
 	})
 }
 
+// throttle charges one request, or one frame of a telemetry stream,
+// against the caller's tenant bucket. Over budget, it answers 429 with
+// Retry-After and reports true.
+func (s *Server) throttle(w http.ResponseWriter, r *http.Request) bool {
+	if s.cfg.RateLimit == nil {
+		return false
+	}
+	tenant := tenancy.FromContext(r.Context())
+	ok, retryAfter := s.cfg.RateLimit.Allow(tenant, time.Now())
+	if ok {
+		return false
+	}
+	secs := int(retryAfter/time.Second) + 1
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	writeErrorCode(w, http.StatusTooManyRequests, "rate_limited",
+		"tenant %s over its request budget; retry in %ds",
+		tenancy.Display(tenant), secs)
+	return true
+}
+
 // --- response writer wrappers ---
 //
 // Both wrappers forward Flush so the SSE and routing-watch streams
-// keep working through the chain.
+// keep working through the chain, and Unwrap, so that
+// http.ResponseController reaches the connection: a telemetry stream
+// enables full duplex through them.
 
 // statusRecorder captures the response status and size for the log
 // line.
@@ -234,6 +283,8 @@ func (sr *statusRecorder) Flush() {
 		f.Flush()
 	}
 }
+
+func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
 
 // envelopeHandler converts the mux's own plain-text 404 (no route) and
 // 405 (wrong method) bodies into the typed error envelope, so every
@@ -292,3 +343,5 @@ func (ew *envelopeWriter) Flush() {
 		f.Flush()
 	}
 }
+
+func (ew *envelopeWriter) Unwrap() http.ResponseWriter { return ew.ResponseWriter }

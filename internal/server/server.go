@@ -37,7 +37,7 @@
 package server
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -510,13 +510,12 @@ type Observation struct {
 //
 // Both telemetry handlers content-negotiate on Content-Type: frames
 // tagged application/x-contexp-batch take the pooled zero-alloc binary
-// decoder, everything else the JSON one; what either decodes goes
-// through the same tail.
+// decoder and ingestFrames, everything else the JSON one; what either
+// decodes goes through the same tail.
 
-// frameBufPool holds the request-body scratch buffers of the binary
-// ingestion path, so steady-state ingestion reads frames without
-// per-request buffer churn.
-var frameBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// frameBufPool holds the frame buffers of the binary ingestion path, so
+// steady-state ingestion reads frames without per-request buffer churn.
+var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // isBinaryBatch reports whether the request carries a binary batch
 // frame (parameters after the media type are tolerated).
@@ -526,24 +525,144 @@ func isBinaryBatch(r *http.Request) bool {
 	return strings.EqualFold(strings.TrimSpace(mediaType), wire.ContentType)
 }
 
-// readFrame reads the request body into a pooled buffer, mapping
-// oversize to 413. On false, the error response is already written.
-func (s *Server) readFrame(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
-	buf := frameBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if _, err := buf.ReadFrom(body); err != nil {
-		frameBufPool.Put(buf)
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"batch larger than %d bytes", s.cfg.MaxBodyBytes)
-		} else {
-			writeError(w, http.StatusBadRequest, "reading body: %v", err)
+// acceptsAcks reports whether the client offers to read a stream of
+// acks: wire.AckContentType among its Accept header's media types.
+func acceptsAcks(r *http.Request) bool {
+	for rest := r.Header.Get("Accept"); rest != ""; {
+		var item string
+		item, rest, _ = strings.Cut(rest, ",")
+		mediaType, _, _ := strings.Cut(item, ";")
+		if strings.EqualFold(strings.TrimSpace(mediaType), wire.AckContentType) {
+			return true
 		}
-		return nil, false
 	}
-	return buf, true
+	return false
+}
+
+// ingestFrames is the binary ingest path of both telemetry endpoints.
+// It reads the body as frames back to back and hands each to apply,
+// which decodes, validates and records it and writes the reply a
+// one-frame POST gets: 202 {"accepted": n}, or an error envelope.
+//
+// A client that accepts acks (wire.AckContentType) gets a stream: a 200
+// whose body is one ack per frame, written and flushed once apply has
+// returned, until the request body ends. Each frame after the first is
+// charged to the tenant's bucket (the middleware charged the first),
+// and each is held to MaxBodyBytes by its header before its body is
+// read. A refused frame records nothing, its ack ends the stream, and
+// the access log reports the stream with the frame's status.
+//
+// Any other request is a stream of one: its body must be exactly one
+// frame, and apply's reply is the response. A request for acks through
+// a ResponseWriter that cannot stream (EnableFullDuplex fails, as
+// behind a wrapper without Unwrap) has its first frame answered alone,
+// and streamEdge has marked that response Connection: close.
+func (s *Server) ingestFrames(w http.ResponseWriter, r *http.Request, apply func(http.ResponseWriter, []byte)) {
+	bufp := frameBufPool.Get().(*[]byte)
+	defer frameBufPool.Put(bufp)
+	maxBody := max(int(s.cfg.MaxBodyBytes)-wire.HeaderSize, 0)
+	var rc *http.ResponseController
+	stream := acceptsAcks(r)
+	if stream {
+		rc = http.NewResponseController(w)
+	}
+	if !stream || rc.EnableFullDuplex() != nil {
+		frame, err := wire.ReadFrame(r.Body, *bufp, maxBody)
+		if err == io.EOF {
+			err = errors.New("wire: empty body, want one frame")
+		}
+		if err == nil && !stream {
+			var one [1]byte
+			if n, _ := io.ReadFull(r.Body, one[:]); n > 0 {
+				err = errors.New("wire: body length does not match: bytes follow the frame")
+			}
+		}
+		if err != nil {
+			s.frameError(w, err)
+			return
+		}
+		*bufp = frame
+		apply(w, frame)
+		return
+	}
+
+	// On shutdown (the request context ends) the frame being waited for
+	// is cut short, and the loop ends.
+	stop := context.AfterFunc(r.Context(), func() { _ = rc.SetReadDeadline(time.Unix(1, 0)) })
+	defer stop()
+	w.Header().Set("Content-Type", wire.AckContentType)
+	w.WriteHeader(http.StatusOK)
+	reply := frameReply{header: make(http.Header)}
+	var ack []byte
+	for first := true; ; first = false {
+		frame, err := wire.ReadFrame(r.Body, *bufp, maxBody)
+		if err == io.EOF || (err != nil && r.Context().Err() != nil) {
+			return
+		}
+		reply.reset()
+		switch {
+		case err != nil:
+			s.frameError(&reply, err)
+		case !first && s.throttle(&reply, r):
+		default:
+			*bufp = frame
+			apply(&reply, frame)
+		}
+		retryAfter := 0
+		if v := reply.header.Get("Retry-After"); v != "" {
+			retryAfter, _ = strconv.Atoi(v)
+		}
+		ack = wire.AppendAck(ack[:0], reply.status, retryAfter, reply.body)
+		if reply.status != http.StatusAccepted {
+			noteRefused(r, reply.status)
+		}
+		if _, err := w.Write(ack); err != nil || rc.Flush() != nil || reply.status != http.StatusAccepted {
+			return
+		}
+	}
+}
+
+// frameError answers a frame that could not be read: 413 when its
+// header declares more than MaxBodyBytes (its body is left unread, so
+// the connection closes after a one-frame response), 400 otherwise.
+func (s *Server) frameError(w http.ResponseWriter, err error) {
+	var de *wire.DecodeError
+	if errors.As(err, &de) && de.TooLarge() {
+		w.Header().Set("Connection", "close")
+		writeError(w, http.StatusRequestEntityTooLarge,
+			"batch larger than %d bytes", s.cfg.MaxBodyBytes)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "%v", err)
+}
+
+// frameReply is what apply writes for one frame of a stream — the reply
+// a one-frame POST would get — held until the loop packs it into an
+// ack.
+type frameReply struct {
+	header http.Header
+	status int
+	body   []byte
+}
+
+func (f *frameReply) Header() http.Header { return f.header }
+
+func (f *frameReply) WriteHeader(code int) {
+	if f.status == 0 {
+		f.status = code
+	}
+}
+
+func (f *frameReply) Write(b []byte) (int, error) {
+	f.WriteHeader(http.StatusOK)
+	f.body = append(f.body, b...)
+	return len(b), nil
+}
+
+func (f *frameReply) reset() {
+	clear(f.header)
+	f.status = 0
+	f.body = f.body[:0]
 }
 
 // readJSONBatch decodes the request body into batch, mapping oversize
@@ -569,19 +688,16 @@ func (s *Server) readJSONBatch(w http.ResponseWriter, r *http.Request, batch any
 // []metrics.Sample for the one tail, recordSamples.
 func (s *Server) handleIngestMetrics(w http.ResponseWriter, r *http.Request) {
 	if isBinaryBatch(r) {
-		buf, ok := s.readFrame(w, r)
-		if !ok {
-			return
-		}
-		defer frameBufPool.Put(buf)
 		dec := wire.GetMetricsDecoder()
 		defer wire.PutMetricsDecoder(dec)
-		samples, err := dec.Decode(buf.Bytes())
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		s.recordSamples(w, r, samples)
+		s.ingestFrames(w, r, func(w http.ResponseWriter, frame []byte) {
+			samples, err := dec.Decode(frame)
+			if err != nil {
+				writeError(w, http.StatusBadRequest, "%v", err)
+				return
+			}
+			s.recordSamples(w, r, samples)
+		})
 		return
 	}
 	var batch struct {
@@ -639,11 +755,15 @@ func (s *Server) recordSamples(w http.ResponseWriter, r *http.Request, samples [
 	writeAccepted(w, len(samples))
 }
 
+// jsonContentType is the Content-Type value writeAccepted puts in every
+// reply's header without allocating it; net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
 // writeAccepted answers 202 with the body writeJSON renders for
 // {"accepted": n}, byte for byte, without the JSON encoder: every
 // ingested batch gets this reply.
 func writeAccepted(w http.ResponseWriter, n int) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusAccepted)
 	var buf [48]byte
 	b := append(buf[:0], "{\n  \"accepted\": "...)

@@ -35,19 +35,16 @@ type SpanObservation struct {
 // binary decoder and a JSON one feed the one tail, recordSpans.
 func (s *Server) handleIngestSpans(w http.ResponseWriter, r *http.Request) {
 	if isBinaryBatch(r) {
-		buf, ok := s.readFrame(w, r)
-		if !ok {
-			return
-		}
-		defer frameBufPool.Put(buf)
 		dec := wire.GetSpansDecoder()
 		defer wire.PutSpansDecoder(dec)
-		spans, err := dec.Decode(buf.Bytes())
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		s.recordSpans(w, r, spans)
+		s.ingestFrames(w, r, func(w http.ResponseWriter, frame []byte) {
+			spans, err := dec.Decode(frame)
+			if err != nil {
+				writeError(w, http.StatusBadRequest, "%v", err)
+				return
+			}
+			s.recordSpans(w, r, spans)
+		})
 		return
 	}
 	var batch struct {

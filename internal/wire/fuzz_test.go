@@ -23,6 +23,7 @@ func FuzzWireDecode(f *testing.F) {
 	for _, seed := range wireFuzzSeeds() { // golden_test.go pins their re-encoding
 		f.Add(seed)
 	}
+	f.Add(rewindDeltaFrame()) // a delta, which both decoders must refuse by kind
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var md, md2 MetricsDecoder
@@ -74,6 +75,17 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
+// rewindDeltaFrame is a removal delta whose ToVersion is 0: the delta
+// decoder refuses it, so mutations start next to that check.
+func rewindDeltaFrame() []byte {
+	var de DeltaEncoder
+	frame, err := de.Encode(router.TableDelta{FromVersion: 4, ToVersion: 0, Removes: []string{"svc"}})
+	if err != nil {
+		panic(err)
+	}
+	return append([]byte(nil), frame...)
+}
+
 // FuzzSnapshotDecode throws arbitrary bytes at the routing snapshot,
 // delta, and heartbeat decoders: malformed frames must error, never
 // panic or over-allocate, and accepted frames must re-encode to the
@@ -93,6 +105,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if frame, err := de.Encode(delta); err == nil {
 		f.Add(append([]byte(nil), frame...))
 	}
+	f.Add(rewindDeltaFrame())
 	f.Add(EncodeHeartbeat(12))
 	f.Add([]byte{'C', 'X', Version, KindSnapshot, 0, 0, 0, 0})
 	f.Add([]byte{'C', 'X', Version, KindDelta, 0xFF, 0xFF, 0xFF, 0xFF})

@@ -417,6 +417,9 @@ func (dd *DeltaDecoder) Decode(frame []byte) (router.TableDelta, error) {
 	if delta.ToVersion, err = d.u64(); err != nil {
 		return delta, err
 	}
+	if delta.ToVersion <= delta.FromVersion {
+		return router.TableDelta{}, errf("delta from version %d to %d does not move forward", delta.FromVersion, delta.ToVersion)
+	}
 	nUp, err := d.count(MaxRoutes, minRouteBytes, "upserts")
 	if err != nil {
 		return delta, err
@@ -476,11 +479,13 @@ func ReadFrame(r io.Reader, buf []byte, maxBody int) ([]byte, error) {
 	}
 	bodyLen := int(binary.LittleEndian.Uint32(buf[4:8]))
 	if bodyLen > maxBody {
-		return nil, errf("frame body %d bytes exceeds limit %d", bodyLen, maxBody)
+		de := errf("frame body %d bytes exceeds limit %d", bodyLen, maxBody).(*DecodeError)
+		de.tooLarge = true
+		return nil, de
 	}
 	buf = slices.Grow(buf, bodyLen)[:HeaderSize+bodyLen]
 	if _, err := io.ReadFull(r, buf[HeaderSize:]); err != nil {
-		return nil, errf("reading %d-byte frame body: %v", bodyLen, err)
+		return nil, errf("reading frame body of length %d: %v", bodyLen, err)
 	}
 	return buf, nil
 }

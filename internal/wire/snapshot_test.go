@@ -136,6 +136,25 @@ func TestEmptySnapshotAndDelta(t *testing.T) {
 	}
 }
 
+// TestDeltaDecoderRefusesRewind: a delta frame whose ToVersion does not
+// lie past its FromVersion is a DecodeError, so an agent never hands
+// the table a delta that would rewind it.
+func TestDeltaDecoderRefusesRewind(t *testing.T) {
+	for _, to := range []uint64{0, 6, 7} {
+		var de DeltaEncoder
+		frame, err := de.Encode(router.TableDelta{FromVersion: 7, ToVersion: to, Removes: []string{"a"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dd DeltaDecoder
+		_, err = dd.Decode(frame)
+		var de2 *DecodeError
+		if !errors.As(err, &de2) {
+			t.Fatalf("delta 7 -> %d: err = %v, want a DecodeError", to, err)
+		}
+	}
+}
+
 // customMatcher is not one of the two wire-encodable matcher types.
 type customMatcher struct{}
 

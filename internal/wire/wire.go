@@ -3,6 +3,20 @@
 // metric samples and trace spans that the control plane content-
 // negotiates on POST /v1/metrics and /v1/spans next to the JSON form.
 //
+// Client is the emitter side. It keeps one full-duplex POST open per
+// endpoint, a stream of frames back to back (each frame carries its
+// length), and writes each flush into it as one frame; the server
+// answers every frame with an ack (AppendAck) once it has applied it,
+// on a response of type AckContentType. A goroutine per stream reads
+// the acks, so a stream whose server went away ends without waiting for
+// the next flush. A stream ends after streamMaxAge, or at its first
+// refused frame, and the next flush opens a new one; a server that
+// cannot stream answers the first frame alone, and the client then
+// posts one frame per request to it. So does a server that reads a
+// body to its end before it answers (one from before streams, or a
+// buffering proxy): the client ends a new stream's body when its first
+// frame is unanswered after streamWait.
+//
 // Where encoding/json allocates per field on every request, this codec
 // decodes a whole batch with zero steady-state allocations: strings are
 // deduplicated into a per-frame dictionary on the wire and interned
@@ -101,10 +115,18 @@ const (
 	MaxRows    = 1 << 22
 )
 
-// DecodeError describes a malformed frame; the server maps it to 400.
-type DecodeError struct{ msg string }
+// DecodeError describes a malformed frame; the server maps it to 400,
+// or to 413 when the frame is TooLarge.
+type DecodeError struct {
+	msg      string
+	tooLarge bool
+}
 
 func (e *DecodeError) Error() string { return "wire: " + e.msg }
+
+// TooLarge reports whether the frame's header declared a body past the
+// reader's limit (ReadFrame's maxBody).
+func (e *DecodeError) TooLarge() bool { return e.tooLarge }
 
 func errf(format string, args ...any) error {
 	return &DecodeError{msg: fmt.Sprintf(format, args...)}

@@ -481,6 +481,7 @@ func TestClientBuffersAndFlushes(t *testing.T) {
 	defer srv.Close()
 
 	c := NewClient(srv.URL, srv.Client(), 2)
+	defer c.Close()
 	c.RecordMetric(sampleBatch()[0])
 	if posts != 0 {
 		t.Fatal("flushed before batch filled")

@@ -328,16 +328,21 @@ var wallClockAllowed = map[string]wallClockSite{
 	"internal/journal/filelog.go:FileLog.syncLoop": {"NewTicker", "the group-commit interval"},
 	"internal/server/middleware.go:Server.loggingMiddleware": {"Now Since", "the request duration " +
 		"in the access log"},
-	"internal/server/middleware.go:Server.rateLimitMiddleware": {"Now", "the token bucket refills by elapsed time"},
-	"internal/server/schedule.go:Server.handleScheduleEvents":  {"NewTicker", "SSE polling of the schedule"},
-	"internal/server/server.go:New":                            {"Now", "start time: uptime and the request-id prefix"},
+	"internal/server/middleware.go:Server.throttle":           {"Now", "the token bucket refills by elapsed time"},
+	"internal/server/schedule.go:Server.handleScheduleEvents": {"NewTicker", "SSE polling of the schedule"},
+	"internal/server/server.go:New":                           {"Now", "start time: uptime and the request-id prefix"},
 	"internal/server/server.go:Server.recordSamples": {"Now", "the default stamp of a sample sent " +
 		"without one"},
-	"internal/server/server.go:Server.status":        {"Since Since", "the status cache's TTL"},
-	"internal/server/server.go:Server.buildStatus":   {"Since Now", "uptime, and the status cache's stamp"},
-	"internal/server/sse.go:Server.handleRunEvents":  {"NewTicker", "SSE polling of a run's events"},
-	"internal/server/tracing.go:Server.recordSpans":  {"Now", "the default stamp of a span sent without one"},
-	"internal/tracing/live.go:LiveCollector.Record":  {"Now", "the last-span time a trace settles from"},
+	"internal/server/server.go:Server.status":       {"Since Since", "the status cache's TTL"},
+	"internal/server/server.go:Server.buildStatus":  {"Since Now", "uptime, and the status cache's stamp"},
+	"internal/server/sse.go:Server.handleRunEvents": {"NewTicker", "SSE polling of a run's events"},
+	"internal/server/tracing.go:Server.recordSpans": {"Now", "the default stamp of a span sent without one"},
+	"internal/tracing/live.go:LiveCollector.Record": {"Now", "the last-span time a trace settles from"},
+	"internal/wire/client.go:Client.open":           {"Now", "a telemetry stream's opening, its age counts from"},
+	"internal/wire/client.go:Client.stream": {"Since", "a telemetry stream's age: an old one is ended " +
+		"before an http.Client.Timeout can cut it mid-frame"},
+	"internal/wire/client.go:closedWithin": {"NewTimer", "bounds the waits on a server that cannot stream " +
+		"or does not end a stream"},
 	"internal/tracing/live.go:LiveCollector.Harvest": {"Now", "the settle cutoff"},
 }
 
@@ -471,6 +476,11 @@ var unreachedAllowed = map[string]string{
 		"TestRecover*, TestSchedulerQueueRecovery, TestSchedulerCancelQueued and " +
 		"TestCompactJournalKeepsPendingQueueRecords, journal's TestMemorySnapshotIsIndependent, and " +
 		"server's TestServerServesRecoveredRun and TestScheduleQueueSurvivesRestart call it",
+	"contexp/internal/server.statusRecorder.Unwrap": "http.ResponseController calls it to reach the " +
+		"connection (a telemetry stream's EnableFullDuplex), through an interface declared in its method " +
+		"bodies, which export data does not carry",
+	"contexp/internal/server.envelopeWriter.Unwrap": "as statusRecorder.Unwrap: http.ResponseController " +
+		"calls it through an interface its method bodies declare",
 }
 
 // TestEverythingIsReachable holds internal/ and the root facade to code
