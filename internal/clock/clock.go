@@ -6,9 +6,9 @@
 package clock
 
 import (
-	"container/heap"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -41,8 +41,10 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 // Advance (or AdvanceTo); goroutines blocked in After/Sleep are released
 // in timestamp order. The zero value is not usable; construct with NewSim.
 type Sim struct {
-	mu     sync.Mutex
-	now    time.Time
+	mu sync.Mutex
+	// now is the clock's instant, written under mu and read without it:
+	// the runs an advance wakes read the time while it is still firing.
+	now    atomic.Pointer[time.Time]
 	timers timerHeap
 	seq    int // tiebreaker to keep firing order stable
 }
@@ -51,28 +53,26 @@ var _ Clock = (*Sim)(nil)
 
 // NewSim returns a simulated clock starting at the given instant.
 func NewSim(start time.Time) *Sim {
-	return &Sim{now: start}
+	s := &Sim{}
+	s.now.Store(&start)
+	return s
 }
 
-// Now implements Clock.
-func (s *Sim) Now() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now
-}
+// Now implements Clock. It takes no lock.
+func (s *Sim) Now() time.Time { return *s.now.Load() }
 
 // After implements Clock. Non-positive durations fire immediately.
 func (s *Sim) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	when := s.now.Add(d)
+	now := *s.now.Load()
 	if d <= 0 {
-		ch <- s.now
+		ch <- now
 		return ch
 	}
 	s.seq++
-	heap.Push(&s.timers, &simTimer{when: when, seq: s.seq, ch: ch})
+	s.timers.push(simTimer{when: now.Add(d), seq: s.seq, ch: ch})
 	return ch
 }
 
@@ -90,18 +90,25 @@ func (s *Sim) Advance(d time.Duration) {
 
 // AdvanceTo moves the clock to instant t (no-op if t is in the past),
 // firing due timers in order.
+//
+// It publishes t as the clock's instant, then sends on the channel of
+// every timer due by t, in (deadline, arming order) order, each its own
+// deadline. A woken receiver's Now returns t, until a later advance,
+// and does not wait for the rest of the sends. Arming a timer waits for
+// them, and one armed after them is due after t. The clock's mutex is
+// held throughout, so two advances never interleave their sends.
 func (s *Sim) AdvanceTo(t time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t.Before(s.now) {
+	if t.Before(*s.now.Load()) {
 		return
 	}
+	s.now.Store(&t)
+	// Each channel has room for its one value, so no send blocks.
 	for len(s.timers) > 0 && !s.timers[0].when.After(t) {
-		tm := heap.Pop(&s.timers).(*simTimer)
-		s.now = tm.when
+		tm := s.timers.pop()
 		tm.ch <- tm.when
 	}
-	s.now = t
 }
 
 // PendingTimers reports how many timers are waiting to fire. Useful for
@@ -156,22 +163,51 @@ type simTimer struct {
 	ch   chan time.Time
 }
 
-type timerHeap []*simTimer
+// timerHeap is a min-heap of timers ordered by (when, seq).
+type timerHeap []simTimer
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
+func (h timerHeap) less(i, j int) bool {
 	if h[i].when.Equal(h[j].when) {
 		return h[i].seq < h[j].seq
 	}
 	return h[i].when.Before(h[j].when)
 }
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(*simTimer)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+
+func (h *timerHeap) push(t simTimer) {
+	*h = append(*h, t)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest timer; the heap must not be empty.
+func (h *timerHeap) pop() simTimer {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = simTimer{}
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q.less(r, c) {
+			c = r
+		}
+		if !q.less(c, i) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
 }

@@ -759,16 +759,23 @@ func (s *Server) recordSamples(w http.ResponseWriter, r *http.Request, samples [
 // reply's header without allocating it; net/http only reads it.
 var jsonContentType = []string{"application/json"}
 
+// acceptedBufs holds the buffers writeAccepted renders into. The body
+// escapes through w.Write, so a stack array would cost an allocation
+// per ingested batch; a Writer copies what it is given, so the buffer
+// goes back once Write returns.
+var acceptedBufs = sync.Pool{New: func() any { return new([48]byte) }}
+
 // writeAccepted answers 202 with the body writeJSON renders for
 // {"accepted": n}, byte for byte, without the JSON encoder: every
 // ingested batch gets this reply.
 func writeAccepted(w http.ResponseWriter, n int) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusAccepted)
-	var buf [48]byte
+	buf := acceptedBufs.Get().(*[48]byte)
 	b := append(buf[:0], "{\n  \"accepted\": "...)
 	b = strconv.AppendInt(b, int64(n), 10)
 	_, _ = w.Write(append(b, "\n}\n"...))
+	acceptedBufs.Put(buf)
 }
 
 // RouteView is the JSON form of one service's route.
