@@ -359,9 +359,11 @@ func (e *Engine) JournalErrors() int64 { return e.journalErrs.Load() }
 type EngineMetrics struct {
 	// Evaluations is the number of check evaluations performed.
 	Evaluations int64
-	// BusyTime is the cumulative time spent evaluating checks, a tick's
-	// batch timed as one span; divided by wall time it approximates the
-	// engine's CPU utilization (Figs 4.7 and 4.9).
+	// BusyTime sums the wall-clock span of every run's evaluation
+	// batch (Figs 4.7 and 4.9). Runs that evaluate at once on several
+	// cores are each counted in full, and so is time a run spends
+	// runnable but not running, so it is an upper bound on the CPU time
+	// evaluation took, not a utilization.
 	BusyTime time.Duration
 	// Delays are the observed lags between check due times and actual
 	// evaluations (Figs 4.8 and 4.10): the newest 100k, oldest first.
@@ -382,8 +384,9 @@ func (e *Engine) Metrics() EngineMetrics {
 	}
 }
 
-// EvalStats returns the evaluation count and cumulative evaluation
-// time without copying the delay samples — the cheap read for health
+// EvalStats returns the evaluation count and BusyTime (the summed wall
+// span of the evaluation batches, an upper bound on evaluation CPU)
+// without copying the delay samples — the cheap read for health
 // surfaces that poll frequently.
 func (e *Engine) EvalStats() (evaluations int64, busy time.Duration) {
 	return e.evalCount.Load(), time.Duration(e.evalBusy.Load())

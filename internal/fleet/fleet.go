@@ -8,10 +8,12 @@
 // it exports the table, diffs against the previous export, encodes one
 // delta frame, and broadcasts it to every subscriber; a ring of recent
 // deltas lets a reconnecting agent catch up from its last applied
-// version without paying for a full snapshot. Agents that fall behind a
-// subscriber buffer are disconnected (their stream ends) and reconnect
-// into the catch-up path — the hub never blocks the mutation path or
-// other agents on a slow consumer.
+// version without paying for a full snapshot. A routing table is state,
+// not an event log: when a subscriber's buffer fills, the hub replaces
+// the frames it has not yet taken with one snapshot of the current
+// table and leaves its stream open. So a slow reader skips to the latest
+// table, and the hub never blocks the mutation path or other agents on
+// it.
 //
 // Periodic heartbeat frames carry the current version through idle
 // stretches. They double as the fleet's lease: an agent that stops
@@ -44,9 +46,10 @@ type Config struct {
 	// catch-up (default 128). A reconnecting agent whose last applied
 	// version fell off the ring resyncs from a full snapshot.
 	DeltaRing int
-	// SendBuffer is the per-subscriber frame buffer (default 32). A
-	// subscriber that stops draining loses its stream once the buffer
-	// fills, never the hub.
+	// SendBuffer is the per-subscriber frame buffer (default 32). When
+	// it fills, the frames still queued give way to one snapshot of the
+	// current table, so a subscriber that stops draining costs the hub
+	// at most one buffer and keeps its stream.
 	SendBuffer int
 }
 
@@ -63,7 +66,7 @@ type AgentState struct {
 	// Connected reports a live watch stream.
 	Connected   bool      `json:"connected"`
 	ConnectedAt time.Time `json:"connectedAt,omitzero"`
-	// SentVersion is the latest snapshot version written to the agent's
+	// SentVersion is the latest snapshot version queued on the agent's
 	// watch stream; AppliedVersion is the version the agent last
 	// acknowledged as installed in its local table. The gap between
 	// them is in-flight propagation.
@@ -84,71 +87,23 @@ type AgentState struct {
 	// Stale is the agent's self-reported fail-static flag: it has not
 	// seen a frame within its lease and is serving its last snapshot.
 	Stale bool `json:"stale,omitempty"`
+
+	// watch is the agent's current stream, nil while it has none; an
+	// older stream of the same agent that ends leaves it alone.
+	watch *Subscription
 }
 
-// Subscription is one watcher's end of the frame stream.
+// Subscription is one watcher's end of the frame stream. The hub sends
+// on and closes frames only under its lock.
 type Subscription struct {
 	frames chan []byte
-	hub    *Hub
-	id     string
-
-	mu      sync.Mutex
-	lagged  bool
-	closed  bool
-	sentVer uint64
+	agent  *AgentState
 }
 
 // Frames is the stream of encoded wire frames (snapshot, delta, or
-// heartbeat). It closes when the hub shuts down or the subscriber fell
-// behind; Lagged distinguishes the two.
+// heartbeat). It closes at Unwatch, at the hub's shutdown, or when its
+// buffer is full and the table cannot be encoded as a snapshot.
 func (s *Subscription) Frames() <-chan []byte { return s.frames }
-
-// Lagged reports whether the hub dropped this subscriber for not
-// draining its buffer. The agent should reconnect and catch up.
-func (s *Subscription) Lagged() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lagged
-}
-
-// send queues a frame, closing the stream instead of blocking when the
-// buffer is full. Returns false when the subscription is finished.
-func (s *Subscription) send(frame []byte, version uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	select {
-	case s.frames <- frame:
-		if version > s.sentVer {
-			s.sentVer = version
-		}
-		return true
-	default:
-		s.lagged = true
-		s.closed = true
-		close(s.frames)
-		return false
-	}
-}
-
-// close ends the stream (idempotent).
-func (s *Subscription) close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.closed {
-		s.closed = true
-		close(s.frames)
-	}
-}
-
-// sentVersion is the highest version written to this stream.
-func (s *Subscription) sentVersion() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sentVer
-}
 
 // Stats is the hub's health surface.
 type Stats struct {
@@ -159,8 +114,10 @@ type Stats struct {
 	Watchers int `json:"watchers"`
 	Agents   int `json:"agents"`
 	// Broadcasts counts delta fan-outs, Heartbeats heartbeat fan-outs,
-	// Snapshots full-snapshot syncs served, CatchUps delta-chain
-	// catch-ups served, Lagged subscribers dropped for not draining.
+	// Snapshots full snapshots queued (at Watch, or in place of a full
+	// buffer), CatchUps delta-chain catch-ups served. Lagged is always
+	// 0: a subscriber that stops draining is caught up, not dropped; the
+	// field stays because /healthz and the benchmark report it.
 	Broadcasts uint64 `json:"broadcasts"`
 	Heartbeats uint64 `json:"heartbeats"`
 	Snapshots  uint64 `json:"snapshots"`
@@ -177,6 +134,7 @@ type Hub struct {
 
 	mu     sync.Mutex
 	last   router.TableSnapshot // latest export, the diff base
+	snap   []byte               // snapshot frame of last, once encoded
 	ring   []cachedDelta
 	subs   map[*Subscription]struct{}
 	agents map[string]*AgentState
@@ -235,9 +193,8 @@ func (h *Hub) Close() {
 		<-h.done
 		h.mu.Lock()
 		for sub := range h.subs {
-			sub.close()
+			h.dropLocked(sub)
 		}
-		clear(h.subs)
 		h.mu.Unlock()
 	})
 }
@@ -287,15 +244,14 @@ func (h *Hub) publish() {
 	frame = append([]byte(nil), frame...)
 	wire.PutDeltaEncoder(enc)
 	h.last = cur
+	h.snap = nil
 	h.ring = append(h.ring, cachedDelta{from: delta.FromVersion, to: delta.ToVersion, frame: frame})
 	if len(h.ring) > h.cfg.DeltaRing {
 		h.ring = h.ring[len(h.ring)-h.cfg.DeltaRing:]
 	}
 	h.stats.Broadcasts++
 	for sub := range h.subs {
-		if !sub.send(frame, cur.Version) {
-			h.dropLocked(sub)
-		}
+		h.sendLocked(sub, frame)
 	}
 }
 
@@ -309,24 +265,64 @@ func (h *Hub) heartbeat() {
 	frame := wire.EncodeHeartbeat(h.last.Version)
 	h.stats.Heartbeats++
 	for sub := range h.subs {
-		if !sub.send(frame, 0) {
-			h.dropLocked(sub)
-		}
+		h.sendLocked(sub, frame)
 	}
 }
 
-// dropLocked unregisters a finished subscriber (hub lock held).
+// sendLocked queues frame on sub without blocking (hub lock held). On a
+// full buffer it drains the frames still queued and queues one snapshot
+// of the current table in their place. A snapshot is absolute, so a
+// frame the reader took meanwhile does no harm, and later deltas start
+// from its version. Every frame the hub sends leaves the stream at the
+// current version, so that is the agent's sent version.
+func (h *Hub) sendLocked(sub *Subscription, frame []byte) {
+	select {
+	case sub.frames <- frame:
+	default:
+		snap, err := h.snapshotLocked()
+		if err != nil {
+			h.dropLocked(sub)
+			return
+		}
+		for len(sub.frames) > 0 {
+			select {
+			case <-sub.frames:
+			default:
+			}
+		}
+		sub.frames <- snap
+		h.stats.Snapshots++
+	}
+	sub.agent.SentVersion = h.last.Version
+}
+
+// snapshotLocked returns the snapshot frame of the current table,
+// encoded at most once per published version (hub lock held).
+func (h *Hub) snapshotLocked() ([]byte, error) {
+	if h.snap != nil {
+		return h.snap, nil
+	}
+	enc := wire.GetSnapshotEncoder()
+	defer wire.PutSnapshotEncoder(enc)
+	frame, err := enc.Encode(h.last)
+	if err != nil {
+		return nil, err
+	}
+	h.snap = append([]byte(nil), frame...)
+	return h.snap, nil
+}
+
+// dropLocked unregisters sub and ends its stream, if it is still
+// registered (hub lock held). Only the agent's current stream marks it
+// disconnected.
 func (h *Hub) dropLocked(sub *Subscription) {
 	if _, ok := h.subs[sub]; !ok {
 		return
 	}
 	delete(h.subs, sub)
-	if sub.Lagged() {
-		h.stats.Lagged++
-	}
-	if st, ok := h.agents[sub.id]; ok && st.Connected {
-		st.Connected = false
-		st.SentVersion = sub.sentVersion()
+	close(sub.frames)
+	if sub.agent.watch == sub {
+		sub.agent.watch = nil
 	}
 }
 
@@ -339,57 +335,47 @@ func (h *Hub) dropLocked(sub *Subscription) {
 func (h *Hub) Watch(id, addr string, lastApplied uint64) (*Subscription, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	sub := &Subscription{
-		frames: make(chan []byte, h.cfg.SendBuffer),
-		hub:    h,
-		id:     id,
-	}
 	// Assemble initial frames under the lock: nothing can publish
 	// between the catch-up computation and registration, so the stream
 	// has no gap and no duplicate.
+	var initial [][]byte
 	switch chain, ok := h.chainLocked(lastApplied); {
 	case lastApplied == h.last.Version:
 		// Already current: confirm with a heartbeat so the agent's
 		// lease starts immediately.
-		sub.send(wire.EncodeHeartbeat(h.last.Version), 0)
+		initial = [][]byte{wire.EncodeHeartbeat(h.last.Version)}
 	case ok:
-		for _, frame := range chain {
-			sub.send(frame, 0)
-		}
-		sub.mu.Lock()
-		sub.sentVer = h.last.Version
-		sub.mu.Unlock()
+		initial = chain
 		h.stats.CatchUps++
 	default:
-		enc := wire.GetSnapshotEncoder()
-		frame, err := enc.Encode(h.last)
+		frame, err := h.snapshotLocked()
 		if err != nil {
-			wire.PutSnapshotEncoder(enc)
 			return nil, err
 		}
-		frame = append([]byte(nil), frame...)
-		wire.PutSnapshotEncoder(enc)
-		sub.send(frame, h.last.Version)
+		initial = [][]byte{frame}
 		h.stats.Snapshots++
 	}
-	h.subs[sub] = struct{}{}
 	st := h.agents[id]
 	if st == nil {
 		st = &AgentState{ID: id}
 		h.agents[id] = st
 	}
+	sub := &Subscription{frames: make(chan []byte, h.cfg.SendBuffer), agent: st}
+	for _, frame := range initial {
+		h.sendLocked(sub, frame)
+	}
+	h.subs[sub] = struct{}{}
 	st.Addr = addr
-	st.Connected = true
+	st.watch = sub
 	st.ConnectedAt = time.Now()
-	st.SentVersion = h.last.Version
 	return sub, nil
 }
 
 // chainLocked returns the retained delta frames forming a contiguous
 // chain from version `from` to the current version, or ok=false when
 // the ring cannot bridge the gap. The initial frames must fit the send
-// buffer — a chain longer than that would close the stream it is meant
-// to seed.
+// buffer: a longer chain would collapse into a snapshot as it is
+// queued, and CatchUps counts only the catch-ups that are served.
 func (h *Hub) chainLocked(from uint64) ([][]byte, bool) {
 	if from == 0 || from > h.last.Version {
 		return nil, false
@@ -415,9 +401,8 @@ func (h *Hub) chainLocked(from uint64) ([][]byte, bool) {
 // Unwatch ends a stream and releases its registry slot.
 func (h *Hub) Unwatch(sub *Subscription) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.dropLocked(sub)
-	h.mu.Unlock()
-	sub.close()
 }
 
 // Ack records an agent's heartbeat: the snapshot version its table has
@@ -450,6 +435,7 @@ func (h *Hub) Agents() []AgentState {
 	out := make([]AgentState, 0, len(h.agents))
 	for _, st := range h.agents {
 		view := *st
+		view.Connected, view.watch = st.watch != nil, nil
 		view.Lag = h.last.Version
 		if view.Epoch == h.epoch && view.AppliedVersion <= h.last.Version {
 			view.Lag -= view.AppliedVersion

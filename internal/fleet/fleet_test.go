@@ -227,42 +227,114 @@ func TestWatchStaleVersionFallsBackToSnapshot(t *testing.T) {
 	}
 }
 
-func TestLaggedSubscriberIsDropped(t *testing.T) {
+// drain takes every frame queued on sub without waiting, failing if
+// the stream is closed.
+func drain(t *testing.T, sub *Subscription) [][]byte {
+	t.Helper()
+	var frames [][]byte
+	for {
+		select {
+		case frame, ok := <-sub.Frames():
+			if !ok {
+				t.Fatalf("stream closed after %d frames", len(frames))
+			}
+			frames = append(frames, frame)
+		default:
+			return frames
+		}
+	}
+}
+
+// TestSlowSubscriberIsCaughtUp: a subscriber that reads nothing while
+// the table moves on keeps its stream, and what it finds queued when it
+// reads again takes it to the current table in at most one buffer.
+func TestSlowSubscriberIsCaughtUp(t *testing.T) {
 	src := router.NewTable()
 	if err := src.Set(testRoute("catalog")); err != nil {
 		t.Fatal(err)
 	}
-	h := New(Config{Table: src, HeartbeatInterval: time.Hour, SendBuffer: 2})
+	const buffer = 2
+	h := New(Config{Table: src, HeartbeatInterval: time.Hour, SendBuffer: buffer})
 	defer h.Close()
 
 	sub, err := h.Watch("slow", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Never drain: buffer holds the snapshot + 1 delta, the next delta
-	// overflows and the hub must cut the stream rather than block.
-	deadline := time.After(5 * time.Second)
-	for i := 0; !sub.Lagged(); i++ {
-		select {
-		case <-deadline:
-			t.Fatal("slow subscriber never dropped")
-		default:
+	defer h.Unwatch(sub)
+	for i := range 10_000 {
+		w := float64(i%100) / 100
+		if err := src.SetWeights("catalog", []router.Backend{{Version: "v1", Weight: w}, {Version: "v2", Weight: 1 - w}}); err != nil {
+			t.Fatal(err)
 		}
+		h.publish()
+	}
+	frames := drain(t, sub)
+	if len(frames) > buffer {
+		t.Fatalf("drained %d frames, want at most %d", len(frames), buffer)
+	}
+	replica := router.NewTable()
+	for _, frame := range frames {
+		applyFrame(t, replica, frame)
+	}
+	want := h.table.Export()
+	if replica.Version() != want.Version || replica.String() != src.String() {
+		t.Fatalf("replica at version %d:\n%s\nwant version %d:\n%s", replica.Version(), replica.String(), want.Version, src.String())
+	}
+	if st := h.Stats(); st.Lagged != 0 || st.Watchers != 1 {
+		t.Fatalf("stats after a slow reader = %+v", st)
+	}
+	if agents := h.Agents(); len(agents) != 1 || !agents[0].Connected {
+		t.Fatalf("agents = %+v", agents)
+	}
+}
+
+// TestSentVersionFollowsPublishes: a connected agent's sent version is
+// the last version queued on its stream, not the one it connected at.
+func TestSentVersionFollowsPublishes(t *testing.T) {
+	src := router.NewTable()
+	if err := src.Set(testRoute("catalog")); err != nil {
+		t.Fatal(err)
+	}
+	h := newTestHub(t, src)
+	sub, err := h.Watch("a1", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Unwatch(sub)
+	replica := router.NewTable()
+	for i := range 3 {
 		if err := src.Set(testRoute(fmt.Sprintf("svc-%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		h.publish()
 	}
-	// The stream must be closed (drained frames then closed channel).
-	for range sub.Frames() {
+	waitVersion(t, sub, replica, src.Version())
+	if agents := h.Agents(); agents[0].SentVersion != h.Version() {
+		t.Fatalf("sentVersion = %d, want %d", agents[0].SentVersion, h.Version())
 	}
-	if st := h.Stats(); st.Lagged != 1 || st.Watchers != 0 {
-		t.Fatalf("stats after lag drop = %+v", st)
+}
+
+// TestSupersededStreamKeepsAgentConnected: an agent that redials before
+// the server notices its old stream died has two streams; the old one
+// ending does not mark the agent disconnected.
+func TestSupersededStreamKeepsAgentConnected(t *testing.T) {
+	h := newTestHub(t, router.NewTable())
+	old, err := h.Watch("a1", "", 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Registry keeps the agent, marked disconnected.
-	agents := h.Agents()
-	if len(agents) != 1 || agents[0].Connected {
-		t.Fatalf("agents = %+v", agents)
+	cur, err := h.Watch("a1", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Unwatch(old)
+	if agents := h.Agents(); len(agents) != 1 || !agents[0].Connected {
+		t.Fatalf("agents after the old stream ended = %+v", agents)
+	}
+	h.Unwatch(cur)
+	if agents := h.Agents(); agents[0].Connected {
+		t.Fatalf("agents after the current stream ended = %+v", agents)
 	}
 }
 
@@ -369,9 +441,6 @@ func TestCloseEndsStreams(t *testing.T) {
 		select {
 		case _, ok := <-sub.Frames():
 			if !ok {
-				if sub.Lagged() {
-					t.Fatal("clean shutdown marked subscriber as lagged")
-				}
 				return
 			}
 		case <-deadline:

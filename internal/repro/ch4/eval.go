@@ -28,8 +28,11 @@ import (
 // Section 4.5.2 (engine performance, Figs 4.7–4.10) measures the
 // engine's check-evaluation delay and busy time while scaling (a) the
 // number of parallel strategies and (b) the number of checks per
-// strategy. "CPU utilization" is reproduced as the engine's busy
-// fraction: cumulative check-evaluation time over wall time.
+// strategy. "CPU utilization" is stood in for by the engine's busy
+// fraction: the summed wall span of every run's evaluation batch over
+// wall time. Overlapping runs each count in full, and so does time a
+// run waits for a core, so it is an upper bound on evaluation CPU, not
+// a utilization, and it can pass 1.
 
 // OverheadConfig parameterizes EvalFigure4_6.
 type OverheadConfig struct {
@@ -279,7 +282,8 @@ func DefaultChecksConfig() ScalingConfig {
 type ScalingPoint struct {
 	X           int
 	Evaluations int64
-	// BusyFraction = check-evaluation time / wall time (Fig 4.7/4.9).
+	// BusyFraction = summed evaluation-batch wall spans / wall time
+	// (Fig 4.7/4.9): an upper bound on evaluation CPU, not utilization.
 	BusyFraction float64
 	// Delay is the box plot of check-evaluation delays (Fig 4.8/4.10).
 	Delay stats.BoxPlot

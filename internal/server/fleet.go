@@ -24,8 +24,9 @@ import (
 // flush after each.
 
 // handleRoutingWatch streams routing frames to one agent until the
-// agent disconnects, the hub drops it for lagging, or the daemon shuts
-// down.
+// agent disconnects or the daemon shuts down. An agent that reads slowly
+// keeps its stream: the hub replaces what it has not yet taken with one
+// snapshot of the current table.
 func (s *Server) handleRoutingWatch(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("agent")
 	if id == "" {
@@ -69,7 +70,7 @@ func (s *Server) handleRoutingWatch(w http.ResponseWriter, r *http.Request) {
 		select {
 		case frame, open := <-sub.Frames():
 			if !open {
-				return // hub shutdown or lag drop: agent reconnects and catches up
+				return // hub shutdown, or a table no snapshot can encode
 			}
 			if _, err := w.Write(frame); err != nil {
 				return
