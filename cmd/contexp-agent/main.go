@@ -33,8 +33,9 @@
 // The agent fails static: when the control plane is unreachable it
 // serves the last-applied routing snapshot indefinitely, surfaces
 // `"stale": true` on its own /healthz, and reconnects with backoff,
-// catching up from its last version (delta chain when the control
-// plane retains it, full snapshot otherwise).
+// reporting its last version: it gets a heartbeat if that is still the
+// control plane's current version, one snapshot of the current table
+// otherwise.
 package main
 
 import (

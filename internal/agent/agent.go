@@ -10,14 +10,15 @@
 //
 //   - On start the agent opens GET /v1/routing/watch against the
 //     control plane, reporting the version its table already holds;
-//     the stream answers with a full snapshot, or just the missing
-//     deltas when the control plane still retains them.
+//     the stream answers with a heartbeat when that version is the
+//     control plane's current one, and otherwise with one full snapshot
+//     of its current table.
 //   - Every frame (snapshot, delta, heartbeat) renews the agent's
 //     lease; a stream silent for a whole lease is dropped. Deltas that
 //     no longer chain (version skew after a missed frame) drop the
-//     connection; the reconnect catches up. Versions are trusted only
-//     within the control-plane process that numbered them (its epoch),
-//     so after a restart the agent takes a full snapshot.
+//     connection; the reconnect takes the current table. Versions are
+//     trusted only within the control-plane process that numbered them
+//     (its epoch), so after a restart the agent takes a full snapshot.
 //   - When the stream dies the agent FAILS STATIC: it keeps serving
 //     the last-applied snapshot and reports itself stale on /healthz
 //     once the lease expires — availability over freshness, the same
@@ -313,8 +314,8 @@ func (a *Agent) follow(stream io.Reader, epoch string, lease *time.Timer) (appli
 			if err := a.table.ApplyDelta(delta); err != nil {
 				if errors.Is(err, router.ErrVersionSkew) {
 					// A frame was missed; reconnecting reports our real
-					// version and the control plane repairs the gap with
-					// a delta chain or a full snapshot.
+					// version and the control plane answers with a
+					// snapshot of its current table.
 					a.skews.Add(1)
 				}
 				return applied, err

@@ -6,19 +6,22 @@
 //
 // The Hub subscribes to the table's change notification. On every swap
 // it exports the table, diffs against the previous export, encodes one
-// delta frame, and broadcasts it to every subscriber; a ring of recent
-// deltas lets a reconnecting agent catch up from its last applied
-// version without paying for a full snapshot. A routing table is state,
-// not an event log: when a subscriber's buffer fills, the hub replaces
-// the frames it has not yet taken with one snapshot of the current
-// table and leaves its stream open. So a slow reader skips to the latest
-// table, and the hub never blocks the mutation path or other agents on
-// it.
+// delta frame, and broadcasts it to every subscriber. A routing table is
+// state, not an event log: an agent that connects behind the current
+// version gets one snapshot of the current table, and when a
+// subscriber's buffer fills, the hub replaces the frames it has not yet
+// taken with that same snapshot and leaves its stream open. So a
+// reconnecting or slow reader skips to the latest table, and the hub
+// never blocks the mutation path or other agents on it.
 //
 // Periodic heartbeat frames carry the current version through idle
 // stretches. They double as the fleet's lease: an agent that stops
 // seeing frames knows it is partitioned and fails static (keeps serving
 // its last-applied snapshot) rather than guessing.
+//
+// The registry holds the fleet, not its history: an agent with no
+// stream whose last heartbeat and last connect are both older than
+// agentExpiry is forgotten when a new agent registers.
 package fleet
 
 import (
@@ -42,10 +45,6 @@ type Config struct {
 	// agent drops a stream silent for a whole lease (default 15s) and
 	// reconnects.
 	HeartbeatInterval time.Duration
-	// DeltaRing is how many recent delta frames are retained for
-	// catch-up (default 128). A reconnecting agent whose last applied
-	// version fell off the ring resyncs from a full snapshot.
-	DeltaRing int
 	// SendBuffer is the per-subscriber frame buffer (default 32). When
 	// it fills, the frames still queued give way to one snapshot of the
 	// current table, so a subscriber that stops draining costs the hub
@@ -53,11 +52,9 @@ type Config struct {
 	SendBuffer int
 }
 
-// cachedDelta is one retained delta frame keyed by its version span.
-type cachedDelta struct {
-	from, to uint64
-	frame    []byte
-}
+// agentExpiry is how long the registry keeps an agent that has no
+// watch stream after both its last heartbeat and its last connect.
+const agentExpiry = 10 * time.Minute
 
 // AgentState is the registry's view of one agent.
 type AgentState struct {
@@ -75,10 +72,11 @@ type AgentState struct {
 	// Epoch names the control-plane process whose table the agent last
 	// acknowledged applying (Hub.Epoch); "" before its first snapshot.
 	Epoch string `json:"epoch,omitempty"`
-	// Lag counts the versions of the hub's epoch the agent has yet to
-	// apply: the current version minus AppliedVersion. A version from
-	// another epoch, or one the hub never published, counts as none
-	// applied.
+	// Lag counts the versions of the control plane's table the agent
+	// has yet to apply, within the hub's epoch: the table's version
+	// minus AppliedVersion. A version from another epoch, or one the
+	// table has not reached, counts as none applied. A table the hub
+	// cannot encode is not published, so it shows here as lag.
 	Lag uint64 `json:"lag"`
 	// LastAck is when the agent last posted a heartbeat.
 	LastAck time.Time `json:"lastAck,omitzero"`
@@ -105,19 +103,28 @@ type Subscription struct {
 // buffer is full and the table cannot be encoded as a snapshot.
 func (s *Subscription) Frames() <-chan []byte { return s.frames }
 
-// Stats is the hub's health surface.
+// Stats is the fleet's status, the hub's counters and its registry read
+// at one instant; /healthz serves it as its fleet block.
 type Stats struct {
 	// CurrentVersion is the last published snapshot version.
 	CurrentVersion uint64 `json:"currentVersion"`
 	// Watchers is how many watch streams are live right now; Agents how
-	// many distinct agents the registry has ever seen.
+	// many agents the registry holds.
 	Watchers int `json:"watchers"`
 	Agents   int `json:"agents"`
+	// ConnectedAgents counts registry entries with a live watch stream;
+	// StaleAgents counts agents self-reporting fail-static mode.
+	ConnectedAgents int `json:"connectedAgents"`
+	StaleAgents     int `json:"staleAgents"`
+	// MaxLag is the largest Lag (AgentState) across agents that have
+	// acked at least once.
+	MaxLag uint64 `json:"maxLag"`
 	// Broadcasts counts delta fan-outs, Heartbeats heartbeat fan-outs,
 	// Snapshots full snapshots queued (at Watch, or in place of a full
-	// buffer), CatchUps delta-chain catch-ups served. Lagged is always
-	// 0: a subscriber that stops draining is caught up, not dropped; the
-	// field stays because /healthz and the benchmark report it.
+	// buffer). CatchUps and Lagged are always 0: an agent that connects
+	// behind gets a snapshot, not a replay, and a subscriber that stops
+	// draining is caught up, not dropped; the fields stay because
+	// /healthz and the benchmark report them.
 	Broadcasts uint64 `json:"broadcasts"`
 	Heartbeats uint64 `json:"heartbeats"`
 	Snapshots  uint64 `json:"snapshots"`
@@ -135,7 +142,6 @@ type Hub struct {
 	mu     sync.Mutex
 	last   router.TableSnapshot // latest export, the diff base
 	snap   []byte               // snapshot frame of last, once encoded
-	ring   []cachedDelta
 	subs   map[*Subscription]struct{}
 	agents map[string]*AgentState
 	stats  Stats
@@ -151,9 +157,6 @@ type Hub struct {
 func New(cfg Config) *Hub {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 5 * time.Second
-	}
-	if cfg.DeltaRing <= 0 {
-		cfg.DeltaRing = 128
 	}
 	if cfg.SendBuffer <= 0 {
 		cfg.SendBuffer = 32
@@ -232,23 +235,18 @@ func (h *Hub) publish() {
 	frame, err := enc.Encode(delta)
 	if err != nil {
 		// A route with a custom (non-encodable) matcher cannot be
-		// distributed; keep the diff base so the next publish retries,
-		// and let heartbeats carry the version gap — agents see
-		// themselves lagging and resync when the table becomes
-		// encodable again.
+		// distributed. Keep the diff base so the next publish retries;
+		// heartbeats go on carrying the last published version, while
+		// the registry measures lag against the table, so every agent
+		// shows as behind until the table is encodable again.
 		wire.PutDeltaEncoder(enc)
 		return
 	}
-	// The encoder's buffer is reused; the ring and subscribers need a
-	// stable copy.
+	// The encoder's buffer is reused; subscribers need a stable copy.
 	frame = append([]byte(nil), frame...)
 	wire.PutDeltaEncoder(enc)
 	h.last = cur
 	h.snap = nil
-	h.ring = append(h.ring, cachedDelta{from: delta.FromVersion, to: delta.ToVersion, frame: frame})
-	if len(h.ring) > h.cfg.DeltaRing {
-		h.ring = h.ring[len(h.ring)-h.cfg.DeltaRing:]
-	}
 	h.stats.Broadcasts++
 	for sub := range h.subs {
 		h.sendLocked(sub, frame)
@@ -328,31 +326,24 @@ func (h *Hub) dropLocked(sub *Subscription) {
 
 // Watch opens a stream for agent id connecting from addr. lastApplied
 // is the version the agent's table currently sits at (0 for a fresh
-// agent): when the ring still holds a contiguous delta chain from that
-// version the initial frames are exactly those deltas, otherwise the
-// stream starts with one full snapshot. The caller must Unwatch when
-// the stream ends.
+// agent, NoVersion for a table of another epoch): an agent at the
+// current version gets a heartbeat, any other one snapshot of the
+// current table. The caller must Unwatch when the stream ends.
 func (h *Hub) Watch(id, addr string, lastApplied uint64) (*Subscription, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	// Assemble initial frames under the lock: nothing can publish
-	// between the catch-up computation and registration, so the stream
-	// has no gap and no duplicate.
-	var initial [][]byte
-	switch chain, ok := h.chainLocked(lastApplied); {
-	case lastApplied == h.last.Version:
+	// Queue the first frame under the lock: nothing can publish between
+	// it and registration, so the stream has no gap and no duplicate.
+	var first []byte
+	if lastApplied == h.last.Version {
 		// Already current: confirm with a heartbeat so the agent's
 		// lease starts immediately.
-		initial = [][]byte{wire.EncodeHeartbeat(h.last.Version)}
-	case ok:
-		initial = chain
-		h.stats.CatchUps++
-	default:
-		frame, err := h.snapshotLocked()
-		if err != nil {
+		first = wire.EncodeHeartbeat(h.last.Version)
+	} else {
+		var err error
+		if first, err = h.snapshotLocked(); err != nil {
 			return nil, err
 		}
-		initial = [][]byte{frame}
 		h.stats.Snapshots++
 	}
 	st := h.agents[id]
@@ -361,41 +352,12 @@ func (h *Hub) Watch(id, addr string, lastApplied uint64) (*Subscription, error) 
 		h.agents[id] = st
 	}
 	sub := &Subscription{frames: make(chan []byte, h.cfg.SendBuffer), agent: st}
-	for _, frame := range initial {
-		h.sendLocked(sub, frame)
-	}
+	h.sendLocked(sub, first)
 	h.subs[sub] = struct{}{}
 	st.Addr = addr
 	st.watch = sub
 	st.ConnectedAt = time.Now()
 	return sub, nil
-}
-
-// chainLocked returns the retained delta frames forming a contiguous
-// chain from version `from` to the current version, or ok=false when
-// the ring cannot bridge the gap. The initial frames must fit the send
-// buffer: a longer chain would collapse into a snapshot as it is
-// queued, and CatchUps counts only the catch-ups that are served.
-func (h *Hub) chainLocked(from uint64) ([][]byte, bool) {
-	if from == 0 || from > h.last.Version {
-		return nil, false
-	}
-	var chain [][]byte
-	at := from
-	for _, cd := range h.ring {
-		if cd.to <= at {
-			continue
-		}
-		if cd.from != at {
-			return nil, false // gap: the needed delta fell off the ring
-		}
-		chain = append(chain, cd.frame)
-		at = cd.to
-	}
-	if at != h.last.Version || len(chain) >= h.cfg.SendBuffer {
-		return nil, false
-	}
-	return chain, true
 }
 
 // Unwatch ends a stream and releases its registry slot.
@@ -408,12 +370,21 @@ func (h *Hub) Unwatch(sub *Subscription) {
 // Ack records an agent's heartbeat: the snapshot version its table has
 // applied, in the epoch that numbered it, plus its self-reported
 // counters. Agents that never opened a watch stream (or whose stream
-// dropped) still register here.
+// dropped) still register here. A new agent's first heartbeat forgets
+// every agent with no stream whose last heartbeat and last connect are
+// both older than agentExpiry.
 func (h *Hub) Ack(id, addr, epoch string, applied, resolves uint64, stale bool) {
+	now := time.Now()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.agents[id]
 	if st == nil {
+		cutoff := now.Add(-agentExpiry)
+		for other, a := range h.agents {
+			if a.watch == nil && a.LastAck.Before(cutoff) && a.ConnectedAt.Before(cutoff) {
+				delete(h.agents, other)
+			}
+		}
 		st = &AgentState{ID: id}
 		h.agents[id] = st
 	}
@@ -424,22 +395,28 @@ func (h *Hub) Ack(id, addr, epoch string, applied, resolves uint64, stale bool) 
 	st.Epoch = epoch
 	st.Resolves = resolves
 	st.Stale = stale
-	st.LastAck = time.Now()
+	st.LastAck = now
 }
 
-// Agents returns the registry sorted by agent ID, lag computed against
-// the current published version within the hub's epoch.
+// lagLocked is st's Lag against the table at version current (hub lock
+// held).
+func (h *Hub) lagLocked(st *AgentState, current uint64) uint64 {
+	if st.Epoch == h.epoch && st.AppliedVersion <= current {
+		return current - st.AppliedVersion
+	}
+	return current
+}
+
+// Agents returns the registry sorted by agent ID.
 func (h *Hub) Agents() []AgentState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	current := h.table.Version()
 	out := make([]AgentState, 0, len(h.agents))
 	for _, st := range h.agents {
 		view := *st
 		view.Connected, view.watch = st.watch != nil, nil
-		view.Lag = h.last.Version
-		if view.Epoch == h.epoch && view.AppliedVersion <= h.last.Version {
-			view.Lag -= view.AppliedVersion
-		}
+		view.Lag = h.lagLocked(st, current)
 		out = append(out, view)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -453,7 +430,8 @@ func (h *Hub) Version() uint64 {
 	return h.last.Version
 }
 
-// Stats returns the hub's counters.
+// Stats returns the hub's counters and a summary of its registry, in
+// one pass under the hub lock.
 func (h *Hub) Stats() Stats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -461,5 +439,17 @@ func (h *Hub) Stats() Stats {
 	st.CurrentVersion = h.last.Version
 	st.Watchers = len(h.subs)
 	st.Agents = len(h.agents)
+	current := h.table.Version()
+	for _, a := range h.agents {
+		if a.watch != nil {
+			st.ConnectedAgents++
+		}
+		if a.Stale {
+			st.StaleAgents++
+		}
+		if !a.LastAck.IsZero() {
+			st.MaxLag = max(st.MaxLag, h.lagLocked(a, current))
+		}
+	}
 	return st
 }

@@ -145,85 +145,44 @@ func TestWatchCurrentAgentGetsHeartbeat(t *testing.T) {
 	}
 }
 
-func TestWatchCatchUpFromRing(t *testing.T) {
+// TestWatchBehindAgentGetsSnapshot: an agent of the hub's epoch that is
+// behind the current version gets exactly one frame, a snapshot that
+// takes it to the current table; the deltas it missed are not replayed.
+func TestWatchBehindAgentGetsSnapshot(t *testing.T) {
 	src := router.NewTable()
 	if err := src.Set(testRoute("catalog")); err != nil {
 		t.Fatal(err)
 	}
 	h := newTestHub(t, src)
-
-	// First agent follows live so we can both drive publishes and know
-	// when they have happened.
-	live, err := h.Watch("live", "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Unwatch(live)
-	replica := router.NewTable()
-	applyFrame(t, replica, recvFrame(t, live))
 	joinAt := src.Version()
-
-	for i := 0; i < 3; i++ {
+	for i := range 3 {
 		if err := src.Set(testRoute(fmt.Sprintf("svc-%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		waitVersion(t, live, replica, src.Version())
+		h.publish()
 	}
 
-	// A reconnecting agent that applied joinAt catches up from deltas
-	// alone — no full snapshot.
 	late, err := h.Watch("late", "", joinAt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Unwatch(late)
-	// Seed the late table with the state it had at joinAt (catalog only).
+	frames := drain(t, late)
+	if len(frames) != 1 || wire.Kind(frames[0]) != wire.KindSnapshot {
+		t.Fatalf("got %d frames, want one snapshot", len(frames))
+	}
+	// The late table holds what it had at joinAt (catalog only).
 	lateTbl := router.NewTable()
 	seed := router.TableSnapshot{Version: joinAt, Routes: []router.Route{testRoute("catalog")}}
 	if err := lateTbl.ApplySnapshot(seed); err != nil {
 		t.Fatal(err)
 	}
-	waitVersion(t, late, lateTbl, src.Version())
-	if lateTbl.String() != src.String() {
-		t.Fatalf("catch-up diverged:\n%s\nwant\n%s", lateTbl.String(), src.String())
+	applyFrame(t, lateTbl, frames[0])
+	if lateTbl.Version() != src.Version() || lateTbl.String() != src.String() {
+		t.Fatalf("after the snapshot, version %d:\n%s\nwant version %d:\n%s", lateTbl.Version(), lateTbl.String(), src.Version(), src.String())
 	}
-	if st := h.Stats(); st.CatchUps != 1 {
-		t.Fatalf("CatchUps = %d, want 1 (stats %+v)", st.CatchUps, st)
-	}
-}
-
-func TestWatchStaleVersionFallsBackToSnapshot(t *testing.T) {
-	src := router.NewTable()
-	if err := src.Set(testRoute("catalog")); err != nil {
-		t.Fatal(err)
-	}
-	h := New(Config{Table: src, HeartbeatInterval: time.Hour, DeltaRing: 2})
-	defer h.Close()
-
-	live, err := h.Watch("live", "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Unwatch(live)
-	replica := router.NewTable()
-	applyFrame(t, replica, recvFrame(t, live))
-
-	// Push enough versions that version-1 deltas fall off the 2-entry ring.
-	for i := 0; i < 5; i++ {
-		if err := src.Set(testRoute(fmt.Sprintf("svc-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-		waitVersion(t, live, replica, src.Version())
-	}
-
-	late, err := h.Watch("late", "", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Unwatch(late)
-	frame := recvFrame(t, late)
-	if wire.Kind(frame) != wire.KindSnapshot {
-		t.Fatalf("frame kind = %d, want full snapshot after ring eviction", wire.Kind(frame))
+	if st := h.Stats(); st.Snapshots != 1 || st.CatchUps != 0 {
+		t.Fatalf("stats = %+v, want one snapshot and no catch-up", st)
 	}
 }
 
@@ -395,6 +354,98 @@ func TestWatchNoVersionIsSnapshot(t *testing.T) {
 	applyFrame(t, held, frame)
 	if v, services := held.Version(), held.Services(); v != 0 || len(services) != 0 {
 		t.Fatalf("after the snapshot: version %d, services %v; want the hub's empty table", v, services)
+	}
+}
+
+// customMatcher is a rule matcher the wire format cannot encode.
+type customMatcher struct{}
+
+func (customMatcher) Match(*router.Request) bool { return false }
+func (customMatcher) String() string             { return "custom" }
+
+// TestUndistributableTableShowsAsLag: a table the hub cannot encode is
+// not published, and every agent that acked the last published version
+// shows as behind the table, not as current.
+func TestUndistributableTableShowsAsLag(t *testing.T) {
+	src := router.NewTable()
+	if err := src.Set(testRoute("catalog")); err != nil {
+		t.Fatal(err)
+	}
+	h := newTestHub(t, src)
+	for _, id := range []string{"a1", "a2"} {
+		h.Ack(id, "", h.Epoch(), h.Version(), 0, false)
+	}
+	if st := h.Stats(); st.MaxLag != 0 {
+		t.Fatalf("maxLag %d before the table moved, want 0", st.MaxLag)
+	}
+
+	odd := testRoute("odd")
+	odd.Rules = []router.Rule{{Name: "odd", Match: customMatcher{}, Version: "v1"}}
+	if err := src.Set(odd); err != nil {
+		t.Fatal(err)
+	}
+	h.publish()
+	if h.Version() == src.Version() {
+		t.Fatalf("the hub published version %d, which it cannot encode", src.Version())
+	}
+	for _, a := range h.Agents() {
+		if a.Lag < 1 {
+			t.Fatalf("%s = %+v, want lag >= 1 behind table version %d", a.ID, a, src.Version())
+		}
+	}
+	if st := h.Stats(); st.MaxLag < 1 {
+		t.Fatalf("stats = %+v, want maxLag >= 1", st)
+	}
+}
+
+// TestRegistryForgetsLongGoneAgents: a new agent's heartbeat forgets the
+// agents that have had no stream, heartbeat or connect for agentExpiry,
+// and keeps the others.
+func TestRegistryForgetsLongGoneAgents(t *testing.T) {
+	h := newTestHub(t, router.NewTable())
+	sub, err := h.Watch("streaming", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Unwatch(sub)
+	gone, err := h.Watch("reconnected", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Unwatch(gone)
+	for _, id := range []string{"streaming", "reconnected", "gone", "acked"} {
+		h.Ack(id, "", h.Epoch(), 0, 0, false)
+	}
+
+	old := time.Now().Add(-agentExpiry - time.Minute)
+	h.mu.Lock()
+	for id, st := range h.agents {
+		st.LastAck = old
+		if id != "reconnected" {
+			st.ConnectedAt = old
+		}
+	}
+	h.agents["acked"].LastAck = time.Now()
+	h.mu.Unlock()
+
+	h.Ack("gone", "", h.Epoch(), 0, 0, false) // a known ID forgets no one
+	if n := len(h.Agents()); n != 4 {
+		t.Fatalf("%d agents after a known agent's heartbeat, want 4", n)
+	}
+	h.mu.Lock()
+	h.agents["gone"].LastAck = old
+	h.mu.Unlock()
+
+	h.Ack("new", "", h.Epoch(), 0, 0, false)
+	var ids []string
+	for _, a := range h.Agents() {
+		ids = append(ids, a.ID)
+	}
+	if got, want := fmt.Sprint(ids), "[acked new reconnected streaming]"; got != want {
+		t.Fatalf("registry holds %s, want %s", got, want)
+	}
+	if st := h.Stats(); st.Agents != 4 || st.ConnectedAgents != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 

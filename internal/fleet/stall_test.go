@@ -19,8 +19,9 @@ type queued struct {
 
 // reader is one subscriber of a stall schedule and the model of its
 // queue: a reader with room gets each publish's delta and each
-// heartbeat, and a full one finds everything replaced by one snapshot of
-// the current table.
+// heartbeat, a full one finds everything replaced by one snapshot of
+// the current table, and a reconnecting one gets a heartbeat if its
+// table is current and one snapshot otherwise.
 type reader struct {
 	sub     *Subscription
 	table   *router.Table
@@ -37,12 +38,13 @@ func (r *reader) expect(f queued, buffer int, current uint64) {
 }
 
 // TestStallSchedule drives a hub and three readers through seeded
-// schedules of publishes, heartbeats, one-frame deliveries and reader
-// stalls. After every step each reader's table is one the hub published
-// and its version has not gone down, and every reader's queue holds
-// exactly the frames the model predicts, so a reader that drains gets
-// every publish's frame however long another stalls. Once the schedule
-// quiesces, every reader holds the current table.
+// schedules of publishes, heartbeats, one-frame deliveries, reader
+// stalls and reconnects. After every step each reader's table is one
+// the hub published and its version has not gone down, and every
+// reader's queue holds exactly the frames the model predicts, so a
+// reader that drains gets every publish's frame however long another
+// stalls. Once the schedule quiesces, every reader holds the current
+// table.
 func TestStallSchedule(t *testing.T) {
 	for seed := range uint64(200) {
 		runStallSchedule(t, seed)
@@ -71,7 +73,6 @@ func runStallSchedule(t *testing.T, seed uint64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer h.Unwatch(sub)
 		readers[i] = &reader{sub: sub, table: router.NewTable(), want: []queued{{wire.KindSnapshot, src.Version()}}}
 	}
 	deliver := func(r *reader) {
@@ -121,7 +122,7 @@ func runStallSchedule(t *testing.T, seed uint64) {
 	}
 
 	for ; step < 300; step++ {
-		switch op := rng.IntN(10); {
+		switch op := rng.IntN(11); {
 		case op < 4:
 			w := float64(rng.IntN(11)) / 10
 			route := router.Route{
@@ -145,9 +146,29 @@ func runStallSchedule(t *testing.T, seed uint64) {
 			if r := readers[rng.IntN(len(readers))]; !r.stalled && len(r.want) > 0 {
 				deliver(r)
 			}
-		default:
+		case op < 10:
 			r := readers[rng.IntN(len(readers))]
 			r.stalled = !r.stalled
+		default:
+			// Cut a reader's stream, losing what it had queued, and
+			// reopen it at the version its table holds or as an agent
+			// of another epoch.
+			i := rng.IntN(len(readers))
+			r := readers[i]
+			h.Unwatch(r.sub)
+			from := r.table.Version()
+			if rng.IntN(2) == 0 {
+				from = NoVersion
+			}
+			sub, err := h.Watch(fmt.Sprintf("r%d", i), "", from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.sub = sub
+			r.want = []queued{{wire.KindSnapshot, src.Version()}}
+			if from == src.Version() {
+				r.want = []queued{{wire.KindHeartbeat, src.Version()}}
+			}
 		}
 		check()
 	}
@@ -161,7 +182,7 @@ func runStallSchedule(t *testing.T, seed uint64) {
 			fail("reader %d quiesced at version %d, want %d", i, r.table.Version(), src.Version())
 		}
 	}
-	if st := h.Stats(); st.Watchers != len(readers) || st.Lagged != 0 {
+	if st := h.Stats(); st.Watchers != len(readers) || st.Lagged != 0 || st.CatchUps != 0 {
 		fail("stats = %+v", st)
 	}
 }

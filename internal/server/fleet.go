@@ -17,11 +17,12 @@ import (
 // POST /v1/agents/heartbeat   agent lease renewal + applied-version ack
 //
 // The watch stream speaks the wire snapshot codec: on connect the agent
-// receives either a full snapshot or (when it reports a recent enough
-// lastApplied version, from this process's epoch) the delta chain from
-// there, then one delta per table swap and periodic heartbeats. Frames
-// are self-delimiting, so the stream is just frames back to back with a
-// flush after each.
+// receives a heartbeat when the lastApplied version it reports, from
+// this process's epoch, is the current one, and otherwise one snapshot
+// of the current table; then one delta per table swap and periodic
+// heartbeats. Frames are self-delimiting, so the stream is just frames
+// back to back with a flush after each. /healthz's fleet block is
+// fleet.Stats.
 
 // handleRoutingWatch streams routing frames to one agent until the
 // agent disconnects or the daemon shuts down. An agent that reads slowly
@@ -156,51 +157,4 @@ func (s *Server) handleAgentHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]any{
 		"currentVersion": s.cfg.Fleet.Version(),
 	})
-}
-
-// FleetHealth reports the distributed data plane: the published
-// snapshot version, live watch streams, and fan-out counters.
-type FleetHealth struct {
-	CurrentVersion uint64 `json:"currentVersion"`
-	Watchers       int    `json:"watchers"`
-	Agents         int    `json:"agents"`
-	// ConnectedAgents counts registry entries with a live watch stream;
-	// StaleAgents counts agents self-reporting fail-static mode.
-	ConnectedAgents int `json:"connectedAgents"`
-	StaleAgents     int `json:"staleAgents"`
-	// MaxLag is the largest applied-version lag across agents that have
-	// acked at least once.
-	MaxLag     uint64 `json:"maxLag"`
-	Broadcasts uint64 `json:"broadcasts"`
-	Heartbeats uint64 `json:"heartbeats"`
-	Snapshots  uint64 `json:"snapshots"`
-	CatchUps   uint64 `json:"catchUps"`
-	Lagged     uint64 `json:"lagged"`
-}
-
-// fleetHealth condenses the hub's stats and registry for /healthz.
-func fleetHealth(h *fleet.Hub) *FleetHealth {
-	st := h.Stats()
-	fh := &FleetHealth{
-		CurrentVersion: st.CurrentVersion,
-		Watchers:       st.Watchers,
-		Agents:         st.Agents,
-		Broadcasts:     st.Broadcasts,
-		Heartbeats:     st.Heartbeats,
-		Snapshots:      st.Snapshots,
-		CatchUps:       st.CatchUps,
-		Lagged:         st.Lagged,
-	}
-	for _, a := range h.Agents() {
-		if a.Connected {
-			fh.ConnectedAgents++
-		}
-		if a.Stale {
-			fh.StaleAgents++
-		}
-		if !a.LastAck.IsZero() && a.Lag > fh.MaxLag {
-			fh.MaxLag = a.Lag
-		}
-	}
-	return fh
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -198,6 +199,8 @@ func TestHeartbeatRejectsMissingID(t *testing.T) {
 	}
 }
 
+// TestHealthReportsFleet: /healthz's fleet block is the hub's Stats,
+// under the same keys in the same order as ever.
 func TestHealthReportsFleet(t *testing.T) {
 	e, _ := newFleetEnv(t)
 	hb := Heartbeat{ID: "edge-1", Version: 0, Stale: true}
@@ -213,15 +216,41 @@ func TestHealthReportsFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	var h Health
+	var h struct {
+		Fleet json.RawMessage `json:"fleet"`
+	}
 	if err := json.NewDecoder(resp2.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
 	if h.Fleet == nil {
 		t.Fatal("healthz missing fleet section")
 	}
-	if h.Fleet.Agents != 1 || h.Fleet.StaleAgents != 1 {
-		t.Fatalf("fleet health = %+v", h.Fleet)
+	dec := json.NewDecoder(bytes.NewReader(h.Fleet))
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key.(string))
+		if _, err := dec.Token(); err != nil { // every value is a number
+			t.Fatal(err)
+		}
+	}
+	want := []string{"currentVersion", "watchers", "agents", "connectedAgents", "staleAgents",
+		"maxLag", "broadcasts", "heartbeats", "snapshots", "catchUps", "lagged"}
+	if fmt.Sprint(keys) != fmt.Sprint(want) {
+		t.Fatalf("fleet keys = %v, want %v", keys, want)
+	}
+	var st fleet.Stats
+	if err := json.Unmarshal(h.Fleet, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Agents != 1 || st.StaleAgents != 1 || st.ConnectedAgents != 0 {
+		t.Fatalf("fleet health = %+v", st)
 	}
 }
 

@@ -843,7 +843,7 @@ type Health struct {
 	Journal   *journal.Stats   `json:"journal,omitempty"`
 	Scheduler *SchedulerHealth `json:"scheduler,omitempty"`
 	Tracing   *TracingHealth   `json:"tracing,omitempty"`
-	Fleet     *FleetHealth     `json:"fleet,omitempty"`
+	Fleet     *fleet.Stats     `json:"fleet,omitempty"`
 	Demo      any              `json:"demo,omitempty"`
 	// Tenants reports per-tenant usage (runs, metric series, request
 	// budget) whenever more than the default tenant is visible.
@@ -1021,7 +1021,8 @@ func (s *Server) buildStatus() *statusSnapshot {
 		h.Tracing = th
 	}
 	if s.cfg.Fleet != nil {
-		h.Fleet = fleetHealth(s.cfg.Fleet)
+		st := s.cfg.Fleet.Stats()
+		h.Fleet = &st
 	}
 	if s.demo != nil {
 		h.Demo = s.demo()

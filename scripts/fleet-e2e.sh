@@ -7,8 +7,9 @@
 #   1. all three agents connect and converge on the initial snapshot;
 #   2. the phase transitions propagate: after the run succeeds, every
 #      agent's applied version equals the control plane's current
-#      version, and a local /v1/resolve answers with the promoted
-#      candidate version;
+#      version, /healthz's fleet block counts three connected agents, no
+#      lag and no catch-up, and a local /v1/resolve answers with the
+#      promoted candidate version;
 #   3. fail-static: with the control plane killed, agents keep
 #      resolving from their last snapshot and report themselves stale
 #      after the lease expires.
@@ -120,6 +121,11 @@ echo "   run succeeded (candidate promoted)"
 poll 15 "agents to converge on the promoted table" agents_converged
 ver=$(curl -fsS "$CP/v1/agents" | jq .currentVersion)
 echo "   fleet converged on version $ver"
+
+curl -fsS "$CP/healthz" | jq -e '
+    .fleet.connectedAgents == 3 and .fleet.maxLag == 0 and .fleet.catchUps == 0' >/dev/null \
+    || fail "/healthz fleet block after convergence: $(curl -fsS "$CP/healthz" | jq -c .fleet)"
+echo "   /healthz: 3 connected agents, maxLag 0, catchUps 0"
 
 for port in "${AGENT_PORTS[@]}"; do
     got=$(curl -fsS "http://127.0.0.1:$port/v1/resolve?service=svc&user=u1" | jq -r .version)
